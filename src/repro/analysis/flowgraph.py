@@ -458,17 +458,15 @@ class FlowGraph:
     # -- transformations -------------------------------------------------------------
 
     def without_self_loops(self) -> "FlowGraph":
-        """Drop ``n → n`` edges (they carry no information-flow content)."""
-        if self._succ is not None:
-            return FlowGraph(
-                self._universe,
-                self._node_bits,
-                successors=_drop_self_loops(self._succ),
-            )
+        """Drop ``n → n`` edges (they carry no information-flow content).
+
+        Built from the successor map, which renderings read: a cached graph
+        then transposes once, not once per rendering of a derived graph.
+        """
         return FlowGraph(
             self._universe,
             self._node_bits,
-            predecessors=_drop_self_loops(self._pred),
+            successors=_drop_self_loops(self._successor_map()),
         )
 
     def restricted_to(self, nodes: Iterable[str]) -> "FlowGraph":

@@ -23,57 +23,47 @@ IFA108    shadowed variable assignment (killed before any use)
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.analysis.closure import _strongly_connected_components
 from repro.analysis.lint.registry import LintRule, rule
-from repro.analysis.resource_matrix import outgoing_node
+from repro.analysis.resource_matrix import base_resource, outgoing_node
 from repro.cfg.builder import ProcessCFG
 from repro.cfg.labels import BlockKind
 from repro.security.report import Diagnostic
-from repro.vhdl import ast
-from repro.vhdl.elaborate import Design, Process
+from repro.vhdl.elaborate import Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.flowgraph import FlowGraph
     from repro.pipeline.artifacts import AnalysisResult
 
 
-def _expression_reads(process: Process) -> Set[str]:
-    """Signals read in the process's expressions (not its wait sensitivity)."""
-    reads: Set[str] = set()
-    for stmt in ast.iter_statements(process.body):
-        if isinstance(stmt, (ast.SignalAssign, ast.VariableAssign)):
-            reads |= ast.free_signals_expr(stmt.value)
-        elif isinstance(stmt, (ast.If, ast.While)):
-            reads |= ast.free_signals_expr(stmt.condition)
-        elif isinstance(stmt, ast.Wait):
-            reads |= ast.free_signals_expr(stmt.condition)
-    return reads
+def _processes(analysis: "AnalysisResult") -> List[Process]:
+    """The analysed processes, in design order.
+
+    Taken from the CFG, whose processes carry the labels the per-label facts
+    refer to; in a linked design they are placed processes, which answer the
+    same per-process queries from their entity summaries.
+    """
+    return [cfg.process for cfg in analysis.program_cfg.processes.values()]
 
 
-def _wait_sensitivity(process: Process) -> Set[str]:
-    """The union of all wait-statement signal sets of the process."""
-    sensitivity: Set[str] = set()
-    for stmt in ast.iter_statements(process.body):
-        if isinstance(stmt, ast.Wait):
-            sensitivity |= set(stmt.signals)
-    return sensitivity
-
-
-def _signal_reads(design: Design) -> Set[str]:
+def _signal_reads(processes: Sequence[Process]) -> Set[str]:
     """Every signal observed anywhere: expressions plus wait sensitivity."""
     reads: Set[str] = set()
-    for process in design.processes:
-        reads |= _expression_reads(process)
-        reads |= _wait_sensitivity(process)
+    for process in processes:
+        reads |= process.expression_reads()
+        reads |= process.wait_sensitivity()
     return reads
 
 
-def _signal_writes(design: Design) -> Set[str]:
-    writes: Set[str] = set()
-    for process in design.processes:
-        writes |= ast.written_signals(process.body)
-    return writes
+def _drivers(processes: Sequence[Process]) -> Dict[str, List[str]]:
+    """Signal → the names of the processes assigning it, in design order."""
+    drivers: Dict[str, List[str]] = {}
+    for process in processes:
+        for signal in process.written_signals():
+            drivers.setdefault(signal, []).append(process.name)
+    return drivers
 
 
 @rule
@@ -86,13 +76,9 @@ class MultipleDriversRule(LintRule):
     requires = ("cfg",)
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
-        processes = analysis.program_cfg.processes
+        drivers_of = _drivers(_processes(analysis))
         for name in sorted(analysis.design.signals):
-            drivers = sorted(
-                cfg.name
-                for cfg in processes.values()
-                if cfg.assignment_labels_of_signal(name)
-            )
+            drivers = sorted(drivers_of.get(name, ()))
             if len(drivers) < 2:
                 continue
             yield self.diagnostic(
@@ -115,8 +101,9 @@ class WrittenNeverReadRule(LintRule):
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
         design = analysis.design
-        reads = _signal_reads(design)
-        for name in sorted(_signal_writes(design) - reads):
+        processes = _processes(analysis)
+        reads = _signal_reads(processes)
+        for name in sorted(set(_drivers(processes)) - reads):
             info = design.signals.get(name)
             if info is None or info.is_output:
                 # Output ports are read by the environment by definition.
@@ -139,8 +126,9 @@ class ReadNeverWrittenRule(LintRule):
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
         design = analysis.design
-        writes = _signal_writes(design)
-        for name in sorted(_signal_reads(design) - writes):
+        processes = _processes(analysis)
+        writes = set(_drivers(processes))
+        for name in sorted(_signal_reads(processes) - writes):
             info = design.signals.get(name)
             if info is None or info.is_input:
                 # Input ports are driven by the environment by definition.
@@ -169,17 +157,16 @@ class DeadProcessRule(LintRule):
             # Without output ports nothing can be observed; every process
             # would be trivially "dead", which is noise, not a finding.
             return
-        graph = analysis.graph
         port_nodes: Set[str] = set(ports)
         port_nodes.update(outgoing_node(port) for port in ports)
-        for process in design.processes:
-            written = sorted(ast.written_signals(process.body))
-            reach: Set[str] = set()
-            for signal in written:
-                for node in (signal, outgoing_node(signal)):
-                    if graph.has_node(node):
-                        reach |= graph.reachable_from(node, include_start=True)
-            if reach & port_nodes:
+        observed = self._reaching(analysis.graph, port_nodes)
+        for process in _processes(analysis):
+            written = sorted(process.written_signals())
+            if any(
+                node in observed
+                for signal in written
+                for node in (signal, outgoing_node(signal))
+            ):
                 continue
             yield self.diagnostic(
                 f"process '{process.name}' writes "
@@ -193,6 +180,22 @@ class DeadProcessRule(LintRule):
                 path=tuple(written),
             )
 
+    @staticmethod
+    def _reaching(graph: "FlowGraph", targets: Set[str]) -> Set[str]:
+        """The nodes of ``graph`` in ``targets`` or with a path into them.
+
+        One backward search from the ports serves every process, where a
+        forward search per process would cost O(processes × graph).
+        """
+        seen = {node for node in targets if graph.has_node(node)}
+        pending = list(seen)
+        while pending:
+            for node in graph.predecessors(pending.pop()):
+                if node not in seen:
+                    seen.add(node)
+                    pending.append(node)
+        return seen
+
 
 @rule
 class SensitivityRule(LintRule):
@@ -204,17 +207,17 @@ class SensitivityRule(LintRule):
     requires = ("cfg",)
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
-        for process in analysis.design.processes:
+        for process in _processes(analysis):
             if process.synthesized:
                 # Concurrent assignments get their sensitivity synthesised
                 # from their own expression; it is complete by construction.
                 continue
-            sensitivity = _wait_sensitivity(process)
+            sensitivity = process.wait_sensitivity()
             if not sensitivity:
                 # No wait carries a signal set: there is no sensitivity list
                 # to be incomplete (e.g. pure `wait until` synchronisation).
                 continue
-            for name in sorted(_expression_reads(process) - sensitivity):
+            for name in sorted(process.expression_reads() - sensitivity):
                 yield self.diagnostic(
                     f"process '{process.name}' reads signal '{name}' but no "
                     "wait statement is sensitive to it; the process will not "
@@ -234,30 +237,18 @@ class CombinationalLoopRule(LintRule):
     requires = ("cfg", "flow_graph")
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
-        design = analysis.design
-        graph = analysis.graph.collapse_environment_nodes().without_self_loops()
-        signal_nodes = sorted(
-            node for node in graph.nodes if node in design.signals
-        )
-        subgraph = graph.restricted_to(signal_nodes)
-        adjacency = subgraph.to_adjacency()
-        edges = {
-            node: tuple(successors) for node, successors in adjacency.items()
-        }
-        _, components = _strongly_connected_components(adjacency, edges)
+        loops = self._signal_loops(analysis)
+        if not loops:
+            return
         processes = analysis.program_cfg.processes
-        for component in components:
-            if len(component) < 2:
-                continue
-            members = sorted(component)
+        drivers_of = _drivers(_processes(analysis))
+        for members in loops:
             member_set = set(members)
             drivers = sorted(
-                cfg.name
-                for cfg in processes.values()
-                if any(cfg.assignment_labels_of_signal(s) for s in members)
+                {name for signal in members for name in drivers_of.get(signal, ())}
             )
             if any(
-                self._is_clocked(processes[name], member_set)
+                self._is_clocked(processes[name].process, member_set)
                 for name in drivers
             ):
                 continue
@@ -271,9 +262,33 @@ class CombinationalLoopRule(LintRule):
             )
 
     @staticmethod
-    def _is_clocked(cfg: ProcessCFG, loop_signals: Set[str]) -> bool:
+    def _signal_loops(analysis: "AnalysisResult") -> List[List[str]]:
+        """The sorted members of every cycle of two or more signals.
+
+        The signal graph is the flow graph with ``n◦`` and ``n•`` merged
+        into ``n``, restricted to signals, without self loops — what
+        ``collapse_environment_nodes`` then ``restricted_to`` give, built
+        in one pass over the signal edges.
+        """
+        signals = analysis.design.signals
+        graph = analysis.graph
+        signal_of = {
+            node: base
+            for node in graph.nodes
+            if (base := base_resource(node)) in signals
+        }
+        successors: Dict[str, Set[str]] = {}
+        for source, target in graph.restricted_to(signal_of).iter_edges():
+            if signal_of[source] != signal_of[target]:
+                successors.setdefault(signal_of[source], set()).add(signal_of[target])
+        edges = {node: tuple(sorted(targets)) for node, targets in successors.items()}
+        _, components = _strongly_connected_components(edges, edges)
+        return [sorted(component) for component in components if len(component) > 1]
+
+    @staticmethod
+    def _is_clocked(process: Process, loop_signals: Set[str]) -> bool:
         """True when the process only wakes on signals outside the loop."""
-        sensitivity = _wait_sensitivity(cfg.process)
+        sensitivity = process.wait_sensitivity()
         return bool(sensitivity) and sensitivity.isdisjoint(loop_signals)
 
 
@@ -323,20 +338,29 @@ class ShadowedAssignmentRule(LintRule):
     requires = ("cfg", "reaching")
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
-        reaching = analysis.reaching
+        entry = analysis.reaching.entry
         for name in sorted(analysis.program_cfg.processes):
             cfg = analysis.program_cfg.processes[name]
-            read_labels = self._variable_read_labels(cfg)
+            if not cfg.process.variables:
+                # Only declared variables can be assigned (elaboration checks).
+                continue
+            assignments: List[Tuple[str, int]] = []
+            definitions: Dict[str, Set[Tuple[str, int]]] = {}
             for label in sorted(cfg.body_labels):
                 block = cfg.blocks[label]
-                if block.kind is not BlockKind.VARIABLE_ASSIGN:
-                    continue
-                variable = block.statement.target
-                used = any(
-                    (variable, label) in reaching.entry_of(read_label)
-                    for read_label in sorted(read_labels.get(variable, ()))
-                )
-                if used:
+                if block.kind is BlockKind.VARIABLE_ASSIGN:
+                    definition = (block.statement.target, label)
+                    assignments.append(definition)
+                    definitions.setdefault(definition[0], set()).add(definition)
+            # The definitions that reach a read of their own variable.
+            used: Set[Tuple[str, int]] = set()
+            for variable, read_labels in cfg.process.variable_reads().items():
+                defined = definitions.get(variable)
+                if defined:
+                    for read_label in read_labels:
+                        used |= defined.intersection(entry.get(read_label, ()))
+            for variable, label in assignments:
+                if (variable, label) in used:
                     continue
                 yield self.diagnostic(
                     f"assignment to variable '{variable}' at label {label} "
@@ -347,21 +371,3 @@ class ShadowedAssignmentRule(LintRule):
                     target=variable,
                     path=(f"L{label}",),
                 )
-
-    @staticmethod
-    def _variable_read_labels(cfg: ProcessCFG) -> Dict[str, Set[int]]:
-        """Variable name → the labels whose statement reads it."""
-        reads_at: Dict[str, Set[int]] = {}
-        for label, block in cfg.blocks.items():
-            stmt = block.statement
-            if block.kind in (BlockKind.VARIABLE_ASSIGN, BlockKind.SIGNAL_ASSIGN):
-                reads = ast.free_variables_expr(stmt.value)
-            elif block.kind in (BlockKind.IF_GUARD, BlockKind.WHILE_GUARD):
-                reads = ast.free_variables_expr(stmt.condition)
-            elif block.kind is BlockKind.WAIT:
-                reads = ast.free_variables_expr(stmt.condition)
-            else:
-                reads = set()
-            for variable in reads:
-                reads_at.setdefault(variable, set()).add(label)
-        return reads_at

@@ -1,8 +1,9 @@
 """Reaching Definitions for local variables and *present* signal values (Table 5).
 
-This analysis is an over-approximation, runs on the whole program at once
-(all processes share the lattice ``P((Var ∪ Sig) × Lab)``) and consumes the
-per-process active-signals results of Table 4:
+This analysis is an over-approximation over the whole program (all processes
+share the lattice ``P((Var ∪ Sig) × Lab)``; no flow edge crosses processes,
+so :func:`analyze_reaching_definitions` solves it process by process) and
+consumes the per-process active-signals results of Table 4:
 
 * an assignment ``[x := e]^l`` kills every other definition of ``x`` in the
   same process (including the initial-value marker ``?``) and generates
@@ -83,12 +84,13 @@ def killed_signals_at_wait(
     wait statement the cross-flow relation is empty and the dotted intersection
     yields ``∅``.
     """
-    owner = program_cfg.process_of_label(wait_label)
-    others = [name for name in program_cfg.process_order if name != owner]
-    if any(not program_cfg.processes[name].wait_labels for name in others):
+    if not program_cfg.label_occurs_in_cross_flow(wait_label):
         return frozenset()
+    owner = program_cfg.process_of_label(wait_label)
     result: Set[str] = set(active[owner].must_be_active_at(wait_label))
-    for name in others:
+    for name in program_cfg.process_order:
+        if name == owner:
+            continue
         waits = sorted(program_cfg.processes[name].wait_labels)
         common: Set[str] = set(active[name].must_be_active_at(waits[0]))
         for other_wait in waits[1:]:
@@ -131,12 +133,13 @@ def generated_signals_at_wait(
     signals at any wait label of any other process — provided the cross-flow
     relation is non-empty.
     """
-    owner = program_cfg.process_of_label(wait_label)
-    others = [name for name in program_cfg.process_order if name != owner]
-    if any(not program_cfg.processes[name].wait_labels for name in others):
+    if not program_cfg.label_occurs_in_cross_flow(wait_label):
         return frozenset()
+    owner = program_cfg.process_of_label(wait_label)
     result: Set[str] = set(active[owner].may_be_active_at(wait_label))
-    for name in others:
+    for name in program_cfg.process_order:
+        if name == owner:
+            continue
         for other_wait in program_cfg.processes[name].wait_labels:
             result |= active[name].may_be_active_at(other_wait)
     return frozenset(result)
@@ -239,38 +242,40 @@ def analyze_reaching_definitions(
     active: Dict[str, ActiveSignalsResult],
     use_under_approximation: bool = True,
 ) -> ReachingDefinitionsResult:
-    """Run Table 5 on the whole program and return the least solution.
+    """Run Table 5 and return the whole-program least solution.
+
+    The equations are solved process by process: the flow relation has no
+    edge between processes, so the whole-program least solution is exactly
+    the union of the per-process ones.  Processes are coupled only through
+    the wait kill/gen sets, which read the other processes' Table 4 results;
+    per-process instances keep the dataflow bitsets as narrow as one
+    process's definitions.
 
     ``use_under_approximation=False`` runs the ablated variant in which wait
     statements kill nothing (see :func:`kill_rd`).
     """
-    labels: Set[int] = set()
-    flow: Set[Tuple[int, int]] = set()
-    extremal_labels: Set[int] = set()
-    extremal_value: Dict[int, FrozenSet[ResourceDef]] = {}
-    kill: Dict[int, FrozenSet[ResourceDef]] = {}
-    gen: Dict[int, FrozenSet[ResourceDef]] = {}
-
+    entry: Dict[int, FrozenSet[ResourceDef]] = {}
+    exit_: Dict[int, FrozenSet[ResourceDef]] = {}
     for name in program_cfg.process_order:
         cfg = program_cfg.processes[name]
-        labels |= set(cfg.blocks)
-        flow |= cfg.flow
-        extremal_labels.add(cfg.entry_label)
-        extremal_value[cfg.entry_label] = initial_definitions(cfg)
+        kill: Dict[int, FrozenSet[ResourceDef]] = {}
+        gen: Dict[int, FrozenSet[ResourceDef]] = {}
         for label, block in cfg.blocks.items():
             kill[label] = kill_rd(
                 block, cfg, program_cfg, active, use_under_approximation
             )
             gen[label] = gen_rd(block, program_cfg, active)
-
-    instance = DataflowInstance(
-        labels=frozenset(labels),
-        flow=frozenset(flow),
-        extremal_labels=frozenset(extremal_labels),
-        extremal_value=extremal_value,
-        kill=kill,
-        gen=gen,
-        join_mode=JoinMode.UNION,
-    )
-    solution = solve(instance)
-    return ReachingDefinitionsResult(entry=dict(solution.entry), exit=dict(solution.exit))
+        solution = solve(
+            DataflowInstance(
+                labels=frozenset(cfg.blocks),
+                flow=frozenset(cfg.flow),
+                extremal_labels=frozenset({cfg.entry_label}),
+                extremal_value={cfg.entry_label: initial_definitions(cfg)},
+                kill=kill,
+                gen=gen,
+                join_mode=JoinMode.UNION,
+            )
+        )
+        entry.update(solution.entry)
+        exit_.update(solution.exit)
+    return ReachingDefinitionsResult(entry=entry, exit=exit_)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.errors import AnalysisError
 from repro.vhdl import ast
@@ -217,46 +217,82 @@ def build_process_cfg(
 # ---------------------------------------------------------------------------
 
 
+class _LabelIndex(NamedTuple):
+    """The whole-program label lookups of one :class:`ProgramCFG`."""
+
+    owner: Dict[int, str]
+    wait_labels: FrozenSet[int]
+    wait_free: int
+    """How many processes contain no ``wait`` statement."""
+
+
 @dataclass
 class ProgramCFG:
-    """CFGs of all processes of a design plus the cross-flow relation."""
+    """CFGs of all processes of a design plus the cross-flow relation.
+
+    The label lookups (owner, block, wait labels, cross-flow membership) are
+    answered from an index built on first use, so each costs O(1) however
+    many processes the design has.  The index is derived data and stays out
+    of the pickled state: cached CFGs neither grow nor load slower.  It holds
+    only what the per-label lookups need, since an in-memory cache keeps it
+    alive as long as the CFG.
+    """
 
     design: Design
     processes: Dict[str, ProcessCFG] = field(default_factory=dict)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_index", None)
+        return state
+
+    @property
+    def _label_index(self) -> _LabelIndex:
+        index = self.__dict__.get("_index")
+        if index is None:
+            owner: Dict[int, str] = {}
+            waits: Set[int] = set()
+            for name, cfg in self.processes.items():
+                owner.update(dict.fromkeys(cfg.blocks, name))
+                waits |= cfg.wait_labels
+            index = _LabelIndex(
+                owner=owner,
+                wait_labels=frozenset(waits),
+                wait_free=sum(
+                    1 for cfg in self.processes.values() if not cfg.wait_labels
+                ),
+            )
+            self.__dict__["_index"] = index
+        return index
 
     # -- lookups ------------------------------------------------------------
 
     @property
     def process_order(self) -> List[str]:
         """Process names in design order (the order used for ``cf`` tuples)."""
-        return [proc.name for proc in self.design.processes]
+        return list(self.processes)
 
     @property
     def blocks(self) -> Dict[int, Block]:
-        """All blocks of the program indexed by label."""
-        result: Dict[int, Block] = {}
-        for cfg in self.processes.values():
-            result.update(cfg.blocks)
-        return result
+        """All blocks of the program indexed by label (a fresh dict)."""
+        return {
+            label: block
+            for cfg in self.processes.values()
+            for label, block in cfg.blocks.items()
+        }
 
     @property
     def labels(self) -> FrozenSet[int]:
         """All labels of the program."""
-        return frozenset(self.blocks)
+        return frozenset(self._label_index.owner)
 
     def block(self, label: int) -> Block:
         """The block carrying ``label``."""
-        for cfg in self.processes.values():
-            if label in cfg.blocks:
-                return cfg.blocks[label]
-        raise KeyError(label)
+        return self.cfg_of_label(label).blocks[label]
 
     def process_of_label(self, label: int) -> str:
         """The (unique) process in which ``label`` occurs."""
-        for name, cfg in self.processes.items():
-            if label in cfg.blocks:
-                return name
-        raise KeyError(label)
+        return self._label_index.owner[label]
 
     def cfg_of_label(self, label: int) -> ProcessCFG:
         """The :class:`ProcessCFG` owning ``label``."""
@@ -267,10 +303,7 @@ class ProgramCFG:
     @property
     def wait_labels(self) -> FrozenSet[int]:
         """``WS``: all wait-statement labels of the program."""
-        result: Set[int] = set()
-        for cfg in self.processes.values():
-            result |= cfg.wait_labels
-        return frozenset(result)
+        return self._label_index.wait_labels
 
     def wait_labels_of(self, process_name: str) -> FrozenSet[int]:
         """``WS(ss_i)``: wait labels of one process."""
@@ -301,16 +334,11 @@ class ProgramCFG:
         """``∃ l⃗ ∈ cf`` such that ``label`` occurs in ``l⃗``.
 
         Evaluated without materialising the product: the label must be a wait
-        label and every *other* process must have at least one wait label.
+        label and every *other* process must have at least one wait label —
+        which, since the label's owner waits, is "no process is wait-free".
         """
-        if label not in self.wait_labels:
-            return False
-        owner = self.process_of_label(label)
-        return all(
-            self.processes[name].wait_labels
-            for name in self.process_order
-            if name != owner
-        )
+        index = self._label_index
+        return label in index.wait_labels and index.wait_free == 0
 
     def labels_cooccur_in_cross_flow(self, label_a: int, label_b: int) -> bool:
         """``∃ l⃗ ∈ cf`` in which both labels occur.
@@ -319,17 +347,12 @@ class ProgramCFG:
         *different* processes (or the same label) and every remaining process
         also has at least one wait label.
         """
-        if label_a not in self.wait_labels or label_b not in self.wait_labels:
+        index = self._label_index
+        if label_a not in index.wait_labels or label_b not in index.wait_labels:
             return False
-        owner_a = self.process_of_label(label_a)
-        owner_b = self.process_of_label(label_b)
-        if owner_a == owner_b and label_a != label_b:
+        if label_a != label_b and index.owner[label_a] == index.owner[label_b]:
             return False
-        return all(
-            self.processes[name].wait_labels
-            for name in self.process_order
-            if name not in (owner_a, owner_b)
-        )
+        return index.wait_free == 0
 
     # -- statistics ------------------------------------------------------------------
 

@@ -12,9 +12,9 @@ Subcommands
     Run the (improved) Information Flow analysis and print the flow graph as
     an adjacency list or DOT; ``--json`` emits a machine-readable summary
     with per-stage timings instead.  A file with component instantiations is
-    analysed hierarchically (per-entity summaries linked over the
-    instantiation tree; ``--flatten`` forces the equivalent flattening
-    route — see ``docs/hierarchy.md``).
+    analysed hierarchically (per-entity summaries placed into the flat
+    design; ``--flatten`` analyses the flattened program instead, the
+    oracle — see ``docs/hierarchy.md``).
 ``kemmerer FILE``
     Run Kemmerer's baseline for comparison.  Takes the same ``--collapse`` /
     ``--self-loops`` graph-shaping flags as ``analyze``.
@@ -71,6 +71,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ReproError
+from repro.hier.flatten import flatten_source
+from repro.hier.structure import has_instantiations
 from repro.pipeline.cache import DiskArtifactCache
 from repro.pipeline.render import (
     analyze_document,
@@ -172,14 +174,16 @@ def _emit_profile(args: argparse.Namespace, run) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     profiling = bool(args.profile or args.profile_json)
-    # Sources with component instantiations route through repro.hier: the
-    # summary linker by default, the flattening oracle with --flatten (the
-    # two produce byte-identical documents; see docs/hierarchy.md).
+    source = _read_source(args.file)
+    if args.flatten:
+        # The flattening oracle: analyse a hierarchical design's flattened
+        # program instead of linking its entity summaries (byte-identical
+        # documents; see docs/hierarchy.md).
+        program = parse_program(source)
+        if has_instantiations(program):
+            source = flatten_source(program, args.entity)
     run = _workspace(args).analyze_run(
-        _read_source(args.file),
-        profile=profiling,
-        hierarchy="flatten" if args.flatten else "link",
-        **_analysis_opts(args),
+        source, profile=profiling, **_analysis_opts(args)
     )
     if profiling:
         _emit_profile(args, run)
@@ -476,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--flatten",
         action="store_true",
         help=(
-            "analyse a hierarchical design by flattening it instead of "
-            "linking per-entity summaries (byte-identical output; no "
-            "effect on flat designs)"
+            "analyse a hierarchical design's flattened program (the test "
+            "oracle) instead of linking per-entity summaries (byte-identical "
+            "output; no effect on flat designs)"
         ),
     )
     _add_graph_flags(analyze_p)

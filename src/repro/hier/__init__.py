@@ -1,27 +1,18 @@
-"""Hierarchical designs: component instantiation, flattening and linking.
+"""Hierarchical designs: component instantiation, summary linking, flattening.
 
 VHDL1 programs may declare components and instantiate them (``u1 : comp port
-map (a => x, b => y);``).  The flat pipeline deliberately refuses such
-programs (:class:`~repro.errors.ElaborationError`); this package analyses them
-through two interchangeable routes:
+map (a => x, b => y);``).  The staged pipeline analyses them on its *linked
+plan* (:mod:`repro.pipeline.stages`): after the parse,
+:mod:`repro.hier.structure` resolves the instantiation tree,
+:mod:`repro.hier.summary` analyses each distinct entity once into a reusable,
+content-addressed :class:`~repro.hier.summary.EntitySummary`, and
+:mod:`repro.hier.link` places the summaries into the flat namespace, after
+which the cross-process stages (Tables 5 and 7–9) run unchanged.
 
-* :mod:`repro.hier.flatten` — the *elaborating* route: inline every
-  instantiated architecture under per-instance names and analyse the
-  resulting flat program with the ordinary pipeline.  Simple, obviously
-  correct, and O(design size) per run.
-* :mod:`repro.hier.summary` + :mod:`repro.hier.link` — the *compositional*
-  route: analyse each distinct entity once into a reusable
-  :class:`~repro.hier.summary.EntitySummary` (content-addressed and cached on
-  disk next to the pipeline's stage artefacts) and *link* the summaries over
-  the instantiation tree, renaming per-entity facts into the whole-design
-  fact universe via the port maps.  Only the cross-process stages (Tables
-  5 and 7–9) run at link time; the per-process stages (Tables 4 and 6) are
-  reused from the summaries.
-
-The two routes are byte-identical: ``vhdl-ifa analyze --json`` over a
-hierarchical design produces the same document whether it links summaries or
-flattens first (the equivalence tests assert this across workloads and
-option combinations).  See ``docs/hierarchy.md``.
+:mod:`repro.hier.flatten` is the oracle: it inlines every instantiated
+architecture under per-instance names, and the flat analysis of the result is
+byte-identical to the linked plan's (the equivalence tests assert this across
+workloads and option combinations).  See ``docs/hierarchy.md``.
 """
 
 from repro.errors import HierarchyError
@@ -32,19 +23,14 @@ from repro.hier.structure import (
     build_hierarchy,
     has_instantiations,
 )
-from repro.hier.flatten import (
-    flatten_if_hierarchical,
-    flatten_program,
-    flatten_source,
-    may_instantiate,
-)
+from repro.hier.flatten import flatten_program, flatten_source
 from repro.hier.summary import (
     EntitySummary,
     ProcessSummary,
     summarize_entity,
     summary_cache_key,
 )
-from repro.hier.link import link_hierarchy
+from repro.hier.link import PlacedProcess, link_hierarchy, summarize_hierarchy
 
 __all__ = [
     "HierarchyError",
@@ -53,13 +39,13 @@ __all__ = [
     "Instance",
     "build_hierarchy",
     "has_instantiations",
-    "may_instantiate",
-    "flatten_if_hierarchical",
     "flatten_program",
     "flatten_source",
     "EntitySummary",
     "ProcessSummary",
     "summarize_entity",
     "summary_cache_key",
+    "summarize_hierarchy",
     "link_hierarchy",
+    "PlacedProcess",
 ]

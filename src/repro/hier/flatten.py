@@ -13,13 +13,12 @@ instantiated architecture's concurrent statements:
   normalised traversal order of the hierarchy.
 
 The result is an ordinary single-architecture :class:`~repro.vhdl.ast.Program`
-that the flat pipeline analyses as-is.  :func:`flatten_source` pretty-prints
-it, which is what the CLI's ``--flatten`` route feeds back through the parser
-(so parse caching applies to the flat text too).
+that the flat plan analyses as-is.  :func:`flatten_source` pretty-prints it,
+which is what ``vhdl-ifa analyze --flatten`` feeds back through the pipeline.
 
-This route is the *oracle* for the summary linker: ``docs/hierarchy.md``
-and the equivalence tests pin linked output to be byte-identical to the
-analysis of the flattened program.
+This is the *oracle* for the linked plan: ``docs/hierarchy.md`` and the
+equivalence tests pin its documents byte-identical to the analysis of the
+flattened program.
 """
 
 from __future__ import annotations
@@ -31,11 +30,9 @@ from repro.hier.structure import (
     HierarchyUnit,
     Instance,
     build_hierarchy,
-    has_instantiations,
 )
 from repro.vhdl import ast, pretty
 from repro.vhdl.clone import clone_declaration, clone_statement, clone_statements
-from repro.vhdl.parser import parse_program
 
 Rename = Callable[[str], str]
 
@@ -148,31 +145,3 @@ def flatten_program(
 def flatten_source(program: ast.Program, entity_name: Optional[str] = None) -> str:
     """Flatten ``program`` and render the result as VHDL1 source text."""
     return pretty.format_program(flatten_program(program, entity_name))
-
-
-def may_instantiate(source: str) -> bool:
-    """A cheap textual gate for hierarchy detection.
-
-    Every instantiation statement contains the two-word ``port map`` form,
-    which no purely flat construct does — so ``False`` guarantees the source
-    has no instantiations and the (much more expensive) parse-and-walk check
-    can be skipped.  ``True`` only means "might": comments can fool it, and
-    callers confirm with :func:`~repro.hier.structure.has_instantiations`.
-    """
-    return "port map" in source.lower()
-
-
-def flatten_if_hierarchical(source: str, entity_name: Optional[str] = None) -> str:
-    """``source`` unchanged when flat, else its flattened rendering.
-
-    The transparent-substitution helper behind the check/lint/batch
-    surfaces: hierarchical inputs become the equivalent flat program (whose
-    analysis the linker is byte-identical to), flat inputs pass through
-    untouched without even being parsed.
-    """
-    if not may_instantiate(source):
-        return source
-    program = parse_program(source)
-    if not has_instantiations(program):
-        return source
-    return flatten_source(program, entity_name)

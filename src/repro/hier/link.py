@@ -1,107 +1,121 @@
-"""Compositional linking of entity summaries over the instantiation tree.
+"""Compositional linking: entity summaries placed into one flat design.
 
-Linking composes a whole-design analysis out of per-entity
-:class:`~repro.hier.summary.EntitySummary` artifacts without re-running any
-per-process stage:
+A hierarchical source runs the linked plan of the staged pipeline
+(:mod:`repro.pipeline.stages`)::
 
-1.  Every process of every (transitively) instantiated entity is *placed*:
-    its summary facts are renamed through the composed port maps into the
-    flat namespace (the same renaming :mod:`repro.hier.flatten` applies to
-    the AST) and its labels shifted by one offset into the label range the
-    flat design would have allocated to it.  Placement is exact because the
-    standalone labelling of a process is allocator-contiguous and
-    order-isomorphic to its flat labelling, and because the per-process
-    results of Tables 4 and 6 are closed under injective renaming of the
-    written names (the structural layer rejects port maps that alias a
-    written port for precisely this reason).
-2.  The cross-process stages then run for real over the composed data: the
-    Table 5 reaching definitions (solved per process — the flow relation has
-    no cross-process edges, so the whole-program least solution decomposes
-    exactly), the Table 7 specialisation, and the Table 8/9 closure down to
-    the :class:`~repro.analysis.flowgraph.FlowGraph`.  These are the
-    *original* analysis functions, driven through a
-    :class:`LinkedProgramCFG` facade that answers the cross-flow queries in
-    O(1) from the composed wait-label sets.
+    parse → hierarchy → summary → place → reaching → specialize → closure → flow_graph
 
-The result is a regular :class:`~repro.pipeline.artifacts.PipelineResult`
-(stages ``summary`` and ``link``) whose analysis artefacts — and therefore
-whose rendered ``vhdl-ifa/v1`` documents — are byte-identical to analysing
-the flattened program, while the per-entity work is shared across instances
-and cached across runs.
+This module implements the two stages after ``hierarchy``:
+
+* ``summary`` — :func:`summarize_hierarchy` returns the
+  :class:`~repro.hier.summary.EntitySummary` of every entity of the
+  instantiation tree, each served from the artifact cache under its own
+  content-addressed key when possible;
+* ``place`` — :func:`link_hierarchy` places every process of every
+  (transitively) instantiated entity into the flat design.  Its summary facts
+  are renamed through the composed port maps into the flat namespace (the
+  renaming :mod:`repro.hier.flatten` applies to the AST) and its labels are
+  shifted by one offset into the label range flat elaboration would have
+  allocated to it.  Placement is exact because the standalone labelling of a
+  process is allocator-contiguous and order-isomorphic to its flat
+  labelling, and because the per-process results of Tables 4 and 6 are
+  closed under injective renaming of the written names (the structural layer
+  rejects port maps that alias a written port for precisely this reason).
+
+``place`` yields what the flat plan's ``elaborate``, ``cfg``, ``active`` and
+``local`` stages yield for the flattened program: the design, its
+:class:`~repro.cfg.builder.ProgramCFG`, the Table 4 results and ``RM_lo``.
+The cross-process stages (Tables 5 and 7–9) then run unchanged, so a linked
+document is byte-identical to the flattened program's, while the per-entity
+work is shared across instances and cached across runs.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, Optional, Set, Tuple
 
-from repro.analysis.closure import global_resource_matrix
-from repro.analysis.flowgraph import FlowGraph
-from repro.analysis.improved import improved_global_resource_matrix
 from repro.analysis.reaching_active import ActiveSignalsResult
-from repro.analysis.reaching_defs import (
-    ReachingDefinitionsResult,
-    gen_rd,
-    initial_definitions,
-    kill_rd,
-)
 from repro.analysis.resource_matrix import Access, ResourceMatrix
-from repro.analysis.specialize import specialize
-from repro.cfg.builder import ProcessCFG
+from repro.cfg.builder import ProcessCFG, ProgramCFG
 from repro.cfg.labels import Block, BlockKind
-from repro.dataflow.framework import DataflowInstance, JoinMode
 from repro.dataflow.universe import FactUniverse
-from repro.dataflow.worklist import solve
 from repro.errors import HierarchyError
 from repro.hier.flatten import instance_rename
-from repro.hier.structure import DesignHierarchy, HierarchyUnit, Instance, build_hierarchy
-from repro.hier.summary import EntitySummary, ProcessSummary, summarize_entity
-from repro.pipeline.artifacts import (
-    AnalysisOptions,
-    AnalysisResult,
-    PipelineResult,
-    StageTiming,
+from repro.hier.structure import DesignHierarchy, HierarchyUnit, Instance
+from repro.hier.summary import (
+    ActiveRows,
+    EntitySummary,
+    ProcessSummary,
+    summarize_entity,
 )
 from repro.vhdl import ast
 from repro.vhdl.elaborate import Design, SignalInfo
 
+# Not called here: perfbench/spans.py wraps these names on this module.
+from repro.analysis.closure import global_resource_matrix  # noqa: F401
+from repro.analysis.improved import improved_global_resource_matrix  # noqa: F401
+from repro.analysis.specialize import specialize  # noqa: F401
+from repro.dataflow.worklist import solve  # noqa: F401
+from repro.hier.structure import build_hierarchy  # noqa: F401
+
 Rename = Callable[[str], str]
+
+#: What placement yields: the design, its CFG, Table 4 results and ``RM_lo``.
+Placed = Tuple[Design, ProgramCFG, Dict[str, ActiveSignalsResult], ResourceMatrix]
+
+#: The Table 6 columns of :attr:`ProcessSummary.local_rows`, in order.
+_ACCESSES = (Access.M0, Access.M1, Access.R0, Access.R1)
 
 
 def _identity(name: str) -> str:
     return name
 
 
-class _LinkedProcess:
-    """The process facade behind a relocated :class:`ProcessCFG`.
+class PlacedProcess:
+    """A process summary placed into the flat design.
 
-    Provides exactly what the link-time stages consume: the flat name, the
-    renamed free-name sets (for the Table 5 extremal values) and the renamed
-    variable table.
+    Stands in for :class:`~repro.vhdl.elaborate.Process` wherever the linked
+    plan consumes one: the free names behind the Table 5 extremal values, the
+    declared variables, and the per-process facts the lint rules read.  Every
+    fact comes from the summary, renamed through the instance's name map and
+    shifted by the process's label offset.
     """
 
-    __slots__ = ("name", "variables", "synthesized", "_free_signals", "_free_variables")
+    __slots__ = ("name", "synthesized", "variables", "_summary", "_names", "_offset")
 
     def __init__(
-        self,
-        name: str,
-        synthesized: bool,
-        free_signals: FrozenSet[str],
-        free_variables: FrozenSet[str],
-        declared_variables: Tuple[str, ...],
+        self, name: str, summary: ProcessSummary, names: Dict[str, str], offset: int
     ):
         self.name = name
-        self.synthesized = synthesized
-        self.variables = {variable: None for variable in declared_variables}
-        self._free_signals = free_signals
-        self._free_variables = free_variables
+        self.synthesized = summary.synthesized
+        self.variables = dict.fromkeys(names[v] for v in summary.declared_variables)
+        self._summary = summary
+        self._names = names
+        self._offset = offset
 
-    def free_signals(self) -> FrozenSet[str]:
-        return self._free_signals
+    def _renamed(self, names: Tuple[str, ...]) -> Set[str]:
+        return {self._names[name] for name in names}
 
-    def free_variables(self) -> FrozenSet[str]:
-        return self._free_variables
+    def free_signals(self) -> Set[str]:
+        return self._renamed(self._summary.free_signals)
+
+    def free_variables(self) -> Set[str]:
+        return self._renamed(self._summary.free_variables)
+
+    def expression_reads(self) -> Set[str]:
+        return self._renamed(self._summary.expression_reads)
+
+    def wait_sensitivity(self) -> Set[str]:
+        return self._renamed(self._summary.wait_sensitivity)
+
+    def written_signals(self) -> Set[str]:
+        return self._renamed(self._summary.written_signals)
+
+    def variable_reads(self) -> Dict[str, Set[int]]:
+        return {
+            self._names[variable]: {label + self._offset for label in labels}
+            for variable, labels in self._summary.variable_reads
+        }
 
 
 class _RenamedTarget:
@@ -117,124 +131,18 @@ class _RenamedTarget:
 _NO_STATEMENT = ast.Null()
 
 
-class LinkedProgramCFG:
-    """A :class:`~repro.cfg.builder.ProgramCFG`-shaped view of linked summaries.
+def summarize_hierarchy(
+    hierarchy: DesignHierarchy, loop_processes: bool = True, cache=None
+) -> Dict[str, EntitySummary]:
+    """The summary of every entity of ``hierarchy``, keyed by lower-case name.
 
-    Interface-compatible with the consumers of the link-time stages
-    (reaching definitions, specialisation, closure, rendering), with the
-    lookups the real class answers by scanning — ``process_of_label`` and the
-    cross-flow predicates — precomputed to O(1), which is what keeps linking
-    cheap at thousands of processes.
+    Each is served from ``cache`` when its self slice is unchanged (see
+    :func:`~repro.hier.summary.summarize_entity`).
     """
-
-    def __init__(
-        self,
-        design: Design,
-        processes: Dict[str, ProcessCFG],
-        variable_count: int,
-    ):
-        self.design = design
-        self.processes = processes
-        self._order = list(processes)
-        self._variable_count = variable_count
-        owner: Dict[int, str] = {}
-        blocks: Dict[int, Block] = {}
-        waits: Set[int] = set()
-        for name, cfg in processes.items():
-            for label in cfg.blocks:
-                owner[label] = name
-            blocks.update(cfg.blocks)
-            waits |= cfg.wait_labels
-        self._owner = owner
-        self._blocks = blocks
-        self._labels = frozenset(blocks)
-        self._wait_labels = frozenset(waits)
-        self._empty_wait_processes = sum(
-            1 for cfg in processes.values() if not cfg.wait_labels
-        )
-
-    # -- lookups ------------------------------------------------------------
-
-    @property
-    def process_order(self) -> List[str]:
-        return list(self._order)
-
-    @property
-    def blocks(self) -> Dict[int, Block]:
-        return self._blocks
-
-    @property
-    def labels(self) -> FrozenSet[int]:
-        return self._labels
-
-    def block(self, label: int) -> Block:
-        return self._blocks[label]
-
-    def process_of_label(self, label: int) -> str:
-        return self._owner[label]
-
-    def cfg_of_label(self, label: int) -> ProcessCFG:
-        return self.processes[self._owner[label]]
-
-    # -- wait statements and cross flow -------------------------------------
-
-    @property
-    def wait_labels(self) -> FrozenSet[int]:
-        return self._wait_labels
-
-    def wait_labels_of(self, process_name: str) -> FrozenSet[int]:
-        return self.processes[process_name].wait_labels
-
-    @property
-    def has_empty_wait_process(self) -> bool:
-        """True when some process never waits (the cross-flow relation ``cf``
-        is then empty, and every Table 5 wait kill/gen set is ``∅``)."""
-        return self._empty_wait_processes > 0
-
-    def label_occurs_in_cross_flow(self, label: int) -> bool:
-        # A wait label's owner has a wait by definition, so "every other
-        # process has a wait" is "no process is wait-free".
-        return label in self._wait_labels and self._empty_wait_processes == 0
-
-    def labels_cooccur_in_cross_flow(self, label_a: int, label_b: int) -> bool:
-        if label_a not in self._wait_labels or label_b not in self._wait_labels:
-            return False
-        if self._owner[label_a] == self._owner[label_b] and label_a != label_b:
-            return False
-        return self._empty_wait_processes == 0
-
-    # -- statistics ---------------------------------------------------------
-
-    def summary(self) -> Dict[str, int]:
-        """The statistics the flat :class:`ProgramCFG` would report.
-
-        ``variables`` counts declared variables per process (the flat
-        ``Design.variable_names()`` keeps per-process duplicates), which the
-        linked design reconstructs from the summaries.
-        """
-        return {
-            "processes": len(self.processes),
-            "labels": len(self._blocks),
-            "flow_edges": sum(len(cfg.flow) for cfg in self.processes.values()),
-            "wait_labels": len(self._wait_labels),
-            "signals": len(self.design.signals),
-            "variables": self._variable_count,
-        }
-
-
-@dataclass(frozen=True)
-class _Placement:
-    """One process summary placed into the flat design."""
-
-    summary: ProcessSummary
-    rename: Rename
-    flat_name: str
-    offset: int
-
-
-# ---------------------------------------------------------------------------
-# Composition
-# ---------------------------------------------------------------------------
+    return {
+        name.lower(): summarize_entity(hierarchy.unit_of(name), loop_processes, cache)[0]
+        for name in hierarchy.order
+    }
 
 
 def _flat_signals(
@@ -278,20 +186,133 @@ def _flat_signals(
     return signals
 
 
-def _place_processes(
+def _local_names(summary: EntitySummary) -> Iterator[str]:
+    """Every name an entity's summary facts can mention."""
+    yield from (name for name, _ in summary.ports)
+    yield from summary.internal_signals
+    for process in summary.processes:
+        yield from process.declared_variables
+
+
+def _placed_rows(
+    rows: ActiveRows,
+    names: Dict[str, str],
+    shift: Dict[int, int],
+    placed: Dict[Tuple[Tuple[str, int], ...], FrozenSet[Tuple[str, int]]],
+) -> Dict[int, FrozenSet[Tuple[str, int]]]:
+    """One Table 4 solution, renamed and relocated.
+
+    Equal rows (most labels of a process share a handful of values) map to
+    one placed set through ``placed``, as they share one set in a solver's
+    own result.
+    """
+    solution: Dict[int, FrozenSet[Tuple[str, int]]] = {}
+    for label, pairs in rows:
+        row = placed.get(pairs)
+        if row is None:
+            row = placed[pairs] = frozenset(
+                (names[signal], shift[defined]) for signal, defined in pairs
+            )
+        solution[shift[label]] = row
+    return solution
+
+
+def link_hierarchy(
     hierarchy: DesignHierarchy,
-    root: HierarchyUnit,
     summaries: Dict[str, EntitySummary],
-) -> List[_Placement]:
-    """Walk the instantiation tree in flat process order, assigning each
-    process its flat name, rename and label offset."""
-    placements: List[_Placement] = []
+    universe: Optional[FactUniverse] = None,
+) -> Placed:
+    """Place every process of ``hierarchy`` into the flat design.
+
+    ``summaries`` maps each lower-case entity name to its summary
+    (:func:`summarize_hierarchy`); ``universe`` is the fact universe ``RM_lo``
+    interns into.  Raises :class:`~repro.errors.HierarchyError` where flat
+    elaboration of the flattened program would fail.
+    """
+    root = hierarchy.root_unit
+    signals = _flat_signals(hierarchy, root)
+    in_ports = {
+        port.name for port in root.entity.ports if port.mode is ast.PortMode.IN
+    }
+    processes: Dict[str, ProcessCFG] = {}
+    active: Dict[str, ActiveSignalsResult] = {}
+    rm_lo = ResourceMatrix(universe=universe)
+    encode = rm_lo.universe.encode
     next_label = 1  # the flat LabelAllocator starts at 1
+    concurrent = 0  # flat elaboration numbers concurrent assignments design-wide
+
+    def place(ps: ProcessSummary, names: Dict[str, str], prefix: str) -> None:
+        nonlocal next_label, concurrent
+        offset = next_label - ps.label_base
+        # One int object per placed label, shared by every artefact below.
+        shift = {
+            label: label + offset
+            for label in range(ps.label_base, ps.label_base + ps.label_span)
+        }
+        next_label += ps.label_span
+        if ps.synthesized:
+            concurrent += 1
+            name = f"concurrent_{concurrent}"
+        else:
+            name = prefix + ps.name
+        if name in processes:
+            raise HierarchyError(
+                f"linked design {root.entity.name!r}: duplicate process "
+                f"name {name!r}"
+            )
+        for variable in ps.declared_variables:
+            if names[variable] in signals:
+                raise HierarchyError(
+                    f"linked design {root.entity.name!r}: variable "
+                    f"{names[variable]!r} of process {name!r} shadows a signal"
+                )
+        blocks: Dict[int, Block] = {}
+        for label, kind_name, target in ps.blocks:
+            kind = BlockKind[kind_name]
+            statement = _NO_STATEMENT
+            if target is not None:
+                renamed = names[target]
+                if kind is BlockKind.SIGNAL_ASSIGN and renamed in in_ports:
+                    # Parity with flat elaboration's mode check after renaming
+                    # a written child port onto a root input port.
+                    raise HierarchyError(
+                        f"process {name!r} assigns to input port {renamed!r}"
+                    )
+                statement = _RenamedTarget(renamed)
+            blocks[shift[label]] = Block(
+                label=shift[label], kind=kind, statement=statement, process_name=name
+            )
+        entry_label = shift[ps.entry_label]
+        loop_label = shift[ps.loop_label]
+        processes[name] = ProcessCFG(
+            process=PlacedProcess(name, ps, names, offset),
+            entry_label=entry_label,
+            loop_label=loop_label,
+            blocks=blocks,
+            flow={(shift[a], shift[b]) for a, b in ps.flow},
+            wait_labels=frozenset(shift[w] for w in ps.wait_labels),
+            body_labels=frozenset(blocks) - {entry_label, loop_label},
+        )
+        rows: Dict[Tuple[Tuple[str, int], ...], FrozenSet[Tuple[str, int]]] = {}
+        active[name] = ActiveSignalsResult(
+            process_name=name,
+            over_entry=_placed_rows(ps.over_entry, names, shift, rows),
+            over_exit={},
+            under_entry=_placed_rows(ps.under_entry, names, shift, rows),
+            under_exit={},
+        )
+        # Table 6: re-intern every stored local row under the renaming.
+        for label, *columns in ps.local_rows:
+            for access, column in zip(_ACCESSES, columns):
+                if column:
+                    rm_lo.or_bits(
+                        shift[label], access, encode(names[n] for n in column)
+                    )
 
     def walk(unit: HierarchyUnit, rename: Rename, prefix: str) -> None:
-        nonlocal next_label
         summary = summaries[unit.name.lower()]
-        leaf_index = 0
+        leaves = iter(summary.processes)
+        names: Optional[Dict[str, str]] = None
         for item in unit.items:
             if isinstance(item, Instance):
                 walk(
@@ -299,254 +320,21 @@ def _place_processes(
                     instance_rename(item, rename),
                     prefix + item.label + "__",
                 )
-            else:
-                process = summary.processes[leaf_index]
-                leaf_index += 1
-                offset = next_label - process.label_base
-                next_label += process.label_span
-                placements.append(
-                    _Placement(process, rename, prefix + process.name, offset)
-                )
+                continue
+            if names is None:
+                names = {name: rename(name) for name in _local_names(summary)}
+            place(next(leaves), names, prefix)
 
     walk(root, _identity, "")
-    return placements
-
-
-def _compose(
-    hierarchy: DesignHierarchy,
-    summaries: Dict[str, EntitySummary],
-    options: AnalysisOptions,
-    universe: Optional[FactUniverse],
-) -> AnalysisResult:
-    root = hierarchy.root_unit
-    signals = _flat_signals(hierarchy, root)
-    placements = _place_processes(hierarchy, root, summaries)
-    if not placements:
+    if not processes:
         raise HierarchyError(
             f"linked design {root.entity.name!r} contains no processes"
         )
-
-    in_ports = {
-        port.name for port in root.entity.ports if port.mode is ast.PortMode.IN
-    }
-
-    processes: Dict[str, ProcessCFG] = {}
-    active: Dict[str, ActiveSignalsResult] = {}
-    variable_count = 0
-
-    for placed in placements:
-        ps, rename, name, offset = (
-            placed.summary,
-            placed.rename,
-            placed.flat_name,
-            placed.offset,
-        )
-        if name in processes:
-            raise HierarchyError(
-                f"linked design {root.entity.name!r}: duplicate process "
-                f"name {name!r}"
-            )
-        for variable in ps.declared_variables:
-            renamed = rename(variable)
-            if renamed in signals:
-                raise HierarchyError(
-                    f"linked design {root.entity.name!r}: variable {renamed!r} "
-                    f"of process {name!r} shadows a signal"
-                )
-        variable_count += len(ps.declared_variables)
-
-        blocks: Dict[int, Block] = {}
-        for label, kind_name, target in ps.blocks:
-            kind = BlockKind[kind_name]
-            if target is not None:
-                renamed_target = rename(target)
-                if kind is BlockKind.SIGNAL_ASSIGN and renamed_target in in_ports:
-                    # Parity with flat elaboration's mode check after renaming
-                    # a written child port onto a root input port.
-                    raise HierarchyError(
-                        f"process {name!r} assigns to input port "
-                        f"{renamed_target!r}"
-                    )
-                statement = _RenamedTarget(renamed_target)
-            else:
-                statement = _NO_STATEMENT
-            flat_label = label + offset
-            blocks[flat_label] = Block(
-                label=flat_label,
-                kind=kind,
-                statement=statement,
-                process_name=name,
-            )
-
-        entry_label = ps.entry_label + offset
-        loop_label = ps.loop_label + offset
-        process = _LinkedProcess(
-            name=name,
-            synthesized=ps.synthesized,
-            free_signals=frozenset(rename(s) for s in ps.free_signals),
-            free_variables=frozenset(rename(v) for v in ps.free_variables),
-            declared_variables=tuple(rename(v) for v in ps.declared_variables),
-        )
-        processes[name] = ProcessCFG(
-            process=process,
-            entry_label=entry_label,
-            loop_label=loop_label,
-            blocks=blocks,
-            flow={(a + offset, b + offset) for a, b in ps.flow},
-            wait_labels=frozenset(w + offset for w in ps.wait_labels),
-            body_labels=frozenset(blocks) - {entry_label, loop_label},
-        )
-        active[name] = ActiveSignalsResult(
-            process_name=name,
-            over_entry={
-                label + offset: frozenset((rename(s), d + offset) for s, d in pairs)
-                for label, pairs in ps.over_entry
-            },
-            over_exit={},
-            under_entry={
-                label + offset: frozenset((rename(s), d + offset) for s, d in pairs)
-                for label, pairs in ps.under_entry
-            },
-            under_exit={},
-        )
-
     design = Design(
         name=root.entity.name,
         entity_name=root.entity.name,
         architecture_name=root.architecture.name,
         signals=signals,
-        processes=[],
+        processes=[cfg.process for cfg in processes.values()],
     )
-    program_cfg = LinkedProgramCFG(design, processes, variable_count)
-
-    # Table 6 union: re-intern every stored local row under its renaming.
-    rm_universe = universe if universe is not None else FactUniverse()
-    rm_lo = ResourceMatrix(universe=rm_universe)
-    encode = rm_universe.encode
-    for placed in placements:
-        rename, offset = placed.rename, placed.offset
-        for label, m0, m1, r0, r1 in placed.summary.local_rows:
-            flat_label = label + offset
-            for access, names in (
-                (Access.M0, m0),
-                (Access.M1, m1),
-                (Access.R0, r0),
-                (Access.R1, r1),
-            ):
-                if names:
-                    rm_lo.or_bits(
-                        flat_label, access, encode(rename(n) for n in names)
-                    )
-
-    # Table 5, solved per process: the flow relation has no cross-process
-    # edges, so the whole-program least solution is exactly the union of the
-    # per-process least solutions — and per-process instances keep the
-    # dataflow engine's bitsets narrow.  Cross-process coupling enters only
-    # through the wait kill/gen sets, computed by the original Table 5
-    # combinators against the composed facade; when some process never waits
-    # those sets are empty by the combinators' own cross-flow guard, which
-    # the facade answers in O(1).
-    skip_wait_sets = program_cfg.has_empty_wait_process
-    entry: Dict[int, FrozenSet[Tuple[str, int]]] = {}
-    exit_: Dict[int, FrozenSet[Tuple[str, int]]] = {}
-    empty: FrozenSet[Tuple[str, int]] = frozenset()
-    for name, cfg in processes.items():
-        kill: Dict[int, FrozenSet[Tuple[str, int]]] = {}
-        gen: Dict[int, FrozenSet[Tuple[str, int]]] = {}
-        for label, block in cfg.blocks.items():
-            if block.kind is BlockKind.WAIT and skip_wait_sets:
-                kill[label] = empty
-                gen[label] = empty
-            else:
-                kill[label] = kill_rd(
-                    block, cfg, program_cfg, active, options.use_under_approximation
-                )
-                gen[label] = gen_rd(block, program_cfg, active)
-        solution = solve(
-            DataflowInstance(
-                labels=frozenset(cfg.blocks),
-                flow=frozenset(cfg.flow),
-                extremal_labels=frozenset({cfg.entry_label}),
-                extremal_value={cfg.entry_label: initial_definitions(cfg)},
-                kill=kill,
-                gen=gen,
-                join_mode=JoinMode.UNION,
-            )
-        )
-        entry.update(solution.entry)
-        exit_.update(solution.exit)
-    reaching = ReachingDefinitionsResult(entry=entry, exit=exit_)
-
-    # Tables 7–9: the original cross-process stages, unchanged.
-    specialized = specialize(program_cfg, rm_lo, active, reaching)
-    if options.improved:
-        closure = improved_global_resource_matrix(
-            program_cfg, rm_lo, specialized, design
-        )
-    else:
-        closure = global_resource_matrix(program_cfg, rm_lo, specialized)
-    graph = FlowGraph.from_resource_matrix(closure.rm_global)
-
-    return AnalysisResult(
-        design=design,
-        program_cfg=program_cfg,
-        active=active,
-        reaching=reaching,
-        rm_local=rm_lo,
-        specialized=specialized,
-        rm_global=closure.rm_global,
-        graph=graph,
-        improved=options.improved,
-        outgoing_labels=getattr(closure, "outgoing_labels", {}),
-        universe=rm_universe,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
-
-
-def link_hierarchy(
-    program: ast.Program,
-    options: Optional[AnalysisOptions] = None,
-    cache=None,
-    universe: Optional[FactUniverse] = None,
-    hierarchy: Optional[DesignHierarchy] = None,
-) -> PipelineResult:
-    """Analyse a hierarchical program by summary linking.
-
-    Returns a :class:`~repro.pipeline.artifacts.PipelineResult` with stages
-    ``summary`` (cached when *every* entity summary was served from ``cache``)
-    and ``link``; its documents are byte-identical to the flattened route's.
-    ``options.entity`` selects the hierarchy root; ``universe`` optionally
-    pins the fact universe the composed matrices intern into.
-    """
-    if options is None:
-        options = AnalysisOptions()
-    start = time.perf_counter()
-    if hierarchy is None:
-        hierarchy = build_hierarchy(program, options.entity)
-    summaries: Dict[str, EntitySummary] = {}
-    all_cached = True
-    for name in hierarchy.order:
-        unit = hierarchy.unit_of(name)
-        summary, from_cache = summarize_entity(
-            unit, loop_processes=options.loop_processes, cache=cache
-        )
-        summaries[name.lower()] = summary
-        all_cached = all_cached and from_cache
-    summary_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    result = _compose(hierarchy, summaries, options, universe)
-    link_seconds = time.perf_counter() - start
-
-    return PipelineResult(
-        options=options,
-        stages=[
-            StageTiming("summary", summary_seconds, cached=all_cached),
-            StageTiming("link", link_seconds),
-        ],
-        result=result,
-    )
+    return design, ProgramCFG(design, processes), active, rm_lo

@@ -22,7 +22,7 @@ what keeps their renaming schemes aligned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import HierarchyError
 from repro.vhdl import ast
@@ -237,6 +237,7 @@ def _normalize_unit(unit: HierarchyUnit, program: ast.Program) -> None:
     """Splice blocks, hoist their declarations and resolve instantiations."""
 
     parent_signals = set(unit.signal_names())
+    instance_labels: Set[str] = set()
 
     def walk(body: List[ast.ConcurrentStatement]) -> None:
         for stmt in body:
@@ -282,16 +283,12 @@ def _normalize_unit(unit: HierarchyUnit, program: ast.Program) -> None:
                     f"{actual!r} (for formal {formal!r}) is not a signal of "
                     f"the enclosing architecture"
                 )
-        duplicates = [
-            item.label
-            for item in unit.items
-            if isinstance(item, Instance) and item.label == stmt.label
-        ]
-        if duplicates:
+        if stmt.label in instance_labels:
             raise HierarchyError(
                 f"duplicate instance label {stmt.label!r} in architecture "
                 f"{unit.architecture.name!r}"
             )
+        instance_labels.add(stmt.label)
         return Instance(
             label=stmt.label,
             entity=entity.name,

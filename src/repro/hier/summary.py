@@ -1,18 +1,22 @@
-"""Reusable per-entity analysis summaries for the compositional linker.
+"""Reusable per-entity analysis summaries for the linked plan.
 
-An :class:`EntitySummary` captures everything the linker needs to place one
-entity's processes into a larger design *without re-analysing them*:
+An :class:`EntitySummary` captures everything the ``place`` stage
+(:mod:`repro.hier.link`) needs to place one entity's processes into a larger
+design *without re-analysing them*:
 
 * the shape of each process CFG (block kinds, flow edges, wait labels) in the
   labelling the entity receives when analysed standalone — per-process labels
-  are allocator-contiguous, so the linker relocates a whole process by adding
+  are allocator-contiguous, so placement relocates a whole process by adding
   one offset;
 * the per-process stages of the paper that are closed under renaming: the
   Table 4 active-signals solutions and the Table 6 local Resource Matrix rows
-  (stored name-decoded, since the linker re-interns them into the whole-design
+  (stored name-decoded, since placement re-interns them into the whole-design
   fact universe under the instance's renaming);
 * the free/declared name sets the cross-process stages (Table 5 and the
-  Table 7–9 specialisation/closure, which run at link time) start from.
+  Table 7–9 specialisation/closure, which run after placement) start from;
+* the per-process facts the lint rules read: expression reads, wait
+  sensitivity, written signals and the labels at which each variable is
+  read.
 
 Summaries are content-addressed by the entity's *self slice* — the entity and
 its architecture's own signals and leaf statements, with component
@@ -24,7 +28,7 @@ artifact caches under ``summary:``-prefixed keys (landing in
 
 Of the analysis options only ``loop_processes`` shapes a summary (it changes
 the CFG wrapping); ``improved`` and ``use_under_approximation`` configure
-link-time stages and deliberately do not key summaries.
+the stages after placement and deliberately do not key summaries.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.vhdl import ast, pretty
 from repro.vhdl.elaborate import elaborate
 
 #: Bumped when the summary layout changes, so stale cached pickles miss.
-SUMMARY_FORMAT = 1
+SUMMARY_FORMAT = 2
 
 #: ``(label, sorted (name, label) pairs)`` rows of one dataflow solution.
 ActiveRows = Tuple[Tuple[int, Tuple[Tuple[str, int], ...]], ...]
@@ -76,10 +80,18 @@ class ProcessSummary:
         Tuple[int, Tuple[str, ...], Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]],
         ...,
     ]
-    #: Table 4 entry solutions (exit values are not consumed by any linked
+    #: Table 4 entry solutions (exit values are not consumed by any later
     #: stage, so they are not stored).
     over_entry: ActiveRows
     under_entry: ActiveRows
+    #: Signals the process's expressions read (its wait sensitivity apart).
+    expression_reads: Tuple[str, ...]
+    #: The union of the process's wait-statement signal sets.
+    wait_sensitivity: Tuple[str, ...]
+    #: The signals the process assigns.
+    written_signals: Tuple[str, ...]
+    #: ``(variable, labels of the blocks reading it)`` pairs.
+    variable_reads: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -90,8 +102,6 @@ class EntitySummary:
     ports: Tuple[Tuple[str, str], ...]
     internal_signals: Tuple[str, ...]
     processes: Tuple[ProcessSummary, ...]
-    label_span: int
-    source_digest: str
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +114,7 @@ def entity_slice(unit: HierarchyUnit) -> ast.Program:
 
     Signal declarations hoisted out of blocks are kept (they are part of the
     entity's own namespace); component declarations and instantiations are
-    dropped — they influence linking, not the entity-local analysis.
+    dropped — they influence placement, not the entity-local analysis.
     """
     declarations = list(unit.signals) + list(unit.other_declarations)
     architecture = ast.Architecture(
@@ -127,7 +137,7 @@ def summary_cache_key(unit: HierarchyUnit, loop_processes: bool = True) -> str:
 
     Keyed by the self-slice digest, the entity, ``loop_processes`` and the
     summary format — and deliberately *not* by ``improved`` or
-    ``use_under_approximation``, which only configure link-time stages.
+    ``use_under_approximation``, which only configure later stages.
     """
     digest = source_digest(slice_source(unit))
     return (
@@ -167,8 +177,9 @@ def _summarize_process(cfg: ProcessCFG) -> ProcessSummary:
         )
         blocks.append((label, block.kind.name, target))
 
+    process = cfg.process
     active = analyze_active_signals(cfg)
-    matrix = local_dependencies(cfg.process)
+    matrix = local_dependencies(process)
     columns = {access: matrix.column(access) for access in Access}
     row_labels = sorted(set().union(*(col.keys() for col in columns.values())))
     decode = matrix.universe.decode_list
@@ -185,7 +196,7 @@ def _summarize_process(cfg: ProcessCFG) -> ProcessSummary:
 
     return ProcessSummary(
         name=cfg.name,
-        synthesized=cfg.process.synthesized,
+        synthesized=process.synthesized,
         label_base=base,
         label_span=span,
         entry_label=cfg.entry_label,
@@ -193,42 +204,38 @@ def _summarize_process(cfg: ProcessCFG) -> ProcessSummary:
         blocks=tuple(blocks),
         flow=tuple(sorted(cfg.flow)),
         wait_labels=tuple(sorted(cfg.wait_labels)),
-        free_signals=tuple(sorted(cfg.process.free_signals())),
-        free_variables=tuple(sorted(cfg.process.free_variables())),
-        declared_variables=tuple(cfg.process.variables),
+        free_signals=tuple(sorted(process.free_signals())),
+        free_variables=tuple(sorted(process.free_variables())),
+        declared_variables=tuple(process.variables),
         local_rows=local_rows,
         over_entry=_active_rows(active.over_entry),
         under_entry=_active_rows(active.under_entry),
+        expression_reads=tuple(sorted(process.expression_reads())),
+        wait_sensitivity=tuple(sorted(process.wait_sensitivity())),
+        written_signals=tuple(sorted(process.written_signals())),
+        variable_reads=tuple(
+            (variable, tuple(sorted(labels)))
+            for variable, labels in sorted(process.variable_reads().items())
+        ),
     )
 
 
-def _build_summary(unit: HierarchyUnit, loop_processes: bool, digest: str) -> EntitySummary:
-    ports = tuple((port.name, port.mode.value) for port in unit.entity.ports)
-    internal = tuple(decl.name for decl in unit.signals)
-    if not unit.leaves:
-        # Purely structural entity: nothing to elaborate (the flat pipeline
-        # requires at least one process, which this entity's instances supply).
-        return EntitySummary(
-            entity=unit.entity.name,
-            ports=ports,
-            internal_signals=internal,
-            processes=(),
-            label_span=0,
-            source_digest=digest,
+def _build_summary(unit: HierarchyUnit, loop_processes: bool) -> EntitySummary:
+    processes: Tuple[ProcessSummary, ...] = ()
+    if unit.leaves:
+        # A purely structural entity has nothing to elaborate (the flat
+        # pipeline requires at least one process, which its instances supply).
+        program_cfg = build_cfg(
+            elaborate(entity_slice(unit)), loop_processes=loop_processes
         )
-    design = elaborate(entity_slice(unit))
-    program_cfg = build_cfg(design, loop_processes=loop_processes)
-    processes = tuple(
-        _summarize_process(program_cfg.processes[name])
-        for name in program_cfg.process_order
-    )
+        processes = tuple(
+            _summarize_process(cfg) for cfg in program_cfg.processes.values()
+        )
     return EntitySummary(
         entity=unit.entity.name,
-        ports=ports,
-        internal_signals=internal,
+        ports=tuple((port.name, port.mode.value) for port in unit.entity.ports),
+        internal_signals=tuple(decl.name for decl in unit.signals),
         processes=processes,
-        label_span=sum(ps.label_span for ps in processes),
-        source_digest=digest,
     )
 
 
@@ -242,16 +249,12 @@ def summarize_entity(
     Returns ``(summary, from_cache)``.  ``cache`` is any of the artifact
     caches of :mod:`repro.pipeline.cache` (or ``None`` to always build).
     """
-    digest = source_digest(slice_source(unit))
-    key = (
-        f"summary:v{SUMMARY_FORMAT}:{digest}:{unit.name.lower()}"
-        f":loop_processes={loop_processes!r}"
-    )
+    key = summary_cache_key(unit, loop_processes)
     if cache is not None:
         cached = cache.get(key)
         if isinstance(cached, EntitySummary):
             return cached, True
-    summary = _build_summary(unit, loop_processes, digest)
+    summary = _build_summary(unit, loop_processes)
     if cache is not None:
         cache.put(key, summary)
     return summary, False

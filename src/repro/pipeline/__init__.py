@@ -61,6 +61,8 @@ from repro.pipeline.serve import AnalysisServer, ServerThread, interaction_id, s
 from repro.pipeline.stages import (
     ANALYSIS_STAGES,
     KEMMERER_STAGES,
+    LINKED_LINT_STAGES,
+    LINKED_STAGES,
     LINT_STAGES,
     STAGE_NAMES,
     Pipeline,
@@ -83,6 +85,8 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "KEMMERER_STAGES",
+    "LINKED_LINT_STAGES",
+    "LINKED_STAGES",
     "LINT_STAGES",
     "Pipeline",
     "PipelineContext",

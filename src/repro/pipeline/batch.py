@@ -46,7 +46,6 @@ from repro.pipeline.render import (
     select_graph,
     stamped,
 )
-from repro.hier.flatten import flatten_if_hierarchical
 from repro.pipeline.stages import PARSE, Pipeline, stage_key
 from repro.vhdl.parser import parse_program
 
@@ -270,10 +269,6 @@ def run_job(
         source = Path(job.path).read_text(encoding="utf-8")
         if job.entity is not None:
             options = dataclasses.replace(options, entity=job.entity)
-        # A hierarchical file is analysed as its flat equivalent (the entity,
-        # if any, selects the hierarchy root); flat files pass through without
-        # being re-parsed.  See docs/hierarchy.md.
-        source = flatten_if_hierarchical(source, options.entity)
         if policy is not None:
             report_options = {
                 "transitive": bool(getattr(policy, "transitive", False))

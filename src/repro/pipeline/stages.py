@@ -9,13 +9,25 @@ parse      the VHDL1 AST (:func:`repro.vhdl.parser.parse_program`)
 elaborate  the :class:`~repro.vhdl.elaborate.Design`
 cfg        the :class:`~repro.cfg.builder.ProgramCFG`
 active     the per-process active-signals results (Table 4)
-reaching   the whole-program Reaching Definitions (Table 5)
+reaching   the Reaching Definitions (Table 5), solved per process
 local      the local Resource Matrix ``RM_lo`` (Table 6)
 specialize the specialised RD results ``RD†``/``RD†ϕ`` (Table 7)
 closure    the closed matrix ``RM_gl`` (Table 8, optionally Table 9)
 flow_graph the information-flow graph
 lint       the lint findings (``vhdl-ifa lint`` runs only; full catalog)
 report     the covert-channel report (only when a policy is given)
+========== =====================================================
+
+A source whose parse shows component instantiations runs the *linked*
+plan (:data:`LINKED_STAGES`, :mod:`repro.hier`) instead: three stages stand
+in for ``elaborate``, ``cfg``, ``active`` and ``local``, and every later
+stage is shared with the flat plan.
+
+========== =====================================================
+hierarchy  the checked :class:`~repro.hier.structure.DesignHierarchy`
+summary    one :class:`~repro.hier.summary.EntitySummary` per entity
+place      the flat design, its ``ProgramCFG``, the Table 4 results and
+           ``RM_lo``, placed from the summaries
 ========== =====================================================
 
 Each stage is individually invokable (``Pipeline.run(..., until="cfg")``
@@ -46,6 +58,10 @@ flow_graph entity, loop_processes, use_under_approximation, improved
 lint       entity, loop_processes, use_under_approximation, improved
 kemmerer   entity, loop_processes
 report     never cached (cheap, policy-dependent)
+hierarchy  never cached (a cheap pass over the cached parse)
+summary    no stage entry: each entity's summary is cached under
+           ``summary:v<format>:<self-slice digest>:<entity>:loop_processes=…``
+place      entity, loop_processes
 ========== ==========================================================
 
 The ``lint`` stage caches the *complete* rule catalog's findings at default
@@ -53,8 +69,8 @@ severities (a plain tuple of diagnostics, not universe-bound); a policy
 file's ``[lint]`` selection and severity overrides are applied after the
 stage, so one cached artefact serves every lint configuration.
 
-Universe discipline: stages from ``local`` onward intern resource names into
-the run's :class:`~repro.dataflow.universe.FactUniverse`.  Their cached
+Universe discipline: stages from ``local`` (``place`` on the linked plan)
+onward intern resource names into the run's :class:`~repro.dataflow.universe.FactUniverse`.  Their cached
 artefacts are stored *together with* the universe they were built in and a
 cache hit adopts that universe, keeping bitset-encoded artefacts and universe
 consistent.  When a caller pins an explicit ``universe=`` (to pool several
@@ -66,7 +82,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.closure import global_resource_matrix
 from repro.analysis.flowgraph import FlowGraph
@@ -80,6 +96,8 @@ from repro.cfg.builder import build_cfg
 from repro.dataflow import bitset
 from repro.dataflow.universe import FactUniverse
 from repro.errors import AnalysisError
+from repro.hier.link import link_hierarchy, summarize_hierarchy
+from repro.hier.structure import build_hierarchy, has_instantiations
 from repro.pipeline.artifacts import (
     AnalysisOptions,
     AnalysisResult,
@@ -102,7 +120,10 @@ class PipelineContext:
     """True once a universe-bound artefact exists: the run's universe is fixed."""
     source: Optional[str] = None
     source_key: Optional[str] = None
+    cache: Optional[ArtifactCache] = None
     program: Optional[Any] = None
+    hierarchy: Optional[Any] = None
+    summaries: Optional[Any] = None
     design: Optional[Design] = None
     program_cfg: Optional[Any] = None
     active: Optional[Any] = None
@@ -130,6 +151,18 @@ def _run_elaborate(ctx: PipelineContext) -> Design:
 
 def _run_cfg(ctx: PipelineContext) -> Any:
     return build_cfg(ctx.design, loop_processes=ctx.options.loop_processes)
+
+
+def _run_hierarchy(ctx: PipelineContext) -> Any:
+    return build_hierarchy(ctx.program, ctx.options.entity)
+
+
+def _run_summary(ctx: PipelineContext) -> Any:
+    return summarize_hierarchy(ctx.hierarchy, ctx.options.loop_processes, ctx.cache)
+
+
+def _run_place(ctx: PipelineContext) -> Any:
+    return link_hierarchy(ctx.hierarchy, ctx.summaries, universe=ctx.universe)
 
 
 def _run_active(ctx: PipelineContext) -> Any:
@@ -188,6 +221,8 @@ def _run_report(ctx: PipelineContext) -> Any:
 class Stage:
     """One named pipeline step.
 
+    ``attr`` names the context attribute the artefact lands in (a tuple of
+    names for a stage producing several artefacts at once).
     ``option_fields`` lists the :class:`AnalysisOptions` fields the stage's
     artefact depends on — they (with the source hash and the stage name) form
     the cache key.  ``universe_bound`` marks artefacts encoded against the
@@ -195,7 +230,7 @@ class Stage:
     """
 
     name: str
-    attr: str
+    attr: Union[str, Tuple[str, ...]]
     run: Callable[[PipelineContext], Any]
     option_fields: Tuple[str, ...] = ()
     universe_bound: bool = False
@@ -219,6 +254,20 @@ FLOW_GRAPH = Stage("flow_graph", "graph", _run_flow_graph, _ALL, universe_bound=
 LINT = Stage("lint", "lint", _run_lint, _ALL)
 KEMMERER = Stage("kemmerer", "kemmerer", _run_kemmerer, _SHAPE, universe_bound=True)
 REPORT = Stage("report", "report", _run_report, cacheable=False)
+# The hierarchy is a cheap pass over the cached parse, and the summary stage
+# caches each entity under its own key (repro.hier.summary), so neither has a
+# pipeline cache entry of its own.
+HIERARCHY = Stage("hierarchy", "hierarchy", _run_hierarchy, _ENTITY, cacheable=False)
+SUMMARY = Stage(
+    "summary", "summaries", _run_summary, ("loop_processes",), cacheable=False
+)
+PLACE = Stage(
+    "place",
+    ("design", "program_cfg", "active", "rm_local"),
+    _run_place,
+    _SHAPE,
+    universe_bound=True,
+)
 
 #: The full analysis, source to flow graph (plus the optional report).
 ANALYSIS_STAGES: Tuple[Stage, ...] = (
@@ -234,9 +283,25 @@ ANALYSIS_STAGES: Tuple[Stage, ...] = (
     REPORT,
 )
 
+#: The same analysis of a source with component instantiations: per-entity
+#: summaries placed into the flat namespace stand in for elaborate → cfg →
+#: active → local, and every later stage is shared with the flat plan.
+LINKED_STAGES: Tuple[Stage, ...] = (
+    PARSE,
+    HIERARCHY,
+    SUMMARY,
+    PLACE,
+    REACHING,
+    SPECIALIZE,
+    CLOSURE,
+    FLOW_GRAPH,
+    REPORT,
+)
+
 #: The lint run: the full analysis plus the cached ``lint`` stage (and, when
 #: a policy with level assignments is given, the trailing report).
 LINT_STAGES: Tuple[Stage, ...] = ANALYSIS_STAGES[:-1] + (LINT, REPORT)
+LINKED_LINT_STAGES: Tuple[Stage, ...] = LINKED_STAGES[:-1] + (LINT, REPORT)
 
 #: Kemmerer's baseline shares the frontend stages.
 KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, ELABORATE, CFG, KEMMERER)
@@ -250,6 +315,15 @@ STAGE_NAMES: Tuple[str, ...] = tuple(stage.name for stage in ANALYSIS_STAGES)
 #: backends are cross-checked byte-identical, so this is defence in depth
 #: for the content-address contract, not a correctness requirement.
 _BACKEND_KEYED = frozenset({"closure", "flow_graph"})
+
+
+def _store(ctx: PipelineContext, stage: Stage, artifact: Any) -> None:
+    """Set the stage's context attribute(s) from its artefact."""
+    if isinstance(stage.attr, tuple):
+        for name, value in zip(stage.attr, artifact):
+            setattr(ctx, name, value)
+    else:
+        setattr(ctx, stage.attr, artifact)
 
 
 def stage_key(stage: Stage, source_key: str, options: AnalysisOptions) -> str:
@@ -302,8 +376,11 @@ class Pipeline:
     ) -> PipelineResult:
         """Analyse VHDL1 source text, stage by stage.
 
-        ``until`` names the last stage to run (``"cfg"`` stops after the CFG
-        is built).  ``policy`` enables the final ``report`` stage;
+        A source whose parse shows component instantiations runs
+        :data:`LINKED_STAGES` instead of :data:`ANALYSIS_STAGES`.  ``until``
+        names the last stage to run (``"cfg"`` stops after the CFG is built;
+        ``"place"`` after a hierarchical design is placed).  ``policy``
+        enables the final ``report`` stage;
         ``report_options`` passes keyword arguments through to
         :func:`repro.security.report.build_report`.  ``profile=True`` runs
         every computed stage under cProfile and attaches the per-stage hot
@@ -314,7 +391,9 @@ class Pipeline:
         ctx.source = source
         ctx.source_key = source_digest(source)
         self._set_policy(ctx, policy, report_options)
-        return self._execute(ctx, ANALYSIS_STAGES, until, profile=profile)
+        return self._execute(
+            ctx, ANALYSIS_STAGES, until, profile=profile, linked=LINKED_STAGES
+        )
 
     def run_design(
         self,
@@ -359,7 +438,9 @@ class Pipeline:
         ctx.source = source
         ctx.source_key = source_digest(source)
         self._set_policy(ctx, policy, report_options)
-        return self._execute(ctx, LINT_STAGES, None, profile=profile)
+        return self._execute(
+            ctx, LINT_STAGES, None, profile=profile, linked=LINKED_LINT_STAGES
+        )
 
     def run_kemmerer(
         self,
@@ -388,14 +469,14 @@ class Pipeline:
 
     # ---------------------------------------------------------------- internals
 
-    @staticmethod
     def _context(
-        options: Optional[AnalysisOptions], universe: Optional[FactUniverse]
+        self, options: Optional[AnalysisOptions], universe: Optional[FactUniverse]
     ) -> PipelineContext:
         return PipelineContext(
             options=options if options is not None else AnalysisOptions(),
             universe=universe if universe is not None else FactUniverse(),
             universe_pinned=universe is not None,
+            cache=self.cache,
         )
 
     @staticmethod
@@ -413,20 +494,40 @@ class Pipeline:
         stages: Sequence[Stage],
         until: Optional[str],
         profile: bool = False,
+        linked: Optional[Sequence[Stage]] = None,
     ) -> PipelineResult:
+        """Run ``stages`` up to ``until``.
+
+        With a ``linked`` alternative the parse decides: a program with
+        component instantiations runs ``linked`` instead (both plans start
+        with ``parse``).
+        """
+        plans = [stages] if linked is None else [stages, linked]
+        known = list(dict.fromkeys(stage.name for plan in plans for stage in plan))
+        if until is not None and until not in known:
+            raise AnalysisError(
+                f"unknown pipeline stage {until!r}; expected one of "
+                + ", ".join(known)
+            )
         plan = list(stages)
+        done = 0
+        if linked is not None:
+            self._run_stage(ctx, PARSE, profile=profile)
+            done = 1
+            if has_instantiations(ctx.program):
+                plan = list(linked)
         if until is not None:
             names = [stage.name for stage in plan]
             if until not in names:
                 raise AnalysisError(
-                    f"unknown pipeline stage {until!r}; expected one of "
-                    + ", ".join(names)
+                    f"pipeline stage {until!r} is not part of this source's "
+                    "plan; expected one of " + ", ".join(names)
                 )
             plan = plan[: names.index(until) + 1]
-        if ctx.policy is None and plan and plan[-1] is REPORT:
+        if ctx.policy is None and plan[-1] is REPORT:
             plan = plan[:-1]
 
-        for stage in plan:
+        for stage in plan[done:]:
             self._run_stage(ctx, stage, profile=profile)
             if stage is FLOW_GRAPH:
                 ctx.analysis = self._assemble(ctx)
@@ -472,7 +573,7 @@ class Pipeline:
                     ctx.universe_locked = True
                 else:
                     artifact = cached
-                setattr(ctx, stage.attr, artifact)
+                _store(ctx, stage, artifact)
                 ctx.stages.append(
                     StageTiming(stage.name, time.perf_counter() - started, cached=True)
                 )
@@ -485,7 +586,7 @@ class Pipeline:
         else:
             artifact = stage.run(ctx)
         elapsed = time.perf_counter() - started
-        setattr(ctx, stage.attr, artifact)
+        _store(ctx, stage, artifact)
         if stage.universe_bound:
             ctx.universe_locked = True
         if key is not None:

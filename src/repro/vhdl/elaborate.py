@@ -22,7 +22,7 @@ signals) and a list of :class:`Process` objects with resolved bodies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ElaborationError
 from repro.vhdl import ast
@@ -86,6 +86,46 @@ class Process:
     def free_variables(self) -> set:
         """``FV(ss_i)``: the variables the process reads or writes."""
         return ast.free_variables_stmt(self.body)
+
+    def expression_reads(self) -> Set[str]:
+        """Signals the process's expressions read (its wait sensitivity apart)."""
+        reads: Set[str] = set()
+        for stmt in ast.iter_statements(self.body):
+            if isinstance(stmt, (ast.SignalAssign, ast.VariableAssign)):
+                reads |= ast.free_signals_expr(stmt.value)
+            elif isinstance(stmt, (ast.If, ast.While, ast.Wait)):
+                reads |= ast.free_signals_expr(stmt.condition)
+        return reads
+
+    def wait_sensitivity(self) -> Set[str]:
+        """The union of the signal sets of the process's wait statements."""
+        return {
+            name
+            for stmt in ast.iter_statements(self.body)
+            if isinstance(stmt, ast.Wait)
+            for name in stmt.signals
+        }
+
+    def written_signals(self) -> Set[str]:
+        """The signals the process assigns."""
+        return ast.written_signals(self.body)
+
+    def variable_reads(self) -> Dict[str, Set[int]]:
+        """Variable → the labels of the blocks that read it.
+
+        Only meaningful once the body is labelled (:mod:`repro.cfg.labels`).
+        """
+        reads_at: Dict[str, Set[int]] = {}
+        for stmt in ast.iter_statements(self.body):
+            if isinstance(stmt, (ast.SignalAssign, ast.VariableAssign)):
+                reads = ast.free_variables_expr(stmt.value)
+            elif isinstance(stmt, (ast.If, ast.While, ast.Wait)):
+                reads = ast.free_variables_expr(stmt.condition)
+            else:
+                continue
+            for variable in reads:
+                reads_at.setdefault(variable, set()).add(stmt.label)
+        return reads_at
 
 
 @dataclass

@@ -21,19 +21,18 @@ The facade exposes five verbs::
     report  = ws.batch(["a.vhd", "b.vhd"])            # BatchReport
     ws.stats()                                        # session statistics
 
-Hierarchical designs (component instantiations) are handled on every verb:
-``analyze`` auto-routes them through the summary linker of
-:mod:`repro.hier` (``analyze_hierarchy`` / ``analyze_hierarchy_run`` are
-the explicit forms, with ``flatten=True`` forcing the flattening oracle);
-``check``/``lint``/``batch`` substitute the flattened equivalent
-transparently — see ``docs/hierarchy.md``.
-
 plus the ``*_run`` variants returning the full
 :class:`~repro.pipeline.artifacts.PipelineResult` (per-stage timings, cache
 hits) the JSON document builders consume.  The legacy free functions
 (:func:`repro.analysis.api.analyze` and friends) remain supported thin
 wrappers with byte-identical output; new code should construct a
 ``Workspace``.
+
+Hierarchical designs (component instantiations) need nothing special: every
+verb runs them through the same :class:`~repro.pipeline.stages.Pipeline`,
+which takes the linked plan once the parse shows instantiations
+(``hierarchy → summary → place`` in place of ``elaborate → cfg → active →
+local``) — see ``docs/hierarchy.md``.
 
 Universe discipline: by default each ``analyze``/``check`` call keeps the
 pipeline's per-run universe semantics (independent runs share no interned
@@ -54,9 +53,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 from repro.analysis.lint import LintConfig, findings_fail
 from repro.dataflow.universe import FactUniverse
 from repro.errors import PolicyError
-from repro.hier.flatten import flatten_source, may_instantiate
-from repro.hier.link import link_hierarchy
-from repro.hier.structure import has_instantiations
+# Not called here: perfbench/spans.py wraps these names on this module.
+from repro.hier.flatten import flatten_source  # noqa: F401
+from repro.hier.link import link_hierarchy  # noqa: F401
 from repro.pipeline.artifacts import AnalysisOptions, AnalysisResult, PipelineResult
 from repro.pipeline.batch import BatchJob, BatchReport, expand_jobs, run_batch
 from repro.pipeline.cache import open_cache
@@ -280,112 +279,22 @@ class Workspace:
         until: Optional[str] = None,
         pool_universe: bool = False,
         profile: bool = False,
-        hierarchy: str = "link",
     ) -> PipelineResult:
         """As :meth:`analyze`, returning the staged :class:`PipelineResult`.
 
+        ``until`` names the last stage to run — for a source with component
+        instantiations, a stage of the linked plan (e.g. ``"place"``).
         ``profile=True`` runs every computed stage under cProfile; the
         per-stage hot spots are on ``PipelineResult.stage_profiles`` (this
         is what ``vhdl-ifa analyze --profile`` prints).
-
-        A source with component instantiations is routed through
-        :mod:`repro.hier` instead of the flat pipeline: ``hierarchy="link"``
-        (the default) composes cached per-entity summaries,
-        ``hierarchy="flatten"`` analyses the flattened program — the two are
-        byte-identical — and ``hierarchy="reject"`` restores the flat
-        pipeline's refusal.  ``until`` (a flat-stage name) and ``profile``
-        only apply on the flat and flatten routes.
         """
-        options = self._options(
-            entity, improved, loop_processes, use_under_approximation
-        )
-        universe = self.universe if pool_universe else None
-        if until is None and hierarchy != "reject" and may_instantiate(source):
-            program = self._parsed(source)
-            if has_instantiations(program):
-                if hierarchy == "flatten":
-                    return self.pipeline.run(
-                        flatten_source(program, entity),
-                        options,
-                        universe=universe,
-                        profile=profile,
-                    )
-                if hierarchy != "link":
-                    raise ValueError(
-                        f"hierarchy must be 'link', 'flatten' or 'reject', "
-                        f"got {hierarchy!r}"
-                    )
-                return link_hierarchy(
-                    program,
-                    options,
-                    cache=self.cache,
-                    universe=universe,
-                )
         return self.pipeline.run(
             source,
-            options,
-            universe=universe,
+            self._options(entity, improved, loop_processes, use_under_approximation),
+            universe=self.universe if pool_universe else None,
             until=until,
             profile=profile,
         )
-
-    def analyze_hierarchy(self, source: str, **opts: Any) -> AnalysisResult:
-        """Analyse a hierarchical design (instantiations resolved and linked).
-
-        Accepts the keyword options of :meth:`analyze_hierarchy_run` and
-        returns the whole-design :class:`AnalysisResult`.
-        """
-        return self.analyze_hierarchy_run(source, **opts).result
-
-    def analyze_hierarchy_run(
-        self,
-        source: str,
-        *,
-        entity: Optional[str] = None,
-        improved: bool = True,
-        loop_processes: bool = True,
-        use_under_approximation: bool = True,
-        flatten: bool = False,
-        pool_universe: bool = False,
-    ) -> PipelineResult:
-        """Analyse a hierarchical design, returning the staged result.
-
-        ``entity`` selects the hierarchy root (inferred when ``None``); by
-        default the compositional linker runs (per-entity summaries served
-        from the workspace cache), ``flatten=True`` forces the flattening
-        oracle through the ordinary pipeline — byte-identical output either
-        way.  Unlike :meth:`analyze_run` this does not auto-detect: a flat
-        program is simply a hierarchy of zero instances.
-        """
-        options = self._options(
-            entity, improved, loop_processes, use_under_approximation
-        )
-        universe = self.universe if pool_universe else None
-        program = self._parsed(source)
-        if flatten:
-            return self.pipeline.run(
-                flatten_source(program, entity), options, universe=universe
-            )
-        return link_hierarchy(program, options, cache=self.cache, universe=universe)
-
-    def _parsed(self, source: str) -> Any:
-        """The parsed program of ``source``, through the cached parse stage."""
-        return self.pipeline.run(source, until="parse").artifacts.program
-
-    def _flat_equivalent(self, source: str, entity: Optional[str]) -> str:
-        """``source``, with a hierarchical design flattened transparently.
-
-        The substitution behind :meth:`check` and :meth:`lint_run`: those
-        surfaces run the ordinary staged pipeline (report/lint stages
-        included), so hierarchical inputs go through the flattening oracle —
-        the documents keep their unchanged ``vhdl-ifa/v1`` schema.
-        """
-        if not may_instantiate(source):
-            return source
-        program = self._parsed(source)
-        if not has_instantiations(program):
-            return source
-        return flatten_source(program, entity)
 
     def analyze_corpus(
         self,
@@ -450,7 +359,7 @@ class Workspace:
         if transitive is None:
             transitive = bool(getattr(resolved, "transitive", False))
         run = self.pipeline.run(
-            self._flat_equivalent(source, entity),
+            source,
             self._options(entity, improved, loop_processes, use_under_approximation),
             universe=self.universe if pool_universe else None,
             policy=resolved,
@@ -514,11 +423,9 @@ class Workspace:
     ) -> PipelineResult:
         """As :meth:`lint`, returning the staged :class:`PipelineResult`
         (``run.artifacts.lint`` holds the unfiltered full-catalog tuple).
-        Hierarchical sources are flattened transparently (the lint catalog
-        then sees the whole design under its flat instance-prefixed names).
         """
         return self.pipeline.run_lint(
-            self._flat_equivalent(source, entity),
+            source,
             self._options(entity, improved, loop_processes, use_under_approximation),
             universe=self.universe if pool_universe else None,
         )

@@ -161,6 +161,16 @@ class TestProcessCFG:
         with pytest.raises(KeyError):
             program_cfg.process_of_label(9999)
 
+    def test_label_index_stays_out_of_the_pickle(self):
+        import pickle
+
+        program_cfg = self._cfg()
+        fresh = pickle.dumps(program_cfg)
+        program_cfg.process_of_label(min(program_cfg.labels))  # builds the index
+        assert pickle.dumps(program_cfg) == fresh
+        restored = pickle.loads(fresh)
+        assert restored.wait_labels == program_cfg.wait_labels
+
     def test_summary_statistics(self):
         stats = self._cfg().summary()
         assert stats["processes"] == 2

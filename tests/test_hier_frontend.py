@@ -1,8 +1,8 @@
 """Structural front end of hierarchical designs (``repro.hier.structure``).
 
 Covers the parse forms (component declarations, named and positional port
-maps), the resolved :class:`DesignHierarchy` shape, the textual
-``may_instantiate`` gate, and every structural error path — all of which
+maps), the resolved :class:`DesignHierarchy` shape, instantiation
+detection, and every structural error path — all of which
 raise :class:`~repro.errors.HierarchyError`, a subclass of the flat
 pipeline's :class:`~repro.errors.ElaborationError` (so the CLI exit code is
 unchanged).
@@ -12,11 +12,7 @@ import pytest
 
 from repro import workloads
 from repro.errors import ElaborationError, HierarchyError
-from repro.hier import (
-    build_hierarchy,
-    has_instantiations,
-    may_instantiate,
-)
+from repro.hier import build_hierarchy, has_instantiations
 from repro.vhdl import ast
 from repro.vhdl.parser import parse_program
 
@@ -62,23 +58,18 @@ end rtl;
 
 
 class TestDetection:
-    def test_textual_gate_is_sound_for_flat_sources(self):
-        # ``may_instantiate`` returning False guarantees no instantiations;
-        # every flat workload must stay on the fast path.
+    def test_flat_sources_have_no_instantiations(self):
+        # every flat workload must stay on the flat plan
         for name, source in workloads.batch_workload_sources():
-            assert not may_instantiate(source), name
             assert not has_instantiations(parse_program(source)), name
 
-    def test_textual_gate_fires_on_every_hierarchy_workload(self):
+    def test_every_hierarchy_workload_instantiates(self):
         for name, source in workloads.hierarchy_workload_sources():
-            assert may_instantiate(source), name
             assert has_instantiations(parse_program(source)), name
 
-    def test_gate_is_only_a_may_analysis(self):
-        # A comment mentioning "port map" trips the gate; the parse-level
-        # check is what decides.
+    def test_detection_reads_the_program_not_the_text(self):
+        # A comment mentioning "port map" is not an instantiation.
         source = workloads.paper_program_a() + "\n-- port map discussion\n"
-        assert may_instantiate(source)
         assert not has_instantiations(parse_program(source))
 
 

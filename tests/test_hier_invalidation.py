@@ -26,9 +26,9 @@ def built_entities(monkeypatch):
     built = []
     original = summary_module._build_summary
 
-    def recording(unit, loop_processes, digest):
+    def recording(unit, loop_processes):
         built.append(unit.name.lower())
-        return original(unit, loop_processes, digest)
+        return original(unit, loop_processes)
 
     monkeypatch.setattr(summary_module, "_build_summary", recording)
     return built
@@ -58,17 +58,19 @@ class TestInvalidation:
         built_entities.clear()
         run = ws.analyze_run(source)
         assert built_entities == []
-        summary_stage = run.stages[0]
-        assert summary_stage.name == "summary" and summary_stage.cached
+        # only the two stages without a pipeline cache entry run again
+        assert run.computed_stages == ["hierarchy", "summary"]
 
     def test_warm_run_survives_a_fresh_workspace(self, tmp_path, built_entities):
         # the cache is the disk tier: a new session over the same cache_dir
-        # still links without rebuilding any summary
+        # builds no summary and loads the placed artefacts back intact
         source = workloads.hierarchical_mux_program()
-        Workspace(cache_dir=str(tmp_path)).analyze_run(source)
+        cold = Workspace(cache_dir=str(tmp_path)).analyze_run(source)
         built_entities.clear()
-        Workspace(cache_dir=str(tmp_path)).analyze_run(source)
+        warm = Workspace(cache_dir=str(tmp_path)).analyze_run(source)
         assert built_entities == []
+        assert "place" in warm.cached_stages
+        assert _doc(warm) == _doc(cold)
 
     def test_leaf_edit_recomputes_exactly_one_summary(
         self, tmp_path, built_entities

@@ -1,39 +1,113 @@
-"""Equivalence of the two hierarchy routes (``repro.hier.link`` vs flatten).
+"""The linked plan versus the flattening oracle.
 
-The headline contract of the subsystem: for every hierarchical workload and
-every analysis option combination, the ``vhdl-ifa/v1`` document produced by
-summary linking is byte-identical to the one produced by flattening first —
-through the library, the CLI (``--flatten``) and the serve surface alike.
+The headline contract of the hierarchy subsystem: for every hierarchical
+workload and every analysis option combination, the analyze, check and lint
+documents of the linked plan (``parse → hierarchy → summary → place → …``)
+are byte-identical to those of the flattened program — through the library,
+the CLI (``--flatten``), batch and the serve surface alike.
 """
 
 import itertools
 import json
+import sys
 
 import pytest
 
 from repro import Workspace, workloads
+from repro.analysis.lint import LintConfig
 from repro.cli import main
-from repro.errors import ElaborationError, HierarchyError
-from repro.hier import flatten_source, link_hierarchy
-from repro.pipeline import Pipeline, analyze_document, json_text
+from repro.errors import AnalysisError, HierarchyError
+from repro.hier import flatten as flatten_module
+from repro.hier import flatten_source
+from repro.pipeline import (
+    LINKED_STAGES,
+    Pipeline,
+    analyze_document,
+    check_document,
+    json_text,
+    lint_document,
+)
 from repro.pipeline.artifacts import AnalysisOptions
+from repro.pipeline.serve import execute_request
+from repro.security.policy import TwoLevelPolicy
 from repro.vhdl.parser import parse_program
 
 VOLATILE = ("timings", "cached_stages")
 
 OPTION_COMBOS = list(itertools.product([True, False], repeat=3))
 
+LINKED_STAGE_NAMES = [stage.name for stage in LINKED_STAGES if stage.name != "report"]
 
-def _doc(run, **render):
-    document = analyze_document(run, **render)
+#: A hierarchy with lint findings on both kinds of process: a child whose
+#: concurrent assignment drives a signal nobody reads, instantiated twice,
+#: and a root process whose only write reaches no output.
+LINT_FINDINGS_SOURCE = """
+entity leaf is
+  port( a : in std_logic;
+        q : out std_logic );
+end leaf;
+
+architecture rtl of leaf is
+  signal spare : std_logic;
+begin
+  q <= (not a);
+  spare <= a;
+end rtl;
+
+entity top is
+  port( x : in std_logic;
+        y : out std_logic );
+end top;
+
+architecture rtl of top is
+  component leaf is
+    port( a : in std_logic;
+          q : out std_logic );
+  end component leaf;
+  signal n1 : std_logic;
+  signal n2 : std_logic;
+  signal idle : std_logic;
+begin
+  u1 : leaf port map (x, n1);
+  u2 : leaf port map (n1, n2);
+  y <= n2;
+  hold : process
+    variable v : std_logic;
+  begin
+    v := x;
+    v := n1;
+    idle <= v;
+    wait on x, n1;
+  end process hold;
+end rtl;
+"""
+
+SOURCES = workloads.hierarchy_workload_sources() + [
+    ("lint_findings", LINT_FINDINGS_SOURCE)
+]
+
+
+def _text(document):
     for field in VOLATILE:
         document.pop(field, None)
     return json_text(document)
 
 
-@pytest.mark.parametrize(
-    "name,source", workloads.hierarchy_workload_sources(), ids=lambda v: v[:20]
-)
+def _documents(source, options):
+    """The analyze, check and lint documents of ``source``, one run each."""
+    pipeline = Pipeline()
+    analyzed = pipeline.run(source, options)
+    policy = TwoLevelPolicy(secret_resources=analyzed.result.design.input_ports[:1])
+    checked = pipeline.run(source, options, policy=policy)
+    linted = pipeline.run_lint(source, options)
+    return (
+        _text(analyze_document(analyzed)),
+        _text(check_document(checked, policy)),
+        _text(lint_document(linted, LintConfig().apply(linted.artifacts.lint))),
+    )
+
+
+@pytest.mark.parametrize("name,source", SOURCES, ids=lambda v: v[:20])
 @pytest.mark.parametrize(
     "improved,loop_processes,under", OPTION_COMBOS, ids=lambda v: str(v)[:5]
 )
@@ -43,73 +117,73 @@ def test_linked_documents_equal_flattened(name, source, improved, loop_processes
         loop_processes=loop_processes,
         use_under_approximation=under,
     )
-    program = parse_program(source)
-    linked = link_hierarchy(program, options)
-    flattened = Pipeline().run(flatten_source(program), options)
-    assert _doc(linked) == _doc(flattened)
+    flattened = flatten_source(parse_program(source))
+    assert _documents(source, options) == _documents(flattened, options)
 
 
 def test_rendering_variants_agree():
-    program = parse_program(workloads.hierarchical_mux_program())
-    options = AnalysisOptions()
-    linked = link_hierarchy(program, options)
-    flattened = Pipeline().run(flatten_source(program), options)
+    source = workloads.hierarchical_mux_program()
+    linked = Pipeline().run(source)
+    flattened = Pipeline().run(flatten_source(parse_program(source)))
     for collapse, self_loops in itertools.product([True, False], repeat=2):
         render = {"collapse": collapse, "self_loops": self_loops}
-        assert _doc(linked, **render) == _doc(flattened, **render)
+        assert _text(analyze_document(linked, **render)) == _text(
+            analyze_document(flattened, **render)
+        )
 
 
-class TestWorkspaceRouting:
-    def test_analyze_run_auto_links(self):
-        ws = Workspace()
-        run = ws.analyze_run(workloads.hierarchical_mux_program())
-        assert [stage.name for stage in run.stages] == ["summary", "link"]
+def test_lint_findings_name_placed_processes_like_flat_ones():
+    linted = Workspace().lint(LINT_FINDINGS_SOURCE)
+    dead = {f.source for f in linted.findings if f.code == "IFA104"}
+    # u1's and u2's `spare <= a` are the 2nd and 4th concurrent assignments
+    # of the flattened design; `hold` keeps its root-level name
+    assert dead == {"concurrent_2", "concurrent_4", "hold"}
 
-    def test_flatten_route_is_byte_identical(self):
-        ws = Workspace()
-        source = workloads.hierarchical_register_file(cells=3, depth=4)
-        linked = ws.analyze_run(source)
-        flattened = ws.analyze_run(source, hierarchy="flatten")
-        assert _doc(linked) == _doc(flattened)
 
-    def test_reject_restores_the_flat_refusal(self):
-        ws = Workspace()
-        with pytest.raises(ElaborationError):
-            ws.analyze_run(
-                workloads.hierarchical_mux_program(), hierarchy="reject"
-            )
+class TestLinkedPlan:
+    def test_hierarchical_sources_run_the_linked_plan(self):
+        run = Workspace().analyze_run(workloads.hierarchical_mux_program())
+        assert [stage.name for stage in run.stages] == LINKED_STAGE_NAMES
 
-    def test_invalid_hierarchy_mode(self):
-        ws = Workspace()
-        with pytest.raises(ValueError, match="hierarchy"):
-            ws.analyze_run(workloads.hierarchical_mux_program(), hierarchy="no")
-
-    def test_flat_sources_are_untouched(self):
-        # a flat source takes the ordinary staged pipeline, stage for stage
-        ws = Workspace()
-        run = ws.analyze_run(workloads.paper_program_a())
+    def test_flat_sources_run_the_flat_plan(self):
+        run = Workspace().analyze_run(workloads.paper_program_a())
         assert [stage.name for stage in run.stages][:2] == ["parse", "elaborate"]
 
-    def test_analyze_hierarchy_run_does_not_autodetect(self):
-        # a flat program is a zero-instance hierarchy on this surface
-        ws = Workspace()
-        run = ws.analyze_hierarchy_run(workloads.paper_program_a())
-        assert [stage.name for stage in run.stages] == ["summary", "link"]
-        flat = ws.analyze_run(workloads.paper_program_a())
-        assert _doc(run) == _doc(flat)
-
-    def test_check_flattens_transparently(self):
+    def test_check_and_lint_run_the_linked_plan(self):
         ws = Workspace()
         source = workloads.hierarchical_mux_program()
         checked = ws.check(
             source, {"levels": {"sel": 1, "o": 0}, "mode": "transitive"}
         )
-        assert checked.clean is not None
+        names = [stage.name for stage in checked.run.stages]
+        assert "place" in names and names[-1] == "report"
+        linted = ws.lint(source)
+        names = [stage.name for stage in linted.run.stages]
+        assert "place" in names and names[-1] == "lint"
+        assert linted.exit_code == 0
 
-    def test_lint_flattens_transparently(self):
+    def test_warm_run_serves_the_placed_stages_from_cache(self):
         ws = Workspace()
-        lint = ws.lint(workloads.hierarchical_mux_program())
-        assert lint.exit_code == 0
+        source = workloads.hierarchical_mux_program()
+        ws.analyze_run(source)
+        warm = ws.analyze_run(source)
+        assert warm.cached_stages == [
+            "parse", "place", "reaching", "specialize", "closure", "flow_graph",
+        ]
+
+    def test_until_stops_at_a_linked_stage(self):
+        run = Workspace().analyze_run(
+            workloads.hierarchical_mux_program(), until="place"
+        )
+        assert [stage.name for stage in run.stages] == [
+            "parse", "hierarchy", "summary", "place",
+        ]
+        assert run.result is None
+        assert run.artifacts.program_cfg.summary()["processes"] == 5
+
+    def test_until_rejects_a_stage_of_the_flat_plan(self):
+        with pytest.raises(AnalysisError, match="'cfg' is not part"):
+            Workspace().analyze_run(workloads.hierarchical_mux_program(), until="cfg")
 
     def test_entity_selects_the_root(self):
         ws = Workspace()
@@ -130,6 +204,19 @@ class TestCLI:
             for field in VOLATILE:
                 document.pop(field, None)
         assert linked == flattened
+
+    def test_profile_covers_the_linked_stages(self, tmp_path, capsys):
+        path = tmp_path / "mux.vhdl"
+        path.write_text(workloads.hierarchical_mux_program(), encoding="utf-8")
+        sidecar = tmp_path / "profile.json"
+        assert main(
+            ["analyze", str(path), "--profile", "--profile-json", str(sidecar)]
+        ) == 0
+        err = capsys.readouterr().err
+        for stage in LINKED_STAGE_NAMES:
+            assert f"[profile] stage {stage}\n" in err
+        stages = json.loads(sidecar.read_text(encoding="utf-8"))["stages"]
+        assert list(stages) == LINKED_STAGE_NAMES
 
     def test_structural_fault_exits_like_an_analysis_error(self, tmp_path, capsys):
         path = tmp_path / "bad.vhdl"
@@ -160,8 +247,6 @@ class TestCLI:
 
 class TestServe:
     def test_serve_analyzes_hierarchical_sources(self):
-        from repro.pipeline.serve import execute_request
-
         ws = Workspace()
         status, document = execute_request(
             ws, "analyze", {"source": workloads.hierarchical_mux_program()}, None
@@ -169,11 +254,48 @@ class TestServe:
         assert status == 200
         assert document["design"] == "mux_top"
         flat_doc = json.loads(
-            _doc(ws.analyze_run(workloads.hierarchical_mux_program()))
+            _text(analyze_document(ws.analyze_run(workloads.hierarchical_mux_program())))
         )
-        for field in VOLATILE:
-            document.pop(field, None)
         assert document["graph"] == flat_doc["graph"]
+
+
+@pytest.fixture
+def flatten_calls(monkeypatch):
+    """Every call of ``flatten_source``, whichever module imported it."""
+    original = flatten_module.flatten_source
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "flatten_source", None) is original:
+            monkeypatch.setattr(module, "flatten_source", counting)
+    return calls
+
+
+def test_only_analyze_flatten_calls_the_oracle(tmp_path, capsys, flatten_calls):
+    source = workloads.hierarchical_mux_program()
+    path = tmp_path / "mux.vhdl"
+    path.write_text(source, encoding="utf-8")
+    ws = Workspace()
+    policy = TwoLevelPolicy(secret_resources=["sel"])
+    ws.check(source, policy)
+    ws.lint(source)
+    assert ws.batch([str(path)], parallel=False, lint=True).ok
+    for kind, request in (
+        ("analyze", {"source": source}),
+        ("check", {"source": source, "policy": policy}),
+        ("lint", {"source": source}),
+    ):
+        assert execute_request(ws, kind, request)[0] == 200
+    main(["check", str(path), "--secret", "sel", "--fail-on", "never"])
+    main(["lint", str(path)])
+    assert flatten_calls == []
+    assert main(["analyze", str(path), "--flatten"]) == 0
+    assert len(flatten_calls) == 1
+    capsys.readouterr()
 
 
 class TestLinkErrorParity:
@@ -183,9 +305,8 @@ class TestLinkErrorParity:
             "signal n1 : std_logic;",
             "signal n1 : std_logic;\n  signal u1__t : std_logic;",
         )
-        program = parse_program(source)
         with pytest.raises(HierarchyError, match="duplicate signal 'u1__t'"):
-            link_hierarchy(program)
+            Pipeline().run(source)
 
     def test_zero_process_design(self):
         source = """
@@ -213,4 +334,4 @@ begin
 end rtl;
 """
         with pytest.raises(HierarchyError, match="contains no processes"):
-            link_hierarchy(parse_program(source))
+            Pipeline().run(source)

@@ -27,8 +27,16 @@ from repro.analysis.lint import (
     severity_counts,
     severity_rank,
 )
-from repro.analysis.lint.rules import UnreachableStatementRule
+from repro.analysis.closure import _strongly_connected_components
+from repro.analysis.lint.rules import (
+    CombinationalLoopRule,
+    DeadProcessRule,
+    UnreachableStatementRule,
+)
+from repro.analysis.resource_matrix import outgoing_node
 from repro.errors import AnalysisError, PolicyError
+from repro.hier import flatten_source
+from repro.vhdl.parser import parse_program
 from repro.security.report import diagnostic_sort_key
 from repro.workspace import Workspace
 
@@ -228,6 +236,64 @@ class TestReproducers:
         linted = workspace.lint(workloads.challenge_f_program())
         assert codes_of(linted) == ["IFA108"]
         assert linted.findings[0].target == "t"
+
+
+def dead_processes_by_definition(analysis):
+    """IFA104 as defined: a forward search from each process's writes."""
+    ports = analysis.design.output_ports
+    if not ports:
+        return set()
+    port_nodes = set(ports) | {outgoing_node(port) for port in ports}
+    graph = analysis.graph
+    dead = set()
+    for cfg in analysis.program_cfg.processes.values():
+        reach = set()
+        for signal in cfg.process.written_signals():
+            for node in (signal, outgoing_node(signal)):
+                if graph.has_node(node):
+                    reach |= graph.reachable_from(node, include_start=True)
+        if not reach & port_nodes:
+            dead.add(cfg.name)
+    return dead
+
+
+def signal_loops_by_definition(analysis):
+    """IFA106's loops as defined: SCCs of the collapsed signal graph."""
+    graph = analysis.graph.collapse_environment_nodes().without_self_loops()
+    signals = sorted(node for node in graph.nodes if node in analysis.design.signals)
+    adjacency = graph.restricted_to(signals).to_adjacency()
+    edges = {node: tuple(targets) for node, targets in adjacency.items()}
+    _, components = _strongly_connected_components(adjacency, edges)
+    return sorted(sorted(component) for component in components if len(component) > 1)
+
+
+GRAPH_RULE_SOURCES = (
+    workloads.batch_workload_sources()
+    + [
+        ("dead_process", DEAD_PROCESS),
+        ("combinational_loop", COMBINATIONAL_LOOP),
+        ("clocked_loop", CLOCKED_LOOP),
+    ]
+    + [
+        (name, flatten_source(parse_program(source)))
+        for name, source in workloads.hierarchy_workload_sources()
+        + [("regfile_8", workloads.hierarchical_register_file(cells=8, depth=4))]
+    ]
+)
+
+
+@pytest.mark.parametrize("name,source", GRAPH_RULE_SOURCES, ids=lambda v: v[:20])
+def test_graph_rules_match_their_definitions(name, source):
+    # IFA104 searches backwards from the ports once and IFA106 builds the
+    # signal graph in one pass; both must find what the definitions find.
+    analysis = analyze(source)
+    dead = {
+        finding.source
+        for finding in DeadProcessRule().check(analysis)
+    }
+    assert dead == dead_processes_by_definition(analysis)
+    loops = sorted(CombinationalLoopRule._signal_loops(analysis))
+    assert loops == signal_loops_by_definition(analysis)
 
 
 class TestRegistry:

@@ -1,18 +1,26 @@
 """Tests for the whole-program Reaching Definitions analysis (Table 5)."""
 
+import pytest
+
 from repro.analysis.reaching_active import analyze_all_active_signals
 from repro.analysis.reaching_defs import (
     INITIAL_LABEL,
     analyze_reaching_definitions,
+    gen_rd,
     generated_signals_at_wait,
     generated_signals_at_wait_naive,
     initial_definitions,
+    kill_rd,
     killed_signals_at_wait,
     killed_signals_at_wait_naive,
 )
 from repro.cfg.builder import build_cfg
 from repro.cfg.labels import BlockKind
+from repro.dataflow.framework import DataflowInstance, JoinMode
+from repro.dataflow.worklist import solve
+from repro.hier import flatten_source
 from repro.vhdl.elaborate import elaborate_source
+from repro.vhdl.parser import parse_program
 from repro import workloads
 
 
@@ -125,6 +133,53 @@ class TestWaitGenKill:
         wait_label = next(iter(program_cfg.processes["p2"].wait_labels))
         assert generated_signals_at_wait(program_cfg, active, wait_label) == frozenset()
         assert killed_signals_at_wait(program_cfg, active, wait_label) == frozenset()
+
+
+def whole_program_solution(program_cfg, active, use_under_approximation):
+    """Table 5 as one dataflow instance over every process (the oracle)."""
+    labels, flow, extremal, kill, gen = set(), set(), {}, {}, {}
+    for name in program_cfg.process_order:
+        cfg = program_cfg.processes[name]
+        labels |= set(cfg.blocks)
+        flow |= cfg.flow
+        extremal[cfg.entry_label] = initial_definitions(cfg)
+        for label, block in cfg.blocks.items():
+            kill[label] = kill_rd(
+                block, cfg, program_cfg, active, use_under_approximation
+            )
+            gen[label] = gen_rd(block, program_cfg, active)
+    solution = solve(
+        DataflowInstance(
+            labels=frozenset(labels),
+            flow=frozenset(flow),
+            extremal_labels=frozenset(extremal),
+            extremal_value=extremal,
+            kill=kill,
+            gen=gen,
+            join_mode=JoinMode.UNION,
+        )
+    )
+    return solution.entry, solution.exit
+
+
+ORACLE_SOURCES = workloads.batch_workload_sources() + [
+    (name, flatten_source(parse_program(source)))
+    for name, source in workloads.hierarchy_workload_sources()
+]
+
+
+@pytest.mark.parametrize("name,source", ORACLE_SOURCES, ids=lambda v: v[:20])
+@pytest.mark.parametrize("under", [True, False])
+def test_per_process_solve_equals_whole_program_solve(name, source, under):
+    # no flow edge crosses processes, so solving process by process must
+    # give exactly the whole-program least solution
+    design = elaborate_source(source)
+    program_cfg = build_cfg(design)
+    active = analyze_all_active_signals(program_cfg.processes)
+    reaching = analyze_reaching_definitions(program_cfg, active, under)
+    entry, exit_ = whole_program_solution(program_cfg, active, under)
+    assert reaching.entry == entry
+    assert reaching.exit == exit_
 
 
 class TestOverwrittenSecret:
