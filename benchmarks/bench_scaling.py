@@ -15,10 +15,9 @@ chains; ``benchmarks/run_benchmarks.py`` snapshots the timings into
 ``BENCH_scaling.json`` at the repo root so future changes have a perf
 trajectory to compare against.
 
-The cold-path phases (``test_cold_*``, ``test_closure_backend``,
-``test_flow_graph_backend``, and the batch/serve groups below) price first
-contact and deployment modes rather than asymptotics; docs/performance.md
-walks through what each one demonstrates.
+The cold-path phases (``test_cold_*``) and the batch/serve groups below
+price first contact and deployment modes rather than asymptotics;
+docs/performance.md walks through what each one demonstrates.
 """
 
 import pytest
@@ -31,7 +30,6 @@ from repro.analysis.reaching_defs import analyze_reaching_definitions
 from repro.analysis.specialize import specialize
 from repro.analysis.api import analyze_design
 from repro.cfg.builder import build_cfg
-from repro.dataflow import bitset
 from repro.pipeline import (
     AnalysisOptions,
     AnalysisServer,
@@ -132,9 +130,9 @@ def test_closure_phase_scaling(benchmark, report, processes, assignments):
 # The cold-path phases price first contact: what a fresh process pays before
 # any cache tier can help.  The front end is measured split (tokenise+parse
 # vs elaborate) on the 32×128 chain — the scale the fast-path rewrite was
-# profiled at — and the closure/flow-graph phases run once per bitset
-# backend (`repro.dataflow.bitset`), which is where the committed
-# DEFAULT_SELECTION numbers come from.
+# profiled at — followed by the closure and flow-graph construction on the
+# same chain, the two phases whose int-bitset sweeps dominate past the front
+# end.
 
 #: The cold-path chain shape (processes, assignments per process).
 COLD_SHAPE = (32, 128)
@@ -173,44 +171,21 @@ def cold_closure_inputs(cold_source):
     return program_cfg, rm_local, specialized
 
 
-@pytest.mark.parametrize("backend", [bitset.INT, bitset.WORDS])
-def test_closure_backend(benchmark, report, cold_closure_inputs, backend):
-    """The 32×128 closure phase, once per bitset backend."""
-    if backend == bitset.WORDS and not bitset.HAVE_WORD_BACKEND:
-        pytest.skip("numpy not available")
+def test_cold_closure(benchmark, report, cold_closure_inputs):
+    """The 32×128 closure phase (Table 8 over int bitsets)."""
     program_cfg, rm_local, specialized = cold_closure_inputs
-
-    def run():
-        with bitset.force_backend(backend):
-            return global_resource_matrix(program_cfg, rm_local, specialized)
-
-    result = benchmark(run)
-    report(
-        shape=COLD_SHAPE,
-        backend=backend,
-        selected=bitset.backend_for("closure"),
-        global_entries=len(result.rm_global),
+    result = benchmark(
+        lambda: global_resource_matrix(program_cfg, rm_local, specialized)
     )
+    report(shape=COLD_SHAPE, global_entries=len(result.rm_global))
 
 
-@pytest.mark.parametrize("backend", [bitset.INT, bitset.WORDS])
-def test_flow_graph_backend(benchmark, report, cold_closure_inputs, backend):
-    """Building the 32×128 flow graph, once per bitset backend."""
-    if backend == bitset.WORDS and not bitset.HAVE_WORD_BACKEND:
-        pytest.skip("numpy not available")
+def test_cold_flow_graph(benchmark, report, cold_closure_inputs):
+    """Building the 32×128 flow graph from the closed matrix."""
     program_cfg, rm_local, specialized = cold_closure_inputs
     closure = global_resource_matrix(program_cfg, rm_local, specialized)
-
-    def run():
-        return FlowGraph.from_resource_matrix(closure.rm_global, backend=backend)
-
-    graph = benchmark(run)
-    report(
-        shape=COLD_SHAPE,
-        backend=backend,
-        selected=bitset.backend_for("flow_graph"),
-        graph_edges=graph.edge_count(),
-    )
+    graph = benchmark(lambda: FlowGraph.from_resource_matrix(closure.rm_global))
+    report(shape=COLD_SHAPE, graph_edges=graph.edge_count())
 
 
 # ---------------------------------------------------------------- batch driver

@@ -18,7 +18,9 @@ With ``--compare SNAPSHOT`` the runner acts as a regression gate instead: it
 re-runs the suite, does **not** overwrite the snapshot, and exits non-zero
 when any benchmark recorded in the snapshot got slower than ``--max-ratio``
 (default 1.5×, on the best-of-rounds ``min`` time, the most noise-robust
-statistic).  ``make check`` wires this behind the test suite.
+statistic).  ``make check`` wires this behind the test suite.  Min times
+only compare across like hosts, so the gate warns first when the snapshot's
+CPU count or Python version differs from the current run's.
 """
 
 from __future__ import annotations
@@ -84,6 +86,23 @@ def distill(raw_report: dict) -> dict:
         },
         "benchmarks": records,
     }
+
+
+def host_facts(report: dict) -> dict:
+    """The host facts a min-time comparison silently depends on."""
+    cpu = (report.get("machine") or {}).get("cpu") or {}
+    return {"CPU count": cpu.get("count"), "Python version": report.get("python")}
+
+
+def host_mismatches(snapshot: dict, current: dict) -> list[str]:
+    """One warning per host fact the snapshot and the current run disagree on."""
+    recorded, running = host_facts(snapshot), host_facts(current)
+    return [
+        f"warning: snapshot {fact} {recorded[fact]} differs from this run's "
+        f"{running[fact]}; min times may not be comparable"
+        for fact in recorded
+        if recorded[fact] != running[fact]
+    ]
 
 
 def compare_against_snapshot(
@@ -174,6 +193,8 @@ def main(argv=None) -> int:
     summary = distill(raw_report)
 
     if snapshot is not None:
+        for warning in host_mismatches(snapshot, summary):
+            print(warning)
         regressions = compare_against_snapshot(
             snapshot, summary, args.max_ratio
         )

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Set, Tuple, Union
 
 from repro.analysis.resource_matrix import Access, Entry, ResourceMatrix
 from repro.analysis.specialize import SpecializedRD
 from repro.cfg.builder import ProgramCFG
-from repro.dataflow import bitset
 
 CopyEdges = Dict[int, Set[int]]
 """Mapping ``source label -> set of target labels`` for ``R0`` propagation."""
@@ -181,21 +180,13 @@ def _as_matrix(seeds: Seeds) -> ResourceMatrix:
     return ResourceMatrix(seeds)
 
 
-def propagate(
-    seeds: Seeds, copy_edges: CopyEdges, backend: Optional[str] = None
-) -> ResourceMatrix:
+def propagate(seeds: Seeds, copy_edges: CopyEdges) -> ResourceMatrix:
     """Close ``seeds`` under ``R0`` propagation along ``copy_edges``.
 
     Non-``R0`` entries are kept unchanged.  The least fixpoint assigns every
     label the union of the seed ``R0`` name-bitsets of all labels that reach
     it in the copy-edge graph (including itself); it is computed by one
     topological sweep over the SCC condensation, ORing whole columns.
-
-    ``backend`` picks the bitset representation for the sweep: ``"int"``
-    (Python-int bitsets) or ``"words"`` (numpy word arrays); ``None`` asks
-    :func:`repro.dataflow.bitset.backend_for` for the benchmarked default.
-    Both produce the same matrix — the word sweep packs the seed column
-    once, ORs rows in place, and unpacks at the end.
     """
     # Matrix seeds keep their (per-session) name universe via copy(); loose
     # entry seeds are interned into a private fresh one.
@@ -218,27 +209,6 @@ def propagate(
                 comp_successors[src_comp].add(dst_comp)
 
     seed_r0 = matrix.column(Access.R0)
-    if backend is None:
-        backend = bitset.backend_for("closure")
-    if backend == bitset.WORDS and bitset.HAVE_WORD_BACKEND:
-        comp_value = _sweep_words(seed_r0, components, comp_successors)
-    else:
-        comp_value = _sweep_ints(seed_r0, components, comp_successors)
-
-    for comp, members in enumerate(components):
-        bits = comp_value[comp]
-        if bits:
-            for label in members:
-                matrix.or_bits(label, Access.R0, bits)
-    return matrix
-
-
-def _sweep_ints(
-    seed_r0: Dict[int, int],
-    components: List[List[int]],
-    comp_successors: List[Set[int]],
-) -> List[int]:
-    """The topological sweep over Python-int bitsets (the ``"int"`` backend)."""
     comp_value: List[int] = [0] * len(components)
     # Tarjan emits components in reverse topological order, so iterating the
     # emission order backwards visits every component before its successors.
@@ -250,38 +220,13 @@ def _sweep_ints(
         if bits:
             for successor in comp_successors[comp]:
                 comp_value[successor] |= bits
-    return comp_value
 
-
-def _sweep_words(
-    seed_r0: Dict[int, int],
-    components: List[List[int]],
-    comp_successors: List[Set[int]],
-) -> List[int]:
-    """The same sweep over numpy word rows (the ``"words"`` backend).
-
-    The OR of bitsets never grows past the widest input, so the seed
-    column's maximum bit length sizes the whole table up front; rows are
-    ORed in place (no per-OR big-int allocation) and unpacked once.
-    """
-    import numpy as np
-
-    width = max((value.bit_length() for value in seed_r0.values()), default=0)
-    words = bitset.words_for(width)
-    table = np.zeros((len(components), words), dtype="<u8")
-    pack = bitset.pack
-    bitwise_or = np.bitwise_or
-    for comp in reversed(range(len(components))):
-        row = table[comp]
-        for label in components[comp]:
-            seed = seed_r0.get(label, 0)
-            if seed:
-                bitwise_or(row, pack(seed, words), out=row)
-        if row.any():
-            for successor in comp_successors[comp]:
-                bitwise_or(table[successor], row, out=table[successor])
-    unpack = bitset.unpack
-    return [unpack(table[comp]) for comp in range(len(components))]
+    for comp, members in enumerate(components):
+        bits = comp_value[comp]
+        if bits:
+            for label in members:
+                matrix.or_bits(label, Access.R0, bits)
+    return matrix
 
 
 def propagate_naive(seeds: Seeds, copy_edges: CopyEdges) -> ResourceMatrix:

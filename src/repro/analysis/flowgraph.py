@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -47,7 +46,6 @@ from repro.analysis.resource_matrix import (
     is_incoming,
     is_outgoing,
 )
-from repro.dataflow import bitset as bitset_module
 from repro.dataflow.universe import FactUniverse, bit_indices
 
 Edge = Tuple[str, str]
@@ -160,10 +158,7 @@ class FlowGraph:
 
     @classmethod
     def from_resource_matrix(
-        cls,
-        matrix: ResourceMatrix,
-        include_self_loops: bool = True,
-        backend: Optional[str] = None,
+        cls, matrix: ResourceMatrix, include_self_loops: bool = True
     ) -> "FlowGraph":
         """Build the flow graph of a (local or global) Resource Matrix.
 
@@ -174,25 +169,7 @@ class FlowGraph:
         tiny because labels modify few resources while they may read many —
         and no edge tuple is ever built; the successor direction is derived
         lazily if a consumer asks for it.
-
-        ``backend`` selects the bitset representation for the accumulation
-        (``"int"`` / ``"words"``; ``None`` resolves the benchmarked default
-        via :func:`repro.dataflow.bitset.backend_for`).  Both build the same
-        graph; the word path ORs numpy rows in place and unpacks once.
         """
-        if backend is None:
-            backend = bitset_module.backend_for("flow_graph")
-        if backend == bitset_module.WORDS and bitset_module.HAVE_WORD_BACKEND:
-            node_bits, pred = cls._predecessors_words(matrix)
-        else:
-            node_bits, pred = cls._predecessors_ints(matrix)
-        if not include_self_loops:
-            pred = _drop_self_loops(pred)
-        return cls(matrix.universe, node_bits, predecessors=pred)
-
-    @staticmethod
-    def _predecessors_ints(matrix: ResourceMatrix) -> Tuple[int, Adjacency]:
-        """Predecessor accumulation over Python-int bitsets."""
         node_bits = 0
         pred: Adjacency = {}
         get = pred.get
@@ -203,45 +180,9 @@ class FlowGraph:
             if mods_bits and reads_bits:
                 for modified in bit_indices(mods_bits):
                     pred[modified] = get(modified, 0) | reads_bits
-        return node_bits, pred
-
-    @staticmethod
-    def _predecessors_words(matrix: ResourceMatrix) -> Tuple[int, Adjacency]:
-        """Predecessor accumulation over numpy word rows.
-
-        Each row's read-set is packed once and ORed in place into the
-        per-modified-node accumulator; accumulators unpack to plain int
-        bitsets at the end, so the resulting graph is representation-free.
-        """
-        import numpy as np
-
-        rows = [
-            (row[0] | row[1], row[2] | row[3]) for _, row in matrix.iter_rows()
-        ]
-        node_bits = 0
-        width = 0
-        for mods_bits, reads_bits in rows:
-            node_bits |= mods_bits | reads_bits
-        width = node_bits.bit_length()
-        words = bitset_module.words_for(width)
-        pack = bitset_module.pack
-        bitwise_or = np.bitwise_or
-        accumulators: Dict[int, Any] = {}
-        for mods_bits, reads_bits in rows:
-            if not mods_bits or not reads_bits:
-                continue
-            packed = pack(reads_bits, words)
-            for modified in bit_indices(mods_bits):
-                existing = accumulators.get(modified)
-                if existing is None:
-                    accumulators[modified] = packed.copy()
-                else:
-                    bitwise_or(existing, packed, out=existing)
-        unpack = bitset_module.unpack
-        pred: Adjacency = {
-            index: unpack(row) for index, row in accumulators.items()
-        }
-        return node_bits, pred
+        if not include_self_loops:
+            pred = _drop_self_loops(pred)
+        return cls(matrix.universe, node_bits, predecessors=pred)
 
     @classmethod
     def from_edges(

@@ -44,9 +44,10 @@ Subcommands
     Inspect or empty the persistent artifact store.
 ``serve``
     Long-lived HTTP service: ``POST /analyze``, ``POST /check``,
-    ``POST /lint``, ``POST /policy``, ``GET /version`` and ``GET /stats``
-    over one warm two-tier cache; responses are byte-identical to
-    ``analyze --json`` / ``check --json`` / ``lint --json``.
+    ``POST /lint``, ``POST /policy``, ``GET /healthz``, ``GET /metrics``,
+    ``GET /version`` and ``GET /stats`` over one warm two-tier cache;
+    responses are byte-identical to ``analyze --json`` / ``check --json`` /
+    ``lint --json``.
 
 Exit codes (uniform across subcommands, see ``docs/cli.md``):
 ``0`` success (and a clean ``check``/``lint``); ``1`` analysis or policy
@@ -79,6 +80,7 @@ from repro.pipeline.render import (
     json_text,
     render_adjacency,
     render_analysis_text,
+    select_graph,
     stamped,
 )
 from repro.pipeline.batch import default_workers
@@ -216,9 +218,7 @@ def _cmd_kemmerer(args: argparse.Namespace) -> int:
         )
         .kemmerer
     )
-    graph = result.graph if args.self_loops else result.graph.without_self_loops()
-    if args.collapse:
-        graph = graph.collapse_environment_nodes()
+    graph = select_graph(result, args.collapse, args.self_loops)
     print(f"Kemmerer's method: {graph.summary()}")
     if args.dot:
         print(graph.to_dot("kemmerer"))

@@ -93,7 +93,6 @@ from repro.analysis.reaching_active import analyze_all_active_signals
 from repro.analysis.reaching_defs import analyze_reaching_definitions
 from repro.analysis.specialize import specialize
 from repro.cfg.builder import build_cfg
-from repro.dataflow import bitset
 from repro.dataflow.universe import FactUniverse
 from repro.errors import AnalysisError
 from repro.hier.link import link_hierarchy, summarize_hierarchy
@@ -309,14 +308,6 @@ KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, ELABORATE, CFG, KEMMERER)
 STAGE_NAMES: Tuple[str, ...] = tuple(stage.name for stage in ANALYSIS_STAGES)
 
 
-#: Stages whose artefacts are produced by a selectable bitset backend
-#: (:mod:`repro.dataflow.bitset`); the active backend is part of their cache
-#: key so artefacts can never be served across a backend switch.  The
-#: backends are cross-checked byte-identical, so this is defence in depth
-#: for the content-address contract, not a correctness requirement.
-_BACKEND_KEYED = frozenset({"closure", "flow_graph"})
-
-
 def _store(ctx: PipelineContext, stage: Stage, artifact: Any) -> None:
     """Set the stage's context attribute(s) from its artefact."""
     if isinstance(stage.attr, tuple):
@@ -340,8 +331,6 @@ def stage_key(stage: Stage, source_key: str, options: AnalysisOptions) -> str:
         parts.extend(
             f"{name}={getattr(options, name)!r}" for name in stage.option_fields
         )
-    if stage.name in _BACKEND_KEYED:
-        parts.append(f"backend={bitset.backend_for(stage.name)}")
     return ":".join(parts)
 
 

@@ -239,34 +239,3 @@ def build_report(
         node_count=result.graph.node_count(),
         edge_count=result.graph.edge_count(),
     )
-
-
-def check_source(
-    source: str,
-    policy: FlowPolicy,
-    *,
-    entity: Optional[str] = None,
-    improved: bool = True,
-    loop_processes: bool = True,
-    cache: Optional[Any] = None,
-    **report_options: Any,
-) -> CovertChannelReport:
-    """Analyse source text through the staged pipeline and report on it.
-
-    This is the one-call service entry point: it runs the pipeline's
-    ``report`` stage (so repeated checks of the same design can share an
-    :class:`repro.pipeline.ArtifactCache` via ``cache``) and returns the
-    finished report.  ``report_options`` are passed to :func:`build_report`.
-    """
-    # Imported here: repro.pipeline.stages lazily imports this module for its
-    # report stage, so a module-level import would be circular.
-    from repro.pipeline.artifacts import AnalysisOptions
-    from repro.pipeline.stages import Pipeline
-
-    options = AnalysisOptions(
-        entity=entity, improved=improved, loop_processes=loop_processes
-    )
-    run = Pipeline(cache).run(
-        source, options, policy=policy, report_options=dict(report_options)
-    )
-    return run.report

@@ -296,28 +296,6 @@ class Workspace:
             profile=profile,
         )
 
-    def analyze_corpus(
-        self,
-        sources: Iterable[str],
-        **opts: Any,
-    ) -> List[PipelineResult]:
-        """Analyse a corpus of sources into one pooled name universe.
-
-        Every run pins the workspace's shared :class:`FactUniverse`
-        (``pool_universe=True``), so bitset-encoded artefacts from different
-        sources stay directly comparable — the batched form of per-call
-        universe pooling.  Accepts the keyword options of
-        :meth:`analyze_run` (``pool_universe`` is implied) and returns the
-        per-source results in input order.  Parse artefacts are still shared
-        through the workspace cache (they are not universe-bound), so a
-        corpus that repeats a file parses it once.
-        """
-        opts.pop("pool_universe", None)
-        return [
-            self.analyze_run(source, pool_universe=True, **opts)
-            for source in sources
-        ]
-
     def kemmerer_run(
         self,
         source: str,

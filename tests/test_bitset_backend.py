@@ -3,9 +3,9 @@
 The production pipeline runs on interned bitsets (``dataflow.worklist.solve``,
 ``analysis.closure.propagate``); the original frozenset/entry-at-a-time
 implementations are kept as oracles (``solve_sets``, ``propagate_naive``).
-These tests assert both backends compute identical ``RD∪ϕ`` / ``RD∩ϕ`` /
-``RDcf`` solutions and identical ``RM_gl`` / flow graphs on the paper
-programs, the AES rounds and randomized synthetic programs, plus unit-level
+These tests assert both engines compute identical ``RD∪ϕ`` / ``RD∩ϕ`` /
+``RDcf`` solutions, identical ``RM_gl`` / flow graphs and byte-identical
+rendered documents on the paper programs, the AES rounds and randomized synthetic programs, plus unit-level
 properties of the :class:`FactUniverse` interner and the dotted intersection.
 """
 
@@ -24,7 +24,6 @@ from repro.analysis.api import analyze
 from repro.analysis.closure import propagate, propagate_naive
 from repro.analysis.flowgraph import FlowGraph, resource_matrix_edges
 from repro.analysis.resource_matrix import Access, Entry, ResourceMatrix
-from repro.dataflow import bitset
 from repro.dataflow.framework import DataflowInstance, JoinMode
 from repro.dataflow.universe import FactUniverse, bit_indices
 from repro.dataflow.worklist import solve, solve_sets
@@ -200,21 +199,36 @@ class TestPropagateEquivalence:
         edges = {1: {1, 2}}
         assert propagate(seeds, edges) == propagate_naive(seeds, edges)
 
+    @pytest.mark.parametrize("source,kwargs", WORKLOADS)
+    def test_propagate_matches_naive_on_workload_copy_edges(self, source, kwargs):
+        result = analyze(source, improved=False, **kwargs)
+        copy_edges = closure_mod.merge_edges(
+            closure_mod.present_value_edges(result.specialized),
+            closure_mod.synchronized_value_edges(
+                result.program_cfg, result.specialized
+            ),
+        )
+        assert propagate(result.rm_local, copy_edges) == propagate_naive(
+            result.rm_local, copy_edges
+        )
+
+
+def use_reference_backend(monkeypatch):
+    """Route the dataflow solves and the closure through the set oracles."""
+    monkeypatch.setattr(reaching_defs_mod, "solve", solve_sets)
+    monkeypatch.setattr(reaching_active_mod, "solve", solve_sets)
+    monkeypatch.setattr(closure_mod, "propagate", propagate_naive)
+    monkeypatch.setattr(improved_mod, "propagate", propagate_naive)
+
 
 class TestPipelineEquivalence:
     """The whole analysis, bitset backend vs. set-based oracle backend."""
-
-    def _reference_backend(self, monkeypatch):
-        monkeypatch.setattr(reaching_defs_mod, "solve", solve_sets)
-        monkeypatch.setattr(reaching_active_mod, "solve", solve_sets)
-        monkeypatch.setattr(closure_mod, "propagate", propagate_naive)
-        monkeypatch.setattr(improved_mod, "propagate", propagate_naive)
 
     @pytest.mark.parametrize("source,kwargs", WORKLOADS)
     @pytest.mark.parametrize("improved", [True, False], ids=["improved", "basic"])
     def test_rm_global_and_graph_identical(self, monkeypatch, source, kwargs, improved):
         fast = analyze(source, improved=improved, **kwargs)
-        self._reference_backend(monkeypatch)
+        use_reference_backend(monkeypatch)
         slow = analyze(source, improved=improved, **kwargs)
         assert fast.reaching.entry == slow.reaching.entry
         assert fast.reaching.exit == slow.reaching.exit
@@ -235,7 +249,7 @@ class TestPipelineEquivalence:
             rng.randint(1, 4), rng.randint(1, 8)
         )
         fast = analyze(source, improved=True)
-        self._reference_backend(monkeypatch)
+        use_reference_backend(monkeypatch)
         slow = analyze(source, improved=True)
         assert fast.rm_global == slow.rm_global
         assert fast.graph.edges == slow.graph.edges
@@ -308,90 +322,15 @@ class TestFlowGraphOracle:
             assert graph.reachable_from(node) == oracle.reachable_from(node)
 
 
-class TestWordBackend:
-    """The word-packed (numpy) backend vs. the Python-int backend.
-
-    Both are production backends behind :mod:`repro.dataflow.bitset`;
-    whichever :data:`~repro.dataflow.bitset.DEFAULT_SELECTION` picks, the
-    other must stay byte-for-byte equivalent — asserted here on the raw
-    sweep results, on the rendered documents of all eight paper workloads,
-    and on the pack/unpack round-trip itself.
-    """
-
-    def _closure_problem(self, source, **kwargs):
-        result = analyze(source, **kwargs)
-        copy_edges = closure_mod.merge_edges(
-            closure_mod.present_value_edges(result.specialized),
-            closure_mod.synchronized_value_edges(
-                result.program_cfg, result.specialized
-            ),
-        )
-        return result, copy_edges
-
-    def test_pack_unpack_round_trip(self):
-        if not bitset.HAVE_WORD_BACKEND:
-            pytest.skip("numpy not available")
-        rng = random.Random(11)
-        for _ in range(50):
-            value = rng.getrandbits(rng.randint(0, 700))
-            words = bitset.words_for(max(value.bit_length(), 1))
-            assert bitset.unpack(bitset.pack(value, words)) == value
-
-    def test_words_for_boundaries(self):
-        assert bitset.words_for(0) == 1
-        assert bitset.words_for(1) == 1
-        assert bitset.words_for(64) == 1
-        assert bitset.words_for(65) == 2
-        assert bitset.words_for(640) == 10
-
-    def test_backend_resolution_order(self, monkeypatch):
-        monkeypatch.delenv(bitset.ENV_VAR, raising=False)
-        assert bitset.backend_for("closure") in (bitset.INT, bitset.WORDS)
-        monkeypatch.setenv(bitset.ENV_VAR, "words")
-        expected = bitset.WORDS if bitset.HAVE_WORD_BACKEND else bitset.INT
-        assert bitset.backend_for("closure") == expected
-        monkeypatch.setenv(bitset.ENV_VAR, "nonsense")
-        assert bitset.backend_for("closure") == bitset.backend_for("closure")
-        with bitset.force_backend(bitset.INT):
-            assert bitset.backend_for("closure") == bitset.INT
-            assert bitset.backend_for("flow_graph") == bitset.INT
-        monkeypatch.delenv(bitset.ENV_VAR, raising=False)
-        assert bitset.backend_for("unknown-phase") == bitset.INT
-
-    @pytest.mark.parametrize("source,kwargs", WORKLOADS)
-    def test_propagate_backends_agree(self, source, kwargs):
-        if not bitset.HAVE_WORD_BACKEND:
-            pytest.skip("numpy not available")
-        result, copy_edges = self._closure_problem(source, improved=False, **kwargs)
-        via_int = propagate(result.rm_local, copy_edges, backend=bitset.INT)
-        via_words = propagate(result.rm_local, copy_edges, backend=bitset.WORDS)
-        assert via_int == via_words
-        assert via_int == propagate_naive(result.rm_local, copy_edges)
-
-    @pytest.mark.parametrize("source,kwargs", WORKLOADS)
-    def test_flow_graph_backends_agree(self, source, kwargs):
-        if not bitset.HAVE_WORD_BACKEND:
-            pytest.skip("numpy not available")
-        result = analyze(source, improved=True, **kwargs)
-        via_int = FlowGraph.from_resource_matrix(
-            result.rm_global, backend=bitset.INT
-        )
-        via_words = FlowGraph.from_resource_matrix(
-            result.rm_global, backend=bitset.WORDS
-        )
-        assert via_int.nodes == via_words.nodes
-        assert via_int.edges == via_words.edges
-        assert via_int.to_adjacency() == via_words.to_adjacency()
-        assert via_int.to_dot() == via_words.to_dot()
-
-
 class TestBackendByteIdenticalDocuments:
-    """analyze/check/lint JSON must be byte-identical across both backends.
+    """analyze/check/lint JSON must be byte-identical on the set oracles.
 
-    The ``timings`` block is wall-clock and differs even between two runs
-    of the *same* backend, so it is stripped before the byte comparison;
-    everything else — graphs, matrices, reports, findings — must match
-    exactly over all eight paper workloads.
+    The second run swaps every bitset engine for its set-based oracle,
+    the flow graph included.  The ``timings`` block is wall-clock and
+    differs even between two runs of the *same* backend, so it is
+    stripped before the byte comparison; everything else — graphs,
+    matrices, reports, findings — must match exactly over all eight
+    paper workloads.
     """
 
     @staticmethod
@@ -428,20 +367,27 @@ class TestBackendByteIdenticalDocuments:
         )
         return analyze_text, check_text, lint_text
 
+    @staticmethod
+    def _oracle_flow_graph(cls, matrix, include_self_loops=True):
+        return cls.from_edges(
+            resource_matrix_edges(matrix, include_self_loops=include_self_loops),
+            nodes=matrix.names(),
+        )
+
     @pytest.mark.parametrize(
         "name,source",
         [pytest.param(n, s, id=n) for n, s in workloads.batch_workload_sources()],
     )
-    def test_documents_identical_across_backends(self, name, source):
-        if not bitset.HAVE_WORD_BACKEND:
-            pytest.skip("numpy not available")
-        with bitset.force_backend(bitset.INT):
-            via_int = self._documents(source)
-        with bitset.force_backend(bitset.WORDS):
-            via_words = self._documents(source)
-        for int_text, words_text in zip(via_int, via_words):
-            assert self._without_timings(int_text) == self._without_timings(
-                words_text
+    def test_documents_identical_across_backends(self, monkeypatch, name, source):
+        via_bitsets = self._documents(source)
+        use_reference_backend(monkeypatch)
+        monkeypatch.setattr(
+            FlowGraph, "from_resource_matrix", classmethod(self._oracle_flow_graph)
+        )
+        via_oracles = self._documents(source)
+        for bitset_text, oracle_text in zip(via_bitsets, via_oracles):
+            assert self._without_timings(bitset_text) == self._without_timings(
+                oracle_text
             )
 
 

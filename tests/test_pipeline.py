@@ -7,6 +7,10 @@ from repro.analysis.api import analyze, analyze_kemmerer
 from repro.dataflow.universe import FactUniverse
 from repro.errors import AnalysisError
 from repro.pipeline import (
+    ANALYSIS_STAGES,
+    KEMMERER_STAGES,
+    LINKED_STAGES,
+    LINT_STAGES,
     STAGE_NAMES,
     AnalysisOptions,
     ArtifactCache,
@@ -18,9 +22,10 @@ from repro.pipeline import (
     run_batch,
     run_job,
     source_digest,
+    stage_key,
 )
 from repro.security.policy import TwoLevelPolicy
-from repro.security.report import check_source
+from repro.workspace import Workspace
 
 ANALYSIS_STAGE_NAMES = [name for name in STAGE_NAMES if name != "report"]
 
@@ -232,13 +237,41 @@ class TestApiWrapperIsolation:
         assert first.graph.to_adjacency() == second.graph.to_adjacency()
 
 
-class TestCheckSource:
+def _planned_stages():
+    stages = {}
+    for plan in (ANALYSIS_STAGES, LINKED_STAGES, LINT_STAGES, KEMMERER_STAGES):
+        for stage in plan:
+            stages.setdefault(stage.name, stage)
+    return [pytest.param(stage, id=name) for name, stage in stages.items()]
+
+
+class TestStageKeyGrammar:
+    """Keys read ``<stage>:<sha256>:<field>=<value>…`` (docs/cache.md)."""
+
+    @pytest.mark.parametrize("stage", _planned_stages())
+    def test_key_is_name_digest_and_exactly_the_option_fields(self, stage):
+        options = AnalysisOptions(
+            entity="top",
+            improved=False,
+            loop_processes=False,
+            use_under_approximation=False,
+        )
+        digest = source_digest("entity top is end;")
+        name, key_digest, *parts = stage_key(stage, digest, options).split(":")
+        assert (name, key_digest) == (stage.name, digest)
+        pairs = [part.split("=", 1) for part in parts]
+        assert [field for field, _ in pairs] == list(stage.option_fields)
+        for field, value in pairs:
+            assert value == repr(getattr(options, field))
+
+
+class TestWorkspaceCheck:
     def test_reports_through_the_pipeline(self):
-        report = check_source(
+        report = Workspace(cache=ArtifactCache()).check(
             workloads.challenge_f_program(),
             TwoLevelPolicy(secret_resources=["key"]),
             outputs=["leak"],
-        )
+        ).report
         assert report.is_clean
         document = report.to_json_dict()
         assert document["clean"] is True
@@ -246,11 +279,12 @@ class TestCheckSource:
 
     def test_shares_a_cache_across_checks(self):
         cache = ArtifactCache()
+        workspace = Workspace(cache=cache)
         source = workloads.challenge_f_program()
         policy = TwoLevelPolicy(secret_resources=["key"])
-        check_source(source, policy, outputs=["leak"], cache=cache)
+        workspace.check(source, policy, outputs=["leak"])
         misses_after_first = cache.misses
-        check_source(source, policy, outputs=["leak"], cache=cache)
+        workspace.check(source, policy, outputs=["leak"])
         assert cache.hits == len(ANALYSIS_STAGE_NAMES)
         assert cache.misses == misses_after_first
 
