@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test bench check contracts docs examples schema load-smoke lint
+.PHONY: test bench check contracts docs examples schema load-smoke lint perfbench-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -q
@@ -42,6 +42,15 @@ lint:
 # and a healthz/metrics scrape with asserted counters.
 load-smoke:
 	$(PYTHON) scripts/load_smoke.py
+
+# Every perfbench workload for 3 s, untraced: fails unless the run's last
+# line reports "correct": true, i.e. every served document matched its
+# uncached reference (a disk-format change that alters a document fails).
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 3 --trace 0 | tail -n 1 | \
+		$(PYTHON) -c "import json, sys; line = sys.stdin.read(); \
+		ok = line.startswith('{') and json.loads(line)['correct']; \
+		sys.exit(0 if ok else 'perfbench-smoke: not correct: ' + line.strip())"
 
 # Docs gate: internal links resolve, docs/cli.md matches cli.py, and the
 # policy-file keys documented in docs/api.md match security/policy_file.py.

@@ -20,6 +20,8 @@ price first contact and deployment modes rather than asymptotics;
 docs/performance.md walks through what each one demonstrates.
 """
 
+import itertools
+
 import pytest
 
 from repro.analysis.closure import global_resource_matrix
@@ -199,7 +201,9 @@ def test_cold_flow_graph(benchmark, report, cold_closure_inputs):
 # the machine's cores (on a single-core runner the pool only adds overhead),
 # the warm-cache run skips every stage regardless, and the disk-warm run
 # shows what a *fresh* invocation pays when `--cache-dir` already holds the
-# artifacts (unpickling instead of re-analysis).
+# artifacts (unpickling instead of re-analysis).  `test_disk_cold_write`
+# prices the other direction on one entity: a cold run that opens a store
+# already holding thousands of entries and writes every stage into it.
 
 #: Entities per batch file × the per-entity chain shape.
 BATCH_ENTITIES = 8
@@ -342,6 +346,45 @@ def test_batch_throughput_disk_warm(benchmark, report, batch_jobs, tmp_path_fact
         entities=BATCH_ENTITIES,
         cached_stages_per_job=sorted(cached),
         disk_entries=len(DiskArtifactCache(cache_dir)),
+    )
+
+
+#: Small entries pre-filled into the store ``test_disk_cold_write`` opens.
+COLD_WRITE_FILL = 2000
+
+
+@pytest.fixture(scope="module")
+def filled_store(tmp_path_factory):
+    """A disk store already holding ``COLD_WRITE_FILL`` small entries."""
+    root = str(tmp_path_factory.mktemp("disk-write") / "store")
+    disk = DiskArtifactCache(root)
+    for index in range(COLD_WRITE_FILL):
+        disk.put(f"parse:fill{index}", f"entry {index}")
+    return root
+
+
+def test_disk_cold_write(benchmark, report, filled_store):
+    """A cold run writing through a store that already holds 2,000 entries.
+
+    Each round opens a fresh ``DiskArtifactCache`` over the filled store and
+    analyses an 8×32 chain it has never seen (a new comment nonce changes the
+    source digest), so every stage misses and is written: the open, the
+    first put's scan and the writes a cold ``--cache-dir`` run pays, on top
+    of the analysis itself.
+    """
+    source = synthetic_chain_program(*BATCH_SHAPE)
+    nonces = itertools.count()
+
+    def run():
+        tier = TieredArtifactCache(ArtifactCache(), DiskArtifactCache(filled_store))
+        return Pipeline(tier).run(f"-- nonce {next(nonces)}\n{source}")
+
+    result = benchmark(run)
+    assert not result.cached_stages
+    report(
+        shape=BATCH_SHAPE,
+        store_entries=COLD_WRITE_FILL,
+        stages_written=len(result.computed_stages),
     )
 
 

@@ -20,9 +20,10 @@ Three stores implement that contract:
     CLI invocations, many batch workers) never expose a torn entry.  Every
     entry embeds a format tag and :data:`FORMAT_VERSION`; entries with a
     stale tag, a truncated pickle or any other decoding problem are *evicted*
-    on read, never raised.  Total entry size is bounded by ``max_bytes``
-    with least-recently-used eviction (recency = file mtime, refreshed on
-    every hit).
+    on read, never raised, and a write the file system refuses (a full or
+    read-only disk) is skipped, so the value stays compute-on-demand.  Total
+    entry size is bounded by ``max_bytes`` with least-recently-used eviction
+    (recency = file mtime, refreshed on every hit).
 :class:`TieredArtifactCache`
     The composition the CLI, the batch workers and ``vhdl-ifa serve`` run
     on: an in-memory front tier over an optional on-disk back tier.  Gets
@@ -39,38 +40,56 @@ positions, and the pipeline requires every universe-bound artifact of one
 run to share one universe *object* (see :mod:`repro.pipeline.stages`).  The
 disk tier therefore externalises universes instead of pickling one copy per
 entry: a pickled artifact refers to its universe by the content hash of the
-universe's fact list (a pickle ``persistent_id``), and the facts themselves
-are written once to ``<cache-dir>/universes/<hash>.pkl`` — an immutable
-snapshot, because any growth of the append-only universe changes the hash.
-On load, snapshots resolve through a per-process registry: the first entry
-to reference a snapshot materialises the universe, and every later entry
-whose snapshot is a prefix-compatible extension (or restriction) of an
-already-registered universe re-adopts *the same object*, extending it in
-place when the snapshot is longer.  That is what lets a fresh process load
-``local``, ``specialize``, ``closure`` and ``flow_graph`` from disk and
-still hand the pipeline one consistent universe.
+universe's fact list, and the facts themselves are written once to
+``<cache-dir>/universes/<hash>.pkl`` — an immutable snapshot, because any
+growth of the append-only universe changes the hash.  The reference is a
+``dispatch_table`` entry of the entry's own pickler that reduces a universe
+to ``_universe_ref(<hash>)``, so the C pickler runs no Python callback for
+any other object, and memoises the reduction: a universe referenced from
+many places is hashed once per entry.  On load, snapshots resolve through a
+per-process registry: the first entry to reference a snapshot materialises
+the universe, and every later entry whose snapshot is a prefix-compatible
+extension (or restriction) of an already-registered universe re-adopts *the
+same object*, extending it in place when the snapshot is longer.  That is
+what lets a fresh process load ``local``, ``specialize``, ``closure`` and
+``flow_graph`` from disk and still hand the pipeline one consistent universe.
+
+What each operation touches
+---------------------------
+
+Opening a store reads ``index.json`` and nothing else; a ``get`` reads one
+entry file (plus, once per process, the snapshots it references).  Neither
+lists the store, so a process that only reads never scans it.  A ``put``
+writes one entry file; the first ``put`` of a process also scans the store
+once (one ``stat`` per entry) for the running byte estimate.  A ``put`` that
+pushes the estimate past ``max_bytes`` rescans and evicts down to a
+low-water mark below the budget, so a store at its budget rescans once per
+tenth of its budget written, not on every put.
 """
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
 import io
 import json
+import operator
 import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dataflow.universe import FactUniverse
 
 #: Bumped whenever the on-disk entry layout changes; entries (and whole cache
 #: directories) recorded under another version are evicted, not decoded.
-FORMAT_VERSION = 1
+#: Version 2 pickles universe references as ``_universe_ref`` reductions
+#: instead of persistent ids.
+FORMAT_VERSION = 2
 
 _ENTRY_TAG = "vhdl-ifa-artifact"
 _UNIVERSE_TAG = "vhdl-ifa-universe"
-_PERSISTENT_PREFIX = "universe:"
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
@@ -132,20 +151,31 @@ class _CacheMiss(Exception):
     """Internal: an on-disk entry exists but cannot be served."""
 
 
-class _ArtifactPickler(pickle.Pickler):
-    """Pickles artifacts with their universes externalised by snapshot id."""
+def _universe_ref(uid: str) -> FactUniverse:
+    """What an externalised universe pickles as: ``_universe_ref(uid)``.
 
-    def __init__(self, buffer, uid_for, refs: Dict[str, FactUniverse]):
-        super().__init__(buffer, protocol=_PICKLE_PROTOCOL)
-        self._uid_for = uid_for
-        self._refs = refs
+    Only :class:`_ArtifactUnpickler` can resolve the reference (against its
+    store's registry); a plain ``pickle.loads`` of a payload ends up here.
+    """
+    raise pickle.UnpicklingError(f"unresolved universe reference {uid!r}")
 
-    def persistent_id(self, obj: Any) -> Optional[str]:
-        if isinstance(obj, FactUniverse):
-            uid = self._uid_for(obj)
-            self._refs[uid] = obj
-            return _PERSISTENT_PREFIX + uid
-        return None
+
+def _universe_reducer(
+    uid_for: Callable[[FactUniverse], str], refs: Dict[str, FactUniverse]
+) -> Callable[[FactUniverse], Tuple[Any, Tuple[str]]]:
+    """The ``dispatch_table`` entry that externalises a :class:`FactUniverse`.
+
+    It closes over ``uid_for`` and ``refs`` and never over the pickler: a
+    pickler whose own table led back to it would be a reference cycle keeping
+    its memo (every object of the entry) alive until a full collection.
+    """
+
+    def reduce_universe(universe: FactUniverse) -> Tuple[Any, Tuple[str]]:
+        uid = uid_for(universe)
+        refs[uid] = universe
+        return _universe_ref, (uid,)
+
+    return reduce_universe
 
 
 class _ArtifactUnpickler(pickle.Unpickler):
@@ -153,36 +183,41 @@ class _ArtifactUnpickler(pickle.Unpickler):
 
     def __init__(self, buffer, universes: Dict[str, FactUniverse]):
         super().__init__(buffer)
-        self._universes = universes
+        # The registry's own lookup, not a method of this unpickler: the memo
+        # keeps the resolver, so a bound method would be a reference cycle.
+        self._resolve = universes.__getitem__
 
-    def persistent_load(self, pid: Any) -> Any:
-        if isinstance(pid, str) and pid.startswith(_PERSISTENT_PREFIX):
-            universe = self._universes.get(pid[len(_PERSISTENT_PREFIX):])
-            if universe is not None:
-                return universe
-        raise pickle.UnpicklingError(f"unresolvable persistent id {pid!r}")
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name == _universe_ref.__name__:
+            return self._resolve
+        return super().find_class(module, name)
 
 
 class DiskArtifactCache:
     """A persistent, content-addressed artifact store under one directory.
 
-    See the module docstring for the layout and the universe-snapshot scheme.
-    The store is safe to share between processes: entries are published with
-    atomic renames and are self-describing (tag, version, full key), so the
-    ``index.json`` metadata is only a convenience for ``stats`` and humans —
-    a lost race on the index never loses or corrupts an entry.  All decoding
-    failures (truncation, foreign pickles, stale :data:`FORMAT_VERSION`,
-    missing universe snapshots) evict the offending entry and count a miss.
+    See the module docstring for the layout, the universe-snapshot scheme and
+    what each operation touches.  The store is safe to share between
+    processes: entries are published with atomic renames and are
+    self-describing (tag, version, full key), so the ``index.json`` metadata
+    is only a convenience for ``stats`` and humans — a lost race on the index
+    never loses or corrupts an entry.  All decoding failures (truncation,
+    foreign pickles, stale :data:`FORMAT_VERSION`, missing universe
+    snapshots) evict the offending entry and count a miss.
     """
 
     #: Default size budget for entry files (universe snapshots are tiny and
     #: kept outside the budget; ``clear`` removes them too).
     DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
-    #: Rewrite ``index.json`` at most every this many puts — the index is
+    #: Rewrite ``index.json`` at most every this many changes — the index is
     #: non-authoritative metadata, so flushing lazily just means it may lag
     #: the entry files until the next flush (or the next open rebuilds it).
     INDEX_FLUSH_INTERVAL = 64
+
+    #: A put that crosses ``max_bytes`` evicts down to this share of it, so
+    #: the next budget scan is a tenth of the budget of writes away.
+    BUDGET_LOW_WATER = 0.9
 
     def __init__(
         self,
@@ -203,14 +238,14 @@ class DiskArtifactCache:
         self._universe_uids: Dict[int, Tuple[str, int]] = {}
         self.root.mkdir(parents=True, exist_ok=True)
         self._universe_dir = self.root / "universes"
-        self._universe_dir.mkdir(exist_ok=True)
         self._index_path = self.root / "index.json"
+        self._unflushed = 0
         self._index = self._load_index()
-        self._dirty_puts = 0
-        #: Running estimate of total entry bytes; writes by other processes
-        #: are only seen at the next budget scan, so the budget is a target,
-        #: not a hard ceiling, for concurrently-written stores.
-        self._approx_bytes = sum(size for _, size in self._entry_files())
+        #: Running estimate of total entry bytes, taken by the first put's
+        #: scan (``None`` before it).  Writes by other processes are only
+        #: seen at the next budget scan, so the budget is a target, not a
+        #: hard ceiling, for concurrently-written stores.
+        self._approx_bytes: Optional[int] = None
 
     # ------------------------------------------------------------ store API
 
@@ -230,7 +265,7 @@ class DiskArtifactCache:
             value = self._decode_entry(key, blob)
         except Exception:
             # Truncated/corrupted/stale entries are evicted, never raised.
-            self._remove_entry(path)
+            self._remove_entry(str(path.relative_to(self.root)))
             self.misses += 1
             return None
         try:
@@ -243,35 +278,39 @@ class DiskArtifactCache:
     def put(self, key: str, value: Any) -> None:
         """Persist one artifact atomically, then enforce the size budget.
 
-        Unpicklable values are skipped silently: the disk tier is an
-        accelerator, not a system of record, so a value it cannot hold simply
-        stays compute-on-demand.
+        Values it cannot pickle, and writes the file system refuses (a full
+        or read-only disk), are skipped silently: the disk tier is an
+        accelerator, not a system of record, so such a value simply stays
+        compute-on-demand.
         """
         try:
             blob = self._encode_entry(key, value)
         except Exception:
             return
         path = self._entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(path, blob)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._atomic_write(path, blob)
+        except OSError:
+            return
         relpath = str(path.relative_to(self.root))
         self._index["entries"][relpath] = {
             "key": key,
             "stage": path.parent.name,
             "bytes": len(blob),
         }
-        # Overwrites of an existing key are counted as growth here; the next
-        # budget scan resynchronises the estimate, so errors only make the
-        # (O(entries)) scan happen a little early, never late.
-        self._approx_bytes += len(blob)
-        self._dirty_puts += 1
-        if self._approx_bytes > self.max_bytes:
-            self._enforce_budget(keep=path)
+        self._unflushed += 1
+        # The first put of a process scans for the byte estimate; later puts
+        # rescan only once the estimate crosses the budget.  Overwrites of an
+        # existing key are counted as growth here; the next budget scan
+        # resynchronises the estimate, so errors only make the (O(entries))
+        # scan happen a little early, never late.
+        if self._approx_bytes is not None:
+            self._approx_bytes += len(blob)
+        if self._approx_bytes is None or self._approx_bytes > self.max_bytes:
+            self._enforce_budget(keep=relpath)
+        if self._unflushed >= self.INDEX_FLUSH_INTERVAL:
             self._write_index()
-            self._dirty_puts = 0
-        elif self._dirty_puts >= self.INDEX_FLUSH_INTERVAL:
-            self._write_index()
-            self._dirty_puts = 0
 
     def clear(self) -> None:
         """Remove every entry and universe snapshot (counters are kept)."""
@@ -280,11 +319,10 @@ class DiskArtifactCache:
         self._universe_uids.clear()
         self._index = {"version": FORMAT_VERSION, "entries": {}}
         self._approx_bytes = 0
-        self._dirty_puts = 0
         self._write_index()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._entry_files())
+        return len(self._scan_entries())
 
     def __contains__(self, key: str) -> bool:
         return self._entry_path(key).exists()
@@ -293,17 +331,17 @@ class DiskArtifactCache:
         """Directory-scan statistics plus this process's hit/miss counters."""
         stages: Dict[str, int] = {}
         total = 0
-        for path, size in self._entry_files():
-            stages[path.parent.name] = stages.get(path.parent.name, 0) + 1
+        for _, size, relpath in self._scan_entries():
+            stage = os.path.dirname(relpath)
+            stages[stage] = stages.get(stage, 0) + 1
             total += size
-        universes = sum(1 for _ in self._universe_dir.glob("*.pkl"))
         return {
             "path": str(self.root),
             "version": FORMAT_VERSION,
             "entries": sum(stages.values()),
             "bytes": total,
             "max_bytes": self.max_bytes,
-            "universes": universes,
+            "universes": len(self._universe_files()),
             "hits": self.hits,
             "misses": self.misses,
             "stages": dict(sorted(stages.items())),
@@ -314,7 +352,11 @@ class DiskArtifactCache:
     def _encode_entry(self, key: str, value: Any) -> bytes:
         buffer = io.BytesIO()
         refs: Dict[str, FactUniverse] = {}
-        _ArtifactPickler(buffer, self._uid_for, refs).dump(value)
+        table = copyreg.dispatch_table.copy()
+        table[FactUniverse] = _universe_reducer(self._uid_for, refs)
+        pickler = pickle.Pickler(buffer, protocol=_PICKLE_PROTOCOL)
+        pickler.dispatch_table = table
+        pickler.dump(value)
         universe_lengths = {uid: len(universe) for uid, universe in refs.items()}
         for uid, universe in refs.items():
             self._save_universe(uid, universe)
@@ -364,6 +406,7 @@ class DiskArtifactCache:
             (_UNIVERSE_TAG, FORMAT_VERSION, uid, list(universe)),
             protocol=_PICKLE_PROTOCOL,
         )
+        self._universe_dir.mkdir(exist_ok=True)
         self._atomic_write(path, blob)
 
     def _require_universe(self, uid: str, needed: int) -> None:
@@ -397,15 +440,14 @@ class DiskArtifactCache:
         the longer universe.
         """
         if facts:
-            seen = {id(u): u for u in self._universes.values()}
-            for existing in seen.values():
-                known = list(existing)
-                overlap = min(len(known), len(facts))
-                if overlap == 0 or known[0] != facts[0]:
+            first = facts[0]
+            for existing in {id(u): u for u in self._universes.values()}.values():
+                if not len(existing) or existing.fact_of(0) != first:
                     continue
-                if known[:overlap] == facts[:overlap]:
-                    if len(facts) > len(known):
-                        existing.intern_all(facts[len(known):])
+                # Compares the common prefix only: map stops at the shorter.
+                if all(map(operator.eq, existing, facts)):
+                    if len(facts) > len(existing):
+                        existing.intern_all(facts[len(existing):])
                     self._universes[uid] = existing
                     return existing
         universe: FactUniverse = FactUniverse(facts)
@@ -421,15 +463,44 @@ class DiskArtifactCache:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return self.root / stage / f"{digest}.pkl"
 
-    def _entry_files(self) -> Iterator[Tuple[Path, int]]:
-        for child in sorted(self.root.iterdir()):
-            if not child.is_dir() or child.name == "universes":
-                continue
-            for path in sorted(child.glob("*.pkl")):
-                try:
-                    yield path, path.stat().st_size
-                except OSError:
-                    continue  # evicted by a concurrent process mid-scan
+    def _scan_entries(self) -> List[Tuple[float, int, str]]:
+        """``(mtime, size, path relative to the root)`` of every entry file.
+
+        The one walk over the store: one ``stat`` per entry file, in
+        directory order.
+        """
+        found: List[Tuple[float, int, str]] = []
+        try:
+            with os.scandir(self.root) as children:
+                stages = [
+                    child.name
+                    for child in children
+                    if child.name != "universes" and child.is_dir()
+                ]
+        except OSError:
+            return found  # the root vanished or is unreadable: nothing to count
+        for stage in stages:
+            prefix = os.path.join(stage, "")
+            try:
+                with os.scandir(os.path.join(self.root, stage)) as entries:
+                    for entry in entries:
+                        if not entry.name.endswith(".pkl"):
+                            continue
+                        try:
+                            stat = entry.stat()
+                        except OSError:
+                            continue  # evicted by a concurrent process mid-scan
+                        found.append((stat.st_mtime, stat.st_size, prefix + entry.name))
+            except OSError:
+                continue  # a stage directory removed mid-scan
+        return found
+
+    def _universe_files(self) -> List[str]:
+        try:
+            with os.scandir(self._universe_dir) as entries:
+                return [entry.path for entry in entries if entry.name.endswith(".pkl")]
+        except OSError:
+            return []  # no snapshot written yet
 
     def _atomic_write(self, path: Path, blob: bytes) -> None:
         fd, tmp = tempfile.mkstemp(
@@ -446,50 +517,44 @@ class DiskArtifactCache:
                 pass
             raise
 
-    def _remove_entry(self, path: Path) -> None:
+    def _remove_entry(self, relpath: str) -> bool:
+        """Unlink one entry file; the index records it at the next flush."""
+        self._index["entries"].pop(relpath, None)
+        self._unflushed += 1
         try:
-            path.unlink()
+            os.unlink(os.path.join(self.root, relpath))
         except OSError:
-            pass
-        self._index["entries"].pop(str(path.relative_to(self.root)), None)
-        self._write_index()
+            return False
+        return True
 
-    def _enforce_budget(self, keep: Optional[Path] = None) -> None:
-        files = []
-        total = 0
-        for path, size in self._entry_files():
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            files.append((mtime, size, path))
-            total += size
-        if total <= self.max_bytes:
-            self._approx_bytes = total
-            return
-        files.sort(key=lambda item: item[0])
-        for _, size, path in files:
-            if total <= self.max_bytes:
-                break
-            if keep is not None and path == keep:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            self._index["entries"].pop(str(path.relative_to(self.root)), None)
-            total -= size
+    def _enforce_budget(self, keep: str) -> None:
+        """Rescan the entry files; past the budget, evict the least recent.
+
+        Eviction runs down to :attr:`BUDGET_LOW_WATER` of ``max_bytes`` and
+        never removes ``keep`` (the entry just written).
+        """
+        files = self._scan_entries()
+        total = sum(size for _, size, _ in files)
+        if total > self.max_bytes:
+            low_water = self.max_bytes * self.BUDGET_LOW_WATER
+            files.sort()
+            for _, size, relpath in files:
+                if total <= low_water:
+                    break
+                if relpath != keep and self._remove_entry(relpath):
+                    total -= size
+            self._write_index()
         self._approx_bytes = total
 
     def _clear_files(self) -> None:
-        for path, _ in list(self._entry_files()):
+        for _, _, relpath in self._scan_entries():
             try:
-                path.unlink()
+                os.unlink(os.path.join(self.root, relpath))
             except OSError:
                 pass
-        for path in self._universe_dir.glob("*.pkl"):
+        for path in self._universe_files():
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
 
@@ -526,14 +591,12 @@ class DiskArtifactCache:
 
     def _rebuild_index(self) -> Dict[str, Any]:
         entries: Dict[str, Any] = {}
-        for path, size in self._entry_files():
-            entries[str(path.relative_to(self.root))] = {
-                "stage": path.parent.name,
-                "bytes": size,
-            }
+        for _, size, relpath in self._scan_entries():
+            entries[relpath] = {"stage": os.path.dirname(relpath), "bytes": size}
         return {"version": FORMAT_VERSION, "entries": entries}
 
     def _write_index(self) -> None:
+        self._unflushed = 0
         blob = json.dumps(self._index, indent=2, sort_keys=True).encode("utf-8")
         try:
             self._atomic_write(self._index_path, blob)

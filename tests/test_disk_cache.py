@@ -1,15 +1,22 @@
 """Tests for the persistent artifact store and the two-tier composition."""
 
+import errno
+import gc
 import json
 import multiprocessing
+import os
 import pickle
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro import workloads
+from repro.cli import main
+from repro.contract.matchers import normalize
+from repro.dataflow.universe import FactUniverse
 from repro.pipeline import (
     STAGE_NAMES,
     AnalysisOptions,
@@ -22,6 +29,7 @@ from repro.pipeline import (
     run_batch,
 )
 from repro.pipeline.cache import FORMAT_VERSION
+from repro.pipeline.render import volatile_pointers
 
 ANALYSIS_STAGE_NAMES = [name for name in STAGE_NAMES if name != "report"]
 
@@ -237,6 +245,140 @@ class TestEvictionAndStats:
         disk.put("parse:k", lambda: None)  # lambdas don't pickle
         assert disk.get("parse:k") is None
         assert len(disk) == 0
+
+
+def _entry_bytes(root):
+    return sum(
+        path.stat().st_size
+        for path in Path(root).glob("*/*.pkl")
+        if path.parent.name != "universes"
+    )
+
+
+class TestOperationCosts:
+    """What each operation touches, pinned as counts rather than timings."""
+
+    def test_open_and_get_neither_list_nor_stat_the_store(self, cache_dir, monkeypatch):
+        source = workloads.challenge_f_program()
+        _populate(cache_dir, source)
+        listed, statted = [], []
+
+        def counting(record, function):
+            def wrapper(*args, **kwargs):
+                record.append(args[0] if args else None)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(os, "scandir", counting(listed, os.scandir))
+        monkeypatch.setattr(Path, "iterdir", counting(listed, Path.iterdir))
+        monkeypatch.setattr(Path, "glob", counting(listed, Path.glob))
+        monkeypatch.setattr(os, "stat", counting(statted, os.stat))
+        warm = _fresh_run(cache_dir, source)
+        assert warm.cached_stages == ANALYSIS_STAGE_NAMES
+        assert listed == []
+        assert [path for path in statted if str(path).endswith(".pkl")] == []
+
+    def test_puts_past_the_budget_rescan_once_per_tenth_of_it(self, tmp_path, monkeypatch):
+        budget = 1 << 20
+        disk = DiskArtifactCache(tmp_path / "c", max_bytes=budget)
+        value = "x" * 900  # ~1 KiB entry files
+        for index in range(1100):  # fill the store past its budget
+            disk.put(f"parse:fill{index}", value)
+        scans = []
+        walk = disk._scan_entries
+        monkeypatch.setattr(disk, "_scan_entries", lambda: scans.append(1) or walk())
+        for index in range(1000):
+            disk.put(f"parse:{index}", value)
+            if index % 100 == 99:
+                assert _entry_bytes(tmp_path / "c") <= budget
+        assert 1 <= len(scans) <= 11
+        assert "parse:999" in disk
+
+
+class _Artefact:
+    """A weak-referenceable artefact that references a universe."""
+
+    def __init__(self, universe, rows):
+        self.universe = universe
+        self.rows = rows
+
+
+class TestUniverseReferences:
+    def test_a_universe_referenced_many_times_is_hashed_once(self, tmp_path, monkeypatch):
+        disk = DiskArtifactCache(tmp_path / "c")
+        universe = FactUniverse(["a", "b", "c"])
+        hashed = []
+        uid_for = disk._uid_for
+        monkeypatch.setattr(
+            disk, "_uid_for", lambda u: hashed.append(u) or uid_for(u)
+        )
+        rows = [_Artefact(universe, [index]) for index in range(20)]
+        disk.put("local:k", {"owner": universe, "rows": rows})
+        assert hashed == [universe]
+        uid = uid_for(universe)
+        loaded = disk.get("local:k")
+        assert loaded["owner"] is universe is disk._universes[uid]
+        assert all(row.universe is universe for row in loaded["rows"])
+        fresh = DiskArtifactCache(tmp_path / "c")
+        reloaded = fresh.get("local:k")
+        assert reloaded["owner"] is fresh._universes[uid]
+        assert all(row.universe is reloaded["owner"] for row in reloaded["rows"])
+        assert list(reloaded["owner"]) == ["a", "b", "c"]
+
+    def test_put_and_get_hold_no_reference_to_the_artefact(self, tmp_path):
+        # A pickler or unpickler whose own tables lead back to it is a cycle
+        # that keeps its memo, i.e. every object of the entry, alive until a
+        # full collection.
+        disk = DiskArtifactCache(tmp_path / "c")
+        artefact = _Artefact(FactUniverse(["a", "b"]), list(range(100)))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            stored = weakref.ref(artefact)
+            disk.put("local:k", artefact)
+            del artefact
+            assert stored() is None
+            loaded = disk.get("local:k")
+            assert loaded is not None and loaded.rows == list(range(100))
+            decoded = weakref.ref(loaded)
+            del loaded
+            assert decoded() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_adoption_aliases_prefixes_and_keeps_divergent_universes_apart(self, tmp_path):
+        disk = DiskArtifactCache(tmp_path / "c")
+        first = disk._adopt_universe("u1", ["a", "b", "c"])
+        other = disk._adopt_universe("u2", ["x", "y"])
+        assert disk._adopt_universe("u3", ["a", "b", "c", "d"]) is first
+        assert list(first) == ["a", "b", "c", "d"]  # extended in place
+        assert disk._adopt_universe("u4", ["x"]) is other  # a restriction
+        divergent = disk._adopt_universe("u5", ["a", "z"])
+        assert divergent is not first and list(divergent) == ["a", "z"]
+
+
+class TestWriteFailures:
+    def test_a_full_disk_degrades_to_compute_only(
+        self, tmp_path, cache_dir, monkeypatch, capsys
+    ):
+        design = tmp_path / "design.vhd"
+        design.write_text(workloads.challenge_f_program(), encoding="utf-8")
+        assert main(["analyze", str(design), "--json", "--no-cache"]) == 0
+        uncached = json.loads(capsys.readouterr().out)
+
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", no_space)
+        assert main(["analyze", str(design), "--json", "--cache-dir", cache_dir]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        masks = volatile_pointers("analyze")
+        assert normalize(json.loads(captured.out), masks) == normalize(uncached, masks)
+        assert list(Path(cache_dir).rglob("*.tmp")) == []
+        assert list(Path(cache_dir).rglob("*.pkl")) == []
 
 
 class TestTieredCache:
