@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test bench check contracts docs examples schema load-smoke lint perfbench-smoke
+.PHONY: test bench check contracts docs examples load-smoke lint perfbench-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -q
@@ -8,23 +8,23 @@ test:
 bench:
 	$(PYTHON) benchmarks/run_benchmarks.py
 
-# Tier-1 tests plus the perf regression gate: fails when any benchmark
-# recorded in the committed BENCH_scaling.json snapshot slowed down >1.5x.
-# Same round count as `make bench` so min-of-rounds is comparable.
+# Tier-1 tests (which replay the contract corpus inline and pooled) plus
+# the perf regression gate: fails when any benchmark recorded in the
+# committed BENCH_scaling.json snapshot slowed down >1.5x.  Same round
+# count as `make bench` so min-of-rounds is comparable.
 check: lint
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(PYTHON) benchmarks/run_benchmarks.py --compare BENCH_scaling.json
 	$(PYTHON) scripts/load_smoke.py
-	$(PYTHON) scripts/check_contracts.py
 
-# Consumer-contract gate: replay the committed interaction corpus
-# (tests/contract/pacts) against a live inline server and a live pool
-# server (workers=2).  Additive drift logs and passes; breaking drift
-# fails with a field-level JSON-pointer diff.  Re-record after an
-# intentional contract change with:
+# The vhdl-ifa/v1 contract gate: replay the committed interaction corpus
+# (tests/contract/pacts), the v1 spec, against a live inline server, a
+# live pool server (workers=2) and the JSON CLI.  Additive drift logs and
+# passes; breaking drift fails with a field-level JSON-pointer diff.
+# Re-record after an intentional contract change with:
 #   PYTHONPATH=src $(PYTHON) -m repro.cli contract record
 contracts:
-	$(PYTHON) scripts/check_contracts.py
+	PYTHONPATH=src $(PYTHON) -m repro.cli contract verify
 
 # Repo invariant gate (scripts/check_invariants.py, stdlib AST lint) plus
 # the mypy typed-core gate on repro.analysis.lint.  mypy runs only when
@@ -52,17 +52,12 @@ perfbench-smoke:
 		ok = line.startswith('{') and json.loads(line)['correct']; \
 		sys.exit(0 if ok else 'perfbench-smoke: not correct: ' + line.strip())"
 
-# Docs gate: internal links resolve, docs/cli.md matches cli.py, and the
-# policy-file keys documented in docs/api.md match security/policy_file.py.
+# Docs gate: internal links resolve, docs/cli.md matches cli.py, the
+# policy-file keys documented in docs/api.md match security/policy_file.py,
+# and the docs/api.md document table lists exactly the recorded kinds
+# (scripts/check_docs.py lists all eight checks).
 docs:
 	$(PYTHON) scripts/check_docs.py
-
-# JSON contract gate: fails when the committed docs/schema_v1.json drifts
-# from the live schema (repro.pipeline.render.schema_v1).  Regenerate after
-# an intentional change with:
-#   PYTHONPATH=src $(PYTHON) scripts/dump_schema.py --write docs/schema_v1.json
-schema:
-	$(PYTHON) scripts/dump_schema.py --check docs/schema_v1.json
 
 examples:
 	scratch=$$(mktemp -d); for script in $(CURDIR)/examples/*.py; do \

@@ -22,11 +22,11 @@ Checks eight things, and exits non-zero listing every failure:
    ``benchmarks/bench_scaling.py`` — a phase the performance guide does
    not place in its methodology fails the gate, as does a documented
    phase the benchmark module no longer defines.
-7. The contract guide ``docs/contracts.md`` exists, and every route the
-   server dispatches (the ``"/path"`` literals in ``pipeline/serve.py``)
-   is exercised by at least one recorded interaction in
-   ``tests/contract/pacts`` — a new endpoint without a recorded contract
-   fails the gate.
+7. The document table in ``docs/api.md`` lists exactly the document kinds
+   the contract corpus records: the ``command`` values of the responses
+   in ``tests/contract/pacts``, where a body without one is an ``error``.
+   A recorded kind the table omits, or a row no recording carries, fails
+   the gate.
 8. The hierarchy guide ``docs/hierarchy.md`` exists and mentions every
    public name exported from ``src/repro/hier/__init__.py`` (its
    ``__all__``) — a new hierarchy API without documentation fails the
@@ -56,6 +56,10 @@ _POLICY_KEYS = re.compile(r"^POLICY_KEYS\s*=\s*\(([^)]*)\)", re.MULTILINE)
 _KEY_ROW = re.compile(r"^\|\s*`([a-z_]+)`", re.MULTILINE)
 #: The fenced region of docs/api.md holding the policy-key table.
 _KEY_MARKERS = ("<!-- policy-file-keys:start -->", "<!-- policy-file-keys:end -->")
+#: | `cache-stats` | ... — a document kind, the first cell of a table row.
+_KIND_ROW = re.compile(r"^\|\s*`([a-z][a-z-]*)`", re.MULTILINE)
+#: The fenced region of docs/api.md holding the document-kind table.
+_KIND_MARKERS = ("<!-- document-kinds:start -->", "<!-- document-kinds:end -->")
 
 
 def _is_external(target: str) -> bool:
@@ -234,39 +238,39 @@ def check_performance_doc() -> list[str]:
     return failures
 
 
-#: "/analyze" — a route literal in pipeline/serve.py's dispatch tables.
-_SERVE_ROUTE = re.compile(r"[\"'](/[a-z]+)[\"']")
-
-
-def check_contract_corpus() -> list[str]:
-    """Every serve route has a recorded contract; the guide exists."""
+def check_document_kinds() -> list[str]:
+    """``docs/api.md``'s document table lists exactly the recorded kinds."""
     import json
 
-    failures = []
-    if not (REPO_ROOT / "docs" / "contracts.md").exists():
-        failures.append("docs/contracts.md: the contract guide is missing")
-    serve_source = (
-        REPO_ROOT / "src" / "repro" / "pipeline" / "serve.py"
-    ).read_text(encoding="utf-8")
-    routes = set(_SERVE_ROUTE.findall(serve_source))
-    if not routes:
-        return failures + ["pipeline/serve.py: found no route literals"]
     pacts = sorted((REPO_ROOT / "tests" / "contract" / "pacts").glob("*.json"))
     if not pacts:
-        return failures + [
+        return [
             "tests/contract/pacts: no recorded interactions; record the "
             "corpus with: PYTHONPATH=src python -m repro.cli contract record"
         ]
     recorded = set()
     for path in pacts:
-        request = json.loads(path.read_text(encoding="utf-8"))["request"]
-        if request.get("kind") == "http":
-            recorded.add(request["path"])
-    for route in sorted(routes - recorded):
+        response = json.loads(path.read_text(encoding="utf-8"))["response"]
+        recorded.add(response["document"].get("command", "error"))
+    text = (REPO_ROOT / "docs" / "api.md").read_text(encoding="utf-8")
+    start, end = _KIND_MARKERS
+    if start not in text or end not in text:
+        return [
+            f"docs/api.md: missing the {start} / {end} markers around the "
+            "document table"
+        ]
+    documented = set(_KIND_ROW.findall(text.split(start, 1)[1].split(end, 1)[0]))
+    failures = []
+    for kind in sorted(recorded - documented):
         failures.append(
-            f"serve route {route!r} has no recorded interaction in "
-            "tests/contract/pacts — record one (vhdl-ifa contract record) "
-            "so the contract gate covers it"
+            f"tests/contract/pacts records document kind {kind!r} but the "
+            "docs/api.md document table has no row for it"
+        )
+    for kind in sorted(documented - recorded):
+        failures.append(
+            f"docs/api.md documents kind {kind!r} but no interaction in "
+            "tests/contract/pacts records it — record one (vhdl-ifa "
+            "contract record) or drop the row"
         )
     return failures
 
@@ -308,7 +312,7 @@ def main() -> int:
     failures.extend(check_serve_flags())
     failures.extend(check_lint_catalog())
     failures.extend(check_performance_doc())
-    failures.extend(check_contract_corpus())
+    failures.extend(check_document_kinds())
     failures.extend(check_hierarchy_doc())
     for failure in failures:
         print(f"docs check: {failure}", file=sys.stderr)
@@ -320,8 +324,8 @@ def main() -> int:
         "(links resolve, CLI reference matches cli.py, policy keys match "
         "policy_file.py, serve flags documented in serve.md, lint catalog "
         "matches rules.py, performance guide covers bench_scaling.py, "
-        "contract corpus covers every serve route, hierarchy guide covers "
-        "the repro.hier exports)"
+        "api.md document table matches the recorded kinds, hierarchy guide "
+        "covers the repro.hier exports)"
     )
     return 0
 

@@ -1,10 +1,10 @@
 """Consumer-driven contract suite for the ``vhdl-ifa/v1`` API.
 
 The committed corpus under ``tests/contract/pacts/`` pins every serve
-endpoint (including the 4xx/5xx error paths) and the four JSON CLI
+endpoint (including the 4xx/5xx error paths) and the five JSON CLI
 subcommands as recorded request/response interactions, pact-style:
 volatile fields are matcher rules, everything else is literal.  The
-pieces:
+corpus is the v1 spec; no separate schema restates it.  The pieces:
 
 :mod:`~repro.contract.model`
     Interaction / Corpus with content-addressed ids.

@@ -3,8 +3,9 @@
 ``record_corpus`` boots each server profile (see
 :mod:`repro.contract.profiles`), plays a fixed inventory of requests
 against it — every serve endpoint including the 400/404/405/409/413/429/504
-error paths — runs the four JSON CLI subcommands over the paper workloads,
-and captures each round-trip as a normalised
+error paths — runs the five JSON CLI subcommands (``cache stats`` over an
+empty cache directory, the others over the paper workloads), and captures
+each round-trip as a normalised
 :class:`repro.contract.model.Interaction`.  Volatile fields are masked
 *at record time* using the authoritative matcher tables from
 :func:`repro.pipeline.render.volatile_pointers`, so committed files pin
@@ -281,6 +282,11 @@ def _cli_inventory() -> List[_CliPlan]:
                 "--sequential", "--json",
             ),
             0, "batch",
+        ),
+        _CliPlan(
+            "cli cache stats empty",
+            ("cache", "stats", "--cache-dir", "@fixtures/empty-cache", "--json"),
+            0, "cache-stats",
         ),
     ]
 

@@ -51,7 +51,6 @@ from repro.pipeline.render import (
     render_analysis_text,
     render_lint_text,
     report_json,
-    schema_v1,
     select_graph,
     stamped,
     version_document,
@@ -115,7 +114,6 @@ __all__ = [
     "report_json",
     "run_batch",
     "run_job",
-    "schema_v1",
     "select_graph",
     "serve",
     "source_digest",

@@ -10,6 +10,11 @@ shared by ``--json`` on ``analyze``/``check``/``batch``;
 :func:`analyze_document` / :func:`check_document` / :func:`json_text` are
 the complete documents, shared by the CLI and ``vhdl-ifa serve`` — which is
 why a server response is byte-identical to the corresponding CLI output.
+
+The ``vhdl-ifa/v1`` contract these documents follow is the recorded
+interaction corpus (``tests/contract/pacts``, see :mod:`repro.contract`):
+every field is pinned there except the run-dependent ones that
+:func:`volatile_pointers` declares.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from repro.version import version
 
 #: The versioned contract stamped (as ``"schema"``, always the first key) on
 #: every JSON document the toolchain emits — CLI ``--json`` bodies, batch
-#: documents, every serve-mode response.  Bumped only on breaking changes;
-#: ``make schema`` gates the committed ``docs/schema_v1.json`` against
-#: :func:`schema_v1`.
+#: documents, every serve-mode response.  Bumped only on breaking changes,
+#: together with a re-recording of the contract corpus, whose replay fails
+#: on any interaction recorded under another version.
 SCHEMA_VERSION = "vhdl-ifa/v1"
 
 
@@ -276,7 +281,7 @@ def volatile_pointers(command: str) -> Dict[str, str]:
     masks both the recording and the live response with them — everything
     *not* listed here is pinned byte-for-byte by the corpus.
     """
-    if command in ("analyze", "kemmerer", "check", "lint"):
+    if command in ("analyze", "check", "lint"):
         return dict(_ANALYSIS_VOLATILE)
     if command == "batch":
         # Batch jobs inline the per-job analyze/check/lint document, so the
@@ -301,6 +306,10 @@ def volatile_pointers(command: str) -> Dict[str, str]:
             "/policies": "array",
             "/cache": "object",
         }
+    if command == "cache-stats":
+        # The resolved cache directory, and the disk format, which a cache
+        # change may bump without breaking the document.
+        return {"/path": "string", "/version": "number"}
     if command == "healthz":
         return {"/workers": "object"}
     if command == "metrics":
@@ -324,378 +333,3 @@ def json_text(document: Dict[str, Any]) -> str:
     two byte-comparable.
     """
     return json.dumps(document, indent=2, ensure_ascii=False)
-
-
-def schema_v1() -> Dict[str, Any]:
-    """The machine-readable description of every ``vhdl-ifa/v1`` document.
-
-    This is the authoritative statement of the v1 contract: ``make schema``
-    (``scripts/dump_schema.py --check``) fails when this function drifts from
-    the committed ``docs/schema_v1.json``, so contract changes are always an
-    explicit, reviewed diff.  The layout is JSON Schema (draft-07) with one
-    definition per document ``command``.
-    """
-    timings = {
-        "type": "object",
-        "description": "stage name -> wall-clock seconds, in execution order",
-        "additionalProperties": {"type": "number"},
-    }
-    cached_stages = {
-        "type": "array",
-        "description": "stages served from the artifact cache, in order",
-        "items": {"type": "string"},
-    }
-    schema_field = {"const": SCHEMA_VERSION}
-    diagnostic = {
-        "type": "object",
-        "description": "one structured finding (policy check or lint rule)",
-        "required": [
-            "code", "severity", "message", "source", "target",
-            "source_level", "target_level", "path",
-        ],
-        "properties": {
-            "code": {
-                "type": "string",
-                "description": "stable code: IFA001 direct flow, IFA002 path "
-                "flow, IFA1xx lint rules (catalog in docs/lint.md)",
-                "pattern": "^IFA[0-9]{3}$",
-            },
-            "severity": {"enum": ["error", "warning", "info"]},
-            "message": {"type": "string"},
-            "source": {"type": "string"},
-            "target": {"type": "string"},
-            "source_level": {"type": "string"},
-            "target_level": {"type": "string"},
-            "path": {"type": "array", "items": {"type": "string"}},
-        },
-    }
-    policy = {
-        "type": "object",
-        "description": "the enforced policy: secret list or full document",
-        "properties": {
-            "secrets": {"type": "array", "items": {"type": "string"}},
-            "name": {"type": "string"},
-            "description": {"type": "string"},
-            "mode": {"enum": ["channel-control", "transitive"]},
-            "default": {"type": "string"},
-            "levels": {"type": "object", "additionalProperties": {"type": "integer"}},
-            "resources": {"type": "object", "additionalProperties": {"type": "string"}},
-            "allow": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["from", "to"],
-                    "properties": {
-                        "from": {"type": "string"},
-                        "to": {"type": "string"},
-                    },
-                },
-            },
-            "lint": {
-                "type": "object",
-                "description": "lint rule selection and severity overrides",
-                "properties": {
-                    "enable": {"type": "array", "items": {"type": "string"}},
-                    "disable": {"type": "array", "items": {"type": "string"}},
-                    "severity": {
-                        "type": "object",
-                        "additionalProperties": {
-                            "enum": ["error", "warning", "info"],
-                        },
-                    },
-                },
-            },
-        },
-    }
-    lint_body = {
-        "clean": {"type": "boolean"},
-        "findings": {
-            "type": "array",
-            "items": {"$ref": "#/definitions/diagnostic"},
-        },
-        "summary": {
-            "type": "object",
-            "required": ["findings", "errors", "warnings", "infos"],
-            "additionalProperties": {"type": "integer"},
-        },
-    }
-    lint = {
-        "type": "object",
-        "required": ["schema", "command", "design", "clean", "findings", "summary"],
-        "properties": {
-            "schema": schema_field,
-            "command": {"const": "lint"},
-            "file": {"type": "string"},
-            "design": {"type": "string"},
-            **lint_body,
-            "timings": timings,
-            "cached_stages": cached_stages,
-        },
-    }
-    analyze = {
-        "type": "object",
-        "required": ["schema", "command", "design", "options", "summary", "graph"],
-        "properties": {
-            "schema": schema_field,
-            "command": {"const": "analyze"},
-            "file": {"type": "string"},
-            "design": {"type": "string"},
-            "options": {
-                "type": "object",
-                "properties": {
-                    "entity": {"type": ["string", "null"]},
-                    "improved": {"type": "boolean"},
-                    "loop_processes": {"type": "boolean"},
-                    "use_under_approximation": {"type": "boolean"},
-                },
-            },
-            "summary": {
-                "type": "object",
-                "additionalProperties": {"type": "integer"},
-            },
-            "graph": {
-                "type": "object",
-                "properties": {
-                    "collapse": {"type": "boolean"},
-                    "self_loops": {"type": "boolean"},
-                    "adjacency": {
-                        "type": "object",
-                        "additionalProperties": {
-                            "type": "array", "items": {"type": "string"},
-                        },
-                    },
-                },
-            },
-            "timings": timings,
-            "cached_stages": cached_stages,
-        },
-    }
-    check = {
-        "type": "object",
-        "required": ["schema", "command", "design", "clean", "violations", "policy"],
-        "properties": {
-            "schema": schema_field,
-            "command": {"const": "check"},
-            "file": {"type": "string"},
-            "design": {"type": "string"},
-            "clean": {"type": "boolean"},
-            "violations": {"type": "array", "items": {"$ref": "#/definitions/diagnostic"}},
-            "output_dependencies": {
-                "type": "object",
-                "additionalProperties": {"type": "array", "items": {"type": "string"}},
-            },
-            "summary": {"type": "object", "additionalProperties": {"type": "integer"}},
-            "timings": timings,
-            "cached_stages": cached_stages,
-            "policy": {"$ref": "#/definitions/policy"},
-        },
-    }
-    batch = {
-        "type": "object",
-        "required": ["schema", "command", "jobs", "elapsed", "failed"],
-        "properties": {
-            "schema": schema_field,
-            "command": {"const": "batch"},
-            "parallel": {"type": "boolean"},
-            "workers": {"type": "integer"},
-            "policy": {"$ref": "#/definitions/policy"},
-            "jobs": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["file", "ok"],
-                    "properties": {
-                        "file": {"type": "string"},
-                        "entity": {"type": ["string", "null"]},
-                        "ok": {"type": "boolean"},
-                        "seconds": {"type": "number"},
-                        "error": {"type": "string"},
-                        "error_kind": {"enum": ["analysis", "input", "worker"]},
-                        "clean": {"type": "boolean"},
-                        "violations": {
-                            "type": "array",
-                            "items": {"$ref": "#/definitions/diagnostic"},
-                        },
-                        "lint": {
-                            "type": "object",
-                            "description": "per-file lint section (batch --lint)",
-                            "required": ["clean", "findings", "summary"],
-                            "properties": dict(lint_body),
-                        },
-                    },
-                },
-            },
-            "elapsed": {"type": "number"},
-            "failed": {"type": "integer"},
-        },
-    }
-    stats = {
-        "type": "object",
-        "required": ["schema", "command", "uptime_seconds", "requests"],
-        "properties": {
-            "schema": schema_field,
-            "command": {"const": "stats"},
-            "uptime_seconds": {"type": "number"},
-            "requests": {"type": "object", "additionalProperties": {"type": "integer"}},
-            "policies": {"type": "array", "items": {"type": "string"}},
-            "cache": {"type": "object"},
-        },
-    }
-    version_doc = {
-        "type": "object",
-        "required": ["schema", "command", "version"],
-        "properties": {
-            "schema": schema_field,
-            "command": {"const": "version"},
-            "version": {"type": "string"},
-        },
-    }
-    policy_doc = {
-        "type": "object",
-        "required": ["schema", "command", "valid", "policy"],
-        "properties": {
-            "schema": schema_field,
-            "command": {"const": "policy"},
-            "valid": {"const": True},
-            "registered": {"type": ["string", "null"]},
-            "policy": {"$ref": "#/definitions/policy"},
-        },
-    }
-    cache_stats = {
-        "type": "object",
-        "required": ["schema", "command", "entries"],
-        "properties": {
-            "schema": schema_field,
-            "command": {"const": "cache-stats"},
-            "path": {"type": "string"},
-            "version": {"type": "integer"},
-            "entries": {"type": "integer"},
-            "bytes": {"type": "integer"},
-            "max_bytes": {"type": "integer"},
-            "universes": {"type": "integer"},
-            "hits": {"type": "integer"},
-            "misses": {"type": "integer"},
-            "stages": {"type": "object", "additionalProperties": {"type": "integer"}},
-        },
-    }
-    error = {
-        "type": "object",
-        "description": "serve-mode 4xx/5xx body",
-        "required": ["schema", "error"],
-        "properties": {
-            "schema": schema_field,
-            "error": {"type": "string"},
-            "retry_after": {
-                "type": "integer",
-                "description": "on a 429, seconds to wait before retrying "
-                "(mirrors the Retry-After response header)",
-            },
-        },
-    }
-    histogram = {
-        "type": "object",
-        "description": "a cumulative latency histogram (Prometheus-style le "
-        "buckets, upper bounds in seconds)",
-        "required": ["count", "sum_seconds", "buckets"],
-        "properties": {
-            "count": {"type": "integer"},
-            "sum_seconds": {"type": "number"},
-            "buckets": {
-                "type": "object",
-                "additionalProperties": {"type": "integer"},
-            },
-        },
-    }
-    worker_stats = {
-        "type": "object",
-        "description": "worker-pool supervision state",
-        "properties": {
-            "configured": {"type": "integer"},
-            "alive": {"type": "integer"},
-            "restarts": {"type": "integer"},
-            "timeout_seconds": {"type": ["number", "null"]},
-        },
-    }
-    healthz = {
-        "type": "object",
-        "required": ["schema", "command", "status", "mode"],
-        "properties": {
-            "schema": schema_field,
-            "command": {"const": "healthz"},
-            "status": {"enum": ["ok", "draining"]},
-            "mode": {"enum": ["pool", "inline"]},
-            "workers": worker_stats,
-        },
-    }
-    metrics = {
-        "type": "object",
-        "required": [
-            "schema", "command", "mode", "uptime_seconds", "requests",
-            "in_flight", "queue_depth", "shed", "dedup_hits", "timeouts",
-            "worker_crashes", "worker_restarts", "latency",
-        ],
-        "properties": {
-            "schema": schema_field,
-            "command": {"const": "metrics"},
-            "mode": {"enum": ["pool", "inline"]},
-            "uptime_seconds": {"type": "number"},
-            "requests": {"type": "object", "additionalProperties": {"type": "integer"}},
-            "in_flight": {"type": "integer"},
-            "queue_depth": {"type": "integer"},
-            "shed": {"type": "integer"},
-            "dedup_hits": {"type": "integer"},
-            "timeouts": {"type": "integer"},
-            "worker_crashes": {"type": "integer"},
-            "worker_restarts": {"type": "integer"},
-            "workers": worker_stats,
-            "cache": {
-                "type": "object",
-                "properties": {
-                    "hits": {"type": "integer"},
-                    "misses": {"type": "integer"},
-                    "hit_ratio": {"type": ["number", "null"]},
-                    "workers_reporting": {"type": "integer"},
-                },
-            },
-            "latency": {
-                "type": "object",
-                "required": ["request", "stages"],
-                "properties": {
-                    "request": {"$ref": "#/definitions/histogram"},
-                    "stages": {
-                        "type": "object",
-                        "additionalProperties": {"$ref": "#/definitions/histogram"},
-                    },
-                },
-            },
-        },
-    }
-    return {
-        "$schema": "http://json-schema.org/draft-07/schema#",
-        "title": "vhdl-ifa JSON documents",
-        "description": (
-            "Every JSON document emitted by the vhdl-ifa CLI (--json), the "
-            "batch driver and the serve mode carries a 'schema' field naming "
-            "this contract version; each document shape is defined here by "
-            "its 'command' value."
-        ),
-        "schema_version": SCHEMA_VERSION,
-        "definitions": {
-            "diagnostic": diagnostic,
-            "policy": policy,
-            "histogram": histogram,
-        },
-        "documents": {
-            "analyze": analyze,
-            "check": check,
-            "lint": lint,
-            "batch": batch,
-            "stats": stats,
-            "version": version_doc,
-            "policy": policy_doc,
-            "cache-stats": cache_stats,
-            "error": error,
-            "healthz": healthz,
-            "metrics": metrics,
-        },
-    }

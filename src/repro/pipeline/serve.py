@@ -103,6 +103,18 @@ LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.
 
 _REQUEST_ERRORS = (ReproError, OSError, UnicodeDecodeError)
 
+#: Every route the server dispatches (path → the one method it accepts).
+ROUTES = {
+    "/analyze": "POST",
+    "/check": "POST",
+    "/lint": "POST",
+    "/policy": "POST",
+    "/stats": "GET",
+    "/version": "GET",
+    "/healthz": "GET",
+    "/metrics": "GET",
+}
+
 #: The pooled analysis endpoints (path → request kind).
 _ANALYSIS_PATHS = {"/analyze": "analyze", "/check": "check", "/lint": "lint"}
 
@@ -457,9 +469,12 @@ class AnalysisServer:
         """
         route = f"{method} {path}"
         self.request_counts[route] = self.request_counts.get(route, 0) + 1
-        if path in ("/analyze", "/check", "/lint", "/policy"):
-            if method != "POST":
-                return 405, {"error": f"{path} expects POST, got {method}"}
+        expected = ROUTES.get(path)
+        if expected is None:
+            return 404, {"error": f"unknown path {path!r}"}
+        if method != expected:
+            return 405, {"error": f"{path} expects {expected}, got {method}"}
+        if method == "POST":
             try:
                 payload = self._parse_payload(body)
                 if path == "/policy":
@@ -471,17 +486,13 @@ class AnalysisServer:
                 return 400, {"error": str(error)}
             except Exception as error:  # never kill the server on one request
                 return 500, {"error": f"internal error: {error!r}"}
-        if path in ("/stats", "/version", "/healthz", "/metrics"):
-            if method != "GET":
-                return 405, {"error": f"{path} expects GET, got {method}"}
-            if path == "/stats":
-                return 200, self._stats()
-            if path == "/version":
-                return 200, version_document()
-            if path == "/healthz":
-                return self._healthz()
-            return 200, self._metrics()
-        return 404, {"error": f"unknown path {path!r}"}
+        if path == "/stats":
+            return 200, self._stats()
+        if path == "/version":
+            return 200, version_document()
+        if path == "/healthz":
+            return self._healthz()
+        return 200, self._metrics()
 
     @staticmethod
     def _parse_payload(body: bytes) -> Dict[str, Any]:

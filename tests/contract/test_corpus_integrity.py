@@ -3,7 +3,7 @@
 These tests never boot a server against the corpus (that is
 ``tests/test_contracts.py``); they pin what the committed files themselves
 must guarantee: coverage of every serve route, every recorded error
-status, all four JSON CLI subcommands, content-addressed integrity, and —
+status, all five JSON CLI subcommands, content-addressed integrity, and —
 through the session-scoped recording fixture — that a *fresh* recording
 still reproduces the committed corpus bit-for-bit after normalisation.
 """
@@ -17,12 +17,7 @@ import pytest
 from repro.contract import diff_documents, interaction_identity
 from repro.contract.model import Interaction
 from repro.pipeline.render import SCHEMA_VERSION
-
-#: Every route the server dispatches (mirrors serve.py's routing tables).
-SERVE_ROUTES = (
-    "/analyze", "/check", "/lint", "/policy",
-    "/stats", "/version", "/healthz", "/metrics",
-)
+from repro.pipeline.serve import ROUTES
 
 
 class TestCoverage:
@@ -31,7 +26,7 @@ class TestCoverage:
 
     def test_every_serve_route_is_recorded(self, recorded_corpus):
         recorded = set(recorded_corpus.http_paths())
-        for route in SERVE_ROUTES:
+        for route in ROUTES:
             assert route in recorded, f"no interaction exercises {route}"
 
     def test_every_error_status_is_recorded(self, recorded_corpus):
@@ -42,9 +37,9 @@ class TestCoverage:
         }
         assert {200, 400, 404, 405, 409, 413, 429, 504} <= statuses
 
-    def test_all_four_cli_subcommands_are_recorded(self, recorded_corpus):
+    def test_all_five_cli_subcommands_are_recorded(self, recorded_corpus):
         assert recorded_corpus.cli_subcommands() == [
-            "analyze", "batch", "check", "lint",
+            "analyze", "batch", "cache", "check", "lint",
         ]
 
     def test_all_eight_workloads_are_recorded(self, recorded_corpus):

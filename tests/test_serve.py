@@ -22,6 +22,7 @@ from repro.pipeline import (
     TieredArtifactCache,
     json_text,
 )
+from repro.pipeline.serve import ROUTES
 
 VOLATILE_FIELDS = ("timings", "cached_stages")
 
@@ -172,10 +173,15 @@ class TestServiceBehaviour:
         assert status == 404
 
     def test_wrong_method_is_a_405(self, server):
-        status, _ = _request(server.port, "GET", "/analyze")
-        assert status == 405
-        status, _ = _request(server.port, "POST", "/stats", {})
-        assert status == 405
+        for path, method in ROUTES.items():
+            other = "GET" if method == "POST" else "POST"
+            status, body = _request(
+                server.port, other, path, None if other == "GET" else {}
+            )
+            assert status == 405
+            assert json.loads(body)["error"] == (
+                f"{path} expects {method}, got {other}"
+            )
 
     def test_server_survives_bad_requests(self, server, workload_files):
         _request(server.port, "POST", "/analyze", {"source": "entity broken is"})
