@@ -26,9 +26,10 @@ check: lint
 contracts:
 	PYTHONPATH=src $(PYTHON) -m repro.cli contract verify
 
-# Repo invariant gate (scripts/check_invariants.py, stdlib AST lint) plus
-# the mypy typed-core gate on repro.analysis.lint.  mypy runs only when
-# installed — CI installs it; the bare local toolchain may not have it.
+# Repo invariant gate (scripts/check_invariants.py: five invariants checked
+# by a stdlib AST lint) plus the mypy typed-core gate on repro.analysis.lint.
+# mypy runs only when installed — CI installs it; the bare local toolchain
+# may not have it.
 lint:
 	$(PYTHON) scripts/check_invariants.py
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; then \

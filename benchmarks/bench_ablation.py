@@ -13,9 +13,8 @@ a spurious flow from ``x`` (and from the signal's initial value) into the
 output, while the full analysis reports only ``y``.
 """
 
-from repro.analysis.api import analyze
+from repro import analyze, workloads
 from repro.analysis.resource_matrix import incoming_node, outgoing_node
-from repro import workloads
 
 
 def test_full_analysis_on_two_phase_design(benchmark, report):

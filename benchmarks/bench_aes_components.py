@@ -10,8 +10,8 @@ Kemmerer's baseline.
 
 import pytest
 
+from repro import analyze, analyze_kemmerer
 from repro.aes import generator
-from repro.analysis.api import analyze, analyze_kemmerer
 from repro.analysis.resource_matrix import outgoing_node
 
 COMPONENTS = {

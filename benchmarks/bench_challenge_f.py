@@ -9,11 +9,10 @@ clean at the port level, and contrasts the verdict with a flow-insensitive
 check (Kemmerer-style transitive reading), which raises a false alarm.
 """
 
-from repro.analysis.api import analyze, analyze_kemmerer
+from repro import analyze, analyze_kemmerer, workloads
 from repro.analysis.resource_matrix import incoming_node, outgoing_node
 from repro.security.policy import TwoLevelPolicy
 from repro.security.report import build_report
-from repro import workloads
 
 
 def test_overwritten_secret_is_accepted(benchmark, report):

@@ -7,8 +7,7 @@ and must be reported.  Kemmerer's transitive closure reports ``a → c`` in both
 cases.
 """
 
-from repro.analysis.api import analyze, analyze_kemmerer
-from repro import workloads
+from repro import analyze, analyze_kemmerer, workloads
 
 
 def _edges(source, improved=False):

@@ -7,9 +7,8 @@ of ``b`` is not (no edge ``b◦ → c``), while the initial value of ``a`` is (e
 through ``in``/``out`` ports, checked here on the producer/consumer workload.
 """
 
-from repro.analysis.api import analyze
+from repro import analyze, workloads
 from repro.analysis.resource_matrix import incoming_node, outgoing_node
-from repro import workloads
 
 
 def test_figure4_program_b(benchmark, report):

@@ -10,12 +10,12 @@ the precise result": each element receives exactly one edge, from the element
 of its own row that is shifted into it.
 """
 
+from repro import analyze, analyze_kemmerer
 from repro.aes.generator import (
     shift_rows_expected_sources,
     shift_rows_paper_source,
     shift_rows_row_nodes,
 )
-from repro.analysis.api import analyze, analyze_kemmerer
 
 ROW_NODES = [node for row in shift_rows_row_nodes().values() for node in row]
 

@@ -26,11 +26,11 @@ import pytest
 
 from repro.analysis.closure import global_resource_matrix
 from repro.analysis.flowgraph import FlowGraph
+from repro.analysis.improved import improved_global_resource_matrix
 from repro.analysis.local_deps import local_resource_matrix
 from repro.analysis.reaching_active import analyze_all_active_signals
 from repro.analysis.reaching_defs import analyze_reaching_definitions
 from repro.analysis.specialize import specialize
-from repro.analysis.api import analyze_design
 from repro.cfg.builder import build_cfg
 from repro.pipeline import (
     AnalysisOptions,
@@ -69,21 +69,33 @@ def _design(processes, assignments):
 
 @pytest.mark.parametrize("processes,assignments", SIZES)
 def test_full_analysis_scaling(benchmark, report, processes, assignments):
-    """End-to-end analysis time as the program grows."""
+    """End-to-end analysis time as the program grows.
+
+    Every stage after ``elaborate``, improved analysis: cfg → active →
+    reaching → local → specialize → closure → flow graph.
+    """
     design = _design(processes, assignments)
 
     def run():
-        return analyze_design(design, improved=True)
+        program_cfg = build_cfg(design)
+        active = analyze_all_active_signals(program_cfg.processes)
+        reaching = analyze_reaching_definitions(program_cfg, active)
+        rm_local = local_resource_matrix(program_cfg)
+        specialized = specialize(program_cfg, rm_local, active, reaching)
+        rm_global = improved_global_resource_matrix(
+            program_cfg, rm_local, specialized, design
+        ).rm_global
+        return program_cfg, rm_global, FlowGraph.from_resource_matrix(rm_global)
 
-    result = benchmark(run)
-    stats = result.program_cfg.summary()
+    program_cfg, rm_global, graph = benchmark(run)
+    stats = program_cfg.summary()
     report(
         processes=processes,
         assignments_per_process=assignments,
         blocks=stats["labels"],
         flow_edges=stats["flow_edges"],
-        global_entries=len(result.rm_global),
-        graph_edges=result.graph.edge_count(),
+        global_entries=len(rm_global),
+        graph_edges=graph.edge_count(),
     )
 
 

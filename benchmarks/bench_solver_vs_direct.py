@@ -9,9 +9,8 @@ implementation, while timing both so their relative cost is visible.
 import pytest
 
 from repro.analysis import alfp
-from repro.analysis.api import analyze
+from repro import analyze, workloads
 from repro.aes.generator import aes_round_source, shift_rows_paper_source
-from repro import workloads
 
 WORKLOADS = {
     "producer_consumer": (workloads.producer_consumer_program(), True),

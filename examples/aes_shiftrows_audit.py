@@ -20,12 +20,12 @@ Run with::
 
 from pathlib import Path
 
+from repro import analyze, analyze_kemmerer
 from repro.aes.generator import (
     shift_rows_expected_sources,
     shift_rows_paper_source,
     shift_rows_row_nodes,
 )
-from repro.analysis.api import analyze, analyze_kemmerer
 
 
 def main() -> None:

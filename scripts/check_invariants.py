@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant gate: AST lint over ``src/repro`` (stdlib only).
 
-Four invariants, each of which has silently rotted in similar codebases and
+Five invariants, each of which has silently rotted in similar codebases and
 none of which the type checker can express:
 
 1. **Every serve/CLI JSON document is stamped.**  Arguments to
@@ -28,6 +28,14 @@ none of which the type checker can express:
    matching ``IFA<3 digits>`` that is *assigned to a name* must be unique
    across the tree — two rules (or a rule and the flow checker) sharing a
    code would corrupt the lint catalog and docs gate.
+
+5. **The engine never imports the layers built on it.**  No module under
+   ``repro/{vhdl,cfg,dataflow,analysis,hier,security,semantics,solver,aes}``
+   imports ``repro.workspace``, ``repro.cli``, ``repro.contract`` or
+   ``repro.pipeline.{stages,batch,serve,pool,render}`` — not even lazily,
+   for typing or by a relative import.  Such a back-edge is how a second
+   way to start an analysis (and an import cycle to break with lazy
+   imports) creeps back in.
 
 Usage: ``python scripts/check_invariants.py [PATH ...]`` — paths default to
 ``src/repro``; passing explicit paths lets the tests seed violations in a
@@ -56,6 +64,23 @@ SINK_WRAPPERS = ("_print_json",)
 
 #: Diagnostic code shape (invariant 4).
 CODE_PATTERN = re.compile(r"^IFA[0-9]{3}\Z")
+
+#: The engine packages under ``repro`` and the modules above them that they
+#: must not import (invariant 5).
+ENGINE_PACKAGES = (
+    "vhdl", "cfg", "dataflow", "analysis", "hier", "security", "semantics",
+    "solver", "aes",
+)
+UPPER_LAYERS = (
+    "repro.workspace",
+    "repro.cli",
+    "repro.contract",
+    "repro.pipeline.stages",
+    "repro.pipeline.batch",
+    "repro.pipeline.serve",
+    "repro.pipeline.pool",
+    "repro.pipeline.render",
+)
 
 
 def python_files(paths: Tuple[Path, ...]) -> Iterator[Path]:
@@ -217,6 +242,57 @@ def check_stage_option_fields(tree: ast.Module, relpath: str) -> List[str]:
     return failures
 
 
+def _engine_package(path: Path) -> str:
+    """The ``repro`` subpackage ``path`` lives in (``''`` outside one)."""
+    parts = path.parts
+    if "repro" not in parts:
+        return ""
+    index = len(parts) - 1 - parts[::-1].index("repro")
+    return parts[index + 1] if index + 2 < len(parts) else ""
+
+
+def _absolute_module(node: ast.ImportFrom, path: Path) -> str:
+    """The absolute module a ``from … import`` names, relative ones resolved."""
+    if not node.level:
+        return node.module or ""
+    parts = path.parts
+    anchor = len(parts) - 1 - parts[::-1].index("repro")
+    package = list(parts[anchor:-1])
+    base = package[: len(package) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _is_upper_layer(module: str) -> bool:
+    return any(
+        module == layer or module.startswith(layer + ".") for layer in UPPER_LAYERS
+    )
+
+
+def check_layering(tree: ast.Module, path: Path, relpath: str) -> List[str]:
+    """Invariant 5: engine modules import nothing from the layers above."""
+    package = _engine_package(path)
+    if package not in ENGINE_PACKAGES:
+        return []
+    failures = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = _absolute_module(node, path)
+            modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if _is_upper_layer(module):
+                failures.append(
+                    f"{relpath}:{node.lineno}: engine package {package!r} "
+                    f"imports {module} — the engine must not import the "
+                    "layers built on it"
+                )
+                break
+    return failures
+
+
 def collect_diagnostic_codes(
     tree: ast.Module, relpath: str
 ) -> List[Tuple[str, str]]:
@@ -256,6 +332,7 @@ def check_tree(paths: Tuple[Path, ...]) -> List[str]:
         failures.extend(check_stamped_json(tree, relpath))
         failures.extend(check_no_global_universe(tree, relpath))
         failures.extend(check_stage_option_fields(tree, relpath))
+        failures.extend(check_layering(tree, path, relpath))
         for code, location in collect_diagnostic_codes(tree, relpath):
             codes.setdefault(code, []).append(location)
     for code in sorted(codes):
@@ -286,7 +363,8 @@ def main(argv: List[str]) -> int:
     count = sum(1 for _ in python_files(paths))
     print(
         f"invariant check: {count} files OK (stamped JSON sinks, no global "
-        "interner state, stage cache keys declared, diagnostic codes unique)"
+        "interner state, stage cache keys declared, diagnostic codes unique, "
+        "engine layering)"
     )
     return 0
 

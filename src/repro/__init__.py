@@ -14,22 +14,20 @@ The package provides:
   (:mod:`repro.aes`);
 * security-policy checking on the resulting flow graphs (:mod:`repro.security`).
 
-The most convenient entry point is :func:`repro.analyze`, which parses VHDL1
-source text, elaborates it and runs the full improved Information Flow
-analysis, returning a :class:`repro.analysis.flowgraph.FlowGraph`.
+The session facade is :class:`repro.Workspace`.  The paper-level one-liners
+are :func:`repro.analyze`, which parses VHDL1 source text, elaborates it and
+runs the full improved Information Flow analysis (its
+:class:`~repro.pipeline.artifacts.AnalysisResult` carries the
+:class:`repro.analysis.flowgraph.FlowGraph`), and
+:func:`repro.analyze_kemmerer`, which runs Kemmerer's baseline.
 """
 
-from repro.analysis.api import (
-    AnalysisResult,
-    analyze,
-    analyze_design,
-    analyze_kemmerer,
-)
 from repro.analysis.flowgraph import FlowGraph
+from repro.pipeline.artifacts import AnalysisResult
 from repro.version import __version__, version
 from repro.vhdl.parser import parse_program
 from repro.vhdl.elaborate import elaborate
-from repro.workspace import CheckResult, Workspace
+from repro.workspace import CheckResult, Workspace, analyze, analyze_kemmerer
 
 __all__ = [
     "AnalysisResult",
@@ -37,7 +35,6 @@ __all__ = [
     "FlowGraph",
     "Workspace",
     "analyze",
-    "analyze_design",
     "analyze_kemmerer",
     "parse_program",
     "elaborate",

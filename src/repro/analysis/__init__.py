@@ -14,22 +14,20 @@ Table 8 (closure)            :mod:`repro.analysis.closure`
 Table 9 (improved)           :mod:`repro.analysis.improved`
 Kemmerer's method            :mod:`repro.analysis.kemmerer`
 Result graph                 :mod:`repro.analysis.flowgraph`
-High-level API               :mod:`repro.analysis.api`
 ALFP encoding                :mod:`repro.analysis.alfp`
 ===========================  ==============================================
+
+The stages are composed by :class:`repro.pipeline.stages.Pipeline`; start a
+run with :class:`repro.Workspace`, or with :func:`repro.analyze` and
+:func:`repro.analyze_kemmerer`.
 """
 
-from repro.analysis.api import AnalysisResult, analyze, analyze_design, analyze_kemmerer
 from repro.analysis.flowgraph import FlowGraph
 from repro.analysis.resource_matrix import Access, Entry, ResourceMatrix
 
 __all__ = [
     "Access",
-    "AnalysisResult",
     "Entry",
     "FlowGraph",
     "ResourceMatrix",
-    "analyze",
-    "analyze_design",
-    "analyze_kemmerer",
 ]

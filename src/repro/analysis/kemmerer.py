@@ -12,13 +12,9 @@ make every input row element appear to flow to every output row element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.flowgraph import FlowGraph
-from repro.analysis.local_deps import local_resource_matrix
 from repro.analysis.resource_matrix import ResourceMatrix
-from repro.cfg.builder import ProgramCFG
-from repro.dataflow.universe import FactUniverse
 
 
 @dataclass
@@ -31,16 +27,12 @@ class KemmererResult:
     """The transitive closure of ``direct_graph`` — Kemmerer's reported flows."""
 
 
-def kemmerer_analysis(
-    program_cfg: ProgramCFG, universe: Optional[FactUniverse] = None
-) -> KemmererResult:
-    """Run Kemmerer's method on an already-built program CFG."""
-    rm_local = local_resource_matrix(program_cfg, universe=universe)
+def kemmerer_analysis(rm_local: ResourceMatrix) -> KemmererResult:
+    """Run Kemmerer's method on a local Resource Matrix (Table 6).
+
+    The matrix is the same ``RM_lo`` the Information Flow analysis closes,
+    whether computed from a flat design or placed from entity summaries.
+    """
     direct = FlowGraph.from_resource_matrix(rm_local)
     closed = direct.transitive_closure()
     return KemmererResult(rm_local=rm_local, direct_graph=direct, graph=closed)
-
-
-def kemmerer_graph_from_matrix(rm_local: ResourceMatrix) -> FlowGraph:
-    """Kemmerer's graph for a pre-computed local Resource Matrix."""
-    return FlowGraph.from_resource_matrix(rm_local).transitive_closure()

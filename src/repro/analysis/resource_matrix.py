@@ -21,8 +21,8 @@ yields entries in a canonical sorted order, so renderings and reports are
 byte-stable across runs.
 
 The name universe is **per session**, not process-global: every analysis run
-threads one explicit :class:`FactUniverse` through the pipeline (see
-:func:`repro.analysis.api.analyze_design`), so independent analyses neither
+threads one fresh :class:`FactUniverse` through the pipeline (see
+:class:`repro.pipeline.stages.Pipeline`), so independent analyses neither
 share nor leak interned names, and long-lived servers analysing many unrelated
 designs do not pay for every name ever seen in the width of later bitsets.
 Matrices created without an explicit universe get a private fresh one.  All

@@ -64,10 +64,6 @@ class HierarchyError(ElaborationError):
     """
 
 
-class TypeCheckError(ReproError):
-    """Raised for static type violations in VHDL1 (vector widths, modes)."""
-
-
 class SimulationError(ReproError):
     """Raised when the delta-cycle simulator encounters a runtime error."""
 

@@ -1,17 +1,14 @@
 """The staged analysis pipeline, its artifact cache and the batch driver.
 
-This package is the deployment surface the high-level API promises: the
-monolithic analysis is decomposed into named, individually invokable and
-individually timed stages (:mod:`repro.pipeline.stages`), backed by a
-content-addressed artifact cache (:mod:`repro.pipeline.cache`), rendered for
+This package is the engine behind :class:`repro.workspace.Workspace`: the
+analysis is decomposed into named, individually invokable and individually
+timed stages (:mod:`repro.pipeline.stages`), backed by a content-addressed
+artifact cache (:mod:`repro.pipeline.cache`), rendered for
 humans and machines (:mod:`repro.pipeline.render`) and driven over many
 designs at once, sequentially or in parallel (:mod:`repro.pipeline.batch`).
 The serve mode (:mod:`repro.pipeline.serve`) runs analyses on a supervised
 worker pool (:mod:`repro.pipeline.pool`) whose fault behaviour is
 deterministically testable via :mod:`repro.pipeline.faults`.
-
-The legacy entry points (:func:`repro.analysis.api.analyze` and friends) are
-thin wrappers over :class:`Pipeline` with unchanged behaviour.
 """
 
 from repro.pipeline.artifacts import (
@@ -60,6 +57,7 @@ from repro.pipeline.serve import AnalysisServer, ServerThread, interaction_id, s
 from repro.pipeline.stages import (
     ANALYSIS_STAGES,
     KEMMERER_STAGES,
+    LINKED_KEMMERER_STAGES,
     LINKED_LINT_STAGES,
     LINKED_STAGES,
     LINT_STAGES,
@@ -84,6 +82,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "KEMMERER_STAGES",
+    "LINKED_KEMMERER_STAGES",
     "LINKED_LINT_STAGES",
     "LINKED_STAGES",
     "LINT_STAGES",

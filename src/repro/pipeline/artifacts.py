@@ -1,10 +1,10 @@
-"""Result and option types shared by the staged pipeline and the legacy API.
+"""Result and option types of the staged pipeline.
 
 :class:`AnalysisResult` is the bundle of artefacts one full Information Flow
-analysis run produces; it used to live in :mod:`repro.analysis.api` and is
-still re-exported from there.  :class:`AnalysisOptions` is the frozen set of
-knobs that select *which* analysis runs — its fields are the option inputs
-of every stage cache key (see :func:`repro.pipeline.stages.stage_key` and
+analysis run produces (``repro.AnalysisResult``; what :func:`repro.analyze`
+returns).  :class:`AnalysisOptions` is the frozen set of knobs that select
+*which* analysis runs — its fields are the option inputs of every stage
+cache key (see :func:`repro.pipeline.stages.stage_key` and
 ``docs/architecture.md`` for which field keys which stage).
 :class:`StageTiming` / :class:`PipelineResult` describe *how* a pipeline run
 went, stage by stage; ``PipelineResult.cached_stages`` is the observable the
@@ -33,8 +33,8 @@ class AnalysisOptions:
 
     ``entity`` selects the entity/architecture pair when the source contains
     several; the three booleans mirror the keyword arguments of
-    :func:`repro.analysis.api.analyze` (Table 9 improvement, looping process
-    bodies, the ``RD∩ϕ`` under-approximation).
+    :func:`repro.analyze` (Table 9 improvement, looping process bodies, the
+    ``RD∩ϕ`` under-approximation).
     """
 
     entity: Optional[str] = None

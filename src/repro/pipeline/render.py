@@ -23,6 +23,7 @@ import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.pipeline.artifacts import AnalysisResult, PipelineResult
+from repro.security.policy_file import policy_to_dict
 from repro.version import version
 
 #: The versioned contract stamped (as ``"schema"``, always the first key) on
@@ -216,10 +217,6 @@ def policy_summary(policy: Any) -> Dict[str, Any]:
     secrets = getattr(policy, "secret_resources", None)
     if secrets is not None:
         return {"secrets": sorted(secrets)}
-    # Imported lazily: repro.security pulls in repro.analysis.api, which
-    # imports this package (the same cycle the pipeline's report stage breaks).
-    from repro.security.policy_file import policy_to_dict
-
     return policy_to_dict(policy)
 
 

@@ -78,6 +78,7 @@ from repro.pipeline.render import (
     stamped,
     version_document,
 )
+from repro.security.policy import TwoLevelPolicy
 
 _REASONS = {
     200: "OK",
@@ -567,10 +568,6 @@ class AnalysisServer:
 
     def _resolve_policy(self, payload: Dict[str, Any]) -> Any:
         """The policy of one ``/check`` request: named/inline, or two-level."""
-        # Imported lazily: repro.security imports repro.analysis.api, which
-        # itself imports this package (same cycle the report stage breaks).
-        from repro.security.policy import TwoLevelPolicy
-
         spec = payload.get("policy")
         secrets = payload.get("secret")
         if spec is not None:

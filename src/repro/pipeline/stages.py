@@ -69,13 +69,12 @@ severities (a plain tuple of diagnostics, not universe-bound); a policy
 file's ``[lint]`` selection and severity overrides are applied after the
 stage, so one cached artefact serves every lint configuration.
 
-Universe discipline: stages from ``local`` (``place`` on the linked plan)
-onward intern resource names into the run's :class:`~repro.dataflow.universe.FactUniverse`.  Their cached
-artefacts are stored *together with* the universe they were built in and a
-cache hit adopts that universe, keeping bitset-encoded artefacts and universe
-consistent.  When a caller pins an explicit ``universe=`` (to pool several
-runs), those stages bypass the cache — a cached matrix from another universe
-would not be poolable.
+Universe discipline: every run starts with a fresh
+:class:`~repro.dataflow.universe.FactUniverse`, and stages from ``local``
+(``place`` on the linked plan) onward intern resource names into it.  Their
+cached artefacts are stored *together with* the universe they were built in
+and a cache hit adopts that universe, keeping bitset-encoded artefacts and
+universe consistent.
 """
 
 from __future__ import annotations
@@ -84,6 +83,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import repro.analysis.lint
+import repro.security.report
 from repro.analysis.closure import global_resource_matrix
 from repro.analysis.flowgraph import FlowGraph
 from repro.analysis.improved import improved_global_resource_matrix
@@ -114,7 +115,6 @@ class PipelineContext:
 
     options: AnalysisOptions
     universe: FactUniverse
-    universe_pinned: bool = False
     universe_locked: bool = False
     """True once a universe-bound artefact exists: the run's universe is fixed."""
     source: Optional[str] = None
@@ -197,23 +197,18 @@ def _run_flow_graph(ctx: PipelineContext) -> FlowGraph:
 
 
 def _run_kemmerer(ctx: PipelineContext) -> Any:
-    return kemmerer_analysis(ctx.program_cfg, universe=ctx.universe)
+    return kemmerer_analysis(ctx.rm_local)
 
 
+# Looked up on their modules at call time: perfbench/spans.py wraps them there.
 def _run_lint(ctx: PipelineContext) -> Any:
-    # Imported lazily: the lint package imports repro.security.report, which
-    # imports repro.analysis.api, which itself imports this package.
-    from repro.analysis.lint import run_lint_rules
-
-    return run_lint_rules(ctx.analysis)
+    return repro.analysis.lint.run_lint_rules(ctx.analysis)
 
 
 def _run_report(ctx: PipelineContext) -> Any:
-    # Imported lazily: repro.security.report imports repro.analysis.api,
-    # which itself imports this package.
-    from repro.security.report import build_report
-
-    return build_report(ctx.analysis, ctx.policy, **ctx.report_options)
+    return repro.security.report.build_report(
+        ctx.analysis, ctx.policy, **ctx.report_options
+    )
 
 
 @dataclass(frozen=True)
@@ -302,8 +297,10 @@ LINKED_STAGES: Tuple[Stage, ...] = (
 LINT_STAGES: Tuple[Stage, ...] = ANALYSIS_STAGES[:-1] + (LINT, REPORT)
 LINKED_LINT_STAGES: Tuple[Stage, ...] = LINKED_STAGES[:-1] + (LINT, REPORT)
 
-#: Kemmerer's baseline shares the frontend stages.
-KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, ELABORATE, CFG, KEMMERER)
+#: Kemmerer's baseline closes the local matrix, so it shares every stage up
+#: to ``local`` (``place`` on the linked plan).
+KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, ELABORATE, CFG, LOCAL, KEMMERER)
+LINKED_KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, HIERARCHY, SUMMARY, PLACE, KEMMERER)
 
 STAGE_NAMES: Tuple[str, ...] = tuple(stage.name for stage in ANALYSIS_STAGES)
 
@@ -337,11 +334,11 @@ def stage_key(stage: Stage, source_key: str, options: AnalysisOptions) -> str:
 class Pipeline:
     """Runs the staged analysis, optionally over a shared artifact cache.
 
-    One :class:`Pipeline` can serve many runs; pass an
-    :class:`~repro.pipeline.cache.ArtifactCache` to reuse artefacts across
-    them.  Without a cache every run computes everything (this is what the
-    thin :func:`repro.analysis.api.analyze` wrappers do, preserving their
-    one-universe-per-call semantics).
+    The engine behind :class:`repro.workspace.Workspace`, with one entry
+    per goal: :meth:`run` (the Information Flow analysis), :meth:`run_lint`
+    and :meth:`run_kemmerer`.  One :class:`Pipeline` can serve many runs;
+    pass an :class:`~repro.pipeline.cache.ArtifactCache` to reuse artefacts
+    across them.  Without a cache every run computes everything.
     """
 
     #: How many hot spots a profiled stage keeps (by internal time).
@@ -357,7 +354,6 @@ class Pipeline:
         source: str,
         options: Optional[AnalysisOptions] = None,
         *,
-        universe: Optional[FactUniverse] = None,
         until: Optional[str] = None,
         policy: Optional[Any] = None,
         report_options: Optional[Dict[str, Any]] = None,
@@ -376,40 +372,15 @@ class Pipeline:
         spots to the result (:attr:`PipelineResult.stage_profiles`); the
         reported wall-clock timings then include profiler overhead.
         """
-        ctx = self._context(options, universe)
-        ctx.source = source
-        ctx.source_key = source_digest(source)
+        ctx = self._context(source, options)
         self._set_policy(ctx, policy, report_options)
-        return self._execute(
-            ctx, ANALYSIS_STAGES, until, profile=profile, linked=LINKED_STAGES
-        )
-
-    def run_design(
-        self,
-        design: Design,
-        options: Optional[AnalysisOptions] = None,
-        *,
-        universe: Optional[FactUniverse] = None,
-        until: Optional[str] = None,
-        policy: Optional[Any] = None,
-        report_options: Optional[Dict[str, Any]] = None,
-    ) -> PipelineResult:
-        """Analyse an already-elaborated design (frontend stages skipped).
-
-        Without source text there is no content address, so these runs do not
-        touch the artifact cache.
-        """
-        ctx = self._context(options, universe)
-        ctx.design = design
-        self._set_policy(ctx, policy, report_options)
-        return self._execute(ctx, ANALYSIS_STAGES[2:], until)
+        return self._execute(ctx, ANALYSIS_STAGES, LINKED_STAGES, until, profile)
 
     def run_lint(
         self,
         source: str,
         options: Optional[AnalysisOptions] = None,
         *,
-        universe: Optional[FactUniverse] = None,
         policy: Optional[Any] = None,
         report_options: Optional[Dict[str, Any]] = None,
         profile: bool = False,
@@ -423,48 +394,32 @@ class Pipeline:
         as in :meth:`run` (it additionally enables the report stage);
         ``profile`` as in :meth:`run`.
         """
-        ctx = self._context(options, universe)
-        ctx.source = source
-        ctx.source_key = source_digest(source)
+        ctx = self._context(source, options)
         self._set_policy(ctx, policy, report_options)
-        return self._execute(
-            ctx, LINT_STAGES, None, profile=profile, linked=LINKED_LINT_STAGES
-        )
+        return self._execute(ctx, LINT_STAGES, LINKED_LINT_STAGES, profile=profile)
 
     def run_kemmerer(
-        self,
-        source: str,
-        options: Optional[AnalysisOptions] = None,
-        *,
-        universe: Optional[FactUniverse] = None,
+        self, source: str, options: Optional[AnalysisOptions] = None
     ) -> PipelineResult:
-        """Run Kemmerer's baseline (parse → elaborate → cfg → kemmerer)."""
-        ctx = self._context(options, universe)
-        ctx.source = source
-        ctx.source_key = source_digest(source)
-        return self._execute(ctx, KEMMERER_STAGES, None)
+        """Run Kemmerer's baseline: the transitive closure of ``RM_lo``.
 
-    def run_kemmerer_design(
-        self,
-        design: Design,
-        options: Optional[AnalysisOptions] = None,
-        *,
-        universe: Optional[FactUniverse] = None,
-    ) -> PipelineResult:
-        """Kemmerer's baseline on an already-elaborated design."""
-        ctx = self._context(options, universe)
-        ctx.design = design
-        return self._execute(ctx, KEMMERER_STAGES[2:], None)
+        A flat source runs :data:`KEMMERER_STAGES`; a source with component
+        instantiations runs :data:`LINKED_KEMMERER_STAGES`.
+        """
+        return self._execute(
+            self._context(source, options), KEMMERER_STAGES, LINKED_KEMMERER_STAGES
+        )
 
     # ---------------------------------------------------------------- internals
 
     def _context(
-        self, options: Optional[AnalysisOptions], universe: Optional[FactUniverse]
+        self, source: str, options: Optional[AnalysisOptions]
     ) -> PipelineContext:
         return PipelineContext(
             options=options if options is not None else AnalysisOptions(),
-            universe=universe if universe is not None else FactUniverse(),
-            universe_pinned=universe is not None,
+            universe=FactUniverse(),
+            source=source,
+            source_key=source_digest(source),
             cache=self.cache,
         )
 
@@ -480,31 +435,24 @@ class Pipeline:
     def _execute(
         self,
         ctx: PipelineContext,
-        stages: Sequence[Stage],
-        until: Optional[str],
+        flat: Sequence[Stage],
+        linked: Sequence[Stage],
+        until: Optional[str] = None,
         profile: bool = False,
-        linked: Optional[Sequence[Stage]] = None,
     ) -> PipelineResult:
-        """Run ``stages`` up to ``until``.
+        """Run the plan the parse picks, up to ``until``.
 
-        With a ``linked`` alternative the parse decides: a program with
-        component instantiations runs ``linked`` instead (both plans start
-        with ``parse``).
+        Both plans start with ``parse``: a program with component
+        instantiations runs ``linked``, any other program ``flat``.
         """
-        plans = [stages] if linked is None else [stages, linked]
-        known = list(dict.fromkeys(stage.name for plan in plans for stage in plan))
+        known = list(dict.fromkeys(stage.name for stage in (*flat, *linked)))
         if until is not None and until not in known:
             raise AnalysisError(
                 f"unknown pipeline stage {until!r}; expected one of "
                 + ", ".join(known)
             )
-        plan = list(stages)
-        done = 0
-        if linked is not None:
-            self._run_stage(ctx, PARSE, profile=profile)
-            done = 1
-            if has_instantiations(ctx.program):
-                plan = list(linked)
+        self._run_stage(ctx, PARSE, profile=profile)
+        plan = list(linked if has_instantiations(ctx.program) else flat)
         if until is not None:
             names = [stage.name for stage in plan]
             if until not in names:
@@ -516,7 +464,7 @@ class Pipeline:
         if ctx.policy is None and plan[-1] is REPORT:
             plan = plan[:-1]
 
-        for stage in plan[done:]:
+        for stage in plan[1:]:
             self._run_stage(ctx, stage, profile=profile)
             if stage is FLOW_GRAPH:
                 ctx.analysis = self._assemble(ctx)
@@ -534,12 +482,7 @@ class Pipeline:
         self, ctx: PipelineContext, stage: Stage, profile: bool = False
     ) -> None:
         key = None
-        if (
-            self.cache is not None
-            and stage.cacheable
-            and ctx.source_key is not None
-            and not (stage.universe_bound and ctx.universe_pinned)
-        ):
+        if self.cache is not None and stage.cacheable:
             key = stage_key(stage, ctx.source_key, ctx.options)
             cached = self.cache.get(key)
             if cached is not None and stage.universe_bound:

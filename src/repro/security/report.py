@@ -16,12 +16,14 @@ target resources with their clearance levels, and the witness path.  The
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.api import AnalysisResult
 from repro.analysis.resource_matrix import base_resource, incoming_node, outgoing_node
 from repro.errors import ReproError
 from repro.security.policy import FlowPolicy, PolicyViolation, check_policy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.pipeline.artifacts import AnalysisResult
 
 #: Stable diagnostic codes; append-only across schema versions.  The lint
 #: catalog (``IFA101`` …) registers its codes in

@@ -17,8 +17,6 @@ Modules
     Elaboration into a :class:`~repro.vhdl.elaborate.Design`: entity/architecture
     binding, rewriting concurrent signal assignments to processes, flattening
     blocks, normalising ``to`` ranges to ``downto`` (Section 3.3).
-``typecheck``
-    Static well-formedness checks (declared names, vector widths, port modes).
 """
 
 from repro.vhdl.parser import parse_program, parse_statement, parse_expression

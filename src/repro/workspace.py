@@ -1,32 +1,32 @@
 """The v1 public API: one :class:`Workspace` behind every frontend.
 
 A :class:`Workspace` is the session object the CLI, the batch driver and the
-serve mode are all thin shells over.  It owns the three pieces of session
-state the toolchain has grown:
+serve mode are all thin shells over.  It owns the session state the
+toolchain has grown:
 
-* one :class:`~repro.dataflow.universe.FactUniverse` of interned resource
-  names (for callers that *pool* several analyses at the bitset level);
 * one artifact cache — in-memory, tiered over a ``cache_dir``, or none —
   threaded through a single long-lived
   :class:`~repro.pipeline.stages.Pipeline`;
 * a registry of *named* policies, loadable from declarative TOML/JSON
   documents (:mod:`repro.security.policy_file`).
 
-The facade exposes five verbs::
+The facade exposes six verbs::
 
     ws = Workspace(cache_dir=".ifa-cache")
     result  = ws.analyze(source)                      # AnalysisResult
+    run     = ws.analyze_run(source)                  # PipelineResult
+    run     = ws.kemmerer_run(source)                 # PipelineResult
     checked = ws.check(source, policy="mls")          # CheckResult
     linted  = ws.lint(source)                         # LintResult
     report  = ws.batch(["a.vhd", "b.vhd"])            # BatchReport
     ws.stats()                                        # session statistics
 
-plus the ``*_run`` variants returning the full
-:class:`~repro.pipeline.artifacts.PipelineResult` (per-stage timings, cache
-hits) the JSON document builders consume.  The legacy free functions
-(:func:`repro.analysis.api.analyze` and friends) remain supported thin
-wrappers with byte-identical output; new code should construct a
-``Workspace``.
+A :class:`~repro.pipeline.artifacts.PipelineResult` carries the per-stage
+timings and cache hits the JSON document builders consume;
+:attr:`CheckResult.run` and :attr:`LintResult.run` carry it for ``check``
+and ``lint``.  The paper-level one-liners :func:`analyze` and
+:func:`analyze_kemmerer` (``repro.analyze``, ``repro.analyze_kemmerer``)
+are each one call on a cache-less ``Workspace``.
 
 Hierarchical designs (component instantiations) need nothing special: every
 verb runs them through the same :class:`~repro.pipeline.stages.Pipeline`,
@@ -34,13 +34,9 @@ which takes the linked plan once the parse shows instantiations
 (``hierarchy → summary → place`` in place of ``elaborate → cfg → active →
 local``) — see ``docs/hierarchy.md``.
 
-Universe discipline: by default each ``analyze``/``check`` call keeps the
-pipeline's per-run universe semantics (independent runs share no interned
-names, and cached universe-bound artifacts adopt their stored universe).
-Pass ``pool_universe=True`` to thread the workspace's own universe through a
-run instead — its matrices then compare and combine bitset-natively with
-other pooled runs, at the cost of bypassing the universe-bound cache tiers
-(a cached matrix from another universe would not be poolable).
+Universe discipline: every run interns resource names into a fresh
+:class:`~repro.dataflow.universe.FactUniverse`, or adopts the one stored with
+a cached artefact, so independent runs share no interned names.
 """
 
 from __future__ import annotations
@@ -50,8 +46,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
+from repro.analysis.kemmerer import KemmererResult
 from repro.analysis.lint import LintConfig, findings_fail
-from repro.dataflow.universe import FactUniverse
 from repro.errors import PolicyError
 # Not called here: perfbench/spans.py wraps these names on this module.
 from repro.hier.flatten import flatten_source  # noqa: F401
@@ -157,7 +153,7 @@ class LintResult:
 
 
 class Workspace:
-    """The session facade: one universe, one cache, named policies.
+    """The session facade: one cache, named policies.
 
     ``cache_dir`` persists artifacts on disk (tiered under an in-memory
     front); ``memory_cache=False`` with no ``cache_dir`` disables caching
@@ -173,7 +169,6 @@ class Workspace:
         cache_dir: Optional[str] = None,
         cache: Any = _UNSET,
         memory_cache: bool = True,
-        universe: Optional[FactUniverse] = None,
         policies: Optional[Dict[str, PolicySpec]] = None,
     ):
         # Caching is *disabled* only when the caller explicitly passes
@@ -186,7 +181,6 @@ class Workspace:
             self.no_cache = False
         self.cache = cache
         self.cache_dir = cache_dir
-        self.universe = universe if universe is not None else FactUniverse()
         self.pipeline = Pipeline(cache)
         self._policies: Dict[str, FlowPolicy] = {}
         for name, spec in (policies or {}).items():
@@ -277,7 +271,6 @@ class Workspace:
         loop_processes: bool = True,
         use_under_approximation: bool = True,
         until: Optional[str] = None,
-        pool_universe: bool = False,
         profile: bool = False,
     ) -> PipelineResult:
         """As :meth:`analyze`, returning the staged :class:`PipelineResult`.
@@ -291,7 +284,6 @@ class Workspace:
         return self.pipeline.run(
             source,
             self._options(entity, improved, loop_processes, use_under_approximation),
-            universe=self.universe if pool_universe else None,
             until=until,
             profile=profile,
         )
@@ -302,13 +294,14 @@ class Workspace:
         *,
         entity: Optional[str] = None,
         loop_processes: bool = True,
-        pool_universe: bool = False,
     ) -> PipelineResult:
-        """Kemmerer's baseline over the workspace's pipeline and cache."""
+        """Kemmerer's baseline over the workspace's pipeline and cache.
+
+        The result is on ``PipelineResult.kemmerer``.  A source with
+        component instantiations takes the linked plan, as every verb does.
+        """
         return self.pipeline.run_kemmerer(
-            source,
-            AnalysisOptions(entity=entity, loop_processes=loop_processes),
-            universe=self.universe if pool_universe else None,
+            source, AnalysisOptions(entity=entity, loop_processes=loop_processes)
         )
 
     # ---------------------------------------------------------------- check
@@ -325,7 +318,6 @@ class Workspace:
         improved: bool = True,
         loop_processes: bool = True,
         use_under_approximation: bool = True,
-        pool_universe: bool = False,
     ) -> CheckResult:
         """Analyse ``source`` and check it against ``policy``.
 
@@ -339,7 +331,6 @@ class Workspace:
         run = self.pipeline.run(
             source,
             self._options(entity, improved, loop_processes, use_under_approximation),
-            universe=self.universe if pool_universe else None,
             policy=resolved,
             report_options={
                 "transitive": transitive,
@@ -362,7 +353,6 @@ class Workspace:
         improved: bool = True,
         loop_processes: bool = True,
         use_under_approximation: bool = True,
-        pool_universe: bool = False,
     ) -> LintResult:
         """Run the lint rule catalog (``docs/lint.md``) over ``source``.
 
@@ -370,42 +360,21 @@ class Workspace:
         ``policy`` (any :data:`PolicySpec`) supplies its ``[lint]`` table;
         else the full catalog runs at default severities.  ``fail_on`` sets
         the severity threshold behind :attr:`LintResult.exit_code`.
+        ``LintResult.run.artifacts.lint`` keeps the unfiltered full-catalog
+        tuple.
         """
         resolved_config = config
         if resolved_config is None and policy is not None:
             resolved_config = getattr(self.policy(policy), "lint", None)
         if resolved_config is None:
             resolved_config = LintConfig()
-        run = self.lint_run(
+        run = self.pipeline.run_lint(
             source,
-            entity=entity,
-            improved=improved,
-            loop_processes=loop_processes,
-            use_under_approximation=use_under_approximation,
-            pool_universe=pool_universe,
+            self._options(entity, improved, loop_processes, use_under_approximation),
         )
         findings = resolved_config.apply(run.artifacts.lint)
         return LintResult(
             run=run, config=resolved_config, findings=findings, fail_on=fail_on
-        )
-
-    def lint_run(
-        self,
-        source: str,
-        *,
-        entity: Optional[str] = None,
-        improved: bool = True,
-        loop_processes: bool = True,
-        use_under_approximation: bool = True,
-        pool_universe: bool = False,
-    ) -> PipelineResult:
-        """As :meth:`lint`, returning the staged :class:`PipelineResult`
-        (``run.artifacts.lint`` holds the unfiltered full-catalog tuple).
-        """
-        return self.pipeline.run_lint(
-            source,
-            self._options(entity, improved, loop_processes, use_under_approximation),
-            universe=self.universe if pool_universe else None,
         )
 
     # ---------------------------------------------------------------- batch
@@ -493,11 +462,46 @@ class Workspace:
     # ---------------------------------------------------------------- stats
 
     def stats(self) -> Dict[str, Any]:
-        """Session statistics: universe size, policies, cache counters."""
-        document: Dict[str, Any] = {
-            "universe": len(self.universe),
-            "policies": sorted(self._policies),
-        }
+        """Session statistics: registered policies, cache counters."""
+        document: Dict[str, Any] = {"policies": sorted(self._policies)}
         if self.cache is not None:
             document["cache"] = self.cache.stats()
         return document
+
+
+def analyze(
+    source: str,
+    entity_name: Optional[str] = None,
+    improved: bool = True,
+    loop_processes: bool = True,
+    use_under_approximation: bool = True,
+) -> AnalysisResult:
+    """Parse, elaborate and run the Information Flow analysis (Tables 4–9).
+
+    ``improved`` selects the Table 9 extension (incoming/outgoing nodes);
+    ``loop_processes=False`` analyses process bodies as straight-line code
+    (the paper's presentation of its sequential example programs);
+    ``use_under_approximation=False`` ablates the ``RD∩ϕ``-driven kill at
+    synchronisation points (Section 4.2).  One call on a cache-less
+    :class:`Workspace`.
+    """
+    return Workspace(cache=None).analyze(
+        source,
+        entity=entity_name,
+        improved=improved,
+        loop_processes=loop_processes,
+        use_under_approximation=use_under_approximation,
+    )
+
+
+def analyze_kemmerer(
+    source: str, entity_name: Optional[str] = None, loop_processes: bool = True
+) -> KemmererResult:
+    """Run Kemmerer's baseline (Sections 5.2 and 6) on VHDL1 source text.
+
+    One call on a cache-less :class:`Workspace`.
+    """
+    run = Workspace(cache=None).kemmerer_run(
+        source, entity=entity_name, loop_processes=loop_processes
+    )
+    return run.kemmerer

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
+from repro import analyze, analyze_kemmerer
 from repro.aes import generator, reference
-from repro.analysis.api import analyze, analyze_kemmerer
 from repro.semantics.simulator import simulate
 from repro.vhdl.elaborate import elaborate_source
 from repro.vhdl.parser import parse_program

@@ -2,10 +2,9 @@
 
 import pytest
 
+from repro import analyze, workloads
 from repro.analysis import alfp
-from repro.analysis.api import analyze
 from repro.analysis.resource_matrix import Access
-from repro import workloads
 from repro.aes.generator import (
     aes_round_source,
     shift_rows_paper_source,

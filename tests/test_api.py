@@ -2,10 +2,20 @@
 
 import pytest
 
-from repro import FlowGraph, analyze, analyze_design, elaborate, parse_program
-from repro.analysis.api import AnalysisResult, analyze_kemmerer_design
+from repro import (
+    FlowGraph,
+    Workspace,
+    analyze,
+    analyze_kemmerer,
+    elaborate,
+    parse_program,
+    workloads,
+)
+from repro.analysis.kemmerer import kemmerer_analysis
+from repro.analysis.local_deps import local_resource_matrix
+from repro.cfg.builder import build_cfg
 from repro.errors import ElaborationError, ParseError, ReproError
-from repro import workloads
+from repro.pipeline import AnalysisResult
 
 
 class TestPackageSurface:
@@ -13,15 +23,32 @@ class TestPackageSurface:
         import repro
 
         assert repro.__version__ == "1.0.0"
-        for name in ("analyze", "analyze_design", "analyze_kemmerer", "FlowGraph"):
+        for name in ("analyze", "analyze_kemmerer", "FlowGraph"):
             assert hasattr(repro, name)
 
     def test_parse_then_elaborate_then_analyse(self):
-        program = parse_program(workloads.producer_consumer_program())
-        design = elaborate(program)
-        result = analyze_design(design)
+        # The exported front end elaborates the design the analysis runs on.
+        source = workloads.producer_consumer_program()
+        design = elaborate(parse_program(source))
+        result = analyze(source)
         assert isinstance(result, AnalysisResult)
         assert isinstance(result.graph, FlowGraph)
+        assert result.design.name == design.name
+        assert result.design.signals.keys() == design.signals.keys()
+        assert [process.name for process in result.design.processes] == [
+            process.name for process in design.processes
+        ]
+
+    def test_one_liners_never_open_a_cache(self, monkeypatch):
+        def no_cache(*args, **kwargs):
+            raise AssertionError("a one-liner opened a cache")
+
+        monkeypatch.setattr("repro.workspace.open_cache", no_cache)
+        source = workloads.conditional_program()
+        assert analyze(source).graph.edges
+        assert analyze_kemmerer(source).graph.edges
+        with pytest.raises(AssertionError, match="opened a cache"):
+            Workspace()
 
     def test_every_error_is_a_repro_error(self):
         with pytest.raises(ReproError):
@@ -65,9 +92,14 @@ class TestAnalysisResult:
         assert not any(is_incoming(n) or is_outgoing(n) for n in collapsed.nodes)
 
     def test_kemmerer_design_entry_point(self):
-        design = elaborate(parse_program(workloads.conditional_program()))
-        baseline = analyze_kemmerer_design(design)
+        # On an elaborated design, Kemmerer's method is the closure of RM_lo.
+        source = workloads.conditional_program()
+        design = elaborate(parse_program(source))
+        baseline = kemmerer_analysis(local_resource_matrix(build_cfg(design)))
         assert baseline.graph.is_transitive()
+        one_liner = analyze_kemmerer(source)
+        assert baseline.rm_local == one_liner.rm_local
+        assert baseline.graph.to_adjacency() == one_liner.graph.to_adjacency()
 
     def test_entity_selection_by_name(self):
         source = workloads.paper_program_a() + workloads.paper_program_b()

@@ -18,9 +18,8 @@ import repro.analysis.closure as closure_mod
 import repro.analysis.improved as improved_mod
 import repro.analysis.reaching_active as reaching_active_mod
 import repro.analysis.reaching_defs as reaching_defs_mod
-from repro import workloads
+from repro import analyze, workloads
 from repro.aes.generator import aes_round_source, shift_rows_paper_source
-from repro.analysis.api import analyze
 from repro.analysis.closure import propagate, propagate_naive
 from repro.analysis.flowgraph import FlowGraph, resource_matrix_edges
 from repro.analysis.resource_matrix import Access, Entry, ResourceMatrix
@@ -404,24 +403,20 @@ class TestPerSessionUniverse:
         assert "left" not in first.universe
         assert "a" not in second.universe
 
-    def test_explicit_universe_is_threaded_through_the_pipeline(self):
-        universe = FactUniverse()
-        result = analyze(workloads.challenge_f_program(), universe=universe)
-        assert result.universe is universe
-        assert result.rm_local.universe is universe
-        assert result.rm_global.universe is universe
-
-    def test_shared_universe_pools_two_runs(self):
-        universe = FactUniverse()
-        first = analyze(workloads.paper_program_a(), universe=universe)
-        second = analyze(workloads.challenge_f_program(), universe=universe)
-        assert first.rm_global.universe is second.rm_global.universe
-        # both graphs stay internally consistent against their own matrices
-        assert first.graph.edges == FlowGraph.from_edges(
-            resource_matrix_edges(first.rm_global)
-        ).edges
-        assert second.graph.edges == FlowGraph.from_edges(
-            resource_matrix_edges(second.rm_global)
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param(workloads.challenge_f_program(), id="flat"),
+            pytest.param(workloads.hierarchical_mux_program(), id="linked"),
+        ],
+    )
+    def test_each_run_threads_one_universe_through_its_matrices(self, source):
+        result = analyze(source)
+        assert result.universe is not None
+        assert result.rm_local.universe is result.universe
+        assert result.rm_global.universe is result.universe
+        assert result.graph.edges == FlowGraph.from_edges(
+            resource_matrix_edges(result.rm_global)
         ).edges
 
     def test_cross_universe_matrix_equality_and_union(self):

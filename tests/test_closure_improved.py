@@ -1,6 +1,6 @@
 """Tests for Tables 7 (specialisation), 8 (closure) and 9 (improved analysis)."""
 
-from repro.analysis.api import analyze
+from repro import analyze, workloads
 from repro.analysis.closure import (
     merge_edges,
     present_value_edges,
@@ -15,7 +15,6 @@ from repro.analysis.resource_matrix import (
     incoming_node,
     outgoing_node,
 )
-from repro import workloads
 from repro.aes.generator import shift_rows_paper_source
 
 

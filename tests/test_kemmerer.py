@@ -1,8 +1,19 @@
 """Tests for Kemmerer's baseline and its comparison with the paper's analysis."""
 
-from repro.analysis.api import analyze, analyze_kemmerer
-from repro import workloads
+import pytest
+
+from repro import Workspace, analyze, analyze_kemmerer, workloads
 from repro.aes.generator import shift_rows_paper_source, shift_rows_row_nodes
+from repro.cli import main
+from repro.hier import flatten_source
+from repro.pipeline import LINKED_KEMMERER_STAGES
+from repro.vhdl.parser import parse_program
+
+HIERARCHIES = [
+    pytest.param(source, loop, id=f"{name}-{'loop' if loop else 'straight'}")
+    for name, source in workloads.hierarchy_workload_sources()
+    for loop in (True, False)
+]
 
 
 class TestKemmererBaseline:
@@ -78,3 +89,46 @@ class TestShiftRowsComparison:
         assert ours.edge_count() < kemmerer.edge_count()
         false_positives = kemmerer.edge_difference(ours)
         assert len(false_positives) == 12 * 11 - 12
+
+
+class TestHierarchicalDesigns:
+    """Kemmerer's method on the linked plan: the closure of the placed ``RM_lo``."""
+
+    @pytest.mark.parametrize("source,loop_processes", HIERARCHIES)
+    def test_linked_closure_equals_the_flattened_baseline(self, source, loop_processes):
+        linked = Workspace(cache=None).kemmerer_run(
+            source, loop_processes=loop_processes
+        )
+        assert [stage.name for stage in linked.stages] == [
+            stage.name for stage in LINKED_KEMMERER_STAGES
+        ]
+        flat = analyze_kemmerer(
+            flatten_source(parse_program(source)), loop_processes=loop_processes
+        )
+        assert linked.kemmerer.rm_local == flat.rm_local
+        assert linked.kemmerer.graph.to_adjacency() == flat.graph.to_adjacency()
+
+    def test_one_liner_runs_a_hierarchical_design(self):
+        source = workloads.hierarchical_mux_program()
+        linked = analyze_kemmerer(source, entity_name="mux_top")
+        flat = analyze_kemmerer(flatten_source(parse_program(source)))
+        assert linked.direct_graph.to_adjacency() == flat.direct_graph.to_adjacency()
+        assert linked.graph.to_adjacency() == flat.graph.to_adjacency()
+
+    def test_cli_dot_matches_the_flattened_design(self, tmp_path, capsys):
+        source = workloads.hierarchical_mux_program()
+        linked = tmp_path / "mux.vhd"
+        linked.write_text(source, encoding="utf-8")
+        flat = tmp_path / "mux_flat.vhd"
+        flat.write_text(flatten_source(parse_program(source)), encoding="utf-8")
+        assert main(["kemmerer", str(linked), "--dot"]) == 0
+        linked_dot = capsys.readouterr().out
+        assert main(["kemmerer", str(flat), "--dot"]) == 0
+        assert linked_dot == capsys.readouterr().out
+        assert "digraph kemmerer {" in linked_dot
+
+    def test_cli_runs_a_hierarchical_design(self, tmp_path, capsys):
+        path = tmp_path / "mux.vhd"
+        path.write_text(workloads.hierarchical_mux_program(), encoding="utf-8")
+        assert main(["kemmerer", str(path), "--entity", "mux_top"]) == 0
+        assert capsys.readouterr().out.startswith("Kemmerer's method:")

@@ -13,8 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import workloads
-from repro.analysis.api import analyze
+from repro import analyze, workloads
 from repro.analysis.lint import (
     FAIL_ON_CHOICES,
     LintConfig,
@@ -335,7 +334,7 @@ class TestRegistry:
 
 class TestEngine:
     def test_findings_are_deterministically_sorted(self, workspace):
-        run = workspace.lint_run(DEAD_PROCESS)
+        run = workspace.lint(DEAD_PROCESS).run
         findings = run.artifacts.lint
         assert list(findings) == sorted(findings, key=diagnostic_sort_key)
         again = run_lint_rules(run.result)
@@ -405,7 +404,7 @@ class TestLintConfig:
         assert LintConfig.from_dict(config.to_dict()) == config
 
     def test_apply_keeps_sorted_order(self, workspace):
-        run = workspace.lint_run(DEAD_PROCESS)
+        run = workspace.lint(DEAD_PROCESS).run
         config = LintConfig(severity=(("IFA104", "error"),))
         applied = config.apply(run.artifacts.lint)
         assert list(applied) == sorted(applied, key=diagnostic_sort_key)

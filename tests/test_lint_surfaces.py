@@ -288,6 +288,54 @@ def g(doc):
 '''
 
 
+SEEDED_BACK_EDGE = '''
+def analyze(source):
+    from repro.workspace import Workspace
+
+    return Workspace().analyze(source)
+
+
+from repro.pipeline import stages
+'''
+
+#: One engine module each, as ``(source, the layering failure it must raise)``;
+#: ``None`` marks an import the rule must let through.
+LAYERING_CASES = [
+    pytest.param(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.cli import main\n",
+        "imports repro.cli",
+        id="typing-only",
+    ),
+    pytest.param(
+        "import repro.pipeline.pool as pool\n",
+        "imports repro.pipeline.pool",
+        id="plain-import",
+    ),
+    pytest.param(
+        "from ..workspace import Workspace\n",
+        "imports repro.workspace",
+        id="relative-module",
+    ),
+    pytest.param(
+        "from ..pipeline import render\n",
+        "imports repro.pipeline.render",
+        id="relative-name",
+    ),
+    pytest.param(
+        "from repro.pipeline.artifacts import AnalysisResult\n",
+        None,
+        id="artifacts-module",
+    ),
+    pytest.param(
+        "from .policy import FlowPolicy\nfrom .. import errors\n",
+        None,
+        id="relative-engine",
+    ),
+]
+
+
 class TestInvariantGate:
     def run_gate(self, *paths):
         return subprocess.run(
@@ -305,7 +353,10 @@ class TestInvariantGate:
     def test_seeded_violations_all_fire(self, tmp_path):
         seeded = tmp_path / "seeded.py"
         seeded.write_text(SEEDED_VIOLATIONS, encoding="utf-8")
-        result = self.run_gate(str(seeded))
+        engine = tmp_path / "repro" / "analysis"
+        engine.mkdir(parents=True)
+        (engine / "back_edge.py").write_text(SEEDED_BACK_EDGE, encoding="utf-8")
+        result = self.run_gate(str(seeded), str(engine))
         assert result.returncode == 1
         for fragment in (
             "module scope",                 # global FactUniverse()
@@ -313,8 +364,29 @@ class TestInvariantGate:
             "Stage('mystery'",              # missing option_fields
             "not a stamped document",       # raw json_text payload
             "assigned 2 times",             # duplicate diagnostic code
+            "imports repro.workspace",      # engine → facade back-edge
+            "imports repro.pipeline.stages",  # engine → pipeline back-edge
         ):
             assert fragment in result.stderr, fragment
+        # The same imports outside an engine package are not back-edges.
+        layering = [
+            line for line in result.stderr.splitlines() if "engine package" in line
+        ]
+        assert len(layering) == 2
+        assert all("back_edge.py" in line for line in layering)
+
+    @pytest.mark.parametrize("source,failure", LAYERING_CASES)
+    def test_layering_rule_resolves_every_import_form(self, tmp_path, source, failure):
+        engine = tmp_path / "repro" / "security"
+        engine.mkdir(parents=True)
+        (engine / "edge.py").write_text(source, encoding="utf-8")
+        result = self.run_gate(str(engine))
+        if failure is None:
+            assert result.returncode == 0, result.stderr
+            assert "1 files OK" in result.stdout
+        else:
+            assert result.returncode == 1
+            assert f"engine package 'security' {failure} " in result.stderr
 
     def test_docs_gate_requires_catalog_entries(self):
         result = subprocess.run(

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro import workloads
-from repro.analysis.api import analyze, analyze_kemmerer
-from repro.dataflow.universe import FactUniverse
+from repro import analyze, analyze_kemmerer, workloads
 from repro.errors import AnalysisError
 from repro.pipeline import (
     ANALYSIS_STAGES,
@@ -163,18 +161,6 @@ class TestArtifactCache:
             assert run.result.graph.to_adjacency() == cold.result.graph.to_adjacency()
             assert run.result.summary() == cold.result.summary()
 
-    def test_pinned_universe_bypasses_universe_bound_stages(self):
-        cache = ArtifactCache()
-        pipeline = Pipeline(cache)
-        source = workloads.producer_consumer_program()
-        pipeline.run(source)
-
-        universe = FactUniverse()
-        pinned = pipeline.run(source, universe=universe)
-        assert pinned.cached_stages == ["parse", "elaborate", "cfg", "active", "reaching"]
-        assert pinned.result.universe is universe
-        assert pinned.result.rm_local.universe is universe
-
     def test_adopting_the_cached_universe_keeps_artifacts_consistent(self):
         cache = ArtifactCache()
         pipeline = Pipeline(cache)
@@ -184,15 +170,37 @@ class TestArtifactCache:
         assert warm.result.universe is cold.result.universe
         assert warm.result.rm_local.universe is warm.result.universe
 
-    def test_design_entry_runs_do_not_touch_the_cache(self):
-        from repro.vhdl.elaborate import elaborate_source
-
+    def test_kemmerer_reuses_the_analysis_prefix(self):
+        # Kemmerer closes the same RM_lo the analysis builds: after an
+        # analysis run only the closure itself is left to compute.
         cache = ArtifactCache()
         pipeline = Pipeline(cache)
-        design = elaborate_source(workloads.challenge_f_program())
-        pipeline.run_design(design)
-        pipeline.run_design(design)
-        assert len(cache) == 0 and cache.hits == 0
+        source = workloads.challenge_f_program()
+        analysis = pipeline.run(source)
+        baseline = pipeline.run_kemmerer(source)
+        assert [stage.name for stage in baseline.stages] == [
+            stage.name for stage in KEMMERER_STAGES
+        ]
+        assert baseline.cached_stages == ["parse", "elaborate", "cfg", "local"]
+        assert baseline.kemmerer.rm_local is analysis.result.rm_local
+        assert baseline.artifacts.universe is analysis.result.universe
+        cold = Pipeline().run_kemmerer(source).kemmerer
+        assert baseline.kemmerer.graph.to_adjacency() == cold.graph.to_adjacency()
+
+    def test_linked_kemmerer_runs_are_cached(self):
+        cache = ArtifactCache()
+        pipeline = Pipeline(cache)
+        source = workloads.hierarchical_mux_program()
+        cold = pipeline.run_kemmerer(source)
+        warm = pipeline.run_kemmerer(source)
+        assert not cold.cached_stages
+        assert warm.cached_stages == ["parse", "place", "kemmerer"]
+        assert warm.kemmerer.rm_local.universe is warm.artifacts.universe
+        assert (
+            warm.kemmerer.graph.to_adjacency() == cold.kemmerer.graph.to_adjacency()
+        )
+        # The analysis of the same design starts from the placed matrix.
+        assert pipeline.run(source).cached_stages == ["parse", "place"]
 
     def test_partial_eviction_never_mixes_universes(self):
         # Evict one universe-bound entry ("local") while later ones

@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro import workloads
-from repro.analysis.api import analyze
+from repro import analyze, workloads
 from repro.errors import PolicyError
 from repro.security.policy import PUBLIC, SECRET, Clearance, TwoLevelPolicy, check_policy
 from repro.security.policy_file import (

@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.api import analyze, analyze_kemmerer
+from repro import analyze, analyze_kemmerer
 from repro.analysis.resource_matrix import incoming_node, outgoing_node
 from repro.semantics.simulator import simulate
 from repro.vhdl.elaborate import elaborate_source

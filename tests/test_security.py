@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.api import analyze
+from repro import analyze, workloads
 from repro.analysis.flowgraph import FlowGraph
 from repro.errors import PolicyError
 from repro.security.policy import (
@@ -14,7 +14,6 @@ from repro.security.policy import (
     check_policy,
 )
 from repro.security.report import build_report, output_dependencies
-from repro import workloads
 
 
 class TestPolicies:

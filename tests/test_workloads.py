@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro import workloads
-from repro.analysis.api import analyze
+from repro import analyze, workloads
 from repro.vhdl.elaborate import elaborate_source
 
 ALL_FIXED_WORKLOADS = [

@@ -1,6 +1,6 @@
 """Tests for the v1 session facade (``repro.workspace.Workspace``).
 
-The headline contract: documents produced via the legacy wrappers (a bare
+The headline contract: documents produced via the engine (a bare
 ``Pipeline``), via a ``Workspace``, and via the CLI are byte-identical, and
 every frontend is a thin shell over the facade.
 """
@@ -52,7 +52,7 @@ def design_file(tmp_path, source):
 
 class TestAnalyze:
     def test_analyze_matches_the_legacy_wrapper(self, source):
-        from repro.analysis.api import analyze
+        from repro import analyze
 
         ws_result = Workspace().analyze(source)
         legacy = analyze(source)
@@ -62,7 +62,7 @@ class TestAnalyze:
     def test_documents_are_byte_identical_across_entry_points(
         self, source, design_file, capsys
     ):
-        # legacy path: a bare Pipeline, exactly what analysis.api wraps
+        # engine path: a bare Pipeline, as a cache-less Workspace drives it
         legacy_doc = analyze_document(
             Pipeline().run(source, AnalysisOptions()), file=design_file
         )
@@ -86,13 +86,6 @@ class TestAnalyze:
         assert ws.analyze_run(source).cached_stages == []
         warm = ws.analyze_run(source)
         assert "parse" in warm.cached_stages and "closure" in warm.cached_stages
-
-    def test_pool_universe_threads_the_workspace_universe(self, source):
-        ws = Workspace(cache=None)
-        pooled = ws.analyze(source, pool_universe=True)
-        assert pooled.universe is ws.universe
-        independent = ws.analyze(source)
-        assert independent.universe is not ws.universe
 
 
 class TestCheck:
@@ -178,7 +171,6 @@ class TestBatch:
         stats = ws.stats()
         assert stats["policies"] == ["mls"]
         assert stats["cache"]["entries"] > 0
-        assert isinstance(stats["universe"], int)
 
 
 class TestSharedDiskCache:
