@@ -39,8 +39,9 @@ lint:
 	fi
 
 # A few seconds of concurrent traffic against the pooled serve mode:
-# distinct-entity clients, a single-flight dedup wave, a structured 400,
-# and a healthz/metrics scrape with asserted counters.
+# distinct-entity clients, a single-flight dedup wave, a warm re-post that
+# must compute nothing, a structured 400, and a healthz/metrics scrape with
+# asserted counters.
 load-smoke:
 	$(PYTHON) scripts/load_smoke.py
 

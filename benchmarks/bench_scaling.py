@@ -46,7 +46,7 @@ from repro.pipeline import (
     stage_key,
 )
 from repro.hier import build_hierarchy, flatten_source, summary_cache_key
-from repro.pipeline.stages import LINKED_STAGES, PARSE, REPORT
+from repro.pipeline.stages import ANALYSIS_STAGES, LINKED_STAGES, PARSE, REPORT
 from repro.security.policy import TwoLevelPolicy
 from repro.vhdl.elaborate import elaborate, elaborate_source
 from repro.vhdl.parser import parse_program
@@ -261,6 +261,10 @@ def test_batch_throughput_parallel(benchmark, report, batch_jobs):
     report(jobs=len(batch_jobs), entities=BATCH_ENTITIES, workers=result.workers)
 
 
+#: What a fully cached flat run reads: every analysis stage but the parse.
+WARM_STAGES = [stage.name for stage in ANALYSIS_STAGES[1:-1]]
+
+
 def test_batch_throughput_warm_cache(benchmark, report, batch_jobs):
     """Re-running a batch over a warm artifact cache: every stage served cached."""
     cache = ArtifactCache()
@@ -277,7 +281,7 @@ def test_batch_throughput_warm_cache(benchmark, report, batch_jobs):
 
     warm = benchmark(run)
     cached = set(warm.items[0].data["cached_stages"])
-    assert {"parse", "elaborate", "closure"} <= cached
+    assert warm.items[0].data["cached_stages"] == WARM_STAGES
     report(
         jobs=len(batch_jobs),
         entities=BATCH_ENTITIES,
@@ -352,7 +356,7 @@ def test_batch_throughput_disk_warm(benchmark, report, batch_jobs, tmp_path_fact
 
     warm = benchmark(run)
     cached = set(warm.items[0].data["cached_stages"])
-    assert {"parse", "elaborate", "closure"} <= cached
+    assert warm.items[0].data["cached_stages"] == WARM_STAGES
     report(
         jobs=len(batch_jobs),
         entities=BATCH_ENTITIES,

@@ -7,8 +7,10 @@ tenant burst would:
 
 1. concurrent clients analysing distinct entities (pool parallelism);
 2. a wave of *identical* concurrent requests (single-flight dedup);
-3. a request for a missing file (structured 400, no worker casualties);
-4. a ``/healthz`` + ``/metrics`` scrape, asserting the counters reflect
+3. a re-post of a phase-1 request, which the pool must serve warm: every
+   stage from the cache, the parse not even read;
+4. a request for a missing file (structured 400, no worker casualties);
+5. a ``/healthz`` + ``/metrics`` scrape, asserting the counters reflect
    what just happened (dedup hits recorded, nothing shed, no restarts,
    every response stamped ``vhdl-ifa/v1``).
 
@@ -109,14 +111,29 @@ def main() -> int:
                 f"identical wave statuses {waves}",
             )
 
-            # Phase 3: a bad request is a structured 400, not a casualty.
+            # Phase 3: a warm re-post computes nothing and never reads the
+            # parse: every timed stage was served from the cache.
+            status, document = _request(
+                server.port,
+                "POST",
+                "/analyze",
+                {"file": str(design), "entity": "chain_1"},
+            )
+            cached = document.get("cached_stages", [])
+            computed = sorted(set(document.get("timings", {})) - set(cached))
+            expect(status == 200, f"warm re-post: status {status}")
+            expect(bool(cached), "warm re-post: no stage served from the cache")
+            expect("parse" not in cached, f"warm re-post read the parse: {cached}")
+            expect(not computed, f"warm re-post computed {computed}")
+
+            # Phase 4: a bad request is a structured 400, not a casualty.
             status, document = _request(
                 server.port, "POST", "/analyze", {"file": "/nonexistent.vhd"}
             )
             expect(status == 400, f"missing file: status {status}")
             expect("error" in document, "missing file: no error field")
 
-            # Phase 4: health and metrics reflect the run.
+            # Phase 5: health and metrics reflect the run.
             status, health = _request(server.port, "GET", "/healthz")
             expect(status == 200, f"healthz status {status}")
             expect(health.get("status") == "ok", f"healthz body {health}")
@@ -144,8 +161,8 @@ def main() -> int:
         print(f"load smoke: {len(failures)} problem(s)", file=sys.stderr)
         return 1
     print(
-        f"load smoke: OK — {CLIENTS} concurrent clients + dedup wave over "
-        f"{WORKERS} workers, clean metrics"
+        f"load smoke: OK — {CLIENTS} concurrent clients + dedup wave + warm "
+        f"re-post over {WORKERS} workers, clean metrics"
     )
     return 0
 

@@ -87,6 +87,9 @@ class AnalysisResult:
 class StageTiming:
     """Wall-clock record of one executed (or cache-served) pipeline stage.
 
+    A cache-served stage's ``seconds`` cover its whole lookup: the cache
+    read (and a lower tier's unpickle), the universe adoption and the store.
+
     ``profile`` is only populated by profiled runs (``Pipeline.run(...,
     profile=True)``): the stage's cProfile hot spots as a tuple of plain
     dicts (``function``, ``calls``, ``tottime``, ``cumtime``), ordered by
@@ -108,7 +111,8 @@ class PipelineResult:
     any full analysis run); ``kemmerer`` for Kemmerer-baseline runs;
     ``report`` when a policy was supplied and the ``report`` stage ran.
     ``artifacts`` is the raw stage context for partial runs (``until=``),
-    exposing every intermediate artefact by name.
+    exposing every resolved artefact by name; the artefact of a stage the
+    run neither read nor ran (``parse`` on a warm run, say) is ``None``.
     """
 
     options: AnalysisOptions
@@ -120,12 +124,19 @@ class PipelineResult:
 
     @property
     def timings(self) -> Dict[str, float]:
-        """Stage name → wall-clock seconds, in execution order."""
+        """Stage name → wall-clock seconds, in resolution order."""
         return {stage.name: stage.seconds for stage in self.stages}
 
     @property
     def cached_stages(self) -> List[str]:
-        """Names of the stages served from the artifact cache, in order."""
+        """Names of the stages served from the artifact cache, in order.
+
+        Runs are goal-first (:mod:`repro.pipeline.stages`): a stage the run
+        neither read nor ran appears here and in :attr:`timings` not at
+        all.  A fully cached flat run lists ``elaborate`` … ``flow_graph``
+        and no ``parse``; a fully cached linked run lists ``place`` …
+        ``flow_graph`` and no ``parse``, ``hierarchy`` or ``summary``.
+        """
         return [stage.name for stage in self.stages if stage.cached]
 
     @property

@@ -212,10 +212,11 @@ def expand_jobs(
 
     With ``all_entities`` a file that cannot be read or parsed still yields a
     single job for it, so the error surfaces as that job's outcome instead of
-    aborting the whole batch.  ``cache`` optionally receives the parse
-    artefacts produced during expansion (under their pipeline stage keys), so
-    an in-process batch run over the same cache does not parse each file a
-    second time.
+    aborting the whole batch.  ``cache`` is optionally where expansion looks
+    up each file's parse artefact (under its pipeline stage key) before
+    parsing it, and where it stores the parses it makes: a warm expansion
+    parses nothing, and an in-process batch run over the same cache does not
+    parse each file a second time.
     """
     jobs: List[BatchJob] = []
     for path in paths:
@@ -224,14 +225,15 @@ def expand_jobs(
             continue
         try:
             source = Path(path).read_text(encoding="utf-8")
-            program = parse_program(source)
+            key = stage_key(PARSE, source_digest(source), AnalysisOptions())
+            program = None if cache is None else cache.get(key)
+            if program is None:
+                program = parse_program(source)
+                if cache is not None:
+                    cache.put(key, program)
         except _JOB_ERRORS:
             jobs.append(BatchJob(path=path))
             continue
-        if cache is not None:
-            cache.put(
-                stage_key(PARSE, source_digest(source), AnalysisOptions()), program
-            )
         names = [arch.entity_name for arch in program.architectures]
         if names:
             jobs.extend(BatchJob(path=path, entity=name) for name in names)

@@ -1,6 +1,7 @@
 """The staged analysis pipeline.
 
-A full Information Flow analysis decomposes into named stages, run in order:
+A full Information Flow analysis decomposes into named stages, listed here in
+plan order:
 
 ========== =====================================================
 stage      artefact
@@ -18,10 +19,10 @@ lint       the lint findings (``vhdl-ifa lint`` runs only; full catalog)
 report     the covert-channel report (only when a policy is given)
 ========== =====================================================
 
-A source whose parse shows component instantiations runs the *linked*
-plan (:data:`LINKED_STAGES`, :mod:`repro.hier`) instead: three stages stand
-in for ``elaborate``, ``cfg``, ``active`` and ``local``, and every later
-stage is shared with the flat plan.
+A source with component instantiations runs the *linked* plan
+(:data:`LINKED_STAGES`, :mod:`repro.hier`) instead: three stages stand in for
+``elaborate``, ``cfg``, ``active`` and ``local``, and every later stage is
+shared with the flat plan.
 
 ========== =====================================================
 hierarchy  the checked :class:`~repro.hier.structure.DesignHierarchy`
@@ -30,15 +31,30 @@ place      the flat design, its ``ProgramCFG``, the Table 4 results and
            ``RM_lo``, placed from the summaries
 ========== =====================================================
 
+Runs are goal-first.  A run resolves its *goals*, the stages whose
+artefacts its result holds (every stage of the plan but ``parse``,
+``hierarchy`` and ``summary``, plus the ``until=`` stage), in plan order.
+Each goal is served from the cache when it can be; a goal that misses first
+resolves the stages producing the context attributes it reads
+(``Stage.needs``), then runs.  So ``parse``, ``hierarchy`` and ``summary``
+(the *on-demand* stages) are read or run only when a stage that misses
+needs their artefact, and a fully cached run never touches the AST.  The
+plan itself comes from the cache when it can: a cached ``elaborate``
+artefact exists only for a flat source and a cached ``place`` artefact only
+for a linked one, so a hit on either key picks the plan (and is kept as that
+goal's artefact).  Only when both miss does the run parse the source and
+look for instantiations.
+
 Each stage is individually invokable (``Pipeline.run(..., until="cfg")``
-stops after the CFG; ``PipelineResult.artifacts`` exposes every intermediate
+stops after the CFG; ``PipelineResult.artifacts`` exposes every resolved
 artefact), wall-clock timed (``PipelineResult.timings``), and backed by a
 content-addressed artifact cache (any of the stores in
 :mod:`repro.pipeline.cache` — in-memory, on-disk, or the two-tier
 composition) keyed by source hash + the analysis options the stage depends
 on — so repeated runs of the same design skip straight to the cached
 artefacts (``PipelineResult.cached_stages`` says which), across process
-restarts when the cache has a disk tier.
+restarts when the cache has a disk tier.  A stage the run neither read nor
+ran appears in neither ``timings`` nor ``cached_stages``.
 
 The :class:`AnalysisOptions` fields each stage's cache key includes
 (``Stage.option_fields``; see also ``docs/architecture.md``):
@@ -58,7 +74,7 @@ flow_graph entity, loop_processes, use_under_approximation, improved
 lint       entity, loop_processes, use_under_approximation, improved
 kemmerer   entity, loop_processes
 report     never cached (cheap, policy-dependent)
-hierarchy  never cached (a cheap pass over the cached parse)
+hierarchy  never cached (a cheap pass over the parse)
 summary    no stage entry: each entity's summary is cached under
            ``summary:v<format>:<self-slice digest>:<entity>:loop_processes=…``
 place      entity, loop_processes
@@ -74,14 +90,16 @@ Universe discipline: every run starts with a fresh
 (``place`` on the linked plan) onward intern resource names into it.  Their
 cached artefacts are stored *together with* the universe they were built in
 and a cache hit adopts that universe, keeping bitset-encoded artefacts and
-universe consistent.
+universe consistent.  Goals resolve in plan order and no on-demand stage is
+universe-bound, so a run binds its universe at the same stage a run through
+the whole plan would.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import repro.analysis.lint
 import repro.security.report
@@ -220,7 +238,11 @@ class Stage:
     ``option_fields`` lists the :class:`AnalysisOptions` fields the stage's
     artefact depends on — they (with the source hash and the stage name) form
     the cache key.  ``universe_bound`` marks artefacts encoded against the
-    session universe; they are cached together with it.
+    session universe; they are cached together with it.  ``needs`` names
+    the context attributes ``run`` reads besides ``options``: a stage that
+    misses the cache first resolves the stages producing them.  An
+    ``on_demand`` stage's artefact only feeds other stages, so a run reads
+    or runs it only when a stage that misses needs it.
     """
 
     name: str
@@ -229,6 +251,8 @@ class Stage:
     option_fields: Tuple[str, ...] = ()
     universe_bound: bool = False
     cacheable: bool = True
+    needs: Tuple[str, ...] = ()
+    on_demand: bool = False
 
 
 _ENTITY = ("entity",)
@@ -236,24 +260,82 @@ _SHAPE = ("entity", "loop_processes")
 _RD = ("entity", "loop_processes", "use_under_approximation")
 _ALL = ("entity", "loop_processes", "use_under_approximation", "improved")
 
-PARSE = Stage("parse", "program", _run_parse)
-ELABORATE = Stage("elaborate", "design", _run_elaborate, _ENTITY)
-CFG = Stage("cfg", "program_cfg", _run_cfg, _SHAPE)
-ACTIVE = Stage("active", "active", _run_active, _SHAPE)
-REACHING = Stage("reaching", "reaching", _run_reaching, _RD)
-LOCAL = Stage("local", "rm_local", _run_local, _SHAPE, universe_bound=True)
-SPECIALIZE = Stage("specialize", "specialized", _run_specialize, _RD, universe_bound=True)
-CLOSURE = Stage("closure", "closure", _run_closure, _ALL, universe_bound=True)
-FLOW_GRAPH = Stage("flow_graph", "graph", _run_flow_graph, _ALL, universe_bound=True)
-LINT = Stage("lint", "lint", _run_lint, _ALL)
-KEMMERER = Stage("kemmerer", "kemmerer", _run_kemmerer, _SHAPE, universe_bound=True)
-REPORT = Stage("report", "report", _run_report, cacheable=False)
-# The hierarchy is a cheap pass over the cached parse, and the summary stage
-# caches each entity under its own key (repro.hier.summary), so neither has a
+PARSE = Stage("parse", "program", _run_parse, needs=("source",), on_demand=True)
+ELABORATE = Stage("elaborate", "design", _run_elaborate, _ENTITY, needs=("program",))
+CFG = Stage("cfg", "program_cfg", _run_cfg, _SHAPE, needs=("design",))
+ACTIVE = Stage("active", "active", _run_active, _SHAPE, needs=("program_cfg",))
+REACHING = Stage(
+    "reaching", "reaching", _run_reaching, _RD, needs=("program_cfg", "active")
+)
+LOCAL = Stage(
+    "local",
+    "rm_local",
+    _run_local,
+    _SHAPE,
+    universe_bound=True,
+    needs=("program_cfg", "universe"),
+)
+SPECIALIZE = Stage(
+    "specialize",
+    "specialized",
+    _run_specialize,
+    _RD,
+    universe_bound=True,
+    needs=("program_cfg", "rm_local", "active", "reaching"),
+)
+CLOSURE = Stage(
+    "closure",
+    "closure",
+    _run_closure,
+    _ALL,
+    universe_bound=True,
+    needs=("program_cfg", "rm_local", "specialized", "design"),
+)
+FLOW_GRAPH = Stage(
+    "flow_graph",
+    "graph",
+    _run_flow_graph,
+    _ALL,
+    universe_bound=True,
+    needs=("closure",),
+)
+# ``analysis`` is assembled once ``flow_graph`` is resolved (Pipeline._execute).
+LINT = Stage("lint", "lint", _run_lint, _ALL, needs=("analysis",))
+KEMMERER = Stage(
+    "kemmerer",
+    "kemmerer",
+    _run_kemmerer,
+    _SHAPE,
+    universe_bound=True,
+    needs=("rm_local",),
+)
+REPORT = Stage(
+    "report",
+    "report",
+    _run_report,
+    cacheable=False,
+    needs=("analysis", "policy", "report_options"),
+)
+# The hierarchy is a cheap pass over the parse, and the summary stage caches
+# each entity under its own key (repro.hier.summary), so neither has a
 # pipeline cache entry of its own.
-HIERARCHY = Stage("hierarchy", "hierarchy", _run_hierarchy, _ENTITY, cacheable=False)
+HIERARCHY = Stage(
+    "hierarchy",
+    "hierarchy",
+    _run_hierarchy,
+    _ENTITY,
+    cacheable=False,
+    needs=("program",),
+    on_demand=True,
+)
 SUMMARY = Stage(
-    "summary", "summaries", _run_summary, ("loop_processes",), cacheable=False
+    "summary",
+    "summaries",
+    _run_summary,
+    ("loop_processes",),
+    cacheable=False,
+    needs=("hierarchy", "cache"),
+    on_demand=True,
 )
 PLACE = Stage(
     "place",
@@ -261,6 +343,7 @@ PLACE = Stage(
     _run_place,
     _SHAPE,
     universe_bound=True,
+    needs=("hierarchy", "summaries", "universe"),
 )
 
 #: The full analysis, source to flow graph (plus the optional report).
@@ -305,6 +388,11 @@ LINKED_KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, HIERARCHY, SUMMARY, PLACE, K
 STAGE_NAMES: Tuple[str, ...] = tuple(stage.name for stage in ANALYSIS_STAGES)
 
 
+def _attrs(stage: Stage) -> Tuple[str, ...]:
+    """The context attributes the stage's artefact lands in."""
+    return stage.attr if isinstance(stage.attr, tuple) else (stage.attr,)
+
+
 def _store(ctx: PipelineContext, stage: Stage, artifact: Any) -> None:
     """Set the stage's context attribute(s) from its artefact."""
     if isinstance(stage.attr, tuple):
@@ -312,6 +400,14 @@ def _store(ctx: PipelineContext, stage: Stage, artifact: Any) -> None:
             setattr(ctx, name, value)
     else:
         setattr(ctx, stage.attr, artifact)
+
+
+def _cut(plan: Sequence[Stage], until: Optional[str]) -> Optional[List[Stage]]:
+    """``plan`` up to and including ``until``; None when it has no such stage."""
+    if until is None:
+        return list(plan)
+    names = [stage.name for stage in plan]
+    return list(plan[: names.index(until) + 1]) if until in names else None
 
 
 def stage_key(stage: Stage, source_key: str, options: AnalysisOptions) -> str:
@@ -361,10 +457,10 @@ class Pipeline:
     ) -> PipelineResult:
         """Analyse VHDL1 source text, stage by stage.
 
-        A source whose parse shows component instantiations runs
-        :data:`LINKED_STAGES` instead of :data:`ANALYSIS_STAGES`.  ``until``
-        names the last stage to run (``"cfg"`` stops after the CFG is built;
-        ``"place"`` after a hierarchical design is placed).  ``policy``
+        A source with component instantiations runs :data:`LINKED_STAGES`
+        instead of :data:`ANALYSIS_STAGES`.  ``until`` names the last stage
+        to resolve (``"cfg"`` stops after the CFG; ``"place"`` after a
+        hierarchical design is placed; ``"parse"`` yields the AST).  ``policy``
         enables the final ``report`` stage;
         ``report_options`` passes keyword arguments through to
         :func:`repro.security.report.build_report`.  ``profile=True`` runs
@@ -440,10 +536,12 @@ class Pipeline:
         until: Optional[str] = None,
         profile: bool = False,
     ) -> PipelineResult:
-        """Run the plan the parse picks, up to ``until``.
+        """Resolve the goals of the source's plan, up to ``until``.
 
-        Both plans start with ``parse``: a program with component
-        instantiations runs ``linked``, any other program ``flat``.
+        A program with component instantiations takes ``linked``, any other
+        program ``flat`` (see :meth:`_choose_plan`).  The goals are the
+        plan's stages but the on-demand ones, plus the ``until`` stage; each
+        is resolved in plan order (:meth:`_resolve`).
         """
         known = list(dict.fromkeys(stage.name for stage in (*flat, *linked)))
         if until is not None and until not in known:
@@ -451,21 +549,16 @@ class Pipeline:
                 f"unknown pipeline stage {until!r}; expected one of "
                 + ", ".join(known)
             )
-        self._run_stage(ctx, PARSE, profile=profile)
-        plan = list(linked if has_instantiations(ctx.program) else flat)
-        if until is not None:
-            names = [stage.name for stage in plan]
-            if until not in names:
-                raise AnalysisError(
-                    f"pipeline stage {until!r} is not part of this source's "
-                    "plan; expected one of " + ", ".join(names)
-                )
-            plan = plan[: names.index(until) + 1]
-        if ctx.policy is None and plan[-1] is REPORT:
-            plan = plan[:-1]
+        plan, missed = self._choose_plan(ctx, flat, linked, until, profile)
+        goals = [stage for stage in plan if not stage.on_demand]
+        if plan[-1].on_demand:
+            goals.append(plan[-1])
+        if ctx.policy is None and goals[-1] is REPORT:
+            goals.pop()
 
-        for stage in plan[1:]:
-            self._run_stage(ctx, stage, profile=profile)
+        producers = {name: stage for stage in plan for name in _attrs(stage)}
+        for stage in goals:
+            self._resolve(ctx, stage, producers, missed, profile)
             if stage is FLOW_GRAPH:
                 ctx.analysis = self._assemble(ctx)
 
@@ -478,39 +571,97 @@ class Pipeline:
             artifacts=ctx,
         )
 
-    def _run_stage(
-        self, ctx: PipelineContext, stage: Stage, profile: bool = False
-    ) -> None:
-        key = None
-        if self.cache is not None and stage.cacheable:
-            key = stage_key(stage, ctx.source_key, ctx.options)
-            cached = self.cache.get(key)
-            if cached is not None and stage.universe_bound:
-                # All universe-bound artefacts of one run must share one
-                # universe.  Once the run's universe is fixed (an earlier
-                # universe-bound stage computed fresh, or adopted a cached
-                # universe), a surviving entry built against a *different*
-                # universe — possible after partial eviction — is unusable
-                # here: using it would assemble a mixed-universe result.
-                _, cached_universe = cached
-                if ctx.universe_locked and cached_universe is not ctx.universe:
-                    cached = None
-                    self.cache.hits -= 1
-                    self.cache.misses += 1
-            if cached is not None:
-                started = time.perf_counter()
-                if stage.universe_bound:
-                    artifact, universe = cached
-                    ctx.universe = universe
-                    ctx.universe_locked = True
-                else:
-                    artifact = cached
-                _store(ctx, stage, artifact)
-                ctx.stages.append(
-                    StageTiming(stage.name, time.perf_counter() - started, cached=True)
-                )
-                return
+    def _choose_plan(
+        self,
+        ctx: PipelineContext,
+        flat: Sequence[Stage],
+        linked: Sequence[Stage],
+        until: Optional[str],
+        profile: bool,
+    ) -> Tuple[List[Stage], Set[str]]:
+        """The source's plan, cut after ``until``, and the stages that missed.
 
+        Only a flat source ever caches an ``elaborate`` artefact, and only a
+        linked one a ``place`` artefact, so a hit on either key picks the
+        plan, and the hit is kept as that stage's artefact.  When both miss
+        (or the cut plans hold neither), the run parses the source and
+        looks for instantiations.  A probe that missed is returned, so the
+        run does not look it up a second time.
+        """
+        cut = [_cut(flat, until), _cut(linked, until)]
+        missed: Set[str] = set()
+        for plan, probe in zip(cut, (ELABORATE, PLACE)):
+            if plan is not None and probe in plan:
+                if self._serve(ctx, probe):
+                    return plan, missed
+                missed.add(probe.name)
+        self._resolve(ctx, PARSE, {}, missed, profile)
+        index = 1 if has_instantiations(ctx.program) else 0
+        if cut[index] is None:
+            names = [stage.name for stage in (flat, linked)[index]]
+            raise AnalysisError(
+                f"pipeline stage {until!r} is not part of this source's "
+                "plan; expected one of " + ", ".join(names)
+            )
+        return cut[index], missed
+
+    def _resolve(
+        self,
+        ctx: PipelineContext,
+        stage: Stage,
+        producers: Dict[str, Stage],
+        missed: Set[str],
+        profile: bool,
+    ) -> None:
+        """Put ``stage``'s artefact in ``ctx``, from the cache or by running it.
+
+        Only a stage that misses resolves the producers of its ``needs``;
+        a stage resolved earlier in the run is left as it is.
+        """
+        if any(timing.name == stage.name for timing in ctx.stages):
+            return
+        if stage.name not in missed and self._serve(ctx, stage):
+            return
+        for name in stage.needs:
+            if name in producers:
+                self._resolve(ctx, producers[name], producers, missed, profile)
+        self._compute(ctx, stage, profile)
+
+    def _serve(self, ctx: PipelineContext, stage: Stage) -> bool:
+        """Store ``stage``'s cached artefact in ``ctx``; False on a miss.
+
+        The served stage's seconds cover the lookup, the read and unpickle
+        of a lower tier and the universe adoption.
+        """
+        if self.cache is None or not stage.cacheable:
+            return False
+        started = time.perf_counter()
+        cached = self.cache.get(stage_key(stage, ctx.source_key, ctx.options))
+        if cached is None:
+            return False
+        artifact = cached
+        if stage.universe_bound:
+            artifact, universe = cached
+            # All universe-bound artefacts of one run must share one
+            # universe.  Once the run's universe is fixed (an earlier
+            # universe-bound stage computed fresh, or adopted a cached
+            # universe), a surviving entry built against a *different*
+            # universe — possible after partial eviction — is unusable
+            # here: using it would assemble a mixed-universe result.
+            if ctx.universe_locked and universe is not ctx.universe:
+                self.cache.hits -= 1
+                self.cache.misses += 1
+                return False
+            ctx.universe = universe
+            ctx.universe_locked = True
+        _store(ctx, stage, artifact)
+        ctx.stages.append(
+            StageTiming(stage.name, time.perf_counter() - started, cached=True)
+        )
+        return True
+
+    def _compute(self, ctx: PipelineContext, stage: Stage, profile: bool) -> None:
+        """Run ``stage`` on ``ctx`` and write its artefact to the cache."""
         stage_profile = None
         started = time.perf_counter()
         if profile:
@@ -521,9 +672,9 @@ class Pipeline:
         _store(ctx, stage, artifact)
         if stage.universe_bound:
             ctx.universe_locked = True
-        if key is not None:
+        if self.cache is not None and stage.cacheable:
             value = (artifact, ctx.universe) if stage.universe_bound else artifact
-            self.cache.put(key, value)
+            self.cache.put(stage_key(stage, ctx.source_key, ctx.options), value)
         ctx.stages.append(
             StageTiming(stage.name, elapsed, cached=False, profile=stage_profile)
         )

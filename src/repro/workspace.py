@@ -30,7 +30,7 @@ are each one call on a cache-less ``Workspace``.
 
 Hierarchical designs (component instantiations) need nothing special: every
 verb runs them through the same :class:`~repro.pipeline.stages.Pipeline`,
-which takes the linked plan once the parse shows instantiations
+which takes the linked plan for a source with instantiations
 (``hierarchy → summary → place`` in place of ``elaborate → cfg → active →
 local``) — see ``docs/hierarchy.md``.
 

@@ -23,7 +23,17 @@ from pathlib import Path
 import pytest
 
 from repro.contract import Corpus, verify_corpus
-from repro.contract.profiles import MLS_POLICY, PROFILES, boot, http_request
+from repro.contract.differ import breaking, diff_documents
+from repro.contract.matchers import normalize
+from repro.contract.profiles import (
+    MLS_POLICY,
+    PROFILES,
+    boot,
+    http_request,
+    materialize_inputs,
+    resolve_argv,
+    run_cli,
+)
 
 PACTS_DIR = Path(__file__).resolve().parent / "contract" / "pacts"
 
@@ -57,6 +67,37 @@ class TestFullReplay:
         report = verify_corpus(corpus, mode="pool")
         assert report.ok, "\n".join(r.describe() for r in report.failures)
         assert len(report.results) == len(corpus)
+
+
+class TestDiskWarmReplay:
+    """The recorded CLI documents, served from a populated ``--cache-dir``."""
+
+    ANALYSIS_COMMANDS = ("analyze", "check", "lint", "batch")
+
+    def test_cli_interactions_replay_over_a_warm_cache_dir(self, corpus, tmp_path):
+        root = materialize_inputs(tmp_path / "inputs")
+        cache_dir = str(tmp_path / "cache")
+        replayed = []
+        for interaction in corpus:
+            argv = interaction.request.get("argv") or [None]
+            if interaction.profile != "cli" or argv[0] not in self.ANALYSIS_COMMANDS:
+                continue
+            argv = resolve_argv(argv, root) + ["--cache-dir", cache_dir]
+            run_cli(argv)  # the cold run populates the directory
+            exit_code, document = run_cli(argv)
+            assert exit_code == interaction.response["exit_code"], interaction.id
+            divergences = breaking(
+                diff_documents(
+                    interaction.response["document"],
+                    normalize(document, interaction.matchers),
+                )
+            )
+            assert divergences == [], (interaction.id, divergences)
+            # ... and the second run really was served from the directory.
+            for run in document.get("jobs", [document]):
+                assert run["cached_stages"] and "parse" not in run["cached_stages"]
+            replayed.append(argv[0])
+        assert set(replayed) == set(self.ANALYSIS_COMMANDS)
 
 
 class TestBreakingDiffs:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import workloads
+from repro import Workspace, workloads
 from repro.cli import main
 from repro.contract.matchers import normalize
 from repro.dataflow.universe import FactUniverse
@@ -28,10 +28,14 @@ from repro.pipeline import (
     open_cache,
     run_batch,
 )
+from repro.pipeline import batch as batch_module
+from repro.pipeline import stages as stages_module
 from repro.pipeline.cache import FORMAT_VERSION
 from repro.pipeline.render import volatile_pointers
 
 ANALYSIS_STAGE_NAMES = [name for name in STAGE_NAMES if name != "report"]
+# A fully cached run never reads the parse: no stage that misses needs it.
+WARM_STAGE_NAMES = ANALYSIS_STAGE_NAMES[1:]
 
 
 @pytest.fixture
@@ -57,8 +61,7 @@ class TestDiskRoundTrip:
         cold = _populate(cache_dir, source)
         warm = _fresh_run(cache_dir, source)
         assert not cold.cached_stages
-        assert warm.cached_stages == ANALYSIS_STAGE_NAMES
-        assert {"parse", "elaborate", "closure"} <= set(warm.cached_stages)
+        assert warm.cached_stages == WARM_STAGE_NAMES
         assert warm.result.graph.to_adjacency() == cold.result.graph.to_adjacency()
         assert warm.result.summary() == cold.result.summary()
 
@@ -75,12 +78,12 @@ class TestDiskRoundTrip:
         source = workloads.producer_consumer_program()
         _populate(cache_dir, source)
         basic = _fresh_run(cache_dir, source, options=AnalysisOptions(improved=False))
-        assert "closure" in basic.computed_stages
-        assert {"parse", "elaborate", "cfg"} <= set(basic.cached_stages)
+        assert basic.computed_stages == ["closure", "flow_graph"]
+        assert basic.cached_stages == WARM_STAGE_NAMES[:-2]
 
     def test_subprocess_is_served_from_the_populated_dir(self, cache_dir, tmp_path):
         # The real acceptance shape: an actually-fresh interpreter with a
-        # populated --cache-dir serves parse/elaborate/closure from disk.
+        # populated --cache-dir serves every stage but the parse from disk.
         design = tmp_path / "design.vhd"
         design.write_text(workloads.challenge_f_program(), encoding="utf-8")
         argv = [
@@ -98,7 +101,7 @@ class TestDiskRoundTrip:
         )
         assert warm.returncode == 0, warm.stderr
         warm_doc = json.loads(warm.stdout)
-        assert {"parse", "elaborate", "closure"} <= set(warm_doc["cached_stages"])
+        assert warm_doc["cached_stages"] == WARM_STAGE_NAMES
         cold_doc = json.loads(cold.stdout)
         for document in (cold_doc, warm_doc):
             document.pop("timings")
@@ -163,7 +166,7 @@ class TestCorruptionIsEvictedNotRaised:
         _populate(cache_dir, source)
         (Path(cache_dir) / "index.json").write_text("{not json", encoding="utf-8")
         warm = _fresh_run(cache_dir, source)
-        assert warm.cached_stages == ANALYSIS_STAGE_NAMES
+        assert warm.cached_stages == WARM_STAGE_NAMES
         index = json.loads((Path(cache_dir) / "index.json").read_text())
         assert index["version"] == FORMAT_VERSION
 
@@ -184,7 +187,7 @@ class TestCorruptionIsEvictedNotRaised:
             encoding="utf-8",
         )
         warm = _fresh_run(cache_dir, source)
-        assert warm.cached_stages == ANALYSIS_STAGE_NAMES
+        assert warm.cached_stages == WARM_STAGE_NAMES
         rebuilt = json.loads(index_path.read_text(encoding="utf-8"))
         assert isinstance(rebuilt["entries"], dict)
         assert all(isinstance(entry, dict) for entry in rebuilt["entries"].values())
@@ -205,9 +208,13 @@ class TestCorruptionIsEvictedNotRaised:
         for path in (Path(cache_dir) / "universes").glob("*.pkl"):
             path.unlink()
         warm = _fresh_run(cache_dir, source)
-        # frontend stages still hit; universe-bound ones recompute
-        assert {"parse", "elaborate", "cfg"} <= set(warm.cached_stages)
-        assert "local" in warm.computed_stages
+        # Frontend stages still hit.  A universe-bound entry misses until a
+        # recompute's put registers its deleted snapshot again: local's put
+        # serves specialize, closure's put serves flow_graph.
+        assert warm.cached_stages == [
+            "elaborate", "cfg", "active", "reaching", "specialize", "flow_graph",
+        ]
+        assert warm.computed_stages == ["local", "closure"]
         assert warm.result.rm_local.universe is warm.result.universe
 
 
@@ -275,7 +282,7 @@ class TestOperationCosts:
         monkeypatch.setattr(Path, "glob", counting(listed, Path.glob))
         monkeypatch.setattr(os, "stat", counting(statted, os.stat))
         warm = _fresh_run(cache_dir, source)
-        assert warm.cached_stages == ANALYSIS_STAGE_NAMES
+        assert warm.cached_stages == WARM_STAGE_NAMES
         assert listed == []
         assert [path for path in statted if str(path).endswith(".pkl")] == []
 
@@ -387,12 +394,12 @@ class TestTieredCache:
         _populate(cache_dir, source)
         tier = TieredArtifactCache(ArtifactCache(), DiskArtifactCache(cache_dir))
         Pipeline(tier).run(source)
-        assert tier.disk.hits == len(ANALYSIS_STAGE_NAMES)
+        assert tier.disk.hits == len(WARM_STAGE_NAMES)
         again = Pipeline(tier).run(source)
-        assert again.cached_stages == ANALYSIS_STAGE_NAMES
+        assert again.cached_stages == WARM_STAGE_NAMES
         # second run is served by the memory tier alone
-        assert tier.disk.hits == len(ANALYSIS_STAGE_NAMES)
-        assert tier.memory.hits == len(ANALYSIS_STAGE_NAMES)
+        assert tier.disk.hits == len(WARM_STAGE_NAMES)
+        assert tier.memory.hits == len(WARM_STAGE_NAMES)
 
     def test_open_cache_factory(self, cache_dir):
         assert open_cache(None, memory=False) is None
@@ -469,9 +476,43 @@ class TestBatchDiskTier:
         )
         assert warm.ok
         for item in warm.items:
-            assert {"parse", "elaborate", "closure"} <= set(
-                item.data["cached_stages"]
-            )
+            assert item.data["cached_stages"] == WARM_STAGE_NAMES
         assert [item.text for item in warm.items] == [
             item.text for item in cold.items
         ]
+
+    def test_warm_all_entities_batch_parses_and_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "multi.vhd"
+        path.write_text(workloads.multi_entity_program(3, 2, 6), encoding="utf-8")
+        cache_dir = str(tmp_path / "cache")
+
+        def batch():
+            return Workspace(cache_dir=cache_dir).batch(
+                [str(path)], all_entities=True, parallel=False
+            )
+
+        cold = batch()
+        parses, puts = [], []
+
+        def counting(record, function):
+            def wrapper(*args, **kwargs):
+                record.append(args)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for module in (batch_module, stages_module):
+            monkeypatch.setattr(
+                module, "parse_program", counting(parses, module.parse_program)
+            )
+        monkeypatch.setattr(
+            DiskArtifactCache, "put", counting(puts, DiskArtifactCache.put)
+        )
+        warm = batch()
+        assert parses == [] and puts == []
+        masks = volatile_pointers("batch")
+        assert normalize(warm.to_json_dict(), masks) == normalize(
+            cold.to_json_dict(), masks
+        )

@@ -167,9 +167,9 @@ class TestLinkedPlan:
         source = workloads.hierarchical_mux_program()
         ws.analyze_run(source)
         warm = ws.analyze_run(source)
-        assert warm.cached_stages == [
-            "parse", "place", "reaching", "specialize", "closure", "flow_graph",
-        ]
+        # The place hit picks the plan: no parse, hierarchy or summary.
+        assert warm.cached_stages == LINKED_STAGE_NAMES[3:]
+        assert warm.computed_stages == []
 
     def test_until_stops_at_a_linked_stage(self):
         run = Workspace().analyze_run(

@@ -14,6 +14,7 @@ from repro import Workspace, workloads
 from repro.cli import main
 from repro.errors import PolicyError
 from repro.pipeline import (
+    ANALYSIS_STAGES,
     AnalysisOptions,
     Pipeline,
     analyze_document,
@@ -21,6 +22,9 @@ from repro.pipeline import (
     json_text,
 )
 from repro.security.policy import TwoLevelPolicy
+
+# A fully cached run reads every analysis stage but the parse.
+WARM_STAGE_NAMES = [stage.name for stage in ANALYSIS_STAGES[1:-1]]
 
 TWO_LEVEL = {
     "levels": {"public": 0, "secret": 1},
@@ -85,7 +89,7 @@ class TestAnalyze:
         ws = Workspace()  # default: in-memory cache
         assert ws.analyze_run(source).cached_stages == []
         warm = ws.analyze_run(source)
-        assert "parse" in warm.cached_stages and "closure" in warm.cached_stages
+        assert warm.cached_stages == WARM_STAGE_NAMES
 
 
 class TestCheck:
@@ -181,7 +185,7 @@ class TestSharedDiskCache:
         first = Workspace(cache_dir=cache_dir).analyze_run(source)
         assert first.cached_stages == []
         second = Workspace(cache_dir=cache_dir).analyze_run(source)
-        assert "parse" in second.cached_stages and "closure" in second.cached_stages
+        assert second.cached_stages == WARM_STAGE_NAMES
         assert _doc(first) == _doc(second)
 
     def test_concurrent_workspaces_share_one_dir_safely(self, tmp_path):
@@ -237,11 +241,11 @@ class TestReviewRegressions:
     def test_default_parallel_batch_keeps_per_worker_caches(self, design_file, capsys):
         # two jobs for the same file on one worker: the driver pre-parses the
         # shared file and ships it, so even the *first* job skips the parse
-        # stage, and the second is served from the worker's in-memory tier —
-        # all without --cache-dir (the workspace merely has no *shared*
-        # cache; caching is not disabled)
+        # stage, and the second is served from the worker's in-memory tier
+        # without reading the parse at all — all without --cache-dir (the
+        # workspace merely has no *shared* cache; caching is not disabled)
         assert main(["batch", design_file, design_file, "--jobs", "1", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
         first, second = [job["cached_stages"] for job in document["jobs"]]
         assert first == ["parse"]
-        assert {"parse", "elaborate", "closure"} <= set(second)
+        assert second == WARM_STAGE_NAMES
