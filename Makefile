@@ -8,14 +8,16 @@ test:
 bench:
 	$(PYTHON) benchmarks/run_benchmarks.py
 
-# Tier-1 tests (which replay the contract corpus inline and pooled) plus
-# the perf regression gate: fails when any benchmark recorded in the
-# committed BENCH_scaling.json snapshot slowed down >1.5x.  Same round
-# count as `make bench` so min-of-rounds is comparable.
+# Tier-1 tests (which replay the contract corpus inline and pooled), the
+# serve load smoke, then the perf regression gate: fails when any benchmark
+# recorded in the committed BENCH_scaling.json snapshot slowed down >1.5x.
+# Same round count as `make bench` so min-of-rounds is comparable.  The
+# load smoke runs before the compare step so a compare failure cannot hide
+# a load-smoke failure.
 check: lint
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-	$(PYTHON) benchmarks/run_benchmarks.py --compare BENCH_scaling.json
 	$(PYTHON) scripts/load_smoke.py
+	$(PYTHON) benchmarks/run_benchmarks.py --compare BENCH_scaling.json
 
 # The vhdl-ifa/v1 contract gate: replay the committed interaction corpus
 # (tests/contract/pacts), the v1 spec, against a live inline server, a

@@ -50,6 +50,7 @@ from repro.pipeline.stages import ANALYSIS_STAGES, LINKED_STAGES, PARSE, REPORT
 from repro.security.policy import TwoLevelPolicy
 from repro.vhdl.elaborate import elaborate, elaborate_source
 from repro.vhdl.parser import parse_program
+from repro.workspace import Workspace
 from repro.workloads import (
     hierarchical_register_file,
     multi_entity_program,
@@ -229,7 +230,7 @@ def batch_jobs(tmp_path_factory):
     path.write_text(
         multi_entity_program(BATCH_ENTITIES, *BATCH_SHAPE), encoding="utf-8"
     )
-    return expand_jobs([str(path)], all_entities=True)
+    return expand_jobs([str(path)], Workspace(cache=None), all_entities=True)
 
 
 def _assert_batch_ok(report):
@@ -240,23 +241,25 @@ def _assert_batch_ok(report):
 def test_batch_throughput_sequential(benchmark, report, batch_jobs):
     """Cold in-process batch: the baseline every other mode is measured against.
 
-    This is the acceptance-criterion phase of the cold-path overhaul: the
-    driver opens an in-run cache even without ``cache=``, so the eight
-    entity jobs share one option-independent parse artifact and only the
-    per-entity stages run eight times.
+    This is the acceptance-criterion phase of the cold-path overhaul: each
+    round runs on a fresh default workspace, whose in-memory cache lets the
+    eight entity jobs share one option-independent parse artifact, so only
+    the per-entity stages run eight times.
     """
     result = benchmark(
         lambda: _assert_batch_ok(
-            run_batch(batch_jobs, AnalysisOptions(), parallel=False)
+            run_batch(batch_jobs, Workspace(), AnalysisOptions(), parallel=False)
         )
     )
     report(jobs=len(batch_jobs), entities=BATCH_ENTITIES)
 
 
 def test_batch_throughput_parallel(benchmark, report, batch_jobs):
-    """The process-pool path (worker count = CPU count, pool startup included)."""
+    """The process-pool path (worker count = usable CPUs, pool startup included)."""
     result = benchmark(
-        lambda: _assert_batch_ok(run_batch(batch_jobs, AnalysisOptions(), parallel=True))
+        lambda: _assert_batch_ok(
+            run_batch(batch_jobs, Workspace(), AnalysisOptions(), parallel=True)
+        )
     )
     report(jobs=len(batch_jobs), entities=BATCH_ENTITIES, workers=result.workers)
 
@@ -268,13 +271,14 @@ WARM_STAGES = [stage.name for stage in ANALYSIS_STAGES[1:-1]]
 def test_batch_throughput_warm_cache(benchmark, report, batch_jobs):
     """Re-running a batch over a warm artifact cache: every stage served cached."""
     cache = ArtifactCache()
+    workspace = Workspace(cache=cache)
     cold = _assert_batch_ok(
-        run_batch(batch_jobs, AnalysisOptions(), parallel=False, cache=cache)
+        run_batch(batch_jobs, workspace, AnalysisOptions(), parallel=False)
     )
 
     def run():
         warm = _assert_batch_ok(
-            run_batch(batch_jobs, AnalysisOptions(), parallel=False, cache=cache)
+            run_batch(batch_jobs, workspace, AnalysisOptions(), parallel=False)
         )
         assert [item.text for item in warm.items] == [item.text for item in cold.items]
         return warm
@@ -300,19 +304,16 @@ def test_batch_lint_warm_cache(benchmark, report, batch_jobs):
     """
     from repro.analysis.lint import LintConfig
 
-    cache = ArtifactCache()
+    workspace = Workspace(cache=ArtifactCache())
     lint = LintConfig()
     cold = _assert_batch_ok(
-        run_batch(
-            batch_jobs, AnalysisOptions(), parallel=False, cache=cache, lint=lint
-        )
+        run_batch(batch_jobs, workspace, AnalysisOptions(), parallel=False, lint=lint)
     )
 
     def run():
         warm = _assert_batch_ok(
             run_batch(
-                batch_jobs, AnalysisOptions(), parallel=False, cache=cache,
-                lint=lint,
+                batch_jobs, workspace, AnalysisOptions(), parallel=False, lint=lint
             )
         )
         assert [item.text for item in warm.items] == [item.text for item in cold.items]
@@ -341,15 +342,19 @@ def test_batch_throughput_disk_warm(benchmark, report, batch_jobs, tmp_path_fact
     open the store, unpickle the artifacts, adopt the universes.
     """
     cache_dir = str(tmp_path_factory.mktemp("disk-cache") / "store")
-    populate = TieredArtifactCache(ArtifactCache(), DiskArtifactCache(cache_dir))
+    populate = Workspace(
+        cache=TieredArtifactCache(ArtifactCache(), DiskArtifactCache(cache_dir))
+    )
     cold = _assert_batch_ok(
-        run_batch(batch_jobs, AnalysisOptions(), parallel=False, cache=populate)
+        run_batch(batch_jobs, populate, AnalysisOptions(), parallel=False)
     )
 
     def run():
         tier = TieredArtifactCache(ArtifactCache(), DiskArtifactCache(cache_dir))
         warm = _assert_batch_ok(
-            run_batch(batch_jobs, AnalysisOptions(), parallel=False, cache=tier)
+            run_batch(
+                batch_jobs, Workspace(cache=tier), AnalysisOptions(), parallel=False
+            )
         )
         assert [item.text for item in warm.items] == [item.text for item in cold.items]
         return warm
@@ -670,8 +675,6 @@ def test_serve_concurrent_load(benchmark, report, tmp_path_factory):
         multi_entity_program(BATCH_ENTITIES, *BATCH_SHAPE), encoding="utf-8"
     )
     cache_dir = str(tmp_path_factory.mktemp("load-cache") / "store")
-    from repro.workspace import Workspace
-
     workspace = Workspace(cache_dir=cache_dir)
     latencies = []
     with ServerThread(

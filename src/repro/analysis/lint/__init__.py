@@ -18,7 +18,6 @@ from repro.analysis.lint.engine import (
     LintConfig,
     findings_fail,
     run_lint_rules,
-    severity_counts,
 )
 from repro.analysis.lint.registry import (
     SEVERITIES,
@@ -41,6 +40,5 @@ __all__ = [
     "registered_rules",
     "rule",
     "run_lint_rules",
-    "severity_counts",
     "severity_rank",
 ]

@@ -141,14 +141,6 @@ class LintConfig:
         return sorted(selected, key=diagnostic_sort_key)
 
 
-def severity_counts(findings: Sequence[Diagnostic]) -> Dict[str, int]:
-    """The lint summary block: total plus one counter per severity."""
-    counts = {"findings": len(findings), "errors": 0, "warnings": 0, "infos": 0}
-    for finding in findings:
-        counts[finding.severity + "s"] += 1
-    return counts
-
-
 def findings_fail(findings: Sequence[Diagnostic], fail_on: str) -> bool:
     """The shared severity → exit-code gate behind ``--fail-on``."""
     if fail_on not in FAIL_ON_CHOICES:

@@ -83,8 +83,6 @@ _COLUMN_OF: Dict[Access, int] = {
     Access.R1: 3,
 }
 _ACCESS_ORDER: Tuple[Access, ...] = (Access.M0, Access.M1, Access.R0, Access.R1)
-_READ_COLUMNS = (Access.R0.column, Access.R1.column)
-_MODIFY_COLUMNS = (Access.M0.column, Access.M1.column)
 
 
 INCOMING_SUFFIX = "○"  # ◦ (white circle)
@@ -267,11 +265,6 @@ class ResourceMatrix:
 
     # -- columnar accessors (the hot-path API) ---------------------------------
 
-    def bits_at(self, label: int, access: Access) -> int:
-        """The name-bitset stored at ``(label, access)``."""
-        row = self._cols.get(label)
-        return row[access.column] if row is not None else 0
-
     def or_bits(self, label: int, access: Access, bits: int) -> bool:
         """OR ``bits`` into ``(label, access)``; True when anything was new."""
         if not bits:
@@ -291,20 +284,6 @@ class ResourceMatrix:
         return {
             label: row[index] for label, row in self._cols.items() if row[index]
         }
-
-    def read_bits_at(self, label: int) -> int:
-        """``R0 | R1`` bits at ``label``."""
-        row = self._cols.get(label)
-        if row is None:
-            return 0
-        return row[_READ_COLUMNS[0]] | row[_READ_COLUMNS[1]]
-
-    def modify_bits_at(self, label: int) -> int:
-        """``M0 | M1`` bits at ``label``."""
-        row = self._cols.get(label)
-        if row is None:
-            return 0
-        return row[_MODIFY_COLUMNS[0]] | row[_MODIFY_COLUMNS[1]]
 
     def iter_rows(self) -> Iterator[Tuple[int, List[int]]]:
         """The raw ``(label, [M0, M1, R0, R1])`` rows (read-only use)."""

@@ -305,10 +305,6 @@ class ProgramCFG:
         """``WS``: all wait-statement labels of the program."""
         return self._label_index.wait_labels
 
-    def wait_labels_of(self, process_name: str) -> FrozenSet[int]:
-        """``WS(ss_i)``: wait labels of one process."""
-        return self.processes[process_name].wait_labels
-
     def cross_flow(self) -> List[Tuple[int, ...]]:
         """The cross-flow relation ``cf``.
 

@@ -43,11 +43,6 @@ class Block:
         return f"Block(l={self.label}, {self.kind.value}, process={self.process_name})"
 
     @property
-    def is_wait(self) -> bool:
-        """True for ``wait`` blocks (synchronisation points)."""
-        return self.kind is BlockKind.WAIT
-
-    @property
     def is_guard(self) -> bool:
         """True for ``if``/``while`` guard blocks."""
         return self.kind in (BlockKind.IF_GUARD, BlockKind.WHILE_GUARD)

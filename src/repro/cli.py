@@ -109,19 +109,11 @@ def _print_json(document: dict) -> None:
     print(json_text(document))
 
 
-def _workspace(args: argparse.Namespace, memory_default: bool = False) -> Workspace:
-    """The session facade an invocation runs on, from the cache flags.
-
-    ``memory_default`` controls what a plain invocation gets: single-shot
-    commands default to no cache at all (one run cannot hit it), while the
-    sequential batch driver defaults to an in-memory cache shared across its
-    jobs.
-    """
+def _workspace(args: argparse.Namespace) -> Workspace:
+    """The session facade an invocation runs on, from the cache flags."""
     if getattr(args, "no_cache", False):
         return Workspace(cache=None)
-    return Workspace(
-        cache_dir=getattr(args, "cache_dir", None), memory_cache=memory_default
-    )
+    return Workspace(cache_dir=getattr(args, "cache_dir", None))
 
 
 def _analysis_opts(args: argparse.Namespace) -> dict:
@@ -278,7 +270,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    workspace = _workspace(args, memory_default=args.sequential)
+    workspace = _workspace(args)
     report = workspace.batch(
         args.files,
         all_entities=args.all_entities,
@@ -359,9 +351,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    # The server always keeps the in-memory tier (that is the point of a
-    # long-lived process) unless --no-cache asks for cold runs throughout.
-    workspace = _workspace(args, memory_default=True)
+    # The server keeps the in-memory tier for its whole life (that is the
+    # point of a long-lived process) unless --no-cache asks for cold runs.
+    workspace = _workspace(args)
     for policy_file in args.policy or []:
         workspace.load_policy(policy_file)
     # --workers 0 selects the inline (single-process) mode; the default is
@@ -601,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help=f"worker processes (default: CPU count, here {default_workers()})",
+        help=f"worker processes (default: the usable CPUs, here {default_workers()})",
     )
     batch_p.add_argument(
         "--sequential",
@@ -709,8 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "size of the analysis worker-process pool (default: the CPU "
-            "count the batch driver uses; 0 runs analyses inline on the "
+            "size of the analysis worker-process pool (default: the usable "
+            "CPU count the batch driver uses; 0 runs analyses inline on the "
             "event loop)"
         ),
     )

@@ -45,13 +45,6 @@ class Instance:
     bindings: Tuple[Tuple[str, str], ...]
     modes: Tuple[ast.PortMode, ...]
 
-    def actual_of(self, formal: str) -> str:
-        """The actual bound to ``formal``."""
-        for name, actual in self.bindings:
-            if name == formal:
-                return actual
-        raise KeyError(formal)
-
 
 @dataclass
 class HierarchyUnit:

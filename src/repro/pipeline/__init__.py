@@ -21,7 +21,6 @@ from repro.pipeline.batch import (
     BatchItem,
     BatchJob,
     BatchReport,
-    entities_in,
     expand_jobs,
     run_batch,
     run_job,
@@ -99,7 +98,6 @@ __all__ = [
     "analysis_json",
     "analyze_document",
     "check_document",
-    "entities_in",
     "expand_jobs",
     "interaction_id",
     "json_text",

@@ -145,11 +145,6 @@ class PipelineResult:
         return [stage.name for stage in self.stages if not stage.cached]
 
     @property
-    def total_seconds(self) -> float:
-        """Total wall-clock time across all stages."""
-        return sum(stage.seconds for stage in self.stages)
-
-    @property
     def stage_profiles(self) -> Dict[str, Tuple[Dict[str, Any], ...]]:
         """Stage name → cProfile hot spots (profiled runs only; see
         :attr:`StageTiming.profile`)."""

@@ -2,24 +2,26 @@
 
 Inputs are file paths; outputs are :class:`BatchItem` records holding the
 exact text/JSON the sequential ``vhdl-ifa analyze`` command would print for
-that file.  The driver expands the requested paths into :class:`BatchJob`
-items (one per file, or one per entity with ``all_entities=True``), runs
-each job through the staged pipeline and renders it with
-:func:`repro.pipeline.render.render_analysis_text` — both paths share the
-renderer, so the per-file output is byte-identical by construction.
+that file.  Like the CLI and the serve mode, the driver is a shell over one
+:class:`~repro.workspace.Workspace`: :func:`expand_jobs` turns paths into
+:class:`BatchJob` items (one per file, or one per entity with
+``all_entities=True``), reading each file's AST through the workspace so the
+parse is cached like any other stage, and :func:`run_job` runs one job on
+the workspace's pipeline and renders it with
+:func:`repro.pipeline.render.render_analysis_text` — the single-file
+commands share the renderer, so the per-file output is byte-identical by
+construction.
 
-``parallel=True`` distributes jobs over a ``ProcessPoolExecutor``; results
-are collected in submission order, so the output ordering is deterministic
-regardless of which worker finishes first.  Every pool worker keeps one
-process-local :class:`~repro.pipeline.cache.ArtifactCache` alive across the
-jobs it serves, and with ``cache_dir`` every worker layers that in-memory
-tier over the *shared* :class:`~repro.pipeline.cache.DiskArtifactCache` —
-a cold parallel run over previously-seen files then skips parse/elaborate
-(and every other stage) entirely.  In sequential mode a caller-supplied
-cache persists across whole batch runs, which is what makes warm re-runs
-skip the expensive stages; cache keys are the per-stage keys of
-:func:`repro.pipeline.stages.stage_key` (stage + source sha256 + the options
-the stage depends on).
+``parallel=True`` distributes jobs over a forked ``ProcessPoolExecutor``;
+results are collected in submission order, so the output ordering is
+deterministic regardless of which worker finishes first.  Each pool worker
+builds one workspace from :meth:`~repro.workspace.Workspace.worker_configuration`
+(as a serve worker does) and keeps it across the jobs it serves: its memory
+tier serves the worker's repeated files, and with a ``cache_dir`` every
+worker layers that tier over the one shared disk store, so a cold parallel
+run reads what expansion or an earlier run wrote there.  ``parallel=False``
+runs every job on the workspace's own pipeline, so a second batch on the
+same workspace is served from warm artefacts.
 """
 
 from __future__ import annotations
@@ -30,12 +32,20 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ReproError
 from repro.pipeline.artifacts import AnalysisOptions
-from repro.pipeline.cache import open_cache, source_digest
-from repro.pipeline.faults import install_process_injector, process_injector
+from repro.pipeline.faults import FaultInjector
 from repro.pipeline.render import (
     analysis_json,
     lint_section,
@@ -46,8 +56,9 @@ from repro.pipeline.render import (
     select_graph,
     stamped,
 )
-from repro.pipeline.stages import PARSE, Pipeline, stage_key
-from repro.vhdl.parser import parse_program
+
+if TYPE_CHECKING:
+    from repro.workspace import Workspace
 
 #: Everything one job can fail with: analysis errors, unreadable files, and
 #: files that are not valid UTF-8 (UnicodeDecodeError is a ValueError, so the
@@ -198,25 +209,19 @@ class BatchReport:
         return stamped(document)
 
 
-def entities_in(source: str) -> List[str]:
-    """The entities of a source file, in architecture order."""
-    return [arch.entity_name for arch in parse_program(source).architectures]
-
-
 def expand_jobs(
     paths: Sequence[str],
+    workspace: "Workspace",
     all_entities: bool = False,
-    cache: Optional[Any] = None,
 ) -> List[BatchJob]:
     """Turn file paths into jobs, optionally one per entity in each file.
 
-    With ``all_entities`` a file that cannot be read or parsed still yields a
-    single job for it, so the error surfaces as that job's outcome instead of
-    aborting the whole batch.  ``cache`` is optionally where expansion looks
-    up each file's parse artefact (under its pipeline stage key) before
-    parsing it, and where it stores the parses it makes: a warm expansion
-    parses nothing, and an in-process batch run over the same cache does not
-    parse each file a second time.
+    With ``all_entities`` each file's AST comes from
+    ``workspace.analyze_run(source, until="parse")``, so it is read from the
+    workspace's cache when there and left there for the jobs that follow.
+    A file that cannot be read or parsed still yields a single job for it,
+    so the error surfaces as that job's outcome instead of aborting the
+    whole batch.
     """
     jobs: List[BatchJob] = []
     for path in paths:
@@ -225,12 +230,7 @@ def expand_jobs(
             continue
         try:
             source = Path(path).read_text(encoding="utf-8")
-            key = stage_key(PARSE, source_digest(source), AnalysisOptions())
-            program = None if cache is None else cache.get(key)
-            if program is None:
-                program = parse_program(source)
-                if cache is not None:
-                    cache.put(key, program)
+            program = workspace.analyze_run(source, until="parse").artifacts.program
         except _JOB_ERRORS:
             jobs.append(BatchJob(path=path))
             continue
@@ -244,15 +244,16 @@ def expand_jobs(
 
 def run_job(
     job: BatchJob,
+    workspace: "Workspace",
     options: AnalysisOptions,
     collapse: bool = False,
     self_loops: bool = False,
     dot: bool = False,
-    pipeline: Optional[Pipeline] = None,
     policy: Optional[Any] = None,
     lint: Optional[Any] = None,
 ) -> BatchItem:
-    """Analyse one job and render its output; errors become the outcome.
+    """Analyse one job on ``workspace`` and render its output; errors become
+    the outcome.
 
     Without a policy the outcome is the ``analyze`` rendering (text and the
     ``analysis_json`` payload).  With a policy the job becomes a check: the
@@ -264,8 +265,7 @@ def run_job(
     :func:`~repro.pipeline.render.lint_section` body the single-file ``lint``
     command emits — on the payload, plus the lint text after the rendering.
     """
-    if pipeline is None:
-        pipeline = Pipeline()
+    pipeline = workspace.pipeline
     started = time.perf_counter()
     try:
         source = Path(job.path).read_text(encoding="utf-8")
@@ -325,91 +325,45 @@ def run_job(
         )
 
 
-# Each pool worker keeps one pipeline (and its artifact cache) alive for the
-# jobs it serves; repeated files within one batch hit the worker's cache, and
-# with a cache directory all workers additionally share the disk tier.
-_WORKER_PIPELINE: Optional[Pipeline] = None
+# Each pool worker keeps one workspace, and the fault injector the
+# environment arms, for the jobs it serves.
+_WORKER: Optional[Tuple["Workspace", FaultInjector]] = None
 
 
-def _init_worker(cache_dir: Optional[str] = None, no_cache: bool = False) -> None:
-    global _WORKER_PIPELINE
-    # Arm this worker's fault injector from the environment switch (a no-op
-    # plan outside the fault-injection tests).
-    install_process_injector()
-    _WORKER_PIPELINE = Pipeline(None if no_cache else open_cache(cache_dir))
+def _init_worker(cache_dir: Optional[str], no_cache: bool) -> None:
+    global _WORKER
+    # Imported here: the workspace module imports this one.
+    from repro.workspace import Workspace
+
+    workspace = Workspace(cache=None) if no_cache else Workspace(cache_dir=cache_dir)
+    _WORKER = (workspace, FaultInjector.from_env())
 
 
-def _run_job_in_worker(payload) -> BatchItem:
-    job, options, collapse, self_loops, dot, policy, lint, preparsed = payload
+def _run_job_in_worker(
+    job: BatchJob, options: AnalysisOptions, settings: Dict[str, Any]
+) -> BatchItem:
+    workspace, injector = _WORKER
     # The job path is the fault trigger text, so a test can crash or delay
     # exactly one job of a batch.
-    process_injector().before_analysis(job.path)
-    if preparsed is not None and _WORKER_PIPELINE.cache is not None:
-        # The driver pre-parsed this job's file (it backs several jobs of the
-        # batch) and shipped the parse artifact; seed it under its pipeline
-        # stage key so this worker's run skips the parse stage.
-        digest, program = preparsed
-        _WORKER_PIPELINE.cache.put(
-            stage_key(PARSE, digest, AnalysisOptions()), program
-        )
-    return run_job(
-        job,
-        options,
-        collapse=collapse,
-        self_loops=self_loops,
-        dot=dot,
-        pipeline=_WORKER_PIPELINE,
-        policy=policy,
-        lint=lint,
-    )
+    injector.before_analysis(job.path)
+    return run_job(job, workspace, options, **settings)
 
 
 def default_workers() -> int:
-    """The default pool size: one worker per available CPU."""
+    """The default pool size: one worker per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _shared_parses(
-    jobs: Sequence[BatchJob], cache: Optional[Any] = None
-) -> Dict[str, Any]:
-    """Pre-parse every file that backs more than one job of a parallel batch.
-
-    Returns ``path -> (source digest, parsed program)`` for those files, to
-    be shipped inside the job payloads and seeded into each worker's cache —
-    without this, an ``all_entities`` batch over an 8-entity file parses the
-    identical source once per entity job *per worker*.  ``cache`` is the
-    driver-side cache that :func:`expand_jobs` seeded, so expansion's parse
-    is reused here rather than redone.  Unreadable or unparsable files are
-    skipped; their jobs surface the error individually.
-    """
-    counts: Dict[str, int] = {}
-    for job in jobs:
-        counts[job.path] = counts.get(job.path, 0) + 1
-    shared: Dict[str, Any] = {}
-    for path, count in counts.items():
-        if count < 2:
-            continue
-        try:
-            source = Path(path).read_text(encoding="utf-8")
-            digest = source_digest(source)
-            program = None
-            if cache is not None:
-                program = cache.get(stage_key(PARSE, digest, AnalysisOptions()))
-            if program is None:
-                program = parse_program(source)
-            shared[path] = (digest, program)
-        except _JOB_ERRORS:
-            continue
-    return shared
-
-
 def _pool_results(
-    payloads: Sequence[Any],
+    jobs: Sequence[BatchJob],
+    options: AnalysisOptions,
+    settings: Dict[str, Any],
     workers: int,
-    cache_dir: Optional[str],
-    no_cache: bool,
+    configuration: Dict[str, Any],
 ) -> List[Optional[BatchItem]]:
-    """Run payloads on one process pool; a broken-pool casualty is ``None``.
+    """Run jobs on one process pool; a broken-pool casualty is ``None``.
 
     ``None`` marks a job whose result was lost to pool breakage — either the
     job itself killed its worker, or it was collateral damage of one that
@@ -420,10 +374,11 @@ def _pool_results(
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
-        initargs=(cache_dir, no_cache),
+        initargs=(configuration["cache_dir"], configuration["no_cache"]),
     ) as executor:
         futures = [
-            executor.submit(_run_job_in_worker, payload) for payload in payloads
+            executor.submit(_run_job_in_worker, job, options, settings)
+            for job in jobs
         ]
         for future in futures:
             try:
@@ -435,6 +390,7 @@ def _pool_results(
 
 def run_batch(
     jobs: Iterable[BatchJob],
+    workspace: "Workspace",
     options: Optional[AnalysisOptions] = None,
     *,
     collapse: bool = False,
@@ -442,29 +398,19 @@ def run_batch(
     dot: bool = False,
     parallel: bool = True,
     max_workers: Optional[int] = None,
-    cache: Optional[Any] = None,
-    cache_dir: Optional[str] = None,
-    no_cache: bool = False,
     policy: Optional[Any] = None,
     lint: Optional[Any] = None,
     fail_on: str = "error",
 ) -> BatchReport:
-    """Analyse every job; results come back in submission order.
+    """Analyse every job on ``workspace``; results come back in submission
+    order.
 
     ``parallel=True`` fans out over a process pool (``max_workers`` defaults
-    to the CPU count; in-memory caches are then per worker process, though
-    files backing several jobs are parsed once on the driver — reusing
-    ``cache`` when :func:`expand_jobs` seeded it — and the parse artifacts
-    shipped to the workers; with ``cache_dir`` every worker additionally
-    shares the persistent :class:`~repro.pipeline.cache.DiskArtifactCache`
-    rooted there, and ``no_cache=True`` gives the workers no cache at all).
-    ``parallel=False`` runs in-process, threading ``cache`` through every
-    job — run two batches over the same cache and the second one is served
-    from warm artifacts.  When no ``cache`` is supplied (and ``no_cache`` is
-    off) the run opens its own via :func:`~repro.pipeline.cache.open_cache`,
-    so entity jobs over the same file share one parse artifact even on a
-    cold one-shot batch.  ``policy`` turns every job into a policy check
-    (see :func:`run_job`); the policy must be picklable for parallel runs.
+    to :func:`default_workers`) whose workers rebuild the workspace's cache
+    configuration (see the module docstring); ``parallel=False`` runs every
+    job on the workspace's pipeline, so two batches on one workspace share
+    its cache.  ``policy`` turns every job into a policy check (see
+    :func:`run_job`); the policy must be picklable for parallel runs.
     ``lint`` (a picklable :class:`~repro.analysis.lint.LintConfig`) adds the
     per-job lint section; ``fail_on`` sets the severity threshold behind
     :attr:`BatchReport.exit_code`.
@@ -472,6 +418,13 @@ def run_batch(
     if options is None:
         options = AnalysisOptions()
     job_list = list(jobs)
+    settings = {
+        "collapse": collapse,
+        "self_loops": self_loops,
+        "dot": dot,
+        "policy": policy,
+        "lint": lint,
+    }
     report = BatchReport(parallel=parallel, policy=policy, fail_on=fail_on)
     started = time.perf_counter()
 
@@ -479,26 +432,8 @@ def run_batch(
         workers = max_workers if max_workers is not None else default_workers()
         workers = max(1, min(workers, len(job_list) or 1))
         report.workers = workers
-        # Parse each multi-job file once on the driver (reusing the parse
-        # that expand_jobs left in ``cache`` when the caller threaded it
-        # through) and ship the program with every job touching that file;
-        # each worker seeds its own cache from the payload instead of
-        # re-parsing per job.
-        preparsed = {} if no_cache else _shared_parses(job_list, cache)
-        payloads = [
-            (
-                job,
-                options,
-                collapse,
-                self_loops,
-                dot,
-                policy,
-                lint,
-                preparsed.get(job.path),
-            )
-            for job in job_list
-        ]
-        results = _pool_results(payloads, workers, cache_dir, no_cache)
+        configuration = workspace.worker_configuration()
+        results = _pool_results(job_list, options, settings, workers, configuration)
         # A job that takes its worker process down (crash, OOM kill) breaks
         # the whole executor: every unfinished future raises.  Retry each
         # casualty once on its own fresh single-worker pool — one poisonous
@@ -506,9 +441,9 @@ def run_batch(
         # job that breaks its pool twice as a "worker" error item.
         casualties = [index for index, item in enumerate(results) if item is None]
         for index in casualties:
-            retried = _pool_results([payloads[index]], 1, cache_dir, no_cache)[0]
+            job = job_list[index]
+            retried = _pool_results([job], options, settings, 1, configuration)[0]
             if retried is None:
-                job = payloads[index][0]
                 retried = BatchItem(
                     job=job,
                     ok=False,
@@ -522,27 +457,8 @@ def run_batch(
             results[index] = retried
         report.items = results
     else:
-        report.workers = 1
-        if cache is None and not no_cache:
-            # Even a one-shot sequential batch wants an in-run cache: with
-            # ``all_entities`` every entity job re-reads the same file, and
-            # the source-keyed parse tier means one parse serves all of
-            # them.  Without this a cold 8-entity batch tokenises and parses
-            # the identical source eight times over.
-            cache = open_cache(cache_dir)
-        pipeline = Pipeline(cache)
         report.items = [
-            run_job(
-                job,
-                options,
-                collapse=collapse,
-                self_loops=self_loops,
-                dot=dot,
-                pipeline=pipeline,
-                policy=policy,
-                lint=lint,
-            )
-            for job in job_list
+            run_job(job, workspace, options, **settings) for job in job_list
         ]
 
     report.elapsed = time.perf_counter() - started

@@ -219,11 +219,14 @@ class DiskArtifactCache:
     #: the next budget scan is a tenth of the budget of writes away.
     BUDGET_LOW_WATER = 0.9
 
+    #: How many adopted universes one store keeps registered (oldest first
+    #: out), so a long session's registry stays bounded.
+    UNIVERSE_REGISTRY_SIZE = 256
+
     def __init__(
         self,
         root: "str | os.PathLike[str]",
         max_bytes: int = DEFAULT_MAX_BYTES,
-        universe_registry_size: int = 256,
     ):
         if max_bytes < 1:
             raise ValueError("max_bytes must be positive")
@@ -231,7 +234,6 @@ class DiskArtifactCache:
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
-        self._registry_size = universe_registry_size
         #: snapshot id -> universe object (several ids may alias one object).
         self._universes: Dict[str, FactUniverse] = {}
         #: id(universe) -> (snapshot id, universe length when hashed).
@@ -393,7 +395,7 @@ class DiskArtifactCache:
     def _register_universe(self, uid: str, universe: FactUniverse) -> None:
         self._universes[uid] = universe
         self._universe_uids[id(universe)] = (uid, len(universe))
-        while len(self._universes) > self._registry_size:
+        while len(self._universes) > self.UNIVERSE_REGISTRY_SIZE:
             oldest_uid = next(iter(self._universes))
             oldest = self._universes.pop(oldest_uid)
             self._universe_uids.pop(id(oldest), None)
@@ -668,22 +670,14 @@ class TieredArtifactCache:
         return stats
 
 
-def open_cache(
-    cache_dir: Optional[str] = None,
-    *,
-    memory: bool = True,
-    max_entries: int = 1024,
-    max_bytes: int = DiskArtifactCache.DEFAULT_MAX_BYTES,
-) -> Optional[Any]:
-    """The cache the CLI, batch workers and the server share.
+def open_cache(cache_dir: Optional[str] = None) -> Any:
+    """The cache a :class:`~repro.workspace.Workspace` opens by default.
 
     With ``cache_dir`` this is a :class:`TieredArtifactCache` over a
     :class:`DiskArtifactCache` rooted there; without it, a plain in-memory
-    :class:`ArtifactCache` when ``memory`` is true, else ``None`` (caching
-    disabled — the ``--no-cache`` path).
+    :class:`ArtifactCache`.  The CLI, batch pool workers and serve workers
+    all open their caches here.
     """
-    if cache_dir is not None:
-        return TieredArtifactCache(
-            ArtifactCache(max_entries), DiskArtifactCache(cache_dir, max_bytes)
-        )
-    return ArtifactCache(max_entries) if memory else None
+    if cache_dir is None:
+        return ArtifactCache()
+    return TieredArtifactCache(ArtifactCache(), DiskArtifactCache(cache_dir))

@@ -14,8 +14,10 @@ Faults are off by default and armed in one of two ways:
   :class:`repro.pipeline.serve.AnalysisServer`; the plan is shipped to every
   pool worker it spawns;
 * **environment switch** — set :data:`FAULTS_ENV` to the plan's JSON form
-  (``FaultPlan.to_env()``); batch pool workers and standalone processes pick
-  it up in their initialisers via :func:`FaultPlan.from_env`.
+  (``FaultPlan.to_env()``); every batch pool worker arms its own
+  :class:`FaultInjector` from it in its initialiser
+  (:meth:`FaultInjector.from_env`), as a serve worker does when no plan was
+  shipped to it.
 
 The injectable faults:
 
@@ -206,27 +208,3 @@ class CorruptingDiskCache:
 
     def __contains__(self, key: str) -> bool:
         return key in self._disk
-
-
-#: The per-process injector the batch pool workers consult (installed by the
-#: pool initialiser from the environment switch; a no-op plan by default).
-_PROCESS_INJECTOR: Optional[FaultInjector] = None
-
-
-def install_process_injector(
-    plan: Optional[FaultPlan] = None,
-) -> FaultInjector:
-    """Install this process's injector (explicit plan, else the env switch)."""
-    global _PROCESS_INJECTOR
-    _PROCESS_INJECTOR = (
-        FaultInjector(plan) if plan is not None else FaultInjector.from_env()
-    )
-    return _PROCESS_INJECTOR
-
-
-def process_injector() -> FaultInjector:
-    """The installed injector, installing the env-derived one on first use."""
-    global _PROCESS_INJECTOR
-    if _PROCESS_INJECTOR is None:
-        _PROCESS_INJECTOR = FaultInjector.from_env()
-    return _PROCESS_INJECTOR

@@ -184,16 +184,6 @@ class Simulator:
         """
         self._env_active[name] = self.validate_drive(name, value)
 
-    def force_present(self, name: str, value: Driveable) -> None:
-        """Directly overwrite a signal's present value in every process.
-
-        This bypasses the delta-cycle mechanism; it is meant for setting up
-        initial conditions in tests.
-        """
-        coerced = self._coerce(name, value)
-        for runtime in self._runtimes:
-            runtime.signals.set_present(name, coerced)
-
     # ----------------------------------------------------------------- execution
 
     def run(self, max_delta_cycles: int = 1_000) -> int:
@@ -208,11 +198,6 @@ class Simulator:
                 break
             performed += 1
         return performed
-
-    def step_delta(self) -> bool:
-        """Run processes then perform one synchronisation; False if quiescent."""
-        self._run_processes()
-        return self._synchronize()
 
     # -- phase 1: rule [Handle non-waiting processes] -------------------------------
 

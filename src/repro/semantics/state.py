@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.vhdl import ast
-from repro.vhdl.elaborate import Design, Process, SignalInfo, VariableInfo
+from repro.vhdl.elaborate import Process, SignalInfo, VariableInfo
 from repro.vhdl.stdlogic import StdLogic, StdLogicVector, Value
 
 
@@ -34,10 +34,8 @@ class VariableStore:
     """The local variable state ``σ`` of one process."""
 
     def __init__(self, variables: Optional[Dict[str, VariableInfo]] = None):
-        self._types: Dict[str, ast.TypeNode] = {}
         self._values: Dict[str, Value] = {}
         for info in (variables or {}).values():
-            self._types[info.name] = info.var_type
             self._values[info.name] = default_value(info.var_type)
 
     def names(self) -> Iterable[str]:
@@ -77,11 +75,9 @@ class SignalStore:
     """The signal state ``ϕ`` of one process (present and active values)."""
 
     def __init__(self, signals: Optional[Dict[str, SignalInfo]] = None):
-        self._types: Dict[str, ast.TypeNode] = {}
         self._present: Dict[str, Value] = {}
         self._active: Dict[str, Value] = {}
         for info in (signals or {}).values():
-            self._types[info.name] = info.sig_type
             self._present[info.name] = default_value(info.sig_type)
 
     def names(self) -> Iterable[str]:
@@ -90,10 +86,6 @@ class SignalStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._present
-
-    def type_of(self, name: str) -> ast.TypeNode:
-        """Declared type of ``name``."""
-        return self._types[name]
 
     # -- present values (ϕ s 0) ------------------------------------------------
 
@@ -142,11 +134,6 @@ class SignalStore:
         """The predicate ``active(ϕ)``: some signal has an active value."""
         return bool(self._active)
 
-    def snapshot_present(self) -> Dict[str, Value]:
-        """A copy of the present values."""
-        return dict(self._present)
-
-
 @dataclass
 class ProcessState:
     """Runtime state of one process: its control point and its two stores."""
@@ -159,8 +146,3 @@ class ProcessState:
     will restart from the beginning (processes repeat indefinitely)."""
     waiting: bool = False
     finished_iteration: bool = False
-
-
-def initial_signal_store(design: Design) -> SignalStore:
-    """Build a signal store for all signals of ``design``."""
-    return SignalStore(design.signals)

@@ -439,13 +439,6 @@ class StdLogicVector:
         self._check_index(index)
         return self._bits[self.width - 1 - index]
 
-    def set_element_downto(self, index: int, value: StdLogic) -> "StdLogicVector":
-        """Return a copy with bit ``index`` (``downto`` numbering) replaced."""
-        self._check_index(index)
-        bits = list(self._bits)
-        bits[self.width - 1 - index] = StdLogic(value)
-        return StdLogicVector(bits)
-
     def reversed(self) -> "StdLogicVector":
         """Reverse bit order (used when normalising ``to`` ranges to ``downto``)."""
         return StdLogicVector(reversed(self._bits))

@@ -155,12 +155,12 @@ class LintResult:
 class Workspace:
     """The session facade: one cache, named policies.
 
-    ``cache_dir`` persists artifacts on disk (tiered under an in-memory
-    front); ``memory_cache=False`` with no ``cache_dir`` disables caching
-    for single-shot use; passing ``cache=`` explicitly (including ``None``)
-    overrides both.  ``policies`` pre-registers named policies — values may
-    be :class:`FlowPolicy` objects, parsed policy documents (dicts) or
-    policy-file paths.
+    The cache is in memory, or with ``cache_dir`` tiered over a disk store
+    rooted there (:func:`~repro.pipeline.cache.open_cache`); passing
+    ``cache=`` explicitly overrides both, and ``cache=None`` disables
+    caching (the CLI's ``--no-cache``).  ``policies`` pre-registers named
+    policies — values may be :class:`FlowPolicy` objects, parsed policy
+    documents (dicts) or policy-file paths.
     """
 
     def __init__(
@@ -168,17 +168,10 @@ class Workspace:
         *,
         cache_dir: Optional[str] = None,
         cache: Any = _UNSET,
-        memory_cache: bool = True,
         policies: Optional[Dict[str, PolicySpec]] = None,
     ):
-        # Caching is *disabled* only when the caller explicitly passes
-        # cache=None (the CLI's --no-cache).  A workspace that merely has no
-        # shared cache (memory_cache=False, no cache_dir) still lets batch
-        # pool workers keep their own per-worker in-memory tier.
-        self.no_cache = cache is None
         if cache is _UNSET:
-            cache = open_cache(cache_dir, memory=memory_cache)
-            self.no_cache = False
+            cache = open_cache(cache_dir)
         self.cache = cache
         self.cache_dir = cache_dir
         self.pipeline = Pipeline(cache)
@@ -398,10 +391,12 @@ class Workspace:
     ) -> BatchReport:
         """Analyse many files (or :class:`BatchJob` items) in one run.
 
-        Paths are expanded to jobs (one per entity with ``all_entities``);
-        parallel runs fan out over a process pool whose workers layer their
-        per-worker memory tier over this workspace's ``cache_dir`` disk
-        store, so the pool shares the workspace's cache configuration.
+        Paths are expanded to jobs (one per entity with ``all_entities``)
+        and run on this workspace (:func:`~repro.pipeline.batch.run_batch`):
+        sequential runs on its pipeline and cache, parallel runs on a
+        process pool whose workers each rebuild its cache configuration
+        (:meth:`worker_configuration`), layering a per-worker memory tier
+        over the ``cache_dir`` disk store.
         ``policy`` turns the batch into a policy check over every job.
         ``lint=True`` (or a :class:`LintConfig`) adds a per-job lint section;
         ``lint=None`` defers to the resolved policy's ``[lint]`` table (no
@@ -413,9 +408,7 @@ class Workspace:
             if isinstance(job, BatchJob):
                 expanded.append(job)
             else:
-                expanded.extend(
-                    expand_jobs([job], all_entities=all_entities, cache=self.cache)
-                )
+                expanded.extend(expand_jobs([job], self, all_entities=all_entities))
         resolved_policy = None if policy is None else self.policy(policy)
         lint_config: Optional[LintConfig]
         policy_lint = getattr(resolved_policy, "lint", None)
@@ -431,6 +424,7 @@ class Workspace:
             lint_config = None
         return run_batch(
             expanded,
+            self,
             AnalysisOptions(
                 improved=improved,
                 loop_processes=loop_processes,
@@ -441,11 +435,9 @@ class Workspace:
             dot=dot,
             parallel=parallel,
             max_workers=max_workers,
-            cache=self.cache,
             policy=resolved_policy,
             lint=lint_config,
             fail_on=fail_on,
-            **self.worker_configuration(),
         )
 
     def worker_configuration(self) -> Dict[str, Any]:
@@ -453,11 +445,11 @@ class Workspace:
 
         Caches hold live pickles and open file handles, so they never cross
         a process boundary; what does cross is this pair — the shared disk
-        root (if any) and the no-cache override — from which every batch
+        root (if any) and whether caching is off — from which every batch
         pool worker and every serve pool worker layers its own in-memory
         tier over the workspace's persistent store.
         """
-        return {"cache_dir": self.cache_dir, "no_cache": self.no_cache}
+        return {"cache_dir": self.cache_dir, "no_cache": self.cache is None}
 
     # ---------------------------------------------------------------- stats
 

@@ -28,7 +28,6 @@ from repro.pipeline import (
     open_cache,
     run_batch,
 )
-from repro.pipeline import batch as batch_module
 from repro.pipeline import stages as stages_module
 from repro.pipeline.cache import FORMAT_VERSION
 from repro.pipeline.render import volatile_pointers
@@ -402,8 +401,7 @@ class TestTieredCache:
         assert tier.memory.hits == len(WARM_STAGE_NAMES)
 
     def test_open_cache_factory(self, cache_dir):
-        assert open_cache(None, memory=False) is None
-        assert isinstance(open_cache(None, memory=True), ArtifactCache)
+        assert isinstance(open_cache(None), ArtifactCache)
         tiered = open_cache(cache_dir)
         assert isinstance(tiered, TieredArtifactCache)
         assert tiered.disk is not None and Path(cache_dir).is_dir()
@@ -466,13 +464,13 @@ class TestBatchDiskTier:
         path = tmp_path / "multi.vhd"
         path.write_text(workloads.multi_entity_program(3, 2, 6), encoding="utf-8")
         cache_dir = str(tmp_path / "cache")
-        cache = open_cache(cache_dir)
-        jobs = expand_jobs([str(path)], all_entities=True, cache=cache)
-        cold = run_batch(jobs, AnalysisOptions(), parallel=False, cache=cache)
+        workspace = Workspace(cache_dir=cache_dir)
+        jobs = expand_jobs([str(path)], workspace, all_entities=True)
+        cold = run_batch(jobs, workspace, AnalysisOptions(), parallel=False)
         assert cold.ok
         warm = run_batch(
-            jobs, AnalysisOptions(), parallel=True, max_workers=2,
-            cache_dir=cache_dir,
+            jobs, Workspace(cache_dir=cache_dir), AnalysisOptions(),
+            parallel=True, max_workers=2,
         )
         assert warm.ok
         for item in warm.items:
@@ -503,10 +501,11 @@ class TestBatchDiskTier:
 
             return wrapper
 
-        for module in (batch_module, stages_module):
-            monkeypatch.setattr(
-                module, "parse_program", counting(parses, module.parse_program)
-            )
+        monkeypatch.setattr(
+            stages_module,
+            "parse_program",
+            counting(parses, stages_module.parse_program),
+        )
         monkeypatch.setattr(
             DiskArtifactCache, "put", counting(puts, DiskArtifactCache.put)
         )

@@ -23,7 +23,6 @@ from repro.analysis.lint import (
     registered_rules,
     rule,
     run_lint_rules,
-    severity_counts,
     severity_rank,
 )
 from repro.analysis.closure import _strongly_connected_components
@@ -35,6 +34,7 @@ from repro.analysis.lint.rules import (
 from repro.analysis.resource_matrix import outgoing_node
 from repro.errors import AnalysisError, PolicyError
 from repro.hier import flatten_source
+from repro.pipeline.render import lint_section
 from repro.vhdl.parser import parse_program
 from repro.security.report import diagnostic_sort_key
 from repro.workspace import Workspace
@@ -342,7 +342,7 @@ class TestEngine:
 
     def test_severity_counts(self, workspace):
         linted = workspace.lint(MULTIPLE_DRIVERS)
-        counts = severity_counts(linted.findings)
+        counts = lint_section(linted.findings)["summary"]
         assert counts == {"findings": 1, "errors": 1, "warnings": 0, "infos": 0}
 
     def test_findings_fail_thresholds(self, workspace):

@@ -1,8 +1,14 @@
 """Tests for the staged pipeline, its artifact cache and the batch driver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import analyze, analyze_kemmerer, workloads
+from repro.contract.matchers import normalize
 from repro.errors import AnalysisError
 from repro.pipeline import (
     ANALYSIS_STAGES,
@@ -14,13 +20,13 @@ from repro.pipeline import (
     ArtifactCache,
     BatchJob,
     Pipeline,
-    entities_in,
     expand_jobs,
     render_analysis_text,
     run_batch,
     run_job,
     source_digest,
     stage_key,
+    volatile_pointers,
 )
 from repro.security.policy import TwoLevelPolicy
 from repro.workspace import Workspace
@@ -317,21 +323,117 @@ def workload_files(tmp_path):
     return paths
 
 
+#: A declarative policy for the batch job kinds that check one.
+BATCH_POLICY = {
+    "levels": {"public": 0, "secret": 1},
+    "resources": {"key": "secret"},
+    "allow": [{"from": "public", "to": "secret"}],
+}
+
+#: The four job kinds: ``Workspace.batch`` keywords per kind.
+JOB_KINDS = {
+    "analyze": {},
+    "policy": {"policy": BATCH_POLICY},
+    "lint": {"lint": True},
+    "policy+lint": {"policy": BATCH_POLICY, "lint": True},
+}
+
+
+def _cache_workspace(configuration, cache_dir):
+    if configuration == "memory":
+        return Workspace()
+    if configuration == "cache_dir":
+        return Workspace(cache_dir=str(cache_dir))
+    return Workspace(cache=None)
+
+
 class TestBatchDriver:
-    def test_sequential_and_parallel_agree(self, workload_files):
+    @pytest.mark.parametrize("configuration", ["memory", "cache_dir", "no_cache"])
+    @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
+    def test_sequential_and_parallel_agree(
+        self, workload_files, tmp_path, kind, configuration
+    ):
+        # The roster, a hierarchical file, and a multi-entity file expanded
+        # with all_entities; each mode runs on a fresh workspace of the
+        # configuration, so both start cold.
         assert len(workload_files) >= 8
-        jobs = expand_jobs(workload_files)
-        sequential = run_batch(jobs, parallel=False)
-        parallel = run_batch(jobs, parallel=True, max_workers=2)
+        hierarchical = tmp_path / "regfile.vhd"
+        hierarchical.write_text(
+            workloads.hierarchical_register_file(cells=3, depth=4), encoding="utf-8"
+        )
+        multi = tmp_path / "multi.vhd"
+        multi.write_text(workloads.multi_entity_program(3, 2, 4), encoding="utf-8")
+        jobs = [BatchJob(path=path) for path in [*workload_files, str(hierarchical)]]
+
+        def batch(mode, parallel):
+            workspace = _cache_workspace(configuration, tmp_path / mode)
+            return workspace.batch(
+                [*jobs, str(multi)],
+                all_entities=True,
+                parallel=parallel,
+                max_workers=2,
+                **JOB_KINDS[kind],
+            )
+
+        sequential = batch("sequential", False)
+        parallel = batch("parallel", True)
         assert sequential.ok and parallel.ok
-        assert [item.job for item in parallel.items] == jobs
+        assert len(sequential.items) == len(jobs) + 3
+        assert [item.job for item in parallel.items] == [
+            item.job for item in sequential.items
+        ]
         assert [item.text for item in parallel.items] == [
             item.text for item in sequential.items
         ]
+        masks = volatile_pointers("batch")
+        documents = []
+        for report in (sequential, parallel):
+            document = report.to_json_dict()
+            del document["parallel"], document["workers"]
+            documents.append(normalize(document, masks))
+        assert documents[0] == documents[1]
+
+    def test_cold_parallel_all_entities_batch_reads_the_expanded_parse(
+        self, tmp_path
+    ):
+        # Expansion parses the file into the shared cache dir, and every
+        # worker reads that entry: no job computes the parse.
+        path = tmp_path / "multi.vhd"
+        path.write_text(workloads.multi_entity_program(4, 2, 4), encoding="utf-8")
+        workspace = Workspace(cache_dir=str(tmp_path / "cache"))
+        report = workspace.batch(
+            [str(path)], all_entities=True, parallel=True, max_workers=2
+        )
+        assert report.ok and len(report.items) == 4
+        for item in report.items:
+            assert item.data["cached_stages"] == ["parse"]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here"
+    )
+    def test_default_workers_counts_the_cpus_this_process_may_use(self):
+        # A process pinned to one CPU gets one worker, however many CPUs
+        # the machine has.
+        code = (
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from repro.pipeline.batch import default_workers\n"
+            "print(default_workers())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pinned = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        )
+        assert pinned.returncode == 0, pinned.stderr
+        assert pinned.stdout.strip() == "1"
 
     def test_batch_output_matches_single_runs(self, workload_files):
-        jobs = expand_jobs(workload_files)
-        batch = run_batch(jobs, parallel=False)
+        workspace = Workspace()
+        jobs = expand_jobs(workload_files, workspace)
+        batch = run_batch(jobs, workspace, parallel=False)
         for item in batch.items:
             source = open(item.job.path, encoding="utf-8").read()
             single = Pipeline().run(source).result
@@ -341,8 +443,9 @@ class TestBatchDriver:
         broken = tmp_path / "broken.vhd"
         broken.write_text("entity broken is", encoding="utf-8")
         missing = str(tmp_path / "missing.vhd")
-        jobs = expand_jobs([workload_files[0], str(broken), missing])
-        report = run_batch(jobs, parallel=False)
+        workspace = Workspace()
+        jobs = expand_jobs([workload_files[0], str(broken), missing], workspace)
+        report = run_batch(jobs, workspace, parallel=False)
         assert [item.ok for item in report.items] == [True, False, False]
         assert not report.ok and len(report.failures) == 2
         assert all(item.error for item in report.failures)
@@ -352,9 +455,10 @@ class TestBatchDriver:
         path.write_text(
             workloads.multi_entity_program(3, 2, 4), encoding="utf-8"
         )
-        jobs = expand_jobs([str(path)], all_entities=True)
+        workspace = Workspace()
+        jobs = expand_jobs([str(path)], workspace, all_entities=True)
         assert [job.entity for job in jobs] == ["chain_0", "chain_1", "chain_2"]
-        report = run_batch(jobs, parallel=False)
+        report = run_batch(jobs, workspace, parallel=False)
         assert report.ok
         source = path.read_text(encoding="utf-8")
         for job, item in zip(jobs, report.items):
@@ -365,15 +469,16 @@ class TestBatchDriver:
             assert item.data["design"] == job.entity
 
     def test_cold_sequential_batch_shares_one_parse(self, tmp_path):
-        # Even without a caller-supplied cache the sequential driver opens
-        # an in-run one, so the per-entity jobs of a file reuse its parse
-        # artifact instead of re-tokenising the same source per entity.
+        # A default workspace caches in memory, so the per-entity jobs of a
+        # file reuse its parse artifact instead of re-tokenising the same
+        # source per entity (expanded on a cache-less workspace here, so
+        # the first job's parse is cold).
         path = tmp_path / "multi.vhd"
         path.write_text(
             workloads.multi_entity_program(3, 2, 4), encoding="utf-8"
         )
-        jobs = expand_jobs([str(path)], all_entities=True)
-        report = run_batch(jobs, parallel=False)
+        jobs = expand_jobs([str(path)], Workspace(cache=None), all_entities=True)
+        report = run_batch(jobs, Workspace(), parallel=False)
         assert report.ok
         first, *rest = report.items
         assert "parse" not in first.data["cached_stages"]
@@ -385,23 +490,19 @@ class TestBatchDriver:
         path.write_text(
             workloads.multi_entity_program(2, 2, 4), encoding="utf-8"
         )
-        jobs = expand_jobs([str(path)], all_entities=True)
-        report = run_batch(jobs, parallel=False, no_cache=True)
+        workspace = Workspace(cache=None)
+        jobs = expand_jobs([str(path)], workspace, all_entities=True)
+        report = run_batch(jobs, workspace, parallel=False)
         assert report.ok
         for item in report.items:
             assert item.data["cached_stages"] == []
 
-    def test_entities_in_lists_architecture_order(self):
-        assert entities_in(workloads.multi_entity_program(2, 2, 2)) == [
-            "chain_0",
-            "chain_1",
-        ]
-
     def test_warm_cache_rerun_skips_expensive_stages(self, workload_files):
         cache = ArtifactCache()
-        jobs = expand_jobs(workload_files)
-        cold = run_batch(jobs, parallel=False, cache=cache)
-        warm = run_batch(jobs, parallel=False, cache=cache)
+        workspace = Workspace(cache=cache)
+        jobs = expand_jobs(workload_files, workspace)
+        cold = run_batch(jobs, workspace, parallel=False)
+        warm = run_batch(jobs, workspace, parallel=False)
         assert warm.ok
         assert [item.text for item in warm.items] == [
             item.text for item in cold.items
@@ -418,30 +519,35 @@ class TestBatchDriver:
         assert warm_stage_seconds < cold_stage_seconds
 
     def test_run_job_reports_missing_files(self, tmp_path):
-        item = run_job(BatchJob(path=str(tmp_path / "gone.vhd")), AnalysisOptions())
+        item = run_job(
+            BatchJob(path=str(tmp_path / "gone.vhd")), Workspace(), AnalysisOptions()
+        )
         assert not item.ok and "gone.vhd" in item.error
 
     def test_non_utf8_files_become_item_outcomes(self, tmp_path):
         binary = tmp_path / "binary.vhd"
         binary.write_bytes(b"\xff\xfe not text")
-        item = run_job(BatchJob(path=str(binary)), AnalysisOptions())
+        item = run_job(BatchJob(path=str(binary)), Workspace(), AnalysisOptions())
         assert not item.ok and item.error
         # ... in --all-entities expansion too, instead of crashing it
-        jobs = expand_jobs([str(binary)], all_entities=True)
+        jobs = expand_jobs([str(binary)], Workspace(), all_entities=True)
         assert jobs == [BatchJob(path=str(binary))]
 
     def test_expansion_seeds_the_parse_cache(self, tmp_path):
         path = tmp_path / "multi.vhd"
         path.write_text(workloads.multi_entity_program(3, 2, 4), encoding="utf-8")
-        cache = ArtifactCache()
-        jobs = expand_jobs([str(path)], all_entities=True, cache=cache)
-        report = run_batch(jobs, parallel=False, cache=cache)
+        workspace = Workspace(cache=ArtifactCache())
+        jobs = expand_jobs([str(path)], workspace, all_entities=True)
+        report = run_batch(jobs, workspace, parallel=False)
         assert report.ok
         # every job reuses the parse from expansion: the file is parsed once
         assert all("parse" in item.data["cached_stages"] for item in report.items)
 
     def test_json_document_shape(self, workload_files):
-        report = run_batch(expand_jobs(workload_files[:2]), parallel=False)
+        workspace = Workspace()
+        report = run_batch(
+            expand_jobs(workload_files[:2], workspace), workspace, parallel=False
+        )
         document = report.to_json_dict()
         assert document["command"] == "batch"
         assert document["failed"] == 0

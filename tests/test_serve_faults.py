@@ -35,6 +35,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.batch import BatchJob
 from repro.pipeline.faults import FAULTS_ENV, FaultInjector
+from repro.workspace import Workspace
 
 VOLATILE_FIELDS = ("timings", "cached_stages")
 
@@ -407,7 +408,7 @@ class TestBatchBrokenPoolRecovery:
             FAULTS_ENV, FaultPlan(crash=True, match="poison_job").to_env()
         )
         jobs = [BatchJob(path=designs[name]) for name in ("alpha", "poison_job", "omega")]
-        report = run_batch(jobs, parallel=True, max_workers=2)
+        report = run_batch(jobs, Workspace(), parallel=True, max_workers=2)
         by_name = {item.job.path: item for item in report.items}
         assert by_name[designs["alpha"]].ok
         assert by_name[designs["omega"]].ok
@@ -431,14 +432,14 @@ class TestBatchBrokenPoolRecovery:
             FaultPlan(crash=True, match="poison_job", once=True).to_env(),
         )
         jobs = [BatchJob(path=designs["poison_job"])]
-        report = run_batch(jobs, parallel=True, max_workers=1)
+        report = run_batch(jobs, Workspace(), parallel=True, max_workers=1)
         item = report.items[0]
         assert not item.ok
         assert item.error_kind == "worker"
 
     def test_batch_without_faults_is_unaffected(self, designs):
         jobs = [BatchJob(path=designs["alpha"]), BatchJob(path=designs["omega"])]
-        report = run_batch(jobs, parallel=True, max_workers=2)
+        report = run_batch(jobs, Workspace(), parallel=True, max_workers=2)
         assert report.ok
         assert report.exit_code == 0
 

@@ -239,13 +239,13 @@ class TestReviewRegressions:
         assert not checked.clean
 
     def test_default_parallel_batch_keeps_per_worker_caches(self, design_file, capsys):
-        # two jobs for the same file on one worker: the driver pre-parses the
-        # shared file and ships it, so even the *first* job skips the parse
-        # stage, and the second is served from the worker's in-memory tier
-        # without reading the parse at all — all without --cache-dir (the
-        # workspace merely has no *shared* cache; caching is not disabled)
+        # two jobs for the same file on one worker: the first computes every
+        # stage, parse included, and the second is served from the worker's
+        # in-memory tier without reading the parse at all — all without
+        # --cache-dir (the workspace merely has no *shared* cache; caching
+        # is not disabled)
         assert main(["batch", design_file, design_file, "--jobs", "1", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
         first, second = [job["cached_stages"] for job in document["jobs"]]
-        assert first == ["parse"]
+        assert first == []
         assert second == WARM_STAGE_NAMES
