@@ -47,14 +47,20 @@ lint:
 load-smoke:
 	$(PYTHON) scripts/load_smoke.py
 
-# Every perfbench workload for 3 s, untraced: fails unless the run's last
-# line reports "correct": true, i.e. every served document matched its
-# uncached reference (a disk-format change that alters a document fails).
+# Every perfbench workload for 3 s, untraced, then a traced warm_cli pass
+# (the per-layer breakdown perf changes cite, plus its pooled serve leg):
+# each fails unless the run's last line reports "correct": true, i.e. every
+# served document matched its uncached reference (a disk-format change that
+# alters a document fails).
+PERFBENCH_CORRECT = $(PYTHON) -c "import json, sys; line = sys.stdin.read(); \
+	ok = line.startswith('{') and json.loads(line)['correct']; \
+	sys.exit(0 if ok else 'perfbench-smoke: not correct: ' + line.strip())"
+
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 3 --trace 0 | tail -n 1 | \
-		$(PYTHON) -c "import json, sys; line = sys.stdin.read(); \
-		ok = line.startswith('{') and json.loads(line)['correct']; \
-		sys.exit(0 if ok else 'perfbench-smoke: not correct: ' + line.strip())"
+		$(PERFBENCH_CORRECT)
+	$(PYTHON) perfbench/run.py --workload warm_cli --seed 1 --seconds 2 --trace 1 | tail -n 1 | \
+		$(PERFBENCH_CORRECT)
 
 # Docs gate: internal links resolve, docs/cli.md matches cli.py, the
 # policy-file keys documented in docs/api.md match security/policy_file.py,

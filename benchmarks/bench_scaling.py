@@ -636,7 +636,9 @@ def test_serve_latency_warm(benchmark, report, tmp_path_factory):
         multi_entity_program(BATCH_ENTITIES, *BATCH_SHAPE), encoding="utf-8"
     )
     with ServerThread(
-        AnalysisServer(port=0, cache=TieredArtifactCache(ArtifactCache()))
+        AnalysisServer(
+            port=0, workspace=Workspace(cache=TieredArtifactCache(ArtifactCache()))
+        )
     ) as server:
         _post_analyze(server.port, str(path), "chain_0")  # warm the cache
 

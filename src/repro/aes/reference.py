@@ -187,11 +187,6 @@ def bytes_to_state(block: bytes) -> State:
     return list(block)
 
 
-def state_to_bytes(state: Sequence[int]) -> bytes:
-    """Convert a state back into ``bytes``."""
-    return bytes(state)
-
-
 def state_to_bitstring(state: Sequence[int]) -> str:
     """Render a state as the 128-character bit string used by the VHDL ports.
 

@@ -320,18 +320,6 @@ class ResourceMatrix:
         """Read entries (``R0``/``R1``) at ``label``."""
         return self._entries_of_row(label, (Access.R0, Access.R1))
 
-    def modifications_at(self, label: int) -> List[Entry]:
-        """Modification entries (``M0``/``M1``) at ``label``."""
-        return self._entries_of_row(label, (Access.M0, Access.M1))
-
-    def with_access(self, access: Access) -> List[Entry]:
-        """All entries with the given access kind."""
-        return [
-            Entry(name, label, access)
-            for label in sorted(self._cols)
-            for name in self.sorted_names(self._cols[label][access.column])
-        ]
-
     def reads_of(self, name: str, access: Access = Access.R0) -> List[Entry]:
         """All entries reading ``name`` with the given access kind."""
         if name not in self._universe:
@@ -343,10 +331,6 @@ class ResourceMatrix:
             for label in sorted(self._cols)
             if self._cols[label][column] & bit
         ]
-
-    def index_by_label(self) -> Dict[int, List[Entry]]:
-        """Entries grouped by label (used for efficient closure iteration)."""
-        return {label: self.at_label(label) for label in self._cols}
 
     # -- rendering -------------------------------------------------------------------
 

@@ -42,11 +42,6 @@ class Block:
     def __repr__(self) -> str:
         return f"Block(l={self.label}, {self.kind.value}, process={self.process_name})"
 
-    @property
-    def is_guard(self) -> bool:
-        """True for ``if``/``while`` guard blocks."""
-        return self.kind in (BlockKind.IF_GUARD, BlockKind.WHILE_GUARD)
-
 
 class LabelAllocator:
     """Hands out program-unique labels, starting from 1."""

@@ -330,13 +330,12 @@ def run_job(
 _WORKER: Optional[Tuple["Workspace", FaultInjector]] = None
 
 
-def _init_worker(cache_dir: Optional[str], no_cache: bool) -> None:
+def _init_worker(configuration: Dict[str, Any]) -> None:
     global _WORKER
     # Imported here: the workspace module imports this one.
     from repro.workspace import Workspace
 
-    workspace = Workspace(cache=None) if no_cache else Workspace(cache_dir=cache_dir)
-    _WORKER = (workspace, FaultInjector.from_env())
+    _WORKER = (Workspace(**configuration), FaultInjector.from_env())
 
 
 def _run_job_in_worker(
@@ -374,7 +373,7 @@ def _pool_results(
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
-        initargs=(configuration["cache_dir"], configuration["no_cache"]),
+        initargs=(configuration,),
     ) as executor:
         futures = [
             executor.submit(_run_job_in_worker, job, options, settings)

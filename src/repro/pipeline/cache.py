@@ -13,17 +13,17 @@ Three stores implement that contract:
     counters.  A server keeps one per process; the batch driver's pool
     initialiser installs one per pool worker.
 :class:`DiskArtifactCache`
-    The persistent tier.  Entries live under
-    ``<cache-dir>/<stage>/<key-sha256>.pkl`` next to an ``index.json``
-    metadata file; writes go to a temporary file in the same directory and
-    are published with an atomic ``os.replace``, so concurrent writers (two
-    CLI invocations, many batch workers) never expose a torn entry.  Every
-    entry embeds a format tag and :data:`FORMAT_VERSION`; entries with a
-    stale tag, a truncated pickle or any other decoding problem are *evicted*
-    on read, never raised, and a write the file system refuses (a full or
-    read-only disk) is skipped, so the value stays compute-on-demand.  Total
-    entry size is bounded by ``max_bytes`` with least-recently-used eviction
-    (recency = file mtime, refreshed on every hit).
+    The persistent tier, which is nothing but its files: entries live under
+    ``<cache-dir>/<stage>/<key-sha256>.pkl``; writes go to a temporary file
+    in the same directory and are published with an atomic ``os.replace``,
+    so concurrent writers (two CLI invocations, many batch workers) never
+    expose a torn entry.  Every entry and universe snapshot embeds a format
+    tag and :data:`FORMAT_VERSION`; a file with a stale tag, a truncated
+    pickle or any other decoding problem is *evicted* when it is read, never
+    raised, and a write the file system refuses (a full or read-only disk)
+    is skipped, so the value stays compute-on-demand.  Total entry size is
+    bounded by ``max_bytes`` with least-recently-used eviction (recency =
+    file mtime, refreshed on every hit).
 :class:`TieredArtifactCache`
     The composition the CLI, the batch workers and ``vhdl-ifa serve`` run
     on: an in-memory front tier over an optional on-disk back tier.  Gets
@@ -42,7 +42,9 @@ disk tier therefore externalises universes instead of pickling one copy per
 entry: a pickled artifact refers to its universe by the content hash of the
 universe's fact list, and the facts themselves are written once to
 ``<cache-dir>/universes/<hash>.pkl`` — an immutable snapshot, because any
-growth of the append-only universe changes the hash.  The reference is a
+growth of the append-only universe changes the hash.  A snapshot that
+cannot be read back is evicted like an entry, so the next ``put`` that
+references it writes it again.  The reference is a
 ``dispatch_table`` entry of the entry's own pickler that reduces a universe
 to ``_universe_ref(<hash>)``, so the C pickler runs no Python callback for
 any other object, and memoises the reduction: a universe referenced from
@@ -57,14 +59,15 @@ what lets a fresh process load ``local``, ``specialize``, ``closure`` and
 What each operation touches
 ---------------------------
 
-Opening a store reads ``index.json`` and nothing else; a ``get`` reads one
-entry file (plus, once per process, the snapshots it references).  Neither
-lists the store, so a process that only reads never scans it.  A ``put``
-writes one entry file; the first ``put`` of a process also scans the store
-once (one ``stat`` per entry) for the running byte estimate.  A ``put`` that
-pushes the estimate past ``max_bytes`` rescans and evicts down to a
-low-water mark below the budget, so a store at its budget rescans once per
-tenth of its budget written, not on every put.
+Opening a store creates its directory and reads nothing; a ``get`` reads
+one entry file (plus, once per process, the snapshots it references).
+Neither lists the store, so a process that only reads never scans it.  A
+``put`` writes one entry file (and any snapshot it references that is not on
+disk yet); the first ``put`` of a process also scans the store once (one
+``stat`` per entry) for the running byte estimate.  A ``put`` that pushes
+the estimate past ``max_bytes`` rescans and evicts down to a low-water mark
+below the budget, so a store at its budget rescans once per tenth of its
+budget written, not on every put.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ from __future__ import annotations
 import copyreg
 import hashlib
 import io
-import json
 import operator
 import os
 import pickle
@@ -82,8 +84,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dataflow.universe import FactUniverse
 
-#: Bumped whenever the on-disk entry layout changes; entries (and whole cache
-#: directories) recorded under another version are evicted, not decoded.
+#: Bumped whenever the on-disk entry layout changes; entries and universe
+#: snapshots recorded under another version are evicted when read, not decoded.
 #: Version 2 pickles universe references as ``_universe_ref`` reductions
 #: instead of persistent ids.
 FORMAT_VERSION = 2
@@ -198,22 +200,17 @@ class DiskArtifactCache:
 
     See the module docstring for the layout, the universe-snapshot scheme and
     what each operation touches.  The store is safe to share between
-    processes: entries are published with atomic renames and are
-    self-describing (tag, version, full key), so the ``index.json`` metadata
-    is only a convenience for ``stats`` and humans — a lost race on the index
-    never loses or corrupts an entry.  All decoding failures (truncation,
-    foreign pickles, stale :data:`FORMAT_VERSION`, missing universe
-    snapshots) evict the offending entry and count a miss.
+    processes: every file is published with an atomic rename and is
+    self-describing (tag, version, full key or snapshot id), so the files
+    are the whole store and no side file can disagree with them.  All
+    decoding failures (truncation, foreign pickles, stale
+    :data:`FORMAT_VERSION`, missing universe snapshots) evict the offending
+    file and count a miss.
     """
 
     #: Default size budget for entry files (universe snapshots are tiny and
     #: kept outside the budget; ``clear`` removes them too).
     DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-    #: Rewrite ``index.json`` at most every this many changes — the index is
-    #: non-authoritative metadata, so flushing lazily just means it may lag
-    #: the entry files until the next flush (or the next open rebuilds it).
-    INDEX_FLUSH_INTERVAL = 64
 
     #: A put that crosses ``max_bytes`` evicts down to this share of it, so
     #: the next budget scan is a tenth of the budget of writes away.
@@ -240,9 +237,6 @@ class DiskArtifactCache:
         self._universe_uids: Dict[int, Tuple[str, int]] = {}
         self.root.mkdir(parents=True, exist_ok=True)
         self._universe_dir = self.root / "universes"
-        self._index_path = self.root / "index.json"
-        self._unflushed = 0
-        self._index = self._load_index()
         #: Running estimate of total entry bytes, taken by the first put's
         #: scan (``None`` before it).  Writes by other processes are only
         #: seen at the next budget scan, so the budget is a target, not a
@@ -267,7 +261,7 @@ class DiskArtifactCache:
             value = self._decode_entry(key, blob)
         except Exception:
             # Truncated/corrupted/stale entries are evicted, never raised.
-            self._remove_entry(str(path.relative_to(self.root)))
+            _unlink(path)
             self.misses += 1
             return None
         try:
@@ -295,13 +289,6 @@ class DiskArtifactCache:
             self._atomic_write(path, blob)
         except OSError:
             return
-        relpath = str(path.relative_to(self.root))
-        self._index["entries"][relpath] = {
-            "key": key,
-            "stage": path.parent.name,
-            "bytes": len(blob),
-        }
-        self._unflushed += 1
         # The first put of a process scans for the byte estimate; later puts
         # rescan only once the estimate crosses the budget.  Overwrites of an
         # existing key are counted as growth here; the next budget scan
@@ -310,18 +297,17 @@ class DiskArtifactCache:
         if self._approx_bytes is not None:
             self._approx_bytes += len(blob)
         if self._approx_bytes is None or self._approx_bytes > self.max_bytes:
-            self._enforce_budget(keep=relpath)
-        if self._unflushed >= self.INDEX_FLUSH_INTERVAL:
-            self._write_index()
+            self._enforce_budget(keep=path)
 
     def clear(self) -> None:
         """Remove every entry and universe snapshot (counters are kept)."""
-        self._clear_files()
+        for _, _, relpath in self._scan_entries():
+            _unlink(self.root / relpath)
+        for path in self._universe_files():
+            _unlink(path)
         self._universes.clear()
         self._universe_uids.clear()
-        self._index = {"version": FORMAT_VERSION, "entries": {}}
         self._approx_bytes = 0
-        self._write_index()
 
     def __len__(self) -> int:
         return len(self._scan_entries())
@@ -422,14 +408,23 @@ class DiskArtifactCache:
             )
 
     def _read_universe_facts(self, uid: str) -> List[Any]:
+        """The facts of snapshot ``uid``; an unusable snapshot is evicted."""
         path = self._universe_dir / f"{uid}.pkl"
         try:
-            envelope = pickle.loads(path.read_bytes())
-            tag, version, stored_uid, facts = envelope
-        except Exception as error:
-            raise _CacheMiss(f"unreadable universe snapshot {uid}") from error
-        if tag != _UNIVERSE_TAG or version != FORMAT_VERSION or stored_uid != uid:
-            raise _CacheMiss(f"stale universe snapshot {uid}")
+            blob = path.read_bytes()
+        except OSError as error:
+            raise _CacheMiss(f"missing universe snapshot {uid}") from error
+        try:
+            tag, version, stored_uid, facts = pickle.loads(blob)
+            usable = (tag, version, stored_uid) == (
+                _UNIVERSE_TAG, FORMAT_VERSION, uid
+            )
+        except Exception:
+            usable = False
+        if not usable:
+            # Evicted like an entry, so the next put that needs it rewrites it.
+            _unlink(path)
+            raise _CacheMiss(f"unreadable or stale universe snapshot {uid}")
         return list(facts)
 
     def _adopt_universe(self, uid: str, facts: List[Any]) -> FactUniverse:
@@ -513,23 +508,10 @@ class DiskArtifactCache:
                 handle.write(blob)
             os.replace(tmp, path)
         except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            _unlink(tmp)
             raise
 
-    def _remove_entry(self, relpath: str) -> bool:
-        """Unlink one entry file; the index records it at the next flush."""
-        self._index["entries"].pop(relpath, None)
-        self._unflushed += 1
-        try:
-            os.unlink(os.path.join(self.root, relpath))
-        except OSError:
-            return False
-        return True
-
-    def _enforce_budget(self, keep: str) -> None:
+    def _enforce_budget(self, keep: Path) -> None:
         """Rescan the entry files; past the budget, evict the least recent.
 
         Eviction runs down to :attr:`BUDGET_LOW_WATER` of ``max_bytes`` and
@@ -543,67 +525,19 @@ class DiskArtifactCache:
             for _, size, relpath in files:
                 if total <= low_water:
                     break
-                if relpath != keep and self._remove_entry(relpath):
+                path = self.root / relpath
+                if path != keep and _unlink(path):
                     total -= size
-            self._write_index()
         self._approx_bytes = total
 
-    def _clear_files(self) -> None:
-        for _, _, relpath in self._scan_entries():
-            try:
-                os.unlink(os.path.join(self.root, relpath))
-            except OSError:
-                pass
-        for path in self._universe_files():
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
 
-    # ---------------------------------------------------------------- index
-
-    def _load_index(self) -> Dict[str, Any]:
-        try:
-            index = json.loads(self._index_path.read_text(encoding="utf-8"))
-            if not isinstance(index, dict):
-                raise ValueError("index is not an object")
-            entries = index.get("entries", {})
-            # A torn or concurrently-rewritten index can be valid JSON of
-            # the wrong shape; treat it exactly like unparsable bytes.
-            if not isinstance(entries, dict) or any(
-                not isinstance(entry, dict) for entry in entries.values()
-            ):
-                raise ValueError("index entries are malformed")
-        except (OSError, ValueError, TypeError):
-            # Missing or corrupt index: rebuild it from the entry files — the
-            # entries themselves are self-describing and stay servable.
-            index = self._rebuild_index()
-            self._index = index
-            self._write_index()
-            return index
-        if index.get("version") != FORMAT_VERSION:
-            # A different format version wrote this cache: evict wholesale.
-            self._clear_files()
-            index = {"version": FORMAT_VERSION, "entries": {}}
-            self._index = index
-            self._write_index()
-            return index
-        index.setdefault("entries", {})
-        return index
-
-    def _rebuild_index(self) -> Dict[str, Any]:
-        entries: Dict[str, Any] = {}
-        for _, size, relpath in self._scan_entries():
-            entries[relpath] = {"stage": os.path.dirname(relpath), "bytes": size}
-        return {"version": FORMAT_VERSION, "entries": entries}
-
-    def _write_index(self) -> None:
-        self._unflushed = 0
-        blob = json.dumps(self._index, indent=2, sort_keys=True).encode("utf-8")
-        try:
-            self._atomic_write(self._index_path, blob)
-        except OSError:
-            pass  # metadata only; entries remain self-describing
+def _unlink(path: "str | os.PathLike[str]") -> bool:
+    """Remove one file of the store; False when it was already gone."""
+    try:
+        os.unlink(path)
+    except OSError:
+        return False
+    return True
 
 
 class TieredArtifactCache:

@@ -17,10 +17,11 @@ process.  The supervisor's contract is the server's fault model:
 Workers are spawned (not forked): the server runs the pool from a threaded
 asyncio process, where forking is unsafe, and a spawn also guarantees each
 worker arms its own :mod:`repro.pipeline.faults` plan deterministically.
-Each worker builds one :class:`repro.workspace.Workspace` over the shared
-``cache_dir`` disk tier (its in-memory tier is per-worker), so all workers
-serve warm artifacts out of one store — the same layering the batch driver
-uses.
+Each worker builds one :class:`repro.workspace.Workspace` from the server
+workspace's :meth:`~repro.workspace.Workspace.worker_configuration`: its
+in-memory tier is per-worker, layered over the shared ``cache_dir`` disk
+tier when there is one, so all workers serve warm artifacts out of one
+store — the same workspace a batch pool worker builds.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ class PoolResult:
 
 def _worker_main(
     conn: Any,
-    cache_dir: Optional[str],
-    no_cache: bool,
+    configuration: Dict[str, Any],
     fault_plan: Optional[FaultPlan],
 ) -> None:
     """One worker: build a workspace once, answer requests until EOF.
@@ -73,14 +73,11 @@ def _worker_main(
     """
     # Imported here: the worker entry point must be importable by the spawn
     # machinery without dragging the whole toolchain in at module level.
-    from repro.pipeline.cache import open_cache
     from repro.pipeline.serve import execute_request
     from repro.workspace import Workspace
 
     injector = FaultInjector(fault_plan) if fault_plan is not None else FaultInjector.from_env()
-    cache = None if no_cache else open_cache(cache_dir)
-    cache = injector.wrap_cache(cache)
-    workspace = Workspace(cache=cache)
+    workspace = Workspace(**configuration)
 
     while True:
         try:
@@ -118,13 +115,12 @@ class WorkerHandle:
     def __init__(
         self,
         index: int,
-        cache_dir: Optional[str],
-        no_cache: bool,
+        configuration: Dict[str, Any],
         fault_plan: Optional[FaultPlan],
     ):
         self.index = index
         self.restarts = 0
-        self._spec = (cache_dir, no_cache, fault_plan)
+        self._spec = (configuration, fault_plan)
         self._process: Optional[Any] = None
         self._conn: Optional[Any] = None
         self._spawn()
@@ -210,16 +206,18 @@ class WorkerPool:
     Callers (the server's executor threads) check a handle out, run exactly
     one request on it, and check it back in — :meth:`run` does all three and
     translates worker faults into :class:`PoolResult` fields instead of
-    exceptions.  ``timeout`` is the per-request wall-clock budget; ``None``
-    waits forever (no recycling on slow requests).
+    exceptions.  ``configuration`` is the keyword arguments every worker
+    builds its :class:`~repro.workspace.Workspace` from (a workspace's
+    :meth:`~repro.workspace.Workspace.worker_configuration`).  ``timeout``
+    is the per-request wall-clock budget; ``None`` waits forever (no
+    recycling on slow requests).
     """
 
     def __init__(
         self,
         size: int,
         *,
-        cache_dir: Optional[str] = None,
-        no_cache: bool = False,
+        configuration: Dict[str, Any],
         timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
     ):
@@ -228,7 +226,7 @@ class WorkerPool:
         self.size = size
         self.timeout = timeout
         self._handles = [
-            WorkerHandle(index, cache_dir, no_cache, fault_plan)
+            WorkerHandle(index, configuration, fault_plan)
             for index in range(size)
         ]
         self._free: "queue.Queue[WorkerHandle]" = queue.Queue()

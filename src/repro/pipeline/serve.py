@@ -26,9 +26,8 @@ analysis itself runs in one of two modes:
       response (the ``dedup_hits`` counter counts the coalesced requests).
 
 **inline mode** (``workers=None``, the embedding/test default)
-    Analysis runs synchronously on the event loop, serialising requests —
-    the PR-4/PR-5 behaviour, kept for tests and callers that hand the server
-    a concrete in-memory cache object.
+    Analysis runs synchronously on the event loop, serialising requests, on
+    the server's own workspace and its cache.
 
 Malformed, oversized (``413``) or non-JSON bodies are rejected on the event
 loop with structured ``4xx`` documents and never touch a worker; a client
@@ -65,7 +64,7 @@ import json
 import signal
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.pipeline.cache import source_digest
@@ -229,19 +228,19 @@ class AnalysisServer:
     """The request handlers plus the shared state of one server.
 
     ``workspace`` supplies the session state (cache, policy registry); when
-    omitted one is built around ``cache``.  ``workers`` switches on pool
-    mode (see the module docstring); ``timeout`` is the per-request
-    wall-clock budget in pool mode; ``queue_depth`` bounds admission;
-    ``faults`` arms deterministic fault injection in this server and its
-    workers.  ``self.pipeline`` aliases the workspace's pipeline, so tests
-    can keep instrumenting the inline path directly.
+    omitted a default in-memory :class:`~repro.workspace.Workspace` is
+    built.  Its cache is the server's cache: inline mode runs on it, and
+    pool mode hands its :meth:`~repro.workspace.Workspace.worker_configuration`
+    to every worker.  ``workers`` switches on pool mode (see the module
+    docstring); ``timeout`` is the per-request wall-clock budget in pool
+    mode; ``queue_depth`` bounds admission; ``faults`` arms deterministic
+    fault injection in this server and its workers.
     """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 8765,
-        cache: Optional[Any] = None,
         workspace: Optional[Any] = None,
         *,
         workers: Optional[int] = None,
@@ -255,14 +254,12 @@ class AnalysisServer:
         from repro.workspace import Workspace
 
         if workspace is None:
-            workspace = Workspace(cache=cache)
+            workspace = Workspace()
         if queue_depth < 1:
             raise ValueError("queue_depth must be positive")
         self.workspace = workspace
         self.host = host
         self.port = port
-        self.cache = workspace.cache
-        self.pipeline = workspace.pipeline
         self.workers = workers
         self.timeout = timeout
         self.queue_depth = queue_depth
@@ -288,13 +285,6 @@ class AnalysisServer:
         self._request_latency = _Histogram()
         self._stage_latency: Dict[str, _Histogram] = {}
         self._worker_meta: Dict[int, Dict[str, Any]] = {}
-        if self._injector is not None and not self._pool_mode:
-            # Inline mode applies cache corruption to its own cache tier
-            # (pool mode ships the plan to the workers instead).
-            wrapped = self._injector.wrap_cache(self.workspace.cache)
-            self.workspace.cache = wrapped
-            self.workspace.pipeline.cache = wrapped
-            self.cache = wrapped
 
     @property
     def _pool_mode(self) -> bool:
@@ -309,9 +299,9 @@ class AnalysisServer:
 
             self._pool = WorkerPool(
                 self.workers,
+                configuration=self.workspace.worker_configuration(),
                 timeout=self.timeout,
                 fault_plan=self.faults,
-                **self.workspace.worker_configuration(),
             )
             self._executor = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="vhdl-ifa-dispatch"
@@ -754,8 +744,8 @@ class AnalysisServer:
             "requests": dict(sorted(self.request_counts.items())),
             "policies": sorted(self.workspace.policies),
         }
-        if self.cache is not None:
-            document["cache"] = self.cache.stats()
+        if self.workspace.cache is not None:
+            document["cache"] = self.workspace.cache.stats()
         return stamped(document)
 
     def _healthz(self) -> Tuple[int, Dict[str, Any]]:
@@ -787,8 +777,8 @@ class AnalysisServer:
         if self._pool is not None:
             document["workers"] = self._pool.stats()
             document["cache"] = self._aggregate_worker_cache()
-        elif self.cache is not None:
-            stats = self.cache.stats()
+        elif self.workspace.cache is not None:
+            stats = self.workspace.cache.stats()
             document["cache"] = self._with_hit_ratio(
                 {"hits": stats.get("hits", 0), "misses": stats.get("misses", 0)}
             )
@@ -837,7 +827,8 @@ class ServerThread:
 
     The context-manager form the tests and benchmarks use::
 
-        with ServerThread(AnalysisServer(port=0, cache=...)) as server:
+        workspace = Workspace(cache_dir=".ifa-cache")
+        with ServerThread(AnalysisServer(port=0, workspace=workspace)) as server:
             ...  # server.port is the bound port
 
     The event loop lives on the thread; ``__exit__`` stops it and joins
@@ -879,7 +870,6 @@ class ServerThread:
 def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
-    cache: Optional[Any] = None,
     announce=None,
     workspace: Optional[Any] = None,
     *,
@@ -893,7 +883,8 @@ def serve(
 
     ``announce`` is called with the bound URL once the server is listening
     (the CLI prints it to stderr); port 0 binds an ephemeral port.
-    ``workspace`` supplies a pre-configured session (cache, named policies).
+    ``workspace`` supplies a pre-configured session (cache, named policies);
+    without one the server builds a default in-memory workspace.
     ``SIGTERM`` and ``SIGINT`` trigger a graceful drain: the listener closes
     immediately, in-flight requests get up to ``drain_grace`` seconds to
     finish, then the worker pool stops.
@@ -901,7 +892,6 @@ def serve(
     server = AnalysisServer(
         host=host,
         port=port,
-        cache=cache,
         workspace=workspace,
         workers=workers,
         timeout=timeout,

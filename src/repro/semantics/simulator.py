@@ -69,10 +69,6 @@ class SimulationTrace:
         """Append a snapshot of present values."""
         self.entries.append(snapshot)
 
-    def history_of(self, signal: str) -> List[Value]:
-        """Values taken by ``signal`` across the recorded delta cycles."""
-        return [entry[signal] for entry in self.entries if signal in entry]
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -535,7 +535,6 @@ def free_variables_stmt(statements: Sequence[Statement]) -> Set[str]:
         if isinstance(stmt, VariableAssign):
             result.add(stmt.target)
             result |= free_variables_expr(stmt.value)
-            result |= free_signals_free_check(stmt.value, want_vars=True)
         elif isinstance(stmt, SignalAssign):
             result |= free_variables_expr(stmt.value)
         elif isinstance(stmt, Wait):
@@ -543,18 +542,6 @@ def free_variables_stmt(statements: Sequence[Statement]) -> Set[str]:
         elif isinstance(stmt, (If, While)):
             result |= free_variables_expr(stmt.condition)
     return result
-
-
-def free_signals_free_check(expr: Optional[Expression], want_vars: bool) -> Set[str]:
-    """Helper kept for symmetry; returns the empty set.
-
-    Name-kind resolution happens during elaboration, so expressions walked
-    before elaboration may contain :data:`NameKind.UNKNOWN` references.  The
-    analyses only ever run on elaborated designs, where every reference is
-    resolved, so unknown names never contribute here.
-    """
-    del expr, want_vars
-    return set()
 
 
 def free_signals_stmt(statements: Sequence[Statement]) -> Set[str]:
@@ -574,15 +561,6 @@ def free_signals_stmt(statements: Sequence[Statement]) -> Set[str]:
     return result
 
 
-def written_variables(statements: Sequence[Statement]) -> Set[str]:
-    """Variables appearing on the left-hand side of ``:=`` in the list."""
-    return {
-        stmt.target
-        for stmt in _walk_statements(statements)
-        if isinstance(stmt, VariableAssign)
-    }
-
-
 def written_signals(statements: Sequence[Statement]) -> Set[str]:
     """Signals appearing on the left-hand side of ``<=`` in the list."""
     return {
@@ -590,11 +568,6 @@ def written_signals(statements: Sequence[Statement]) -> Set[str]:
         for stmt in _walk_statements(statements)
         if isinstance(stmt, SignalAssign)
     }
-
-
-def statement_count(statements: Sequence[Statement]) -> int:
-    """Total number of statements including nested ones (used in reports)."""
-    return sum(1 for _ in _walk_statements(statements))
 
 
 Node = Union[

@@ -167,10 +167,6 @@ class Design:
             names.extend(proc.variables)
         return names
 
-    def resource_names(self) -> List[str]:
-        """All resources of the design: signals then variables."""
-        return list(self.signals) + self.variable_names()
-
 
 # ---------------------------------------------------------------------------
 # Normalisation of `to` ranges

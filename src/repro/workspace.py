@@ -394,8 +394,8 @@ class Workspace:
         Paths are expanded to jobs (one per entity with ``all_entities``)
         and run on this workspace (:func:`~repro.pipeline.batch.run_batch`):
         sequential runs on its pipeline and cache, parallel runs on a
-        process pool whose workers each rebuild its cache configuration
-        (:meth:`worker_configuration`), layering a per-worker memory tier
+        process pool whose workers each build a workspace from
+        :meth:`worker_configuration`, layering a per-worker memory tier
         over the ``cache_dir`` disk store.
         ``policy`` turns the batch into a policy check over every job.
         ``lint=True`` (or a :class:`LintConfig`) adds a per-job lint section;
@@ -441,15 +441,18 @@ class Workspace:
         )
 
     def worker_configuration(self) -> Dict[str, Any]:
-        """The cache spec worker processes rebuild this session's tiers from.
+        """The keyword arguments a worker process builds its workspace from.
 
         Caches hold live pickles and open file handles, so they never cross
-        a process boundary; what does cross is this pair — the shared disk
-        root (if any) and whether caching is off — from which every batch
-        pool worker and every serve pool worker layers its own in-memory
-        tier over the workspace's persistent store.
+        a process boundary; this mapping does.  Every batch pool worker and
+        every serve pool worker calls ``Workspace(**configuration)``: with
+        caching off that is ``{"cache": None}``, else ``{"cache_dir": ...}``,
+        so each worker layers its own in-memory tier over the workspace's
+        persistent store (if any).
         """
-        return {"cache_dir": self.cache_dir, "no_cache": self.cache is None}
+        if self.cache is None:
+            return {"cache": None}
+        return {"cache_dir": self.cache_dir}
 
     # ---------------------------------------------------------------- stats
 

@@ -2,6 +2,7 @@
 
 import errno
 import gc
+import io
 import json
 import multiprocessing
 import os
@@ -116,6 +117,9 @@ class TestCorruptionIsEvictedNotRaised:
             if path.parent.name != "universes"
         ]
 
+    def _universe_files(self, cache_dir):
+        return sorted((Path(cache_dir) / "universes").glob("*.pkl"))
+
     def test_truncated_entries_are_evicted(self, cache_dir):
         source = workloads.challenge_f_program()
         _populate(cache_dir, source)
@@ -149,57 +153,32 @@ class TestCorruptionIsEvictedNotRaised:
         assert not warm.cached_stages
         assert warm.result.summary() == cold.result.summary()
 
-    def test_stale_index_version_evicts_the_whole_cache(self, cache_dir):
-        source = workloads.challenge_f_program()
-        _populate(cache_dir, source)
-        index_path = Path(cache_dir) / "index.json"
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-        index["version"] = FORMAT_VERSION + 1
-        index_path.write_text(json.dumps(index), encoding="utf-8")
-        disk = DiskArtifactCache(cache_dir)
-        assert len(disk) == 0
-        assert json.loads(index_path.read_text())["version"] == FORMAT_VERSION
-
-    def test_corrupt_index_is_rebuilt_and_entries_stay_servable(self, cache_dir):
-        source = workloads.challenge_f_program()
-        _populate(cache_dir, source)
-        (Path(cache_dir) / "index.json").write_text("{not json", encoding="utf-8")
-        warm = _fresh_run(cache_dir, source)
-        assert warm.cached_stages == WARM_STAGE_NAMES
-        index = json.loads((Path(cache_dir) / "index.json").read_text())
-        assert index["version"] == FORMAT_VERSION
-
     @pytest.mark.parametrize(
-        "torn_entries",
-        [42, ["a", "b"], "entries-as-text", {"some/entry.pkl": "not-a-dict"}],
-        ids=["int", "list", "string", "non-dict-values"],
+        "text",
+        [
+            "{not json",
+            json.dumps(42),
+            json.dumps({"version": FORMAT_VERSION, "entries": ["a", "b"]}),
+            json.dumps({"version": FORMAT_VERSION, "entries": {"x/y.pkl": "z"}}),
+            json.dumps({"version": FORMAT_VERSION + 1, "entries": {}}),
+        ],
+        ids=["unparsable", "int", "list-entries", "non-dict-values", "stale-version"],
     )
-    def test_torn_index_shapes_are_rebuilt_not_raised(self, cache_dir, torn_entries):
-        # A concurrently-rewritten index can be valid JSON of the wrong
-        # shape; that must behave exactly like unparsable bytes: rebuild
-        # from the entry files, keep every entry servable.
+    def test_a_stray_index_json_is_ignored(self, cache_dir, text):
+        # Older builds kept an index.json next to the entries; whatever it
+        # holds, the store is its files: entries stay servable and writable.
         source = workloads.challenge_f_program()
         _populate(cache_dir, source)
         index_path = Path(cache_dir) / "index.json"
-        index_path.write_text(
-            json.dumps({"version": FORMAT_VERSION, "entries": torn_entries}),
-            encoding="utf-8",
+        index_path.write_text(text, encoding="utf-8")
+        assert _fresh_run(cache_dir, source).cached_stages == WARM_STAGE_NAMES
+        other = workloads.producer_consumer_program()
+        assert _fresh_run(cache_dir, other).cached_stages == []
+        assert _fresh_run(cache_dir, other).cached_stages == WARM_STAGE_NAMES
+        assert DiskArtifactCache(cache_dir).stats()["entries"] == 2 * len(
+            ANALYSIS_STAGE_NAMES
         )
-        warm = _fresh_run(cache_dir, source)
-        assert warm.cached_stages == WARM_STAGE_NAMES
-        rebuilt = json.loads(index_path.read_text(encoding="utf-8"))
-        assert isinstance(rebuilt["entries"], dict)
-        assert all(isinstance(entry, dict) for entry in rebuilt["entries"].values())
-
-    def test_torn_index_still_accepts_new_puts(self, cache_dir):
-        _populate(cache_dir, workloads.challenge_f_program())
-        index_path = Path(cache_dir) / "index.json"
-        index_path.write_text(
-            json.dumps({"version": FORMAT_VERSION, "entries": 7}), encoding="utf-8"
-        )
-        # The store must come up writable, not just readable.
-        run = _fresh_run(cache_dir, workloads.producer_consumer_program())
-        assert run.result.summary()
+        assert index_path.read_text(encoding="utf-8") == text
 
     def test_missing_universe_snapshot_is_a_miss(self, cache_dir):
         source = workloads.producer_consumer_program()
@@ -215,6 +194,41 @@ class TestCorruptionIsEvictedNotRaised:
         ]
         assert warm.computed_stages == ["local", "closure"]
         assert warm.result.rm_local.universe is warm.result.universe
+
+    def test_torn_universe_snapshots_are_evicted_and_rewritten(self, cache_dir):
+        source = workloads.producer_consumer_program()
+        cold = _populate(cache_dir, source)
+        for path in self._universe_files(cache_dir):
+            path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 3])
+        torn = _fresh_run(cache_dir, source)
+        # Only the stages whose entries adopt a torn snapshot recompute...
+        assert torn.computed_stages == ["local", "closure"]
+        assert torn.result.summary() == cold.result.summary()
+        # ...and their puts write the evicted snapshots again.
+        assert _fresh_run(cache_dir, source).cached_stages == WARM_STAGE_NAMES
+
+    def test_a_format_bump_never_serves_a_stale_file(self, cache_dir):
+        source = workloads.producer_consumer_program()
+        cold = _populate(cache_dir, source)
+        for path in self._entry_files(cache_dir):
+            tag, _version, key, lengths, payload = pickle.loads(path.read_bytes())
+            path.write_bytes(
+                pickle.dumps((tag, FORMAT_VERSION + 1, key, lengths, payload))
+            )
+        for path in self._universe_files(cache_dir):
+            tag, _version, uid, facts = pickle.loads(path.read_bytes())
+            path.write_bytes(pickle.dumps((tag, FORMAT_VERSION + 1, uid, facts)))
+        runs = [_fresh_run(cache_dir, source) for _ in range(3)]
+        for run in runs:
+            assert run.result.summary() == cold.result.summary()
+            assert run.result.graph.to_adjacency() == cold.result.graph.to_adjacency()
+        # Stale entries are evicted when read; a fresh entry that references
+        # a stale snapshot evicts the snapshot, and the recompute re-saves it.
+        assert runs[0].cached_stages == []
+        assert runs[1].computed_stages == ["local", "closure"]
+        assert runs[2].cached_stages == WARM_STAGE_NAMES
+        for path in self._entry_files(cache_dir) + self._universe_files(cache_dir):
+            assert pickle.loads(path.read_bytes())[1] == FORMAT_VERSION
 
 
 class TestEvictionAndStats:
@@ -263,6 +277,38 @@ def _entry_bytes(root):
 
 class TestOperationCosts:
     """What each operation touches, pinned as counts rather than timings."""
+
+    def test_open_reads_no_file(self, cache_dir, monkeypatch):
+        _populate(cache_dir, workloads.challenge_f_program())
+        reads = []
+
+        def counting(function):
+            def wrapper(*args, **kwargs):
+                reads.append(args[0] if args else None)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Path, "read_bytes", counting(Path.read_bytes))
+        monkeypatch.setattr(Path, "read_text", counting(Path.read_text))
+        monkeypatch.setattr(io, "open", counting(io.open))
+        DiskArtifactCache(cache_dir)
+        open_cache(cache_dir)
+        assert reads == []
+
+    def test_puts_leave_only_stage_directories_and_snapshots(self, tmp_path):
+        root = tmp_path / "c"
+        disk = DiskArtifactCache(root)
+        universe = FactUniverse(["a"])
+        for index in range(200):
+            if index % 2:
+                universe.intern(f"fact{index}")  # a new snapshot per put
+                disk.put(f"local:{index}", _Artefact(universe, [index]))
+            else:
+                disk.put(f"parse:{index}", {"index": index})
+        children = sorted(root.iterdir())
+        assert [child.name for child in children] == ["local", "parse", "universes"]
+        assert all(child.is_dir() for child in children)
 
     def test_open_and_get_neither_list_nor_stat_the_store(self, cache_dir, monkeypatch):
         source = workloads.challenge_f_program()
@@ -444,10 +490,7 @@ class TestConcurrentWriters:
         for process in workers:
             process.join(timeout=120)
         assert outcomes == [None, None]
-        # the index is intact JSON with the current version...
-        index = json.loads((Path(cache_dir) / "index.json").read_text())
-        assert index["version"] == FORMAT_VERSION
-        # ...and every surviving entry from both writers is servable
+        # every entry from both writers is servable
         disk = DiskArtifactCache(cache_dir)
         served = 0
         for worker in range(2):

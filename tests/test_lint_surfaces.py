@@ -70,7 +70,9 @@ def _lint_body(document_text):
 @pytest.fixture(scope="module")
 def server():
     with ServerThread(
-        AnalysisServer(port=0, cache=TieredArtifactCache(ArtifactCache()))
+        AnalysisServer(
+            port=0, workspace=Workspace(cache=TieredArtifactCache(ArtifactCache()))
+        )
     ) as running:
         yield running
 

@@ -3,6 +3,7 @@
 from repro.analysis.local_deps import local_dependencies, local_resource_matrix
 from repro.analysis.resource_matrix import Access, Entry
 from repro.cfg.builder import build_cfg
+from repro.cfg.labels import BlockKind
 from repro.vhdl.elaborate import elaborate_source
 from repro import workloads
 
@@ -98,7 +99,8 @@ class TestImplicitFlows:
         guard_labels = {
             label
             for label, block in process.blocks.items()
-            if block.is_guard and label in process.body_labels
+            if block.kind in (BlockKind.IF_GUARD, BlockKind.WHILE_GUARD)
+            and label in process.body_labels
         }
         assert guard_labels
         for label in guard_labels:

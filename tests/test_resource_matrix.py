@@ -63,11 +63,9 @@ class TestResourceMatrix:
         assert matrix.names() == {"a", "b", "s"}
         assert {e.name for e in matrix.at_label(1)} == {"a", "b"}
         assert [e.name for e in matrix.reads_at(1)] == ["a"]
-        assert [e.name for e in matrix.modifications_at(1)] == ["b"]
 
     def test_access_queries(self):
         matrix = self._matrix()
-        assert {e.name for e in matrix.with_access(Access.M1)} == {"s"}
         assert [e.label for e in matrix.reads_of("a")] == [1]
         assert matrix.reads_of("s", Access.R1)[0].label == 3
 
@@ -85,11 +83,6 @@ class TestResourceMatrix:
         clone.add("new", 7, Access.R0)
         assert len(matrix) == 4
         assert len(clone) == 5
-
-    def test_index_by_label(self):
-        grouped = self._matrix().index_by_label()
-        assert set(grouped) == {1, 2, 3}
-        assert len(grouped[1]) == 2
 
     def test_equality_and_entries(self):
         assert self._matrix() == self._matrix()

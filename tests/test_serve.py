@@ -24,6 +24,7 @@ from repro.pipeline import (
     json_text,
 )
 from repro.pipeline.serve import ROUTES
+from repro.workspace import Workspace
 
 VOLATILE_FIELDS = ("timings", "cached_stages")
 # A fully cached run reads every analysis stage but the parse.
@@ -49,7 +50,9 @@ def _normalised(document_text):
 @pytest.fixture(scope="module")
 def server():
     with ServerThread(
-        AnalysisServer(port=0, cache=TieredArtifactCache(ArtifactCache()))
+        AnalysisServer(
+            port=0, workspace=Workspace(cache=TieredArtifactCache(ArtifactCache()))
+        )
     ) as running:
         yield running
 
@@ -120,7 +123,10 @@ class TestPayloadIdentity:
 class TestWarmCacheAcrossRequests:
     def test_second_identical_request_is_served_from_cache(self, workload_files):
         with ServerThread(
-            AnalysisServer(port=0, cache=TieredArtifactCache(ArtifactCache()))
+            AnalysisServer(
+                port=0,
+                workspace=Workspace(cache=TieredArtifactCache(ArtifactCache())),
+            )
         ) as warm_server:
             path = workload_files[0]
             _, cold = _request(warm_server.port, "POST", "/analyze", {"file": path})
@@ -208,7 +214,7 @@ class TestRobustnessFixes:
         def boom(*args, **kwargs):
             raise RuntimeError("kaboom")
 
-        monkeypatch.setattr(server.pipeline, "run", boom)
+        monkeypatch.setattr(server.workspace.pipeline, "run", boom)
         status, document = server._dispatch(
             "POST", "/analyze", json.dumps({"source": "x"}).encode()
         )

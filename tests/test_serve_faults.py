@@ -5,11 +5,11 @@ with a deterministically injected worker hang, the request times out with a
 structured 5xx while concurrent requests on other workers still return
 byte-identical ``vhdl-ifa/v1`` responses; a killed worker is recycled and
 serves subsequent requests; over-capacity requests are shed with ``429`` +
-``Retry-After``; identical concurrent requests are single-flighted; corrupt
+``Retry-After``; identical concurrent requests are single-flighted; torn
 cache entries are recovered from, not served; and ``GET /metrics`` reflects
-every one of those events.  All faults are injected via
-:mod:`repro.pipeline.faults` — nothing here depends on timing luck to make
-a worker misbehave.
+every one of those events.  Worker faults are injected via
+:mod:`repro.pipeline.faults` and torn entries are torn on disk by the test
+itself — nothing here depends on timing luck to make a worker misbehave.
 """
 
 import json
@@ -80,8 +80,7 @@ class TestWorkerTimeoutRecycling:
                 workers=2,
                 timeout=2.0,
                 faults=plan,
-                cache=None,
-                workspace=None,
+                workspace=Workspace(cache=None),
             )
         ) as server:
             outcomes = {}
@@ -257,28 +256,34 @@ class TestCorruptCacheRecovery:
     """Torn cache entries under serve are evicted and recomputed, not served."""
 
     def test_corrupt_entries_recompute_byte_identical(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
+        cache_dir = tmp_path / "cache"
         design = tmp_path / "design.vhd"
         design.write_text(workloads.producer_consumer_program(), encoding="utf-8")
-        # Populate the shared disk tier with a clean cold run.
+        # Populate the shared disk tier with a clean cold run...
         warm_cache = TieredArtifactCache(
             ArtifactCache(), DiskArtifactCache(cache_dir)
         )
         Pipeline(warm_cache).run(design.read_text(encoding="utf-8"))
+        # ...then tear every entry mid-pickle: the classic torn write.
+        entries = [
+            path
+            for path in cache_dir.glob("*/*.pkl")
+            if path.parent.name != "universes"
+        ]
+        assert entries
+        for path in entries:
+            blob = path.read_bytes()
+            path.write_bytes(blob[: max(1, len(blob) // 3)])
 
-        from repro.workspace import Workspace
-
-        plan = FaultPlan(corrupt_cache_reads=True)
-        workspace = Workspace(cache_dir=cache_dir)
+        workspace = Workspace(cache_dir=str(cache_dir))
         with ServerThread(
-            AnalysisServer(
-                port=0, workspace=workspace, workers=1, timeout=60.0, faults=plan
-            )
+            AnalysisServer(port=0, workspace=workspace, workers=1, timeout=60.0)
         ) as server:
             status, served, _ = _request(
                 server.port, "POST", "/analyze", {"file": str(design)}
             )
             assert status == 200
+            assert json.loads(served)["cached_stages"] == []  # none served torn
             assert main(["analyze", str(design), "--json"]) == 0
             printed = capsys.readouterr().out
             assert _normalised(served) == _normalised(printed)
@@ -380,7 +385,9 @@ class TestHealthAndDrain:
         import asyncio
 
         async def scenario():
-            server = AnalysisServer(port=0, cache=ArtifactCache())
+            server = AnalysisServer(
+                port=0, workspace=Workspace(cache=ArtifactCache())
+            )
             await server.start()
             port = server.port
             await server.drain(grace=1.0)
@@ -456,9 +463,9 @@ class TestFaultPlanEnv:
         assert FaultPlan.from_env({}) is None
 
     def test_injector_match_and_once_semantics(self):
-        injector = FaultInjector(FaultPlan(delay_seconds=0.0, crash=False,
-                                           corrupt_cache_reads=True,
-                                           match="needle", once=True))
+        injector = FaultInjector(
+            FaultPlan(delay_seconds=0.01, match="needle", once=True)
+        )
         assert not injector._triggers("haystack")
         assert injector._triggers("a needle here")
         assert injector.fired == 1

@@ -188,6 +188,17 @@ class TestSharedDiskCache:
         assert second.cached_stages == WARM_STAGE_NAMES
         assert _doc(first) == _doc(second)
 
+    def test_a_worker_workspace_is_built_from_the_configuration(self, source, tmp_path):
+        # What a batch or serve pool worker does with the mapping it is sent.
+        session = Workspace(cache_dir=str(tmp_path / "cache"))
+        session.analyze_run(source)
+        worker = Workspace(**session.worker_configuration())
+        assert worker.cache is not session.cache
+        assert worker.analyze_run(source).cached_stages == WARM_STAGE_NAMES
+        in_memory = Workspace(**Workspace().worker_configuration())
+        assert in_memory.cache is not None and in_memory.cache_dir is None
+        assert Workspace(**Workspace(cache=None).worker_configuration()).cache is None
+
     def test_concurrent_workspaces_share_one_dir_safely(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         sources = [
