@@ -22,11 +22,18 @@ check: lint
 # The vhdl-ifa/v1 contract gate: replay the committed interaction corpus
 # (tests/contract/pacts), the v1 spec, against a live inline server, a
 # live pool server (workers=2) and the JSON CLI.  Additive drift logs and
-# passes; breaking drift fails with a field-level JSON-pointer diff.
+# passes; breaking drift fails with a field-level JSON-pointer diff.  Then
+# re-record a scratch copy of the corpus from its own stimuli and diff it
+# against the committed files: the corpus must be a fixed point of
+# `contract record` (ids, matchers, schema and documents, byte for byte).
 # Re-record after an intentional contract change with:
 #   PYTHONPATH=src $(PYTHON) -m repro.cli contract record
 contracts:
 	PYTHONPATH=src $(PYTHON) -m repro.cli contract verify
+	scratch=$$(mktemp -d); cp -R tests/contract/pacts "$$scratch/pacts" && \
+		PYTHONPATH=src $(PYTHON) -m repro.cli contract record --pacts "$$scratch/pacts" && \
+		diff -r tests/contract/pacts "$$scratch/pacts"; \
+		status=$$?; rm -rf "$$scratch"; exit $$status
 
 # Repo invariant gate (scripts/check_invariants.py: five invariants checked
 # by a stdlib AST lint) plus the mypy typed-core gate on repro.analysis.lint.

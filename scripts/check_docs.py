@@ -245,8 +245,8 @@ def check_document_kinds() -> list[str]:
     pacts = sorted((REPO_ROOT / "tests" / "contract" / "pacts").glob("*.json"))
     if not pacts:
         return [
-            "tests/contract/pacts: no recorded interactions; record the "
-            "corpus with: PYTHONPATH=src python -m repro.cli contract record"
+            "tests/contract/pacts: no recorded interactions; restore the "
+            "corpus (vhdl-ifa contract record re-records an existing one)"
         ]
     recorded = set()
     for path in pacts:

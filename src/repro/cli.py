@@ -71,7 +71,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ReproError, nesting_limit
 from repro.hier.flatten import flatten_source
 from repro.hier.structure import has_instantiations
 from repro.pipeline.cache import DiskArtifactCache
@@ -173,9 +173,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # The flattening oracle: analyse a hierarchical design's flattened
         # program instead of linking its entity summaries (byte-identical
         # documents; see docs/hierarchy.md).
-        program = parse_program(source)
-        if has_instantiations(program):
-            source = flatten_source(program, args.entity)
+        with nesting_limit("analyze --flatten"):
+            program = parse_program(source)
+            if has_instantiations(program):
+                source = flatten_source(program, args.entity)
     run = _workspace(args).analyze_run(
         source, profile=profiling, **_analysis_opts(args)
     )
@@ -304,22 +305,25 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    design = elaborate(parse_program(_read_source(args.file)), args.entity)
-    simulator = Simulator(design)
-    # Validate the complete stimulus set before the first simulation step: a
-    # malformed or unknown --set must fail fast, not after a full run.
-    settings = []
-    for setting in args.set or []:
-        if "=" not in setting:
-            raise ReproError(f"--set expects PORT=VALUE, got {setting!r}")
-        name, value = setting.split("=", 1)
-        name, value = name.strip(), value.strip()
-        simulator.validate_drive(name, value)
-        settings.append((name, value))
-    simulator.run(args.max_deltas)
-    for name, value in settings:
-        simulator.drive(name, value)
-    simulator.run(args.max_deltas)
+    source = _read_source(args.file)
+    # Simulation runs outside the pipeline, so it guards its own recursion.
+    with nesting_limit("vhdl-ifa simulate"):
+        simulator = Simulator(elaborate(parse_program(source), args.entity))
+        # Validate the complete stimulus set before the first simulation
+        # step: a malformed or unknown --set must fail fast, not after a
+        # full run.
+        settings = []
+        for setting in args.set or []:
+            if "=" not in setting:
+                raise ReproError(f"--set expects PORT=VALUE, got {setting!r}")
+            name, value = setting.split("=", 1)
+            name, value = name.strip(), value.strip()
+            simulator.validate_drive(name, value)
+            settings.append((name, value))
+        simulator.run(args.max_deltas)
+        for name, value in settings:
+            simulator.drive(name, value)
+        simulator.run(args.max_deltas)
     print(f"delta cycles: {simulator.delta_cycles}")
     for name, value in sorted(simulator.signal_snapshot().items()):
         print(f"  {name} = {value_to_string(value)}")
@@ -382,16 +386,17 @@ def _cmd_contract(args: argparse.Namespace) -> int:
     from repro.contract import Corpus, record_corpus, verify_corpus
 
     pacts = Path(args.pacts)
-    if args.contract_command == "record":
-        corpus = record_corpus(log=lambda line: print(line, file=sys.stderr))
-        written = corpus.save(pacts)
-        print(f"recorded {len(written)} interaction(s) into {pacts}")
-        return EXIT_OK
+    record = args.contract_command == "record"
     try:
-        corpus = Corpus.load(pacts)
+        corpus = Corpus.load_stimuli(pacts) if record else Corpus.load(pacts)
     except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_INPUT
+    if record:
+        recorded = record_corpus(corpus, log=lambda line: print(line, file=sys.stderr))
+        written = recorded.save(pacts)
+        print(f"recorded {len(written)} interaction(s) into {pacts}")
+        return EXIT_OK
     modes = ("inline", "pool") if args.mode == "both" else (args.mode,)
     failed = False
     for mode in modes:
@@ -656,13 +661,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     contract_sub = contract_p.add_subparsers(dest="contract_command", required=True)
     contract_record_p = contract_sub.add_parser(
-        "record", help="capture the interaction corpus from live surfaces"
+        "record", help="re-record every stimulus of the corpus from live surfaces"
     )
     contract_record_p.add_argument(
         "--pacts",
         default="tests/contract/pacts",
         metavar="DIR",
-        help="directory the interaction files are (re)written to",
+        help="directory whose interaction files are replayed and rewritten",
     )
     contract_record_p.set_defaults(handler=_cmd_contract)
     contract_verify_p = contract_sub.add_parser(

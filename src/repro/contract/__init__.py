@@ -4,7 +4,9 @@ The committed corpus under ``tests/contract/pacts/`` pins every serve
 endpoint (including the 4xx/5xx error paths) and the five JSON CLI
 subcommands as recorded request/response interactions, pact-style:
 volatile fields are matcher rules, everything else is literal.  The
-corpus is the v1 spec; no separate schema restates it.  The pieces:
+corpus is the v1 spec; no separate schema restates it, and no separate
+inventory restates its stimuli: recording replays the corpus's own
+requests.  The pieces:
 
 :mod:`~repro.contract.model`
     Interaction / Corpus with content-addressed ids.
@@ -14,11 +16,11 @@ corpus is the v1 spec; no separate schema restates it.  The pieces:
     Field-level diffing, classifying additive vs breaking divergences.
 :mod:`~repro.contract.profiles`
     The reproducible server environments recordings replay under.
-:mod:`~repro.contract.recorder`
-    ``vhdl-ifa contract record`` — capture the corpus from live surfaces.
 :mod:`~repro.contract.verifier`
-    ``vhdl-ifa contract verify`` — replay and enforce compatibility,
-    with ``vhdl-ifa/v2`` bump enforcement against ``GET /version``.
+    The one replay loop behind ``vhdl-ifa contract verify`` (replay and
+    enforce compatibility, with ``vhdl-ifa/v2`` bump enforcement against
+    ``GET /version``) and ``vhdl-ifa contract record`` (re-record every
+    stimulus from its live surface).
 
 See ``docs/contracts.md`` for the workflow.
 """
@@ -27,11 +29,7 @@ from .differ import ADDITIVE, BREAKING, Divergence, diff_documents
 from .matchers import is_mask, json_type, mask, normalize
 from .model import Corpus, Interaction, interaction_identity
 from .profiles import PROFILES, ServerProfile
-from .recorder import record_corpus
-from .verifier import InteractionResult, VerifyReport, verify_corpus
-
-#: Repo-relative home of the committed corpus.
-PACTS_DIR = "tests/contract/pacts"
+from .verifier import InteractionResult, VerifyReport, record_corpus, verify_corpus
 
 __all__ = [
     "ADDITIVE",
@@ -40,7 +38,6 @@ __all__ = [
     "Divergence",
     "Interaction",
     "InteractionResult",
-    "PACTS_DIR",
     "PROFILES",
     "ServerProfile",
     "VerifyReport",

@@ -145,7 +145,3 @@ def _diff(expected: Any, actual: Any, tokens: List[str], out: List[Divergence]) 
 
 def breaking(divergences: List[Divergence]) -> List[Divergence]:
     return [d for d in divergences if d.kind == BREAKING]
-
-
-def additive(divergences: List[Divergence]) -> List[Divergence]:
-    return [d for d in divergences if d.kind == ADDITIVE]

@@ -5,7 +5,7 @@ live surface — an HTTP round-trip against ``vhdl-ifa serve`` or a CLI
 ``--json`` invocation — together with the **matcher rules** that declare
 which response fields are volatile (see :mod:`repro.contract.matchers`)
 and the **server profile** the pair was recorded under (see
-:mod:`repro.contract.verifier`).  The response document is stored already
+:mod:`repro.contract.profiles`).  The response document is stored already
 normalised, so the file pins exactly what consumers may rely on.
 
 Interactions are **content-addressed**: the id is the first 12 hex chars
@@ -15,6 +15,11 @@ is a different interaction) but not when the recorded *response* drifts —
 response drift is precisely what the verifier must catch as a diff, not
 silently re-key.  :meth:`Corpus.load` re-derives every id and refuses a
 file whose name or ``id`` field disagrees with its request content.
+
+The corpus is also its own inventory: :meth:`Corpus.load_stimuli` reads
+only each file's stimulus (description, profile, request and the recorded
+status or exit code), which ``vhdl-ifa contract record`` replays and
+re-keys.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Tuple
 
 from .matchers import JSON_TYPES
 
@@ -44,6 +49,18 @@ def interaction_identity(profile: str, request: Mapping[str, Any]) -> str:
     """The content address of a stimulus: sha256 of profile + request."""
     payload = canonical_json({"profile": profile, "request": dict(request)})
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+
+def _require(payload: Mapping[str, Any], keys: Tuple[str, ...], origin: str) -> None:
+    """Refuse a file missing a stimulus member or ``keys``, or of no kind."""
+    for key in ("description", "profile", "request", "response", *keys):
+        if key not in payload:
+            raise ValueError(f"{origin}: interaction is missing the {key!r} key")
+    request = payload["request"]
+    if not isinstance(request, dict) or request.get("kind") not in (KIND_HTTP, KIND_CLI):
+        raise ValueError(
+            f"{origin}: request.kind must be {KIND_HTTP!r} or {KIND_CLI!r}"
+        )
 
 
 def _slugify(description: str) -> str:
@@ -90,6 +107,11 @@ class Interaction:
         return str(self.request.get("kind", ""))
 
     @property
+    def code_key(self) -> str:
+        """The response member holding the outcome: HTTP status or exit code."""
+        return "status" if self.kind == KIND_HTTP else "exit_code"
+
+    @property
     def file_name(self) -> str:
         return f"{_slugify(self.description)}-{self.id}.json"
 
@@ -106,14 +128,8 @@ class Interaction:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any], *, origin: str = "<memory>") -> "Interaction":
-        for key in ("id", "description", "schema", "profile", "request", "response", "matchers"):
-            if key not in payload:
-                raise ValueError(f"{origin}: interaction is missing the {key!r} key")
+        _require(payload, ("id", "schema", "matchers"), origin)
         request = payload["request"]
-        if not isinstance(request, dict) or request.get("kind") not in (KIND_HTTP, KIND_CLI):
-            raise ValueError(
-                f"{origin}: request.kind must be {KIND_HTTP!r} or {KIND_CLI!r}"
-            )
         matchers = payload["matchers"]
         if not isinstance(matchers, dict):
             raise ValueError(f"{origin}: matchers must be an object")
@@ -152,20 +168,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.interactions)
 
-    def get(self, interaction_id: str) -> Optional[Interaction]:
-        for interaction in self.interactions:
-            if interaction.id == interaction_id:
-                return interaction
-        return None
-
-    def profiles(self) -> List[str]:
-        """Profile names in first-seen order."""
-        seen: List[str] = []
-        for interaction in self.interactions:
-            if interaction.profile not in seen:
-                seen.append(interaction.profile)
-        return seen
-
     def http_paths(self) -> List[str]:
         """Every distinct HTTP request path the corpus exercises, sorted."""
         return sorted(
@@ -186,20 +188,26 @@ class Corpus:
             }
         )
 
-    @classmethod
-    def load(cls, directory: Path) -> "Corpus":
+    @staticmethod
+    def _read(directory: Path) -> Iterator[Tuple[Path, Dict[str, Any]]]:
+        """Every ``*.json`` file under ``directory``, parsed, in name order."""
         directory = Path(directory)
         if not directory.is_dir():
-            raise FileNotFoundError(
-                f"no interaction corpus at {directory} (run "
-                "'vhdl-ifa contract record' to create one)"
-            )
-        interactions: List[Interaction] = []
+            raise FileNotFoundError(f"no interaction corpus at {directory}")
         for path in sorted(directory.glob("*.json")):
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
             except (OSError, ValueError) as error:
                 raise ValueError(f"{path}: unreadable interaction file: {error}") from error
+            if not isinstance(payload, dict):
+                raise ValueError(f"{path}: an interaction file holds one JSON object")
+            yield path, payload
+
+    @classmethod
+    def load(cls, directory: Path) -> "Corpus":
+        """The recorded corpus; a hand-edited stimulus or file name fails."""
+        interactions: List[Interaction] = []
+        for path, payload in cls._read(directory):
             interaction = Interaction.from_dict(payload, origin=str(path))
             if path.name != interaction.file_name:
                 raise ValueError(
@@ -208,6 +216,40 @@ class Corpus:
                 )
             interactions.append(interaction)
         return cls(interactions=interactions)
+
+    @classmethod
+    def load_stimuli(cls, directory: Path) -> "Corpus":
+        """The stimuli of the files under ``directory``, re-keyed.
+
+        Only ``description``, ``profile``, ``request`` and the recorded
+        ``response.status`` (HTTP) or ``response.exit_code`` (CLI) are read,
+        so a file of any name holding just those is a new interaction.  The
+        id is re-derived from the stimulus; each stimulus's response holds
+        only its recorded outcome, for ``vhdl-ifa contract record`` to hold
+        the live one against.
+        """
+        stimuli: List[Interaction] = []
+        for path, payload in cls._read(directory):
+            _require(payload, (), str(path))
+            stimulus = Interaction.build(
+                description=str(payload["description"]),
+                schema="",
+                profile=str(payload["profile"]),
+                request=payload["request"],
+                response={},
+                matchers={},
+            )
+            response = payload["response"]
+            code = response.get(stimulus.code_key) if isinstance(response, dict) else None
+            if not isinstance(code, int):
+                raise ValueError(
+                    f"{path}: response.{stimulus.code_key} must be the recorded "
+                    "integer outcome"
+                )
+            stimuli.append(replace(stimulus, response={stimulus.code_key: code}))
+        if not stimuli:
+            raise ValueError(f"no interaction files under {directory}")
+        return cls(interactions=stimuli)
 
     def save(self, directory: Path) -> List[Path]:
         """Write every interaction under ``directory``, replacing *.json files."""

@@ -4,21 +4,23 @@ A recorded response is only meaningful together with the server
 configuration that produced it — a ``409`` needs a policy name already
 taken, a ``413`` needs a small body limit, a ``504`` needs an armed hang
 fault and a short budget.  A :class:`ServerProfile` pins exactly that
-configuration, and both the recorder and the verifier boot servers from
-the same table, so a recording is reproducible by construction.
+configuration, and recording and verification replay through the same
+loop over the same table (:func:`repro.contract.verifier.replay`), so a
+recording is reproducible by construction.
 
 Profiles whose ``mode`` is ``"auto"`` follow the execution mode the
-verifier asks for (inline or worker-pool) — replaying them in *both* modes
-is what exercises the repo's byte-identity invariant (CLI ``--json``,
-inline serve and pool serve emit the same documents).  Mode-pinned
-profiles (``ops-inline``/``ops-pool``, the fault profiles) always boot
-their recorded mode, because their responses mention it.
+replay asks for (inline or worker-pool; recording uses inline) —
+replaying them in *both* modes is what exercises the repo's byte-identity
+invariant (CLI ``--json``, inline serve and pool serve emit the same
+documents).  Mode-pinned profiles (``ops-inline``/``ops-pool``, the fault
+profiles) always boot their recorded mode, because their responses
+mention it.
 
-This module also hosts the shared plumbing both sides need: the HTTP
-client, deterministic workload/fixture materialisation for CLI
-interactions (argv placeholders ``@workloads/…`` / ``@fixtures/…`` resolve
-against a scratch directory, so no absolute path is ever committed), and
-the in-process CLI runner.
+This module also hosts the plumbing that loop needs: the HTTP client,
+deterministic workload/fixture materialisation for CLI interactions (argv
+placeholders ``@workloads/…`` / ``@fixtures/…`` resolve against a scratch
+directory, so no absolute path is ever committed), and the in-process CLI
+runner.
 """
 
 from __future__ import annotations
@@ -51,13 +53,6 @@ PINNED_POLICY: Dict[str, Any] = {
     "name": "pinned",
     "levels": {"public": 0, "secret": 1},
     "resources": {"key": "secret"},
-}
-
-#: Posted against the preloaded "pinned" name to provoke the 409.
-CONFLICTING_POLICY: Dict[str, Any] = {
-    "name": "pinned",
-    "levels": {"public": 0, "secret": 1, "topsecret": 2},
-    "resources": {"key": "topsecret"},
 }
 
 #: Policy files materialised for CLI interactions, name → document.
@@ -244,8 +239,8 @@ def materialize_inputs(root: Path) -> Path:
 
     CLI interactions reference these files through the ``@workloads/`` /
     ``@fixtures/`` argv placeholders, so the committed corpus never contains
-    an absolute path; both the recorder and the verifier call this with a
-    scratch directory and resolve placeholders against it.
+    an absolute path; the replay loop calls this with a scratch directory
+    and resolves placeholders against it.
     """
     from repro import workloads
 

@@ -7,12 +7,31 @@ source positions where available.
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 
 class ReproError(Exception):
     """Base class for all errors raised by the library."""
+
+
+@contextlib.contextmanager
+def nesting_limit(where: str) -> Iterator[None]:
+    """Turn a ``RecursionError`` in the block into a :class:`ReproError`.
+
+    The parser, the elaborator and the analyses recurse over nested
+    expressions and statements, so a design nested past Python's recursion
+    limit is an input they cannot take, not a crash.
+    """
+    try:
+        yield
+    except RecursionError:
+        raise ReproError(
+            f"the design nests too deeply for {where} (Python's recursion "
+            f"limit of {sys.getrecursionlimit()} was reached)"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -273,10 +273,11 @@ def volatile_pointers(command: str) -> Dict[str, str]:
     Maps each ``command`` value a v1 document can carry to the JSON-pointer
     → JSON-type rules declaring which of its fields are run-dependent
     (wall-clock timings, cache state, absolute paths, uptime, counters,
-    latency histograms).  The contract recorder (:mod:`repro.contract`)
-    stamps these rules into every recorded interaction, and the verifier
-    masks both the recording and the live response with them — everything
-    *not* listed here is pinned byte-for-byte by the corpus.
+    latency histograms).  ``vhdl-ifa contract record`` (:mod:`repro.contract`)
+    stamps the rules of each live document's ``command`` (``"error"`` for a
+    body without one) into its interaction, and the verifier masks both the
+    recording and the live response with them — everything *not* listed
+    here is pinned byte-for-byte by the corpus.
     """
     if command in ("analyze", "check", "lint"):
         return dict(_ANALYSIS_VOLATILE)

@@ -64,7 +64,7 @@ import json
 import signal
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.pipeline.cache import source_digest
@@ -437,59 +437,48 @@ class AnalysisServer:
     async def _answer(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """Route one request; analysis goes through the pool when one runs."""
-        if self._pool is not None and path in _ANALYSIS_PATHS and method == "POST":
-            route = f"{method} {path}"
-            self.request_counts[route] = self.request_counts.get(route, 0) + 1
-            try:
-                payload = self._parse_payload(body)
-            except _BadRequest as error:
-                return error.status, {"error": str(error)}, {}
-            return await self._handle_pooled(_ANALYSIS_PATHS[path], payload)
-        status, document = self._dispatch(method, path, body)
-        return status, document, {}
+        """Route, validate and answer one request, in either mode.
 
-    def _dispatch(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
-        """The synchronous (inline) routing path.
-
-        Pool mode intercepts ``POST /analyze|/check|/lint`` before this
-        method; everything else — and every request in inline mode — lands
-        here.
+        Counting, routing, payload parsing, validation and error
+        classification are the same in both modes; only a validated
+        analysis then runs inline or on the pool.
         """
         route = f"{method} {path}"
         self.request_counts[route] = self.request_counts.get(route, 0) + 1
         expected = ROUTES.get(path)
         if expected is None:
-            return 404, {"error": f"unknown path {path!r}"}
+            return 404, {"error": f"unknown path {path!r}"}, {}
         if method != expected:
-            return 405, {"error": f"{path} expects {expected}, got {method}"}
-        if method == "POST":
-            try:
-                payload = self._parse_payload(body)
-                if path == "/policy":
-                    return 200, self._policy(payload)
-                return self._run_inline(_ANALYSIS_PATHS[path], payload)
-            except _BadRequest as error:
-                return error.status, {"error": str(error)}
-            except _REQUEST_ERRORS as error:
-                return 400, {"error": str(error)}
-            except Exception as error:  # never kill the server on one request
-                return 500, {"error": f"internal error: {error!r}"}
+            return 405, {"error": f"{path} expects {expected}, got {method}"}, {}
         if path == "/stats":
-            return 200, self._stats()
+            return 200, self._stats(), {}
         if path == "/version":
-            return 200, version_document()
+            return 200, version_document(), {}
         if path == "/healthz":
-            return self._healthz()
-        return 200, self._metrics()
+            return (*self._healthz(), {})
+        if path == "/metrics":
+            return 200, self._metrics(), {}
+        try:
+            payload = self._parse_payload(body)
+            if path == "/policy":
+                return 200, self._policy(payload), {}
+            kind = _ANALYSIS_PATHS[path]
+            request = self._build_request(kind, payload)
+        except _BadRequest as error:
+            return error.status, {"error": str(error)}, {}
+        except _REQUEST_ERRORS as error:
+            return 400, {"error": str(error)}, {}
+        except Exception as error:  # never kill the server on one request
+            return 500, {"error": f"internal error: {error!r}"}, {}
+        if self._pool is not None:
+            return await self._handle_pooled(kind, request)
+        return (*self._run_inline(kind, request), {})
 
     @staticmethod
     def _parse_payload(body: bytes) -> Dict[str, Any]:
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
+        except (ValueError, UnicodeDecodeError, RecursionError) as error:
             raise _BadRequest(f"request body is not valid JSON: {error}")
         if not isinstance(payload, dict):
             raise _BadRequest("request body must be a JSON object")
@@ -521,10 +510,13 @@ class AnalysisServer:
         admission slot or a worker round-trip.
         """
         source, file = self._load_source(payload)
+        entity = payload.get("entity")
+        if entity is not None and not isinstance(entity, str):
+            raise _BadRequest("'entity' must be an entity name")
         request: Dict[str, Any] = {
             "source": source,
             "file": file,
-            "entity": payload.get("entity"),
+            "entity": entity,
             "improved": not payload.get("basic", False),
             "loop_processes": not payload.get("straight_line", False),
         }
@@ -542,9 +534,7 @@ class AnalysisServer:
             # the event loop; the resolved policy is a picklable dataclass.
             request["policy"] = None if spec is None else self.workspace.policy(spec)
             return request
-        outputs = payload.get("output", [])
-        if not isinstance(outputs, list):
-            raise _BadRequest("'output' must be a list of resource names")
+        outputs = _names(payload.get("output", []), "output")
         transitive = payload.get("transitive")
         request.update(
             {
@@ -570,9 +560,7 @@ class AnalysisServer:
             return self.workspace.policy(spec)
         if secrets is None:
             secrets = []
-        if not isinstance(secrets, list):
-            raise _BadRequest("'secret' must be a list of resource names")
-        return TwoLevelPolicy(secret_resources=secrets)
+        return TwoLevelPolicy(secret_resources=_names(secrets, "secret"))
 
     def _dedup_key(self, kind: str, request: Dict[str, Any]) -> str:
         """The single-flight identity of one request.
@@ -596,16 +584,9 @@ class AnalysisServer:
     # ------------------------------------------------------------ pool path
 
     async def _handle_pooled(
-        self, kind: str, payload: Dict[str, Any]
+        self, kind: str, request: Dict[str, Any]
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         """Admission control, single-flight dedup, and pool dispatch."""
-        try:
-            request = self._build_request(kind, payload)
-        except _BadRequest as error:
-            return error.status, {"error": str(error)}, {}
-        except _REQUEST_ERRORS as error:
-            return 400, {"error": str(error)}, {}
-
         key = self._dedup_key(kind, request)
         leader = self._inflight.get(key)
         if leader is not None:
@@ -676,9 +657,8 @@ class AnalysisServer:
     # ---------------------------------------------------------- inline path
 
     def _run_inline(
-        self, kind: str, payload: Dict[str, Any]
+        self, kind: str, request: Dict[str, Any]
     ) -> Tuple[int, Dict[str, Any]]:
-        request = self._build_request(kind, payload)
         started = time.perf_counter()
         status, document = execute_request(
             self.workspace, kind, request, self._injector
@@ -820,6 +800,13 @@ class _BadRequest(Exception):
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
         self.status = status
+
+
+def _names(value: Any, member: str) -> List[str]:
+    """A payload member that must be a list of resource names."""
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise _BadRequest(f"{member!r} must be a list of resource names")
+    return value
 
 
 class ServerThread:

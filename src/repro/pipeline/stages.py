@@ -113,7 +113,7 @@ from repro.analysis.reaching_defs import analyze_reaching_definitions
 from repro.analysis.specialize import specialize
 from repro.cfg.builder import build_cfg
 from repro.dataflow.universe import FactUniverse
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, nesting_limit
 from repro.hier.link import link_hierarchy, summarize_hierarchy
 from repro.hier.structure import build_hierarchy, has_instantiations
 from repro.pipeline.artifacts import (
@@ -661,13 +661,18 @@ class Pipeline:
         return True
 
     def _compute(self, ctx: PipelineContext, stage: Stage, profile: bool) -> None:
-        """Run ``stage`` on ``ctx`` and write its artefact to the cache."""
+        """Run ``stage`` on ``ctx`` and write its artefact to the cache.
+
+        A design nested past the recursion limit fails the stage with a
+        :class:`~repro.errors.ReproError` naming it.
+        """
         stage_profile = None
         started = time.perf_counter()
-        if profile:
-            artifact, stage_profile = self._run_profiled(ctx, stage)
-        else:
-            artifact = stage.run(ctx)
+        with nesting_limit(f"the {stage.name} stage"):
+            if profile:
+                artifact, stage_profile = self._run_profiled(ctx, stage)
+            else:
+                artifact = stage.run(ctx)
         elapsed = time.perf_counter() - started
         _store(ctx, stage, artifact)
         if stage.universe_bound:

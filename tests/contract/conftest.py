@@ -2,17 +2,16 @@
 
 ``recorded_corpus`` loads the committed corpus once per session (the load
 itself re-derives every content address, so a hand-edited file fails here).
-``fresh_corpus`` re-records the whole corpus from live surfaces once per
-session — the recording fixture the integrity tests replay against: a
-committed corpus that no longer matches a fresh recording means either the
-producer drifted or a volatile field is missing its matcher rule.
+Replaying the corpus against live surfaces is ``tests/test_contracts.py``'s
+job; that the committed files are a fixed point of ``vhdl-ifa contract
+record`` is checked file by file by ``make contracts``.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.contract import Corpus, record_corpus
+from repro.contract import Corpus
 
 PACTS_DIR = Path(__file__).resolve().parent / "pacts"
 
@@ -25,9 +24,3 @@ def pacts_dir() -> Path:
 @pytest.fixture(scope="session")
 def recorded_corpus() -> Corpus:
     return Corpus.load(PACTS_DIR)
-
-
-@pytest.fixture(scope="session")
-def fresh_corpus(tmp_path_factory) -> Corpus:
-    scratch = tmp_path_factory.mktemp("contract-recording")
-    return record_corpus(scratch)

@@ -13,15 +13,22 @@ The headline acceptance properties of the contract suite:
   (``GET /version``) fails with re-record instructions — the v2 bump
   wiring;
 * ``POST /policy`` replay loops are true no-ops (satellite: the corpus is
-  re-runnable any number of times).
+  re-runnable any number of times);
+* ``vhdl-ifa contract record`` replays the corpus's own stimuli: committed
+  files come back byte-identical, a stimulus-only file is recorded into
+  its canonical file, and a changed outcome is refused.
 """
 
 import copy
 import dataclasses
+import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from repro import workloads
+from repro.cli import main
 from repro.contract import Corpus, verify_corpus
 from repro.contract.differ import breaking, diff_documents
 from repro.contract.matchers import normalize
@@ -34,6 +41,7 @@ from repro.contract.profiles import (
     resolve_argv,
     run_cli,
 )
+from repro.pipeline.render import volatile_pointers
 
 PACTS_DIR = Path(__file__).resolve().parent / "contract" / "pacts"
 
@@ -235,3 +243,94 @@ class TestPolicyReplayIdempotence:
             )
             assert status == 409
             assert "already registered" in document["error"]
+
+
+class TestRecord:
+    """``vhdl-ifa contract record`` over the corpus's own stimuli."""
+
+    @staticmethod
+    def _copy(corpus, directory, *descriptions):
+        directory.mkdir()
+        for interaction in corpus:
+            if interaction.description in descriptions:
+                shutil.copy(PACTS_DIR / interaction.file_name, directory)
+        return {path.name: path.read_bytes() for path in directory.glob("*.json")}
+
+    @staticmethod
+    def _files(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    def test_rerecording_committed_files_is_byte_identical(
+        self, corpus, tmp_path, capsys
+    ):
+        # One analysis, one ops and one CLI interaction; `make contracts`
+        # re-records the whole corpus the same way.
+        pacts = tmp_path / "pacts"
+        committed = self._copy(
+            corpus,
+            pacts,
+            "check challenge_f secret",
+            "healthz inline",
+            "cli lint overwriting-loop",
+        )
+        assert len(committed) == 3
+        assert main(["contract", "record", "--pacts", str(pacts)]) == 0
+        assert "recorded 3 interaction(s)" in capsys.readouterr().out
+        assert self._files(pacts) == committed
+
+    def test_stimulus_only_file_is_recorded_into_its_canonical_file(
+        self, tmp_path, capsys
+    ):
+        pacts = tmp_path / "pacts"
+        pacts.mkdir()
+        stimulus = {
+            "description": "lint two_phase again",
+            "profile": "default",
+            "request": {
+                "kind": "http",
+                "method": "POST",
+                "path": "/lint",
+                "body": {"source": workloads.two_phase_program()},
+            },
+            "response": {"status": 200},
+        }
+        (pacts / "new interaction.json").write_text(json.dumps(stimulus))
+        assert main(["contract", "record", "--pacts", str(pacts)]) == 0
+        (interaction,) = Corpus.load(pacts)  # canonical name and id
+        assert sorted(self._files(pacts)) == [interaction.file_name]
+        assert interaction.request == stimulus["request"]
+        assert interaction.response["status"] == 200
+        assert interaction.response["document"]["command"] == "lint"
+        assert interaction.matchers == volatile_pointers("lint")
+        capsys.readouterr()
+        verify = ["contract", "verify", "--pacts", str(pacts), "--mode", "inline"]
+        assert main(verify) == 0
+        assert "1 interaction(s), 0 failing, 0 additive" in capsys.readouterr().out
+
+    def test_changed_outcome_is_refused_and_nothing_is_written(
+        self, corpus, tmp_path, capsys
+    ):
+        pacts = tmp_path / "pacts"
+        self._copy(corpus, pacts, "analyze missing source")
+        (path,) = pacts.glob("*.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["response"]["status"] = 200  # the server answers 400
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        before = self._files(pacts)
+        assert main(["contract", "record", "--pacts", str(pacts)]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: recording 'analyze missing source'")
+        assert "200" in line and "400" in line
+        assert captured.out == ""
+        assert self._files(pacts) == before
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["missing", "empty"])
+    def test_no_corpus_exits_2_and_creates_nothing(self, tmp_path, capsys, exists):
+        pacts = tmp_path / "pacts"
+        if exists:
+            pacts.mkdir()
+        assert main(["contract", "record", "--pacts", str(pacts)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:")
+        assert (self._files(pacts) == {}) if exists else not pacts.exists()

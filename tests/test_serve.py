@@ -201,11 +201,11 @@ class TestServiceBehaviour:
 class TestRobustnessFixes:
     def test_internal_errors_become_500_json_not_dead_connections(self, server):
         # any non-analysis exception must surface as a JSON 500 body
-        status, document = server._dispatch(
-            "POST", "/analyze", b'{"file": 42}'
+        status, body = _request(
+            server.port, "POST", "/analyze", {"file": 42}
         )  # non-string file -> TypeError inside open(), not a ReproError
         assert status in (400, 500)
-        assert "error" in document
+        assert "error" in json.loads(body)
         # ... and the server must still answer afterwards
         status, _ = _request(server.port, "GET", "/stats")
         assert status == 200
@@ -215,11 +215,9 @@ class TestRobustnessFixes:
             raise RuntimeError("kaboom")
 
         monkeypatch.setattr(server.workspace.pipeline, "run", boom)
-        status, document = server._dispatch(
-            "POST", "/analyze", json.dumps({"source": "x"}).encode()
-        )
+        status, body = _request(server.port, "POST", "/analyze", {"source": "x"})
         assert status == 500
-        assert "kaboom" in document["error"]
+        assert "kaboom" in json.loads(body)["error"]
 
     def test_negative_content_length_is_a_400(self, server):
         import socket
