@@ -42,11 +42,9 @@ from repro.pipeline import (
     TieredArtifactCache,
     expand_jobs,
     run_batch,
-    source_digest,
-    stage_key,
 )
 from repro.hier import build_hierarchy, flatten_source, summary_cache_key
-from repro.pipeline.stages import ANALYSIS_STAGES, LINKED_STAGES, PARSE, REPORT
+from repro.pipeline.stages import ANALYSIS_STAGES, LINKED_STAGES, REPORT
 from repro.security.policy import TwoLevelPolicy
 from repro.vhdl.elaborate import elaborate, elaborate_source
 from repro.vhdl.parser import parse_program
@@ -243,8 +241,8 @@ def test_batch_throughput_sequential(benchmark, report, batch_jobs):
 
     This is the acceptance-criterion phase of the cold-path overhaul: each
     round runs on a fresh default workspace, whose in-memory cache lets the
-    eight entity jobs share one option-independent parse artifact, so only
-    the per-entity stages run eight times.
+    eight entity jobs share the file's parsed design units, so each unit is
+    parsed once and only the per-entity stages run eight times.
     """
     result = benchmark(
         lambda: _assert_batch_ok(
@@ -440,25 +438,41 @@ def hier_source():
     return hierarchical_register_file(*HIER_SHAPE)
 
 
-@pytest.fixture(scope="module")
-def hier_program(hier_source):
-    return parse_program(hier_source)
-
-
-def _parsed_pipeline(source, program, *entries):
-    """A pipeline whose cache holds ``program`` as the parse of ``source``."""
+def _parsed(source):
+    """The parse of ``source`` and the cache entries the parse stage left for
+    it, one per design unit (the program's entities and architectures are
+    the entries' own objects, so the heap holds one AST)."""
     cache = ArtifactCache()
-    cache.put(stage_key(PARSE, source_digest(source), AnalysisOptions()), program)
-    for key, value in entries:
+    program = Pipeline(cache).run(source, until="parse").artifacts.program
+    return program, list(cache._entries.items())
+
+
+@pytest.fixture(scope="module")
+def hier_parsed(hier_source):
+    return _parsed(hier_source)
+
+
+@pytest.fixture(scope="module")
+def hier_program(hier_parsed):
+    return hier_parsed[0]
+
+
+@pytest.fixture(scope="module")
+def hier_units(hier_parsed):
+    return hier_parsed[1]
+
+
+def _parsed_pipeline(units, *entries):
+    """A pipeline whose cache holds only the parsed ``units`` and ``entries``."""
+    cache = ArtifactCache()
+    for key, value in (*units, *entries):
         cache.put(key, value)
     return Pipeline(cache)
 
 
-def test_hier_link_cold(benchmark, report, hier_source, hier_program):
+def test_hier_link_cold(benchmark, report, hier_source, hier_units):
     """Cold linked plan: summarise every entity, place, cross-process stages."""
-    result = benchmark(
-        lambda: _parsed_pipeline(hier_source, hier_program).run(hier_source)
-    )
+    result = benchmark(lambda: _parsed_pipeline(hier_units).run(hier_source))
     stats = result.result.program_cfg.summary()
     report(
         shape=HIER_SHAPE,
@@ -468,7 +482,7 @@ def test_hier_link_cold(benchmark, report, hier_source, hier_program):
     )
 
 
-def test_hier_link_incremental(benchmark, report, hier_source, hier_program):
+def test_hier_link_incremental(benchmark, report, hier_source, hier_units):
     """Re-run after editing the leaf entity: one summary recomputed.
 
     Every round starts from a cache holding only the parse and the
@@ -478,19 +492,19 @@ def test_hier_link_incremental(benchmark, report, hier_source, hier_program):
     """
     edited = hier_source.replace("state <= nxt;", "state <= (nxt xor clr);", 1)
     assert edited != hier_source
-    edited_program = parse_program(edited)
+    edited_program, edited_units = _parsed(edited)
     hierarchy = build_hierarchy(edited_program)
     leaf_key = summary_cache_key(hierarchy.unit_of("reg_cell"))
     root_key = summary_cache_key(hierarchy.root_unit)
 
-    warm = _parsed_pipeline(hier_source, hier_program)
+    warm = _parsed_pipeline(hier_units)
     warm.run(hier_source)
     root_summary = warm.cache.get(root_key)
     assert root_summary is not None  # the root's slice is unaffected
     assert warm.cache.get(leaf_key) is None  # the edit invalidated the leaf
 
     def run():
-        pipeline = _parsed_pipeline(edited, edited_program, (root_key, root_summary))
+        pipeline = _parsed_pipeline(edited_units, (root_key, root_summary))
         result = pipeline.run(edited)
         assert leaf_key in pipeline.cache  # exactly the leaf summary was recomputed
         return result
@@ -503,7 +517,9 @@ def test_hier_link_incremental(benchmark, report, hier_source, hier_program):
     )
 
 
-def test_hier_linked_vs_flattened(benchmark, report, hier_source, hier_program):
+def test_hier_linked_vs_flattened(
+    benchmark, report, hier_source, hier_program, hier_units
+):
     """The linked plan vs the flattening oracle, same design, same options.
 
     The linked plan is the benchmarked statistic and runs *first* (the
@@ -518,7 +534,7 @@ def test_hier_linked_vs_flattened(benchmark, report, hier_source, hier_program):
     link_times = []
 
     def run():
-        pipeline = _parsed_pipeline(hier_source, hier_program)
+        pipeline = _parsed_pipeline(hier_units)
         started = time_module.perf_counter()
         result = pipeline.run(hier_source, options)
         link_times.append(time_module.perf_counter() - started)
@@ -549,7 +565,7 @@ def test_hier_linked_vs_flattened(benchmark, report, hier_source, hier_program):
     )
 
 
-def test_hier_check_lint_vs_analyze(benchmark, report, hier_source, hier_program):
+def test_hier_check_lint_vs_analyze(benchmark, report, hier_source, hier_units):
     """check and lint of the hierarchy each within HIER_COMMAND_MAX_RATIO of
     analyze: analyze's linked plan plus the report or the lint stage.
 
@@ -577,7 +593,7 @@ def test_hier_check_lint_vs_analyze(benchmark, report, hier_source, hier_program
 
     def run_all():
         for name, last_stage, command in commands:
-            pipeline = _parsed_pipeline(hier_source, hier_program)
+            pipeline = _parsed_pipeline(hier_units)
             gc.collect()
             gc.disable()
             try:

@@ -19,8 +19,8 @@ none of which the type checker can express:
 
 3. **Every cacheable pipeline stage declares its cache-key options.**
    Each ``Stage(...)`` construction must pass ``option_fields`` (third
-   positional argument onwards or by keyword) unless the stage is named
-   ``"parse"`` (keyed by source digest alone) or is ``cacheable=False``.
+   positional argument onwards or by keyword) unless it is
+   ``cacheable=False``.
    A stage that forgets this is cached under too-weak a key and serves
    stale artifacts when options change.
 
@@ -230,8 +230,6 @@ def check_stage_option_fields(tree: ast.Module, relpath: str) -> List[str]:
         cacheable = keywords.get("cacheable")
         if isinstance(cacheable, ast.Constant) and cacheable.value is False:
             continue
-        if name == "parse":
-            continue  # keyed by the source digest alone, by design
         if len(node.args) >= 4 or "option_fields" in keywords:
             continue
         failures.append(

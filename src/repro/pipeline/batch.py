@@ -216,12 +216,14 @@ def expand_jobs(
 ) -> List[BatchJob]:
     """Turn file paths into jobs, optionally one per entity in each file.
 
-    With ``all_entities`` each file's AST comes from
-    ``workspace.analyze_run(source, until="parse")``, so it is read from the
-    workspace's cache when there and left there for the jobs that follow.
-    A file that cannot be read or parsed still yields a single job for it,
-    so the error surfaces as that job's outcome instead of aborting the
-    whole batch.
+    With ``all_entities`` a file yields one job per distinct entity its
+    architectures implement, in order of first appearance (an entity with
+    two architectures is analysed once: elaboration takes the first).  Its
+    AST comes from ``workspace.analyze_run(source, until="parse")``, which
+    reads each design unit from the workspace's cache when there and leaves
+    the ones it parsed there for the jobs that follow.  A file that cannot
+    be read or parsed still yields a single job for it, so the error
+    surfaces as that job's outcome instead of aborting the whole batch.
     """
     jobs: List[BatchJob] = []
     for path in paths:
@@ -234,7 +236,7 @@ def expand_jobs(
         except _JOB_ERRORS:
             jobs.append(BatchJob(path=path))
             continue
-        names = [arch.entity_name for arch in program.architectures]
+        names = dict.fromkeys(arch.entity_name for arch in program.architectures)
         if names:
             jobs.extend(BatchJob(path=path, entity=name) for name in names)
         else:

@@ -6,7 +6,8 @@ plan order:
 ========== =====================================================
 stage      artefact
 ========== =====================================================
-parse      the VHDL1 AST (:func:`repro.vhdl.parser.parse_program`)
+parse      the VHDL1 AST (:func:`repro.vhdl.parser.parse_program`), one
+           design unit at a time
 elaborate  the :class:`~repro.vhdl.elaborate.Design`
 cfg        the :class:`~repro.cfg.builder.ProgramCFG`
 active     the per-process active-signals results (Table 4)
@@ -62,7 +63,8 @@ The :class:`AnalysisOptions` fields each stage's cache key includes
 ========== ==========================================================
 stage      cache-key option fields (plus the stage name + source hash)
 ========== ==========================================================
-parse      —
+parse      no stage entry: each design unit is cached under
+           ``parse:<sha256 of "<first line>:<unit text>">``
 elaborate  entity
 cfg        entity, loop_processes
 active     entity, loop_processes
@@ -113,7 +115,7 @@ from repro.analysis.reaching_defs import analyze_reaching_definitions
 from repro.analysis.specialize import specialize
 from repro.cfg.builder import build_cfg
 from repro.dataflow.universe import FactUniverse
-from repro.errors import AnalysisError, nesting_limit
+from repro.errors import AnalysisError, ReproError, nesting_limit
 from repro.hier.link import link_hierarchy, summarize_hierarchy
 from repro.hier.structure import build_hierarchy, has_instantiations
 from repro.pipeline.artifacts import (
@@ -123,8 +125,9 @@ from repro.pipeline.artifacts import (
     StageTiming,
 )
 from repro.pipeline.cache import ArtifactCache, source_digest
+from repro.vhdl.ast import Program
 from repro.vhdl.elaborate import Design, elaborate
-from repro.vhdl.parser import parse_program
+from repro.vhdl.parser import parse_program, split_units
 
 
 @dataclass
@@ -158,8 +161,29 @@ class PipelineContext:
     stages: List[StageTiming] = field(default_factory=list)
 
 
-def _run_parse(ctx: PipelineContext) -> Any:
-    return parse_program(ctx.source)
+def _run_parse(ctx: PipelineContext) -> Program:
+    """The file's AST, each design unit from the cache or parsed and cached.
+
+    A unit is keyed on its first line and its text (see
+    :func:`~repro.vhdl.parser.split_units`), so an edit re-parses only the
+    units whose text or first line it changed.  A unit the parser rejects
+    is not cached, and the whole file is parsed instead, for its error.
+    """
+    if ctx.cache is None:
+        return parse_program(ctx.source)
+    program = Program()
+    for line, text in split_units(ctx.source):
+        key = f"parse:{source_digest(f'{line}:{text}')}"
+        unit = ctx.cache.get(key)
+        if unit is None:
+            try:
+                unit = parse_program(text, line)
+            except ReproError:
+                return parse_program(ctx.source)
+            ctx.cache.put(key, unit)
+        program.entities.extend(unit.entities)
+        program.architectures.extend(unit.architectures)
+    return program
 
 
 def _run_elaborate(ctx: PipelineContext) -> Design:
@@ -260,7 +284,14 @@ _SHAPE = ("entity", "loop_processes")
 _RD = ("entity", "loop_processes", "use_under_approximation")
 _ALL = ("entity", "loop_processes", "use_under_approximation", "improved")
 
-PARSE = Stage("parse", "program", _run_parse, needs=("source",), on_demand=True)
+PARSE = Stage(
+    "parse",
+    "program",
+    _run_parse,
+    cacheable=False,
+    needs=("source", "cache"),
+    on_demand=True,
+)
 ELABORATE = Stage("elaborate", "design", _run_elaborate, _ENTITY, needs=("program",))
 CFG = Stage("cfg", "program_cfg", _run_cfg, _SHAPE, needs=("design",))
 ACTIVE = Stage("active", "active", _run_active, _SHAPE, needs=("program_cfg",))
@@ -414,10 +445,7 @@ def stage_key(stage: Stage, source_key: str, options: AnalysisOptions) -> str:
     """The content address of one stage artefact.
 
     A stage with no ``option_fields`` keys on its name and the source hash
-    alone — the ``parse`` artefact is deliberately option- *and*
-    entity-independent (``parse:<sha256>``), so one parse serves every
-    entity/option configuration of a file; the batch driver and the serve
-    pool rely on this to share parses across jobs on the same source.
+    alone.
     """
     parts = [stage.name, source_key]
     if stage.option_fields:

@@ -79,14 +79,18 @@ _TOKEN_PATTERN = re.compile(
 )
 
 
-def tokenize(source: str) -> List[Token]:
-    """Tokenise ``source`` and return the token list (ending with ``EOF``)."""
+def tokenize(source: str, line: int = 1) -> List[Token]:
+    """Tokenise ``source`` and return the token list (ending with ``EOF``).
+
+    ``line`` numbers the first line of ``source``: a design unit cut from a
+    file at the start of its line ``line`` gets the positions of a
+    whole-file scan.
+    """
     tokens: List[Token] = []
     append = tokens.append
     match = _TOKEN_PATTERN.match
     length = len(source)
     pos = 0
-    line = 1
     line_start = 0
     keywords = KEYWORDS
     operator_kinds = _OPERATOR_KINDS

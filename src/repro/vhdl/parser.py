@@ -38,6 +38,7 @@ Compared to the abstract grammar the parser additionally accepts:
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Tuple
 
 from repro.errors import ParseError
@@ -785,9 +786,47 @@ class Parser:
 # ---------------------------------------------------------------------------
 
 
-def parse_program(source: str) -> ast.Program:
-    """Parse a complete VHDL1 program from source text."""
-    return Parser(tokenize(source)).parse_program()
+def parse_program(source: str, line: int = 1) -> ast.Program:
+    """Parse a complete VHDL1 program from source text.
+
+    ``line`` numbers the first line of ``source``, as in
+    :func:`~repro.vhdl.lexer.tokenize`.
+    """
+    return Parser(tokenize(source, line)).parse_program()
+
+
+#: A design unit's head at column 1: ``entity <id> is`` or
+#: ``architecture <id> of``, in any case.
+_UNIT_HEAD = re.compile(
+    r"^(?:entity[ \t]+[a-z_][a-z0-9_]*[ \t]+is"
+    r"|architecture[ \t]+[a-z_][a-z0-9_]*[ \t]+of)\b",
+    re.IGNORECASE | re.MULTILINE,
+)
+
+
+def split_units(source: str) -> List[Tuple[int, str]]:
+    """Cut ``source`` at its design-unit heads: ``(first line, text)`` pairs.
+
+    A unit runs from a head at column 1 (:data:`_UNIT_HEAD`) to the next
+    one or to the end of ``source``; text before the first head belongs to
+    the first unit, which starts at line 1.  The texts concatenate to
+    ``source``.
+
+    A cut falls at the start of a line, so no token but a string literal can
+    span it, and a string literal spanning a line is an error on either
+    side.  The parser looks ahead at most two tokens and never past the
+    ``;`` closing a unit it accepts.  So when ``parse_program(text, line)``
+    accepts every unit, concatenating their entities and their
+    architectures gives exactly ``parse_program(source)``; when it rejects
+    one, only the whole-file parse gives the file's error.
+    """
+    starts = [0] + [match.start() for match in _UNIT_HEAD.finditer(source)][1:]
+    units: List[Tuple[int, str]] = []
+    line = 1
+    for start, stop in zip(starts, starts[1:] + [len(source)]):
+        units.append((line, source[start:stop]))
+        line += source.count("\n", start, stop)
+    return units
 
 
 def parse_statement(source: str) -> ast.Statement:

@@ -10,6 +10,23 @@ from repro.vhdl.elaborate import elaborate_source
 
 
 @pytest.fixture
+def parse_calls(monkeypatch):
+    """The ``(text, line)`` of every ``parse_program`` call the parse stage
+    makes during the test (it looks the name up on its own module)."""
+    from repro.pipeline import stages
+
+    calls = []
+    parse = stages.parse_program
+
+    def recording(source, line=1):
+        calls.append((source, line))
+        return parse(source, line)
+
+    monkeypatch.setattr(stages, "parse_program", recording)
+    return calls
+
+
+@pytest.fixture
 def program_a_source() -> str:
     """The paper's program (a): ``c := b; b := a``."""
     return workloads.paper_program_a()

@@ -103,7 +103,7 @@ class TestDiskWarmReplay:
             assert divergences == [], (interaction.id, divergences)
             # ... and the second run really was served from the directory.
             for run in document.get("jobs", [document]):
-                assert run["cached_stages"] and "parse" not in run["cached_stages"]
+                assert run["cached_stages"] and "parse" not in run["timings"]
             replayed.append(argv[0])
         assert set(replayed) == set(self.ANALYSIS_COMMANDS)
 

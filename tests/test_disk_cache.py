@@ -175,8 +175,10 @@ class TestCorruptionIsEvictedNotRaised:
         other = workloads.producer_consumer_program()
         assert _fresh_run(cache_dir, other).cached_stages == []
         assert _fresh_run(cache_dir, other).cached_stages == WARM_STAGE_NAMES
-        assert DiskArtifactCache(cache_dir).stats()["entries"] == 2 * len(
-            ANALYSIS_STAGE_NAMES
+        # Per source: one entry per cached stage, plus one parse entry per
+        # design unit (an entity and its architecture).
+        assert DiskArtifactCache(cache_dir).stats()["entries"] == 2 * (
+            len(WARM_STAGE_NAMES) + 2
         )
         assert index_path.read_text(encoding="utf-8") == text
 
@@ -246,9 +248,11 @@ class TestEvictionAndStats:
         _populate(cache_dir, workloads.challenge_f_program())
         disk = DiskArtifactCache(cache_dir)
         stats = disk.stats()
-        assert stats["entries"] == len(ANALYSIS_STAGE_NAMES)
+        assert stats["entries"] == len(ANALYSIS_STAGE_NAMES) + 1
         assert stats["version"] == FORMAT_VERSION
         assert set(stats["stages"]) == set(ANALYSIS_STAGE_NAMES)
+        # One parse entry per design unit: the entity and its architecture.
+        assert stats["stages"]["parse"] == 2
         assert stats["bytes"] > 0 and stats["universes"] >= 1
 
     def test_clear_empties_the_store(self, cache_dir):

@@ -35,6 +35,7 @@ from repro.pipeline import (
 from repro.pipeline import stages as stages_module
 from repro.pipeline.render import volatile_pointers
 from repro.security.policy import TwoLevelPolicy
+from repro.vhdl.parser import split_units
 
 FLAT_STAGE_NAMES = [stage.name for stage in ANALYSIS_STAGES[:-1]]
 LINKED_STAGE_NAMES = [stage.name for stage in LINKED_STAGES[:-1]]
@@ -72,9 +73,11 @@ class TestWarmRunsSkipTheOnDemandStages:
         cache_dir = tmp_path / "cache"
         source = workloads.producer_consumer_program()
         cold = Pipeline(open_cache(str(cache_dir))).run(source)
+        # One parse entry per design unit: the entity and its architecture.
         parse_entries = list((cache_dir / "parse").glob("*.pkl"))
-        assert len(parse_entries) == 1
-        parse_entries[0].unlink()
+        assert len(parse_entries) == 2
+        for entry in parse_entries:
+            entry.unlink()
         monkeypatch.setattr(stages_module, "parse_program", _fails)
 
         cache = open_cache(str(cache_dir))
@@ -104,11 +107,13 @@ class TestWarmRunsSkipTheOnDemandStages:
     def test_a_cold_run_adds_one_miss_for_the_plan(self, kind):
         cache = _RecordingMisses()
         Pipeline(cache).run(SOURCES[kind]())
-        # Each cacheable stage misses once; the other plan's probe is the
-        # one extra lookup.  (Entity summaries have keys of their own.)
+        # Each cacheable stage misses once and each design unit's parse
+        # once; the other plan's probe is the one extra lookup.  (Entity
+        # summaries have keys of their own.)
+        units = {"flat": 2, "linked": 4}
         tail = {"flat": FLAT_STAGE_NAMES[2:], "linked": LINKED_STAGE_NAMES[4:]}
         assert [name for name in cache.missed if name != "summary"] == [
-            "elaborate", "place", "parse", *tail[kind]
+            "elaborate", "place", *["parse"] * units[kind], *tail[kind]
         ]
         assert cache.hits == 0
 
@@ -128,14 +133,21 @@ class _RecordingMisses(ArtifactCache):
 
 
 class TestUntilOnAWarmCache:
-    def test_parse_still_yields_the_ast(self):
+    def test_parse_still_yields_the_ast(self, monkeypatch):
         cache = ArtifactCache()
         pipeline = Pipeline(cache)
         source = workloads.challenge_f_program()
         cold = pipeline.run(source)
+        monkeypatch.setattr(stages_module, "parse_program", _fails)
         run = pipeline.run(source, until="parse")
-        assert run.cached_stages == ["parse"]
-        assert run.artifacts.program is cold.artifacts.program
+        # The AST is assembled from the cached units, parsing none of them.
+        assert run.computed_stages == ["parse"] and run.cached_stages == []
+        program, cold_program = run.artifacts.program, cold.artifacts.program
+        assert program == cold_program
+        units = [*program.entities, *program.architectures]
+        cold_units = [*cold_program.entities, *cold_program.architectures]
+        assert len(units) == len(cold_units) == 2
+        assert all(unit is cold_unit for unit, cold_unit in zip(units, cold_units))
         assert run.result is None
 
     def test_cfg_yields_the_cfg_without_the_parse(self):
@@ -161,7 +173,7 @@ EVICTIONS = [
     (kind, stage)
     for kind, plan in (("flat", ANALYSIS_STAGES), ("linked", LINKED_STAGES))
     for stage in plan
-    if stage.cacheable
+    if stage.cacheable or stage.name == "parse"
 ]
 
 
@@ -174,7 +186,14 @@ class TestPartialEviction:
         pipeline = Pipeline(cache)
         source = SOURCES[kind]()
         cold = pipeline.run(source)
-        del cache._entries[stage_key(stage, source_digest(source), AnalysisOptions())]
+        if stage.name == "parse":
+            # The parse is cached per design unit: evict every unit.
+            evicted = [key for key in cache._entries if key.startswith("parse:")]
+            assert len(evicted) == len(split_units(source))
+        else:
+            evicted = [stage_key(stage, source_digest(source), AnalysisOptions())]
+        for key in evicted:
+            del cache._entries[key]
 
         rerun = pipeline.run(source)
         assert _masked(rerun) == _masked(cold)
@@ -183,6 +202,7 @@ class TestPartialEviction:
         if stage.name == "parse":
             # Nothing that misses needs the AST: the parse stays evicted.
             assert rerun.computed_stages == []
+            assert not any(key in cache for key in evicted)
         else:
             assert stage.name in rerun.computed_stages
 

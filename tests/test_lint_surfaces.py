@@ -283,6 +283,7 @@ def f(u=FactUniverse()):
 
 
 BAD_STAGE = Stage("mystery", "attr", f)
+CACHED_PARSE = Stage("parse", "program", f)
 
 
 def g(doc):
@@ -364,6 +365,7 @@ class TestInvariantGate:
             "module scope",                 # global FactUniverse()
             "default argument",             # FactUniverse() default
             "Stage('mystery'",              # missing option_fields
+            "Stage('parse'",                # no exemption for the parse
             "not a stamped document",       # raw json_text payload
             "assigned 2 times",             # duplicate diagnostic code
             "imports repro.workspace",      # engine → facade back-edge

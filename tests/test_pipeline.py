@@ -28,12 +28,18 @@ from repro.pipeline import (
     stage_key,
     volatile_pointers,
 )
+from repro.pipeline import stages as stages_module
 from repro.security.policy import TwoLevelPolicy
+from repro.vhdl.parser import split_units
 from repro.workspace import Workspace
 
 ANALYSIS_STAGE_NAMES = [name for name in STAGE_NAMES if name != "report"]
 # A fully cached run never reads the parse: no stage that misses needs it.
 WARM_STAGE_NAMES = ANALYSIS_STAGE_NAMES[1:]
+
+
+def _fails(*args, **kwargs):
+    raise AssertionError("a cached unit must not be parsed again")
 
 
 class TestPipelineStages:
@@ -123,21 +129,22 @@ class TestArtifactCache:
         other = pipeline.run(workloads.challenge_f_program())
         assert not other.cached_stages
 
-    def test_parse_artifact_shared_across_differing_option_runs(self):
-        # The parse stage has no option_fields: its key is option- and
-        # entity-independent, so two runs with entirely different options
-        # share one cached parse artifact.  The second run analyses another
-        # entity, so its elaborate misses and it needs the AST.
-        from repro.pipeline.stages import PARSE, stage_key
-
+    def test_parse_artifact_shared_across_differing_option_runs(self, parse_calls):
+        # Each design unit's parse is keyed on its first line and text
+        # alone: option- and entity-independent, so two runs with entirely
+        # different options share the cached units.  The second run
+        # analyses another entity, so its elaborate misses and it needs the
+        # AST, which it assembles from the cache without parsing.
         cache = ArtifactCache()
         pipeline = Pipeline(cache)
         source = workloads.multi_entity_program(2, 2, 4)
-        digest = source_digest(source)
+        units = split_units(source)
+        assert len(units) == 4
 
         first = pipeline.run(
             source, AnalysisOptions(entity="chain_0", improved=False)
         )
+        assert parse_calls == [(text, line) for line, text in units]
         second = pipeline.run(
             source,
             AnalysisOptions(
@@ -147,22 +154,14 @@ class TestArtifactCache:
                 use_under_approximation=False,
             ),
         )
-        assert "parse" not in first.cached_stages
-        assert second.cached_stages == ["parse"]
+        assert len(parse_calls) == len(units)  # the second run parsed nothing
+        assert first.computed_stages[0] == second.computed_stages[0] == "parse"
+        assert second.cached_stages == []
+        assert second.artifacts.program == first.artifacts.program
 
-        # Both option contexts address the very same cache entry ...
-        key_first = stage_key(PARSE, digest, AnalysisOptions(improved=False))
-        key_second = stage_key(
-            PARSE, digest, AnalysisOptions(loop_processes=False)
-        )
-        assert key_first == key_second == f"parse:{digest}"
-        assert key_first in cache
-        # ... and only one parse artifact was ever stored for the source.
-        assert (
-            stage_key(PARSE, digest, AnalysisOptions(entity="other")) in cache
-        )
+        # Exactly one parse entry was ever stored per unit of the source.
         assert [key for key in cache._entries if key.startswith("parse:")] == [
-            key_first
+            f"parse:{source_digest(f'{line}:{text}')}" for line, text in units
         ]
 
     def test_cached_and_cold_runs_agree(self):
@@ -394,19 +393,21 @@ class TestBatchDriver:
         assert documents[0] == documents[1]
 
     def test_cold_parallel_all_entities_batch_reads_the_expanded_parse(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        # Expansion parses the file into the shared cache dir, and every
-        # worker reads that entry: no job computes the parse.
+        # Expansion parses the file's units into the shared cache dir, and
+        # every worker reads those entries: no job parses a unit (the forked
+        # workers inherit the failing parse_program).
         path = tmp_path / "multi.vhd"
         path.write_text(workloads.multi_entity_program(4, 2, 4), encoding="utf-8")
         workspace = Workspace(cache_dir=str(tmp_path / "cache"))
-        report = workspace.batch(
-            [str(path)], all_entities=True, parallel=True, max_workers=2
-        )
+        jobs = expand_jobs([str(path)], workspace, all_entities=True)
+        monkeypatch.setattr(stages_module, "parse_program", _fails)
+        report = workspace.batch(jobs, parallel=True, max_workers=2)
         assert report.ok and len(report.items) == 4
         for item in report.items:
-            assert item.data["cached_stages"] == ["parse"]
+            assert item.data["cached_stages"] == []
+            assert "parse" in item.data["timings"]
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here"
@@ -468,9 +469,9 @@ class TestBatchDriver:
             assert item.text == render_analysis_text(single)
             assert item.data["design"] == job.entity
 
-    def test_cold_sequential_batch_shares_one_parse(self, tmp_path):
+    def test_cold_sequential_batch_shares_one_parse(self, tmp_path, parse_calls):
         # A default workspace caches in memory, so the per-entity jobs of a
-        # file reuse its parse artifact instead of re-tokenising the same
+        # file reuse its parsed units instead of re-tokenising the same
         # source per entity (expanded on a cache-less workspace here, so
         # the first job's parse is cold).
         path = tmp_path / "multi.vhd"
@@ -478,12 +479,29 @@ class TestBatchDriver:
             workloads.multi_entity_program(3, 2, 4), encoding="utf-8"
         )
         jobs = expand_jobs([str(path)], Workspace(cache=None), all_entities=True)
+        parse_calls.clear()  # the cache-less expansion parsed the whole file
         report = run_batch(jobs, Workspace(), parallel=False)
-        assert report.ok
-        first, *rest = report.items
-        assert "parse" not in first.data["cached_stages"]
-        for item in rest:
-            assert "parse" in item.data["cached_stages"]
+        assert report.ok and len(report.items) == 3
+        # Every unit is parsed once (the first job needs them all).
+        units = split_units(path.read_text(encoding="utf-8"))
+        assert parse_calls == [(text, line) for line, text in units]
+        for item in report.items:
+            assert "parse" not in item.data["cached_stages"]
+            assert "parse" in item.data["timings"]
+
+    def test_all_entities_runs_each_entity_once(self, tmp_path):
+        # Two architectures of one entity: elaboration takes the first, so
+        # a job per architecture would run the same analysis twice.
+        source = workloads.multi_entity_program(2, 2, 4)
+        start = source.index("architecture generated of chain_0")
+        end = source.index("end generated;", start) + len("end generated;")
+        alternative = source[start:end].replace("generated", "alternative")
+        path = tmp_path / "two_archs.vhd"
+        path.write_text(source + "\n" + alternative + "\n", encoding="utf-8")
+        workspace = Workspace()
+        jobs = expand_jobs([str(path)], workspace, all_entities=True)
+        assert [job.entity for job in jobs] == ["chain_0", "chain_1"]
+        assert workspace.batch(jobs, parallel=False).ok
 
     def test_no_cache_sequential_batch_stays_cold(self, tmp_path):
         path = tmp_path / "multi.vhd"
@@ -533,15 +551,17 @@ class TestBatchDriver:
         jobs = expand_jobs([str(binary)], Workspace(), all_entities=True)
         assert jobs == [BatchJob(path=str(binary))]
 
-    def test_expansion_seeds_the_parse_cache(self, tmp_path):
+    def test_expansion_seeds_the_parse_cache(self, tmp_path, parse_calls):
         path = tmp_path / "multi.vhd"
         path.write_text(workloads.multi_entity_program(3, 2, 4), encoding="utf-8")
         workspace = Workspace(cache=ArtifactCache())
         jobs = expand_jobs([str(path)], workspace, all_entities=True)
+        units = split_units(path.read_text(encoding="utf-8"))
+        assert parse_calls == [(text, line) for line, text in units]
         report = run_batch(jobs, workspace, parallel=False)
-        assert report.ok
-        # every job reuses the parse from expansion: the file is parsed once
-        assert all("parse" in item.data["cached_stages"] for item in report.items)
+        assert report.ok and len(report.items) == 3
+        # every job reuses the units from expansion: each is parsed once
+        assert len(parse_calls) == len(units) == 6
 
     def test_json_document_shape(self, workload_files):
         workspace = Workspace()
