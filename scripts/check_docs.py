@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs consistency gate (no dependencies beyond the stdlib).
 
-Checks eight things, and exits non-zero listing every failure:
+Checks nine things, and exits non-zero listing every failure:
 
 1. Internal markdown links in ``README.md`` and ``docs/*.md`` resolve —
    every relative link target (minus any ``#anchor``) names an existing
@@ -31,6 +31,11 @@ Checks eight things, and exits non-zero listing every failure:
    public name exported from ``src/repro/hier/__init__.py`` (its
    ``__all__``) — a new hierarchy API without documentation fails the
    gate.
+9. The cache-key table in ``docs/architecture.md`` (between the
+   ``cache-keys`` markers) names every ``Stage(...)`` built in
+   ``src/repro/pipeline/stages.py`` exactly once.  The row of a cached stage
+   lists exactly its ``option_fields``; the row of a stage built with
+   ``cacheable=False`` says "never cached" or "no stage entry".
 
 Run it directly (``python scripts/check_docs.py``) or via ``make docs``;
 CI runs it as the ``docs`` job.
@@ -38,6 +43,7 @@ CI runs it as the ``docs`` job.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -302,6 +308,105 @@ def check_hierarchy_doc() -> list[str]:
     return failures
 
 
+#: The fenced region of docs/architecture.md holding the cache-key table.
+_CACHE_KEY_MARKERS = ("<!-- cache-keys:start -->", "<!-- cache-keys:end -->")
+#: | `cfg`, `active` | `entity`, ... | — a table row's first two cells.
+_TABLE_ROW = re.compile(r"^\|([^|\n]*)\|([^|\n]*)\|", re.MULTILINE)
+#: What the row of a stage without a cache entry of its own must say.
+_UNCACHED = ("never cached", "no stage entry")
+
+
+def _declared_stages(source: str) -> dict[str, tuple[bool, tuple[str, ...]]]:
+    """Each ``Stage(...)`` call: name → (cacheable, option fields).
+
+    Option fields are a literal tuple or a module-level name bound to one
+    (``_SHAPE = ("entity", "loop_processes")``).
+    """
+    tree = ast.parse(source)
+    constants = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                try:
+                    constants[target.id] = ast.literal_eval(node.value)
+                except ValueError:
+                    pass
+    stages = {}
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Stage"
+        ):
+            continue
+        keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+        fields = node.args[3] if len(node.args) > 3 else keywords.get("option_fields")
+        if fields is None:
+            option_fields: tuple = ()
+        elif isinstance(fields, ast.Name):
+            option_fields = tuple(constants[fields.id])
+        else:
+            option_fields = tuple(ast.literal_eval(fields))
+        cacheable = keywords.get("cacheable")
+        stages[ast.literal_eval(node.args[0])] = (
+            cacheable is None or ast.literal_eval(cacheable),
+            option_fields,
+        )
+    return stages
+
+
+def check_cache_key_table() -> list[str]:
+    """``docs/architecture.md``'s key table matches the declared stages."""
+    stages_py = REPO_ROOT / "src" / "repro" / "pipeline" / "stages.py"
+    declared = _declared_stages(stages_py.read_text(encoding="utf-8"))
+    if not declared:
+        return [f"{stages_py.relative_to(REPO_ROOT)}: found no Stage(...) calls"]
+    text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+    start, end = _CACHE_KEY_MARKERS
+    if start not in text or end not in text:
+        return [
+            f"docs/architecture.md: missing the {start} / {end} markers around "
+            "the cache-key table"
+        ]
+    table = text.split(start, 1)[1].split(end, 1)[0]
+    failures = []
+    rows: dict[str, str] = {}
+    for names_cell, fields_cell in _TABLE_ROW.findall(table):
+        for name in re.findall(r"`([a-z_]+)`", names_cell):
+            if name in rows:
+                failures.append(
+                    f"docs/architecture.md: the cache-key table names stage "
+                    f"{name!r} twice"
+                )
+            rows[name] = fields_cell
+    for name in sorted(set(rows) - set(declared)):
+        failures.append(
+            f"docs/architecture.md: the cache-key table names {name!r}, but "
+            "pipeline/stages.py builds no such Stage"
+        )
+    for name, (cacheable, option_fields) in sorted(declared.items()):
+        cell = rows.get(name)
+        if cell is None:
+            failures.append(
+                f"pipeline/stages.py builds stage {name!r} but the "
+                "docs/architecture.md cache-key table has no row for it"
+            )
+        elif not cacheable and not any(phrase in cell for phrase in _UNCACHED):
+            failures.append(
+                f"docs/architecture.md: stage {name!r} is never cached, but its "
+                f"cache-key row does not say so ({' or '.join(_UNCACHED)})"
+            )
+        elif cacheable:
+            listed = re.findall(r"`([a-z_]+)`", cell)
+            if sorted(listed) != sorted(option_fields):
+                failures.append(
+                    f"docs/architecture.md: the cache-key row of {name!r} lists "
+                    f"{listed}, but its option_fields are {list(option_fields)}"
+                )
+    return failures
+
+
 def main() -> int:
     documents = [REPO_ROOT / "README.md"]
     docs_dir = REPO_ROOT / "docs"
@@ -314,6 +419,7 @@ def main() -> int:
     failures.extend(check_performance_doc())
     failures.extend(check_document_kinds())
     failures.extend(check_hierarchy_doc())
+    failures.extend(check_cache_key_table())
     for failure in failures:
         print(f"docs check: {failure}", file=sys.stderr)
     if failures:
@@ -325,7 +431,7 @@ def main() -> int:
         "policy_file.py, serve flags documented in serve.md, lint catalog "
         "matches rules.py, performance guide covers bench_scaling.py, "
         "api.md document table matches the recorded kinds, hierarchy guide "
-        "covers the repro.hier exports)"
+        "covers the repro.hier exports, cache-key table matches the stages)"
     )
     return 0
 

@@ -81,6 +81,18 @@ def allocate_outgoing_labels(program_cfg: ProgramCFG, design: Design) -> Dict[st
     return labels
 
 
+def _in_fact_order(seeds: List[Entry]) -> List[Entry]:
+    """``seeds`` sorted by ``(name, label)``.
+
+    The seeds come from frozensets of ``RD†``, whose iteration order can
+    change across a pickle round trip, and they intern their ``n◦`` names
+    in the order they are added.  Sorting them makes a closure recomputed
+    on artefacts read back from a cache intern into the same universe
+    order as the cold run.
+    """
+    return sorted(seeds, key=lambda entry: (entry.name, entry.label))
+
+
 def initial_value_seeds(specialized: SpecializedRD) -> List[Entry]:
     """Rule [Initial values]: ``(n, ?) ∈ RD†(l)`` gives ``(n◦, l, R0)``."""
     seeds: List[Entry] = []
@@ -88,7 +100,7 @@ def initial_value_seeds(specialized: SpecializedRD) -> List[Entry]:
         for name, def_label in definitions:
             if def_label == INITIAL_LABEL:
                 seeds.append(Entry(incoming_node(name), label, Access.R0))
-    return seeds
+    return _in_fact_order(seeds)
 
 
 def incoming_value_seeds(
@@ -107,7 +119,7 @@ def incoming_value_seeds(
         for name, def_label in definitions:
             if def_label in wait_labels and name in incoming:
                 seeds.append(Entry(incoming_node(name), label, Access.R0))
-    return seeds
+    return _in_fact_order(seeds)
 
 
 def outgoing_value_seeds(outgoing_labels: Dict[str, int]) -> List[Entry]:

@@ -101,7 +101,9 @@ class ProcessCFG:
 
     ``entry_label`` is the synthetic ``null`` block, ``loop_label`` the
     synthetic ``while '1'`` guard; ``body_labels`` are the labels of the
-    user-written body only.
+    user-written body only.  The assignment indexes built on first use are
+    derived data and, like :class:`ProgramCFG`'s index, stay out of the
+    pickled state.
     """
 
     process: Process
@@ -111,6 +113,13 @@ class ProcessCFG:
     flow: Set[Edge] = field(default_factory=set)
     wait_labels: FrozenSet[int] = frozenset()
     body_labels: FrozenSet[int] = frozenset()
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if not name.startswith("_assign_index_")
+        }
 
     @property
     def name(self) -> str:

@@ -2,9 +2,11 @@
 
 :class:`AnalysisResult` is the bundle of artefacts one full Information Flow
 analysis run produces (``repro.AnalysisResult``; what :func:`repro.analyze`
-returns).  :class:`AnalysisOptions` is the frozen set of knobs that select
-*which* analysis runs — its fields are the option inputs of every stage
-cache key (see :func:`repro.pipeline.stages.stage_key` and
+returns), a view over the run that loads each artefact the first time a
+caller reads it.  :class:`Inventory` is the small artefact documents read
+besides the flow graph.  :class:`AnalysisOptions` is the frozen set of
+knobs that select *which* analysis runs — its fields are the option inputs
+of every stage cache key (see :func:`repro.pipeline.stages.stage_key` and
 ``docs/architecture.md`` for which field keys which stage).
 :class:`StageTiming` / :class:`PipelineResult` describe *how* a pipeline run
 went, stage by stage; ``PipelineResult.cached_stages`` is the observable the
@@ -43,22 +45,100 @@ class AnalysisOptions:
     use_under_approximation: bool = True
 
 
-@dataclass
-class AnalysisResult:
-    """All artefacts produced by one Information Flow analysis run."""
+@dataclass(frozen=True)
+class Inventory:
+    """What documents and text renderings read of a run besides the graph.
 
-    design: Design
-    program_cfg: ProgramCFG
-    active: Dict[str, ActiveSignalsResult]
-    reaching: ReachingDefinitionsResult
-    rm_local: ResourceMatrix
-    specialized: SpecializedRD
-    rm_global: ResourceMatrix
-    graph: FlowGraph
-    improved: bool
-    outgoing_labels: Dict[str, int] = field(default_factory=dict)
-    universe: Optional[FactUniverse] = None
-    """The per-session resource-name universe this run interned into."""
+    The ``inventory`` stage's artefact: the design's name and ports, the
+    ``ProgramCFG.summary()`` counts and the sizes of ``RM_lo`` and
+    ``RM_gl``.  A warm run reads it instead of the design, the CFG and the
+    two matrices.
+    """
+
+    design: str
+    input_ports: Tuple[str, ...]
+    output_ports: Tuple[str, ...]
+    cfg_stats: Dict[str, int]
+    local_entries: int
+    global_entries: int
+
+
+class AnalysisResult:
+    """All artefacts produced by one Information Flow analysis run.
+
+    A view over the run's context
+    (:class:`~repro.pipeline.stages.PipelineContext`).  ``graph`` and
+    ``inventory`` are the run's goals, resolved before it returns.  Every
+    other artefact field resolves on first access, from the cache or by
+    running its stage in the run's universe, and the stage then appears in
+    the run's ``timings``.  The context holds no reference back to the view,
+    so dropping the result frees the run.
+    """
+
+    __slots__ = ("_context",)
+
+    def __init__(self, context: Any):
+        self._context = context
+
+    @property
+    def design(self) -> Design:
+        """The elaborated design."""
+        return self._context.artifact("design")
+
+    @property
+    def program_cfg(self) -> ProgramCFG:
+        """The whole-program CFG."""
+        return self._context.artifact("program_cfg")
+
+    @property
+    def active(self) -> Dict[str, ActiveSignalsResult]:
+        """The per-process active-signals results (Table 4)."""
+        return self._context.artifact("active")
+
+    @property
+    def reaching(self) -> ReachingDefinitionsResult:
+        """The Reaching Definitions (Table 5)."""
+        return self._context.artifact("reaching")
+
+    @property
+    def rm_local(self) -> ResourceMatrix:
+        """The local Resource Matrix ``RM_lo`` (Table 6)."""
+        return self._context.artifact("rm_local")
+
+    @property
+    def specialized(self) -> SpecializedRD:
+        """The specialised relations ``RD†``/``RD†ϕ`` (Table 7)."""
+        return self._context.artifact("specialized")
+
+    @property
+    def rm_global(self) -> ResourceMatrix:
+        """The closed matrix ``RM_gl`` (Table 8, with Table 9 when improved)."""
+        return self._context.artifact("closure").rm_global
+
+    @property
+    def outgoing_labels(self) -> Dict[str, int]:
+        """Each ``out`` port's synthetic label ``l_{n•}`` (improved runs)."""
+        return getattr(self._context.artifact("closure"), "outgoing_labels", {})
+
+    @property
+    def graph(self) -> FlowGraph:
+        """The information-flow graph (the paper's result artefact)."""
+        return self._context.artifact("graph")
+
+    @property
+    def inventory(self) -> Inventory:
+        """The design's name, ports and size counts (:class:`Inventory`)."""
+        return self._context.artifact("inventory")
+
+    @property
+    def improved(self) -> bool:
+        """True when the run added the Table 9 improvement."""
+        return self._context.options.improved
+
+    @property
+    def universe(self) -> Optional[FactUniverse]:
+        """The per-session resource-name universe this run interned into."""
+        return self._context.universe
 
     @property
     def flow_graph(self) -> FlowGraph:
@@ -75,11 +155,13 @@ class AnalysisResult:
 
     def summary(self) -> str:
         """Short human-readable description of the run."""
-        cfg_stats = self.program_cfg.summary()
+        inventory = self.inventory
         return (
-            f"design {self.design.name!r}: {cfg_stats['processes']} processes, "
-            f"{cfg_stats['labels']} blocks, {len(self.rm_local)} local entries, "
-            f"{len(self.rm_global)} global entries, graph: {self.graph.summary()}"
+            f"design {inventory.design!r}: {inventory.cfg_stats['processes']} "
+            f"processes, {inventory.cfg_stats['labels']} blocks, "
+            f"{inventory.local_entries} local entries, "
+            f"{inventory.global_entries} global entries, "
+            f"graph: {self.graph.summary()}"
         )
 
 
@@ -112,7 +194,8 @@ class PipelineResult:
     ``report`` when a policy was supplied and the ``report`` stage ran.
     ``artifacts`` is the raw stage context for partial runs (``until=``),
     exposing every resolved artefact by name; the artefact of a stage the
-    run neither read nor ran (``parse`` on a warm run, say) is ``None``.
+    run has neither read nor run (``parse`` on a warm run, say) is ``None``
+    there, while ``result`` resolves it on first access.
     """
 
     options: AnalysisOptions
@@ -131,11 +214,13 @@ class PipelineResult:
     def cached_stages(self) -> List[str]:
         """Names of the stages served from the artifact cache, in order.
 
-        Runs are goal-first (:mod:`repro.pipeline.stages`): a stage the run
-        neither read nor ran appears here and in :attr:`timings` not at
-        all.  A fully cached flat run lists ``elaborate`` … ``flow_graph``
-        and no ``parse``; a fully cached linked run lists ``place`` …
-        ``flow_graph`` and no ``parse``, ``hierarchy`` or ``summary``.
+        Runs are demand-driven (:mod:`repro.pipeline.stages`): a stage the
+        run neither read nor ran appears here and in :attr:`timings` not at
+        all.  A fully cached run of either plan lists its goals only:
+        ``flow_graph`` and ``inventory`` (plus ``lint`` for a lint run, or
+        ``kemmerer`` alone for a Kemmerer run).  A field of :attr:`result`
+        read after the run appends the stage it resolved, so both lists
+        can grow after the run returns.
         """
         return [stage.name for stage in self.stages if stage.cached]
 

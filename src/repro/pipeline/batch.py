@@ -307,7 +307,7 @@ def run_job(
             findings = lint.apply(run.artifacts.lint)
             data["lint"] = lint_section(findings)
             text = "\n\n".join(
-                (text, render_lint_text(run.result.design.name, findings))
+                (text, render_lint_text(run.result.inventory.design, findings))
             )
         return BatchItem(
             job=job,

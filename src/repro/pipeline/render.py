@@ -93,21 +93,22 @@ def analysis_json(
 ) -> Dict[str, Any]:
     """The machine-readable summary of one analysis run.
 
-    Contains the design inventory, the (flag-shaped) adjacency, per-stage
-    wall-clock timings and which stages were served from the artifact cache.
+    Contains the design inventory (the run's ``inventory`` artefact), the
+    (flag-shaped) adjacency, per-stage wall-clock timings and which stages
+    were served from the artifact cache.
     ``graph`` optionally supplies an already-shaped graph, as in
     :func:`render_analysis_text`.
     """
     result = pipeline.result
     if graph is None:
         graph = select_graph(result, collapse, self_loops)
-    cfg_stats = result.program_cfg.summary()
+    inventory = result.inventory
     document: Dict[str, Any] = {}
     if file is not None:
         document["file"] = file
     document.update(
         {
-            "design": result.design.name,
+            "design": inventory.design,
             "options": {
                 "entity": pipeline.options.entity,
                 "improved": pipeline.options.improved,
@@ -115,9 +116,9 @@ def analysis_json(
                 "use_under_approximation": pipeline.options.use_under_approximation,
             },
             "summary": {
-                **cfg_stats,
-                "local_entries": len(result.rm_local),
-                "global_entries": len(result.rm_global),
+                **inventory.cfg_stats,
+                "local_entries": inventory.local_entries,
+                "global_entries": inventory.global_entries,
                 "nodes": graph.node_count(),
                 "edges": graph.edge_count(),
             },
@@ -174,7 +175,7 @@ def lint_json(
     document: Dict[str, Any] = {}
     if file is not None:
         document["file"] = file
-    document["design"] = pipeline.result.design.name
+    document["design"] = pipeline.result.inventory.design
     document.update(lint_section(findings))
     document["timings"] = _round_timings(pipeline)
     document["cached_stages"] = pipeline.cached_stages

@@ -16,6 +16,9 @@ local      the local Resource Matrix ``RM_lo`` (Table 6)
 specialize the specialised RD results ``RD†``/``RD†ϕ`` (Table 7)
 closure    the closed matrix ``RM_gl`` (Table 8, optionally Table 9)
 flow_graph the information-flow graph
+inventory  the :class:`~repro.pipeline.artifacts.Inventory`: design name,
+           ports, CFG counts and matrix sizes, what documents read besides
+           the graph
 lint       the lint findings (``vhdl-ifa lint`` runs only; full catalog)
 report     the covert-channel report (only when a policy is given)
 ========== =====================================================
@@ -32,19 +35,22 @@ place      the flat design, its ``ProgramCFG``, the Table 4 results and
            ``RM_lo``, placed from the summaries
 ========== =====================================================
 
-Runs are goal-first.  A run resolves its *goals*, the stages whose
-artefacts its result holds (every stage of the plan but ``parse``,
-``hierarchy`` and ``summary``, plus the ``until=`` stage), in plan order.
-Each goal is served from the cache when it can be; a goal that misses first
-resolves the stages producing the context attributes it reads
-(``Stage.needs``), then runs.  So ``parse``, ``hierarchy`` and ``summary``
-(the *on-demand* stages) are read or run only when a stage that misses
-needs their artefact, and a fully cached run never touches the AST.  The
-plan itself comes from the cache when it can: a cached ``elaborate``
-artefact exists only for a flat source and a cached ``place`` artefact only
-for a linked one, so a hit on either key picks the plan (and is kept as that
-goal's artefact).  Only when both miss does the run parse the source and
-look for instantiations.
+Runs are demand-driven.  A run resolves only its *goals*: ``flow_graph``
+and ``inventory``, plus ``lint``, ``report`` or ``kemmerer`` where its plan
+has one (``Stage.goal``), or the ``until=`` stage.  Every other stage is
+on-demand.  A goal is served from the cache when it can be; a stage that
+misses first resolves the stages producing the context attributes it reads
+(``Stage.needs``) and the context lacks, then runs.  A goal's key does not
+depend on the plan, so goals are looked up before the plan is known, and the
+plan is picked only when a stage needs an artefact the context lacks: a
+cached ``elaborate`` artefact exists only for a flat source and a cached
+``place`` artefact only for a linked one, so a hit on either key picks the
+plan (and is kept as that stage's artefact); only when both miss does the
+run parse the source and look for instantiations.  So a fully cached run
+reads its goal entries and nothing else.  The
+:class:`~repro.pipeline.artifacts.AnalysisResult` a run returns is a view
+over its context, and resolves any other artefact the first time a caller
+reads it.
 
 Each stage is individually invokable (``Pipeline.run(..., until="cfg")``
 stops after the CFG; ``PipelineResult.artifacts`` exposes every resolved
@@ -66,13 +72,15 @@ stage      cache-key option fields (plus the stage name + source hash)
 parse      no stage entry: each design unit is cached under
            ``parse:<sha256 of "<first line>:<unit text>">``
 elaborate  entity
-cfg        entity, loop_processes
+cfg        never cached (rebuilding it from the design is cheaper than
+           decoding it)
 active     entity, loop_processes
 reaching   entity, loop_processes, use_under_approximation
 local      entity, loop_processes
 specialize entity, loop_processes, use_under_approximation
 closure    entity, loop_processes, use_under_approximation, improved
 flow_graph entity, loop_processes, use_under_approximation, improved
+inventory  entity, loop_processes, use_under_approximation, improved
 lint       entity, loop_processes, use_under_approximation, improved
 kemmerer   entity, loop_processes
 report     never cached (cheap, policy-dependent)
@@ -92,9 +100,12 @@ Universe discipline: every run starts with a fresh
 (``place`` on the linked plan) onward intern resource names into it.  Their
 cached artefacts are stored *together with* the universe they were built in
 and a cache hit adopts that universe, keeping bitset-encoded artefacts and
-universe consistent.  Goals resolve in plan order and no on-demand stage is
-universe-bound, so a run binds its universe at the same stage a run through
-the whole plan would.
+universe consistent.  A cold run resolves its stages in plan order, so it
+binds its universe at ``local`` (``place``); a warm run binds it at the
+first universe-bound artefact it reads, usually ``flow_graph``.  Every
+universe-bound artefact resolved after that, during the run or on a field
+read after it, is served only if its entry shares that universe, and is
+otherwise recomputed in it.
 """
 
 from __future__ import annotations
@@ -121,6 +132,7 @@ from repro.hier.structure import build_hierarchy, has_instantiations
 from repro.pipeline.artifacts import (
     AnalysisOptions,
     AnalysisResult,
+    Inventory,
     PipelineResult,
     StageTiming,
 )
@@ -132,7 +144,14 @@ from repro.vhdl.parser import parse_program, split_units
 
 @dataclass
 class PipelineContext:
-    """The mutable artefact store one pipeline run threads through its stages."""
+    """The artefact store of one pipeline run, and what resolves the rest of it.
+
+    Stages read and write artefacts here.  ``pipeline``, ``plans``,
+    ``until``, ``producers`` and ``missed`` let :meth:`artifact` resolve an
+    artefact the run has not resolved yet, during the run or after it
+    returned.  Nothing here refers back to the
+    :class:`~repro.pipeline.artifacts.AnalysisResult` views over it.
+    """
 
     options: AnalysisOptions
     universe: FactUniverse
@@ -152,13 +171,31 @@ class PipelineContext:
     specialized: Optional[Any] = None
     closure: Optional[Any] = None
     graph: Optional[FlowGraph] = None
+    inventory: Optional[Inventory] = None
     kemmerer: Optional[Any] = None
-    analysis: Optional[AnalysisResult] = None
     lint: Optional[Any] = None
     policy: Optional[Any] = None
     report_options: Dict[str, Any] = field(default_factory=dict)
     report: Optional[Any] = None
     stages: List[StageTiming] = field(default_factory=list)
+    pipeline: Optional["Pipeline"] = field(default=None, repr=False)
+    """The engine that resolves missing artefacts; None resolves nothing."""
+    plans: Tuple[Sequence["Stage"], ...] = field(default=(), repr=False)
+    """The run's flat and linked plans, uncut."""
+    until: Optional[str] = None
+    producers: Optional[Dict[str, "Stage"]] = field(default=None, repr=False)
+    """Attribute → producing stage on the source's plan, once it is picked."""
+    missed: Set[str] = field(default_factory=set)
+    """The stages whose lookup missed in this run (never looked up again)."""
+    profile: bool = False
+
+    def artifact(self, name: str) -> Any:
+        """The artefact in attribute ``name``, resolving its stage if missing."""
+        value = getattr(self, name)
+        if value is None and self.pipeline is not None:
+            self.pipeline._provide(self, name)
+            value = getattr(self, name)
+        return value
 
 
 def _run_parse(ctx: PipelineContext) -> Program:
@@ -238,18 +275,30 @@ def _run_flow_graph(ctx: PipelineContext) -> FlowGraph:
     return FlowGraph.from_resource_matrix(ctx.closure.rm_global)
 
 
+def _run_inventory(ctx: PipelineContext) -> Inventory:
+    design = ctx.design
+    return Inventory(
+        design=design.name,
+        input_ports=tuple(design.input_ports),
+        output_ports=tuple(design.output_ports),
+        cfg_stats=ctx.program_cfg.summary(),
+        local_entries=len(ctx.rm_local),
+        global_entries=len(ctx.closure.rm_global),
+    )
+
+
 def _run_kemmerer(ctx: PipelineContext) -> Any:
     return kemmerer_analysis(ctx.rm_local)
 
 
 # Looked up on their modules at call time: perfbench/spans.py wraps them there.
 def _run_lint(ctx: PipelineContext) -> Any:
-    return repro.analysis.lint.run_lint_rules(ctx.analysis)
+    return repro.analysis.lint.run_lint_rules(AnalysisResult(ctx))
 
 
 def _run_report(ctx: PipelineContext) -> Any:
     return repro.security.report.build_report(
-        ctx.analysis, ctx.policy, **ctx.report_options
+        AnalysisResult(ctx), ctx.policy, **ctx.report_options
     )
 
 
@@ -264,9 +313,10 @@ class Stage:
     the cache key.  ``universe_bound`` marks artefacts encoded against the
     session universe; they are cached together with it.  ``needs`` names
     the context attributes ``run`` reads besides ``options``: a stage that
-    misses the cache first resolves the stages producing them.  An
-    ``on_demand`` stage's artefact only feeds other stages, so a run reads
-    or runs it only when a stage that misses needs it.
+    misses the cache first resolves, in that order, the producers of those
+    the context lacks (the order makes a cold run follow plan order).  A
+    ``goal`` stage is resolved by every run whose plan holds it; every other
+    stage is read or run only when something needs its artefact.
     """
 
     name: str
@@ -276,7 +326,7 @@ class Stage:
     universe_bound: bool = False
     cacheable: bool = True
     needs: Tuple[str, ...] = ()
-    on_demand: bool = False
+    goal: bool = False
 
 
 _ENTITY = ("entity",)
@@ -290,10 +340,11 @@ PARSE = Stage(
     _run_parse,
     cacheable=False,
     needs=("source", "cache"),
-    on_demand=True,
 )
 ELABORATE = Stage("elaborate", "design", _run_elaborate, _ENTITY, needs=("program",))
-CFG = Stage("cfg", "program_cfg", _run_cfg, _SHAPE, needs=("design",))
+# Rebuilding the CFG from the design is cheaper than decoding it, and its
+# pickle would hold the whole design a second time.
+CFG = Stage("cfg", "program_cfg", _run_cfg, cacheable=False, needs=("design",))
 ACTIVE = Stage("active", "active", _run_active, _SHAPE, needs=("program_cfg",))
 REACHING = Stage(
     "reaching", "reaching", _run_reaching, _RD, needs=("program_cfg", "active")
@@ -312,7 +363,7 @@ SPECIALIZE = Stage(
     _run_specialize,
     _RD,
     universe_bound=True,
-    needs=("program_cfg", "rm_local", "active", "reaching"),
+    needs=("program_cfg", "active", "reaching", "rm_local"),
 )
 CLOSURE = Stage(
     "closure",
@@ -320,7 +371,7 @@ CLOSURE = Stage(
     _run_closure,
     _ALL,
     universe_bound=True,
-    needs=("program_cfg", "rm_local", "specialized", "design"),
+    needs=("program_cfg", "specialized", "rm_local", "design"),
 )
 FLOW_GRAPH = Stage(
     "flow_graph",
@@ -329,9 +380,24 @@ FLOW_GRAPH = Stage(
     _ALL,
     universe_bound=True,
     needs=("closure",),
+    goal=True,
 )
-# ``analysis`` is assembled once ``flow_graph`` is resolved (Pipeline._execute).
-LINT = Stage("lint", "lint", _run_lint, _ALL, needs=("analysis",))
+INVENTORY = Stage(
+    "inventory",
+    "inventory",
+    _run_inventory,
+    _ALL,
+    needs=("design", "program_cfg", "rm_local", "closure"),
+    goal=True,
+)
+LINT = Stage(
+    "lint",
+    "lint",
+    _run_lint,
+    _ALL,
+    needs=("design", "program_cfg", "reaching", "graph"),
+    goal=True,
+)
 KEMMERER = Stage(
     "kemmerer",
     "kemmerer",
@@ -339,13 +405,15 @@ KEMMERER = Stage(
     _SHAPE,
     universe_bound=True,
     needs=("rm_local",),
+    goal=True,
 )
 REPORT = Stage(
     "report",
     "report",
     _run_report,
     cacheable=False,
-    needs=("analysis", "policy", "report_options"),
+    needs=("graph", "inventory", "policy", "report_options"),
+    goal=True,
 )
 # The hierarchy is a cheap pass over the parse, and the summary stage caches
 # each entity under its own key (repro.hier.summary), so neither has a
@@ -357,7 +425,6 @@ HIERARCHY = Stage(
     _ENTITY,
     cacheable=False,
     needs=("program",),
-    on_demand=True,
 )
 SUMMARY = Stage(
     "summary",
@@ -366,7 +433,6 @@ SUMMARY = Stage(
     ("loop_processes",),
     cacheable=False,
     needs=("hierarchy", "cache"),
-    on_demand=True,
 )
 PLACE = Stage(
     "place",
@@ -377,7 +443,8 @@ PLACE = Stage(
     needs=("hierarchy", "summaries", "universe"),
 )
 
-#: The full analysis, source to flow graph (plus the optional report).
+#: The full analysis, source to flow graph and inventory (plus the optional
+#: report).
 ANALYSIS_STAGES: Tuple[Stage, ...] = (
     PARSE,
     ELABORATE,
@@ -388,6 +455,7 @@ ANALYSIS_STAGES: Tuple[Stage, ...] = (
     SPECIALIZE,
     CLOSURE,
     FLOW_GRAPH,
+    INVENTORY,
     REPORT,
 )
 
@@ -403,6 +471,7 @@ LINKED_STAGES: Tuple[Stage, ...] = (
     SPECIALIZE,
     CLOSURE,
     FLOW_GRAPH,
+    INVENTORY,
     REPORT,
 )
 
@@ -422,6 +491,21 @@ STAGE_NAMES: Tuple[str, ...] = tuple(stage.name for stage in ANALYSIS_STAGES)
 def _attrs(stage: Stage) -> Tuple[str, ...]:
     """The context attributes the stage's artefact lands in."""
     return stage.attr if isinstance(stage.attr, tuple) else (stage.attr,)
+
+
+#: Every context attribute some stage produces; any other need (the source,
+#: the cache, the universe, the policy) is an input of the run.
+_ARTIFACTS = frozenset(
+    name
+    for plan in (LINT_STAGES, LINKED_LINT_STAGES, KEMMERER_STAGES)
+    for stage in plan
+    for name in _attrs(stage)
+)
+
+
+def _resolved(ctx: PipelineContext, stage: Stage) -> bool:
+    """True once the run has served or computed ``stage``."""
+    return any(timing.name == stage.name for timing in ctx.stages)
 
 
 def _store(ctx: PipelineContext, stage: Stage, artifact: Any) -> None:
@@ -462,7 +546,7 @@ class Pipeline:
     per goal: :meth:`run` (the Information Flow analysis), :meth:`run_lint`
     and :meth:`run_kemmerer`.  One :class:`Pipeline` can serve many runs;
     pass an :class:`~repro.pipeline.cache.ArtifactCache` to reuse artefacts
-    across them.  Without a cache every run computes everything.
+    across them.  Without a cache every run computes everything it needs.
     """
 
     #: How many hot spots a profiled stage keeps (by internal time).
@@ -564,12 +648,14 @@ class Pipeline:
         until: Optional[str] = None,
         profile: bool = False,
     ) -> PipelineResult:
-        """Resolve the goals of the source's plan, up to ``until``.
+        """Resolve the run's goals, and leave the rest of the plan on demand.
 
-        A program with component instantiations takes ``linked``, any other
-        program ``flat`` (see :meth:`_choose_plan`).  The goals are the
-        plan's stages but the on-demand ones, plus the ``until`` stage; each
-        is resolved in plan order (:meth:`_resolve`).
+        The goals are the ``goal`` stages of the plan cut after ``until``,
+        plus the ``until`` stage itself; the report only with a policy.  A
+        goal's key does not depend on the plan (a plan-specific ``until``
+        stage misses on the other plan's sources), so goals resolve before
+        the plan is picked, and it is picked only if a stage needs an
+        artefact the context lacks (:meth:`_provide`).
         """
         known = list(dict.fromkeys(stage.name for stage in (*flat, *linked)))
         if until is not None and until not in known:
@@ -577,95 +663,90 @@ class Pipeline:
                 f"unknown pipeline stage {until!r}; expected one of "
                 + ", ".join(known)
             )
-        plan, missed = self._choose_plan(ctx, flat, linked, until, profile)
-        goals = [stage for stage in plan if not stage.on_demand]
-        if plan[-1].on_demand:
-            goals.append(plan[-1])
-        if ctx.policy is None and goals[-1] is REPORT:
-            goals.pop()
-
-        producers = {name: stage for stage in plan for name in _attrs(stage)}
+        ctx.pipeline = self
+        ctx.plans = (flat, linked)
+        ctx.until = until
+        ctx.profile = profile
+        cut = _cut(flat, until) or _cut(linked, until)
+        goals = [stage for stage in cut if stage.goal]
+        if cut[-1] not in goals:
+            goals.append(cut[-1])
+        if ctx.policy is None and REPORT in goals:
+            goals.remove(REPORT)
         for stage in goals:
-            self._resolve(ctx, stage, producers, missed, profile)
-            if stage is FLOW_GRAPH:
-                ctx.analysis = self._assemble(ctx)
+            self._resolve(ctx, stage)
 
         return PipelineResult(
             options=ctx.options,
             stages=ctx.stages,
-            result=ctx.analysis,
+            result=AnalysisResult(ctx) if ctx.graph is not None else None,
             kemmerer=ctx.kemmerer,
             report=ctx.report,
             artifacts=ctx,
         )
 
-    def _choose_plan(
-        self,
-        ctx: PipelineContext,
-        flat: Sequence[Stage],
-        linked: Sequence[Stage],
-        until: Optional[str],
-        profile: bool,
-    ) -> Tuple[List[Stage], Set[str]]:
-        """The source's plan, cut after ``until``, and the stages that missed.
+    def _provide(self, ctx: PipelineContext, name: str) -> None:
+        """Resolve the stage that produces context attribute ``name`` on the
+        source's plan, picking the plan the first time one is needed."""
+        if ctx.producers is None:
+            plan = self._choose_plan(ctx)
+            ctx.producers = {attr: stage for stage in plan for attr in _attrs(stage)}
+        producer = ctx.producers.get(name)
+        if producer is not None:
+            self._resolve(ctx, producer)
+
+    def _choose_plan(self, ctx: PipelineContext) -> Sequence[Stage]:
+        """The source's plan, uncut.
 
         Only a flat source ever caches an ``elaborate`` artefact, and only a
         linked one a ``place`` artefact, so a hit on either key picks the
         plan, and the hit is kept as that stage's artefact.  When both miss
-        (or the cut plans hold neither), the run parses the source and
-        looks for instantiations.  A probe that missed is returned, so the
-        run does not look it up a second time.
+        (or the plans cut after ``until`` hold neither), the run parses the
+        source and looks for instantiations.  A probe that missed is not
+        looked up a second time.
         """
-        cut = [_cut(flat, until), _cut(linked, until)]
-        missed: Set[str] = set()
-        for plan, probe in zip(cut, (ELABORATE, PLACE)):
-            if plan is not None and probe in plan:
-                if self._serve(ctx, probe):
-                    return plan, missed
-                missed.add(probe.name)
-        self._resolve(ctx, PARSE, {}, missed, profile)
+        cuts = [_cut(plan, ctx.until) for plan in ctx.plans]
+        for plan, cut, probe in zip(ctx.plans, cuts, (ELABORATE, PLACE)):
+            if cut is None or probe not in cut:
+                continue
+            if _resolved(ctx, probe) or self._serve(ctx, probe):
+                return plan
+        self._resolve(ctx, PARSE)
         index = 1 if has_instantiations(ctx.program) else 0
-        if cut[index] is None:
-            names = [stage.name for stage in (flat, linked)[index]]
+        if cuts[index] is None:
+            names = [stage.name for stage in ctx.plans[index]]
             raise AnalysisError(
-                f"pipeline stage {until!r} is not part of this source's "
+                f"pipeline stage {ctx.until!r} is not part of this source's "
                 "plan; expected one of " + ", ".join(names)
             )
-        return cut[index], missed
+        return ctx.plans[index]
 
-    def _resolve(
-        self,
-        ctx: PipelineContext,
-        stage: Stage,
-        producers: Dict[str, Stage],
-        missed: Set[str],
-        profile: bool,
-    ) -> None:
+    def _resolve(self, ctx: PipelineContext, stage: Stage) -> None:
         """Put ``stage``'s artefact in ``ctx``, from the cache or by running it.
 
-        Only a stage that misses resolves the producers of its ``needs``;
-        a stage resolved earlier in the run is left as it is.
+        A stage resolved earlier in the run is left as it is.  Only a stage
+        that misses resolves the producers of the needs the context lacks.
         """
-        if any(timing.name == stage.name for timing in ctx.stages):
-            return
-        if stage.name not in missed and self._serve(ctx, stage):
+        if _resolved(ctx, stage) or self._serve(ctx, stage):
             return
         for name in stage.needs:
-            if name in producers:
-                self._resolve(ctx, producers[name], producers, missed, profile)
-        self._compute(ctx, stage, profile)
+            if name in _ARTIFACTS and getattr(ctx, name) is None:
+                self._provide(ctx, name)
+        self._compute(ctx, stage)
 
     def _serve(self, ctx: PipelineContext, stage: Stage) -> bool:
         """Store ``stage``'s cached artefact in ``ctx``; False on a miss.
 
+        A miss is remembered, so the run does not look the stage up again.
         The served stage's seconds cover the lookup, the read and unpickle
         of a lower tier and the universe adoption.
         """
-        if self.cache is None or not stage.cacheable:
+        if self.cache is None or not stage.cacheable or stage.name in ctx.missed:
             return False
         started = time.perf_counter()
         cached = self.cache.get(stage_key(stage, ctx.source_key, ctx.options))
         if cached is None:
+            ctx.missed.add(stage.name)
             return False
         artifact = cached
         if stage.universe_bound:
@@ -675,10 +756,11 @@ class Pipeline:
             # universe-bound stage computed fresh, or adopted a cached
             # universe), a surviving entry built against a *different*
             # universe — possible after partial eviction — is unusable
-            # here: using it would assemble a mixed-universe result.
+            # here: using it would mix universes in one result.
             if ctx.universe_locked and universe is not ctx.universe:
                 self.cache.hits -= 1
                 self.cache.misses += 1
+                ctx.missed.add(stage.name)
                 return False
             ctx.universe = universe
             ctx.universe_locked = True
@@ -688,7 +770,7 @@ class Pipeline:
         )
         return True
 
-    def _compute(self, ctx: PipelineContext, stage: Stage, profile: bool) -> None:
+    def _compute(self, ctx: PipelineContext, stage: Stage) -> None:
         """Run ``stage`` on ``ctx`` and write its artefact to the cache.
 
         A design nested past the recursion limit fails the stage with a
@@ -697,7 +779,7 @@ class Pipeline:
         stage_profile = None
         started = time.perf_counter()
         with nesting_limit(f"the {stage.name} stage"):
-            if profile:
+            if ctx.profile:
                 artifact, stage_profile = self._run_profiled(ctx, stage)
             else:
                 artifact = stage.run(ctx)
@@ -742,19 +824,3 @@ class Pipeline:
             )
         entries.sort(key=lambda item: item["tottime"], reverse=True)
         return artifact, tuple(entries[: cls.PROFILE_TOP_N])
-
-    @staticmethod
-    def _assemble(ctx: PipelineContext) -> AnalysisResult:
-        return AnalysisResult(
-            design=ctx.design,
-            program_cfg=ctx.program_cfg,
-            active=ctx.active,
-            reaching=ctx.reaching,
-            rm_local=ctx.rm_local,
-            specialized=ctx.specialized,
-            rm_global=ctx.closure.rm_global,
-            graph=ctx.graph,
-            improved=ctx.options.improved,
-            outgoing_labels=getattr(ctx.closure, "outgoing_labels", {}),
-            universe=ctx.universe,
-        )

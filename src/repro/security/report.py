@@ -166,16 +166,18 @@ def output_dependencies(result: AnalysisResult) -> Dict[str, List[str]]:
     answer; following paths would re-introduce exactly the spurious transitive
     flows the paper's analysis eliminates.  The improved analysis' environment
     nodes (``n◦`` for inputs, ``n•`` for outputs) are used when available.
+    The ports come from the run's inventory.
     """
     graph = result.graph
+    inventory = result.inventory
     dependencies: Dict[str, List[str]] = {}
-    for output in result.design.output_ports:
+    for output in inventory.output_ports:
         sink = outgoing_node(output) if result.improved else output
         if not graph.has_node(sink):
             sink = output
         direct_sources = graph.predecessors(sink)
         sources: List[str] = []
-        for input_port in result.design.input_ports:
+        for input_port in inventory.input_ports:
             candidates = {input_port}
             if result.improved:
                 candidates.add(incoming_node(input_port))
@@ -201,9 +203,10 @@ def build_report(
     flowing into one of the listed resources (or their ``n◦``/``n•``
     environment nodes) and only their dependency lines are kept.
     """
+    inventory = result.inventory
     restrict = None
     if restrict_to_ports:
-        restrict = set(result.design.input_ports) | set(result.design.output_ports)
+        restrict = set(inventory.input_ports) | set(inventory.output_ports)
     violations = check_policy(
         result.graph, policy, transitive=transitive, restrict_to=restrict
     )
@@ -216,7 +219,7 @@ def build_report(
         # itself) keeps the restriction from silently filtering every
         # violation away and passing a leaky design.
         sinks = {base_resource(node) for node in result.graph.targets()}
-        sinks.update(result.design.output_ports)
+        sinks.update(inventory.output_ports)
         not_sinks = wanted - sinks
         if not_sinks:
             raise ReproError(
@@ -234,7 +237,7 @@ def build_report(
             if name in wanted
         }
     return CovertChannelReport(
-        design_name=result.design.name,
+        design_name=inventory.design,
         policy=policy,
         violations=violations,
         output_dependencies=dependencies,

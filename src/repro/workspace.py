@@ -145,7 +145,7 @@ class LintResult:
 
     def to_text(self) -> str:
         """The human-readable report (what ``vhdl-ifa lint`` prints)."""
-        return render_lint_text(self.result.design.name, self.findings)
+        return render_lint_text(self.result.inventory.design, self.findings)
 
     def document(self, file: Optional[str] = None) -> Dict[str, Any]:
         """The complete ``lint`` JSON document (``vhdl-ifa/v1``)."""

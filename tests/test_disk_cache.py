@@ -19,6 +19,7 @@ from repro.cli import main
 from repro.contract.matchers import normalize
 from repro.dataflow.universe import FactUniverse
 from repro.pipeline import (
+    ANALYSIS_STAGES,
     STAGE_NAMES,
     AnalysisOptions,
     ArtifactCache,
@@ -34,8 +35,10 @@ from repro.pipeline.cache import FORMAT_VERSION
 from repro.pipeline.render import volatile_pointers
 
 ANALYSIS_STAGE_NAMES = [name for name in STAGE_NAMES if name != "report"]
-# A fully cached run never reads the parse: no stage that misses needs it.
-WARM_STAGE_NAMES = ANALYSIS_STAGE_NAMES[1:]
+# A fully cached run reads its goals and nothing else.
+WARM_STAGE_NAMES = ["flow_graph", "inventory"]
+#: The stages with an entry of their own (``cfg`` is rebuilt, never stored).
+CACHED_STAGE_NAMES = [stage.name for stage in ANALYSIS_STAGES if stage.cacheable]
 
 
 @pytest.fixture
@@ -78,8 +81,8 @@ class TestDiskRoundTrip:
         source = workloads.producer_consumer_program()
         _populate(cache_dir, source)
         basic = _fresh_run(cache_dir, source, options=AnalysisOptions(improved=False))
-        assert basic.computed_stages == ["closure", "flow_graph"]
-        assert basic.cached_stages == WARM_STAGE_NAMES[:-2]
+        assert basic.computed_stages == ["cfg", "closure", "flow_graph", "inventory"]
+        assert basic.cached_stages == ["elaborate", "specialize", "local"]
 
     def test_subprocess_is_served_from_the_populated_dir(self, cache_dir, tmp_path):
         # The real acceptance shape: an actually-fresh interpreter with a
@@ -178,7 +181,7 @@ class TestCorruptionIsEvictedNotRaised:
         # Per source: one entry per cached stage, plus one parse entry per
         # design unit (an entity and its architecture).
         assert DiskArtifactCache(cache_dir).stats()["entries"] == 2 * (
-            len(WARM_STAGE_NAMES) + 2
+            len(CACHED_STAGE_NAMES) + 2
         )
         assert index_path.read_text(encoding="utf-8") == text
 
@@ -188,13 +191,14 @@ class TestCorruptionIsEvictedNotRaised:
         for path in (Path(cache_dir) / "universes").glob("*.pkl"):
             path.unlink()
         warm = _fresh_run(cache_dir, source)
-        # Frontend stages still hit.  A universe-bound entry misses until a
-        # recompute's put registers its deleted snapshot again: local's put
-        # serves specialize, closure's put serves flow_graph.
-        assert warm.cached_stages == [
-            "elaborate", "cfg", "active", "reaching", "specialize", "flow_graph",
+        # Entries that are not universe-bound still hit.  Each universe-bound
+        # entry is looked up before any recompute's put could register its
+        # deleted snapshot again (the goal first, then what it needs), so
+        # each of them misses, is evicted and is recomputed.
+        assert warm.cached_stages == ["elaborate", "active", "reaching", "inventory"]
+        assert warm.computed_stages == [
+            "cfg", "local", "specialize", "closure", "flow_graph",
         ]
-        assert warm.computed_stages == ["local", "closure"]
         assert warm.result.rm_local.universe is warm.result.universe
 
     def test_torn_universe_snapshots_are_evicted_and_rewritten(self, cache_dir):
@@ -203,8 +207,11 @@ class TestCorruptionIsEvictedNotRaised:
         for path in self._universe_files(cache_dir):
             path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 3])
         torn = _fresh_run(cache_dir, source)
-        # Only the stages whose entries adopt a torn snapshot recompute...
-        assert torn.computed_stages == ["local", "closure"]
+        # Only the stages whose entries adopt a torn snapshot recompute
+        # (and the CFG they need)...
+        assert torn.computed_stages == [
+            "cfg", "local", "specialize", "closure", "flow_graph",
+        ]
         assert torn.result.summary() == cold.result.summary()
         # ...and their puts write the evicted snapshots again.
         assert _fresh_run(cache_dir, source).cached_stages == WARM_STAGE_NAMES
@@ -227,10 +234,51 @@ class TestCorruptionIsEvictedNotRaised:
         # Stale entries are evicted when read; a fresh entry that references
         # a stale snapshot evicts the snapshot, and the recompute re-saves it.
         assert runs[0].cached_stages == []
-        assert runs[1].computed_stages == ["local", "closure"]
+        assert runs[1].computed_stages == [
+            "cfg", "local", "specialize", "closure", "flow_graph",
+        ]
         assert runs[2].cached_stages == WARM_STAGE_NAMES
         for path in self._entry_files(cache_dir) + self._universe_files(cache_dir):
             assert pickle.loads(path.read_bytes())[1] == FORMAT_VERSION
+
+
+#: Recomputes the closure on a ``specialize`` artefact read back from disk,
+#: then checks that the recompute rebuilt the cold run's universe: same
+#: facts in the same order, so its puts reference the cold snapshot.
+_RECOMPUTE_ON_READ_BACK = """
+import shutil, sys
+from pathlib import Path
+from repro import workloads
+from repro.pipeline import Pipeline, open_cache
+
+cache_dir = Path(sys.argv[1])
+source = workloads.producer_consumer_program()
+cold = Pipeline(open_cache(str(cache_dir))).run(source)
+for stage in ("closure", "flow_graph"):
+    shutil.rmtree(cache_dir / stage)
+snapshots = sorted((cache_dir / "universes").iterdir())
+warm = Pipeline(open_cache(str(cache_dir))).run(source)
+assert warm.computed_stages == ["cfg", "closure", "flow_graph"], warm.computed_stages
+assert warm.cached_stages == ["elaborate", "specialize", "local", "inventory"]
+assert list(warm.result.universe) == list(cold.result.universe)
+assert sorted((cache_dir / "universes").iterdir()) == snapshots
+"""
+
+
+class TestRecomputeOnReadBackArtefacts:
+    @pytest.mark.parametrize("seed", ["3", "14"])
+    def test_a_recompute_rebuilds_the_cold_universe(self, tmp_path, seed):
+        # A frozenset of RD† can iterate in another order after a pickle
+        # round trip under some hash seeds; the closure's n◦ seeds must not
+        # intern in that order.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", _RECOMPUTE_ON_READ_BACK, str(tmp_path / "c")],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestEvictionAndStats:
@@ -248,9 +296,9 @@ class TestEvictionAndStats:
         _populate(cache_dir, workloads.challenge_f_program())
         disk = DiskArtifactCache(cache_dir)
         stats = disk.stats()
-        assert stats["entries"] == len(ANALYSIS_STAGE_NAMES) + 1
+        assert stats["entries"] == len(CACHED_STAGE_NAMES) + 2
         assert stats["version"] == FORMAT_VERSION
-        assert set(stats["stages"]) == set(ANALYSIS_STAGE_NAMES)
+        assert set(stats["stages"]) == {"parse", *CACHED_STAGE_NAMES}
         # One parse entry per design unit: the entity and its architecture.
         assert stats["stages"]["parse"] == 2
         assert stats["bytes"] > 0 and stats["universes"] >= 1

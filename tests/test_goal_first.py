@@ -1,21 +1,25 @@
-"""Goal-first plans: a run reads or runs only what its result needs.
+"""Demand-driven runs: a run reads or runs only what its result needs.
 
-A run resolves the stages whose artefacts its result holds, in plan order,
-and reads or runs ``parse``, ``hierarchy`` and ``summary`` only when a stage
-that misses the cache needs their artefact (``Stage.needs``).  The plan is
-picked by a hit on the flat plan's ``elaborate`` key or the linked plan's
-``place`` key, and by the parse only when both miss.  These tests pin what a
-warm run touches, that every partial eviction still reproduces the cold
-document in one universe, and that each stage's declared inputs are all it
-reads.
+A run resolves its goals (``flow_graph`` and ``inventory``, plus ``lint``,
+``report`` or ``kemmerer`` where its plan has one, or the ``until=`` stage),
+and reads or runs any other stage only when a stage that misses the cache
+needs its artefact (``Stage.needs``) or a caller reads it from the
+``AnalysisResult``, a view over the run.  The plan is picked only then: by a
+hit on the flat plan's ``elaborate`` key or the linked plan's ``place`` key,
+and by the parse only when both miss.  These tests pin what a warm run
+touches, that the fields loaded on first access equal the cold artefacts in
+one universe (after every partial eviction too), that dropping a result frees
+its run, and that each stage's declared inputs are all it reads.
 """
 
+import gc
 import pickle
 import time
+import weakref
 
 import pytest
 
-from repro import workloads
+from repro import Workspace, workloads
 from repro.contract.matchers import normalize
 from repro.dataflow.universe import FactUniverse
 from repro.errors import AnalysisError
@@ -28,6 +32,7 @@ from repro.pipeline import (
     ArtifactCache,
     Pipeline,
     analyze_document,
+    json_text,
     open_cache,
     source_digest,
     stage_key,
@@ -39,10 +44,21 @@ from repro.vhdl.parser import split_units
 
 FLAT_STAGE_NAMES = [stage.name for stage in ANALYSIS_STAGES[:-1]]
 LINKED_STAGE_NAMES = [stage.name for stage in LINKED_STAGES[:-1]]
-#: What a fully cached run of each plan reads: everything but the on-demand
-#: stages (``parse``; ``parse``, ``hierarchy`` and ``summary``).
-FLAT_WARM = FLAT_STAGE_NAMES[1:]
-LINKED_WARM = LINKED_STAGE_NAMES[3:]
+#: What a fully cached run of either plan reads: its goals, nothing else.
+FLAT_WARM = LINKED_WARM = ["flow_graph", "inventory"]
+#: Every artefact field of an ``AnalysisResult``.
+FIELDS = (
+    "design",
+    "program_cfg",
+    "active",
+    "reaching",
+    "rm_local",
+    "specialized",
+    "rm_global",
+    "outgoing_labels",
+    "graph",
+    "inventory",
+)
 
 
 def _fails(*args, **kwargs):
@@ -60,6 +76,27 @@ def _universe_bound(result):
         result.rm_global.universe,
         result.graph._universe,
     ]
+
+
+def _fields(result):
+    """Each artefact field's pickle, one pickle per field (the pickle memo
+    would tell shared string objects from equal ones across fields).
+
+    Every field is read before any is pickled: building the CFG labels the
+    design's statements in place.
+    """
+    values = {name: getattr(result, name) for name in FIELDS}
+    return {name: pickle.dumps(value) for name, value in values.items()}
+
+
+def _read_back(result):
+    """:func:`_fields` of ``result`` as a disk read gives them back: after
+    one pickle round trip, which shares CPython's cached one-character
+    strings and rebuilds each set from its pickled order."""
+    return {
+        name: pickle.dumps(pickle.loads(value))
+        for name, value in _fields(result).items()
+    }
 
 
 SOURCES = {
@@ -85,7 +122,7 @@ class TestWarmRunsSkipTheOnDemandStages:
         assert warm.cached_stages == FLAT_WARM
         assert warm.computed_stages == []
         assert cache.misses == 0 and cache.disk.misses == 0
-        assert cache.disk.hits == len(FLAT_WARM)
+        assert cache.disk.hits == 2
         assert _masked(warm) == _masked(cold)
 
     def test_disk_warm_linked_run_computes_nothing(self, tmp_path, monkeypatch):
@@ -99,23 +136,40 @@ class TestWarmRunsSkipTheOnDemandStages:
         warm = Pipeline(cache).run(source)
         assert warm.computed_stages == []
         assert warm.cached_stages == LINKED_WARM
-        # The flat plan's elaborate key is the one miss: it picks the plan.
-        assert cache.misses == 1
+        # The goals' keys do not depend on the plan, so none is picked: no
+        # probe, and no miss.
+        assert cache.misses == 0
+        assert cache.disk.hits == 2
         assert _masked(warm) == _masked(cold)
 
     @pytest.mark.parametrize("kind", ["flat", "linked"])
     def test_a_cold_run_adds_one_miss_for_the_plan(self, kind):
         cache = _RecordingMisses()
-        Pipeline(cache).run(SOURCES[kind]())
+        run = Pipeline(cache).run(SOURCES[kind]())
         # Each cacheable stage misses once and each design unit's parse
-        # once; the other plan's probe is the one extra lookup.  (Entity
-        # summaries have keys of their own.)
+        # once; the other plan's probe is the one extra lookup.  The goal
+        # is looked up first; its miss picks the plan, and each stage is
+        # looked up before the stages it needs.  (Entity summaries have
+        # keys of their own.)
         units = {"flat": 2, "linked": 4}
-        tail = {"flat": FLAT_STAGE_NAMES[2:], "linked": LINKED_STAGE_NAMES[4:]}
+        needed = {
+            "flat": ["closure", "specialize", "active", "reaching", "local"],
+            "linked": ["closure", "specialize", "reaching"],
+        }
         assert [name for name in cache.missed if name != "summary"] == [
-            "elaborate", "place", *["parse"] * units[kind], *tail[kind]
+            "flow_graph",
+            "elaborate",
+            "place",
+            *["parse"] * units[kind],
+            *needed[kind],
+            "inventory",
         ]
         assert cache.hits == 0
+        # A cold run still computes its plan in plan order.
+        assert run.computed_stages == {
+            "flat": FLAT_STAGE_NAMES,
+            "linked": LINKED_STAGE_NAMES,
+        }[kind]
 
 
 class _RecordingMisses(ArtifactCache):
@@ -156,8 +210,12 @@ class TestUntilOnAWarmCache:
         source = workloads.challenge_f_program()
         cold = pipeline.run(source)
         run = pipeline.run(source, until="cfg")
-        assert run.cached_stages == ["elaborate", "cfg"]
-        assert run.artifacts.program_cfg is cold.result.program_cfg
+        # The CFG is never cached: it is rebuilt from the cached design.
+        assert run.cached_stages == ["elaborate"]
+        assert run.computed_stages == ["cfg"]
+        assert pickle.dumps(run.artifacts.program_cfg) == pickle.dumps(
+            cold.result.program_cfg
+        )
         assert run.artifacts.program is None
         assert run.result is None
 
@@ -186,6 +244,8 @@ class TestPartialEviction:
         pipeline = Pipeline(cache)
         source = SOURCES[kind]()
         cold = pipeline.run(source)
+        cold_document = _masked(cold)
+        cold_fields = _fields(cold.result)
         if stage.name == "parse":
             # The parse is cached per design unit: evict every unit.
             evicted = [key for key in cache._entries if key.startswith("parse:")]
@@ -196,15 +256,122 @@ class TestPartialEviction:
             del cache._entries[key]
 
         rerun = pipeline.run(source)
-        assert _masked(rerun) == _masked(cold)
+        assert _masked(rerun) == cold_document
+        # Every field read after the run equals the cold artefact...
+        assert _fields(rerun.result) == cold_fields
+        # ...in one universe, the cold run's, which the goals were served in.
         universe = rerun.result.universe
+        assert universe is cold.result.universe
         assert all(bound is universe for bound in _universe_bound(rerun.result))
         if stage.name == "parse":
             # Nothing that misses needs the AST: the parse stays evicted.
-            assert rerun.computed_stages == []
+            # The flat plan rebuilds its CFG, which is never cached.
+            assert rerun.computed_stages == {"flat": ["cfg"], "linked": []}[kind]
             assert not any(key in cache for key in evicted)
         else:
             assert stage.name in rerun.computed_stages
+
+
+#: The secret each source's ``check`` declares: one of its input ports.
+SECRETS = {"flat": "right", "linked": "sel"}
+
+
+def _document(workspace, command, source, secret):
+    """One ``command`` run of ``source`` on ``workspace``: its pipeline run
+    and its document, masked by the volatile-field rules of its kind."""
+    if command == "analyze":
+        run = workspace.analyze_run(source)
+        document = analyze_document(run)
+    elif command == "check":
+        checked = workspace.check(source, TwoLevelPolicy(secret_resources=[secret]))
+        run, document = checked.run, checked.document()
+    else:
+        linted = workspace.lint(source)
+        run, document = linted.run, linted.document()
+    return run, json_text(normalize(document, volatile_pointers(command)))
+
+
+class TestWarmDocumentsReadOnlyTheirGoals:
+    @pytest.mark.parametrize("kind", ["flat", "linked"])
+    def test_the_goal_entries_alone_serve_every_document(self, tmp_path, kind):
+        cache_dir = tmp_path / "cache"
+        source = SOURCES[kind]()
+        populating = Workspace(cache_dir=str(cache_dir))
+        cold = {
+            command: _document(populating, command, source, SECRETS[kind])[1]
+            for command in ("analyze", "check", "lint")
+        }
+        kept = {"flow_graph", "inventory", "lint", "universes"}
+        for directory in cache_dir.iterdir():
+            if directory.name not in kept:
+                for entry in directory.iterdir():
+                    entry.unlink()
+                directory.rmdir()
+        assert {directory.name for directory in cache_dir.iterdir()} == kept
+
+        # Each document reads its goals' entries and nothing else, so the
+        # deleted entries are never looked up and nothing is recomputed.
+        disk_hits = {"analyze": 2, "check": 2, "lint": 3}
+        computed = {"analyze": [], "check": ["report"], "lint": []}
+        for command in ("analyze", "check", "lint"):
+            workspace = Workspace(cache_dir=str(cache_dir))
+            run, warm = _document(workspace, command, source, SECRETS[kind])
+            assert warm == cold[command]
+            assert run.computed_stages == computed[command]
+            assert workspace.cache.disk.hits == disk_hits[command]
+            assert workspace.cache.misses == 0
+
+
+class TestLazyFields:
+    @pytest.mark.parametrize("kind", ["flat", "linked"])
+    def test_disk_warm_fields_equal_the_cold_artefacts(self, tmp_path, kind):
+        cache_dir = str(tmp_path / "cache")
+        source = SOURCES[kind]()
+        cold = Pipeline(open_cache(cache_dir)).run(source)
+        cold_document = _masked(cold)
+        warm = Pipeline(open_cache(cache_dir)).run(source)
+        assert _masked(warm) == cold_document
+        assert warm.cached_stages == FLAT_WARM
+        # Each field loads on first access and equals the cold artefact as
+        # a cache read gives it back...
+        assert _fields(warm.result) == _read_back(cold.result)
+        # ...and every universe-bound one shares the run's universe.
+        universe = warm.result.universe
+        assert all(bound is universe for bound in _universe_bound(warm.result))
+        # Each load is a stage of the run, served from the cache, or the
+        # never-cached CFG rebuilt from the served design.
+        loaded = {
+            "flat": ["elaborate", "active", "reaching", "local", "specialize", "closure"],
+            "linked": ["place", "reaching", "specialize", "closure"],
+        }[kind]
+        assert warm.cached_stages == [*FLAT_WARM, *loaded]
+        assert warm.computed_stages == {"flat": ["cfg"], "linked": []}[kind]
+
+    @pytest.mark.parametrize("command", ["analyze", "lint"])
+    def test_dropping_the_result_frees_the_run(self, command):
+        # The view refers to the run's context and the context never to the
+        # view, so reference counting alone frees a run, cold or warm, once
+        # its result is dropped.
+        workspace = Workspace()
+        source = SOURCES["flat"]()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in ("cold", "warm"):
+                if command == "analyze":
+                    run = workspace.analyze_run(source)
+                else:
+                    run = workspace.lint(source).run
+                result = run.result
+                assert result.design is not None  # resolved through the context
+                context = weakref.ref(run.artifacts)
+                del run
+                assert context() is not None  # the view keeps the run alive
+                del result
+                assert context() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class _SlowGets(ArtifactCache):

@@ -7,6 +7,8 @@ reflect the edit.  These tests instrument the summary builder to count real
 recomputations.
 """
 
+import pickle
+
 import pytest
 
 from repro import Workspace, workloads
@@ -68,9 +70,16 @@ class TestInvalidation:
         cold = Workspace(cache_dir=str(tmp_path)).analyze_run(source)
         built_entities.clear()
         warm = Workspace(cache_dir=str(tmp_path)).analyze_run(source)
-        assert built_entities == []
-        assert "place" in warm.cached_stages
+        assert warm.cached_stages == ["flow_graph", "inventory"]
         assert _doc(warm) == _doc(cold)
+        # the placed artefacts load on first access, still building nothing;
+        # they equal the cold ones as read back once (a pickle round trip
+        # shares CPython's cached one-character strings)
+        assert pickle.dumps(warm.result.program_cfg) == pickle.dumps(
+            pickle.loads(pickle.dumps(cold.result.program_cfg))
+        )
+        assert warm.cached_stages == ["flow_graph", "inventory", "place"]
+        assert built_entities == []
 
     def test_leaf_edit_recomputes_exactly_one_summary(
         self, tmp_path, built_entities

@@ -167,8 +167,11 @@ class TestLinkedPlan:
         source = workloads.hierarchical_mux_program()
         ws.analyze_run(source)
         warm = ws.analyze_run(source)
-        # The place hit picks the plan: no parse, hierarchy or summary.
-        assert warm.cached_stages == LINKED_STAGE_NAMES[3:]
+        assert warm.cached_stages == ["flow_graph", "inventory"]
+        # The placed stage loads on first access, and its hit picks the
+        # plan: no parse, hierarchy or summary.
+        assert warm.result.rm_local is not None
+        assert warm.cached_stages == ["flow_graph", "inventory", "place"]
         assert warm.computed_stages == []
 
     def test_until_stops_at_a_linked_stage(self):

@@ -34,8 +34,9 @@ from repro.vhdl.parser import split_units
 from repro.workspace import Workspace
 
 ANALYSIS_STAGE_NAMES = [name for name in STAGE_NAMES if name != "report"]
-# A fully cached run never reads the parse: no stage that misses needs it.
-WARM_STAGE_NAMES = ANALYSIS_STAGE_NAMES[1:]
+# A fully cached run reads its goals and nothing else: no stage misses, so
+# no other artefact is needed.
+WARM_STAGE_NAMES = ["flow_graph", "inventory"]
 
 
 def _fails(*args, **kwargs):
@@ -114,10 +115,11 @@ class TestArtifactCache:
         pipeline.run(source)
 
         basic = pipeline.run(source, AnalysisOptions(improved=False))
-        assert basic.cached_stages == [
-            "elaborate", "cfg", "active", "reaching", "local", "specialize",
-        ]
-        assert basic.computed_stages == ["closure", "flow_graph"]
+        # The missed flow graph needs the closure, and the closure reads
+        # only what it needs: the elaborate probe picks the plan, the CFG
+        # is rebuilt from the design, and RD† and RM_lo are served.
+        assert basic.cached_stages == ["elaborate", "specialize", "local"]
+        assert basic.computed_stages == ["cfg", "closure", "flow_graph", "inventory"]
 
         straight = pipeline.run(source, AnalysisOptions(loop_processes=False))
         assert straight.cached_stages == ["elaborate"]
@@ -192,11 +194,12 @@ class TestArtifactCache:
         source = workloads.challenge_f_program()
         analysis = pipeline.run(source)
         baseline = pipeline.run_kemmerer(source)
-        # No stage misses that needs the AST, so the parse is never read.
+        # The missed goal needs RM_lo: the elaborate probe picks the plan
+        # and RM_lo is served, so neither the CFG nor the parse is needed.
         assert [stage.name for stage in baseline.stages] == [
-            stage.name for stage in KEMMERER_STAGES[1:]
+            "elaborate", "local", "kemmerer"
         ]
-        assert baseline.cached_stages == ["elaborate", "cfg", "local"]
+        assert baseline.cached_stages == ["elaborate", "local"]
         assert baseline.kemmerer.rm_local is analysis.result.rm_local
         assert baseline.artifacts.universe is analysis.result.universe
         cold = Pipeline().run_kemmerer(source).kemmerer
@@ -209,7 +212,7 @@ class TestArtifactCache:
         cold = pipeline.run_kemmerer(source)
         warm = pipeline.run_kemmerer(source)
         assert not cold.cached_stages
-        assert warm.cached_stages == ["place", "kemmerer"]
+        assert warm.cached_stages == ["kemmerer"]
         assert warm.kemmerer.rm_local.universe is warm.artifacts.universe
         assert (
             warm.kemmerer.graph.to_adjacency() == cold.kemmerer.graph.to_adjacency()
@@ -218,24 +221,33 @@ class TestArtifactCache:
         assert pipeline.run(source).cached_stages == ["place"]
 
     def test_partial_eviction_never_mixes_universes(self):
-        # Evict one universe-bound entry ("local") while later ones
-        # ("specialize", "closure", "flow_graph") survive: the re-run must
-        # recompute the survivors rather than adopt their (now foreign)
-        # universe, so every artifact of one run shares one universe.
+        # Evict one universe-bound entry ("local") and recompute it alone,
+        # so its new entry holds another universe than the surviving
+        # "specialize", "closure" and "flow_graph" entries.  A full run
+        # adopts the flow graph's universe; reading RM_lo must then
+        # recompute it rather than adopt the foreign universe, so every
+        # artifact of one run shares one universe.
         from repro.pipeline.stages import LOCAL
 
         cache = ArtifactCache()
         pipeline = Pipeline(cache)
         source = workloads.producer_consumer_program()
-        pipeline.run(source)
+        cold = pipeline.run(source)
         from repro.pipeline.stages import stage_key
 
-        del cache._entries[stage_key(LOCAL, source_digest(source), AnalysisOptions())]
+        key = stage_key(LOCAL, source_digest(source), AnalysisOptions())
+        del cache._entries[key]
+        alone = pipeline.run(source, until="local")
+        assert alone.computed_stages == ["cfg", "local"]
+        assert cache._entries[key][1] is not cold.result.universe
+
         rerun = pipeline.run(source)
-        assert "local" in rerun.computed_stages
-        assert {"specialize", "closure", "flow_graph"} <= set(rerun.computed_stages)
+        assert rerun.cached_stages == WARM_STAGE_NAMES
         assert rerun.result.rm_local.universe is rerun.result.universe
+        assert rerun.computed_stages == ["cfg", "local"]
         assert rerun.result.rm_global.universe is rerun.result.universe
+        assert rerun.result.specialized is cold.result.specialized
+        assert rerun.cached_stages == [*WARM_STAGE_NAMES, "elaborate", "closure", "specialize"]
 
     def test_eviction_keeps_the_cache_bounded(self):
         cache = ArtifactCache(max_entries=2)
