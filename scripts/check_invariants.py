@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant gate: AST lint over ``src/repro`` (stdlib only).
 
-Five invariants, each of which has silently rotted in similar codebases and
+Six invariants, each of which has silently rotted in similar codebases and
 none of which the type checker can express:
 
 1. **Every serve/CLI JSON document is stamped.**  Arguments to
@@ -36,6 +36,13 @@ none of which the type checker can express:
    for typing or by a relative import.  Such a back-edge is how a second
    way to start an analysis (and an import cycle to break with lazy
    imports) creeps back in.
+
+6. **Only the worker pool starts worker processes.**  Outside
+   ``repro/pipeline/pool.py`` no module imports ``multiprocessing``, uses
+   ``concurrent.futures``' ``ProcessPoolExecutor`` or calls ``os.fork*``.
+   Serve and batch share that one supervised pool; a second pool is how a
+   second fault model (and a retry loop to paper over it) creeps back in.
+   Threads and ``subprocess`` are out of scope.
 
 Usage: ``python scripts/check_invariants.py [PATH ...]`` — paths default to
 ``src/repro``; passing explicit paths lets the tests seed violations in a
@@ -81,6 +88,9 @@ UPPER_LAYERS = (
     "repro.pipeline.pool",
     "repro.pipeline.render",
 )
+
+#: The one module that starts worker processes (invariant 6).
+POOL_MODULE = ("repro", "pipeline", "pool.py")
 
 
 def python_files(paths: Tuple[Path, ...]) -> Iterator[Path]:
@@ -291,6 +301,52 @@ def check_layering(tree: ast.Module, path: Path, relpath: str) -> List[str]:
     return failures
 
 
+def _process_start(node: ast.AST) -> str:
+    """What ``node`` does to start a process (``''`` when nothing)."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            if alias.name.split(".")[0] == "multiprocessing":
+                return f"imports {alias.name}"
+            if alias.name == "concurrent.futures.process":
+                return "imports concurrent.futures.process"
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        module = node.module or ""
+        names = [alias.name for alias in node.names]
+        if module.split(".")[0] == "multiprocessing":
+            return f"imports {module}"
+        if module.startswith("concurrent.futures") and (
+            module == "concurrent.futures.process" or "ProcessPoolExecutor" in names
+        ):
+            return "imports ProcessPoolExecutor"
+        if module == "os" and any(name.startswith("fork") for name in names):
+            return "imports os.fork"
+    elif isinstance(node, ast.Attribute):
+        if node.attr == "ProcessPoolExecutor":
+            return "uses ProcessPoolExecutor"
+        if (
+            node.attr.startswith("fork")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            return f"uses os.{node.attr}"
+    return ""
+
+
+def check_process_starts(tree: ast.Module, path: Path, relpath: str) -> List[str]:
+    """Invariant 6: only ``repro/pipeline/pool.py`` starts worker processes."""
+    if path.parts[-len(POOL_MODULE):] == POOL_MODULE:
+        return []
+    failures = []
+    for node in ast.walk(tree):
+        what = _process_start(node)
+        if what:
+            failures.append(
+                f"{relpath}:{node.lineno}: {what} — only "
+                "repro/pipeline/pool.py starts worker processes"
+            )
+    return failures
+
+
 def collect_diagnostic_codes(
     tree: ast.Module, relpath: str
 ) -> List[Tuple[str, str]]:
@@ -331,6 +387,7 @@ def check_tree(paths: Tuple[Path, ...]) -> List[str]:
         failures.extend(check_no_global_universe(tree, relpath))
         failures.extend(check_stage_option_fields(tree, relpath))
         failures.extend(check_layering(tree, path, relpath))
+        failures.extend(check_process_starts(tree, path, relpath))
         for code, location in collect_diagnostic_codes(tree, relpath):
             codes.setdefault(code, []).append(location)
     for code in sorted(codes):
@@ -362,7 +419,7 @@ def main(argv: List[str]) -> int:
     print(
         f"invariant check: {count} files OK (stamped JSON sinks, no global "
         "interner state, stage cache keys declared, diagnostic codes unique, "
-        "engine layering)"
+        "engine layering, one process starter)"
     )
     return 0
 

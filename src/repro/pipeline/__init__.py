@@ -6,9 +6,9 @@ timed stages (:mod:`repro.pipeline.stages`), backed by a content-addressed
 artifact cache (:mod:`repro.pipeline.cache`), rendered for
 humans and machines (:mod:`repro.pipeline.render`) and driven over many
 designs at once, sequentially or in parallel (:mod:`repro.pipeline.batch`).
-The serve mode (:mod:`repro.pipeline.serve`) runs analyses on a supervised
-worker pool (:mod:`repro.pipeline.pool`) whose fault behaviour is
-deterministically testable via :mod:`repro.pipeline.faults`.
+The serve mode (:mod:`repro.pipeline.serve`) and the parallel batch driver
+run on one supervised worker pool (:mod:`repro.pipeline.pool`) whose fault
+behaviour is deterministically testable via :mod:`repro.pipeline.faults`.
 """
 
 from repro.pipeline.artifacts import (

@@ -12,16 +12,21 @@ the workspace's pipeline and renders it with
 commands share the renderer, so the per-file output is byte-identical by
 construction.
 
-``parallel=True`` distributes jobs over a forked ``ProcessPoolExecutor``;
-results are collected in submission order, so the output ordering is
-deterministic regardless of which worker finishes first.  Each pool worker
-builds one workspace from :meth:`~repro.workspace.Workspace.worker_configuration`
-(as a serve worker does) and keeps it across the jobs it serves: its memory
-tier serves the worker's repeated files, and with a ``cache_dir`` every
-worker layers that tier over the one shared disk store, so a cold parallel
-run reads what expansion or an earlier run wrote there.  ``parallel=False``
-runs every job on the workspace's own pipeline, so a second batch on the
-same workspace is served from warm artefacts.
+``parallel=True`` runs the jobs on a supervised
+:class:`~repro.pipeline.pool.WorkerPool`, the one serve runs on; results
+come back in submission order, so the output ordering is deterministic
+regardless of which worker finishes first.  The pool is built before its
+dispatch threads, so its workers fork when the batch starts from a
+single-threaded process, and are spawned otherwise.  Each worker builds one
+workspace from :meth:`~repro.workspace.Workspace.worker_configuration` and
+keeps it across the jobs it serves: its memory tier serves the worker's
+repeated files, and with a ``cache_dir`` every worker layers that tier over
+the one shared disk store, so a cold parallel run reads what expansion or an
+earlier run wrote there.  A job that kills its worker is reported as its own
+``"worker"`` error item, and the pool respawns the worker for the jobs
+after it.  ``parallel=False`` runs every job on the workspace's own
+pipeline, so a second batch on the same workspace is served from warm
+artefacts.
 """
 
 from __future__ import annotations
@@ -29,23 +34,15 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.pipeline.artifacts import AnalysisOptions
 from repro.pipeline.faults import FaultInjector
+from repro.pipeline.pool import WorkerPool
 from repro.pipeline.render import (
     analysis_json,
     lint_section,
@@ -74,8 +71,8 @@ def _error_kind(error: BaseException) -> str:
     ``"input"`` is a file the job could not even read (missing, unreadable,
     not UTF-8).  The CLI maps these to exit codes 1 and 2 respectively.
     A third kind, ``"worker"``, is assigned by :func:`run_batch` itself when
-    a job repeatedly took its worker process down (see the broken-pool
-    recovery there); it exits like an analysis failure.
+    a pooled job took its worker process down; it exits like an analysis
+    failure.
     """
     return "analysis" if isinstance(error, ReproError) else "input"
 
@@ -327,23 +324,14 @@ def run_job(
         )
 
 
-# Each pool worker keeps one workspace, and the fault injector the
-# environment arms, for the jobs it serves.
-_WORKER: Optional[Tuple["Workspace", FaultInjector]] = None
-
-
-def _init_worker(configuration: Dict[str, Any]) -> None:
-    global _WORKER
-    # Imported here: the workspace module imports this one.
-    from repro.workspace import Workspace
-
-    _WORKER = (Workspace(**configuration), FaultInjector.from_env())
-
-
-def _run_job_in_worker(
-    job: BatchJob, options: AnalysisOptions, settings: Dict[str, Any]
+def _run_pooled_job(
+    workspace: "Workspace",
+    job: BatchJob,
+    options: AnalysisOptions,
+    settings: Dict[str, Any],
+    injector: FaultInjector,
 ) -> BatchItem:
-    workspace, injector = _WORKER
+    """One job on a pool worker's workspace (a :class:`WorkerPool` call)."""
     # The job path is the fault trigger text, so a test can crash or delay
     # exactly one job of a batch.
     injector.before_analysis(job.path)
@@ -357,36 +345,39 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_results(
+def _pooled_items(
     jobs: Sequence[BatchJob],
     options: AnalysisOptions,
     settings: Dict[str, Any],
     workers: int,
     configuration: Dict[str, Any],
-) -> List[Optional[BatchItem]]:
-    """Run jobs on one process pool; a broken-pool casualty is ``None``.
-
-    ``None`` marks a job whose result was lost to pool breakage — either the
-    job itself killed its worker, or it was collateral damage of one that
-    did.  The caller decides the retry policy; this helper never raises on
-    worker death.
-    """
-    results: List[Optional[BatchItem]] = []
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(configuration,),
-    ) as executor:
-        futures = [
-            executor.submit(_run_job_in_worker, job, options, settings)
-            for job in jobs
-        ]
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BrokenExecutor:
-                results.append(None)
-    return results
+) -> List[BatchItem]:
+    """Run jobs on a worker pool; a job that killed its worker is an error
+    item, and its peers are unaffected."""
+    pool = WorkerPool(workers, configuration=configuration)
+    try:
+        with ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="vhdl-ifa-batch"
+        ) as dispatch:
+            results = list(
+                dispatch.map(
+                    lambda job: pool.run(_run_pooled_job, job, options, settings),
+                    jobs,
+                )
+            )
+    finally:
+        pool.stop()
+    return [
+        BatchItem(
+            job=job,
+            ok=False,
+            error="analysis worker process died running this job",
+            error_kind="worker",
+        )
+        if result.crashed
+        else result.value
+        for job, result in zip(jobs, results)
+    ]
 
 
 def run_batch(
@@ -406,7 +397,7 @@ def run_batch(
     """Analyse every job on ``workspace``; results come back in submission
     order.
 
-    ``parallel=True`` fans out over a process pool (``max_workers`` defaults
+    ``parallel=True`` fans out over a worker pool (``max_workers`` defaults
     to :func:`default_workers`) whose workers rebuild the workspace's cache
     configuration (see the module docstring); ``parallel=False`` runs every
     job on the workspace's pipeline, so two batches on one workspace share
@@ -433,30 +424,10 @@ def run_batch(
         workers = max_workers if max_workers is not None else default_workers()
         workers = max(1, min(workers, len(job_list) or 1))
         report.workers = workers
-        configuration = workspace.worker_configuration()
-        results = _pool_results(job_list, options, settings, workers, configuration)
-        # A job that takes its worker process down (crash, OOM kill) breaks
-        # the whole executor: every unfinished future raises.  Retry each
-        # casualty once on its own fresh single-worker pool — one poisonous
-        # job then costs exactly its own slot, not the batch — and report a
-        # job that breaks its pool twice as a "worker" error item.
-        casualties = [index for index, item in enumerate(results) if item is None]
-        for index in casualties:
-            job = job_list[index]
-            retried = _pool_results([job], options, settings, 1, configuration)[0]
-            if retried is None:
-                retried = BatchItem(
-                    job=job,
-                    ok=False,
-                    error=(
-                        "analysis worker process died running this job "
-                        "(broken process pool); the retry on a fresh pool "
-                        "died too"
-                    ),
-                    error_kind="worker",
-                )
-            results[index] = retried
-        report.items = results
+        if job_list:
+            report.items = _pooled_items(
+                job_list, options, settings, workers, workspace.worker_configuration()
+            )
     else:
         report.items = [
             run_job(job, workspace, options, **settings) for job in job_list

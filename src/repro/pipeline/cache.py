@@ -10,8 +10,8 @@ Three stores implement that contract:
 
 :class:`ArtifactCache`
     The in-memory, per-process tier — bounded, FIFO-evicted, with hit/miss
-    counters.  A server keeps one per process; the batch driver's pool
-    initialiser installs one per pool worker.
+    counters.  A server keeps one per process, and every pool worker (serve's
+    and batch's) builds its own.
 :class:`DiskArtifactCache`
     The persistent tier, which is nothing but its files: entries live under
     ``<cache-dir>/<stage>/<key-sha256>.pkl``; writes go to a temporary file

@@ -1,8 +1,9 @@
 """Deterministic fault injection for the serve/batch worker machinery.
 
-The fault-tolerance behaviour of ``vhdl-ifa serve`` (request timeouts that
-recycle a hung worker, crash recovery) and of the batch driver (surviving a
-broken process pool) is only trustworthy if it is *testable on demand*.
+The fault-tolerance behaviour of the worker pool behind ``vhdl-ifa serve``
+and ``vhdl-ifa batch`` (request timeouts that recycle a hung worker, a
+crashed worker that costs only its own request or job) is only trustworthy
+if it is *testable on demand*.
 This module is the single switch all of those tests flip: a
 :class:`FaultPlan` describes which faults to inject and when, and a
 :class:`FaultInjector` applies them just before an analysis runs.
@@ -11,12 +12,11 @@ Faults are off by default and armed in one of two ways:
 
 * **constructor switch** — pass ``faults=FaultPlan(...)`` to
   :class:`repro.pipeline.serve.AnalysisServer`; the plan is shipped to every
-  pool worker it spawns;
+  pool worker it starts;
 * **environment switch** — set :data:`FAULTS_ENV` to the plan's JSON form
-  (``FaultPlan.to_env()``); every batch pool worker arms its own
-  :class:`FaultInjector` from it in its initialiser
-  (:meth:`FaultInjector.from_env`), as a serve worker does when no plan was
-  shipped to it.
+  (``FaultPlan.to_env()``); a pool worker that was shipped no plan (every
+  batch worker) arms its own :class:`FaultInjector` from it
+  (:meth:`FaultInjector.from_env`).
 
 The injectable faults:
 

@@ -1,27 +1,39 @@
-"""The supervised analysis worker pool behind ``vhdl-ifa serve``.
+"""The supervised worker pool: the one place that starts worker processes.
 
-``concurrent.futures.ProcessPoolExecutor`` cannot cancel a running task or
-survive a killed worker without poisoning the whole pool, so the server uses
-its own, deliberately small supervisor: one :class:`WorkerHandle` per slot,
+``vhdl-ifa serve`` runs its analyses here, and ``vhdl-ifa batch`` its pooled
+jobs.  ``concurrent.futures.ProcessPoolExecutor`` cannot cancel a running task
+or survive a killed worker without poisoning the whole pool, so this is a
+deliberately small supervisor instead: one :class:`WorkerHandle` per slot,
 each owning a dedicated ``multiprocessing`` pipe to a long-lived worker
-process.  The supervisor's contract is the server's fault model:
+process.  A *call* is a module-level function plus its arguments, and the
+worker answers ``call(workspace, *args, injector=injector)`` on its own
+workspace.  The supervisor's contract is its callers' fault model:
 
-* a request that exceeds its wall-clock ``timeout`` gets the worker killed
-  and respawned — the *request* fails (a structured 5xx upstream), the
-  *service* does not;
-* a worker that dies mid-request (crash, OOM kill) is detected by the broken
-  pipe, respawned, and only that request fails;
+* a call that exceeds its wall-clock ``timeout`` gets the worker killed and
+  respawned — the *call* fails, the pool does not;
+* a worker that dies mid-call (crash, OOM kill, an exception the call let
+  escape) is detected by the broken pipe and respawned, and only that call
+  fails;
 * the pool never propagates worker death to the caller as an exception; every
-  :meth:`WorkerPool.run` returns a :class:`PoolResult`.
+  :meth:`WorkerPool.run` returns a :class:`PoolResult`, and the caller words
+  the fault (serve as a ``504``/``500`` document, batch as a ``"worker"``
+  error item).
 
-Workers are spawned (not forked): the server runs the pool from a threaded
-asyncio process, where forking is unsafe, and a spawn also guarantees each
-worker arms its own :mod:`repro.pipeline.faults` plan deterministically.
-Each worker builds one :class:`repro.workspace.Workspace` from the server
-workspace's :meth:`~repro.workspace.Workspace.worker_configuration`: its
-in-memory tier is per-worker, layered over the shared ``cache_dir`` disk
-tier when there is one, so all workers serve warm artifacts out of one
-store — the same workspace a batch pool worker builds.
+The start method is derived, not configured.  A worker is forked when the
+platform offers ``fork`` and the starting process runs one thread, and is
+spawned otherwise: forking a threaded process can deadlock the child, and a
+spawned worker pays for re-importing :mod:`repro`.  So ``vhdl-ifa batch``
+forks (the driver builds its pool before its dispatch threads),
+``vhdl-ifa serve`` forks its initial workers and spawns a respawn (its
+dispatch threads exist by then), and a server on a
+:class:`~repro.pipeline.serve.ServerThread` always spawns.
+
+Each worker builds one :class:`repro.workspace.Workspace` from its owner's
+:meth:`~repro.workspace.Workspace.worker_configuration`: its in-memory tier
+is per-worker, layered over the shared ``cache_dir`` disk tier when there is
+one, so all workers serve warm artifacts out of one store.  Its
+:class:`~repro.pipeline.faults.FaultInjector` arms from the plan shipped to
+the pool, or else from the environment.
 """
 
 from __future__ import annotations
@@ -31,31 +43,38 @@ import os
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.pipeline.faults import FaultInjector, FaultPlan
-
-#: Spawned, not forked: safe under threads, and a clean slate per worker.
-_CTX = multiprocessing.get_context("spawn")
 
 #: Seconds a worker gets to exit voluntarily before the supervisor kills it.
 _STOP_GRACE = 2.0
 
 
+def _context() -> Any:
+    """Fork in a single-threaded process, spawn otherwise (see above)."""
+    fork = (
+        threading.active_count() == 1
+        and "fork" in multiprocessing.get_all_start_methods()
+    )
+    return multiprocessing.get_context("fork" if fork else "spawn")
+
+
 @dataclass
 class PoolResult:
-    """The outcome of one pooled request — never an exception.
+    """The outcome of one pooled call — never an exception.
 
-    ``status``/``document`` are the HTTP answer the server relays.
-    ``timed_out``/``crashed`` record the fault (the worker was recycled);
-    ``meta`` is the worker's self-report (cache counters, fault triggers).
+    ``value`` is what the call returned, or ``None`` when it did not finish:
+    ``timed_out``/``crashed`` record the fault (the worker was recycled),
+    and ``stopped`` a call refused by a stopping pool.  ``meta`` is the
+    worker's self-report (cache counters, fault triggers).
     """
 
-    status: int
-    document: Dict[str, Any]
+    value: Any = None
     worker: int = -1
     timed_out: bool = False
     crashed: bool = False
+    stopped: bool = False
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -64,16 +83,13 @@ def _worker_main(
     configuration: Dict[str, Any],
     fault_plan: Optional[FaultPlan],
 ) -> None:
-    """One worker: build a workspace once, answer requests until EOF.
+    """One worker: build a workspace once, answer calls until EOF.
 
-    The request protocol is ``(kind, request_dict)`` in,
-    ``(status, document, meta)`` out; ``None`` in means drain and exit.
-    Analysis errors are classified here exactly as the inline server path
-    classifies them, so pooled responses are byte-identical to inline ones.
+    The protocol is ``(call, args)`` in, ``(value, meta)`` out; ``None`` in
+    means drain and exit.
     """
     # Imported here: the worker entry point must be importable by the spawn
     # machinery without dragging the whole toolchain in at module level.
-    from repro.pipeline.serve import execute_request
     from repro.workspace import Workspace
 
     injector = FaultInjector(fault_plan) if fault_plan is not None else FaultInjector.from_env()
@@ -86,8 +102,8 @@ def _worker_main(
             break
         if message is None:
             break
-        kind, request = message
-        status, document = execute_request(workspace, kind, request, injector)
+        call, args = message
+        value = call(workspace, *args, injector=injector)
         meta: Dict[str, Any] = {"pid": os.getpid(), "faults_fired": injector.fired}
         if workspace.cache is not None:
             stats = workspace.cache.stats()
@@ -96,17 +112,9 @@ def _worker_main(
                 "misses": stats.get("misses", 0),
             }
         try:
-            conn.send((status, document, meta))
-        except (BrokenPipeError, OSError):
+            conn.send((value, meta))
+        except OSError:
             break
-
-
-class WorkerTimeout(Exception):
-    """Internal: the request exceeded its wall-clock budget."""
-
-
-class WorkerCrash(Exception):
-    """Internal: the worker process died before answering."""
 
 
 class WorkerHandle:
@@ -126,8 +134,9 @@ class WorkerHandle:
         self._spawn()
 
     def _spawn(self) -> None:
-        parent_conn, child_conn = _CTX.Pipe()
-        process = _CTX.Process(
+        context = _context()
+        parent_conn, child_conn = context.Pipe()
+        process = context.Process(
             target=_worker_main,
             args=(child_conn, *self._spec),
             name=f"vhdl-ifa-worker-{self.index}",
@@ -142,75 +151,68 @@ class WorkerHandle:
     def alive(self) -> bool:
         return self._process is not None and self._process.is_alive()
 
-    def call(
-        self, message: Any, timeout: Optional[float]
-    ) -> Tuple[int, Dict[str, Any], Dict[str, Any]]:
-        """Round-trip one request; raises :class:`WorkerTimeout` /
-        :class:`WorkerCrash` after recycling the worker."""
+    def call(self, message: Any, timeout: Optional[float]) -> PoolResult:
+        """Round-trip one call; a timeout or a dead worker recycles it."""
         try:
             self._conn.send(message)
-        except (BrokenPipeError, OSError):
-            self.recycle()
-            raise WorkerCrash(f"worker {self.index} was dead before the request")
-        try:
-            if not self._conn.poll(timeout):
-                self.recycle()
-                raise WorkerTimeout(
-                    f"worker {self.index} exceeded the {timeout:g}s budget"
-                )
-            return self._conn.recv()
-        except (EOFError, BrokenPipeError, OSError):
-            self.recycle()
-            raise WorkerCrash(f"worker {self.index} died mid-request")
+            if self._conn.poll(timeout):
+                value, meta = self._conn.recv()
+                return PoolResult(value=value, worker=self.index, meta=meta)
+            fault = {"timed_out": True}
+        except (EOFError, OSError):
+            fault = {"crashed": True}
+        self.recycle()
+        return PoolResult(worker=self.index, **fault)
 
     def recycle(self) -> None:
-        """Kill the current process (if any) and spawn a replacement."""
-        self._shutdown(kill=True)
+        """Kill the current process (if any) and start a replacement."""
+        process = self.detach(drain=False)
+        if process is not None:
+            process.kill()
+            _reap(process)
         self.restarts += 1
         self._spawn()
 
-    def stop(self) -> None:
-        """Drain politely, then make sure the process is gone."""
-        self._shutdown(kill=False)
-
-    def _shutdown(self, kill: bool) -> None:
+    def detach(self, drain: bool) -> Optional[Any]:
+        """Close the pipe, after a drain message when ``drain``, and return
+        the process for the caller to reap."""
         process, conn = self._process, self._conn
         self._process = self._conn = None
         if conn is not None:
-            if not kill:
+            if drain:
                 try:
                     conn.send(None)
-                except (BrokenPipeError, OSError):
+                except OSError:
                     pass
             try:
                 conn.close()
             except OSError:
                 pass
-        if process is None:
-            return
-        if kill:
-            process.kill()
-            process.join(_STOP_GRACE)
-        else:
-            process.join(_STOP_GRACE)
-            if process.is_alive():
-                process.kill()
-                process.join(_STOP_GRACE)
-        # Release the process object's pipe/semaphore resources promptly.
-        process.close()
+        return process
+
+
+def _reap(process: Any) -> None:
+    """Wait for ``process`` to exit, killing it after the grace period."""
+    process.join(_STOP_GRACE)
+    if process.is_alive():
+        process.kill()
+        process.join(_STOP_GRACE)
+    # Release the process object's pipe/semaphore resources promptly.
+    process.close()
 
 
 class WorkerPool:
     """A fixed-size pool of supervised workers with a thread-safe free list.
 
-    Callers (the server's executor threads) check a handle out, run exactly
-    one request on it, and check it back in — :meth:`run` does all three and
-    translates worker faults into :class:`PoolResult` fields instead of
+    Callers (serve's and batch's dispatch threads) check a handle out, run
+    exactly one call on it, and check it back in — :meth:`run` does all
+    three and reports worker faults as :class:`PoolResult` fields instead of
     exceptions.  ``configuration`` is the keyword arguments every worker
     builds its :class:`~repro.workspace.Workspace` from (a workspace's
     :meth:`~repro.workspace.Workspace.worker_configuration`).  ``timeout``
-    is the per-request wall-clock budget; ``None`` waits forever (no
-    recycling on slow requests).
+    is the per-call wall-clock budget; ``None`` waits forever (no
+    recycling on slow calls).  Build the pool before starting the threads
+    that call it, so that its workers can fork.
     """
 
     def __init__(
@@ -248,54 +250,31 @@ class WorkerPool:
 
     # ------------------------------------------------------------------- run
 
-    def run(self, kind: str, request: Dict[str, Any]) -> PoolResult:
-        """Run one request on the next free worker (blocking; call from a
-        thread, not the event loop)."""
+    def run(self, call: Callable[..., Any], *args: Any) -> PoolResult:
+        """Run ``call(workspace, *args, injector=...)`` on the next free
+        worker (blocking; call from a thread, not the event loop).  ``call``
+        and ``args`` must pickle, so ``call`` lives at module level."""
         if self._stopped.is_set():
-            return PoolResult(
-                status=503, document={"error": "server is shutting down"}
-            )
+            return PoolResult(stopped=True)
         handle = self._free.get()
         try:
-            try:
-                status, document, meta = handle.call((kind, request), self.timeout)
-                return PoolResult(
-                    status=status, document=document, worker=handle.index, meta=meta
-                )
-            except WorkerTimeout:
-                return PoolResult(
-                    status=504,
-                    document={
-                        "error": (
-                            f"analysis exceeded the {self.timeout:g}s request "
-                            "budget; the worker was recycled"
-                        )
-                    },
-                    worker=handle.index,
-                    timed_out=True,
-                )
-            except WorkerCrash:
-                return PoolResult(
-                    status=500,
-                    document={
-                        "error": (
-                            "analysis worker died mid-request; "
-                            "the worker was recycled"
-                        )
-                    },
-                    worker=handle.index,
-                    crashed=True,
-                )
+            return handle.call((call, args), self.timeout)
         finally:
             self._free.put(handle)
 
     # ------------------------------------------------------------------ stop
 
     def stop(self) -> None:
-        """Stop every worker; the pool answers 503 from then on."""
+        """Stop every worker; calls are refused from then on.
+
+        Every worker gets its drain message before the first one is
+        joined, so they all exit at once.
+        """
         self._stopped.set()
-        for handle in self._handles:
-            handle.stop()
+        processes = [handle.detach(drain=True) for handle in self._handles]
+        for process in processes:
+            if process is not None:
+                _reap(process)
 
     def stats(self) -> Dict[str, Any]:
         return {

@@ -293,7 +293,11 @@ class AnalysisServer:
     # ------------------------------------------------------------- lifecycle
 
     async def start(self) -> None:
-        """Bind, spawn the worker pool (pool mode), and start accepting."""
+        """Start the worker pool (pool mode), bind, and start accepting.
+
+        The pool is built before its dispatch threads, so that a server
+        started on a single-threaded process forks its first workers.
+        """
         if self._pool_mode and self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -619,10 +623,9 @@ class AnalysisServer:
         started = time.perf_counter()
         try:
             result: PoolResult = await loop.run_in_executor(
-                self._executor, self._pool.run, kind, request
+                self._executor, self._pool.run, execute_request, kind, request
             )
-            self._note_pool_result(result, time.perf_counter() - started)
-            outcome = (result.status, result.document)
+            outcome = self._pool_outcome(result, time.perf_counter() - started)
         except Exception as error:  # supervisor bug — still answer the client
             outcome = (500, {"error": f"internal error: {error!r}"})
         finally:
@@ -634,15 +637,32 @@ class AnalysisServer:
             future.set_result(outcome)
         return outcome[0], outcome[1], {}
 
-    def _note_pool_result(self, result: PoolResult, elapsed: float) -> None:
-        if result.timed_out:
-            self._counters["timeouts"] += 1
-        if result.crashed:
-            self._counters["worker_crashes"] += 1
+    def _pool_outcome(
+        self, result: PoolResult, elapsed: float
+    ) -> Tuple[int, Dict[str, Any]]:
+        """The answer to one pooled request, with its counters noted; a
+        worker fault becomes a structured ``504``/``500``."""
         if result.worker >= 0 and result.meta:
             self._worker_meta[result.worker] = result.meta
-        if result.status == 200:
-            self._observe_latencies(elapsed, result.document)
+        if result.timed_out:
+            self._counters["timeouts"] += 1
+            return 504, {
+                "error": (
+                    f"analysis exceeded the {self.timeout:g}s request "
+                    "budget; the worker was recycled"
+                )
+            }
+        if result.crashed:
+            self._counters["worker_crashes"] += 1
+            return 500, {
+                "error": "analysis worker died mid-request; the worker was recycled"
+            }
+        if result.stopped:
+            return 503, {"error": "server is shutting down"}
+        status, document = result.value
+        if status == 200:
+            self._observe_latencies(elapsed, document)
+        return status, document
 
     def _observe_latencies(self, elapsed: float, document: Dict[str, Any]) -> None:
         self._request_latency.observe(elapsed)

@@ -43,11 +43,12 @@ misses first resolves the stages producing the context attributes it reads
 (``Stage.needs``) and the context lacks, then runs.  A goal's key does not
 depend on the plan, so goals are looked up before the plan is known, and the
 plan is picked only when a stage needs an artefact the context lacks: a
-cached ``elaborate`` artefact exists only for a flat source and a cached
-``place`` artefact only for a linked one, so a hit on either key picks the
-plan (and is kept as that stage's artefact); only when both miss does the
-run parse the source and look for instantiations.  So a fully cached run
-reads its goal entries and nothing else.  The
+stage that only one plan holds (``elaborate`` or ``local`` on the flat plan,
+``place`` on the linked one) is cached only for that plan's sources, so a
+hit on the key of such a producer of the needed artefact, or else of the
+design, picks the plan (and is kept as that stage's artefact); only when
+they all miss does the run parse the source and look for instantiations.
+So a fully cached run reads its goal entries and nothing else.  The
 :class:`~repro.pipeline.artifacts.AnalysisResult` a run returns is a view
 over its context, and resolves any other artefact the first time a caller
 reads it.
@@ -689,28 +690,32 @@ class Pipeline:
         """Resolve the stage that produces context attribute ``name`` on the
         source's plan, picking the plan the first time one is needed."""
         if ctx.producers is None:
-            plan = self._choose_plan(ctx)
+            plan = self._choose_plan(ctx, name)
             ctx.producers = {attr: stage for stage in plan for attr in _attrs(stage)}
         producer = ctx.producers.get(name)
         if producer is not None:
             self._resolve(ctx, producer)
 
-    def _choose_plan(self, ctx: PipelineContext) -> Sequence[Stage]:
+    def _choose_plan(self, ctx: PipelineContext, name: str) -> Sequence[Stage]:
         """The source's plan, uncut.
 
-        Only a flat source ever caches an ``elaborate`` artefact, and only a
-        linked one a ``place`` artefact, so a hit on either key picks the
-        plan, and the hit is kept as that stage's artefact.  When both miss
-        (or the plans cut after ``until`` hold neither), the run parses the
-        source and looks for instantiations.  A probe that missed is not
-        looked up a second time.
+        A stage that only one plan holds is cached only for that plan's
+        sources (``elaborate`` and ``local`` for a flat one, ``place`` for a
+        linked one), so a hit on its key picks the plan, and the hit is kept
+        as that stage's artefact.  The run probes such producers of
+        ``name``, the attribute it needs, then those of ``design``.  When
+        all miss (or the plans cut after ``until`` hold none), the run
+        parses the source and looks for instantiations.  A probe that
+        missed is not looked up a second time.
         """
         cuts = [_cut(plan, ctx.until) for plan in ctx.plans]
-        for plan, cut, probe in zip(ctx.plans, cuts, (ELABORATE, PLACE)):
-            if cut is None or probe not in cut:
-                continue
-            if _resolved(ctx, probe) or self._serve(ctx, probe):
-                return plan
+        for wanted in dict.fromkeys((name, "design")):
+            for plan, cut, other in zip(ctx.plans, cuts, ctx.plans[::-1]):
+                for probe in cut or ():
+                    if wanted not in _attrs(probe) or probe in other:
+                        continue
+                    if _resolved(ctx, probe) or self._serve(ctx, probe):
+                        return plan
         self._resolve(ctx, PARSE)
         index = 1 if has_instantiations(ctx.program) else 0
         if cuts[index] is None:

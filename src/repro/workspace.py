@@ -394,7 +394,7 @@ class Workspace:
         Paths are expanded to jobs (one per entity with ``all_entities``)
         and run on this workspace (:func:`~repro.pipeline.batch.run_batch`):
         sequential runs on its pipeline and cache, parallel runs on a
-        process pool whose workers each build a workspace from
+        worker pool whose workers each build a workspace from
         :meth:`worker_configuration`, layering a per-worker memory tier
         over the ``cache_dir`` disk store.
         ``policy`` turns the batch into a policy check over every job.

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.analysis.closure as closure
 from repro import Workspace, analyze, analyze_kemmerer, workloads
 from repro.aes.generator import shift_rows_paper_source, shift_rows_row_nodes
 from repro.cli import main
@@ -132,3 +133,49 @@ class TestHierarchicalDesigns:
         path.write_text(workloads.hierarchical_mux_program(), encoding="utf-8")
         assert main(["kemmerer", str(path), "--entity", "mux_top"]) == 0
         assert capsys.readouterr().out.startswith("Kemmerer's method:")
+
+
+class TestResumptionChannel:
+    """The one gap between the basic analysis and Kemmerer's closure.
+
+    Rule [Present values] copies the reads of the label that defined a
+    present value.  When that label is a wait, its reads are the ``wait on``
+    list, so the list flows into every later read of a signal another
+    process drives; ``RM_lo`` has no entry at a wait label, so Kemmerer's
+    closure has no path for those flows.  These tests record today's
+    behaviour on ``bus_top``; a decision on whether resumption is in scope
+    will change them.
+    """
+
+    @pytest.fixture
+    def bus_top(self):
+        return dict(workloads.hierarchy_workload_sources())["bus_top"]
+
+    @staticmethod
+    def graphs(source):
+        basic = Workspace(cache=None).analyze(source, improved=False)
+        kemmerer = Workspace(cache=None).kemmerer_run(source).kemmerer
+        return basic, kemmerer.graph
+
+    def test_the_basic_graph_has_39_edges_kemmerer_lacks(self, bus_top):
+        basic, kemmerer = self.graphs(bus_top)
+        gap = basic.graph.edge_difference(kemmerer)
+        assert (basic.graph.edge_count(), kemmerer.edge_count()) == (208, 169)
+        assert len(gap) == 39
+        assert ("bank_0__acc", "ready") in gap
+        assert not kemmerer.edge_difference(basic.graph)
+
+    def test_the_gap_is_the_wait_sourced_copy_edges(self, bus_top, monkeypatch):
+        basic = Workspace(cache=None).analyze(bus_top, improved=False)
+        waits = basic.program_cfg.wait_labels
+        present_value_edges = closure.present_value_edges
+
+        def without_wait_sources(specialized):
+            edges = present_value_edges(specialized)
+            return {
+                label: targets for label, targets in edges.items() if label not in waits
+            }
+
+        monkeypatch.setattr(closure, "present_value_edges", without_wait_sources)
+        basic, kemmerer = self.graphs(bus_top)
+        assert basic.graph.edges == kemmerer.edges

@@ -288,6 +288,15 @@ CACHED_PARSE = Stage("parse", "program", f)
 
 def g(doc):
     return json_text({"raw": doc})
+
+
+import multiprocessing.connection
+from concurrent.futures import ProcessPoolExecutor
+import os
+
+
+def h():
+    return os.fork()
 '''
 
 
@@ -359,7 +368,12 @@ class TestInvariantGate:
         engine = tmp_path / "repro" / "analysis"
         engine.mkdir(parents=True)
         (engine / "back_edge.py").write_text(SEEDED_BACK_EDGE, encoding="utf-8")
-        result = self.run_gate(str(seeded), str(engine))
+        pool = tmp_path / "repro" / "pipeline" / "pool.py"
+        pool.parent.mkdir()
+        pool.write_text(
+            "import multiprocessing\nimport os\nos.fork()\n", encoding="utf-8"
+        )
+        result = self.run_gate(str(seeded), str(engine), str(pool))
         assert result.returncode == 1
         for fragment in (
             "module scope",                 # global FactUniverse()
@@ -370,8 +384,19 @@ class TestInvariantGate:
             "assigned 2 times",             # duplicate diagnostic code
             "imports repro.workspace",      # engine → facade back-edge
             "imports repro.pipeline.stages",  # engine → pipeline back-edge
+            "imports multiprocessing.connection",  # a second process pool
+            "imports ProcessPoolExecutor",
+            "uses os.fork",
         ):
             assert fragment in result.stderr, fragment
+        # Only the pool itself may start processes.
+        starts = [
+            line
+            for line in result.stderr.splitlines()
+            if "starts worker processes" in line
+        ]
+        assert len(starts) == 3
+        assert all("seeded.py" in line for line in starts)
         # The same imports outside an engine package are not back-edges.
         layering = [
             line for line in result.stderr.splitlines() if "engine package" in line

@@ -28,6 +28,7 @@ from repro.pipeline import (
     stage_key,
     volatile_pointers,
 )
+from repro.pipeline import batch as batch_module
 from repro.pipeline import stages as stages_module
 from repro.security.policy import TwoLevelPolicy
 from repro.vhdl.parser import split_units
@@ -194,12 +195,11 @@ class TestArtifactCache:
         source = workloads.challenge_f_program()
         analysis = pipeline.run(source)
         baseline = pipeline.run_kemmerer(source)
-        # The missed goal needs RM_lo: the elaborate probe picks the plan
-        # and RM_lo is served, so neither the CFG nor the parse is needed.
-        assert [stage.name for stage in baseline.stages] == [
-            "elaborate", "local", "kemmerer"
-        ]
-        assert baseline.cached_stages == ["elaborate", "local"]
+        # The missed goal needs RM_lo: the flat plan's own producer of it
+        # (local) hits and picks the plan, so neither the design, the CFG
+        # nor the parse is needed.
+        assert [stage.name for stage in baseline.stages] == ["local", "kemmerer"]
+        assert baseline.cached_stages == ["local"]
         assert baseline.kemmerer.rm_local is analysis.result.rm_local
         assert baseline.artifacts.universe is analysis.result.universe
         cold = Pipeline().run_kemmerer(source).kemmerer
@@ -420,6 +420,14 @@ class TestBatchDriver:
         for item in report.items:
             assert item.data["cached_stages"] == []
             assert "parse" in item.data["timings"]
+
+    def test_an_empty_parallel_batch_starts_no_worker(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an empty batch must start no worker")
+
+        monkeypatch.setattr(batch_module, "WorkerPool", no_pool)
+        report = run_batch([], Workspace(), parallel=True)
+        assert report.ok and report.items == [] and report.workers == 1
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here"

@@ -14,9 +14,14 @@ itself — nothing here depends on timing luck to make a worker misbehave.
 
 import json
 import http.client
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +70,33 @@ def _marked(marker):
 def _metrics(port):
     _, body, _ = _request(port, "GET", "/metrics")
     return json.loads(body)
+
+
+def _announced_port(process, log, timeout=60):
+    """The port a ``vhdl-ifa serve`` subprocess announced in its log."""
+    marker = "listening on http://"
+    deadline = time.monotonic() + timeout
+    while process.poll() is None and time.monotonic() < deadline:
+        text = log.read_text(encoding="utf-8", errors="replace")
+        if marker in text:
+            return int(text.split(marker, 1)[1].split()[0].rsplit(":", 1)[1])
+        time.sleep(0.02)
+    raise AssertionError(f"server did not start: {log.read_text()}")
+
+
+def _children(pid):
+    """The command lines of the live child processes of ``pid``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text(encoding="ascii", errors="replace")
+            if int(stat.rpartition(")")[2].split()[1]) == pid:
+                found.append((entry / "cmdline").read_bytes().replace(b"\0", b" "))
+        except (OSError, IndexError, ValueError):
+            continue
+    return found
 
 
 class TestWorkerTimeoutRecycling:
@@ -398,6 +430,60 @@ class TestHealthAndDrain:
         asyncio.run(scenario())
 
 
+class TestServeCommand:
+    """``vhdl-ifa serve`` itself, as a process: its first worker is forked
+    (no thread exists yet when the pool starts), and the respawn after a
+    crash is spawned (the dispatch threads exist by then)."""
+
+    def test_crash_respawn_and_drain(self, tmp_path, capsys):
+        design = tmp_path / "challenge_f.vhd"
+        design.write_text(workloads.challenge_f_program(), encoding="utf-8")
+        log = tmp_path / "serve.log"
+        env = {
+            "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+            "PATH": "/usr/bin:/bin",
+            FAULTS_ENV: FaultPlan(crash=True, match="crash_this_request").to_env(),
+        }
+        command = [
+            sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--workers", "1",
+        ]
+        with open(log, "wb") as handle:
+            process = subprocess.Popen(
+                command, stdout=subprocess.DEVNULL, stderr=handle, env=env
+            )
+        try:
+            port = _announced_port(process, log)
+            linux = Path("/proc/self/stat").exists()
+            if linux:
+                # A forked worker runs the server's own command line.
+                assert [b"spawn_main" in line for line in _children(process.pid)] == [
+                    False
+                ]
+
+            status, body, _ = _request(
+                port, "POST", "/analyze", {"source": _marked("crash_this_request")}
+            )
+            assert status == 500
+            assert "died" in json.loads(body)["error"]
+
+            status, served, _ = _request(
+                port, "POST", "/analyze", {"file": str(design)}
+            )
+            assert status == 200
+            assert main(["analyze", str(design), "--json"]) == 0
+            assert _normalised(served) == _normalised(capsys.readouterr().out)
+            assert _metrics(port)["worker_restarts"] == 1
+            if linux:
+                assert any(b"spawn_main" in line for line in _children(process.pid))
+
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+
+
 class TestBatchBrokenPoolRecovery:
     """A job that kills its worker breaks neither the batch nor its peers."""
 
@@ -430,10 +516,10 @@ class TestBatchBrokenPoolRecovery:
         ]
 
     def test_repeated_crash_is_reported_not_raised(self, designs, monkeypatch):
-        # ``once`` disarms per process, but the retry runs in a *fresh*
-        # process whose injector re-arms from the same env — the job crashes
-        # its pool twice and must surface as an error item, never as an
-        # exception out of run_batch.
+        # Nothing is retried: the job's first crash kills its worker (the
+        # ``once`` plan never gets a second trigger), and that one death
+        # must surface as an error item, never as an exception out of
+        # run_batch.
         monkeypatch.setenv(
             FAULTS_ENV,
             FaultPlan(crash=True, match="poison_job", once=True).to_env(),
