@@ -411,8 +411,8 @@ def test_disk_cold_write(benchmark, report, filled_store):
 #
 # The hierarchical-design phases drive the linked plan (docs/hierarchy.md)
 # through ``Pipeline`` on a 2000-instance register file, with the parse
-# already cached so they time hierarchy → summary → place → the
-# cross-process stages: a cold run (summaries built from scratch), an
+# already cached so they time the ``place`` front (hierarchy, summaries,
+# placement) and the cross-process stages: a cold run (summaries built from scratch), an
 # incremental re-run after a leaf-entity edit (exactly one summary
 # recomputed, the rest served from cache), the linked-vs-flattened ratio —
 # the flattening oracle analyses every instance's processes again — and the

@@ -35,7 +35,10 @@ Checks nine things, and exits non-zero listing every failure:
    ``cache-keys`` markers) names every ``Stage(...)`` built in
    ``src/repro/pipeline/stages.py`` exactly once.  The row of a cached stage
    lists exactly its ``option_fields``; the row of a stage built with
-   ``cacheable=False`` says "never cached" or "no stage entry".
+   ``cacheable=False`` says "never cached" or "no stage entry".  The two
+   stage tables of the ``stages.py`` module docstring, the artefact table
+   and the cache-key table, each name every declared stage exactly once,
+   and no other.
 
 Run it directly (``python scripts/check_docs.py``) or via ``make docs``;
 CI runs it as the ``docs`` job.
@@ -310,7 +313,7 @@ def check_hierarchy_doc() -> list[str]:
 
 #: The fenced region of docs/architecture.md holding the cache-key table.
 _CACHE_KEY_MARKERS = ("<!-- cache-keys:start -->", "<!-- cache-keys:end -->")
-#: | `cfg`, `active` | `entity`, ... | — a table row's first two cells.
+#: | `elaborate`, `place` | `entity`, ... | — a table row's first two cells.
 _TABLE_ROW = re.compile(r"^\|([^|\n]*)\|([^|\n]*)\|", re.MULTILINE)
 #: What the row of a stage without a cache entry of its own must say.
 _UNCACHED = ("never cached", "no stage entry")
@@ -356,21 +359,73 @@ def _declared_stages(source: str) -> dict[str, tuple[bool, tuple[str, ...]]]:
     return stages
 
 
+#: ========== ===== — a border line of a reStructuredText simple table.
+_RST_BORDER = re.compile(r"^=+( +=+)+$")
+#: The first word of the second header cell of each stage table in the
+#: stages.py docstring.
+_DOCSTRING_TABLES = ("artefact", "cache-key")
+
+
+def check_stage_docstring(source: str) -> list[str]:
+    """The stage tables of the ``stages.py`` docstring name exactly the
+    stages ``source`` declares, each once."""
+    declared = set(_declared_stages(source))
+    lines = (ast.get_docstring(ast.parse(source)) or "").splitlines()
+    borders = [index for index, line in enumerate(lines) if _RST_BORDER.match(line)]
+    tables: dict[str, list[str]] = {}
+    # A simple table is three borders: above the header, below it, closing.
+    for top, rule, bottom in zip(borders[::3], borders[1::3], borders[2::3]):
+        width = len(lines[top].split()[0])
+        header = lines[top + 1][width:].split()[0]
+        tables[header] = [
+            line[:width].strip()
+            for line in lines[rule + 1 : bottom]
+            if line[:width].strip()
+        ]
+    failures = []
+    for header in _DOCSTRING_TABLES:
+        names = tables.get(header)
+        if names is None:
+            failures.append(
+                f"pipeline/stages.py: the module docstring has no stage table "
+                f"headed {header!r}"
+            )
+            continue
+        for name in sorted({name for name in names if names.count(name) > 1}):
+            failures.append(
+                f"pipeline/stages.py: the {header!r} table names stage "
+                f"{name!r} twice"
+            )
+        for name in sorted(set(names) - declared):
+            failures.append(
+                f"pipeline/stages.py: the {header!r} table names {name!r}, but "
+                "the module builds no such Stage"
+            )
+        for name in sorted(declared - set(names)):
+            failures.append(
+                f"pipeline/stages.py builds stage {name!r} but its {header!r} "
+                "table has no row for it"
+            )
+    return failures
+
+
 def check_cache_key_table() -> list[str]:
-    """``docs/architecture.md``'s key table matches the declared stages."""
+    """``docs/architecture.md``'s key table and the ``stages.py`` docstring
+    tables match the declared stages."""
     stages_py = REPO_ROOT / "src" / "repro" / "pipeline" / "stages.py"
-    declared = _declared_stages(stages_py.read_text(encoding="utf-8"))
+    source = stages_py.read_text(encoding="utf-8")
+    declared = _declared_stages(source)
     if not declared:
         return [f"{stages_py.relative_to(REPO_ROOT)}: found no Stage(...) calls"]
+    failures = check_stage_docstring(source)
     text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
     start, end = _CACHE_KEY_MARKERS
     if start not in text or end not in text:
-        return [
+        return failures + [
             f"docs/architecture.md: missing the {start} / {end} markers around "
             "the cache-key table"
         ]
     table = text.split(start, 1)[1].split(end, 1)[0]
-    failures = []
     rows: dict[str, str] = {}
     for names_cell, fields_cell in _TABLE_ROW.findall(table):
         for name in re.findall(r"`([a-z_]+)`", names_cell):
@@ -431,7 +486,8 @@ def main() -> int:
         "policy_file.py, serve flags documented in serve.md, lint catalog "
         "matches rules.py, performance guide covers bench_scaling.py, "
         "api.md document table matches the recorded kinds, hierarchy guide "
-        "covers the repro.hier exports, cache-key table matches the stages)"
+        "covers the repro.hier exports, cache-key and stage tables match the "
+        "stages)"
     )
     return 0
 

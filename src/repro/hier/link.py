@@ -3,15 +3,17 @@
 A hierarchical source runs the linked plan of the staged pipeline
 (:mod:`repro.pipeline.stages`)::
 
-    parse → hierarchy → summary → place → reaching → specialize → closure → flow_graph
+    parse → place → reaching → specialize → closure → flow_graph → inventory
 
-This module implements the two stages after ``hierarchy``:
+Its front, ``place``, builds the checked
+:class:`~repro.hier.structure.DesignHierarchy` and then runs this module's
+two steps:
 
-* ``summary`` — :func:`summarize_hierarchy` returns the
+* :func:`summarize_hierarchy` returns the
   :class:`~repro.hier.summary.EntitySummary` of every entity of the
   instantiation tree, each served from the artifact cache under its own
   content-addressed key when possible;
-* ``place`` — :func:`link_hierarchy` places every process of every
+* :func:`link_hierarchy` places every process of every
   (transitively) instantiated entity into the flat design.  Its summary facts
   are renamed through the composed port maps into the flat namespace (the
   renaming :mod:`repro.hier.flatten` applies to the AST) and its labels are
@@ -22,9 +24,9 @@ This module implements the two stages after ``hierarchy``:
   closed under injective renaming of the written names (the structural layer
   rejects port maps that alias a written port for precisely this reason).
 
-``place`` yields what the flat plan's ``elaborate``, ``cfg``, ``active`` and
-``local`` stages yield for the flattened program: the design, its
-:class:`~repro.cfg.builder.ProgramCFG`, the Table 4 results and ``RM_lo``.
+``place`` yields what the flat plan's front, ``elaborate``, yields for the
+flattened program: the design, its :class:`~repro.cfg.builder.ProgramCFG`,
+the Table 4 results and ``RM_lo``.
 The cross-process stages (Tables 5 and 7–9) then run unchanged, so a linked
 document is byte-identical to the flattened program's, while the per-entity
 work is shared across instances and cached across runs.

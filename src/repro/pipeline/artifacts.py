@@ -71,8 +71,11 @@ class AnalysisResult:
     ``inventory`` are the run's goals, resolved before it returns.  Every
     other artefact field resolves on first access, from the cache or by
     running its stage in the run's universe, and the stage then appears in
-    the run's ``timings``.  The context holds no reference back to the view,
-    so dropping the result frees the run.
+    the run's ``timings``.  ``design``, ``program_cfg``, ``active`` and
+    ``rm_local`` are one stage's artefact, the plan's front (``elaborate``
+    or ``place``), so the first read of any of them resolves all four.  The
+    context holds no reference back to the view, so dropping the result
+    frees the run.
     """
 
     __slots__ = ("_context",)

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.analysis.lint import findings_fail
 from repro.errors import ReproError
 from repro.pipeline.artifacts import AnalysisOptions
 from repro.pipeline.faults import FaultInjector
@@ -53,6 +54,7 @@ from repro.pipeline.render import (
     select_graph,
     stamped,
 )
+from repro.security.report import Diagnostic
 
 if TYPE_CHECKING:
     from repro.workspace import Workspace
@@ -96,7 +98,9 @@ class BatchItem:
 
     ``error_kind`` classifies a failure (``"analysis"`` vs ``"input"``, see
     :func:`_error_kind`); ``clean`` is the policy verdict when the batch ran
-    with a policy (``None`` otherwise).
+    with a policy (``None`` otherwise); ``findings`` are the job's lint
+    findings with the batch's lint configuration applied (empty without
+    lint).
     """
 
     job: BatchJob
@@ -107,6 +111,7 @@ class BatchItem:
     data: Optional[Dict[str, Any]] = None
     seconds: float = 0.0
     clean: Optional[bool] = None
+    findings: List[Diagnostic] = field(default_factory=list)
 
 
 @dataclass
@@ -140,18 +145,11 @@ class BatchReport:
 
     @property
     def lint_findings_found(self) -> bool:
-        """True when a lint section of any job trips :attr:`fail_on`."""
-        if self.fail_on == "never":
-            return False
-        for item in self.items:
-            summary = ((item.data or {}).get("lint") or {}).get("summary")
-            if summary is None:
-                continue
-            if summary["errors"]:
-                return True
-            if self.fail_on == "warning" and summary["warnings"]:
-                return True
-        return False
+        """True when the lint findings of any job trip :attr:`fail_on`
+        (:func:`~repro.analysis.lint.findings_fail`, which rejects an
+        unknown threshold)."""
+        findings = [finding for item in self.items for finding in item.findings]
+        return findings_fail(findings, self.fail_on)
 
     @property
     def exit_code(self) -> int:
@@ -300,6 +298,7 @@ def run_job(
             data = analysis_json(
                 run, collapse=collapse, self_loops=self_loops, graph=graph
             )
+        findings: List[Diagnostic] = []
         if lint is not None:
             findings = lint.apply(run.artifacts.lint)
             data["lint"] = lint_section(findings)
@@ -313,6 +312,7 @@ def run_job(
             data=data,
             seconds=time.perf_counter() - started,
             clean=run.report.is_clean if policy is not None else None,
+            findings=findings,
         )
     except _JOB_ERRORS as error:
         return BatchItem(

@@ -34,7 +34,7 @@ Universe pinning on disk
 ------------------------
 
 Universe-bound artifacts (the bitset-encoded matrices and graphs from the
-``local`` stage onward) are only meaningful together with the
+front, ``elaborate`` or ``place``, onward) are only meaningful together with the
 :class:`~repro.dataflow.universe.FactUniverse` that interned their bit
 positions, and the pipeline requires every universe-bound artifact of one
 run to share one universe *object* (see :mod:`repro.pipeline.stages`).  The
@@ -53,7 +53,7 @@ per-process registry: the first entry to reference a snapshot materialises
 the universe, and every later entry whose snapshot is a prefix-compatible
 extension (or restriction) of an already-registered universe re-adopts *the
 same object*, extending it in place when the snapshot is longer.  That is
-what lets a fresh process load ``local``, ``specialize``, ``closure`` and
+what lets a fresh process load the front, ``specialize``, ``closure`` and
 ``flow_graph`` from disk and still hand the pipeline one consistent universe.
 
 What each operation touches

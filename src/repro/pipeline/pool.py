@@ -131,6 +131,9 @@ class WorkerHandle:
         self._spec = (configuration, fault_plan)
         self._process: Optional[Any] = None
         self._conn: Optional[Any] = None
+        # Serialises detaching with a recycle's respawn, so a stopping pool
+        # never misses a worker started behind its back.
+        self._lock = threading.RLock()
         self._spawn()
 
     def _spawn(self) -> None:
@@ -152,32 +155,45 @@ class WorkerHandle:
         return self._process is not None and self._process.is_alive()
 
     def call(self, message: Any, timeout: Optional[float]) -> PoolResult:
-        """Round-trip one call; a timeout or a dead worker recycles it."""
-        try:
-            self._conn.send(message)
-            if self._conn.poll(timeout):
-                value, meta = self._conn.recv()
-                return PoolResult(value=value, worker=self.index, meta=meta)
-            fault = {"timed_out": True}
-        except (EOFError, OSError):
-            fault = {"crashed": True}
-        self.recycle()
-        return PoolResult(worker=self.index, **fault)
+        """Round-trip one call on the connection it starts with.
 
-    def recycle(self) -> None:
-        """Kill the current process (if any) and start a replacement."""
-        process = self.detach(drain=False)
-        if process is not None:
+        A timeout or a dead worker recycles the worker.  A call whose handle
+        is detached before or while it runs (the pool is stopping) returns
+        ``stopped`` and leaves the handle detached.
+        """
+        conn = self._conn
+        if conn is not None:
+            try:
+                conn.send(message)
+                if conn.poll(timeout):
+                    value, meta = conn.recv()
+                    return PoolResult(value=value, worker=self.index, meta=meta)
+                fault = {"timed_out": True}
+            except (EOFError, OSError):
+                fault = {"crashed": True}
+            if self._recycle(conn):
+                return PoolResult(worker=self.index, **fault)
+        return PoolResult(worker=self.index, stopped=True)
+
+    def _recycle(self, conn: Any) -> bool:
+        """Kill the worker behind ``conn`` and start a replacement; False,
+        starting nothing, when the handle was detached since."""
+        with self._lock:
+            if self._conn is not conn:
+                return False
+            process = self.detach(drain=False)
             process.kill()
             _reap(process)
-        self.restarts += 1
-        self._spawn()
+            self.restarts += 1
+            self._spawn()
+        return True
 
     def detach(self, drain: bool) -> Optional[Any]:
         """Close the pipe, after a drain message when ``drain``, and return
         the process for the caller to reap."""
-        process, conn = self._process, self._conn
-        self._process = self._conn = None
+        with self._lock:
+            process, conn = self._process, self._conn
+            self._process = self._conn = None
         if conn is not None:
             if drain:
                 try:

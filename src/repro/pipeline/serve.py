@@ -345,12 +345,6 @@ class AnalysisServer:
             await asyncio.sleep(0.05)
         await self.stop()
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
     # ------------------------------------------------------------------ HTTP
 
     async def _handle_connection(

@@ -1,18 +1,27 @@
 """The staged analysis pipeline.
 
-A full Information Flow analysis decomposes into named stages, listed here in
-plan order:
+A full Information Flow analysis decomposes into named stages.  Every plan
+reads ``parse → front → reaching → specialize → closure → flow_graph →
+inventory``, plus ``lint``, ``kemmerer`` or ``report``, and the two plans
+differ only in their front.  A flat source runs :data:`ANALYSIS_STAGES`,
+whose front is ``elaborate``; a source with component instantiations runs
+the *linked* plan (:data:`LINKED_STAGES`, :mod:`repro.hier`), whose front
+is ``place``.  Both fronts yield the same four artefacts, because Tables 4
+and 6 are per-process and closed under renaming:
 
 ========== =====================================================
 stage      artefact
 ========== =====================================================
 parse      the VHDL1 AST (:func:`repro.vhdl.parser.parse_program`), one
            design unit at a time
-elaborate  the :class:`~repro.vhdl.elaborate.Design`
-cfg        the :class:`~repro.cfg.builder.ProgramCFG`
-active     the per-process active-signals results (Table 4)
+elaborate  the flat front: the :class:`~repro.vhdl.elaborate.Design`, its
+           :class:`~repro.cfg.builder.ProgramCFG`, the per-process
+           active-signals results (Table 4) and the local Resource Matrix
+           ``RM_lo`` (Table 6)
+place      the linked front: the same four artefacts, placed from one
+           :class:`~repro.hier.summary.EntitySummary` per entity of the
+           checked :class:`~repro.hier.structure.DesignHierarchy`
 reaching   the Reaching Definitions (Table 5), solved per process
-local      the local Resource Matrix ``RM_lo`` (Table 6)
 specialize the specialised RD results ``RD†``/``RD†ϕ`` (Table 7)
 closure    the closed matrix ``RM_gl`` (Table 8, optionally Table 9)
 flow_graph the information-flow graph
@@ -20,19 +29,9 @@ inventory  the :class:`~repro.pipeline.artifacts.Inventory`: design name,
            ports, CFG counts and matrix sizes, what documents read besides
            the graph
 lint       the lint findings (``vhdl-ifa lint`` runs only; full catalog)
+kemmerer   Kemmerer's baseline, the transitive closure of ``RM_lo``
+           (``vhdl-ifa kemmerer`` runs only)
 report     the covert-channel report (only when a policy is given)
-========== =====================================================
-
-A source with component instantiations runs the *linked* plan
-(:data:`LINKED_STAGES`, :mod:`repro.hier`) instead: three stages stand in for
-``elaborate``, ``cfg``, ``active`` and ``local``, and every later stage is
-shared with the flat plan.
-
-========== =====================================================
-hierarchy  the checked :class:`~repro.hier.structure.DesignHierarchy`
-summary    one :class:`~repro.hier.summary.EntitySummary` per entity
-place      the flat design, its ``ProgramCFG``, the Table 4 results and
-           ``RM_lo``, placed from the summaries
 ========== =====================================================
 
 Runs are demand-driven.  A run resolves only its *goals*: ``flow_graph``
@@ -42,27 +41,26 @@ on-demand.  A goal is served from the cache when it can be; a stage that
 misses first resolves the stages producing the context attributes it reads
 (``Stage.needs``) and the context lacks, then runs.  A goal's key does not
 depend on the plan, so goals are looked up before the plan is known, and the
-plan is picked only when a stage needs an artefact the context lacks: a
-stage that only one plan holds (``elaborate`` or ``local`` on the flat plan,
-``place`` on the linked one) is cached only for that plan's sources, so a
-hit on the key of such a producer of the needed artefact, or else of the
-design, picks the plan (and is kept as that stage's artefact); only when
-they all miss does the run parse the source and look for instantiations.
-So a fully cached run reads its goal entries and nothing else.  The
-:class:`~repro.pipeline.artifacts.AnalysisResult` a run returns is a view
-over its context, and resolves any other artefact the first time a caller
-reads it.
+plan is picked only when a stage needs an artefact the context lacks.  Each
+front is cached only for its own plan's sources, so the run probes the two
+fronts in plan order: a hit picks the plan (and is kept as the front's
+artefact), and only when both miss does the run parse the source and look
+for instantiations.  So a fully cached run reads its goal entries and
+nothing else.  The :class:`~repro.pipeline.artifacts.AnalysisResult` a run
+returns is a view over its context, and resolves any other artefact the
+first time a caller reads it.
 
-Each stage is individually invokable (``Pipeline.run(..., until="cfg")``
-stops after the CFG; ``PipelineResult.artifacts`` exposes every resolved
-artefact), wall-clock timed (``PipelineResult.timings``), and backed by a
-content-addressed artifact cache (any of the stores in
-:mod:`repro.pipeline.cache` — in-memory, on-disk, or the two-tier
-composition) keyed by source hash + the analysis options the stage depends
-on — so repeated runs of the same design skip straight to the cached
-artefacts (``PipelineResult.cached_stages`` says which), across process
-restarts when the cache has a disk tier.  A stage the run neither read nor
-ran appears in neither ``timings`` nor ``cached_stages``.
+Each stage is individually invokable (``Pipeline.run(...,
+until="elaborate")`` stops after the flat front; ``PipelineResult.artifacts``
+exposes every resolved artefact), wall-clock timed
+(``PipelineResult.timings``), and backed by a content-addressed artifact
+cache (any of the stores in :mod:`repro.pipeline.cache` — in-memory,
+on-disk, or the two-tier composition) keyed by source hash + the analysis
+options the stage depends on — so repeated runs of the same design skip
+straight to the cached artefacts (``PipelineResult.cached_stages`` says
+which), across process restarts when the cache has a disk tier.  A stage the
+run neither read nor ran appears in neither ``timings`` nor
+``cached_stages``.
 
 The :class:`AnalysisOptions` fields each stage's cache key includes
 (``Stage.option_fields``; see also ``docs/architecture.md``):
@@ -72,12 +70,10 @@ stage      cache-key option fields (plus the stage name + source hash)
 ========== ==========================================================
 parse      no stage entry: each design unit is cached under
            ``parse:<sha256 of "<first line>:<unit text>">``
-elaborate  entity
-cfg        never cached (rebuilding it from the design is cheaper than
-           decoding it)
-active     entity, loop_processes
+elaborate  entity, loop_processes
+place      entity, loop_processes; each entity's summary is also cached
+           under ``summary:v<format>:<self-slice digest>:<entity>:loop_processes=…``
 reaching   entity, loop_processes, use_under_approximation
-local      entity, loop_processes
 specialize entity, loop_processes, use_under_approximation
 closure    entity, loop_processes, use_under_approximation, improved
 flow_graph entity, loop_processes, use_under_approximation, improved
@@ -85,10 +81,6 @@ inventory  entity, loop_processes, use_under_approximation, improved
 lint       entity, loop_processes, use_under_approximation, improved
 kemmerer   entity, loop_processes
 report     never cached (cheap, policy-dependent)
-hierarchy  never cached (a cheap pass over the parse)
-summary    no stage entry: each entity's summary is cached under
-           ``summary:v<format>:<self-slice digest>:<entity>:loop_processes=…``
-place      entity, loop_processes
 ========== ==========================================================
 
 The ``lint`` stage caches the *complete* rule catalog's findings at default
@@ -97,16 +89,16 @@ file's ``[lint]`` selection and severity overrides are applied after the
 stage, so one cached artefact serves every lint configuration.
 
 Universe discipline: every run starts with a fresh
-:class:`~repro.dataflow.universe.FactUniverse`, and stages from ``local``
-(``place`` on the linked plan) onward intern resource names into it.  Their
-cached artefacts are stored *together with* the universe they were built in
-and a cache hit adopts that universe, keeping bitset-encoded artefacts and
-universe consistent.  A cold run resolves its stages in plan order, so it
-binds its universe at ``local`` (``place``); a warm run binds it at the
-first universe-bound artefact it reads, usually ``flow_graph``.  Every
-universe-bound artefact resolved after that, during the run or on a field
-read after it, is served only if its entry shares that universe, and is
-otherwise recomputed in it.
+:class:`~repro.dataflow.universe.FactUniverse`, and the universe-bound stages
+(the front, ``specialize``, ``closure``, ``flow_graph`` and ``kemmerer``)
+intern resource names into it.  Their cached artefacts are stored *together
+with* the universe they were built in and a cache hit adopts that universe,
+keeping bitset-encoded artefacts and universe consistent.  A cold run
+resolves its stages in plan order, so it binds its universe at its front; a
+warm run binds it at the first universe-bound artefact it reads, usually
+``flow_graph``.  Every universe-bound artefact resolved after that, during
+the run or on a field read after it, is served only if its entry shares that
+universe, and is otherwise recomputed in it.
 """
 
 from __future__ import annotations
@@ -128,7 +120,7 @@ from repro.analysis.specialize import specialize
 from repro.cfg.builder import build_cfg
 from repro.dataflow.universe import FactUniverse
 from repro.errors import AnalysisError, ReproError, nesting_limit
-from repro.hier.link import link_hierarchy, summarize_hierarchy
+from repro.hier.link import Placed, link_hierarchy, summarize_hierarchy
 from repro.hier.structure import build_hierarchy, has_instantiations
 from repro.pipeline.artifacts import (
     AnalysisOptions,
@@ -162,8 +154,6 @@ class PipelineContext:
     source_key: Optional[str] = None
     cache: Optional[ArtifactCache] = None
     program: Optional[Any] = None
-    hierarchy: Optional[Any] = None
-    summaries: Optional[Any] = None
     design: Optional[Design] = None
     program_cfg: Optional[Any] = None
     active: Optional[Any] = None
@@ -224,28 +214,25 @@ def _run_parse(ctx: PipelineContext) -> Program:
     return program
 
 
-def _run_elaborate(ctx: PipelineContext) -> Design:
-    return elaborate(ctx.program, ctx.options.entity)
+def _run_elaborate(ctx: PipelineContext) -> Placed:
+    """The flat front: the design, its CFG, Table 4 and ``RM_lo``.
+
+    Building the CFG labels the design's statements in place, so the design
+    is stored only with its labels.
+    """
+    design = elaborate(ctx.program, ctx.options.entity)
+    program_cfg = build_cfg(design, loop_processes=ctx.options.loop_processes)
+    active = analyze_all_active_signals(program_cfg.processes)
+    rm_local = local_resource_matrix(program_cfg, universe=ctx.universe)
+    return design, program_cfg, active, rm_local
 
 
-def _run_cfg(ctx: PipelineContext) -> Any:
-    return build_cfg(ctx.design, loop_processes=ctx.options.loop_processes)
-
-
-def _run_hierarchy(ctx: PipelineContext) -> Any:
-    return build_hierarchy(ctx.program, ctx.options.entity)
-
-
-def _run_summary(ctx: PipelineContext) -> Any:
-    return summarize_hierarchy(ctx.hierarchy, ctx.options.loop_processes, ctx.cache)
-
-
-def _run_place(ctx: PipelineContext) -> Any:
-    return link_hierarchy(ctx.hierarchy, ctx.summaries, universe=ctx.universe)
-
-
-def _run_active(ctx: PipelineContext) -> Any:
-    return analyze_all_active_signals(ctx.program_cfg.processes)
+def _run_place(ctx: PipelineContext) -> Placed:
+    """The linked front: each entity summarised (and cached under a key of
+    its own), then every instance placed into the flat namespace."""
+    hierarchy = build_hierarchy(ctx.program, ctx.options.entity)
+    summaries = summarize_hierarchy(hierarchy, ctx.options.loop_processes, ctx.cache)
+    return link_hierarchy(hierarchy, summaries, universe=ctx.universe)
 
 
 def _run_reaching(ctx: PipelineContext) -> Any:
@@ -254,10 +241,6 @@ def _run_reaching(ctx: PipelineContext) -> Any:
         ctx.active,
         use_under_approximation=ctx.options.use_under_approximation,
     )
-
-
-def _run_local(ctx: PipelineContext) -> Any:
-    return local_resource_matrix(ctx.program_cfg, universe=ctx.universe)
 
 
 def _run_specialize(ctx: PipelineContext) -> Any:
@@ -330,10 +313,11 @@ class Stage:
     goal: bool = False
 
 
-_ENTITY = ("entity",)
 _SHAPE = ("entity", "loop_processes")
 _RD = ("entity", "loop_processes", "use_under_approximation")
 _ALL = ("entity", "loop_processes", "use_under_approximation", "improved")
+#: What either front yields.
+_FRONT = ("design", "program_cfg", "active", "rm_local")
 
 PARSE = Stage(
     "parse",
@@ -342,21 +326,24 @@ PARSE = Stage(
     cacheable=False,
     needs=("source", "cache"),
 )
-ELABORATE = Stage("elaborate", "design", _run_elaborate, _ENTITY, needs=("program",))
-# Rebuilding the CFG from the design is cheaper than decoding it, and its
-# pickle would hold the whole design a second time.
-CFG = Stage("cfg", "program_cfg", _run_cfg, cacheable=False, needs=("design",))
-ACTIVE = Stage("active", "active", _run_active, _SHAPE, needs=("program_cfg",))
-REACHING = Stage(
-    "reaching", "reaching", _run_reaching, _RD, needs=("program_cfg", "active")
-)
-LOCAL = Stage(
-    "local",
-    "rm_local",
-    _run_local,
+ELABORATE = Stage(
+    "elaborate",
+    _FRONT,
+    _run_elaborate,
     _SHAPE,
     universe_bound=True,
-    needs=("program_cfg", "universe"),
+    needs=("program", "universe"),
+)
+PLACE = Stage(
+    "place",
+    _FRONT,
+    _run_place,
+    _SHAPE,
+    universe_bound=True,
+    needs=("program", "cache", "universe"),
+)
+REACHING = Stage(
+    "reaching", "reaching", _run_reaching, _RD, needs=("program_cfg", "active")
 )
 SPECIALIZE = Stage(
     "specialize",
@@ -416,43 +403,13 @@ REPORT = Stage(
     needs=("graph", "inventory", "policy", "report_options"),
     goal=True,
 )
-# The hierarchy is a cheap pass over the parse, and the summary stage caches
-# each entity under its own key (repro.hier.summary), so neither has a
-# pipeline cache entry of its own.
-HIERARCHY = Stage(
-    "hierarchy",
-    "hierarchy",
-    _run_hierarchy,
-    _ENTITY,
-    cacheable=False,
-    needs=("program",),
-)
-SUMMARY = Stage(
-    "summary",
-    "summaries",
-    _run_summary,
-    ("loop_processes",),
-    cacheable=False,
-    needs=("hierarchy", "cache"),
-)
-PLACE = Stage(
-    "place",
-    ("design", "program_cfg", "active", "rm_local"),
-    _run_place,
-    _SHAPE,
-    universe_bound=True,
-    needs=("hierarchy", "summaries", "universe"),
-)
 
 #: The full analysis, source to flow graph and inventory (plus the optional
 #: report).
 ANALYSIS_STAGES: Tuple[Stage, ...] = (
     PARSE,
     ELABORATE,
-    CFG,
-    ACTIVE,
     REACHING,
-    LOCAL,
     SPECIALIZE,
     CLOSURE,
     FLOW_GRAPH,
@@ -461,30 +418,18 @@ ANALYSIS_STAGES: Tuple[Stage, ...] = (
 )
 
 #: The same analysis of a source with component instantiations: per-entity
-#: summaries placed into the flat namespace stand in for elaborate → cfg →
-#: active → local, and every later stage is shared with the flat plan.
-LINKED_STAGES: Tuple[Stage, ...] = (
-    PARSE,
-    HIERARCHY,
-    SUMMARY,
-    PLACE,
-    REACHING,
-    SPECIALIZE,
-    CLOSURE,
-    FLOW_GRAPH,
-    INVENTORY,
-    REPORT,
-)
+#: summaries placed into the flat namespace stand in for ``elaborate``, and
+#: every later stage is shared with the flat plan.
+LINKED_STAGES: Tuple[Stage, ...] = (PARSE, PLACE, *ANALYSIS_STAGES[2:])
 
 #: The lint run: the full analysis plus the cached ``lint`` stage (and, when
 #: a policy with level assignments is given, the trailing report).
 LINT_STAGES: Tuple[Stage, ...] = ANALYSIS_STAGES[:-1] + (LINT, REPORT)
 LINKED_LINT_STAGES: Tuple[Stage, ...] = LINKED_STAGES[:-1] + (LINT, REPORT)
 
-#: Kemmerer's baseline closes the local matrix, so it shares every stage up
-#: to ``local`` (``place`` on the linked plan).
-KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, ELABORATE, CFG, LOCAL, KEMMERER)
-LINKED_KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, HIERARCHY, SUMMARY, PLACE, KEMMERER)
+#: Kemmerer's baseline closes the local matrix, so it shares the front.
+KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, ELABORATE, KEMMERER)
+LINKED_KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, PLACE, KEMMERER)
 
 STAGE_NAMES: Tuple[str, ...] = tuple(stage.name for stage in ANALYSIS_STAGES)
 
@@ -572,9 +517,9 @@ class Pipeline:
 
         A source with component instantiations runs :data:`LINKED_STAGES`
         instead of :data:`ANALYSIS_STAGES`.  ``until`` names the last stage
-        to resolve (``"cfg"`` stops after the CFG; ``"place"`` after a
-        hierarchical design is placed; ``"parse"`` yields the AST).  ``policy``
-        enables the final ``report`` stage;
+        to resolve (``"elaborate"`` stops after the flat front; ``"place"``
+        after a hierarchical design is placed; ``"parse"`` yields the AST).
+        ``policy`` enables the final ``report`` stage;
         ``report_options`` passes keyword arguments through to
         :func:`repro.security.report.build_report`.  ``profile=True`` runs
         every computed stage under cProfile and attaches the per-stage hot
@@ -690,32 +635,29 @@ class Pipeline:
         """Resolve the stage that produces context attribute ``name`` on the
         source's plan, picking the plan the first time one is needed."""
         if ctx.producers is None:
-            plan = self._choose_plan(ctx, name)
+            plan = self._choose_plan(ctx)
             ctx.producers = {attr: stage for stage in plan for attr in _attrs(stage)}
         producer = ctx.producers.get(name)
         if producer is not None:
             self._resolve(ctx, producer)
 
-    def _choose_plan(self, ctx: PipelineContext, name: str) -> Sequence[Stage]:
+    def _choose_plan(self, ctx: PipelineContext) -> Sequence[Stage]:
         """The source's plan, uncut.
 
-        A stage that only one plan holds is cached only for that plan's
-        sources (``elaborate`` and ``local`` for a flat one, ``place`` for a
-        linked one), so a hit on its key picks the plan, and the hit is kept
-        as that stage's artefact.  The run probes such producers of
-        ``name``, the attribute it needs, then those of ``design``.  When
-        all miss (or the plans cut after ``until`` hold none), the run
-        parses the source and looks for instantiations.  A probe that
-        missed is not looked up a second time.
+        Each plan's front (the stage after ``parse``: ``elaborate`` or
+        ``place``) is cached only for that plan's sources, so the run probes
+        the fronts in plan order, and a hit picks the plan and is kept as
+        the front's artefact.  When both miss (or the plans cut after
+        ``until`` hold neither), the run parses the source and looks for
+        instantiations.  A probe that missed is not looked up a second time.
         """
         cuts = [_cut(plan, ctx.until) for plan in ctx.plans]
-        for wanted in dict.fromkeys((name, "design")):
-            for plan, cut, other in zip(ctx.plans, cuts, ctx.plans[::-1]):
-                for probe in cut or ():
-                    if wanted not in _attrs(probe) or probe in other:
-                        continue
-                    if _resolved(ctx, probe) or self._serve(ctx, probe):
-                        return plan
+        for plan, cut in zip(ctx.plans, cuts):
+            front = plan[1]
+            if front in (cut or ()) and (
+                _resolved(ctx, front) or self._serve(ctx, front)
+            ):
+                return plan
         self._resolve(ctx, PARSE)
         index = 1 if has_instantiations(ctx.program) else 0
         if cuts[index] is None:

@@ -401,8 +401,10 @@ class Workspace:
         ``lint=True`` (or a :class:`LintConfig`) adds a per-job lint section;
         ``lint=None`` defers to the resolved policy's ``[lint]`` table (no
         lint run when it has none); ``fail_on`` sets the severity threshold
-        behind :attr:`BatchReport.exit_code`.
+        behind :attr:`BatchReport.exit_code`, and an unknown one is a
+        :class:`~repro.errors.PolicyError` before any job runs.
         """
+        findings_fail([], fail_on)  # rejects an unknown threshold
         expanded: List[BatchJob] = []
         for job in jobs:
             if isinstance(job, BatchJob):

@@ -391,17 +391,17 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["command"] == "cache-stats"
-        # Eight stage entries plus one parse entry per design unit (the
+        # Six stage entries plus one parse entry per design unit (the
         # entity and its architecture).
-        assert stats["entries"] == 10
+        assert stats["entries"] == 8
         assert stats["stages"]["parse"] == 2
 
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         text = capsys.readouterr().out
-        assert "entries: 10" in text
+        assert "entries: 8" in text
 
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
-        assert "cleared 10 entries" in capsys.readouterr().out
+        assert "cleared 8 entries" in capsys.readouterr().out
 
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 0

@@ -33,11 +33,12 @@ from repro.pipeline import (
 from repro.pipeline import stages as stages_module
 from repro.pipeline.cache import FORMAT_VERSION
 from repro.pipeline.render import volatile_pointers
+from repro.vhdl.ast import iter_statements
 
 ANALYSIS_STAGE_NAMES = [name for name in STAGE_NAMES if name != "report"]
 # A fully cached run reads its goals and nothing else.
 WARM_STAGE_NAMES = ["flow_graph", "inventory"]
-#: The stages with an entry of their own (``cfg`` is rebuilt, never stored).
+#: The stages with an entry of their own (the parse has one per design unit).
 CACHED_STAGE_NAMES = [stage.name for stage in ANALYSIS_STAGES if stage.cacheable]
 
 
@@ -56,6 +57,15 @@ def _fresh_run(cache_dir, source, **kwargs):
     """A run over brand-new tiers (the in-test proxy for a fresh process)."""
     cache = TieredArtifactCache(ArtifactCache(), DiskArtifactCache(cache_dir))
     return Pipeline(cache).run(source, **kwargs)
+
+
+def _labels(design):
+    """Every statement label of ``design``, process by process."""
+    return [
+        statement.label
+        for process in design.processes
+        for statement in iter_statements(process.body)
+    ]
 
 
 class TestDiskRoundTrip:
@@ -77,12 +87,23 @@ class TestDiskRoundTrip:
         assert result.rm_global.universe is result.universe
         assert result.graph._universe is result.universe
 
+    def test_a_disk_warm_design_carries_the_cold_labels(self, cache_dir):
+        # Building the CFG labels the design's statements in place; the
+        # front stores the design only after that, so a design read back
+        # from disk carries the labels a cold run's design has.
+        source = workloads.producer_consumer_program()
+        cold = _populate(cache_dir, source)
+        warm = _fresh_run(cache_dir, source)
+        assert warm.cached_stages == WARM_STAGE_NAMES
+        assert _labels(warm.result.design) == _labels(cold.result.design)
+        assert _labels(cold.result.design) == [1, 2, 3, 6, 7]
+
     def test_differing_options_key_differently_on_disk(self, cache_dir):
         source = workloads.producer_consumer_program()
         _populate(cache_dir, source)
         basic = _fresh_run(cache_dir, source, options=AnalysisOptions(improved=False))
-        assert basic.computed_stages == ["cfg", "closure", "flow_graph", "inventory"]
-        assert basic.cached_stages == ["elaborate", "specialize", "local"]
+        assert basic.computed_stages == ["closure", "flow_graph", "inventory"]
+        assert basic.cached_stages == ["elaborate", "specialize"]
 
     def test_subprocess_is_served_from_the_populated_dir(self, cache_dir, tmp_path):
         # The real acceptance shape: an actually-fresh interpreter with a
@@ -191,14 +212,12 @@ class TestCorruptionIsEvictedNotRaised:
         for path in (Path(cache_dir) / "universes").glob("*.pkl"):
             path.unlink()
         warm = _fresh_run(cache_dir, source)
-        # Entries that are not universe-bound still hit.  Each universe-bound
-        # entry is looked up before any recompute's put could register its
-        # deleted snapshot again (the goal first, then what it needs), so
-        # each of them misses, is evicted and is recomputed.
-        assert warm.cached_stages == ["elaborate", "active", "reaching", "inventory"]
-        assert warm.computed_stages == [
-            "cfg", "local", "specialize", "closure", "flow_graph",
-        ]
+        # Entries that are not universe-bound still hit.  The goal and then
+        # the front miss and are evicted, so the run parses and recomputes
+        # its front, whose put writes the deleted snapshot again: the entries
+        # looked up after that put (RD†) hit in the recomputed universe.
+        assert warm.cached_stages == ["specialize", "inventory"]
+        assert warm.computed_stages == ["parse", "elaborate", "closure", "flow_graph"]
         assert warm.result.rm_local.universe is warm.result.universe
 
     def test_torn_universe_snapshots_are_evicted_and_rewritten(self, cache_dir):
@@ -207,11 +226,10 @@ class TestCorruptionIsEvictedNotRaised:
         for path in self._universe_files(cache_dir):
             path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 3])
         torn = _fresh_run(cache_dir, source)
-        # Only the stages whose entries adopt a torn snapshot recompute
-        # (and the CFG they need)...
-        assert torn.computed_stages == [
-            "cfg", "local", "specialize", "closure", "flow_graph",
-        ]
+        # Only the stages whose entries are looked up before the front's
+        # recompute writes the snapshot again recompute (and the parse the
+        # front needs)...
+        assert torn.computed_stages == ["parse", "elaborate", "closure", "flow_graph"]
         assert torn.result.summary() == cold.result.summary()
         # ...and their puts write the evicted snapshots again.
         assert _fresh_run(cache_dir, source).cached_stages == WARM_STAGE_NAMES
@@ -234,9 +252,7 @@ class TestCorruptionIsEvictedNotRaised:
         # Stale entries are evicted when read; a fresh entry that references
         # a stale snapshot evicts the snapshot, and the recompute re-saves it.
         assert runs[0].cached_stages == []
-        assert runs[1].computed_stages == [
-            "cfg", "local", "specialize", "closure", "flow_graph",
-        ]
+        assert runs[1].computed_stages == ["parse", "elaborate", "closure", "flow_graph"]
         assert runs[2].cached_stages == WARM_STAGE_NAMES
         for path in self._entry_files(cache_dir) + self._universe_files(cache_dir):
             assert pickle.loads(path.read_bytes())[1] == FORMAT_VERSION
@@ -258,8 +274,8 @@ for stage in ("closure", "flow_graph"):
     shutil.rmtree(cache_dir / stage)
 snapshots = sorted((cache_dir / "universes").iterdir())
 warm = Pipeline(open_cache(str(cache_dir))).run(source)
-assert warm.computed_stages == ["cfg", "closure", "flow_graph"], warm.computed_stages
-assert warm.cached_stages == ["elaborate", "specialize", "local", "inventory"]
+assert warm.computed_stages == ["closure", "flow_graph"], warm.computed_stages
+assert warm.cached_stages == ["elaborate", "specialize", "inventory"]
 assert list(warm.result.universe) == list(cold.result.universe)
 assert sorted((cache_dir / "universes").iterdir()) == snapshots
 """

@@ -5,11 +5,12 @@ A run resolves its goals (``flow_graph`` and ``inventory``, plus ``lint``,
 and reads or runs any other stage only when a stage that misses the cache
 needs its artefact (``Stage.needs``) or a caller reads it from the
 ``AnalysisResult``, a view over the run.  The plan is picked only then: by a
-hit on the flat plan's ``elaborate`` key or the linked plan's ``place`` key,
-and by the parse only when both miss.  These tests pin what a warm run
-touches, that the fields loaded on first access equal the cold artefacts in
-one universe (after every partial eviction too), that dropping a result frees
-its run, and that each stage's declared inputs are all it reads.
+hit on the key of its front (the flat plan's ``elaborate``, the linked plan's
+``place``), and by the parse only when both miss.  These tests pin what a
+warm run touches, that the fields loaded on first access equal the cold
+artefacts in one universe (after every partial eviction too), that dropping
+a result frees its run, and that each stage's declared inputs are all it
+reads.
 """
 
 import gc
@@ -80,13 +81,8 @@ def _universe_bound(result):
 
 def _fields(result):
     """Each artefact field's pickle, one pickle per field (the pickle memo
-    would tell shared string objects from equal ones across fields).
-
-    Every field is read before any is pickled: building the CFG labels the
-    design's statements in place.
-    """
-    values = {name: getattr(result, name) for name in FIELDS}
-    return {name: pickle.dumps(value) for name, value in values.items()}
+    would tell shared string objects from equal ones across fields)."""
+    return {name: pickle.dumps(getattr(result, name)) for name in FIELDS}
 
 
 def _read_back(result):
@@ -147,21 +143,19 @@ class TestWarmRunsSkipTheOnDemandStages:
         cache = _RecordingMisses()
         run = Pipeline(cache).run(SOURCES[kind]())
         # Each cacheable stage misses once and each design unit's parse
-        # once; the other plan's probe is the one extra lookup.  The goal
+        # once; the other plan's front is the one extra lookup.  The goal
         # is looked up first; its miss picks the plan, and each stage is
         # looked up before the stages it needs.  (Entity summaries have
         # keys of their own.)
         units = {"flat": 2, "linked": 4}
-        needed = {
-            "flat": ["closure", "specialize", "active", "reaching", "local"],
-            "linked": ["closure", "specialize", "reaching"],
-        }
         assert [name for name in cache.missed if name != "summary"] == [
             "flow_graph",
             "elaborate",
             "place",
             *["parse"] * units[kind],
-            *needed[kind],
+            "closure",
+            "specialize",
+            "reaching",
             "inventory",
         ]
         assert cache.hits == 0
@@ -204,18 +198,15 @@ class TestUntilOnAWarmCache:
         assert all(unit is cold_unit for unit, cold_unit in zip(units, cold_units))
         assert run.result is None
 
-    def test_cfg_yields_the_cfg_without_the_parse(self):
+    def test_the_front_yields_the_cfg_without_the_parse(self):
         cache = ArtifactCache()
         pipeline = Pipeline(cache)
         source = workloads.challenge_f_program()
         cold = pipeline.run(source)
-        run = pipeline.run(source, until="cfg")
-        # The CFG is never cached: it is rebuilt from the cached design.
+        run = pipeline.run(source, until="elaborate")
         assert run.cached_stages == ["elaborate"]
-        assert run.computed_stages == ["cfg"]
-        assert pickle.dumps(run.artifacts.program_cfg) == pickle.dumps(
-            cold.result.program_cfg
-        )
+        assert run.computed_stages == []
+        assert run.artifacts.program_cfg is cold.result.program_cfg
         assert run.artifacts.program is None
         assert run.result is None
 
@@ -265,8 +256,7 @@ class TestPartialEviction:
         assert all(bound is universe for bound in _universe_bound(rerun.result))
         if stage.name == "parse":
             # Nothing that misses needs the AST: the parse stays evicted.
-            # The flat plan rebuilds its CFG, which is never cached.
-            assert rerun.computed_stages == {"flat": ["cfg"], "linked": []}[kind]
+            assert rerun.computed_stages == []
             assert not any(key in cache for key in evicted)
         else:
             assert stage.name in rerun.computed_stages
@@ -338,14 +328,11 @@ class TestLazyFields:
         # ...and every universe-bound one shares the run's universe.
         universe = warm.result.universe
         assert all(bound is universe for bound in _universe_bound(warm.result))
-        # Each load is a stage of the run, served from the cache, or the
-        # never-cached CFG rebuilt from the served design.
-        loaded = {
-            "flat": ["elaborate", "active", "reaching", "local", "specialize", "closure"],
-            "linked": ["place", "reaching", "specialize", "closure"],
-        }[kind]
+        # Each load is a stage of the run, served from the cache.
+        front = {"flat": "elaborate", "linked": "place"}[kind]
+        loaded = [front, "reaching", "specialize", "closure"]
         assert warm.cached_stages == [*FLAT_WARM, *loaded]
-        assert warm.computed_stages == {"flat": ["cfg"], "linked": []}[kind]
+        assert warm.computed_stages == []
 
     @pytest.mark.parametrize("command", ["analyze", "lint"])
     def test_dropping_the_result_frees_the_run(self, command):

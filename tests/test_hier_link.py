@@ -2,7 +2,7 @@
 
 The headline contract of the hierarchy subsystem: for every hierarchical
 workload and every analysis option combination, the analyze, check and lint
-documents of the linked plan (``parse → hierarchy → summary → place → …``)
+documents of the linked plan (``parse → place → reaching → …``)
 are byte-identical to those of the flattened program — through the library,
 the CLI (``--flatten``), batch and the serve surface alike.
 """
@@ -168,7 +168,7 @@ class TestLinkedPlan:
         ws.analyze_run(source)
         warm = ws.analyze_run(source)
         assert warm.cached_stages == ["flow_graph", "inventory"]
-        # The placed stage loads on first access, and its hit picks the
+        # The placed front loads on first access, and its hit picks the
         # plan: no parse, hierarchy or summary.
         assert warm.result.rm_local is not None
         assert warm.cached_stages == ["flow_graph", "inventory", "place"]
@@ -178,15 +178,15 @@ class TestLinkedPlan:
         run = Workspace().analyze_run(
             workloads.hierarchical_mux_program(), until="place"
         )
-        assert [stage.name for stage in run.stages] == [
-            "parse", "hierarchy", "summary", "place",
-        ]
+        assert [stage.name for stage in run.stages] == ["parse", "place"]
         assert run.result is None
         assert run.artifacts.program_cfg.summary()["processes"] == 5
 
     def test_until_rejects_a_stage_of_the_flat_plan(self):
-        with pytest.raises(AnalysisError, match="'cfg' is not part"):
-            Workspace().analyze_run(workloads.hierarchical_mux_program(), until="cfg")
+        with pytest.raises(AnalysisError, match="'elaborate' is not part"):
+            Workspace().analyze_run(
+                workloads.hierarchical_mux_program(), until="elaborate"
+            )
 
     def test_entity_selects_the_root(self):
         ws = Workspace()

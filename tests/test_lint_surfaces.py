@@ -11,6 +11,8 @@ trip, the shared ``--fail-on`` exit-code contract and the
 violation).
 """
 
+import dataclasses
+import importlib.util
 import json
 import http.client
 import subprocess
@@ -20,7 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro import workloads
+from repro.analysis.lint import FAIL_ON_CHOICES, findings_fail
 from repro.cli import main
+from repro.errors import PolicyError
 from repro.pipeline import (
     AnalysisServer,
     ArtifactCache,
@@ -267,6 +271,39 @@ class TestFailOn:
         assert main([*argv, "--fail-on", "warning"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "pooled"])
+    def test_batch_gates_on_the_applied_findings(
+        self, error_file, warning_file, parallel
+    ):
+        workspace = Workspace()
+        paths = [error_file, warning_file]
+        report = workspace.batch(paths, lint=True, parallel=parallel, max_workers=1)
+        linted = [
+            workspace.lint(Path(path).read_text(encoding="utf-8")) for path in paths
+        ]
+        assert [item.findings for item in report.items] == [
+            result.findings for result in linted
+        ]
+        # One gate: each threshold decides as findings_fail does on every
+        # job's findings, and as lint does for each file.
+        for fail_on in FAIL_ON_CHOICES:
+            report.fail_on = fail_on
+            every = [finding for result in linted for finding in result.findings]
+            assert report.exit_code == (3 if findings_fail(every, fail_on) else 0)
+            verdicts = [
+                dataclasses.replace(result, fail_on=fail_on).exit_code
+                for result in linted
+            ]
+            assert report.exit_code == max(verdicts)
+
+    def test_batch_rejects_an_unknown_fail_on_as_lint_does(self, warning_file):
+        source = Path(warning_file).read_text(encoding="utf-8")
+        unknown = "unknown --fail-on value 'bogus'"
+        with pytest.raises(PolicyError, match=unknown):
+            Workspace().lint(source, fail_on="bogus").exit_code
+        with pytest.raises(PolicyError, match=unknown):
+            Workspace().batch([warning_file], lint=True, parallel=False, fail_on="bogus")
+
 
 SEEDED_VIOLATIONS = '''
 from repro.dataflow.facts import FactUniverse
@@ -416,6 +453,29 @@ class TestInvariantGate:
         else:
             assert result.returncode == 1
             assert f"engine package 'security' {failure} " in result.stderr
+
+    def test_docs_gate_checks_the_stages_docstring_tables(self):
+        spec = importlib.util.spec_from_file_location(
+            "check_docs", REPO_ROOT / "scripts" / "check_docs.py"
+        )
+        check_docs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_docs)
+        stages_py = REPO_ROOT / "src" / "repro" / "pipeline" / "stages.py"
+        source = stages_py.read_text(encoding="utf-8")
+        assert check_docs.check_stage_docstring(source) == []
+        # A stale artefact row for a deleted stage, and a declared stage's
+        # cache-key row dropped.
+        stale = source.replace(
+            "reaching   the Reaching Definitions",
+            "cfg        the ProgramCFG\nreaching   the Reaching Definitions",
+            1,
+        ).replace("kemmerer   entity, loop_processes\n", "", 1)
+        assert check_docs.check_stage_docstring(stale) == [
+            "pipeline/stages.py: the 'artefact' table names 'cfg', but the "
+            "module builds no such Stage",
+            "pipeline/stages.py builds stage 'kemmerer' but its 'cache-key' "
+            "table has no row for it",
+        ]
 
     def test_docs_gate_requires_catalog_entries(self):
         result = subprocess.run(

@@ -13,6 +13,7 @@ from repro.errors import AnalysisError
 from repro.pipeline import (
     ANALYSIS_STAGES,
     KEMMERER_STAGES,
+    LINKED_KEMMERER_STAGES,
     LINKED_STAGES,
     LINT_STAGES,
     STAGE_NAMES,
@@ -62,15 +63,43 @@ class TestPipelineStages:
         )
 
     def test_until_stops_after_the_named_stage(self):
-        run = Pipeline().run(workloads.challenge_f_program(), until="cfg")
-        assert [stage.name for stage in run.stages] == ["parse", "elaborate", "cfg"]
+        run = Pipeline().run(workloads.challenge_f_program(), until="elaborate")
+        assert [stage.name for stage in run.stages] == ["parse", "elaborate"]
         assert run.result is None
         assert run.artifacts.program_cfg is not None
-        assert run.artifacts.rm_local is None
+        assert run.artifacts.rm_local is not None
+        assert run.artifacts.reaching is None
 
     def test_unknown_stage_is_an_error(self):
         with pytest.raises(AnalysisError, match="unknown pipeline stage"):
             Pipeline().run(workloads.challenge_f_program(), until="nonsense")
+
+    @pytest.mark.parametrize("name", ["cfg", "active", "local", "hierarchy", "summary"])
+    def test_the_front_has_no_sub_stages(self, name):
+        with pytest.raises(AnalysisError, match=f"unknown pipeline stage {name!r}"):
+            Pipeline().run(workloads.challenge_f_program(), until=name)
+
+    def test_the_plans_differ_only_in_their_front(self):
+        assert [stage.name for stage in ANALYSIS_STAGES] == [
+            "parse", "elaborate", "reaching", "specialize", "closure",
+            "flow_graph", "inventory", "report",
+        ]
+        assert [stage.name for stage in LINKED_STAGES[:2]] == ["parse", "place"]
+        assert ANALYSIS_STAGES[0] is LINKED_STAGES[0]
+        assert ANALYSIS_STAGES[2:] == LINKED_STAGES[2:]
+        # Both fronts yield the design, its CFG, Table 4 and RM_lo.
+        flat_front, linked_front = ANALYSIS_STAGES[1], LINKED_STAGES[1]
+        assert flat_front.attr == linked_front.attr == (
+            "design", "program_cfg", "active", "rm_local",
+        )
+        assert flat_front.option_fields == linked_front.option_fields
+        assert flat_front.universe_bound and linked_front.universe_bound
+        assert [stage.name for stage in KEMMERER_STAGES] == [
+            "parse", "elaborate", "kemmerer",
+        ]
+        assert [stage.name for stage in LINKED_KEMMERER_STAGES] == [
+            "parse", "place", "kemmerer",
+        ]
 
     def test_policy_enables_the_report_stage(self):
         run = Pipeline().run(
@@ -117,13 +146,15 @@ class TestArtifactCache:
 
         basic = pipeline.run(source, AnalysisOptions(improved=False))
         # The missed flow graph needs the closure, and the closure reads
-        # only what it needs: the elaborate probe picks the plan, the CFG
-        # is rebuilt from the design, and RD† and RM_lo are served.
-        assert basic.cached_stages == ["elaborate", "specialize", "local"]
-        assert basic.computed_stages == ["cfg", "closure", "flow_graph", "inventory"]
+        # only what it needs: the front probe picks the plan and serves the
+        # design, its CFG and RM_lo, and RD† is served.
+        assert basic.cached_stages == ["elaborate", "specialize"]
+        assert basic.computed_stages == ["closure", "flow_graph", "inventory"]
 
+        # The CFG depends on loop_processes, and the front with it.
         straight = pipeline.run(source, AnalysisOptions(loop_processes=False))
-        assert straight.cached_stages == ["elaborate"]
+        assert straight.cached_stages == []
+        assert straight.computed_stages == ANALYSIS_STAGE_NAMES
 
     def test_different_source_misses_everything(self):
         cache = ArtifactCache()
@@ -195,11 +226,10 @@ class TestArtifactCache:
         source = workloads.challenge_f_program()
         analysis = pipeline.run(source)
         baseline = pipeline.run_kemmerer(source)
-        # The missed goal needs RM_lo: the flat plan's own producer of it
-        # (local) hits and picks the plan, so neither the design, the CFG
-        # nor the parse is needed.
-        assert [stage.name for stage in baseline.stages] == ["local", "kemmerer"]
-        assert baseline.cached_stages == ["local"]
+        # The missed goal needs RM_lo: the front probe hits and picks the
+        # plan, so the parse is not needed.
+        assert [stage.name for stage in baseline.stages] == ["elaborate", "kemmerer"]
+        assert baseline.cached_stages == ["elaborate"]
         assert baseline.kemmerer.rm_local is analysis.result.rm_local
         assert baseline.artifacts.universe is analysis.result.universe
         cold = Pipeline().run_kemmerer(source).kemmerer
@@ -221,33 +251,31 @@ class TestArtifactCache:
         assert pipeline.run(source).cached_stages == ["place"]
 
     def test_partial_eviction_never_mixes_universes(self):
-        # Evict one universe-bound entry ("local") and recompute it alone,
+        # Evict one universe-bound entry (the front) and recompute it alone,
         # so its new entry holds another universe than the surviving
         # "specialize", "closure" and "flow_graph" entries.  A full run
         # adopts the flow graph's universe; reading RM_lo must then
-        # recompute it rather than adopt the foreign universe, so every
-        # artifact of one run shares one universe.
-        from repro.pipeline.stages import LOCAL
-
+        # recompute the front rather than adopt the foreign universe, so
+        # every artifact of one run shares one universe.
         cache = ArtifactCache()
         pipeline = Pipeline(cache)
         source = workloads.producer_consumer_program()
         cold = pipeline.run(source)
-        from repro.pipeline.stages import stage_key
 
-        key = stage_key(LOCAL, source_digest(source), AnalysisOptions())
+        key = stage_key(ANALYSIS_STAGES[1], source_digest(source), AnalysisOptions())
         del cache._entries[key]
-        alone = pipeline.run(source, until="local")
-        assert alone.computed_stages == ["cfg", "local"]
+        alone = pipeline.run(source, until="elaborate")
+        assert alone.computed_stages == ["parse", "elaborate"]
         assert cache._entries[key][1] is not cold.result.universe
 
         rerun = pipeline.run(source)
         assert rerun.cached_stages == WARM_STAGE_NAMES
         assert rerun.result.rm_local.universe is rerun.result.universe
-        assert rerun.computed_stages == ["cfg", "local"]
+        # The foreign front is a miss, so the plan is picked by the parse.
+        assert rerun.computed_stages == ["parse", "elaborate"]
         assert rerun.result.rm_global.universe is rerun.result.universe
         assert rerun.result.specialized is cold.result.specialized
-        assert rerun.cached_stages == [*WARM_STAGE_NAMES, "elaborate", "closure", "specialize"]
+        assert rerun.cached_stages == [*WARM_STAGE_NAMES, "closure", "specialize"]
 
     def test_eviction_keeps_the_cache_bounded(self):
         cache = ArtifactCache(max_entries=2)

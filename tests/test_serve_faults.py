@@ -21,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -35,11 +36,13 @@ from repro.pipeline import (
     Pipeline,
     ServerThread,
     TieredArtifactCache,
+    WorkerPool,
     json_text,
     run_batch,
 )
 from repro.pipeline.batch import BatchJob
 from repro.pipeline.faults import FAULTS_ENV, FaultInjector
+from repro.pipeline.serve import execute_request
 from repro.workspace import Workspace
 
 VOLATILE_FIELDS = ("timings", "cached_stages")
@@ -428,6 +431,31 @@ class TestHealthAndDrain:
                 socket.create_connection(("127.0.0.1", port), timeout=1).close()
 
         asyncio.run(scenario())
+
+
+class TestPoolStopDuringACall:
+    """A call still running when the pool stops: the pool's contract that
+    :meth:`WorkerPool.run` never raises holds through ``stop()``."""
+
+    def test_the_call_returns_stopped_and_nothing_respawns(self):
+        pool = WorkerPool(
+            1,
+            configuration=Workspace(cache=None).worker_configuration(),
+            fault_plan=FaultPlan(delay_seconds=3),
+        )
+        worker_pid = pool._handles[0]._process.pid
+        request = {"source": workloads.challenge_f_program()}
+        with ThreadPoolExecutor(max_workers=1) as caller:
+            call = caller.submit(pool.run, execute_request, "analyze", request)
+            time.sleep(1)
+            pool.stop()
+            result = call.result(timeout=30)  # re-raises what run raised
+        assert result.stopped and result.value is None
+        assert not (result.timed_out or result.crashed)
+        assert pool.restarts == 0
+        assert pool.alive == 0
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker_pid, 0)
 
 
 class TestServeCommand:
