@@ -72,7 +72,7 @@ perfbench-smoke:
 # Docs gate: internal links resolve, docs/cli.md matches cli.py, the
 # policy-file keys documented in docs/api.md match security/policy_file.py,
 # and the docs/api.md document table lists exactly the recorded kinds
-# (scripts/check_docs.py lists all eight checks).
+# (scripts/check_docs.py lists all nine checks).
 docs:
 	$(PYTHON) scripts/check_docs.py
 

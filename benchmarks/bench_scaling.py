@@ -33,6 +33,7 @@ from repro.analysis.reaching_defs import analyze_reaching_definitions
 from repro.analysis.specialize import specialize
 from repro.cfg.builder import build_cfg
 from repro.pipeline import (
+    LINT_GOALS,
     AnalysisOptions,
     AnalysisServer,
     ArtifactCache,
@@ -44,7 +45,6 @@ from repro.pipeline import (
     run_batch,
 )
 from repro.hier import build_hierarchy, flatten_source, summary_cache_key
-from repro.pipeline.stages import LINKED_STAGES, REPORT
 from repro.security.policy import TwoLevelPolicy
 from repro.vhdl.elaborate import elaborate, elaborate_source
 from repro.vhdl.parser import parse_program
@@ -443,7 +443,7 @@ def _parsed(source):
     it, one per design unit (the program's entities and architectures are
     the entries' own objects, so the heap holds one AST)."""
     cache = ArtifactCache()
-    program = Pipeline(cache).run(source, until="parse").artifacts.program
+    program = Pipeline(cache).run(source, goals=("parse",)).artifacts.program
     return program, list(cache._entries.items())
 
 
@@ -582,11 +582,19 @@ def test_hier_check_lint_vs_analyze(benchmark, report, hier_source, hier_units):
     import gc
     import statistics
 
-    analyze_plan = [stage.name for stage in LINKED_STAGES if stage is not REPORT]
+    analyze_plan = [
+        "parse",
+        "place",
+        "reaching",
+        "specialize",
+        "closure",
+        "flow_graph",
+        "inventory",
+    ]
     policy = TwoLevelPolicy(secret_resources=["din"])
     commands = (
         ("check", "report", lambda pipeline: pipeline.run(hier_source, policy=policy)),
-        ("lint", "lint", lambda pipeline: pipeline.run_lint(hier_source)),
+        ("lint", "lint", lambda pipeline: pipeline.run(hier_source, goals=LINT_GOALS)),
     )
     ratios = {name: [] for name, _, _ in commands}
     seconds = {name: [] for name, _, _ in commands}

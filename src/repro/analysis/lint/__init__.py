@@ -21,7 +21,6 @@ from repro.analysis.lint.engine import (
 )
 from repro.analysis.lint.registry import (
     SEVERITIES,
-    STAGE_INPUTS,
     LintRule,
     registered_codes,
     registered_rules,
@@ -34,7 +33,6 @@ __all__ = [
     "LintConfig",
     "LintRule",
     "SEVERITIES",
-    "STAGE_INPUTS",
     "findings_fail",
     "registered_codes",
     "registered_rules",

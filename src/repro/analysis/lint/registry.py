@@ -1,14 +1,14 @@
-"""The lint-rule registry: stable codes, declared inputs, one class per rule.
+"""The lint-rule registry: stable codes, one class per rule.
 
 A lint rule is a small class deriving from :class:`LintRule`: it declares a
 stable diagnostic ``code`` (``IFA1xx``; the policy-check codes ``IFA001``/
 ``IFA002`` live in :mod:`repro.security.report` and share the namespace), a
-``title``, a ``default_severity``, and — as data, so tooling can reason about
-it — the pipeline stages whose artefacts it consumes (``requires``, a subset
-of :data:`STAGE_INPUTS`).  Rules emit plain
-:class:`~repro.security.report.Diagnostic` records, the same structured type
-the policy checker uses, so every downstream surface (CLI ``--json``, batch
-sections, ``POST /lint``) renders findings with one shared shape.
+``title`` and a ``default_severity``.  Every rule reads the ``lint`` stage's
+inputs (the design, its CFG, the Reaching Definitions and the flow graph).
+Rules emit plain :class:`~repro.security.report.Diagnostic` records, the
+same structured type the policy checker uses, so every downstream surface
+(CLI ``--json``, batch sections, ``POST /lint``) renders findings with one
+shared shape.
 
 Registration happens once at import time via the :func:`rule` decorator;
 registering two rules under one code is a programming error and raises
@@ -27,9 +27,6 @@ from repro.security.report import Diagnostic
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.artifacts import AnalysisResult
 
-#: The pipeline-stage artefacts a rule may declare in ``requires``.
-STAGE_INPUTS = ("cfg", "reaching", "local", "closure", "flow_graph")
-
 #: The severities a rule (or a policy override) may assign.
 SEVERITIES = ("info", "warning", "error")
 
@@ -47,16 +44,12 @@ class LintRule:
 
     Subclasses set the class attributes and implement :meth:`check`, which
     receives a finished :class:`~repro.pipeline.artifacts.AnalysisResult`
-    and yields :class:`Diagnostic` records.  ``requires`` documents which
-    stage artefacts the rule reads (a subset of :data:`STAGE_INPUTS`) — the
-    engine runs after the full analysis, so every artefact is available; the
-    declaration exists for the rule catalog and for tooling.
+    and yields :class:`Diagnostic` records.
     """
 
     code: str = ""
     title: str = ""
     default_severity: str = "warning"
-    requires: Tuple[str, ...] = ()
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
         """Yield this rule's findings for one analysed design."""
@@ -106,13 +99,6 @@ def rule(cls: Type[LintRule]) -> Type[LintRule]:
         raise AnalysisError(
             f"lint rule {code} declares severity {cls.default_severity!r}; "
             "expected one of " + ", ".join(SEVERITIES)
-        )
-    unknown = [stage for stage in cls.requires if stage not in STAGE_INPUTS]
-    if unknown:
-        raise AnalysisError(
-            f"lint rule {code} requires unknown stage artefact(s) "
-            + ", ".join(repr(stage) for stage in unknown)
-            + "; expected a subset of " + ", ".join(STAGE_INPUTS)
         )
     existing = _REGISTRY.get(code)
     if existing is not None and existing is not cls:

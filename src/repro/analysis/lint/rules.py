@@ -73,7 +73,6 @@ class MultipleDriversRule(LintRule):
     code = "IFA101"
     title = "multiple drivers on one signal"
     default_severity = "error"
-    requires = ("cfg",)
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
         drivers_of = _drivers(_processes(analysis))
@@ -97,7 +96,6 @@ class WrittenNeverReadRule(LintRule):
     code = "IFA102"
     title = "signal written but never read"
     default_severity = "warning"
-    requires = ("cfg",)
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
         design = analysis.design
@@ -122,7 +120,6 @@ class ReadNeverWrittenRule(LintRule):
     code = "IFA103"
     title = "signal read but never written"
     default_severity = "warning"
-    requires = ("cfg",)
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
         design = analysis.design
@@ -148,7 +145,6 @@ class DeadProcessRule(LintRule):
     code = "IFA104"
     title = "dead process (no write reaches an output port)"
     default_severity = "warning"
-    requires = ("cfg", "flow_graph")
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
         design = analysis.design
@@ -204,7 +200,6 @@ class SensitivityRule(LintRule):
     code = "IFA105"
     title = "incomplete sensitivity list"
     default_severity = "warning"
-    requires = ("cfg",)
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
         for process in _processes(analysis):
@@ -234,7 +229,6 @@ class CombinationalLoopRule(LintRule):
     code = "IFA106"
     title = "combinational feedback loop"
     default_severity = "error"
-    requires = ("cfg", "flow_graph")
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
         loops = self._signal_loops(analysis)
@@ -299,7 +293,6 @@ class UnreachableStatementRule(LintRule):
     code = "IFA107"
     title = "unreachable statement"
     default_severity = "warning"
-    requires = ("cfg",)
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
         for name in sorted(analysis.program_cfg.processes):
@@ -335,7 +328,6 @@ class ShadowedAssignmentRule(LintRule):
     code = "IFA108"
     title = "shadowed variable assignment"
     default_severity = "info"
-    requires = ("cfg", "reaching")
 
     def check(self, analysis: "AnalysisResult") -> Iterator[Diagnostic]:
         entry = analysis.reaching.entry

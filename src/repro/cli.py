@@ -2,9 +2,8 @@
 
 Every analysis subcommand is a thin shell over one
 :class:`repro.workspace.Workspace` — the v1 session facade that owns the
-artifact cache, the resource-name universe and the named-policy registry —
-so the CLI, the batch driver and the serve mode produce byte-identical
-documents by construction.
+artifact cache and the named-policy registry — so the CLI, the batch driver
+and the serve mode produce byte-identical documents by construction.
 
 Subcommands
 -----------

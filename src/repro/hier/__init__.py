@@ -1,8 +1,8 @@
 """Hierarchical designs: component instantiation, summary linking, flattening.
 
 VHDL1 programs may declare components and instantiate them (``u1 : comp port
-map (a => x, b => y);``).  The staged pipeline analyses them on its *linked
-plan* (:mod:`repro.pipeline.stages`): after the parse,
+map (a => x, b => y);``).  The staged pipeline analyses them with its
+*linked* front, ``place`` (:mod:`repro.pipeline.stages`): after the parse,
 :mod:`repro.hier.structure` resolves the instantiation tree,
 :mod:`repro.hier.summary` analyses each distinct entity once into a reusable,
 content-addressed :class:`~repro.hier.summary.EntitySummary`, and
@@ -11,7 +11,7 @@ which the cross-process stages (Tables 5 and 7–9) run unchanged.
 
 :mod:`repro.hier.flatten` is the oracle: it inlines every instantiated
 architecture under per-instance names, and the flat analysis of the result is
-byte-identical to the linked plan's (the equivalence tests assert this across
+byte-identical to the linked analysis (the equivalence tests assert this across
 workloads and option combinations).  See ``docs/hierarchy.md``.
 """
 

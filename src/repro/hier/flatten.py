@@ -13,10 +13,11 @@ instantiated architecture's concurrent statements:
   normalised traversal order of the hierarchy.
 
 The result is an ordinary single-architecture :class:`~repro.vhdl.ast.Program`
-that the flat plan analyses as-is.  :func:`flatten_source` pretty-prints it,
-which is what ``vhdl-ifa analyze --flatten`` feeds back through the pipeline.
+that the pipeline analyses as-is, with its flat front.  :func:`flatten_source`
+pretty-prints it, which is what ``vhdl-ifa analyze --flatten`` feeds back
+through the pipeline.
 
-This is the *oracle* for the linked plan: ``docs/hierarchy.md`` and the
+This is the *oracle* for the linked front: ``docs/hierarchy.md`` and the
 equivalence tests pin its documents byte-identical to the analysis of the
 flattened program.
 """

@@ -1,7 +1,7 @@
 """Compositional linking: entity summaries placed into one flat design.
 
-A hierarchical source runs the linked plan of the staged pipeline
-(:mod:`repro.pipeline.stages`)::
+A hierarchical source runs the staged pipeline
+(:mod:`repro.pipeline.stages`) with its linked front::
 
     parse → place → reaching → specialize → closure → flow_graph → inventory
 
@@ -24,7 +24,7 @@ two steps:
   closed under injective renaming of the written names (the structural layer
   rejects port maps that alias a written port for precisely this reason).
 
-``place`` yields what the flat plan's front, ``elaborate``, yields for the
+``place`` yields what the flat front, ``elaborate``, yields for the
 flattened program: the design, its :class:`~repro.cfg.builder.ProgramCFG`,
 the Table 4 results and ``RM_lo``.
 The cross-process stages (Tables 5 and 7–9) then run unchanged, so a linked

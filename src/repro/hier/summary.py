@@ -1,4 +1,4 @@
-"""Reusable per-entity analysis summaries for the linked plan.
+"""Reusable per-entity analysis summaries for the linked front.
 
 An :class:`EntitySummary` captures everything the ``place`` stage
 (:mod:`repro.hier.link`) needs to place one entity's processes into a larger

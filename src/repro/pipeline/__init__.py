@@ -54,13 +54,10 @@ from repro.pipeline.render import (
 )
 from repro.pipeline.serve import AnalysisServer, ServerThread, interaction_id, serve
 from repro.pipeline.stages import (
-    ANALYSIS_STAGES,
-    KEMMERER_STAGES,
-    LINKED_KEMMERER_STAGES,
-    LINKED_LINT_STAGES,
-    LINKED_STAGES,
-    LINT_STAGES,
-    STAGE_NAMES,
+    ANALYSIS_GOALS,
+    FRONTS,
+    LINT_GOALS,
+    STAGES,
     Pipeline,
     PipelineContext,
     Stage,
@@ -68,7 +65,9 @@ from repro.pipeline.stages import (
 )
 
 __all__ = [
-    "ANALYSIS_STAGES",
+    "ANALYSIS_GOALS",
+    "FRONTS",
+    "LINT_GOALS",
     "SCHEMA_VERSION",
     "AnalysisOptions",
     "AnalysisResult",
@@ -80,16 +79,11 @@ __all__ = [
     "DiskArtifactCache",
     "FaultInjector",
     "FaultPlan",
-    "KEMMERER_STAGES",
-    "LINKED_KEMMERER_STAGES",
-    "LINKED_LINT_STAGES",
-    "LINKED_STAGES",
-    "LINT_STAGES",
     "Pipeline",
     "PipelineContext",
     "PipelineResult",
     "PoolResult",
-    "STAGE_NAMES",
+    "STAGES",
     "ServerThread",
     "WorkerPool",
     "Stage",

@@ -72,7 +72,7 @@ class AnalysisResult:
     other artefact field resolves on first access, from the cache or by
     running its stage in the run's universe, and the stage then appears in
     the run's ``timings``.  ``design``, ``program_cfg``, ``active`` and
-    ``rm_local`` are one stage's artefact, the plan's front (``elaborate``
+    ``rm_local`` are one stage's artefact, the source's front (``elaborate``
     or ``place``), so the first read of any of them resolves all four.  The
     context holds no reference back to the view, so dropping the result
     frees the run.
@@ -192,13 +192,14 @@ class StageTiming:
 class PipelineResult:
     """What one pipeline run produced, plus how long each stage took.
 
-    ``result`` is populated once the ``flow_graph`` stage has run (i.e. for
-    any full analysis run); ``kemmerer`` for Kemmerer-baseline runs;
-    ``report`` when a policy was supplied and the ``report`` stage ran.
-    ``artifacts`` is the raw stage context for partial runs (``until=``),
-    exposing every resolved artefact by name; the artefact of a stage the
-    run has neither read nor run (``parse`` on a warm run, say) is ``None``
-    there, while ``result`` resolves it on first access.
+    ``result`` is populated once the run has resolved the ``flow_graph``
+    stage (any run whose goals hold it or a stage that needs it);
+    ``kemmerer`` for Kemmerer-baseline runs; ``report`` when a policy was
+    supplied and the ``report`` stage ran.  ``artifacts`` is the raw stage
+    context, for partial runs (one stage as the goal), exposing every
+    resolved artefact by name; the artefact of a stage the run has neither
+    read nor run (``parse`` on a warm run, say) is ``None`` there, while
+    ``result`` resolves it on first access.
     """
 
     options: AnalysisOptions
@@ -219,9 +220,9 @@ class PipelineResult:
 
         Runs are demand-driven (:mod:`repro.pipeline.stages`): a stage the
         run neither read nor ran appears here and in :attr:`timings` not at
-        all.  A fully cached run of either plan lists its goals only:
-        ``flow_graph`` and ``inventory`` (plus ``lint`` for a lint run, or
-        ``kemmerer`` alone for a Kemmerer run).  A field of :attr:`result`
+        all.  A fully cached run lists its goals only: ``flow_graph`` and
+        ``inventory`` (plus ``lint`` for a lint run, or ``kemmerer`` alone
+        for a Kemmerer run).  A field of :attr:`result`
         read after the run appends the stage it resolved, so both lists
         can grow after the run returns.
         """

@@ -54,6 +54,7 @@ from repro.pipeline.render import (
     select_graph,
     stamped,
 )
+from repro.pipeline.stages import ANALYSIS_GOALS, LINT_GOALS
 from repro.security.report import Diagnostic
 
 if TYPE_CHECKING:
@@ -262,31 +263,22 @@ def run_job(
     :func:`~repro.pipeline.render.lint_section` body the single-file ``lint``
     command emits — on the payload, plus the lint text after the rendering.
     """
-    pipeline = workspace.pipeline
     started = time.perf_counter()
     try:
         source = Path(job.path).read_text(encoding="utf-8")
         if job.entity is not None:
             options = dataclasses.replace(options, entity=job.entity)
+        run = workspace.pipeline.run(
+            source,
+            options,
+            goals=ANALYSIS_GOALS if lint is None else LINT_GOALS,
+            policy=policy,
+            report_options={"transitive": bool(getattr(policy, "transitive", False))},
+        )
         if policy is not None:
-            report_options = {
-                "transitive": bool(getattr(policy, "transitive", False))
-            }
-            if lint is not None:
-                run = pipeline.run_lint(
-                    source, options, policy=policy, report_options=report_options
-                )
-            else:
-                run = pipeline.run(
-                    source, options, policy=policy, report_options=report_options
-                )
             text = run.report.to_text()
             data = report_json(run)
         else:
-            if lint is not None:
-                run = pipeline.run_lint(source, options)
-            else:
-                run = pipeline.run(source, options)
             graph = select_graph(run.result, collapse, self_loops)
             text = render_analysis_text(
                 run.result,

@@ -515,12 +515,12 @@ class AnalysisServer:
             "source": source,
             "file": file,
             "entity": entity,
-            "improved": not payload.get("basic", False),
-            "loop_processes": not payload.get("straight_line", False),
+            "improved": not _flag(payload, "basic"),
+            "loop_processes": not _flag(payload, "straight_line"),
         }
         if kind == "analyze":
-            request["collapse"] = bool(payload.get("collapse", False))
-            request["self_loops"] = bool(payload.get("self_loops", False))
+            request["collapse"] = _flag(payload, "collapse")
+            request["self_loops"] = _flag(payload, "self_loops")
             return request
         if kind == "lint":
             spec = payload.get("policy")
@@ -533,13 +533,13 @@ class AnalysisServer:
             request["policy"] = None if spec is None else self.workspace.policy(spec)
             return request
         outputs = _names(payload.get("output", []), "output")
-        transitive = payload.get("transitive")
         request.update(
             {
                 "outputs": outputs or None,
                 "policy": self._resolve_policy(payload),
-                "transitive": None if transitive is None else bool(transitive),
-                "ports_only": bool(payload.get("ports_only", False)),
+                # None defers to the policy's preferred mode.
+                "transitive": _flag(payload, "transitive", None),
+                "ports_only": _flag(payload, "ports_only"),
             }
         )
         return request
@@ -814,6 +814,19 @@ class _BadRequest(Exception):
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
         self.status = status
+
+
+def _flag(
+    payload: Dict[str, Any], member: str, default: Optional[bool] = False
+) -> Optional[bool]:
+    """A payload member that must be a JSON boolean; null or absent is
+    ``default``."""
+    value = payload.get(member)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise _BadRequest(f"{member!r} must be true or false")
+    return value
 
 
 def _names(value: Any, member: str) -> List[str]:

@@ -1,13 +1,13 @@
 """The staged analysis pipeline.
 
-A full Information Flow analysis decomposes into named stages.  Every plan
-reads ``parse → front → reaching → specialize → closure → flow_graph →
-inventory``, plus ``lint``, ``kemmerer`` or ``report``, and the two plans
-differ only in their front.  A flat source runs :data:`ANALYSIS_STAGES`,
-whose front is ``elaborate``; a source with component instantiations runs
-the *linked* plan (:data:`LINKED_STAGES`, :mod:`repro.hier`), whose front
-is ``place``.  Both fronts yield the same four artefacts, because Tables 4
-and 6 are per-process and closed under renaming:
+A full Information Flow analysis decomposes into the named stages of
+:data:`STAGES`.  Every analysis reads ``parse → front → reaching →
+specialize → closure → flow_graph → inventory``, plus ``lint``,
+``kemmerer`` or ``report``, and its front is one of :data:`FRONTS`: a flat
+source's is ``elaborate``, and a source with component instantiations is
+*linked* (:mod:`repro.hier`), its front ``place``.  Both fronts yield the
+same four artefacts, because Tables 4 and 6 are per-process and closed
+under renaming:
 
 ========== =====================================================
 stage      artefact
@@ -34,30 +34,31 @@ kemmerer   Kemmerer's baseline, the transitive closure of ``RM_lo``
 report     the covert-channel report (only when a policy is given)
 ========== =====================================================
 
-Runs are demand-driven.  A run resolves only its *goals*: ``flow_graph``
-and ``inventory``, plus ``lint``, ``report`` or ``kemmerer`` where its plan
-has one (``Stage.goal``), or the ``until=`` stage.  Every other stage is
-on-demand.  A goal is served from the cache when it can be; a stage that
-misses first resolves the stages producing the context attributes it reads
-(``Stage.needs``) and the context lacks, then runs.  A goal's key does not
-depend on the plan, so goals are looked up before the plan is known, and the
-plan is picked only when a stage needs an artefact the context lacks.  Each
-front is cached only for its own plan's sources, so the run probes the two
-fronts in plan order: a hit picks the plan (and is kept as the front's
+A run is asked for its *goals*, a tuple of stage names:
+:data:`ANALYSIS_GOALS` (``flow_graph``, ``inventory`` and, with a policy,
+``report``), :data:`LINT_GOALS` (those and ``lint``), ``("kemmerer",)``, or
+one stage of a partial run, such as ``("parse",)`` or a front.  Every other
+stage is on demand.  A goal is served from the cache when it can be; a stage
+that misses first resolves the producers of the context attributes it reads
+(``Stage.needs``) and the context lacks, then runs.  Only the front depends
+on the source, so it is picked the first time a stage needs one of its
+artefacts.  Each front is cached only for its own sources, so the run probes
+``elaborate``, then ``place``: a hit picks the front (and is kept as its
 artefact), and only when both miss does the run parse the source and look
 for instantiations.  So a fully cached run reads its goal entries and
-nothing else.  The :class:`~repro.pipeline.artifacts.AnalysisResult` a run
-returns is a view over its context, and resolves any other artefact the
-first time a caller reads it.
+nothing else, and a stage that misses reads only what it needs.  The
+:class:`~repro.pipeline.artifacts.AnalysisResult` a run returns is a view
+over its context, and resolves any other artefact the first time a caller
+reads it.
 
 Each stage is individually invokable (``Pipeline.run(...,
-until="elaborate")`` stops after the flat front; ``PipelineResult.artifacts``
-exposes every resolved artefact), wall-clock timed
-(``PipelineResult.timings``), and backed by a content-addressed artifact
-cache (any of the stores in :mod:`repro.pipeline.cache` — in-memory,
-on-disk, or the two-tier composition) keyed by source hash + the analysis
-options the stage depends on — so repeated runs of the same design skip
-straight to the cached artefacts (``PipelineResult.cached_stages`` says
+goals=("elaborate",))`` stops after the flat front;
+``PipelineResult.artifacts`` exposes every resolved artefact), wall-clock
+timed (``PipelineResult.timings``), and backed by a content-addressed
+artifact cache (any of the stores in :mod:`repro.pipeline.cache` —
+in-memory, on-disk, or the two-tier composition) keyed by source hash + the
+analysis options the stage depends on — so repeated runs of the same design
+skip straight to the cached artefacts (``PipelineResult.cached_stages`` says
 which), across process restarts when the cache has a disk tier.  A stage the
 run neither read nor ran appears in neither ``timings`` nor
 ``cached_stages``.
@@ -94,11 +95,11 @@ Universe discipline: every run starts with a fresh
 intern resource names into it.  Their cached artefacts are stored *together
 with* the universe they were built in and a cache hit adopts that universe,
 keeping bitset-encoded artefacts and universe consistent.  A cold run
-resolves its stages in plan order, so it binds its universe at its front; a
-warm run binds it at the first universe-bound artefact it reads, usually
-``flow_graph``.  Every universe-bound artefact resolved after that, during
-the run or on a field read after it, is served only if its entry shares that
-universe, and is otherwise recomputed in it.
+computes its front before any other universe-bound stage, so it binds its
+universe there; a warm run binds it at the first universe-bound artefact it
+reads, usually ``flow_graph``.  Every universe-bound artefact resolved after
+that, during the run or on a field read after it, is served only if its
+entry shares that universe, and is otherwise recomputed in it.
 """
 
 from __future__ import annotations
@@ -139,11 +140,11 @@ from repro.vhdl.parser import parse_program, split_units
 class PipelineContext:
     """The artefact store of one pipeline run, and what resolves the rest of it.
 
-    Stages read and write artefacts here.  ``pipeline``, ``plans``,
-    ``until``, ``producers`` and ``missed`` let :meth:`artifact` resolve an
-    artefact the run has not resolved yet, during the run or after it
-    returned.  Nothing here refers back to the
-    :class:`~repro.pipeline.artifacts.AnalysisResult` views over it.
+    Stages read and write artefacts here.  ``pipeline``, ``front`` and
+    ``missed`` let :meth:`artifact` resolve an artefact the run has not
+    resolved yet, during the run or after it returned.  Nothing here refers
+    back to the :class:`~repro.pipeline.artifacts.AnalysisResult` views over
+    it.
     """
 
     options: AnalysisOptions
@@ -171,11 +172,8 @@ class PipelineContext:
     stages: List[StageTiming] = field(default_factory=list)
     pipeline: Optional["Pipeline"] = field(default=None, repr=False)
     """The engine that resolves missing artefacts; None resolves nothing."""
-    plans: Tuple[Sequence["Stage"], ...] = field(default=(), repr=False)
-    """The run's flat and linked plans, uncut."""
-    until: Optional[str] = None
-    producers: Optional[Dict[str, "Stage"]] = field(default=None, repr=False)
-    """Attribute → producing stage on the source's plan, once it is picked."""
+    front: Optional["Stage"] = field(default=None, repr=False)
+    """The source's front (``elaborate`` or ``place``), once it is picked."""
     missed: Set[str] = field(default_factory=set)
     """The stages whose lookup missed in this run (never looked up again)."""
     profile: bool = False
@@ -298,9 +296,8 @@ class Stage:
     session universe; they are cached together with it.  ``needs`` names
     the context attributes ``run`` reads besides ``options``: a stage that
     misses the cache first resolves, in that order, the producers of those
-    the context lacks (the order makes a cold run follow plan order).  A
-    ``goal`` stage is resolved by every run whose plan holds it; every other
-    stage is read or run only when something needs its artefact.
+    the context lacks (the order makes a cold run compute the stages in
+    chain order).
     """
 
     name: str
@@ -310,7 +307,6 @@ class Stage:
     universe_bound: bool = False
     cacheable: bool = True
     needs: Tuple[str, ...] = ()
-    goal: bool = False
 
 
 _SHAPE = ("entity", "loop_processes")
@@ -368,7 +364,6 @@ FLOW_GRAPH = Stage(
     _ALL,
     universe_bound=True,
     needs=("closure",),
-    goal=True,
 )
 INVENTORY = Stage(
     "inventory",
@@ -376,7 +371,6 @@ INVENTORY = Stage(
     _run_inventory,
     _ALL,
     needs=("design", "program_cfg", "rm_local", "closure"),
-    goal=True,
 )
 LINT = Stage(
     "lint",
@@ -384,7 +378,6 @@ LINT = Stage(
     _run_lint,
     _ALL,
     needs=("design", "program_cfg", "reaching", "graph"),
-    goal=True,
 )
 KEMMERER = Stage(
     "kemmerer",
@@ -393,7 +386,6 @@ KEMMERER = Stage(
     _SHAPE,
     universe_bound=True,
     needs=("rm_local",),
-    goal=True,
 )
 REPORT = Stage(
     "report",
@@ -401,37 +393,34 @@ REPORT = Stage(
     _run_report,
     cacheable=False,
     needs=("graph", "inventory", "policy", "report_options"),
-    goal=True,
 )
 
-#: The full analysis, source to flow graph and inventory (plus the optional
-#: report).
-ANALYSIS_STAGES: Tuple[Stage, ...] = (
+#: Every stage, in the order a cold analysis computes them.
+STAGES: Tuple[Stage, ...] = (
     PARSE,
     ELABORATE,
+    PLACE,
     REACHING,
     SPECIALIZE,
     CLOSURE,
     FLOW_GRAPH,
     INVENTORY,
+    LINT,
+    KEMMERER,
     REPORT,
 )
 
-#: The same analysis of a source with component instantiations: per-entity
-#: summaries placed into the flat namespace stand in for ``elaborate``, and
-#: every later stage is shared with the flat plan.
-LINKED_STAGES: Tuple[Stage, ...] = (PARSE, PLACE, *ANALYSIS_STAGES[2:])
+#: The two fronts, in probe order: a flat source's and a linked source's.
+FRONTS: Tuple[Stage, ...] = (ELABORATE, PLACE)
 
-#: The lint run: the full analysis plus the cached ``lint`` stage (and, when
-#: a policy with level assignments is given, the trailing report).
-LINT_STAGES: Tuple[Stage, ...] = ANALYSIS_STAGES[:-1] + (LINT, REPORT)
-LINKED_LINT_STAGES: Tuple[Stage, ...] = LINKED_STAGES[:-1] + (LINT, REPORT)
+#: The full analysis: the flow graph and the inventory, and the report when
+#: a policy is given.
+ANALYSIS_GOALS: Tuple[str, ...] = ("flow_graph", "inventory", "report")
 
-#: Kemmerer's baseline closes the local matrix, so it shares the front.
-KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, ELABORATE, KEMMERER)
-LINKED_KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, PLACE, KEMMERER)
+#: The lint run: the full analysis and the cached ``lint`` stage.
+LINT_GOALS: Tuple[str, ...] = ("flow_graph", "inventory", "lint", "report")
 
-STAGE_NAMES: Tuple[str, ...] = tuple(stage.name for stage in ANALYSIS_STAGES)
+_BY_NAME: Dict[str, Stage] = {stage.name: stage for stage in STAGES}
 
 
 def _attrs(stage: Stage) -> Tuple[str, ...]:
@@ -439,14 +428,12 @@ def _attrs(stage: Stage) -> Tuple[str, ...]:
     return stage.attr if isinstance(stage.attr, tuple) else (stage.attr,)
 
 
-#: Every context attribute some stage produces; any other need (the source,
-#: the cache, the universe, the policy) is an input of the run.
-_ARTIFACTS = frozenset(
-    name
-    for plan in (LINT_STAGES, LINKED_LINT_STAGES, KEMMERER_STAGES)
-    for stage in plan
-    for name in _attrs(stage)
-)
+#: Each context attribute a stage other than a front produces → that stage.
+#: The front's attributes come from :meth:`Pipeline._front`, and any other
+#: need (the source, the cache, the universe, the policy) is a run input.
+_PRODUCERS: Dict[str, Stage] = {
+    name: stage for stage in STAGES if stage not in FRONTS for name in _attrs(stage)
+}
 
 
 def _resolved(ctx: PipelineContext, stage: Stage) -> bool:
@@ -461,14 +448,6 @@ def _store(ctx: PipelineContext, stage: Stage, artifact: Any) -> None:
             setattr(ctx, name, value)
     else:
         setattr(ctx, stage.attr, artifact)
-
-
-def _cut(plan: Sequence[Stage], until: Optional[str]) -> Optional[List[Stage]]:
-    """``plan`` up to and including ``until``; None when it has no such stage."""
-    if until is None:
-        return list(plan)
-    names = [stage.name for stage in plan]
-    return list(plan[: names.index(until) + 1]) if until in names else None
 
 
 def stage_key(stage: Stage, source_key: str, options: AnalysisOptions) -> str:
@@ -488,11 +467,11 @@ def stage_key(stage: Stage, source_key: str, options: AnalysisOptions) -> str:
 class Pipeline:
     """Runs the staged analysis, optionally over a shared artifact cache.
 
-    The engine behind :class:`repro.workspace.Workspace`, with one entry
-    per goal: :meth:`run` (the Information Flow analysis), :meth:`run_lint`
-    and :meth:`run_kemmerer`.  One :class:`Pipeline` can serve many runs;
-    pass an :class:`~repro.pipeline.cache.ArtifactCache` to reuse artefacts
-    across them.  Without a cache every run computes everything it needs.
+    The engine behind :class:`repro.workspace.Workspace`: :meth:`run`
+    resolves the goals it is asked for.  One :class:`Pipeline` can serve
+    many runs; pass an :class:`~repro.pipeline.cache.ArtifactCache` to reuse
+    artefacts across them.  Without a cache every run computes everything
+    it needs.
     """
 
     #: How many hot spots a profiled stage keeps (by internal time).
@@ -501,127 +480,59 @@ class Pipeline:
     def __init__(self, cache: Optional[ArtifactCache] = None):
         self.cache = cache
 
-    # ------------------------------------------------------------- entry points
-
     def run(
         self,
         source: str,
         options: Optional[AnalysisOptions] = None,
         *,
-        until: Optional[str] = None,
+        goals: Sequence[str] = ANALYSIS_GOALS,
         policy: Optional[Any] = None,
         report_options: Optional[Dict[str, Any]] = None,
         profile: bool = False,
     ) -> PipelineResult:
-        """Analyse VHDL1 source text, stage by stage.
+        """Resolve the stages named in ``goals`` for VHDL1 source text.
 
-        A source with component instantiations runs :data:`LINKED_STAGES`
-        instead of :data:`ANALYSIS_STAGES`.  ``until`` names the last stage
-        to resolve (``"elaborate"`` stops after the flat front; ``"place"``
-        after a hierarchical design is placed; ``"parse"`` yields the AST).
-        ``policy`` enables the final ``report`` stage;
-        ``report_options`` passes keyword arguments through to
+        The default goals are the Information Flow analysis;
+        :data:`LINT_GOALS` adds the lint findings (``run.artifacts.lint``,
+        the complete catalog at default severities), ``("kemmerer",)`` runs
+        Kemmerer's baseline alone, and one stage's name stops there
+        (``("parse",)`` yields the AST, ``("elaborate",)`` or ``("place",)``
+        the source's front; the other front is an error).  ``report``
+        resolves only when a ``policy`` is given; ``report_options`` passes
+        keyword arguments through to
         :func:`repro.security.report.build_report`.  ``profile=True`` runs
         every computed stage under cProfile and attaches the per-stage hot
         spots to the result (:attr:`PipelineResult.stage_profiles`); the
         reported wall-clock timings then include profiler overhead.
         """
-        ctx = self._context(source, options)
-        self._set_policy(ctx, policy, report_options)
-        return self._execute(ctx, ANALYSIS_STAGES, LINKED_STAGES, until, profile)
-
-    def run_lint(
-        self,
-        source: str,
-        options: Optional[AnalysisOptions] = None,
-        *,
-        policy: Optional[Any] = None,
-        report_options: Optional[Dict[str, Any]] = None,
-        profile: bool = False,
-    ) -> PipelineResult:
-        """Run the full analysis plus the cached ``lint`` stage.
-
-        The lint artefact (``run.artifacts.lint``) is the complete rule
-        catalog's finding tuple at default severities; rule selection and
-        severity overrides (a policy file's ``[lint]`` table) are applied by
-        the caller, outside the content-addressed stage.  ``policy`` behaves
-        as in :meth:`run` (it additionally enables the report stage);
-        ``profile`` as in :meth:`run`.
-        """
-        ctx = self._context(source, options)
-        self._set_policy(ctx, policy, report_options)
-        return self._execute(ctx, LINT_STAGES, LINKED_LINT_STAGES, profile=profile)
-
-    def run_kemmerer(
-        self, source: str, options: Optional[AnalysisOptions] = None
-    ) -> PipelineResult:
-        """Run Kemmerer's baseline: the transitive closure of ``RM_lo``.
-
-        A flat source runs :data:`KEMMERER_STAGES`; a source with component
-        instantiations runs :data:`LINKED_KEMMERER_STAGES`.
-        """
-        return self._execute(
-            self._context(source, options), KEMMERER_STAGES, LINKED_KEMMERER_STAGES
-        )
-
-    # ---------------------------------------------------------------- internals
-
-    def _context(
-        self, source: str, options: Optional[AnalysisOptions]
-    ) -> PipelineContext:
-        return PipelineContext(
+        for name in goals:
+            if name not in _BY_NAME:
+                raise AnalysisError(
+                    f"unknown pipeline stage {name!r}; expected one of "
+                    + ", ".join(_BY_NAME)
+                )
+        ctx = PipelineContext(
             options=options if options is not None else AnalysisOptions(),
             universe=FactUniverse(),
             source=source,
             source_key=source_digest(source),
             cache=self.cache,
+            policy=policy,
+            report_options=dict(report_options or {}),
+            pipeline=self,
+            profile=profile,
         )
-
-    @staticmethod
-    def _set_policy(
-        ctx: PipelineContext,
-        policy: Optional[Any],
-        report_options: Optional[Dict[str, Any]],
-    ) -> None:
-        ctx.policy = policy
-        ctx.report_options = dict(report_options or {})
-
-    def _execute(
-        self,
-        ctx: PipelineContext,
-        flat: Sequence[Stage],
-        linked: Sequence[Stage],
-        until: Optional[str] = None,
-        profile: bool = False,
-    ) -> PipelineResult:
-        """Resolve the run's goals, and leave the rest of the plan on demand.
-
-        The goals are the ``goal`` stages of the plan cut after ``until``,
-        plus the ``until`` stage itself; the report only with a policy.  A
-        goal's key does not depend on the plan (a plan-specific ``until``
-        stage misses on the other plan's sources), so goals resolve before
-        the plan is picked, and it is picked only if a stage needs an
-        artefact the context lacks (:meth:`_provide`).
-        """
-        known = list(dict.fromkeys(stage.name for stage in (*flat, *linked)))
-        if until is not None and until not in known:
-            raise AnalysisError(
-                f"unknown pipeline stage {until!r}; expected one of "
-                + ", ".join(known)
-            )
-        ctx.pipeline = self
-        ctx.plans = (flat, linked)
-        ctx.until = until
-        ctx.profile = profile
-        cut = _cut(flat, until) or _cut(linked, until)
-        goals = [stage for stage in cut if stage.goal]
-        if cut[-1] not in goals:
-            goals.append(cut[-1])
-        if ctx.policy is None and REPORT in goals:
-            goals.remove(REPORT)
-        for stage in goals:
+        for name in goals:
+            stage = _BY_NAME[name]
+            if stage is REPORT and policy is None:
+                continue
+            if stage in FRONTS and self._front(ctx) is not stage:
+                raise AnalysisError(
+                    f"pipeline stage {name!r} is not part of this source's "
+                    "plan; expected one of "
+                    + ", ".join(other.name for other in STAGES if other is not stage)
+                )
             self._resolve(ctx, stage)
-
         return PipelineResult(
             options=ctx.options,
             stages=ctx.stages,
@@ -631,42 +542,32 @@ class Pipeline:
             artifacts=ctx,
         )
 
+    # ---------------------------------------------------------------- internals
+
     def _provide(self, ctx: PipelineContext, name: str) -> None:
-        """Resolve the stage that produces context attribute ``name`` on the
-        source's plan, picking the plan the first time one is needed."""
-        if ctx.producers is None:
-            plan = self._choose_plan(ctx)
-            ctx.producers = {attr: stage for stage in plan for attr in _attrs(stage)}
-        producer = ctx.producers.get(name)
-        if producer is not None:
-            self._resolve(ctx, producer)
+        """Resolve the stage that produces context attribute ``name``."""
+        if name in _FRONT:
+            self._resolve(ctx, self._front(ctx))
+        elif name in _PRODUCERS:
+            self._resolve(ctx, _PRODUCERS[name])
 
-    def _choose_plan(self, ctx: PipelineContext) -> Sequence[Stage]:
-        """The source's plan, uncut.
+    def _front(self, ctx: PipelineContext) -> Stage:
+        """The source's front, picked the first time the run needs it.
 
-        Each plan's front (the stage after ``parse``: ``elaborate`` or
-        ``place``) is cached only for that plan's sources, so the run probes
-        the fronts in plan order, and a hit picks the plan and is kept as
-        the front's artefact.  When both miss (or the plans cut after
-        ``until`` hold neither), the run parses the source and looks for
-        instantiations.  A probe that missed is not looked up a second time.
+        Each front is cached only for its own sources, so the run probes
+        :data:`FRONTS` in order, and a hit picks the front and is kept as
+        its artefact.  When both miss, the run parses the source and looks
+        for instantiations.  A probe that missed is not looked up again.
         """
-        cuts = [_cut(plan, ctx.until) for plan in ctx.plans]
-        for plan, cut in zip(ctx.plans, cuts):
-            front = plan[1]
-            if front in (cut or ()) and (
-                _resolved(ctx, front) or self._serve(ctx, front)
-            ):
-                return plan
-        self._resolve(ctx, PARSE)
-        index = 1 if has_instantiations(ctx.program) else 0
-        if cuts[index] is None:
-            names = [stage.name for stage in ctx.plans[index]]
-            raise AnalysisError(
-                f"pipeline stage {ctx.until!r} is not part of this source's "
-                "plan; expected one of " + ", ".join(names)
-            )
-        return ctx.plans[index]
+        if ctx.front is None:
+            for front in FRONTS:
+                if self._serve(ctx, front):
+                    ctx.front = front
+                    break
+            else:
+                self._resolve(ctx, PARSE)
+                ctx.front = PLACE if has_instantiations(ctx.program) else ELABORATE
+        return ctx.front
 
     def _resolve(self, ctx: PipelineContext, stage: Stage) -> None:
         """Put ``stage``'s artefact in ``ctx``, from the cache or by running it.
@@ -677,7 +578,7 @@ class Pipeline:
         if _resolved(ctx, stage) or self._serve(ctx, stage):
             return
         for name in stage.needs:
-            if name in _ARTIFACTS and getattr(ctx, name) is None:
+            if getattr(ctx, name) is None:
                 self._provide(ctx, name)
         self._compute(ctx, stage)
 

@@ -30,9 +30,11 @@ are each one call on a cache-less ``Workspace``.
 
 Hierarchical designs (component instantiations) need nothing special: every
 verb runs them through the same :class:`~repro.pipeline.stages.Pipeline`,
-which takes the linked plan for a source with instantiations
-(``hierarchy → summary → place`` in place of ``elaborate → cfg → active →
-local``) — see ``docs/hierarchy.md``.
+whose front for a source with instantiations is ``place`` (each entity
+summarised, every instance placed) in place of ``elaborate`` — see
+``docs/hierarchy.md``.  Each verb asks the pipeline for its goals: the
+analysis (``check`` adds its report), ``lint`` the lint findings too, and
+``kemmerer_run`` Kemmerer's baseline alone.
 
 Universe discipline: every run interns resource names into a fresh
 :class:`~repro.dataflow.universe.FactUniverse`, or adopts the one stored with
@@ -56,7 +58,7 @@ from repro.pipeline.artifacts import AnalysisOptions, AnalysisResult, PipelineRe
 from repro.pipeline.batch import BatchJob, BatchReport, expand_jobs, run_batch
 from repro.pipeline.cache import open_cache
 from repro.pipeline.render import check_document, lint_document, render_lint_text
-from repro.pipeline.stages import Pipeline
+from repro.pipeline.stages import ANALYSIS_GOALS, LINT_GOALS, Pipeline
 from repro.security.policy import FlowPolicy
 from repro.security.policy_file import load_policy_file, policy_from_dict
 from repro.security.report import Diagnostic
@@ -268,8 +270,10 @@ class Workspace:
     ) -> PipelineResult:
         """As :meth:`analyze`, returning the staged :class:`PipelineResult`.
 
-        ``until`` names the last stage to run — for a source with component
-        instantiations, a stage of the linked plan (e.g. ``"place"``).
+        ``until`` names the one stage to resolve instead of the analysis:
+        ``"parse"`` yields the AST, and the source's front (``"elaborate"``,
+        or ``"place"`` for a source with component instantiations) the
+        design, its CFG, Table 4 and ``RM_lo``.
         ``profile=True`` runs every computed stage under cProfile; the
         per-stage hot spots are on ``PipelineResult.stage_profiles`` (this
         is what ``vhdl-ifa analyze --profile`` prints).
@@ -277,7 +281,7 @@ class Workspace:
         return self.pipeline.run(
             source,
             self._options(entity, improved, loop_processes, use_under_approximation),
-            until=until,
+            goals=ANALYSIS_GOALS if until is None else (until,),
             profile=profile,
         )
 
@@ -291,10 +295,12 @@ class Workspace:
         """Kemmerer's baseline over the workspace's pipeline and cache.
 
         The result is on ``PipelineResult.kemmerer``.  A source with
-        component instantiations takes the linked plan, as every verb does.
+        component instantiations is placed, as in every verb.
         """
-        return self.pipeline.run_kemmerer(
-            source, AnalysisOptions(entity=entity, loop_processes=loop_processes)
+        return self.pipeline.run(
+            source,
+            AnalysisOptions(entity=entity, loop_processes=loop_processes),
+            goals=("kemmerer",),
         )
 
     # ---------------------------------------------------------------- check
@@ -361,9 +367,10 @@ class Workspace:
             resolved_config = getattr(self.policy(policy), "lint", None)
         if resolved_config is None:
             resolved_config = LintConfig()
-        run = self.pipeline.run_lint(
+        run = self.pipeline.run(
             source,
             self._options(entity, improved, loop_processes, use_under_approximation),
+            goals=LINT_GOALS,
         )
         findings = resolved_config.apply(run.artifacts.lint)
         return LintResult(

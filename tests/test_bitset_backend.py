@@ -345,7 +345,7 @@ class TestBackendByteIdenticalDocuments:
             json_text,
             lint_document,
         )
-        from repro.pipeline.stages import Pipeline
+        from repro.pipeline.stages import LINT_GOALS, Pipeline
         from repro.security.policy import TwoLevelPolicy
 
         pipeline = Pipeline()
@@ -360,7 +360,7 @@ class TestBackendByteIdenticalDocuments:
             check_document(checked, policy=policy, file="w.vhd")
         )
 
-        linted = pipeline.run_lint(source)
+        linted = pipeline.run(source, goals=LINT_GOALS)
         lint_text = json_text(
             lint_document(linted, findings=linted.artifacts.lint, file="w.vhd")
         )

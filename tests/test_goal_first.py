@@ -1,12 +1,13 @@
 """Demand-driven runs: a run reads or runs only what its result needs.
 
-A run resolves its goals (``flow_graph`` and ``inventory``, plus ``lint``,
-``report`` or ``kemmerer`` where its plan has one, or the ``until=`` stage),
+A run resolves the goals it is asked for (``flow_graph`` and ``inventory``,
+plus ``lint``, ``report`` or ``kemmerer``, or one stage of a partial run),
 and reads or runs any other stage only when a stage that misses the cache
 needs its artefact (``Stage.needs``) or a caller reads it from the
-``AnalysisResult``, a view over the run.  The plan is picked only then: by a
-hit on the key of its front (the flat plan's ``elaborate``, the linked plan's
-``place``), and by the parse only when both miss.  These tests pin what a
+``AnalysisResult``, a view over the run.  The front is picked only when a
+stage needs one of its artefacts: by a hit on its key (a flat source's
+``elaborate``, a linked source's ``place``), and by the parse only when both
+miss.  These tests pin what a
 warm run touches, that the fields loaded on first access equal the cold
 artefacts in one universe (after every partial eviction too), that dropping
 a result frees its run, and that each stage's declared inputs are all it
@@ -25,10 +26,7 @@ from repro.contract.matchers import normalize
 from repro.dataflow.universe import FactUniverse
 from repro.errors import AnalysisError
 from repro.pipeline import (
-    ANALYSIS_STAGES,
-    KEMMERER_STAGES,
-    LINKED_STAGES,
-    LINT_STAGES,
+    STAGES,
     AnalysisOptions,
     ArtifactCache,
     Pipeline,
@@ -43,8 +41,10 @@ from repro.pipeline.render import volatile_pointers
 from repro.security.policy import TwoLevelPolicy
 from repro.vhdl.parser import split_units
 
-FLAT_STAGE_NAMES = [stage.name for stage in ANALYSIS_STAGES[:-1]]
-LINKED_STAGE_NAMES = [stage.name for stage in LINKED_STAGES[:-1]]
+#: The stages a cold analysis computes, in order, with either front.
+TAIL = ["reaching", "specialize", "closure", "flow_graph", "inventory"]
+FLAT_STAGE_NAMES = ["parse", "elaborate", *TAIL]
+LINKED_STAGE_NAMES = ["parse", "place", *TAIL]
 #: What a fully cached run of either plan reads: its goals, nothing else.
 FLAT_WARM = LINKED_WARM = ["flow_graph", "inventory"]
 #: Every artefact field of an ``AnalysisResult``.
@@ -143,23 +143,23 @@ class TestWarmRunsSkipTheOnDemandStages:
         cache = _RecordingMisses()
         run = Pipeline(cache).run(SOURCES[kind]())
         # Each cacheable stage misses once and each design unit's parse
-        # once; the other plan's front is the one extra lookup.  The goal
-        # is looked up first; its miss picks the plan, and each stage is
-        # looked up before the stages it needs.  (Entity summaries have
-        # keys of their own.)
+        # once; the other front is the one extra lookup.  Each stage is
+        # looked up before the stages it needs, and the closure is the
+        # first to need the front: both fronts miss, so the parse picks it.
+        # (Entity summaries have keys of their own.)
         units = {"flat": 2, "linked": 4}
         assert [name for name in cache.missed if name != "summary"] == [
             "flow_graph",
+            "closure",
             "elaborate",
             "place",
             *["parse"] * units[kind],
-            "closure",
             "specialize",
             "reaching",
             "inventory",
         ]
         assert cache.hits == 0
-        # A cold run still computes its plan in plan order.
+        # A cold run still computes the chain in order.
         assert run.computed_stages == {
             "flat": FLAT_STAGE_NAMES,
             "linked": LINKED_STAGE_NAMES,
@@ -187,7 +187,7 @@ class TestUntilOnAWarmCache:
         source = workloads.challenge_f_program()
         cold = pipeline.run(source)
         monkeypatch.setattr(stages_module, "parse_program", _fails)
-        run = pipeline.run(source, until="parse")
+        run = pipeline.run(source, goals=("parse",))
         # The AST is assembled from the cached units, parsing none of them.
         assert run.computed_stages == ["parse"] and run.cached_stages == []
         program, cold_program = run.artifacts.program, cold.artifacts.program
@@ -203,7 +203,7 @@ class TestUntilOnAWarmCache:
         pipeline = Pipeline(cache)
         source = workloads.challenge_f_program()
         cold = pipeline.run(source)
-        run = pipeline.run(source, until="elaborate")
+        run = pipeline.run(source, goals=("elaborate",))
         assert run.cached_stages == ["elaborate"]
         assert run.computed_stages == []
         assert run.artifacts.program_cfg is cold.result.program_cfg
@@ -215,38 +215,51 @@ class TestUntilOnAWarmCache:
         source = workloads.challenge_f_program()
         pipeline.run(source)
         with pytest.raises(AnalysisError, match="'place' is not part"):
-            pipeline.run(source, until="place")
+            pipeline.run(source, goals=("place",))
 
 
 EVICTIONS = [
-    (kind, stage)
-    for kind, plan in (("flat", ANALYSIS_STAGES), ("linked", LINKED_STAGES))
-    for stage in plan
-    if stage.cacheable or stage.name == "parse"
+    (kind, name)
+    for kind, names in (("flat", FLAT_STAGE_NAMES), ("linked", LINKED_STAGE_NAMES))
+    for name in names
 ]
+
+
+def _rerun_stages(kind, name):
+    """The cached and computed stages of a rerun, before any field is read,
+    with stage ``name``'s entries evicted: a miss reads only what it needs."""
+    front = {"flat": "elaborate", "linked": "place"}[kind]
+    return {
+        "flow_graph": (["closure", "inventory"], ["flow_graph"]),
+        "inventory": (["flow_graph", front, "closure"], ["inventory"]),
+    }.get(name, (["flow_graph", "inventory"], []))
 
 
 class TestPartialEviction:
     @pytest.mark.parametrize(
-        "kind,stage", EVICTIONS, ids=[f"{k}-{s.name}" for k, s in EVICTIONS]
+        "kind,name", EVICTIONS, ids=[f"{k}-{n}" for k, n in EVICTIONS]
     )
-    def test_evicting_one_entry_reproduces_the_cold_document(self, kind, stage):
+    def test_evicting_one_entry_reproduces_the_cold_document(self, kind, name):
         cache = ArtifactCache()
         pipeline = Pipeline(cache)
         source = SOURCES[kind]()
         cold = pipeline.run(source)
         cold_document = _masked(cold)
         cold_fields = _fields(cold.result)
-        if stage.name == "parse":
+        if name == "parse":
             # The parse is cached per design unit: evict every unit.
             evicted = [key for key in cache._entries if key.startswith("parse:")]
             assert len(evicted) == len(split_units(source))
         else:
+            stage = getattr(stages_module, name.upper())
             evicted = [stage_key(stage, source_digest(source), AnalysisOptions())]
         for key in evicted:
             del cache._entries[key]
 
         rerun = pipeline.run(source)
+        assert (rerun.cached_stages, rerun.computed_stages) == _rerun_stages(
+            kind, name
+        )
         assert _masked(rerun) == cold_document
         # Every field read after the run equals the cold artefact...
         assert _fields(rerun.result) == cold_fields
@@ -254,12 +267,12 @@ class TestPartialEviction:
         universe = rerun.result.universe
         assert universe is cold.result.universe
         assert all(bound is universe for bound in _universe_bound(rerun.result))
-        if stage.name == "parse":
+        if name == "parse":
             # Nothing that misses needs the AST: the parse stays evicted.
             assert rerun.computed_stages == []
             assert not any(key in cache for key in evicted)
         else:
-            assert stage.name in rerun.computed_stages
+            assert name in rerun.computed_stages
 
 
 #: The secret each source's ``check`` declares: one of its input ports.
@@ -380,28 +393,17 @@ class TestServedStageTimings:
         assert all(stage.seconds >= 0.005 for stage in warm.stages)
 
 
-def _runs_to(source, stage, policy):
-    """A cold run whose last resolved stage is ``stage``."""
-    if stage.name == "lint":
-        return Pipeline().run_lint(source)
-    if stage.name == "kemmerer":
-        return Pipeline().run_kemmerer(source)
-    return Pipeline().run(source, until=stage.name, policy=policy)
-
-
-#: Every stage of every plan once: the flat stages on a flat source, the
-#: linked ones on a hierarchical source.
-DECLARED = list(
-    {
-        (kind, stage.name): (kind, stage)
-        for kind, plans in (
-            ("flat", (LINT_STAGES, KEMMERER_STAGES)),
-            ("linked", (LINKED_STAGES,)),
-        )
-        for plan in plans
-        for stage in plan
-    }.values()
-)
+#: Every stage but ``place`` on a flat source, and the analysis on a
+#: hierarchical one: every stage but ``elaborate``, and but ``lint`` and
+#: ``kemmerer``, which read only what the flat cases already cover.
+DECLARED = [
+    *(("flat", stage) for stage in STAGES if stage.name != "place"),
+    *(
+        ("linked", stage)
+        for stage in STAGES
+        if stage.name not in ("elaborate", "lint", "kemmerer")
+    ),
+]
 
 
 class TestDeclaredInputs:
@@ -411,7 +413,7 @@ class TestDeclaredInputs:
     def test_a_stage_reads_only_what_it_declares(self, kind, stage):
         source = SOURCES[kind]()
         policy = TwoLevelPolicy(secret_resources=["right"])
-        cold = _runs_to(source, stage, policy).artifacts
+        cold = Pipeline().run(source, goals=(stage.name,), policy=policy).artifacts
         # Only the declared inputs, taken from the cold run; every other
         # artefact attribute is left empty, and an undeclared universe holds
         # a stray fact, so interning into it would shift every bit.

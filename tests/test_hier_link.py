@@ -20,7 +20,7 @@ from repro.errors import AnalysisError, HierarchyError
 from repro.hier import flatten as flatten_module
 from repro.hier import flatten_source
 from repro.pipeline import (
-    LINKED_STAGES,
+    LINT_GOALS,
     Pipeline,
     analyze_document,
     check_document,
@@ -36,7 +36,15 @@ VOLATILE = ("timings", "cached_stages")
 
 OPTION_COMBOS = list(itertools.product([True, False], repeat=3))
 
-LINKED_STAGE_NAMES = [stage.name for stage in LINKED_STAGES if stage.name != "report"]
+LINKED_STAGE_NAMES = [
+    "parse",
+    "place",
+    "reaching",
+    "specialize",
+    "closure",
+    "flow_graph",
+    "inventory",
+]
 
 #: A hierarchy with lint findings on both kinds of process: a child whose
 #: concurrent assignment drives a signal nobody reads, instantiated twice,
@@ -99,7 +107,7 @@ def _documents(source, options):
     analyzed = pipeline.run(source, options)
     policy = TwoLevelPolicy(secret_resources=analyzed.result.design.input_ports[:1])
     checked = pipeline.run(source, options, policy=policy)
-    linted = pipeline.run_lint(source, options)
+    linted = pipeline.run(source, options, goals=LINT_GOALS)
     return (
         _text(analyze_document(analyzed)),
         _text(check_document(checked, policy)),

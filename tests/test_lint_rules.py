@@ -305,9 +305,6 @@ class TestRegistry:
         for code, rule_class in registered_rules().items():
             assert rule_class.code == code
             assert rule_class.title
-            assert set(rule_class.requires) <= {
-                "cfg", "reaching", "local", "closure", "flow_graph"
-            }
 
     def test_duplicate_code_is_refused(self):
         with pytest.raises(AnalysisError):
@@ -316,7 +313,6 @@ class TestRegistry:
             class Impostor(LintRule):
                 code = "IFA101"
                 title = "already taken"
-                requires = ("cfg",)
 
     def test_malformed_code_is_refused(self):
         with pytest.raises(AnalysisError):
@@ -325,7 +321,6 @@ class TestRegistry:
             class BadCode(LintRule):
                 code = "XYZ1"
                 title = "bad"
-                requires = ("cfg",)
 
     def test_severity_rank_orders_severities(self):
         assert severity_rank("error") > severity_rank("warning")

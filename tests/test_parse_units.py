@@ -90,7 +90,7 @@ def _outcome(parse):
 
 def _stage(source, cache):
     return _outcome(
-        lambda: Pipeline(cache).run(source, until="parse").artifacts.program
+        lambda: Pipeline(cache).run(source, goals=("parse",)).artifacts.program
     )
 
 
@@ -99,7 +99,7 @@ def warmed():
     """A memory cache holding the parsed units of every unmutated source."""
     cache = ArtifactCache()
     for _, source in SOURCES:
-        Pipeline(cache).run(source, until="parse")
+        Pipeline(cache).run(source, goals=("parse",))
     return cache
 
 
@@ -169,9 +169,9 @@ class TestAnEditReparsesOnlyItsUnits:
         """Parse ``SOURCE``, then ``edited`` on the same cache; the second
         run's ``parse_program`` calls."""
         cache = ArtifactCache()
-        Pipeline(cache).run(self.SOURCE, until="parse")
+        Pipeline(cache).run(self.SOURCE, goals=("parse",))
         parse_calls.clear()
-        program = Pipeline(cache).run(edited, until="parse").artifacts.program
+        program = Pipeline(cache).run(edited, goals=("parse",)).artifacts.program
         assert program == parse_program(edited)
         return parse_calls
 

@@ -11,16 +11,14 @@ from repro import analyze, analyze_kemmerer, workloads
 from repro.contract.matchers import normalize
 from repro.errors import AnalysisError
 from repro.pipeline import (
-    ANALYSIS_STAGES,
-    KEMMERER_STAGES,
-    LINKED_KEMMERER_STAGES,
-    LINKED_STAGES,
-    LINT_STAGES,
-    STAGE_NAMES,
+    FRONTS,
+    LINT_GOALS,
+    STAGES,
     AnalysisOptions,
     ArtifactCache,
     BatchJob,
     Pipeline,
+    Stage,
     expand_jobs,
     render_analysis_text,
     run_batch,
@@ -35,7 +33,15 @@ from repro.security.policy import TwoLevelPolicy
 from repro.vhdl.parser import split_units
 from repro.workspace import Workspace
 
-ANALYSIS_STAGE_NAMES = [name for name in STAGE_NAMES if name != "report"]
+ANALYSIS_STAGE_NAMES = [
+    "parse",
+    "elaborate",
+    "reaching",
+    "specialize",
+    "closure",
+    "flow_graph",
+    "inventory",
+]
 # A fully cached run reads its goals and nothing else: no stage misses, so
 # no other artefact is needed.
 WARM_STAGE_NAMES = ["flow_graph", "inventory"]
@@ -63,7 +69,7 @@ class TestPipelineStages:
         )
 
     def test_until_stops_after_the_named_stage(self):
-        run = Pipeline().run(workloads.challenge_f_program(), until="elaborate")
+        run = Pipeline().run(workloads.challenge_f_program(), goals=("elaborate",))
         assert [stage.name for stage in run.stages] == ["parse", "elaborate"]
         assert run.result is None
         assert run.artifacts.program_cfg is not None
@@ -72,34 +78,52 @@ class TestPipelineStages:
 
     def test_unknown_stage_is_an_error(self):
         with pytest.raises(AnalysisError, match="unknown pipeline stage"):
-            Pipeline().run(workloads.challenge_f_program(), until="nonsense")
+            Pipeline().run(workloads.challenge_f_program(), goals=("nonsense",))
 
     @pytest.mark.parametrize("name", ["cfg", "active", "local", "hierarchy", "summary"])
     def test_the_front_has_no_sub_stages(self, name):
         with pytest.raises(AnalysisError, match=f"unknown pipeline stage {name!r}"):
-            Pipeline().run(workloads.challenge_f_program(), until=name)
+            Pipeline().run(workloads.challenge_f_program(), goals=(name,))
 
-    def test_the_plans_differ_only_in_their_front(self):
-        assert [stage.name for stage in ANALYSIS_STAGES] == [
-            "parse", "elaborate", "reaching", "specialize", "closure",
-            "flow_graph", "inventory", "report",
+    def test_one_table_holds_every_stage_and_two_fronts(self):
+        # Every Stage the module builds is in STAGES, exactly once.
+        built = [
+            value for value in vars(stages_module).values() if isinstance(value, Stage)
         ]
-        assert [stage.name for stage in LINKED_STAGES[:2]] == ["parse", "place"]
-        assert ANALYSIS_STAGES[0] is LINKED_STAGES[0]
-        assert ANALYSIS_STAGES[2:] == LINKED_STAGES[2:]
-        # Both fronts yield the design, its CFG, Table 4 and RM_lo.
-        flat_front, linked_front = ANALYSIS_STAGES[1], LINKED_STAGES[1]
+        assert len(STAGES) == len({id(stage) for stage in STAGES}) == 11
+        assert {id(stage) for stage in built} == {id(stage) for stage in STAGES}
+        assert [stage.name for stage in STAGES] == [
+            "parse", "elaborate", "place", "reaching", "specialize", "closure",
+            "flow_graph", "inventory", "lint", "kemmerer", "report",
+        ]
+        # Both fronts yield the design, its CFG, Table 4 and RM_lo, under
+        # the same options.
+        flat_front, linked_front = FRONTS
+        assert [flat_front.name, linked_front.name] == ["elaborate", "place"]
         assert flat_front.attr == linked_front.attr == (
             "design", "program_cfg", "active", "rm_local",
         )
         assert flat_front.option_fields == linked_front.option_fields
         assert flat_front.universe_bound and linked_front.universe_bound
-        assert [stage.name for stage in KEMMERER_STAGES] == [
-            "parse", "elaborate", "kemmerer",
+        # Every need is a stage's artefact or an input of the run.
+        produced = {name for stage in STAGES for name in stages_module._attrs(stage)}
+        inputs = {"source", "cache", "universe", "policy", "report_options"}
+        for stage in STAGES:
+            assert set(stage.needs) <= produced | inputs, stage.name
+
+    def test_any_stage_is_a_goal(self):
+        source = workloads.challenge_f_program()
+        kemmerer = Pipeline().run(source, goals=("kemmerer",))
+        assert kemmerer.computed_stages == ["parse", "elaborate", "kemmerer"]
+        # A goal resolves what it needs and nothing else: no inventory.
+        linted = Pipeline().run(source, goals=("lint",))
+        assert linted.computed_stages == [
+            *ANALYSIS_STAGE_NAMES[:-1], "lint"
         ]
-        assert [stage.name for stage in LINKED_KEMMERER_STAGES] == [
-            "parse", "place", "kemmerer",
-        ]
+        full = Pipeline().run(source, goals=LINT_GOALS)
+        assert linted.artifacts.lint == full.artifacts.lint
+        # The report resolves only with a policy.
+        assert Pipeline().run(source, goals=("report",)).stages == []
 
     def test_policy_enables_the_report_stage(self):
         run = Pipeline().run(
@@ -107,12 +131,12 @@ class TestPipelineStages:
             policy=TwoLevelPolicy(secret_resources=["key"]),
             report_options={"outputs": ["leak"]},
         )
-        assert [stage.name for stage in run.stages] == list(STAGE_NAMES)
+        assert [stage.name for stage in run.stages] == [*ANALYSIS_STAGE_NAMES, "report"]
         assert run.report is not None and run.report.is_clean
 
     def test_kemmerer_run_matches_the_legacy_api(self):
         source = workloads.overwriting_loop_program()
-        via_pipeline = Pipeline().run_kemmerer(source).kemmerer
+        via_pipeline = Pipeline().run(source, goals=("kemmerer",)).kemmerer
         via_api = analyze_kemmerer(source)
         assert via_pipeline.graph.to_adjacency() == via_api.graph.to_adjacency()
 
@@ -225,22 +249,22 @@ class TestArtifactCache:
         pipeline = Pipeline(cache)
         source = workloads.challenge_f_program()
         analysis = pipeline.run(source)
-        baseline = pipeline.run_kemmerer(source)
+        baseline = pipeline.run(source, goals=("kemmerer",))
         # The missed goal needs RM_lo: the front probe hits and picks the
         # plan, so the parse is not needed.
         assert [stage.name for stage in baseline.stages] == ["elaborate", "kemmerer"]
         assert baseline.cached_stages == ["elaborate"]
         assert baseline.kemmerer.rm_local is analysis.result.rm_local
         assert baseline.artifacts.universe is analysis.result.universe
-        cold = Pipeline().run_kemmerer(source).kemmerer
+        cold = Pipeline().run(source, goals=("kemmerer",)).kemmerer
         assert baseline.kemmerer.graph.to_adjacency() == cold.graph.to_adjacency()
 
     def test_linked_kemmerer_runs_are_cached(self):
         cache = ArtifactCache()
         pipeline = Pipeline(cache)
         source = workloads.hierarchical_mux_program()
-        cold = pipeline.run_kemmerer(source)
-        warm = pipeline.run_kemmerer(source)
+        cold = pipeline.run(source, goals=("kemmerer",))
+        warm = pipeline.run(source, goals=("kemmerer",))
         assert not cold.cached_stages
         assert warm.cached_stages == ["kemmerer"]
         assert warm.kemmerer.rm_local.universe is warm.artifacts.universe
@@ -262,9 +286,11 @@ class TestArtifactCache:
         source = workloads.producer_consumer_program()
         cold = pipeline.run(source)
 
-        key = stage_key(ANALYSIS_STAGES[1], source_digest(source), AnalysisOptions())
+        key = stage_key(
+            stages_module.ELABORATE, source_digest(source), AnalysisOptions()
+        )
         del cache._entries[key]
-        alone = pipeline.run(source, until="elaborate")
+        alone = pipeline.run(source, goals=("elaborate",))
         assert alone.computed_stages == ["parse", "elaborate"]
         assert cache._entries[key][1] is not cold.result.universe
 
@@ -300,18 +326,10 @@ class TestApiWrapperIsolation:
         assert first.graph.to_adjacency() == second.graph.to_adjacency()
 
 
-def _planned_stages():
-    stages = {}
-    for plan in (ANALYSIS_STAGES, LINKED_STAGES, LINT_STAGES, KEMMERER_STAGES):
-        for stage in plan:
-            stages.setdefault(stage.name, stage)
-    return [pytest.param(stage, id=name) for name, stage in stages.items()]
-
-
 class TestStageKeyGrammar:
     """Keys read ``<stage>:<sha256>:<field>=<value>…`` (docs/cache.md)."""
 
-    @pytest.mark.parametrize("stage", _planned_stages())
+    @pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.name)
     def test_key_is_name_digest_and_exactly_the_option_fields(self, stage):
         options = AnalysisOptions(
             entity="top",

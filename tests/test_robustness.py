@@ -220,6 +220,12 @@ MALFORMED = [
     ("/check", {"source": _SOURCE, "secret": [1, 2]}),
     ("/check", {"source": _SOURCE, "secret": ["key"], "output": [1]}),
     ("/check", {"source": _SOURCE, "secret": ["key"], "output": [["leak"]]}),
+    ("/analyze", {"source": _SOURCE, "basic": "false"}),
+    ("/analyze", {"source": _SOURCE, "collapse": "no"}),
+    ("/analyze", {"source": _SOURCE, "self_loops": 1}),
+    ("/lint", {"source": _SOURCE, "straight_line": "false"}),
+    ("/check", {"source": _SOURCE, "secret": ["key"], "transitive": "yes"}),
+    ("/check", {"source": _SOURCE, "secret": ["key"], "ports_only": 0}),
     ("/analyze", "[" * 200_000),
     ("/check", '{"source": ' + "[" * 200_000),
     *(("/analyze", {"source": deep.values[0]}) for deep in TOO_DEEP),
@@ -250,3 +256,22 @@ class TestMalformedPayloads:
             status, text = inline
             assert 400 <= status < 500, (label, text)
             assert json.loads(text)["error"], label
+
+    def test_a_flag_is_a_json_boolean_and_null_keeps_its_default(self):
+        server = AnalysisServer(port=0, timeout=30.0)
+        with ServerThread(server) as running:
+            status, text = _post(
+                running.port, "/analyze", {"source": _SOURCE, "basic": "false"}
+            )
+            assert status == 400
+            assert json.loads(text)["error"] == "'basic' must be true or false"
+            defaults = _post(running.port, "/analyze", {"source": _SOURCE})
+            nulls = _post(
+                running.port,
+                "/analyze",
+                {"source": _SOURCE, "basic": None, "collapse": None},
+            )
+            assert nulls[0] == defaults[0] == 200
+            nulls, defaults = json.loads(nulls[1]), json.loads(defaults[1])
+            assert nulls["options"]["improved"] is True
+            assert nulls["graph"] == defaults["graph"]
