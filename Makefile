@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test bench check contracts docs examples load-smoke lint perfbench-smoke
+.PHONY: test bench check contracts docs examples hashseeds load-smoke lint perfbench-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -q
@@ -46,6 +46,17 @@ lint:
 	else \
 		echo "lint: mypy not installed, skipping typed-core gate"; \
 	fi
+
+# The disk-cache, demand-driven-run and hierarchy-invalidation tests under
+# PYTHONHASHSEED 0-39: a universe, key or document that followed string
+# hashing (the iteration order of a set of names) differs between seeds.
+hashseeds:
+	for seed in $$(seq 0 39); do \
+		PYTHONHASHSEED=$$seed PYTHONPATH=src $(PYTHON) -m pytest -q \
+			tests/test_disk_cache.py tests/test_goal_first.py \
+			tests/test_hier_invalidation.py \
+			|| { echo "hashseeds: PYTHONHASHSEED=$$seed failed"; exit 1; }; \
+	done
 
 # A few seconds of concurrent traffic against the pooled serve mode:
 # distinct-entity clients, a single-flight dedup wave, a warm re-post that

@@ -201,6 +201,11 @@ class FlowGraph:
             succ[src_index] = succ.get(src_index, 0) | (1 << dst_index)
         return cls(universe, node_bits, successors=succ)
 
+    @property
+    def universe(self) -> FactUniverse:
+        """The name universe allocating this graph's bit positions."""
+        return self._universe
+
     def copy(self) -> "FlowGraph":
         """An independent copy (the append-only universe is shared)."""
         return FlowGraph(

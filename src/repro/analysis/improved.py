@@ -25,8 +25,9 @@ top of the Table 8 closure machinery:
 
 The seeds and extra copy edges are fed into the same propagation fixpoint as
 Table 8, so all rules reach a joint fixpoint.  The seed matrix is a copy of
-``RM_lo`` and therefore interns the ``n◦``/``n•`` node names into the same
-per-session universe the rest of the pipeline uses.
+``RM_lo`` and shares its universe, into which each front of the pipeline
+has already interned every ``n◦``/``n•`` name the seeds can hold
+(:func:`intern_environment_nodes`), so the closure interns nothing.
 """
 
 from __future__ import annotations
@@ -81,16 +82,21 @@ def allocate_outgoing_labels(program_cfg: ProgramCFG, design: Design) -> Dict[st
     return labels
 
 
-def _in_fact_order(seeds: List[Entry]) -> List[Entry]:
-    """``seeds`` sorted by ``(name, label)``.
+def intern_environment_nodes(rm_lo: ResourceMatrix, design: Design) -> None:
+    """Intern every node Table 9 can add into ``RM_lo``'s universe.
 
-    The seeds come from frozensets of ``RD†``, whose iteration order can
-    change across a pickle round trip, and they intern their ``n◦`` names
-    in the order they are added.  Sorting them makes a closure recomputed
-    on artefacts read back from a cache intern into the same universe
-    order as the cold run.
+    ``n◦`` for every name some label reads, sorted, then ``n•`` for every
+    ``out`` port.  ``RD†`` keeps only definitions of names read at their
+    label (Table 7), so the [Initial values] and [Incoming values] seeds
+    name no other ``n◦``.  Each front of the pipeline ends with this, so its
+    universe is final and no later stage interns into it.
     """
-    return sorted(seeds, key=lambda entry: (entry.name, entry.label))
+    reads = 0
+    for bits in rm_lo.column(Access.R0).values():
+        reads |= bits
+    universe = rm_lo.universe
+    universe.intern_all(incoming_node(name) for name in rm_lo.sorted_names(reads))
+    universe.intern_all(outgoing_node(name) for name in design.output_ports)
 
 
 def initial_value_seeds(specialized: SpecializedRD) -> List[Entry]:
@@ -100,7 +106,7 @@ def initial_value_seeds(specialized: SpecializedRD) -> List[Entry]:
         for name, def_label in definitions:
             if def_label == INITIAL_LABEL:
                 seeds.append(Entry(incoming_node(name), label, Access.R0))
-    return _in_fact_order(seeds)
+    return seeds
 
 
 def incoming_value_seeds(
@@ -119,7 +125,7 @@ def incoming_value_seeds(
         for name, def_label in definitions:
             if def_label in wait_labels and name in incoming:
                 seeds.append(Entry(incoming_node(name), label, Access.R0))
-    return _in_fact_order(seeds)
+    return seeds
 
 
 def outgoing_value_seeds(outgoing_labels: Dict[str, int]) -> List[Entry]:

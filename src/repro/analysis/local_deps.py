@@ -20,7 +20,9 @@ Rules (paraphrased):
 
 ``local_dependencies`` analyses one process (with ``B = ∅`` at the top level,
 as in Section 5.2) and ``local_resource_matrix`` unions the per-process
-results into ``RM_lo``.
+results into ``RM_lo``.  Each statement's names are interned in sorted
+order, so the universe's fact order follows from the program, not from the
+interpreter's hash seed.
 """
 
 from __future__ import annotations
@@ -63,23 +65,23 @@ def _analyze_statement(
 
     if isinstance(stmt, ast.VariableAssign):
         matrix.add(stmt.target, stmt.label, Access.M0)
-        for name in _expression_reads(stmt.value) | set(block_set):
+        for name in sorted(_expression_reads(stmt.value) | block_set):
             matrix.add(name, stmt.label, Access.R0)
         return
 
     if isinstance(stmt, ast.SignalAssign):
         matrix.add(stmt.target, stmt.label, Access.M1)
-        for name in _expression_reads(stmt.value) | set(block_set):
+        for name in sorted(_expression_reads(stmt.value) | block_set):
             matrix.add(name, stmt.label, Access.R0)
         return
 
     if isinstance(stmt, ast.Wait):
-        for signal in process_signals:
+        for signal in sorted(process_signals):
             matrix.add(signal, stmt.label, Access.R1)
         reads = set(block_set) | set(stmt.signals)
         if stmt.condition is not None:
             reads |= _expression_reads(stmt.condition)
-        for name in reads:
+        for name in sorted(reads):
             matrix.add(name, stmt.label, Access.R0)
         return
 
@@ -111,15 +113,13 @@ def local_dependencies(
     return matrix
 
 
-def local_resource_matrix(
-    program_cfg: ProgramCFG, universe: Optional[FactUniverse] = None
-) -> ResourceMatrix:
+def local_resource_matrix(program_cfg: ProgramCFG) -> ResourceMatrix:
     """``RM_lo = ⋃_i RM_i`` where ``∅ ⊢ ss_i : RM_i`` (Section 5.2).
 
-    All per-process matrices are interned into the same (per-session) name
-    universe, so the union is a plain per-label bitwise OR.
+    All per-process matrices are interned into one fresh name universe, so
+    the union is a plain per-label bitwise OR.
     """
-    matrix = ResourceMatrix(universe=universe)
+    matrix = ResourceMatrix()
     for name in program_cfg.process_order:
         process = program_cfg.processes[name].process
         matrix.update(

@@ -20,15 +20,15 @@ object per (name, label) pair.  The :class:`Entry`-based view (iteration,
 yields entries in a canonical sorted order, so renderings and reports are
 byte-stable across runs.
 
-The name universe is **per session**, not process-global: every analysis run
-threads one fresh :class:`FactUniverse` through the pipeline (see
-:class:`repro.pipeline.stages.Pipeline`), so independent analyses neither
-share nor leak interned names, and long-lived servers analysing many unrelated
-designs do not pay for every name ever seen in the width of later bitsets.
-Matrices created without an explicit universe get a private fresh one.  All
+The name universe is **per design**, not process-global: each front of the
+pipeline (:mod:`repro.pipeline.stages`) interns into a fresh
+:class:`FactUniverse`, so independent analyses neither share nor leak
+interned names, and long-lived servers analysing many unrelated designs do
+not pay for every name ever seen in the width of later bitsets.  Matrices
+created without an explicit universe get a private fresh one.  All
 bitset-level operations between two matrices take the fast path when the
 universes are the *same object*; otherwise they fall back to re-encoding by
-name, so cross-session comparisons (the equivalence tests rely on these)
+name, so comparisons across universes (the equivalence tests rely on these)
 remain correct.
 
 Resource names for the improved analysis (Table 9) use the suffixes ``◦`` and

@@ -40,7 +40,6 @@ from repro.analysis.reaching_active import ActiveSignalsResult
 from repro.analysis.resource_matrix import Access, ResourceMatrix
 from repro.cfg.builder import ProcessCFG, ProgramCFG
 from repro.cfg.labels import Block, BlockKind
-from repro.dataflow.universe import FactUniverse
 from repro.errors import HierarchyError
 from repro.hier.flatten import instance_rename
 from repro.hier.structure import DesignHierarchy, HierarchyUnit, Instance
@@ -220,16 +219,14 @@ def _placed_rows(
 
 
 def link_hierarchy(
-    hierarchy: DesignHierarchy,
-    summaries: Dict[str, EntitySummary],
-    universe: Optional[FactUniverse] = None,
+    hierarchy: DesignHierarchy, summaries: Dict[str, EntitySummary]
 ) -> Placed:
     """Place every process of ``hierarchy`` into the flat design.
 
     ``summaries`` maps each lower-case entity name to its summary
-    (:func:`summarize_hierarchy`); ``universe`` is the fact universe ``RM_lo``
-    interns into.  Raises :class:`~repro.errors.HierarchyError` where flat
-    elaboration of the flattened program would fail.
+    (:func:`summarize_hierarchy`); ``RM_lo`` interns into a fresh universe.
+    Raises :class:`~repro.errors.HierarchyError` where flat elaboration of
+    the flattened program would fail.
     """
     root = hierarchy.root_unit
     signals = _flat_signals(hierarchy, root)
@@ -238,7 +235,7 @@ def link_hierarchy(
     }
     processes: Dict[str, ProcessCFG] = {}
     active: Dict[str, ActiveSignalsResult] = {}
-    rm_lo = ResourceMatrix(universe=universe)
+    rm_lo = ResourceMatrix()
     encode = rm_lo.universe.encode
     next_label = 1  # the flat LabelAllocator starts at 1
     concurrent = 0  # flat elaboration numbers concurrent assignments design-wide

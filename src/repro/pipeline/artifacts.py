@@ -70,8 +70,8 @@ class AnalysisResult:
     (:class:`~repro.pipeline.stages.PipelineContext`).  ``graph`` and
     ``inventory`` are the run's goals, resolved before it returns.  Every
     other artefact field resolves on first access, from the cache or by
-    running its stage in the run's universe, and the stage then appears in
-    the run's ``timings``.  ``design``, ``program_cfg``, ``active`` and
+    running its stage, and the stage then appears in the run's
+    ``timings``.  ``design``, ``program_cfg``, ``active`` and
     ``rm_local`` are one stage's artefact, the source's front (``elaborate``
     or ``place``), so the first read of any of them resolves all four.  The
     context holds no reference back to the view, so dropping the result
@@ -139,9 +139,9 @@ class AnalysisResult:
         return self._context.options.improved
 
     @property
-    def universe(self) -> Optional[FactUniverse]:
-        """The per-session resource-name universe this run interned into."""
-        return self._context.universe
+    def universe(self) -> FactUniverse:
+        """The resource-name universe the flow graph decodes through."""
+        return self.graph.universe
 
     @property
     def flow_graph(self) -> FlowGraph:
@@ -173,7 +173,7 @@ class StageTiming:
     """Wall-clock record of one executed (or cache-served) pipeline stage.
 
     A cache-served stage's ``seconds`` cover its whole lookup: the cache
-    read (and a lower tier's unpickle), the universe adoption and the store.
+    read (and a lower tier's unpickle) and the store.
 
     ``profile`` is only populated by profiled runs (``Pipeline.run(...,
     profile=True)``): the stage's cProfile hot spots as a tuple of plain

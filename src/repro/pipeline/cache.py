@@ -30,37 +30,29 @@ Three stores implement that contract:
     fall through to disk and promote the loaded artifact into memory; puts
     write through to both tiers.
 
-Universe pinning on disk
-------------------------
+Universe snapshots on disk
+--------------------------
 
-Universe-bound artifacts (the bitset-encoded matrices and graphs from the
-front, ``elaborate`` or ``place``, onward) are only meaningful together with the
-:class:`~repro.dataflow.universe.FactUniverse` that interned their bit
-positions, and the pipeline requires every universe-bound artifact of one
-run to share one universe *object* (see :mod:`repro.pipeline.stages`).  The
-disk tier therefore externalises universes instead of pickling one copy per
-entry: a pickled artifact refers to its universe by the content hash of the
-universe's fact list, and the facts themselves are written once to
-``<cache-dir>/universes/<hash>.pkl`` — an immutable snapshot, because any
-growth of the append-only universe changes the hash.  A snapshot that
-cannot be read back is evicted like an entry, so the next ``put`` that
-references it writes it again.  The reference is a
-``dispatch_table`` entry of the entry's own pickler that reduces a universe
-to ``_universe_ref(<hash>)``, so the C pickler runs no Python callback for
-any other object, and memoises the reduction: a universe referenced from
-many places is hashed once per entry.  On load, snapshots resolve through a
-per-process registry: the first entry to reference a snapshot materialises
-the universe, and every later entry whose snapshot is a prefix-compatible
-extension (or restriction) of an already-registered universe re-adopts *the
-same object*, extending it in place when the snapshot is longer.  That is
-what lets a fresh process load the front, ``specialize``, ``closure`` and
-``flow_graph`` from disk and still hand the pipeline one consistent universe.
+A bitset artifact (a matrix, a flow graph) holds the
+:class:`~repro.dataflow.universe.FactUniverse` that interned its bit
+positions, which its front made final (see :mod:`repro.pipeline.stages`).
+Instead of pickling one copy per entry, the disk tier refers to a universe
+by the content hash of its fact list and writes the facts once to
+``<cache-dir>/universes/<hash>.pkl``: an immutable snapshot, one per front.
+The reference is a ``dispatch_table`` entry of the entry's own pickler that
+reduces a universe to ``_universe_ref(<hash>)``, so the C pickler runs no
+Python callback for any other object, and memoises the reduction: a
+universe referenced from many places is hashed once per entry.  On load,
+the first entry to reference a snapshot reads it into a per-process
+registry, and every later entry referencing it gets that universe.  A
+snapshot that cannot be read back is evicted like an entry, so the next
+``put`` that references it writes it again.
 
 What each operation touches
 ---------------------------
 
 Opening a store creates its directory and reads nothing; a ``get`` reads
-one entry file (plus, once per process, the snapshots it references).
+one entry file (plus, once per process, the snapshot it references).
 Neither lists the store, so a process that only reads never scans it.  A
 ``put`` writes one entry file (and any snapshot it references that is not on
 disk yet); the first ``put`` of a process also scans the store once (one
@@ -75,7 +67,6 @@ from __future__ import annotations
 import copyreg
 import hashlib
 import io
-import operator
 import os
 import pickle
 import tempfile
@@ -86,9 +77,8 @@ from repro.dataflow.universe import FactUniverse
 
 #: Bumped whenever the on-disk entry layout changes; entries and universe
 #: snapshots recorded under another version are evicted when read, not decoded.
-#: Version 2 pickles universe references as ``_universe_ref`` reductions
-#: instead of persistent ids.
-FORMAT_VERSION = 2
+#: Version 3 drops the universe lengths from the entry envelope.
+FORMAT_VERSION = 3
 
 _ENTRY_TAG = "vhdl-ifa-artifact"
 _UNIVERSE_TAG = "vhdl-ifa-universe"
@@ -181,13 +171,14 @@ def _universe_reducer(
 
 
 class _ArtifactUnpickler(pickle.Unpickler):
-    """Resolves externalised universe references against the registry."""
+    """Resolves externalised universe references through the store."""
 
-    def __init__(self, buffer, universes: Dict[str, FactUniverse]):
+    def __init__(self, buffer, resolve: Callable[[str], FactUniverse]):
         super().__init__(buffer)
-        # The registry's own lookup, not a method of this unpickler: the memo
-        # keeps the resolver, so a bound method would be a reference cycle.
-        self._resolve = universes.__getitem__
+        # The store's lookup, not a method of this unpickler: the memo keeps
+        # the resolver, so a bound method of the unpickler would be a
+        # reference cycle.
+        self._resolve = resolve
 
     def find_class(self, module: str, name: str) -> Any:
         if module == __name__ and name == _universe_ref.__name__:
@@ -216,8 +207,8 @@ class DiskArtifactCache:
     #: the next budget scan is a tenth of the budget of writes away.
     BUDGET_LOW_WATER = 0.9
 
-    #: How many adopted universes one store keeps registered (oldest first
-    #: out), so a long session's registry stays bounded.
+    #: How many universes one store keeps registered (oldest first out), so
+    #: a long session's registry stays bounded.
     UNIVERSE_REGISTRY_SIZE = 256
 
     def __init__(
@@ -231,7 +222,7 @@ class DiskArtifactCache:
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
-        #: snapshot id -> universe object (several ids may alias one object).
+        #: snapshot id -> universe object.
         self._universes: Dict[str, FactUniverse] = {}
         #: id(universe) -> (snapshot id, universe length when hashed).
         self._universe_uids: Dict[int, Tuple[str, int]] = {}
@@ -345,22 +336,18 @@ class DiskArtifactCache:
         pickler = pickle.Pickler(buffer, protocol=_PICKLE_PROTOCOL)
         pickler.dispatch_table = table
         pickler.dump(value)
-        universe_lengths = {uid: len(universe) for uid, universe in refs.items()}
         for uid, universe in refs.items():
             self._save_universe(uid, universe)
         return pickle.dumps(
-            (_ENTRY_TAG, FORMAT_VERSION, key, universe_lengths, buffer.getvalue()),
+            (_ENTRY_TAG, FORMAT_VERSION, key, buffer.getvalue()),
             protocol=_PICKLE_PROTOCOL,
         )
 
     def _decode_entry(self, key: str, blob: bytes) -> Any:
-        envelope = pickle.loads(blob)
-        tag, version, stored_key, universe_lengths, payload = envelope
+        tag, version, stored_key, payload = pickle.loads(blob)
         if tag != _ENTRY_TAG or version != FORMAT_VERSION or stored_key != key:
             raise _CacheMiss(f"stale or foreign entry for {key!r}")
-        for uid, needed in universe_lengths.items():
-            self._require_universe(uid, needed)
-        return _ArtifactUnpickler(io.BytesIO(payload), self._universes).load()
+        return _ArtifactUnpickler(io.BytesIO(payload), self._resolve_universe).load()
 
     # -------------------------------------------------- universe snapshots
 
@@ -397,18 +384,12 @@ class DiskArtifactCache:
         self._universe_dir.mkdir(exist_ok=True)
         self._atomic_write(path, blob)
 
-    def _require_universe(self, uid: str, needed: int) -> None:
-        """Make the snapshot ``uid`` resolvable with at least ``needed`` facts."""
+    def _resolve_universe(self, uid: str) -> FactUniverse:
+        """The universe of snapshot ``uid``, read the first time an entry
+        references it; an unusable snapshot is evicted."""
         universe = self._universes.get(uid)
-        if universe is None:
-            universe = self._adopt_universe(uid, self._read_universe_facts(uid))
-        if len(universe) < needed:
-            raise _CacheMiss(
-                f"universe snapshot {uid} holds {len(universe)} < {needed} facts"
-            )
-
-    def _read_universe_facts(self, uid: str) -> List[Any]:
-        """The facts of snapshot ``uid``; an unusable snapshot is evicted."""
+        if universe is not None:
+            return universe
         path = self._universe_dir / f"{uid}.pkl"
         try:
             blob = path.read_bytes()
@@ -425,29 +406,7 @@ class DiskArtifactCache:
             # Evicted like an entry, so the next put that needs it rewrites it.
             _unlink(path)
             raise _CacheMiss(f"unreadable or stale universe snapshot {uid}")
-        return list(facts)
-
-    def _adopt_universe(self, uid: str, facts: List[Any]) -> FactUniverse:
-        """Register ``uid``, re-using a prefix-compatible live universe.
-
-        Snapshots taken at different growth points of one append-only
-        universe are prefixes of each other, so aliasing them all to one
-        object keeps the pipeline's identity discipline across entries: an
-        artifact referencing the shorter snapshot decodes identically against
-        the longer universe.
-        """
-        if facts:
-            first = facts[0]
-            for existing in {id(u): u for u in self._universes.values()}.values():
-                if not len(existing) or existing.fact_of(0) != first:
-                    continue
-                # Compares the common prefix only: map stops at the shorter.
-                if all(map(operator.eq, existing, facts)):
-                    if len(facts) > len(existing):
-                        existing.intern_all(facts[len(existing):])
-                    self._universes[uid] = existing
-                    return existing
-        universe: FactUniverse = FactUniverse(facts)
+        universe = FactUniverse(facts)
         self._register_universe(uid, universe)
         return universe
 

@@ -532,7 +532,7 @@ class AnalysisServer:
             # the event loop; the resolved policy is a picklable dataclass.
             request["policy"] = None if spec is None else self.workspace.policy(spec)
             return request
-        outputs = _names(payload.get("output", []), "output")
+        outputs = _names(payload.get("output"), "output")
         request.update(
             {
                 "outputs": outputs or None,
@@ -556,8 +556,6 @@ class AnalysisServer:
                     "'policy' must be a registered policy name or a policy document"
                 )
             return self.workspace.policy(spec)
-        if secrets is None:
-            secrets = []
         return TwoLevelPolicy(secret_resources=_names(secrets, "secret"))
 
     def _dedup_key(self, kind: str, request: Dict[str, Any]) -> str:
@@ -830,7 +828,10 @@ def _flag(
 
 
 def _names(value: Any, member: str) -> List[str]:
-    """A payload member that must be a list of resource names."""
+    """A payload member that must be a list of resource names; null or
+    absent is the empty list."""
+    if value is None:
+        return []
     if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
         raise _BadRequest(f"{member!r} must be a list of resource names")
     return value

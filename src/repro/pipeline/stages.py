@@ -85,21 +85,17 @@ report     never cached (cheap, policy-dependent)
 ========== ==========================================================
 
 The ``lint`` stage caches the *complete* rule catalog's findings at default
-severities (a plain tuple of diagnostics, not universe-bound); a policy
-file's ``[lint]`` selection and severity overrides are applied after the
-stage, so one cached artefact serves every lint configuration.
+severities (a plain tuple of diagnostics); a policy file's ``[lint]``
+selection and severity overrides are applied after the stage, so one cached
+artefact serves every lint configuration.
 
-Universe discipline: every run starts with a fresh
-:class:`~repro.dataflow.universe.FactUniverse`, and the universe-bound stages
-(the front, ``specialize``, ``closure``, ``flow_graph`` and ``kemmerer``)
-intern resource names into it.  Their cached artefacts are stored *together
-with* the universe they were built in and a cache hit adopts that universe,
-keeping bitset-encoded artefacts and universe consistent.  A cold run
-computes its front before any other universe-bound stage, so it binds its
-universe there; a warm run binds it at the first universe-bound artefact it
-reads, usually ``flow_graph``.  Every universe-bound artefact resolved after
-that, during the run or on a field read after it, is served only if its
-entry shares that universe, and is otherwise recomputed in it.
+Universes: each front interns the design's names into a fresh
+:class:`~repro.dataflow.universe.FactUniverse` and ends with Table 9's
+``n◦``/``n•`` nodes (:func:`~repro.analysis.improved.intern_environment_nodes`),
+so no later stage interns.  A cache entry is the artefact alone: each bitset
+artefact holds the universe it decodes through, and no stage combines the
+bitsets of two artefacts, so artefacts served from different entries may
+hold different universe objects with the same facts.
 """
 
 from __future__ import annotations
@@ -112,14 +108,16 @@ import repro.analysis.lint
 import repro.security.report
 from repro.analysis.closure import global_resource_matrix
 from repro.analysis.flowgraph import FlowGraph
-from repro.analysis.improved import improved_global_resource_matrix
+from repro.analysis.improved import (
+    improved_global_resource_matrix,
+    intern_environment_nodes,
+)
 from repro.analysis.kemmerer import kemmerer_analysis
 from repro.analysis.local_deps import local_resource_matrix
 from repro.analysis.reaching_active import analyze_all_active_signals
 from repro.analysis.reaching_defs import analyze_reaching_definitions
 from repro.analysis.specialize import specialize
 from repro.cfg.builder import build_cfg
-from repro.dataflow.universe import FactUniverse
 from repro.errors import AnalysisError, ReproError, nesting_limit
 from repro.hier.link import Placed, link_hierarchy, summarize_hierarchy
 from repro.hier.structure import build_hierarchy, has_instantiations
@@ -148,9 +146,6 @@ class PipelineContext:
     """
 
     options: AnalysisOptions
-    universe: FactUniverse
-    universe_locked: bool = False
-    """True once a universe-bound artefact exists: the run's universe is fixed."""
     source: Optional[str] = None
     source_key: Optional[str] = None
     cache: Optional[ArtifactCache] = None
@@ -216,21 +211,25 @@ def _run_elaborate(ctx: PipelineContext) -> Placed:
     """The flat front: the design, its CFG, Table 4 and ``RM_lo``.
 
     Building the CFG labels the design's statements in place, so the design
-    is stored only with its labels.
+    is stored only with its labels.  ``RM_lo``'s universe is final.
     """
     design = elaborate(ctx.program, ctx.options.entity)
     program_cfg = build_cfg(design, loop_processes=ctx.options.loop_processes)
     active = analyze_all_active_signals(program_cfg.processes)
-    rm_local = local_resource_matrix(program_cfg, universe=ctx.universe)
+    rm_local = local_resource_matrix(program_cfg)
+    intern_environment_nodes(rm_local, design)
     return design, program_cfg, active, rm_local
 
 
 def _run_place(ctx: PipelineContext) -> Placed:
     """The linked front: each entity summarised (and cached under a key of
-    its own), then every instance placed into the flat namespace."""
+    its own), then every instance placed into the flat namespace.
+    ``RM_lo``'s universe is final."""
     hierarchy = build_hierarchy(ctx.program, ctx.options.entity)
     summaries = summarize_hierarchy(hierarchy, ctx.options.loop_processes, ctx.cache)
-    return link_hierarchy(hierarchy, summaries, universe=ctx.universe)
+    design, program_cfg, active, rm_local = link_hierarchy(hierarchy, summaries)
+    intern_environment_nodes(rm_local, design)
+    return design, program_cfg, active, rm_local
 
 
 def _run_reaching(ctx: PipelineContext) -> Any:
@@ -292,19 +291,16 @@ class Stage:
     names for a stage producing several artefacts at once).
     ``option_fields`` lists the :class:`AnalysisOptions` fields the stage's
     artefact depends on — they (with the source hash and the stage name) form
-    the cache key.  ``universe_bound`` marks artefacts encoded against the
-    session universe; they are cached together with it.  ``needs`` names
-    the context attributes ``run`` reads besides ``options``: a stage that
-    misses the cache first resolves, in that order, the producers of those
-    the context lacks (the order makes a cold run compute the stages in
-    chain order).
+    the cache key.  ``needs`` names the context attributes ``run`` reads
+    besides ``options``: a stage that misses the cache first resolves, in
+    that order, the producers of those the context lacks (the order makes a
+    cold run compute the stages in chain order).
     """
 
     name: str
     attr: Union[str, Tuple[str, ...]]
     run: Callable[[PipelineContext], Any]
     option_fields: Tuple[str, ...] = ()
-    universe_bound: bool = False
     cacheable: bool = True
     needs: Tuple[str, ...] = ()
 
@@ -327,16 +323,14 @@ ELABORATE = Stage(
     _FRONT,
     _run_elaborate,
     _SHAPE,
-    universe_bound=True,
-    needs=("program", "universe"),
+    needs=("program",),
 )
 PLACE = Stage(
     "place",
     _FRONT,
     _run_place,
     _SHAPE,
-    universe_bound=True,
-    needs=("program", "cache", "universe"),
+    needs=("program", "cache"),
 )
 REACHING = Stage(
     "reaching", "reaching", _run_reaching, _RD, needs=("program_cfg", "active")
@@ -346,7 +340,6 @@ SPECIALIZE = Stage(
     "specialized",
     _run_specialize,
     _RD,
-    universe_bound=True,
     needs=("program_cfg", "active", "reaching", "rm_local"),
 )
 CLOSURE = Stage(
@@ -354,7 +347,6 @@ CLOSURE = Stage(
     "closure",
     _run_closure,
     _ALL,
-    universe_bound=True,
     needs=("program_cfg", "specialized", "rm_local", "design"),
 )
 FLOW_GRAPH = Stage(
@@ -362,7 +354,6 @@ FLOW_GRAPH = Stage(
     "graph",
     _run_flow_graph,
     _ALL,
-    universe_bound=True,
     needs=("closure",),
 )
 INVENTORY = Stage(
@@ -384,7 +375,6 @@ KEMMERER = Stage(
     "kemmerer",
     _run_kemmerer,
     _SHAPE,
-    universe_bound=True,
     needs=("rm_local",),
 )
 REPORT = Stage(
@@ -430,7 +420,7 @@ def _attrs(stage: Stage) -> Tuple[str, ...]:
 
 #: Each context attribute a stage other than a front produces → that stage.
 #: The front's attributes come from :meth:`Pipeline._front`, and any other
-#: need (the source, the cache, the universe, the policy) is a run input.
+#: need (the source, the cache, the policy) is a run input.
 _PRODUCERS: Dict[str, Stage] = {
     name: stage for stage in STAGES if stage not in FRONTS for name in _attrs(stage)
 }
@@ -505,6 +495,11 @@ class Pipeline:
         spots to the result (:attr:`PipelineResult.stage_profiles`); the
         reported wall-clock timings then include profiler overhead.
         """
+        if isinstance(goals, str):
+            raise AnalysisError(
+                f"goals must be a tuple of stage names, not the string {goals!r}; "
+                f"write goals=({goals!r},)"
+            )
         for name in goals:
             if name not in _BY_NAME:
                 raise AnalysisError(
@@ -513,7 +508,6 @@ class Pipeline:
                 )
         ctx = PipelineContext(
             options=options if options is not None else AnalysisOptions(),
-            universe=FactUniverse(),
             source=source,
             source_key=source_digest(source),
             cache=self.cache,
@@ -586,32 +580,16 @@ class Pipeline:
         """Store ``stage``'s cached artefact in ``ctx``; False on a miss.
 
         A miss is remembered, so the run does not look the stage up again.
-        The served stage's seconds cover the lookup, the read and unpickle
-        of a lower tier and the universe adoption.
+        The served stage's seconds cover the lookup and the read and
+        unpickle of a lower tier.
         """
         if self.cache is None or not stage.cacheable or stage.name in ctx.missed:
             return False
         started = time.perf_counter()
-        cached = self.cache.get(stage_key(stage, ctx.source_key, ctx.options))
-        if cached is None:
+        artifact = self.cache.get(stage_key(stage, ctx.source_key, ctx.options))
+        if artifact is None:
             ctx.missed.add(stage.name)
             return False
-        artifact = cached
-        if stage.universe_bound:
-            artifact, universe = cached
-            # All universe-bound artefacts of one run must share one
-            # universe.  Once the run's universe is fixed (an earlier
-            # universe-bound stage computed fresh, or adopted a cached
-            # universe), a surviving entry built against a *different*
-            # universe — possible after partial eviction — is unusable
-            # here: using it would mix universes in one result.
-            if ctx.universe_locked and universe is not ctx.universe:
-                self.cache.hits -= 1
-                self.cache.misses += 1
-                ctx.missed.add(stage.name)
-                return False
-            ctx.universe = universe
-            ctx.universe_locked = True
         _store(ctx, stage, artifact)
         ctx.stages.append(
             StageTiming(stage.name, time.perf_counter() - started, cached=True)
@@ -633,11 +611,8 @@ class Pipeline:
                 artifact = stage.run(ctx)
         elapsed = time.perf_counter() - started
         _store(ctx, stage, artifact)
-        if stage.universe_bound:
-            ctx.universe_locked = True
         if self.cache is not None and stage.cacheable:
-            value = (artifact, ctx.universe) if stage.universe_bound else artifact
-            self.cache.put(stage_key(stage, ctx.source_key, ctx.options), value)
+            self.cache.put(stage_key(stage, ctx.source_key, ctx.options), artifact)
         ctx.stages.append(
             StageTiming(stage.name, elapsed, cached=False, profile=stage_profile)
         )

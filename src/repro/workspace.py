@@ -36,9 +36,10 @@ summarised, every instance placed) in place of ``elaborate`` — see
 analysis (``check`` adds its report), ``lint`` the lint findings too, and
 ``kemmerer_run`` Kemmerer's baseline alone.
 
-Universe discipline: every run interns resource names into a fresh
-:class:`~repro.dataflow.universe.FactUniverse`, or adopts the one stored with
-a cached artefact, so independent runs share no interned names.
+Universes: a computed front interns the design's resource names into a
+fresh :class:`~repro.dataflow.universe.FactUniverse` and makes it final, and
+every bitset artefact, computed or served, carries the universe it decodes
+through, so independent runs share no interned names.
 """
 
 from __future__ import annotations

@@ -173,10 +173,8 @@ class TestCorruptionIsEvictedNotRaised:
         source = workloads.challenge_f_program()
         cold = _populate(cache_dir, source)
         for path in self._entry_files(cache_dir):
-            tag, _version, key, lengths, payload = pickle.loads(path.read_bytes())
-            path.write_bytes(
-                pickle.dumps((tag, FORMAT_VERSION + 1, key, lengths, payload))
-            )
+            tag, _version, key, payload = pickle.loads(path.read_bytes())
+            path.write_bytes(pickle.dumps((tag, FORMAT_VERSION + 1, key, payload)))
         warm = _fresh_run(cache_dir, source)
         assert not warm.cached_stages
         assert warm.result.summary() == cold.result.summary()
@@ -216,7 +214,7 @@ class TestCorruptionIsEvictedNotRaised:
         for path in (Path(cache_dir) / "universes").glob("*.pkl"):
             path.unlink()
         warm = _fresh_run(cache_dir, source)
-        # Entries that are not universe-bound still hit.  The goal and then
+        # Entries that reference no universe still hit.  The goal and then
         # the front miss and are evicted, so the run parses and recomputes
         # its front, whose put writes the deleted snapshot again: the entries
         # looked up after that put (RD†) hit in the recomputed universe.
@@ -242,10 +240,8 @@ class TestCorruptionIsEvictedNotRaised:
         source = workloads.producer_consumer_program()
         cold = _populate(cache_dir, source)
         for path in self._entry_files(cache_dir):
-            tag, _version, key, lengths, payload = pickle.loads(path.read_bytes())
-            path.write_bytes(
-                pickle.dumps((tag, FORMAT_VERSION + 1, key, lengths, payload))
-            )
+            tag, _version, key, payload = pickle.loads(path.read_bytes())
+            path.write_bytes(pickle.dumps((tag, FORMAT_VERSION + 1, key, payload)))
         for path in self._universe_files(cache_dir):
             tag, _version, uid, facts = pickle.loads(path.read_bytes())
             path.write_bytes(pickle.dumps((tag, FORMAT_VERSION + 1, uid, facts)))
@@ -299,6 +295,71 @@ class TestRecomputeOnReadBackArtefacts:
             env={"PYTHONPATH": src, "PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
         )
         assert done.returncode == 0, done.stderr
+
+
+#: A flat and a linked workload, each analysed with and without Table 9.
+FINAL_UNIVERSE_CASES = [
+    (workload, improved)
+    for workload in ("producer_consumer_program", "hierarchical_mux_program")
+    for improved in (True, False)
+]
+
+#: A warm run in a fresh process: prints the fact list each bitset artefact
+#: decodes through.
+_WARM_FACTS = """
+import json, sys
+from repro import workloads
+from repro.pipeline import AnalysisOptions, Pipeline, open_cache
+
+source = getattr(workloads, sys.argv[2])()
+options = AnalysisOptions(improved=sys.argv[3] == "True")
+warm = Pipeline(open_cache(sys.argv[1])).run(source, options)
+assert warm.computed_stages == [], warm.computed_stages
+fields = ("rm_local", "rm_global", "graph")
+print(json.dumps({name: list(getattr(warm.result, name).universe) for name in fields}))
+"""
+
+
+@pytest.mark.parametrize("workload,improved", FINAL_UNIVERSE_CASES)
+class TestFinalUniverse:
+    """Each front makes its universe final: no later stage interns."""
+
+    def test_the_front_universe_holds_every_fact_of_the_run(self, workload, improved):
+        source = getattr(workloads, workload)()
+        front = "place" if workload.startswith("hierarchical") else "elaborate"
+        options = AnalysisOptions(improved=improved)
+        context = Pipeline().run(source, options, goals=(front,)).artifacts
+        universe = context.rm_local.universe
+        facts = list(universe)
+        assert context.artifact("graph").universe is universe
+        assert list(universe) == facts
+        assert context.artifact("kemmerer").graph.universe is universe
+        assert list(universe) == facts
+
+    def test_a_cold_analysis_writes_one_snapshot(self, tmp_path, workload, improved):
+        cache_dir = tmp_path / "cache"
+        source = getattr(workloads, workload)()
+        options = AnalysisOptions(improved=improved)
+        Pipeline(open_cache(str(cache_dir))).run(source, options)
+        assert len(list((cache_dir / "universes").glob("*.pkl"))) == 1
+
+    def test_a_fresh_process_decodes_the_cold_facts(self, tmp_path, workload, improved):
+        cache_dir = str(tmp_path / "cache")
+        source = getattr(workloads, workload)()
+        options = AnalysisOptions(improved=improved)
+        cold = Pipeline(open_cache(cache_dir)).run(source, options).result
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", _WARM_FACTS, cache_dir, workload, str(improved)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        )
+        assert done.returncode == 0, done.stderr
+        facts = list(cold.rm_local.universe)
+        assert json.loads(done.stdout) == {
+            "rm_local": facts, "rm_global": facts, "graph": facts
+        }
 
 
 class TestEvictionAndStats:
@@ -472,15 +533,18 @@ class TestUniverseReferences:
             if was_enabled:
                 gc.enable()
 
-    def test_adoption_aliases_prefixes_and_keeps_divergent_universes_apart(self, tmp_path):
+    def test_distinct_snapshots_resolve_to_distinct_universes(self, tmp_path):
+        # A snapshot whose facts extend another's is still its own universe:
+        # nothing aliases or extends a registered universe.
+        written = DiskArtifactCache(tmp_path / "c")
+        facts = (["a", "b", "c"], ["a", "b", "c", "d"], ["x", "y"], ["a", "z"])
+        for index, universe in enumerate(map(FactUniverse, facts)):
+            written.put(f"local:{index}", _Artefact(universe, [index]))
         disk = DiskArtifactCache(tmp_path / "c")
-        first = disk._adopt_universe("u1", ["a", "b", "c"])
-        other = disk._adopt_universe("u2", ["x", "y"])
-        assert disk._adopt_universe("u3", ["a", "b", "c", "d"]) is first
-        assert list(first) == ["a", "b", "c", "d"]  # extended in place
-        assert disk._adopt_universe("u4", ["x"]) is other  # a restriction
-        divergent = disk._adopt_universe("u5", ["a", "z"])
-        assert divergent is not first and list(divergent) == ["a", "z"]
+        loaded = [disk.get(f"local:{index}").universe for index in range(4)]
+        assert [list(universe) for universe in loaded] == list(facts)
+        assert len({id(universe) for universe in loaded}) == 4
+        assert disk.get("local:0").universe is loaded[0]
 
 
 class TestWriteFailures:

@@ -7,11 +7,10 @@ needs its artefact (``Stage.needs``) or a caller reads it from the
 ``AnalysisResult``, a view over the run.  The front is picked only when a
 stage needs one of its artefacts: by a hit on its key (a flat source's
 ``elaborate``, a linked source's ``place``), and by the parse only when both
-miss.  These tests pin what a
-warm run touches, that the fields loaded on first access equal the cold
-artefacts in one universe (after every partial eviction too), that dropping
-a result frees its run, and that each stage's declared inputs are all it
-reads.
+miss.  These tests pin what a warm run touches, that the fields loaded on
+first access equal the cold artefacts and decode through the cold run's
+facts (after every partial eviction too), that dropping a result frees its
+run, and that each stage's declared inputs are all it reads.
 """
 
 import gc
@@ -23,7 +22,6 @@ import pytest
 
 from repro import Workspace, workloads
 from repro.contract.matchers import normalize
-from repro.dataflow.universe import FactUniverse
 from repro.errors import AnalysisError
 from repro.pipeline import (
     STAGES,
@@ -71,7 +69,7 @@ def _masked(run):
 
 
 def _universe_bound(result):
-    """The universe of every universe-bound artefact of one analysis."""
+    """The universe of every bitset artefact of one analysis."""
     return [
         result.rm_local.universe,
         result.rm_global.universe,
@@ -263,10 +261,11 @@ class TestPartialEviction:
         assert _masked(rerun) == cold_document
         # Every field read after the run equals the cold artefact...
         assert _fields(rerun.result) == cold_fields
-        # ...in one universe, the cold run's, which the goals were served in.
-        universe = rerun.result.universe
-        assert universe is cold.result.universe
-        assert all(bound is universe for bound in _universe_bound(rerun.result))
+        # ...and decodes through the cold run's facts: a recomputed front
+        # interns a universe of its own, equal to the one the goals hold.
+        facts = list(cold.result.universe)
+        assert rerun.result.universe is cold.result.universe
+        assert all(list(bound) == facts for bound in _universe_bound(rerun.result))
         if name == "parse":
             # Nothing that misses needs the AST: the parse stays evicted.
             assert rerun.computed_stages == []
@@ -338,7 +337,7 @@ class TestLazyFields:
         # Each field loads on first access and equals the cold artefact as
         # a cache read gives it back...
         assert _fields(warm.result) == _read_back(cold.result)
-        # ...and every universe-bound one shares the run's universe.
+        # ...and every bitset one decodes through the one snapshot read.
         universe = warm.result.universe
         assert all(bound is universe for bound in _universe_bound(warm.result))
         # Each load is a stage of the run, served from the cache.
@@ -415,11 +414,8 @@ class TestDeclaredInputs:
         policy = TwoLevelPolicy(secret_resources=["right"])
         cold = Pipeline().run(source, goals=(stage.name,), policy=policy).artifacts
         # Only the declared inputs, taken from the cold run; every other
-        # artefact attribute is left empty, and an undeclared universe holds
-        # a stray fact, so interning into it would shift every bit.
-        bare = stages_module.PipelineContext(
-            options=cold.options, universe=FactUniverse(["undeclared"])
-        )
+        # artefact attribute is left empty.
+        bare = stages_module.PipelineContext(options=cold.options)
         for name in stage.needs:
             setattr(bare, name, getattr(cold, name))
         artifact = stage.run(bare)

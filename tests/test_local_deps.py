@@ -1,5 +1,9 @@
 """Tests for the local dependency analysis (Table 6)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.analysis.local_deps import local_dependencies, local_resource_matrix
 from repro.analysis.resource_matrix import Access, Entry
 from repro.cfg.builder import build_cfg
@@ -153,3 +157,34 @@ class TestWholeProgram:
         table = local_resource_matrix(program_cfg).to_table()
         assert "label" in table and "resource" in table
         assert "link" in table
+
+
+#: Prints, for every flat batch workload, the names ``RM_lo`` interns, in order.
+_INTERNING_ORDER = """
+from repro import workloads
+from repro.analysis.local_deps import local_resource_matrix
+from repro.cfg.builder import build_cfg
+from repro.vhdl.elaborate import elaborate_source
+
+for _, source in workloads.batch_workload_sources():
+    print(list(local_resource_matrix(build_cfg(elaborate_source(source))).universe))
+"""
+
+
+class TestInterningOrder:
+    def test_rm_lo_interns_in_one_order_under_every_hash_seed(self):
+        # A statement's names intern sorted, not in the iteration order of
+        # a set of names, so a flat front's facts follow from its key alone.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        orders = set()
+        for seed in ("0", "1", "2", "3"):
+            env = {"PYTHONPATH": src, "PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"}
+            done = subprocess.run(
+                [sys.executable, "-c", _INTERNING_ORDER],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert done.returncode == 0, done.stderr
+            orders.add(done.stdout)
+        assert len(orders) == 1

@@ -80,6 +80,13 @@ class TestPipelineStages:
         with pytest.raises(AnalysisError, match="unknown pipeline stage"):
             Pipeline().run(workloads.challenge_f_program(), goals=("nonsense",))
 
+    def test_a_bare_string_goal_is_an_error(self):
+        # Iterating "parse" would ask for the unknown stage 'p'.
+        with pytest.raises(
+            AnalysisError, match=r"not the string 'parse'; write goals=\('parse',\)"
+        ):
+            Pipeline().run(workloads.challenge_f_program(), goals="parse")
+
     @pytest.mark.parametrize("name", ["cfg", "active", "local", "hierarchy", "summary"])
     def test_the_front_has_no_sub_stages(self, name):
         with pytest.raises(AnalysisError, match=f"unknown pipeline stage {name!r}"):
@@ -104,10 +111,9 @@ class TestPipelineStages:
             "design", "program_cfg", "active", "rm_local",
         )
         assert flat_front.option_fields == linked_front.option_fields
-        assert flat_front.universe_bound and linked_front.universe_bound
         # Every need is a stage's artefact or an input of the run.
         produced = {name for stage in STAGES for name in stages_module._attrs(stage)}
-        inputs = {"source", "cache", "universe", "policy", "report_options"}
+        inputs = {"source", "cache", "policy", "report_options"}
         for stage in STAGES:
             assert set(stage.needs) <= produced | inputs, stage.name
 
@@ -255,7 +261,7 @@ class TestArtifactCache:
         assert [stage.name for stage in baseline.stages] == ["elaborate", "kemmerer"]
         assert baseline.cached_stages == ["elaborate"]
         assert baseline.kemmerer.rm_local is analysis.result.rm_local
-        assert baseline.artifacts.universe is analysis.result.universe
+        assert baseline.kemmerer.graph.universe is analysis.result.universe
         cold = Pipeline().run(source, goals=("kemmerer",)).kemmerer
         assert baseline.kemmerer.graph.to_adjacency() == cold.graph.to_adjacency()
 
@@ -267,7 +273,7 @@ class TestArtifactCache:
         warm = pipeline.run(source, goals=("kemmerer",))
         assert not cold.cached_stages
         assert warm.cached_stages == ["kemmerer"]
-        assert warm.kemmerer.rm_local.universe is warm.artifacts.universe
+        assert warm.kemmerer.graph.universe is warm.kemmerer.rm_local.universe
         assert (
             warm.kemmerer.graph.to_adjacency() == cold.kemmerer.graph.to_adjacency()
         )
@@ -275,12 +281,12 @@ class TestArtifactCache:
         assert pipeline.run(source).cached_stages == ["place"]
 
     def test_partial_eviction_never_mixes_universes(self):
-        # Evict one universe-bound entry (the front) and recompute it alone,
-        # so its new entry holds another universe than the surviving
-        # "specialize", "closure" and "flow_graph" entries.  A full run
-        # adopts the flow graph's universe; reading RM_lo must then
-        # recompute the front rather than adopt the foreign universe, so
-        # every artifact of one run shares one universe.
+        # Evict the front and recompute it alone, so its new entry holds
+        # another universe object than the surviving "closure" and
+        # "flow_graph" entries.  The front's universe is final, so the two
+        # hold the same facts, and a full run serves both entries as they
+        # are: each artefact decodes through its own universe, and no run
+        # mixes universes that hold different facts.
         cache = ArtifactCache()
         pipeline = Pipeline(cache)
         source = workloads.producer_consumer_program()
@@ -292,16 +298,18 @@ class TestArtifactCache:
         del cache._entries[key]
         alone = pipeline.run(source, goals=("elaborate",))
         assert alone.computed_stages == ["parse", "elaborate"]
-        assert cache._entries[key][1] is not cold.result.universe
+        front_universe = cache._entries[key][3].universe
+        assert front_universe is not cold.result.universe
+        assert list(front_universe) == list(cold.result.universe)
 
         rerun = pipeline.run(source)
         assert rerun.cached_stages == WARM_STAGE_NAMES
-        assert rerun.result.rm_local.universe is rerun.result.universe
-        # The foreign front is a miss, so the plan is picked by the parse.
-        assert rerun.computed_stages == ["parse", "elaborate"]
+        assert rerun.result.rm_local.universe is front_universe
         assert rerun.result.rm_global.universe is rerun.result.universe
-        assert rerun.result.specialized is cold.result.specialized
-        assert rerun.cached_stages == [*WARM_STAGE_NAMES, "closure", "specialize"]
+        assert rerun.computed_stages == []
+        assert rerun.cached_stages == [*WARM_STAGE_NAMES, "elaborate", "closure"]
+        assert rerun.result.rm_local == cold.result.rm_local
+        assert rerun.result.rm_global == cold.result.rm_global
 
     def test_eviction_keeps_the_cache_bounded(self):
         cache = ArtifactCache(max_entries=2)

@@ -275,3 +275,13 @@ class TestMalformedPayloads:
             nulls, defaults = json.loads(nulls[1]), json.loads(defaults[1])
             assert nulls["options"]["improved"] is True
             assert nulls["graph"] == defaults["graph"]
+            # A null list member is absent too.
+            checks = [
+                _post(running.port, "/check", {"source": _SOURCE, **members})
+                for members in ({}, {"output": None}, {"output": None, "secret": None})
+            ]
+            assert [status for status, _ in checks] == [200, 200, 200]
+            documents = [json.loads(text) for _, text in checks]
+            for document in documents:
+                del document["timings"], document["cached_stages"]
+            assert documents[1] == documents[2] == documents[0]
