@@ -47,14 +47,16 @@ lint:
 		echo "lint: mypy not installed, skipping typed-core gate"; \
 	fi
 
-# The disk-cache, demand-driven-run and hierarchy-invalidation tests under
-# PYTHONHASHSEED 0-39: a universe, key or document that followed string
-# hashing (the iteration order of a set of names) differs between seeds.
+# The disk-cache, demand-driven-run, hierarchy-invalidation, per-unit parse
+# and reach tests under PYTHONHASHSEED 0-39: a universe, key or document
+# that followed string hashing (the iteration order of a set of names)
+# differs between seeds.
 hashseeds:
 	for seed in $$(seq 0 39); do \
 		PYTHONHASHSEED=$$seed PYTHONPATH=src $(PYTHON) -m pytest -q \
 			tests/test_disk_cache.py tests/test_goal_first.py \
-			tests/test_hier_invalidation.py \
+			tests/test_hier_invalidation.py tests/test_parse_units.py \
+			tests/test_reach.py \
 			|| { echo "hashseeds: PYTHONHASHSEED=$$seed failed"; exit 1; }; \
 	done
 

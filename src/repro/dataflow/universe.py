@@ -55,10 +55,11 @@ class FactUniverse(Generic[Fact]):
     __slots__ = ("_index", "_facts")
 
     def __init__(self, facts: Iterable[Fact] = ()):
-        self._index: Dict[Fact, int] = {}
-        self._facts: List[Fact] = []
-        for fact in facts:
-            self.intern(fact)
+        # One pass, in first-occurrence order: a snapshot's facts are unique.
+        self._facts: List[Fact] = list(dict.fromkeys(facts))
+        self._index: Dict[Fact, int] = {
+            fact: index for index, fact in enumerate(self._facts)
+        }
 
     # -- interning -----------------------------------------------------------
 

@@ -22,7 +22,7 @@ what keeps their renaming schemes aligned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import HierarchyError
 from repro.vhdl import ast
@@ -114,20 +114,112 @@ class DesignHierarchy:
 # ---------------------------------------------------------------------------
 
 
-def _body_has_instantiations(body: List[ast.ConcurrentStatement]) -> bool:
+def _instantiated(body: List[ast.ConcurrentStatement]) -> Iterator[str]:
+    """The components ``body`` instantiates, in order, blocks included."""
     for stmt in body:
         if isinstance(stmt, ast.ComponentInstantiation):
-            return True
-        if isinstance(stmt, ast.BlockStatement) and _body_has_instantiations(
-            stmt.body
-        ):
-            return True
-    return False
+            yield stmt.component.lower()
+        elif isinstance(stmt, ast.BlockStatement):
+            yield from _instantiated(stmt.body)
 
 
 def has_instantiations(program: ast.Program) -> bool:
     """True when any architecture instantiates a component (even in blocks)."""
-    return any(_body_has_instantiations(arch.body) for arch in program.architectures)
+    return any(
+        next(_instantiated(arch.body), None) is not None
+        for arch in program.architectures
+    )
+
+
+@dataclass(frozen=True)
+class Outline:
+    """What one design unit declares, as far as the choice of a front and
+    of an entity's units go: the entities it declares, and each of its
+    architectures' entity and the components that architecture
+    instantiates (blocks included), in order and in lower case."""
+
+    entities: Tuple[str, ...]
+    architectures: Tuple[Tuple[str, Tuple[str, ...]], ...]
+
+
+def outline(program: ast.Program) -> Outline:
+    """The :class:`Outline` of one design unit's AST."""
+    return Outline(
+        tuple(entity.name.lower() for entity in program.entities),
+        tuple(
+            (arch.entity_name.lower(), tuple(_instantiated(arch.body)))
+            for arch in program.architectures
+        ),
+    )
+
+
+def _roots(architectures: Sequence[Tuple[int, str, Tuple[str, ...]]]) -> List[str]:
+    """The entities of the architectures no architecture instantiates."""
+    instantiated = {name for _, _, components in architectures for name in components}
+    return [name for _, name, _ in architectures if name not in instantiated]
+
+
+def reach(
+    outlines: Sequence[Outline], entity_name: Optional[str] = None
+) -> Tuple[bool, Tuple[int, ...]]:
+    """Whether a file's units are linked, and which units an entity reaches.
+
+    ``outlines`` are the file's units in order.  The units are linked when
+    any architecture instantiates a component (:func:`has_instantiations`
+    over all of them).  The entity reaches the first unit declaring it and
+    the first holding one of its architectures (the ones
+    :meth:`~repro.vhdl.ast.Program.entity` and
+    :meth:`~repro.vhdl.ast.Program.architecture_of` return), and what the
+    components of that architecture reach in turn.  ``entity_name=None``
+    names the entity of the one architecture no architecture instantiates
+    (a flat file's only architecture, a linked file's root, as
+    :func:`build_hierarchy` infers it), and the reached units alone must
+    infer the same one.  When a lookup fails or ``None`` is ambiguous, every
+    unit is reached, so the fronts raise their usual errors.
+    """
+    architectures = [
+        (index, name, components)
+        for index, unit in enumerate(outlines)
+        for name, components in unit.architectures
+    ]
+    linked = any(components for _, _, components in architectures)
+    reached = _reached(outlines, architectures, entity_name)
+    return linked, reached if reached is not None else tuple(range(len(outlines)))
+
+
+def _reached(
+    outlines: Sequence[Outline],
+    architectures: List[Tuple[int, str, Tuple[str, ...]]],
+    entity_name: Optional[str],
+) -> Optional[Tuple[int, ...]]:
+    roots = _roots(architectures) if entity_name is None else None
+    if roots is not None and len(roots) != 1:
+        return None
+    first_entity: Dict[str, int] = {}
+    for index, unit in enumerate(outlines):
+        for name in unit.entities:
+            first_entity.setdefault(name, index)
+    first_architecture: Dict[str, Tuple[int, Tuple[str, ...]]] = {}
+    for index, name, components in architectures:
+        first_architecture.setdefault(name, (index, components))
+    reached: Set[int] = set()
+    seen: Set[str] = set()
+    pending = [entity_name.lower() if roots is None else roots[0]]
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        if name not in first_entity or name not in first_architecture:
+            return None
+        index, components = first_architecture[name]
+        reached.update((first_entity[name], index))
+        pending.extend(components)
+    if roots is not None and _roots(
+        [item for item in architectures if item[0] in reached]
+    ) != roots:
+        return None
+    return tuple(sorted(reached))
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +462,9 @@ def _infer_root(program: ast.Program) -> str:
     """The unique entity that no architecture instantiates."""
     if not program.architectures:
         raise HierarchyError("program contains no architecture")
-    instantiated = set()
-    for arch in program.architectures:
-
-        def scan(body: List[ast.ConcurrentStatement]) -> None:
-            for stmt in body:
-                if isinstance(stmt, ast.ComponentInstantiation):
-                    instantiated.add(stmt.component.lower())
-                elif isinstance(stmt, ast.BlockStatement):
-                    scan(stmt.body)
-
-        scan(arch.body)
+    instantiated = {
+        name for arch in program.architectures for name in _instantiated(arch.body)
+    }
     roots = [
         arch.entity_name
         for arch in program.architectures

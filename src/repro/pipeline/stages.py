@@ -12,8 +12,9 @@ under renaming:
 ========== =====================================================
 stage      artefact
 ========== =====================================================
-parse      the VHDL1 AST (:func:`repro.vhdl.parser.parse_program`), one
-           design unit at a time
+parse      the VHDL1 AST of the units the run reads
+           (:func:`repro.vhdl.parser.parse_program`), one design unit at a
+           time
 elaborate  the flat front: the :class:`~repro.vhdl.elaborate.Design`, its
            :class:`~repro.cfg.builder.ProgramCFG`, the per-process
            active-signals results (Table 4) and the local Resource Matrix
@@ -40,23 +41,30 @@ A run is asked for its *goals*, a tuple of stage names:
 one stage of a partial run, such as ``("parse",)`` or a front.  Every other
 stage is on demand.  A goal is served from the cache when it can be; a stage
 that misses first resolves the producers of the context attributes it reads
-(``Stage.needs``) and the context lacks, then runs.  Only the front depends
-on the source, so it is picked the first time a stage needs one of its
-artefacts.  Each front is cached only for its own sources, so the run probes
-``elaborate``, then ``place``: a hit picks the front (and is kept as its
-artefact), and only when both miss does the run parse the source and look
-for instantiations.  So a fully cached run reads its goal entries and
-nothing else, and a stage that misses reads only what it needs.  The
+(``Stage.needs``) and the context lacks, then runs.  The
 :class:`~repro.pipeline.artifacts.AnalysisResult` a run returns is a view
 over its context, and resolves any other artefact the first time a caller
 reads it.
+
+Only the front depends on the source, and it reads one entity/architecture
+pair and the entities it instantiates.  So before its first keyed lookup a
+run with a cache resolves its :class:`Reach`: the units its entity reaches,
+the file's front, and the key every stage entry is stored under.  A file
+text seen before has its reach recorded, so a fully cached run reads that
+record and its goal entries and nothing else.  On first contact the run
+reads every unit's outline, parsing the units that have none (this is its
+``parse``), and an edit that changes no reached unit and no outline keeps
+the key: nothing after the parse runs again.  The fronts read the
+``Program`` of the reached units; a ``("parse",)`` run, which analyses no
+entity, yields the whole file.  Without a cache the run parses the whole
+file and looks for instantiations.
 
 Each stage is individually invokable (``Pipeline.run(...,
 goals=("elaborate",))`` stops after the flat front;
 ``PipelineResult.artifacts`` exposes every resolved artefact), wall-clock
 timed (``PipelineResult.timings``), and backed by a content-addressed
 artifact cache (any of the stores in :mod:`repro.pipeline.cache` —
-in-memory, on-disk, or the two-tier composition) keyed by source hash + the
+in-memory, on-disk, or the two-tier composition) keyed by the reach key + the
 analysis options the stage depends on — so repeated runs of the same design
 skip straight to the cached artefacts (``PipelineResult.cached_stages`` says
 which), across process restarts when the cache has a disk tier.  A stage the
@@ -67,10 +75,12 @@ The :class:`AnalysisOptions` fields each stage's cache key includes
 (``Stage.option_fields``; see also ``docs/architecture.md``):
 
 ========== ==========================================================
-stage      cache-key option fields (plus the stage name + source hash)
+stage      cache-key option fields (plus the stage name + reach key)
 ========== ==========================================================
 parse      no stage entry: each design unit is cached under
-           ``parse:<sha256 of "<first line>:<unit text>">``
+           ``parse:<sha256 of "<first line>:<unit text>">``, its outline
+           under ``unit:<the same digest>``, and a file text's
+           :class:`Reach` under ``reach:<sha256(file)>:entity=…``
 elaborate  entity, loop_processes
 place      entity, loop_processes; each entity's summary is also cached
            under ``summary:v<format>:<self-slice digest>:<entity>:loop_processes=…``
@@ -101,7 +111,7 @@ hold different universe objects with the same facts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import repro.analysis.lint
@@ -120,7 +130,7 @@ from repro.analysis.specialize import specialize
 from repro.cfg.builder import build_cfg
 from repro.errors import AnalysisError, ReproError, nesting_limit
 from repro.hier.link import Placed, link_hierarchy, summarize_hierarchy
-from repro.hier.structure import build_hierarchy, has_instantiations
+from repro.hier.structure import build_hierarchy, has_instantiations, outline, reach
 from repro.pipeline.artifacts import (
     AnalysisOptions,
     AnalysisResult,
@@ -132,6 +142,22 @@ from repro.pipeline.cache import ArtifactCache, source_digest
 from repro.vhdl.ast import Program
 from repro.vhdl.elaborate import Design, elaborate
 from repro.vhdl.parser import parse_program, split_units
+
+
+@dataclass(frozen=True)
+class Reach:
+    """The units one entity's analysis of a file reads, and the key they give.
+
+    ``key`` stands for the file in every stage key: a sha256 over every
+    unit's :class:`~repro.hier.structure.Outline`, in file order, and the
+    first line and text of each reached unit.  ``front`` names the file's
+    front, and ``units`` the reached units' indices in
+    :func:`~repro.vhdl.parser.split_units` order.
+    """
+
+    key: str
+    front: str
+    units: Tuple[int, ...]
 
 
 @dataclass
@@ -147,7 +173,10 @@ class PipelineContext:
 
     options: AnalysisOptions
     source: Optional[str] = None
-    source_key: Optional[str] = None
+    reach: Optional[Reach] = None
+    """The run's :class:`Reach`, resolved before its first keyed lookup."""
+    parsed: Dict[int, Program] = field(default_factory=dict)
+    """The units the run parsed, by index: the parse reads them first."""
     cache: Optional[ArtifactCache] = None
     program: Optional[Any] = None
     design: Optional[Design] = None
@@ -183,28 +212,76 @@ class PipelineContext:
 
 
 def _run_parse(ctx: PipelineContext) -> Program:
-    """The file's AST, each design unit from the cache or parsed and cached.
+    """The AST of the units the run reads, each from the cache or parsed.
 
-    A unit is keyed on its first line and its text (see
-    :func:`~repro.vhdl.parser.split_units`), so an edit re-parses only the
-    units whose text or first line it changed.  A unit the parser rejects
-    is not cached, and the whole file is parsed instead, for its error.
+    A run with a :class:`Reach` reads the units its entity reaches, and a
+    run without one (no cache, or a ``("parse",)`` run, which analyses no
+    entity) the whole file.  A unit is keyed on its first line and its text
+    (see :func:`~repro.vhdl.parser.split_units`), so an edit re-parses only
+    the units whose text or first line it changed.  A unit the parser
+    rejects is not cached, and the whole file is parsed instead, for its
+    error.
     """
     if ctx.cache is None:
         return parse_program(ctx.source)
+    units = split_units(ctx.source)
     program = Program()
-    for line, text in split_units(ctx.source):
-        key = f"parse:{source_digest(f'{line}:{text}')}"
-        unit = ctx.cache.get(key)
+    for index in range(len(units)) if ctx.reach is None else ctx.reach.units:
+        line, text = units[index]
+        digest = source_digest(f"{line}:{text}")
+        unit = ctx.parsed.get(index)
         if unit is None:
-            try:
-                unit = parse_program(text, line)
-            except ReproError:
+            unit = ctx.cache.get(f"parse:{digest}")
+        if unit is None:
+            unit = _parse_unit(ctx, line, text, digest)
+            if unit is None:
                 return parse_program(ctx.source)
-            ctx.cache.put(key, unit)
         program.entities.extend(unit.entities)
         program.architectures.extend(unit.architectures)
     return program
+
+
+def _parse_unit(
+    ctx: PipelineContext, line: int, text: str, digest: str
+) -> Optional[Program]:
+    """Parse one unit and cache its AST and its outline (None if rejected)."""
+    try:
+        unit = parse_program(text, line)
+    except ReproError:
+        return None
+    ctx.cache.put(f"parse:{digest}", unit)
+    ctx.cache.put(f"unit:{digest}", outline(unit))
+    return unit
+
+
+def _find_reach(ctx: PipelineContext) -> Reach:
+    """The :class:`Reach` of a file text the cache has no record of.
+
+    Every unit's outline is read from its ``unit:`` entry, or the unit is
+    parsed and both its entries written, so every unit is checked: a unit
+    the parser rejects gives the whole-file parse's error, as in
+    :func:`_run_parse`.  The front and the reached units are picked from
+    the outlines (:func:`~repro.hier.structure.reach`).
+    """
+    units = split_units(ctx.source)
+    outlines = []
+    for index, (line, text) in enumerate(units):
+        digest = source_digest(f"{line}:{text}")
+        found = ctx.cache.get(f"unit:{digest}")
+        if found is None:
+            unit = _parse_unit(ctx, line, text, digest)
+            if unit is None:
+                # The file's error; should the file parse, it reaches all.
+                program = parse_program(ctx.source)
+                front = PLACE if has_instantiations(program) else ELABORATE
+                everything = tuple(range(len(units)))
+                return Reach(source_digest(ctx.source), front.name, everything)
+            ctx.parsed[index] = unit
+            found = outline(unit)
+        outlines.append(found)
+    linked, reached = reach(outlines, ctx.options.entity)
+    key = source_digest(repr((outlines, [units[index] for index in reached])))
+    return Reach(key, (PLACE if linked else ELABORATE).name, reached)
 
 
 def _run_elaborate(ctx: PipelineContext) -> Placed:
@@ -290,11 +367,12 @@ class Stage:
     ``attr`` names the context attribute the artefact lands in (a tuple of
     names for a stage producing several artefacts at once).
     ``option_fields`` lists the :class:`AnalysisOptions` fields the stage's
-    artefact depends on — they (with the source hash and the stage name) form
+    artefact depends on — they (with the reach key and the stage name) form
     the cache key.  ``needs`` names the context attributes ``run`` reads
-    besides ``options``: a stage that misses the cache first resolves, in
-    that order, the producers of those the context lacks (the order makes a
-    cold run compute the stages in chain order).
+    besides those key inputs, ``options`` and ``reach``: a stage that misses
+    the cache first resolves, in that order, the producers of those the
+    context lacks (the order makes a cold run compute the stages in chain
+    order).
     """
 
     name: str
@@ -400,7 +478,7 @@ STAGES: Tuple[Stage, ...] = (
     REPORT,
 )
 
-#: The two fronts, in probe order: a flat source's and a linked source's.
+#: The two fronts: a flat source's and a linked source's.
 FRONTS: Tuple[Stage, ...] = (ELABORATE, PLACE)
 
 #: The full analysis: the flow graph and the inventory, and the report when
@@ -427,8 +505,22 @@ _PRODUCERS: Dict[str, Stage] = {
 
 
 def _resolved(ctx: PipelineContext, stage: Stage) -> bool:
-    """True once the run has served or computed ``stage``."""
-    return any(timing.name == stage.name for timing in ctx.stages)
+    """True once ``stage``'s artefact is in the context."""
+    return all(getattr(ctx, name) is not None for name in _attrs(stage))
+
+
+def _record(ctx: PipelineContext, timing: StageTiming) -> None:
+    """Add ``timing`` to the run's stages.
+
+    ``parse`` can run twice in one run, for the reach and then for the
+    reached units' AST; its one entry adds up both.
+    """
+    for index, earlier in enumerate(ctx.stages):
+        if earlier.name == timing.name:
+            seconds = earlier.seconds + timing.seconds
+            ctx.stages[index] = replace(timing, seconds=seconds)
+            return
+    ctx.stages.append(timing)
 
 
 def _store(ctx: PipelineContext, stage: Stage, artifact: Any) -> None:
@@ -440,13 +532,13 @@ def _store(ctx: PipelineContext, stage: Stage, artifact: Any) -> None:
         setattr(ctx, stage.attr, artifact)
 
 
-def stage_key(stage: Stage, source_key: str, options: AnalysisOptions) -> str:
+def stage_key(stage: Stage, reach_key: str, options: AnalysisOptions) -> str:
     """The content address of one stage artefact.
 
-    A stage with no ``option_fields`` keys on its name and the source hash
-    alone.
+    ``reach_key`` is the run's :attr:`Reach.key`.  A stage with no
+    ``option_fields`` keys on its name and the reach key alone.
     """
-    parts = [stage.name, source_key]
+    parts = [stage.name, reach_key]
     if stage.option_fields:
         parts.extend(
             f"{name}={getattr(options, name)!r}" for name in stage.option_fields
@@ -509,7 +601,6 @@ class Pipeline:
         ctx = PipelineContext(
             options=options if options is not None else AnalysisOptions(),
             source=source,
-            source_key=source_digest(source),
             cache=self.cache,
             policy=policy,
             report_options=dict(report_options or {}),
@@ -548,20 +639,35 @@ class Pipeline:
     def _front(self, ctx: PipelineContext) -> Stage:
         """The source's front, picked the first time the run needs it.
 
-        Each front is cached only for its own sources, so the run probes
-        :data:`FRONTS` in order, and a hit picks the front and is kept as
-        its artefact.  When both miss, the run parses the source and looks
-        for instantiations.  A probe that missed is not looked up again.
+        With a cache it is the run's :class:`Reach`'s; without one the run
+        parses the source and looks for instantiations.
         """
         if ctx.front is None:
-            for front in FRONTS:
-                if self._serve(ctx, front):
-                    ctx.front = front
-                    break
-            else:
+            if self.cache is None:
                 self._resolve(ctx, PARSE)
                 ctx.front = PLACE if has_instantiations(ctx.program) else ELABORATE
+            else:
+                ctx.front = _BY_NAME[self._reach(ctx).front]
         return ctx.front
+
+    def _reach(self, ctx: PipelineContext) -> Reach:
+        """The run's :class:`Reach`, from its record or found and recorded.
+
+        The record is keyed on the file text and the entity,
+        ``reach:<sha256 of the file>:entity=…``.  Finding it
+        (:func:`_find_reach`) reads every unit's outline and parses the units
+        that have none, so it is timed as the run's ``parse``.
+        """
+        if ctx.reach is None:
+            record = f"reach:{source_digest(ctx.source)}:entity={ctx.options.entity!r}"
+            ctx.reach = self.cache.get(record)
+            if ctx.reach is None:
+                started = time.perf_counter()
+                with nesting_limit(f"the {PARSE.name} stage"):
+                    ctx.reach = _find_reach(ctx)
+                self.cache.put(record, ctx.reach)
+                _record(ctx, StageTiming(PARSE.name, time.perf_counter() - started))
+        return ctx.reach
 
     def _resolve(self, ctx: PipelineContext, stage: Stage) -> None:
         """Put ``stage``'s artefact in ``ctx``, from the cache or by running it.
@@ -585,8 +691,9 @@ class Pipeline:
         """
         if self.cache is None or not stage.cacheable or stage.name in ctx.missed:
             return False
+        key = stage_key(stage, self._reach(ctx).key, ctx.options)
         started = time.perf_counter()
-        artifact = self.cache.get(stage_key(stage, ctx.source_key, ctx.options))
+        artifact = self.cache.get(key)
         if artifact is None:
             ctx.missed.add(stage.name)
             return False
@@ -612,10 +719,9 @@ class Pipeline:
         elapsed = time.perf_counter() - started
         _store(ctx, stage, artifact)
         if self.cache is not None and stage.cacheable:
-            self.cache.put(stage_key(stage, ctx.source_key, ctx.options), artifact)
-        ctx.stages.append(
-            StageTiming(stage.name, elapsed, cached=False, profile=stage_profile)
-        )
+            key = stage_key(stage, self._reach(ctx).key, ctx.options)
+            self.cache.put(key, artifact)
+        _record(ctx, StageTiming(stage.name, elapsed, profile=stage_profile))
 
     @classmethod
     def _run_profiled(

@@ -795,13 +795,17 @@ def parse_program(source: str, line: int = 1) -> ast.Program:
     return Parser(tokenize(source, line)).parse_program()
 
 
-#: A design unit's head at column 1: ``entity <id> is`` or
-#: ``architecture <id> of``, in any case.
-_UNIT_HEAD = re.compile(
-    r"^(?:entity[ \t]+[a-z_][a-z0-9_]*[ \t]+is"
-    r"|architecture[ \t]+[a-z_][a-z0-9_]*[ \t]+of)\b",
-    re.IGNORECASE | re.MULTILINE,
+_HEAD = (
+    r"(?:entity[ \t]+[a-z_][a-z0-9_]*[ \t]+is"
+    r"|architecture[ \t]+[a-z_][a-z0-9_]*[ \t]+of)\b"
 )
+#: A design unit's head at column 1: ``entity <id> is`` or
+#: ``architecture <id> of``, in any case.  :data:`_UNIT_HEAD` matches the
+#: line break before a head, so the scan jumps from one ``\n`` to the next
+#: instead of testing for a line start at every offset; a head at offset 0
+#: is :data:`_FIRST_HEAD`'s.
+_UNIT_HEAD = re.compile(r"\n(?=" + _HEAD + ")", re.IGNORECASE)
+_FIRST_HEAD = re.compile(_HEAD, re.IGNORECASE)
 
 
 def split_units(source: str) -> List[Tuple[int, str]]:
@@ -820,7 +824,10 @@ def split_units(source: str) -> List[Tuple[int, str]]:
     architectures gives exactly ``parse_program(source)``; when it rejects
     one, only the whole-file parse gives the file's error.
     """
-    starts = [0] + [match.start() for match in _UNIT_HEAD.finditer(source)][1:]
+    heads = [match.end() for match in _UNIT_HEAD.finditer(source)]
+    if _FIRST_HEAD.match(source) is None:
+        heads = heads[1:]  # the text before the first head joins its unit
+    starts = [0] + heads
     units: List[Tuple[int, str]] = []
     line = 1
     for start, stop in zip(starts, starts[1:] + [len(source)]):

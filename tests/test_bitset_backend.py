@@ -52,6 +52,19 @@ class TestFactUniverse:
             assert universe.fact_of(universe.index_of(fact)) == fact
         assert list(universe) == [("x", 1), ("y", 2), "plain"]
 
+    def test_building_from_facts_equals_interning_them_one_at_a_time(self):
+        rng = random.Random(11)
+        pool = [f"fact_{i}" for i in range(40)] + [("n", "in"), ("n", "out")]
+        facts = [rng.choice(pool) for _ in range(120)]
+        assert len(set(facts)) < len(facts)  # duplicates, in no sorted order
+        built = FactUniverse(facts)
+        interned = FactUniverse()
+        for fact in facts:
+            interned.intern(fact)
+        assert list(built) == list(interned)
+        assert all(built.index_of(fact) == interned.index_of(fact) for fact in facts)
+        assert built.intern("late") == interned.intern("late") == len(interned) - 1
+
     def test_encode_decode_round_trip_randomized(self):
         rng = random.Random(7)
         pool = [f"fact_{i}" for i in range(200)]

@@ -391,17 +391,17 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["command"] == "cache-stats"
-        # Six stage entries plus one parse entry per design unit (the
-        # entity and its architecture).
-        assert stats["entries"] == 8
+        # Six stage entries, one parse entry and one outline per design unit
+        # (the entity and its architecture), and the reach record.
+        assert stats["entries"] == 11
         assert stats["stages"]["parse"] == 2
 
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         text = capsys.readouterr().out
-        assert "entries: 8" in text
+        assert "entries: 11" in text
 
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
-        assert "cleared 8 entries" in capsys.readouterr().out
+        assert "cleared 11 entries" in capsys.readouterr().out
 
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 0

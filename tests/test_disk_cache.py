@@ -201,10 +201,11 @@ class TestCorruptionIsEvictedNotRaised:
         other = workloads.producer_consumer_program()
         assert _fresh_run(cache_dir, other).cached_stages == []
         assert _fresh_run(cache_dir, other).cached_stages == WARM_STAGE_NAMES
-        # Per source: one entry per cached stage, plus one parse entry per
-        # design unit (an entity and its architecture).
+        # Per source: one entry per cached stage, one parse entry and one
+        # outline per design unit (an entity and its architecture), and the
+        # reach record.
         assert DiskArtifactCache(cache_dir).stats()["entries"] == 2 * (
-            len(CACHED_STAGE_NAMES) + 2
+            len(CACHED_STAGE_NAMES) + 2 + 2 + 1
         )
         assert index_path.read_text(encoding="utf-8") == text
 
@@ -377,11 +378,13 @@ class TestEvictionAndStats:
         _populate(cache_dir, workloads.challenge_f_program())
         disk = DiskArtifactCache(cache_dir)
         stats = disk.stats()
-        assert stats["entries"] == len(CACHED_STAGE_NAMES) + 2
+        assert stats["entries"] == len(CACHED_STAGE_NAMES) + 2 + 2 + 1
         assert stats["version"] == FORMAT_VERSION
-        assert set(stats["stages"]) == {"parse", *CACHED_STAGE_NAMES}
-        # One parse entry per design unit: the entity and its architecture.
-        assert stats["stages"]["parse"] == 2
+        assert set(stats["stages"]) == {"parse", "unit", "reach", *CACHED_STAGE_NAMES}
+        # One parse entry and one outline per design unit (the entity and
+        # its architecture), and one reach record.
+        assert stats["stages"]["parse"] == stats["stages"]["unit"] == 2
+        assert stats["stages"]["reach"] == 1
         assert stats["bytes"] > 0 and stats["universes"] >= 1
 
     def test_clear_empties_the_store(self, cache_dir):
@@ -575,12 +578,13 @@ class TestTieredCache:
         _populate(cache_dir, source)
         tier = TieredArtifactCache(ArtifactCache(), DiskArtifactCache(cache_dir))
         Pipeline(tier).run(source)
-        assert tier.disk.hits == len(WARM_STAGE_NAMES)
+        # The goals' entries and the reach record.
+        assert tier.disk.hits == len(WARM_STAGE_NAMES) + 1
         again = Pipeline(tier).run(source)
         assert again.cached_stages == WARM_STAGE_NAMES
         # second run is served by the memory tier alone
-        assert tier.disk.hits == len(WARM_STAGE_NAMES)
-        assert tier.memory.hits == len(WARM_STAGE_NAMES)
+        assert tier.disk.hits == len(WARM_STAGE_NAMES) + 1
+        assert tier.memory.hits == len(WARM_STAGE_NAMES) + 1
 
     def test_open_cache_factory(self, cache_dir):
         assert isinstance(open_cache(None), ArtifactCache)

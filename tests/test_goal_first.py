@@ -116,7 +116,8 @@ class TestWarmRunsSkipTheOnDemandStages:
         assert warm.cached_stages == FLAT_WARM
         assert warm.computed_stages == []
         assert cache.misses == 0 and cache.disk.misses == 0
-        assert cache.disk.hits == 2
+        # The reach record and the goals' entries.
+        assert cache.disk.hits == 3
         assert _masked(warm) == _masked(cold)
 
     def test_disk_warm_linked_run_computes_nothing(self, tmp_path, monkeypatch):
@@ -130,28 +131,29 @@ class TestWarmRunsSkipTheOnDemandStages:
         warm = Pipeline(cache).run(source)
         assert warm.computed_stages == []
         assert warm.cached_stages == LINKED_WARM
-        # The goals' keys do not depend on the plan, so none is picked: no
-        # probe, and no miss.
+        # The reach record names the plan: no probe, and no miss.
         assert cache.misses == 0
-        assert cache.disk.hits == 2
+        assert cache.disk.hits == 3
         assert _masked(warm) == _masked(cold)
 
     @pytest.mark.parametrize("kind", ["flat", "linked"])
     def test_a_cold_run_adds_one_miss_for_the_plan(self, kind):
         cache = _RecordingMisses()
         run = Pipeline(cache).run(SOURCES[kind]())
-        # Each cacheable stage misses once and each design unit's parse
-        # once; the other front is the one extra lookup.  Each stage is
-        # looked up before the stages it needs, and the closure is the
-        # first to need the front: both fronts miss, so the parse picks it.
-        # (Entity summaries have keys of their own.)
+        # The reach record misses first, then each design unit's outline
+        # (the reach parses the unit and caches its AST), then each
+        # cacheable stage once.  Each stage is looked up before the stages
+        # it needs, and the closure is the first to need the front, which
+        # the reach named: its one front misses, and the AST it reads is
+        # the units just parsed.  (Entity summaries have keys of their own.)
         units = {"flat": 2, "linked": 4}
+        front = {"flat": "elaborate", "linked": "place"}[kind]
         assert [name for name in cache.missed if name != "summary"] == [
+            "reach",
+            *["unit"] * units[kind],
             "flow_graph",
             "closure",
-            "elaborate",
-            "place",
-            *["parse"] * units[kind],
+            front,
             "specialize",
             "reaching",
             "inventory",
@@ -250,7 +252,7 @@ class TestPartialEviction:
             assert len(evicted) == len(split_units(source))
         else:
             stage = getattr(stages_module, name.upper())
-            evicted = [stage_key(stage, source_digest(source), AnalysisOptions())]
+            evicted = [stage_key(stage, cold.artifacts.reach.key, AnalysisOptions())]
         for key in evicted:
             del cache._entries[key]
 
@@ -303,7 +305,7 @@ class TestWarmDocumentsReadOnlyTheirGoals:
             command: _document(populating, command, source, SECRETS[kind])[1]
             for command in ("analyze", "check", "lint")
         }
-        kept = {"flow_graph", "inventory", "lint", "universes"}
+        kept = {"reach", "flow_graph", "inventory", "lint", "universes"}
         for directory in cache_dir.iterdir():
             if directory.name not in kept:
                 for entry in directory.iterdir():
@@ -311,9 +313,10 @@ class TestWarmDocumentsReadOnlyTheirGoals:
                 directory.rmdir()
         assert {directory.name for directory in cache_dir.iterdir()} == kept
 
-        # Each document reads its goals' entries and nothing else, so the
-        # deleted entries are never looked up and nothing is recomputed.
-        disk_hits = {"analyze": 2, "check": 2, "lint": 3}
+        # Each document reads the reach record and its goals' entries and
+        # nothing else, so the deleted entries are never looked up and
+        # nothing is recomputed.
+        disk_hits = {"analyze": 3, "check": 3, "lint": 4}
         computed = {"analyze": [], "check": ["report"], "lint": []}
         for command in ("analyze", "check", "lint"):
             workspace = Workspace(cache_dir=str(cache_dir))

@@ -30,7 +30,8 @@ from repro.pipeline import (
 from repro.pipeline import batch as batch_module
 from repro.pipeline import stages as stages_module
 from repro.security.policy import TwoLevelPolicy
-from repro.vhdl.parser import split_units
+from repro.vhdl.ast import Program
+from repro.vhdl.parser import parse_program, split_units
 from repro.workspace import Workspace
 
 ANALYSIS_STAGE_NAMES = [
@@ -165,7 +166,8 @@ class TestArtifactCache:
         warm = pipeline.run(source)
         assert not cold.cached_stages
         assert warm.cached_stages == WARM_STAGE_NAMES
-        assert cache.hits == len(WARM_STAGE_NAMES)
+        # The warm run reads the reach record and its goals.
+        assert cache.hits == 1 + len(WARM_STAGE_NAMES)
         assert render_analysis_text(warm.result) == render_analysis_text(cold.result)
 
     def test_differing_options_miss_only_the_dependent_stages(self):
@@ -176,8 +178,8 @@ class TestArtifactCache:
 
         basic = pipeline.run(source, AnalysisOptions(improved=False))
         # The missed flow graph needs the closure, and the closure reads
-        # only what it needs: the front probe picks the plan and serves the
-        # design, its CFG and RM_lo, and RD† is served.
+        # only what it needs: the reach record picks the plan, its front
+        # serves the design, its CFG and RM_lo, and RD† is served.
         assert basic.cached_stages == ["elaborate", "specialize"]
         assert basic.computed_stages == ["closure", "flow_graph", "inventory"]
 
@@ -221,7 +223,14 @@ class TestArtifactCache:
         assert len(parse_calls) == len(units)  # the second run parsed nothing
         assert first.computed_stages[0] == second.computed_stages[0] == "parse"
         assert second.cached_stages == []
-        assert second.artifacts.program == first.artifacts.program
+        # Each run's AST holds the units its entity reaches: its own two.
+        whole = parse_program(source)
+        assert first.artifacts.program == Program(
+            whole.entities[:1], whole.architectures[:1]
+        )
+        assert second.artifacts.program == Program(
+            whole.entities[1:], whole.architectures[1:]
+        )
 
         # Exactly one parse entry was ever stored per unit of the source.
         assert [key for key in cache._entries if key.startswith("parse:")] == [
@@ -256,8 +265,8 @@ class TestArtifactCache:
         source = workloads.challenge_f_program()
         analysis = pipeline.run(source)
         baseline = pipeline.run(source, goals=("kemmerer",))
-        # The missed goal needs RM_lo: the front probe hits and picks the
-        # plan, so the parse is not needed.
+        # The missed goal needs RM_lo: the reach record picks the plan and
+        # its front hits, so the parse is not needed.
         assert [stage.name for stage in baseline.stages] == ["elaborate", "kemmerer"]
         assert baseline.cached_stages == ["elaborate"]
         assert baseline.kemmerer.rm_local is analysis.result.rm_local
@@ -293,7 +302,7 @@ class TestArtifactCache:
         cold = pipeline.run(source)
 
         key = stage_key(
-            stages_module.ELABORATE, source_digest(source), AnalysisOptions()
+            stages_module.ELABORATE, cold.artifacts.reach.key, AnalysisOptions()
         )
         del cache._entries[key]
         alone = pipeline.run(source, goals=("elaborate",))
@@ -374,7 +383,8 @@ class TestWorkspaceCheck:
         workspace.check(source, policy, outputs=["leak"])
         misses_after_first = cache.misses
         workspace.check(source, policy, outputs=["leak"])
-        assert cache.hits == len(WARM_STAGE_NAMES)
+        # The reach record and the goals.
+        assert cache.hits == 1 + len(WARM_STAGE_NAMES)
         assert cache.misses == misses_after_first
 
 
@@ -601,7 +611,8 @@ class TestBatchDriver:
         ]
         for item in warm.items:
             assert item.data["cached_stages"] == WARM_STAGE_NAMES
-        assert cache.hits == len(jobs) * len(WARM_STAGE_NAMES)
+        # Per job, the reach record and the goals.
+        assert cache.hits == len(jobs) * (1 + len(WARM_STAGE_NAMES))
         cold_stage_seconds = sum(
             sum(item.data["timings"].values()) for item in cold.items
         )
