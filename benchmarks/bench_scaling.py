@@ -388,8 +388,8 @@ def test_disk_cold_write(benchmark, report, filled_store):
     Each round opens a fresh ``DiskArtifactCache`` over the filled store and
     analyses an 8×32 chain it has never seen (a new comment nonce changes the
     source digest), so every stage misses and is written: the open, the
-    first put's scan and the writes a cold ``--cache-dir`` run pays, on top
-    of the analysis itself.
+    writes (and any budget scan a put's draw wins) a cold ``--cache-dir`` run
+    pays, on top of the analysis itself.
     """
     source = synthetic_chain_program(*BATCH_SHAPE)
     nonces = itertools.count()
@@ -405,6 +405,40 @@ def test_disk_cold_write(benchmark, report, filled_store):
         store_entries=COLD_WRITE_FILL,
         stages_written=len(result.computed_stages),
     )
+
+
+#: Small entries pre-filled into the store ``test_disk_first_put_large_store``
+#: opens: a 256 MiB store of 5–15 KB entries holds 20k–50k.
+LARGE_STORE_FILL = 20_000
+
+
+@pytest.fixture(scope="module")
+def large_store(tmp_path_factory):
+    """A disk store already holding ``LARGE_STORE_FILL`` small entries."""
+    root = str(tmp_path_factory.mktemp("disk-large") / "store")
+    disk = DiskArtifactCache(root)
+    for index in range(LARGE_STORE_FILL):
+        disk.put(f"parse:fill{index}", f"entry {index}")
+    return root
+
+
+def test_disk_first_put_large_store(benchmark, report, large_store):
+    """A fresh process's first put into a store of 20,000 entries.
+
+    Each round opens a fresh ``DiskArtifactCache`` and writes one small
+    entry (the same key each round, so the store does not grow).  The put
+    loses its budget draw, so it scans nothing: what a cold ``--cache-dir``
+    op pays per write, whatever the store holds.
+    """
+
+    def run():
+        disk = DiskArtifactCache(large_store)
+        disk.put("parse:first-put", {"unit": "first put"})
+        return disk
+
+    disk = benchmark(run)
+    assert disk._approx_bytes is None, "the put scanned the store"
+    report(store_entries=len(disk))
 
 
 # ------------------------------------------------------------------- hierarchy

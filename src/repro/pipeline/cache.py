@@ -1,10 +1,12 @@
 """Content-addressed artifact caching for the staged pipeline: two tiers.
 
-Artifacts are keyed by ``stage name + source hash + entity + the analysis
-options that stage depends on`` (see ``stage_key`` in
-:mod:`repro.pipeline.stages`): the same source text analysed with the same
-options hits the same entries no matter which path produced them, and any
-change to the source or the options changes the key.
+Artifacts are keyed by ``stage name + reach key + the analysis options that
+stage depends on`` (see ``stage_key`` in :mod:`repro.pipeline.stages`).  The
+reach key stands for the units the analysed entity reaches: every unit's
+outline and the text of the reached units, so the same entity analysed with
+the same options hits the same entries no matter which path produced them,
+and any change to what it reaches or to the options changes the key.  The
+file's own digest keys only its ``reach:`` record.
 
 Three stores implement that contract:
 
@@ -55,11 +57,15 @@ Opening a store creates its directory and reads nothing; a ``get`` reads
 one entry file (plus, once per process, the snapshot it references).
 Neither lists the store, so a process that only reads never scans it.  A
 ``put`` writes one entry file (and any snapshot it references that is not on
-disk yet); the first ``put`` of a process also scans the store once (one
-``stat`` per entry) for the running byte estimate.  A ``put`` that pushes
-the estimate past ``max_bytes`` rescans and evicts down to a low-water mark
-below the budget, so a store at its budget rescans once per tenth of its
-budget written, not on every put.
+disk yet), creating its directory only when that is missing.  A budget scan
+(one ``stat`` per entry) evicts down to a low-water mark below
+``max_bytes`` when the store is past it, and leaves the process a running
+byte estimate; a later ``put`` that pushes the estimate past the budget
+scans again, so a process at the budget scans once per tenth of it written.
+Before its first scan, a ``put`` scans only when it wins a lottery drawn
+from its key's digest, with odds proportional to its size, which keeps the
+same rate across all the processes writing the store: a cold process's
+cost does not grow with the number of entries the store holds.
 """
 
 from __future__ import annotations
@@ -227,11 +233,14 @@ class DiskArtifactCache:
         #: id(universe) -> (snapshot id, universe length when hashed).
         self._universe_uids: Dict[int, Tuple[str, int]] = {}
         self.root.mkdir(parents=True, exist_ok=True)
-        self._universe_dir = self.root / "universes"
-        #: Running estimate of total entry bytes, taken by the first put's
-        #: scan (``None`` before it).  Writes by other processes are only
-        #: seen at the next budget scan, so the budget is a target, not a
-        #: hard ceiling, for concurrently-written stores.
+        #: The root as a string, which every file path is joined onto.
+        self._root = str(self.root)
+        self._universe_dir = os.path.join(self._root, "universes")
+        #: Running estimate of total entry bytes, taken by this process's
+        #: first budget scan (``None`` before it; see :meth:`put`).  Writes
+        #: by other processes are only seen at the next budget scan, so the
+        #: budget is a target, not a hard ceiling, for concurrently-written
+        #: stores.
         self._approx_bytes: Optional[int] = None
 
     # ------------------------------------------------------------ store API
@@ -242,9 +251,10 @@ class DiskArtifactCache:
         A hit refreshes the entry file's mtime, which is the recency the LRU
         eviction in :meth:`put` orders by.
         """
-        path = self._entry_path(key)
+        path = self._locate(key)[1]
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as handle:
+                blob = handle.read()
         except OSError:
             self.misses += 1
             return None
@@ -263,7 +273,7 @@ class DiskArtifactCache:
         return value
 
     def put(self, key: str, value: Any) -> None:
-        """Persist one artifact atomically, then enforce the size budget.
+        """Persist one artifact atomically, then keep the store to its budget.
 
         Values it cannot pickle, and writes the file system refuses (a full
         or read-only disk), are skipped silently: the disk tier is an
@@ -274,28 +284,40 @@ class DiskArtifactCache:
             blob = self._encode_entry(key, value)
         except Exception:
             return
-        path = self._entry_path(key)
+        digest, path = self._locate(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
             self._atomic_write(path, blob)
         except OSError:
             return
-        # The first put of a process scans for the byte estimate; later puts
-        # rescan only once the estimate crosses the budget.  Overwrites of an
-        # existing key are counted as growth here; the next budget scan
-        # resynchronises the estimate, so errors only make the (O(entries))
-        # scan happen a little early, never late.
-        if self._approx_bytes is not None:
-            self._approx_bytes += len(blob)
-        if self._approx_bytes is None or self._approx_bytes > self.max_bytes:
+        if self._approx_bytes is None:
+            # Not scanned yet: scan with odds len(blob) over a tenth of the
+            # budget, drawn from the key's digest.  Across all writers that
+            # is the estimate's rate below, one scan per tenth of the budget
+            # written, and no process's first put walks the store.  The draw
+            # follows from the key alone, never from the hash seed.
+            draw = int(digest[:8], 16) / 2**32
+            if draw * self.max_bytes * (1 - self.BUDGET_LOW_WATER) < len(blob):
+                self._enforce_budget(keep=path)
+            return
+        # Overwrites of an existing key are counted as growth here; the next
+        # budget scan resynchronises the estimate, so errors only make the
+        # (O(entries)) scan happen a little early, never late.
+        self._approx_bytes += len(blob)
+        if self._approx_bytes > self.max_bytes:
             self._enforce_budget(keep=path)
 
     def clear(self) -> None:
-        """Remove every entry and universe snapshot (counters are kept)."""
-        for _, _, relpath in self._scan_entries():
-            _unlink(self.root / relpath)
-        for path in self._universe_files():
-            _unlink(path)
+        """Remove every entry, universe snapshot and temp file (counters are
+        kept).
+
+        A ``*.tmp`` file is a write in flight, or one whose writer was killed
+        between ``mkstemp`` and ``os.replace``: no scan counts it, so nothing
+        else would ever remove it.  A writer whose temp file goes loses that
+        one put, which :meth:`put` tolerates.
+        """
+        for directory in [*self._stage_dirs(), self._universe_dir]:
+            for entry in _files(directory, (".pkl", ".tmp")):
+                _unlink(entry.path)
         self._universes.clear()
         self._universe_uids.clear()
         self._approx_bytes = 0
@@ -304,18 +326,18 @@ class DiskArtifactCache:
         return len(self._scan_entries())
 
     def __contains__(self, key: str) -> bool:
-        return self._entry_path(key).exists()
+        return os.path.exists(self._locate(key)[1])
 
     def stats(self) -> Dict[str, Any]:
         """Directory-scan statistics plus this process's hit/miss counters."""
         stages: Dict[str, int] = {}
         total = 0
-        for _, size, relpath in self._scan_entries():
-            stage = os.path.dirname(relpath)
+        for _, size, path in self._scan_entries():
+            stage = os.path.basename(os.path.dirname(path))
             stages[stage] = stages.get(stage, 0) + 1
             total += size
         return {
-            "path": str(self.root),
+            "path": self._root,
             "version": FORMAT_VERSION,
             "entries": sum(stages.values()),
             "bytes": total,
@@ -374,14 +396,13 @@ class DiskArtifactCache:
             self._universe_uids.pop(id(oldest), None)
 
     def _save_universe(self, uid: str, universe: FactUniverse) -> None:
-        path = self._universe_dir / f"{uid}.pkl"
-        if path.exists():
+        path = os.path.join(self._universe_dir, uid + ".pkl")
+        if os.path.exists(path):
             return  # snapshots are content-addressed, hence immutable
         blob = pickle.dumps(
             (_UNIVERSE_TAG, FORMAT_VERSION, uid, list(universe)),
             protocol=_PICKLE_PROTOCOL,
         )
-        self._universe_dir.mkdir(exist_ok=True)
         self._atomic_write(path, blob)
 
     def _resolve_universe(self, uid: str) -> FactUniverse:
@@ -390,9 +411,10 @@ class DiskArtifactCache:
         universe = self._universes.get(uid)
         if universe is not None:
             return universe
-        path = self._universe_dir / f"{uid}.pkl"
+        path = os.path.join(self._universe_dir, uid + ".pkl")
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as handle:
+                blob = handle.read()
         except OSError as error:
             raise _CacheMiss(f"missing universe snapshot {uid}") from error
         try:
@@ -412,56 +434,64 @@ class DiskArtifactCache:
 
     # ----------------------------------------------------------- filesystem
 
-    def _entry_path(self, key: str) -> Path:
-        stage = key.split(":", 1)[0]
+    def _locate(self, key: str) -> Tuple[str, str]:
+        """``key``'s sha256 hex digest and the path of its entry file,
+        ``<root>/<stage>/<digest>.pkl``.
+
+        The stage is the part of the key before its first ``:`` (``misc``
+        when that is not an identifier).
+        """
+        stage = key.partition(":")[0]
         if not stage.isidentifier():
             stage = "misc"
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self.root / stage / f"{digest}.pkl"
+        return digest, os.path.join(self._root, stage, digest + ".pkl")
+
+    def _entry_path(self, key: str) -> Path:
+        """The entry file of ``key``, for callers that inspect the store."""
+        return Path(self._locate(key)[1])
+
+    def _stage_dirs(self) -> List[str]:
+        """The path of every stage directory (``universes`` is none)."""
+        try:
+            with os.scandir(self._root) as children:
+                return [
+                    child.path
+                    for child in children
+                    if child.name != "universes" and child.is_dir()
+                ]
+        except OSError:
+            return []  # the root vanished or is unreadable: nothing to count
 
     def _scan_entries(self) -> List[Tuple[float, int, str]]:
-        """``(mtime, size, path relative to the root)`` of every entry file.
+        """``(mtime, size, path)`` of every entry file.
 
         The one walk over the store: one ``stat`` per entry file, in
         directory order.
         """
         found: List[Tuple[float, int, str]] = []
-        try:
-            with os.scandir(self.root) as children:
-                stages = [
-                    child.name
-                    for child in children
-                    if child.name != "universes" and child.is_dir()
-                ]
-        except OSError:
-            return found  # the root vanished or is unreadable: nothing to count
-        for stage in stages:
-            prefix = os.path.join(stage, "")
-            try:
-                with os.scandir(os.path.join(self.root, stage)) as entries:
-                    for entry in entries:
-                        if not entry.name.endswith(".pkl"):
-                            continue
-                        try:
-                            stat = entry.stat()
-                        except OSError:
-                            continue  # evicted by a concurrent process mid-scan
-                        found.append((stat.st_mtime, stat.st_size, prefix + entry.name))
-            except OSError:
-                continue  # a stage directory removed mid-scan
+        for directory in self._stage_dirs():
+            for entry in _files(directory, ".pkl"):
+                try:
+                    stat = entry.stat()
+                except OSError:
+                    continue  # evicted by a concurrent process mid-scan
+                found.append((stat.st_mtime, stat.st_size, entry.path))
         return found
 
     def _universe_files(self) -> List[str]:
-        try:
-            with os.scandir(self._universe_dir) as entries:
-                return [entry.path for entry in entries if entry.name.endswith(".pkl")]
-        except OSError:
-            return []  # no snapshot written yet
+        return [entry.path for entry in _files(self._universe_dir, ".pkl")]
 
-    def _atomic_write(self, path: Path, blob: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.stem + ".", suffix=".tmp"
-        )
+    def _atomic_write(self, path: str, blob: bytes) -> None:
+        directory, name = os.path.split(path)
+        prefix = os.path.splitext(name)[0] + "."
+        try:
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=".tmp")
+        except FileNotFoundError:
+            # The directory's first file, or the directory was removed under
+            # the store: a put creates it only when it is missing.
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
@@ -470,7 +500,7 @@ class DiskArtifactCache:
             _unlink(tmp)
             raise
 
-    def _enforce_budget(self, keep: Path) -> None:
+    def _enforce_budget(self, keep: str) -> None:
         """Rescan the entry files; past the budget, evict the least recent.
 
         Eviction runs down to :attr:`BUDGET_LOW_WATER` of ``max_bytes`` and
@@ -481,13 +511,23 @@ class DiskArtifactCache:
         if total > self.max_bytes:
             low_water = self.max_bytes * self.BUDGET_LOW_WATER
             files.sort()
-            for _, size, relpath in files:
+            for _, size, path in files:
                 if total <= low_water:
                     break
-                path = self.root / relpath
                 if path != keep and _unlink(path):
                     total -= size
         self._approx_bytes = total
+
+
+def _files(directory: str, suffixes: "str | Tuple[str, ...]") -> List["os.DirEntry[str]"]:
+    """The files of ``directory`` whose names end with one of ``suffixes``
+    (none when it is missing: no snapshot written yet, or a stage directory
+    removed mid-scan)."""
+    try:
+        with os.scandir(directory) as entries:
+            return [entry for entry in entries if entry.name.endswith(suffixes)]
+    except OSError:
+        return []
 
 
 def _unlink(path: "str | os.PathLike[str]") -> bool:

@@ -15,7 +15,10 @@ Two implementations live here:
   ``str.lower()`` on the matched slice plus a frozenset lookup, and operator
   kinds come from a precompiled text → kind table.  Positions are tracked as
   (line, offset-of-line-start), so a token's column is one subtraction
-  instead of a per-character counter.
+  instead of a per-character counter, and each token is one
+  ``tuple.__new__`` of ``(kind, text, line, column)``: no ``__init__`` runs,
+  and no :class:`~repro.errors.SourcePosition` is built until the parser
+  reads one.
 * :class:`Lexer` — the original character-at-a-time scanner, kept verbatim
   as the reference oracle.  ``tests/test_frontend_fast_paths.py`` asserts
   both produce identical token streams (kinds, texts, positions) and
@@ -97,6 +100,7 @@ def tokenize(source: str, line: int = 1) -> List[Token]:
     keyword_kind = TokenKind.KEYWORD
     identifier_kind = TokenKind.IDENTIFIER
     integer_kind = TokenKind.INTEGER
+    new = tuple.__new__
 
     while pos < length:
         matched = match(source, pos)
@@ -112,21 +116,16 @@ def tokenize(source: str, line: int = 1) -> List[Token]:
                     line_start = pos + text.rindex("\n") + 1
                 pos = end
                 continue
-            position = SourcePosition(line, pos - line_start + 1)
+            column = pos - line_start + 1
             text = source[pos:end]
             if group == "id":
                 text = text.lower()
-                append(
-                    Token(
-                        keyword_kind if text in keywords else identifier_kind,
-                        text,
-                        position,
-                    )
-                )
+                kind = keyword_kind if text in keywords else identifier_kind
             elif group == "int":
-                append(Token(integer_kind, text, position))
+                kind = integer_kind
             else:
-                append(Token(operator_kinds[text], text, position))
+                kind = operator_kinds[text]
+            append(new(Token, (kind, text, line, column)))
             pos = end
             continue
 

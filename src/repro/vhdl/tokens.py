@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum, auto
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import SourcePosition
 
@@ -86,17 +86,48 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """A single lexical token with its source position."""
+#: The fields of a :class:`Token`, read through the C accessors of a named
+#: tuple.
+_TokenFields = namedtuple("_TokenFields", ("kind", "text", "line", "column"))
 
-    kind: TokenKind
-    text: str
-    position: Optional[SourcePosition] = None
+
+class Token(_TokenFields):
+    """A single lexical token: ``(kind, text, line, column)``.
+
+    A tuple, so :func:`~repro.vhdl.lexer.tokenize` builds each token with one
+    ``tuple.__new__`` and no ``__init__``.  The position is kept as two ints
+    and :attr:`position` builds the :class:`SourcePosition` when read (the
+    parser reads it only for the tokens that start an AST node or an error).
+    ``Token(kind, text, position)`` builds one from a position, as the
+    reference :class:`~repro.vhdl.lexer.Lexer` does.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, kind: TokenKind, text: str, position: Optional[SourcePosition] = None
+    ) -> "Token":
+        if position is None:
+            return tuple.__new__(cls, (kind, text, None, None))
+        return tuple.__new__(cls, (kind, text, position.line, position.column))
+
+    @property
+    def position(self) -> Optional[SourcePosition]:
+        """Where the token starts (``None`` for a token built without one)."""
+        if self.line is None:
+            return None
+        return SourcePosition(self.line, self.column)
 
     def is_keyword(self, word: str) -> bool:
         """True when this token is the keyword ``word`` (case-insensitive)."""
         return self.kind is TokenKind.KEYWORD and self.text.lower() == word.lower()
+
+    def __getnewargs__(self) -> Tuple[TokenKind, str, Optional[SourcePosition]]:
+        # Copies and pickles rebuild the token through ``__new__``.
+        return self.kind, self.text, self.position
+
+    def __repr__(self) -> str:
+        return f"Token(kind={self.kind!r}, text={self.text!r}, position={self.position!r})"
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})"

@@ -2,11 +2,13 @@
 
 import errno
 import gc
+import hashlib
 import io
 import json
 import multiprocessing
 import os
 import pickle
+import random
 import subprocess
 import sys
 import weakref
@@ -396,6 +398,22 @@ class TestEvictionAndStats:
         warm = _fresh_run(cache_dir, workloads.challenge_f_program())
         assert not warm.cached_stages
 
+    def test_clear_removes_orphaned_temp_files(self, cache_dir):
+        # A writer killed between mkstemp and os.replace leaves a temp file
+        # that no scan counts; clear is the one operation that reclaims it.
+        _populate(cache_dir, workloads.challenge_f_program())
+        disk = DiskArtifactCache(cache_dir)
+        orphans = [
+            Path(cache_dir) / "parse" / f"{'0' * 64}.k2j4x9_q.tmp",
+            Path(cache_dir) / "universes" / f"{'1' * 32}.a8w3e1zz.tmp",
+        ]
+        for orphan in orphans:
+            orphan.write_bytes(b"x" * 5000)
+        disk.clear()
+        assert [orphan for orphan in orphans if orphan.exists()] == []
+        assert list(Path(cache_dir).rglob("*.*")) == []
+        assert len(disk) == 0
+
     def test_unpicklable_values_are_skipped_silently(self, tmp_path):
         disk = DiskArtifactCache(tmp_path / "c")
         disk.put("parse:k", lambda: None)  # lambdas don't pickle
@@ -482,6 +500,99 @@ class TestOperationCosts:
                 assert _entry_bytes(tmp_path / "c") <= budget
         assert 1 <= len(scans) <= 11
         assert "parse:999" in disk
+
+
+def _draw(key):
+    """The lottery draw of ``key``: the first 32 bits of the sha256 digest that
+    names its entry file, over 2**32."""
+    return int(hashlib.sha256(key.encode("utf-8")).hexdigest()[:8], 16) / 2**32
+
+
+class TestBudgetLottery:
+    """Before its first scan, a put scans with odds of its size over a tenth
+    of the budget, drawn from its key: no walk of the store per process."""
+
+    def _count_scans(self, monkeypatch, check=None):
+        scans = []
+        enforce = DiskArtifactCache._enforce_budget
+
+        def counting(store, keep):
+            enforce(store, keep)
+            scans.append(keep)
+            if check is not None:
+                check(store)
+
+        monkeypatch.setattr(DiskArtifactCache, "_enforce_budget", counting)
+        return scans
+
+    def test_a_cold_put_that_loses_the_draw_neither_lists_nor_stats_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "c"
+        filler = DiskArtifactCache(root)
+        for index in range(2000):
+            filler.put(f"parse:fill{index}", f"entry {index}")
+        assert len(filler) == 2000
+        key = "parse:cold"
+        disk = DiskArtifactCache(root)
+        # The key's draw puts its threshold above a megabyte, so a put of
+        # ~100 bytes loses it.
+        assert _draw(key) * disk.max_bytes * (1 - disk.BUDGET_LOW_WATER) > 1 << 20
+        listed, statted = [], []
+
+        def counting(record, function):
+            def wrapper(*args, **kwargs):
+                record.append(args[0] if args else None)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(os, "scandir", counting(listed, os.scandir))
+        monkeypatch.setattr(Path, "iterdir", counting(listed, Path.iterdir))
+        monkeypatch.setattr(Path, "glob", counting(listed, Path.glob))
+        monkeypatch.setattr(os, "stat", counting(statted, os.stat))
+        disk.put(key, {"payload": 1})
+        assert listed == []
+        assert [path for path in statted if str(path).endswith(".pkl")] == []
+        monkeypatch.undo()
+        assert disk.get(key) == {"payload": 1}
+        assert len(disk) == 2001
+
+    def test_a_put_of_a_tenth_of_the_budget_always_scans(self, tmp_path, monkeypatch):
+        budget = 64 * 1024
+        scans = self._count_scans(monkeypatch)
+        keys = [f"parse:large{index}" for index in range(20)]
+        # Every draw, the largest included, loses to a tenth of the budget.
+        assert max(_draw(key) for key in keys) > 0.9
+        for index, key in enumerate(keys):
+            disk = DiskArtifactCache(tmp_path / f"c{index}", max_bytes=budget)
+            disk.put(key, b"x" * (budget // 10))
+        assert len(scans) == len(keys)
+
+    def test_short_lived_writers_scan_once_per_tenth_of_the_budget(
+        self, tmp_path, monkeypatch
+    ):
+        budget = 512 * 1024
+        root = tmp_path / "c"
+
+        def within_budget(store):
+            assert _entry_bytes(root) <= budget
+
+        scans = self._count_scans(monkeypatch, within_budget)
+        sizes = random.Random(1978)
+        written = index = 0
+        disk = None
+        while written < 24 * budget:
+            if index % 4 == 0:
+                disk = DiskArtifactCache(root, max_bytes=budget)  # a new process
+            key = f"parse:writer{index}"
+            disk.put(key, b"x" * sizes.randrange(200, 6000))
+            written += disk._entry_path(key).stat().st_size
+            index += 1
+        expected = written / (budget / 10)
+        assert expected >= 200
+        assert 0.75 * expected <= len(scans) <= 1.25 * expected
+        assert _entry_bytes(root) < 1.5 * budget
 
 
 class _Artefact:
