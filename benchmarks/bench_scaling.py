@@ -456,11 +456,12 @@ def test_disk_first_put_large_store(benchmark, report, large_store):
 HIER_SHAPE = (2000, 8)
 
 #: The minimum linked-vs-flattened speed-up the ratio phase asserts.  Both
-#: plans share the indexed ProgramCFG and the per-process Table 5 solve, so
-#: what separates them is the per-instance front end and Table 4/6 work the
-#: linked plan shares across instances (measured 3.4-4.4× on a 2-vCPU Xeon:
-#: 2.9-3.4 s vs 11.5-12.6 s; before the shared index and per-process solve
-#: the flat oracle's quadratic lookups made it 12×).
+#: plans share the indexed ProgramCFG; the linked plan also shares the
+#: per-instance front end, the Table 4/6 work and the Table 5 solve across
+#: instances (one solve per process shape, where the flattened program
+#: solves every process).  Measured 3.9-4.1× on a 2-vCPU Xeon (link
+#: 2.05-2.33 s vs flatten 8.3-9.6 s, three runs); before the shared index
+#: and per-process solve the flat oracle's quadratic lookups made it 12×.
 HIER_MIN_RATIO = 2.5
 
 #: The most a check or a lint of the hierarchy may cost, relative to analyze.

@@ -18,24 +18,42 @@ consumes the per-process active-signals results of Table 4:
   the special definition label ``?`` (:data:`INITIAL_LABEL`) at the process
   entry.
 
-The cross-flow combinators are implemented twice: a literal product-based form
+The wait statements' signal sets are computed once per program, in a
+factorised form that avoids materialising the Cartesian product ``cf``
+(:func:`wait_signal_sets`).  The literal product-based forms
 (:func:`killed_signals_at_wait_naive` / :func:`generated_signals_at_wait_naive`)
-that follows Table 5 word for word, and an equivalent factorised form used by
-default that avoids materialising the Cartesian product ``cf``.  The test
-suite checks the two agree.
+follow Table 5 word for word; the test suite checks the two agree.
+
+The equations are solved once per process *shape* (:func:`placed_shape`).
+A linked design places many copies of a few summarised processes, and their
+instances differ only by a renaming and a label shift.  A placed process's
+shape is the summary it was placed from, the aliasing of its port map, and
+its wait context: which wait sets hold each of its own names, and the
+*class* of every other name (the wait sets that hold it).  The first
+process of a shape is solved; every other one takes that solution
+relocated, with its labels shifted by the difference of the offsets, its
+formals renamed through its own name map, and each class expanded into the
+names it stands for.  Relocation is exact because the facts of a bit-vector
+framework are independent: two names generated and killed at the same
+labels have the same solution (Khedker, Sanyal & Karkare, *Data Flow
+Analysis: Theory and Practice*, 2009).  This is the summary reuse of
+interprocedural analysis (Reps, Horwitz & Sagiv, POPL 1995), with entities
+in the role of procedures.  An elaborated process, like a placed one whose
+summary is placed once, is a shape of its own and is solved as it stands.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from itertools import chain, repeat
+from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Set, Tuple
 
 from repro.cfg.builder import ProcessCFG, ProgramCFG
 from repro.cfg.labels import Block, BlockKind
-from repro.dataflow.framework import DataflowInstance, JoinMode
+from repro.dataflow.framework import DataflowInstance, DataflowSolution, JoinMode
 from repro.dataflow.worklist import solve
 from repro.analysis.reaching_active import ActiveSignalsResult
-from repro.vhdl import ast
 
 #: The special label ``?`` of the paper: "the initial value might be the one
 #: defining a signal (or variable) at present time".
@@ -69,34 +87,57 @@ class ReachingDefinitionsResult:
 # Cross-flow combinators
 # ---------------------------------------------------------------------------
 
+WaitSignals = Tuple[FrozenSet[str], FrozenSet[str]]
+"""The signals a wait statement generates and kills present values of."""
 
-def killed_signals_at_wait(
-    program_cfg: ProgramCFG,
-    active: Dict[str, ActiveSignalsResult],
-    wait_label: int,
-) -> FrozenSet[str]:
-    """Signals guaranteed to receive a new present value at ``wait_label``.
 
-    Table 5's ``⋂˙_{(l1..ln) ∈ cf, li=l} ⋃_j fst(RD∩ϕ_entry(lj))`` computed in
-    factorised form: a signal is in the intersection over all cross-flow tuples
-    exactly when it *must* be active either at ``wait_label`` itself or at
-    **every** wait label of some other process.  When some other process has no
-    wait statement the cross-flow relation is empty and the dotted intersection
-    yields ``∅``.
+def wait_signal_sets(
+    program_cfg: ProgramCFG, active: Dict[str, ActiveSignalsResult]
+) -> Dict[int, WaitSignals]:
+    """Table 5's cross-flow signal sets of every wait label: ``(gen, kill)``.
+
+    ``gen(l)`` is ``⋃_{(l1..ln) ∈ cf, li=l} ⋃_j fst(RD∪ϕ_entry(lj))``: the
+    signals that *may* receive a new present value at ``l``.  ``kill(l)`` is
+    ``⋂˙_{(l1..ln) ∈ cf, li=l} ⋃_j fst(RD∩ϕ_entry(lj))``: those guaranteed
+    to.  Factorised, for the whole program at once: each process contributes
+    the union of its may-active sets and the intersection of its must-active
+    sets over its waits.  A wait's gen set is its own may-active set plus
+    every signal some *other* process contributes (each signal's
+    contributors are counted); its kill set is built the same way from the
+    must-active sets.  When some process has no wait statement, ``cf`` is
+    empty and both sets are ``∅`` at every wait.
     """
-    if not program_cfg.label_occurs_in_cross_flow(wait_label):
-        return frozenset()
-    owner = program_cfg.process_of_label(wait_label)
-    result: Set[str] = set(active[owner].must_be_active_at(wait_label))
-    for name in program_cfg.process_order:
-        if name == owner:
-            continue
-        waits = sorted(program_cfg.processes[name].wait_labels)
-        common: Set[str] = set(active[name].must_be_active_at(waits[0]))
-        for other_wait in waits[1:]:
-            common &= active[name].must_be_active_at(other_wait)
-        result |= common
-    return frozenset(result)
+    processes = program_cfg.processes
+    if any(not cfg.wait_labels for cfg in processes.values()):
+        return dict.fromkeys(program_cfg.wait_labels, (frozenset(), frozenset()))
+    may: Dict[int, FrozenSet[str]] = {}
+    must: Dict[int, FrozenSet[str]] = {}
+    contributed: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
+    may_contributors: Counter = Counter()
+    must_contributors: Counter = Counter()
+    for name, cfg in processes.items():
+        for label in cfg.wait_labels:
+            may[label] = active[name].may_be_active_at(label)
+            must[label] = active[name].must_be_active_at(label)
+        union = frozenset().union(*(may[label] for label in cfg.wait_labels))
+        common = frozenset.intersection(*(must[label] for label in cfg.wait_labels))
+        may_contributors.update(union)
+        must_contributors.update(common)
+        contributed[name] = (union, common)
+    any_may = frozenset(may_contributors)
+    any_must = frozenset(must_contributors)
+    sets: Dict[int, WaitSignals] = {}
+    for name, cfg in processes.items():
+        union, common = contributed[name]
+        others_may = any_may.difference(
+            [signal for signal in union if may_contributors[signal] == 1]
+        )
+        others_must = any_must.difference(
+            [signal for signal in common if must_contributors[signal] == 1]
+        )
+        for label in cfg.wait_labels:
+            sets[label] = (may[label] | others_may, must[label] | others_must)
+    return sets
 
 
 def killed_signals_at_wait_naive(
@@ -104,7 +145,7 @@ def killed_signals_at_wait_naive(
     active: Dict[str, ActiveSignalsResult],
     wait_label: int,
 ) -> FrozenSet[str]:
-    """Literal Table 5 form of :func:`killed_signals_at_wait` (materialises ``cf``)."""
+    """Literal Table 5 form of a :func:`wait_signal_sets` kill set (materialises ``cf``)."""
     tuples = program_cfg.cross_flow_tuples_containing(wait_label)
     if not tuples:
         return frozenset()
@@ -121,36 +162,12 @@ def killed_signals_at_wait_naive(
     return frozenset(result)
 
 
-def generated_signals_at_wait(
-    program_cfg: ProgramCFG,
-    active: Dict[str, ActiveSignalsResult],
-    wait_label: int,
-) -> FrozenSet[str]:
-    """Signals that *may* receive a new present value at ``wait_label``.
-
-    Table 5's ``⋃_{(l1..ln) ∈ cf, li=l} ⋃_j fst(RD∪ϕ_entry(lj))`` in factorised
-    form: the may-active signals at ``wait_label`` itself plus the may-active
-    signals at any wait label of any other process — provided the cross-flow
-    relation is non-empty.
-    """
-    if not program_cfg.label_occurs_in_cross_flow(wait_label):
-        return frozenset()
-    owner = program_cfg.process_of_label(wait_label)
-    result: Set[str] = set(active[owner].may_be_active_at(wait_label))
-    for name in program_cfg.process_order:
-        if name == owner:
-            continue
-        for other_wait in program_cfg.processes[name].wait_labels:
-            result |= active[name].may_be_active_at(other_wait)
-    return frozenset(result)
-
-
 def generated_signals_at_wait_naive(
     program_cfg: ProgramCFG,
     active: Dict[str, ActiveSignalsResult],
     wait_label: int,
 ) -> FrozenSet[str]:
-    """Literal Table 5 form of :func:`generated_signals_at_wait`."""
+    """Literal Table 5 form of a :func:`wait_signal_sets` gen set."""
     tuples = program_cfg.cross_flow_tuples_containing(wait_label)
     order = program_cfg.process_order
     result: Set[str] = set()
@@ -168,11 +185,10 @@ def generated_signals_at_wait_naive(
 def kill_rd(
     block: Block,
     cfg: ProcessCFG,
-    program_cfg: ProgramCFG,
-    active: Dict[str, ActiveSignalsResult],
+    wait_sets: Dict[int, WaitSignals],
     use_under_approximation: bool = True,
 ) -> FrozenSet[ResourceDef]:
-    """``kill^{cf}_RD`` of Table 5.
+    """``kill^{cf}_RD`` of Table 5, given the program's :func:`wait_signal_sets`.
 
     Variable assignments kill the initial-value marker and every other
     definition of the same variable in the same process.  Wait statements kill
@@ -195,7 +211,7 @@ def kill_rd(
     if block.kind is BlockKind.WAIT:
         if not use_under_approximation:
             return frozenset()
-        signals = killed_signals_at_wait(program_cfg, active, block.label)
+        signals = wait_sets[block.label][1]
         definition_points = set(cfg.wait_labels) | {INITIAL_LABEL}
         return frozenset(
             (signal, label) for signal in signals for label in definition_points
@@ -203,12 +219,8 @@ def kill_rd(
     return frozenset()
 
 
-def gen_rd(
-    block: Block,
-    program_cfg: ProgramCFG,
-    active: Dict[str, ActiveSignalsResult],
-) -> FrozenSet[ResourceDef]:
-    """``gen^{cf}_RD`` of Table 5.
+def gen_rd(block: Block, wait_sets: Dict[int, WaitSignals]) -> FrozenSet[ResourceDef]:
+    """``gen^{cf}_RD`` of Table 5, given the program's :func:`wait_signal_sets`.
 
     Variable assignments generate ``(x, l)``; wait statements generate
     ``(s, l)`` for every signal that may be active at any synchronisation
@@ -217,14 +229,9 @@ def gen_rd(
     if block.kind is BlockKind.VARIABLE_ASSIGN:
         return frozenset({(block.statement.target, block.label)})
     if block.kind is BlockKind.WAIT:
-        signals = generated_signals_at_wait(program_cfg, active, block.label)
+        signals = wait_sets[block.label][0]
         return frozenset((signal, block.label) for signal in signals)
     return frozenset()
-
-
-# ---------------------------------------------------------------------------
-# Analysis driver
-# ---------------------------------------------------------------------------
 
 
 def initial_definitions(cfg: ProcessCFG) -> FrozenSet[ResourceDef]:
@@ -237,6 +244,177 @@ def initial_definitions(cfg: ProcessCFG) -> FrozenSet[ResourceDef]:
     return frozenset((name, INITIAL_LABEL) for name in resources)
 
 
+# ---------------------------------------------------------------------------
+# Process shapes
+# ---------------------------------------------------------------------------
+
+Class = Tuple[bool, ...]
+"""A name's class in a process: for each of its wait sets (the gen set of
+each wait, then, when waits kill, the kill set of each), whether the set
+holds the name."""
+
+
+class Layout(NamedTuple):
+    """Where one placed process puts its shape's names and labels."""
+
+    offset: int
+    #: Each role's flat names: a canonical formal's one name, or every name
+    #: of a class.
+    names: Dict[Hashable, Tuple[str, ...]]
+
+
+def _classes(
+    wait_sets: List[FrozenSet[str]], own: Iterable[str]
+) -> Dict[Class, Tuple[str, ...]]:
+    """The names of ``wait_sets`` outside ``own``, grouped by class.
+
+    Partition refinement: the names start in one block, and each wait set
+    splits every block into the names it holds and the rest.
+    """
+    classes: Dict[Class, FrozenSet[str]] = {}
+    names = frozenset().union(*wait_sets).difference(own)
+    if names:
+        classes[()] = names
+    for members in wait_sets:
+        refined: Dict[Class, FrozenSet[str]] = {}
+        for at, block in classes.items():
+            inside = block & members
+            if inside:
+                refined[at + (True,)] = inside
+            if len(inside) < len(block):
+                refined[at + (False,)] = block - inside
+        classes = refined
+    return {at: tuple(block) for at, block in classes.items()}
+
+
+def placed_shape(
+    cfg: ProcessCFG,
+    wait_sets: Dict[int, WaitSignals],
+    use_under_approximation: bool = True,
+) -> Tuple[Hashable, Layout]:
+    """The Table 5 shape of a placed process (see the module docstring).
+
+    The aliasing is each formal's canonical formal, the first of the formals
+    sharing its flat name; the process's own names are its canonical
+    formals' flat names.
+    """
+    process = cfg.process
+    summary = process.summary
+    canonical: Dict[str, str] = {}  # flat name -> canonical formal
+    aliasing = tuple(
+        [
+            canonical.setdefault(process.names[formal], formal)
+            for formal in summary.free_signals + summary.free_variables
+        ]
+    )
+    sets = [wait_sets[label + process.offset] for label in summary.wait_labels]
+    family = [gen for gen, _ in sets]
+    if use_under_approximation:
+        family += [kill for _, kill in sets]
+    own_classes = tuple(
+        [tuple([flat in members for members in family]) for flat in canonical]
+    )
+    classes = _classes(family, canonical)
+    shape = (id(summary), aliasing, own_classes, frozenset(classes))
+    names: Dict[Hashable, Tuple[str, ...]] = {
+        formal: (flat,) for flat, formal in canonical.items()
+    }
+    names.update(classes)
+    return shape, Layout(process.offset, names)
+
+
+class _Template:
+    """One shape's solution with its names replaced by roles.
+
+    Built from the solution of the shape's first process, solved as it
+    stands.  A fact becomes a ``(role, label)`` pair; of a class, only its
+    first name's facts are kept, since every name of a class has the same
+    ones.
+    """
+
+    def __init__(self, solution: DataflowSolution, layout: Layout):
+        self.offset = layout.offset
+        role_of = {flats[0]: role for role, flats in layout.names.items()}
+        facts: Dict[ResourceDef, int] = {}
+        sets: Dict[FrozenSet[ResourceDef], int] = {}
+        #: Each distinct set, as indices into the kept facts.
+        self.sets: List[Tuple[int, ...]] = []
+        #: Per side (entry, exit): its labels and their sets' indices.
+        self.rows: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+        for side in (solution.entry, solution.exit):
+            for value in side.values():
+                if value not in sets:
+                    sets[value] = len(self.sets)
+                    self.sets.append(
+                        tuple(
+                            [
+                                facts.setdefault(fact, len(facts))
+                                for fact in value
+                                if fact[0] in role_of
+                            ]
+                        )
+                    )
+            self.rows.append((tuple(side), tuple([sets[value] for value in side.values()])))
+        #: The kept facts, as ``(role, label)`` pairs.
+        self.facts = [(role_of[name], label) for name, label in facts]
+
+    def relocate(
+        self,
+        layout: Layout,
+        labels: Iterable[int],
+        entry: Dict[int, FrozenSet[ResourceDef]],
+        exit_: Dict[int, FrozenSet[ResourceDef]],
+    ) -> None:
+        """Add this shape's solution at the process laid out as ``layout``.
+
+        ``labels`` are that process's labels.  Labels shift by the offsets'
+        difference and each role takes the process's flat names; one tuple
+        is built per relocated fact and one frozenset per distinct set.
+        """
+        delta = layout.offset - self.offset
+        shift = {label - delta: label for label in labels}
+        shift[INITIAL_LABEL] = INITIAL_LABEL
+        names = layout.names
+        table = [
+            tuple(zip(names[role], repeat(shift[label]))) for role, label in self.facts
+        ]
+        moved = [
+            frozenset(chain.from_iterable(map(table.__getitem__, ids)))
+            for ids in self.sets
+        ]
+        for (side_labels, ids), into in zip(self.rows, (entry, exit_)):
+            into.update(
+                zip(map(shift.__getitem__, side_labels), map(moved.__getitem__, ids))
+            )
+
+
+# ---------------------------------------------------------------------------
+# Solving Table 5
+# ---------------------------------------------------------------------------
+
+
+def _instance(
+    cfg: ProcessCFG,
+    wait_sets: Dict[int, WaitSignals],
+    use_under_approximation: bool,
+) -> DataflowInstance:
+    """One process's Table 5 equations as a dataflow instance."""
+    kill: Dict[int, FrozenSet[ResourceDef]] = {}
+    gen: Dict[int, FrozenSet[ResourceDef]] = {}
+    for label, block in cfg.blocks.items():
+        kill[label] = kill_rd(block, cfg, wait_sets, use_under_approximation)
+        gen[label] = gen_rd(block, wait_sets)
+    return DataflowInstance(
+        labels=frozenset(cfg.blocks),
+        flow=frozenset(cfg.flow),
+        extremal_labels=frozenset({cfg.entry_label}),
+        extremal_value={cfg.entry_label: initial_definitions(cfg)},
+        kill=kill,
+        gen=gen,
+        join_mode=JoinMode.UNION,
+    )
+
+
 def analyze_reaching_definitions(
     program_cfg: ProgramCFG,
     active: Dict[str, ActiveSignalsResult],
@@ -244,38 +422,35 @@ def analyze_reaching_definitions(
 ) -> ReachingDefinitionsResult:
     """Run Table 5 and return the whole-program least solution.
 
-    The equations are solved process by process: the flow relation has no
-    edge between processes, so the whole-program least solution is exactly
-    the union of the per-process ones.  Processes are coupled only through
-    the wait kill/gen sets, which read the other processes' Table 4 results;
-    per-process instances keep the dataflow bitsets as narrow as one
-    process's definitions.
+    The flow relation has no edge between processes, so the whole-program
+    least solution is exactly the union of the per-process ones.  Processes
+    are coupled only through the wait kill/gen sets
+    (:func:`wait_signal_sets`), which read the other processes' Table 4
+    results.  Each process shape is solved once, at its first process, and
+    relocated to the others.
 
     ``use_under_approximation=False`` runs the ablated variant in which wait
     statements kill nothing (see :func:`kill_rd`).
     """
+    wait_sets = wait_signal_sets(program_cfg, active)
+    summaries = [
+        getattr(cfg.process, "summary", None)
+        for cfg in program_cfg.processes.values()
+    ]
+    placements = Counter(id(summary) for summary in summaries if summary is not None)
     entry: Dict[int, FrozenSet[ResourceDef]] = {}
     exit_: Dict[int, FrozenSet[ResourceDef]] = {}
-    for name in program_cfg.process_order:
-        cfg = program_cfg.processes[name]
-        kill: Dict[int, FrozenSet[ResourceDef]] = {}
-        gen: Dict[int, FrozenSet[ResourceDef]] = {}
-        for label, block in cfg.blocks.items():
-            kill[label] = kill_rd(
-                block, cfg, program_cfg, active, use_under_approximation
-            )
-            gen[label] = gen_rd(block, program_cfg, active)
-        solution = solve(
-            DataflowInstance(
-                labels=frozenset(cfg.blocks),
-                flow=frozenset(cfg.flow),
-                extremal_labels=frozenset({cfg.entry_label}),
-                extremal_value={cfg.entry_label: initial_definitions(cfg)},
-                kill=kill,
-                gen=gen,
-                join_mode=JoinMode.UNION,
-            )
-        )
+    solved: Dict[Hashable, _Template] = {}
+    for cfg, summary in zip(program_cfg.processes.values(), summaries):
+        layout = None
+        if summary is not None and placements[id(summary)] > 1:
+            shape, layout = placed_shape(cfg, wait_sets, use_under_approximation)
+            if shape in solved:
+                solved[shape].relocate(layout, cfg.blocks, entry, exit_)
+                continue
+        solution = solve(_instance(cfg, wait_sets, use_under_approximation))
         entry.update(solution.entry)
         exit_.update(solution.exit)
+        if layout is not None:
+            solved[shape] = _Template(solution, layout)
     return ReachingDefinitionsResult(entry=entry, exit=exit_)

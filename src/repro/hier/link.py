@@ -29,7 +29,10 @@ flattened program: the design, its :class:`~repro.cfg.builder.ProgramCFG`,
 the Table 4 results and ``RM_lo``.
 The cross-process stages (Tables 5 and 7–9) then run unchanged, so a linked
 document is byte-identical to the flattened program's, while the per-entity
-work is shared across instances and cached across runs.
+work is shared across instances and cached across runs.  Table 5 also
+solves each shape of placed process once
+(:func:`repro.analysis.reaching_defs.placed_shape`), reading each
+:class:`PlacedProcess`'s summary, name map and offset.
 """
 
 from __future__ import annotations
@@ -78,11 +81,13 @@ class PlacedProcess:
     Stands in for :class:`~repro.vhdl.elaborate.Process` wherever the linked
     plan consumes one: the free names behind the Table 5 extremal values, the
     declared variables, and the per-process facts the lint rules read.  Every
-    fact comes from the summary, renamed through the instance's name map and
-    shifted by the process's label offset.
+    fact comes from ``summary``, renamed through the instance's name map
+    ``names`` (the entity's local names to flat names) and shifted by the
+    label ``offset`` (a flat label is its standalone label plus ``offset``).
+    Table 5 groups placed processes by these three.
     """
 
-    __slots__ = ("name", "synthesized", "variables", "_summary", "_names", "_offset")
+    __slots__ = ("name", "synthesized", "variables", "summary", "names", "offset")
 
     def __init__(
         self, name: str, summary: ProcessSummary, names: Dict[str, str], offset: int
@@ -90,32 +95,32 @@ class PlacedProcess:
         self.name = name
         self.synthesized = summary.synthesized
         self.variables = dict.fromkeys(names[v] for v in summary.declared_variables)
-        self._summary = summary
-        self._names = names
-        self._offset = offset
+        self.summary = summary
+        self.names = names
+        self.offset = offset
 
     def _renamed(self, names: Tuple[str, ...]) -> Set[str]:
-        return {self._names[name] for name in names}
+        return {self.names[name] for name in names}
 
     def free_signals(self) -> Set[str]:
-        return self._renamed(self._summary.free_signals)
+        return self._renamed(self.summary.free_signals)
 
     def free_variables(self) -> Set[str]:
-        return self._renamed(self._summary.free_variables)
+        return self._renamed(self.summary.free_variables)
 
     def expression_reads(self) -> Set[str]:
-        return self._renamed(self._summary.expression_reads)
+        return self._renamed(self.summary.expression_reads)
 
     def wait_sensitivity(self) -> Set[str]:
-        return self._renamed(self._summary.wait_sensitivity)
+        return self._renamed(self.summary.wait_sensitivity)
 
     def written_signals(self) -> Set[str]:
-        return self._renamed(self._summary.written_signals)
+        return self._renamed(self.summary.written_signals)
 
     def variable_reads(self) -> Dict[str, Set[int]]:
         return {
-            self._names[variable]: {label + self._offset for label in labels}
-            for variable, labels in self._summary.variable_reads
+            self.names[variable]: {label + self.offset for label in labels}
+            for variable, labels in self.summary.variable_reads
         }
 
 

@@ -22,7 +22,8 @@ elaborate  the flat front: the :class:`~repro.vhdl.elaborate.Design`, its
 place      the linked front: the same four artefacts, placed from one
            :class:`~repro.hier.summary.EntitySummary` per entity of the
            checked :class:`~repro.hier.structure.DesignHierarchy`
-reaching   the Reaching Definitions (Table 5), solved per process
+reaching   the Reaching Definitions (Table 5), solved once per process
+           shape
 specialize the specialised RD results ``RD†``/``RD†ϕ`` (Table 7)
 closure    the closed matrix ``RM_gl`` (Table 8, optionally Table 9)
 flow_graph the information-flow graph
