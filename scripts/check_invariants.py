@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant gate: AST lint over ``src/repro`` (stdlib only).
 
-Six invariants, each of which has silently rotted in similar codebases and
+Seven invariants, each of which has silently rotted in similar codebases and
 none of which the type checker can express:
 
 1. **Every serve/CLI JSON document is stamped.**  Arguments to
@@ -43,6 +43,15 @@ none of which the type checker can express:
    Serve and batch share that one supervised pool; a second pool is how a
    second fault model (and a retry loop to paper over it) creeps back in.
    Threads and ``subprocess`` are out of scope.
+
+7. **No nested function refers to itself.**  A function defined inside
+   another may not call or name itself, directly or through sibling nested
+   functions of the same enclosing scope.  Each call of the enclosing
+   function would build a function ↔ closure-cell cycle, and that cycle
+   holds everything the closures see (a whole hierarchy, its AST) until a
+   full collection finds it, where reference counting would have freed it
+   at once.  Recurse in a module-level function, or loop over an explicit
+   stack.
 
 Usage: ``python scripts/check_invariants.py [PATH ...]`` — paths default to
 ``src/repro``; passing explicit paths lets the tests seed violations in a
@@ -91,6 +100,8 @@ UPPER_LAYERS = (
 
 #: The one module that starts worker processes (invariant 6).
 POOL_MODULE = ("repro", "pipeline", "pool.py")
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def python_files(paths: Tuple[Path, ...]) -> Iterator[Path]:
@@ -347,6 +358,60 @@ def check_process_starts(tree: ast.Module, path: Path, relpath: str) -> List[str
     return failures
 
 
+def _nested_functions(scope: ast.AST) -> Iterator[ast.AST]:
+    """The functions defined in ``scope``'s body, not inside another one."""
+    for child in ast.iter_child_nodes(scope):
+        if isinstance(child, _FUNCTIONS):
+            yield child
+        elif not isinstance(child, (ast.Lambda, ast.ClassDef)):
+            yield from _nested_functions(child)
+
+
+def _names_read(function: ast.AST) -> set:
+    """The names ``function``'s body and nested scopes read, its own
+    parameters apart."""
+    parameters = {arg.arg for arg in ast.walk(function.args) if isinstance(arg, ast.arg)}
+    return {
+        node.id
+        for statement in function.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    } - parameters
+
+
+def check_nested_recursion(tree: ast.Module, relpath: str) -> List[str]:
+    """Invariant 7: no nested function refers to itself, directly or through
+    its siblings."""
+    failures = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, _FUNCTIONS):
+            continue
+        siblings = {node.name: node for node in _nested_functions(outer)}
+        refers = {
+            name: _names_read(node) & siblings.keys()
+            for name, node in siblings.items()
+        }
+        for name, node in siblings.items():
+            # Depth first over the sibling reference graph, back to ``name``.
+            path, seen, pending = None, set(), [(name, [name])]
+            while pending and path is None:
+                current, trail = pending.pop()
+                for callee in sorted(refers[current]):
+                    if callee == name:
+                        path = trail + [name]
+                    elif callee not in seen:
+                        seen.add(callee)
+                        pending.append((callee, trail + [callee]))
+            if path is not None:
+                failures.append(
+                    f"{relpath}:{node.lineno}: nested function {name}() of "
+                    f"{outer.name}() refers to itself ({' -> '.join(path)}): "
+                    "each call leaves a reference cycle for the collector; "
+                    "recurse in a module-level function or loop over a stack"
+                )
+    return failures
+
+
 def collect_diagnostic_codes(
     tree: ast.Module, relpath: str
 ) -> List[Tuple[str, str]]:
@@ -388,6 +453,7 @@ def check_tree(paths: Tuple[Path, ...]) -> List[str]:
         failures.extend(check_stage_option_fields(tree, relpath))
         failures.extend(check_layering(tree, path, relpath))
         failures.extend(check_process_starts(tree, path, relpath))
+        failures.extend(check_nested_recursion(tree, relpath))
         for code, location in collect_diagnostic_codes(tree, relpath):
             codes.setdefault(code, []).append(location)
     for code in sorted(codes):
@@ -419,7 +485,8 @@ def main(argv: List[str]) -> int:
     print(
         f"invariant check: {count} files OK (stamped JSON sinks, no global "
         "interner state, stage cache keys declared, diagnostic codes unique, "
-        "engine layering, one process starter)"
+        "engine layering, one process starter, no self-referring nested "
+        "functions)"
     )
     return 0
 

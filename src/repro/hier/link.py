@@ -175,20 +175,21 @@ def _flat_signals(
             ),
         )
 
-    def collect(unit: HierarchyUnit, rename: Rename) -> None:
+    # Depth first: each unit's signals, then each of its instances' in turn.
+    pending = [(root, _identity)]
+    while pending:
+        unit, rename = pending.pop()
         for decl in unit.signals:
             name = rename(decl.name)
             add(
                 name,
                 SignalInfo(name=name, sig_type=decl.sig_type, initial=decl.initial),
             )
-        for item in unit.items:
-            if isinstance(item, Instance):
-                collect(
-                    hierarchy.unit_of(item.entity), instance_rename(item, rename)
-                )
-
-    collect(root, _identity)
+        pending.extend(
+            (hierarchy.unit_of(item.entity), instance_rename(item, rename))
+            for item in reversed(unit.items)
+            if isinstance(item, Instance)
+        )
     return signals
 
 
@@ -221,6 +222,36 @@ def _placed_rows(
             )
         solution[shift[label]] = row
     return solution
+
+
+def _placements(
+    hierarchy: DesignHierarchy,
+    summaries: Dict[str, EntitySummary],
+    unit: HierarchyUnit,
+    rename: Rename,
+    prefix: str,
+) -> Iterator[Tuple[ProcessSummary, Dict[str, str], str]]:
+    """Every process placed under ``unit``, with its renaming and name prefix.
+
+    Depth first in item order, each instance's processes in its place: the
+    order flat elaboration numbers processes and labels in.
+    """
+    summary = summaries[unit.name.lower()]
+    leaves = iter(summary.processes)
+    names: Optional[Dict[str, str]] = None
+    for item in unit.items:
+        if isinstance(item, Instance):
+            yield from _placements(
+                hierarchy,
+                summaries,
+                hierarchy.unit_of(item.entity),
+                instance_rename(item, rename),
+                prefix + item.label + "__",
+            )
+            continue
+        if names is None:
+            names = {name: rename(name) for name in _local_names(summary)}
+        yield next(leaves), names, prefix
 
 
 def link_hierarchy(
@@ -313,23 +344,8 @@ def link_hierarchy(
                         shift[label], access, encode(names[n] for n in column)
                     )
 
-    def walk(unit: HierarchyUnit, rename: Rename, prefix: str) -> None:
-        summary = summaries[unit.name.lower()]
-        leaves = iter(summary.processes)
-        names: Optional[Dict[str, str]] = None
-        for item in unit.items:
-            if isinstance(item, Instance):
-                walk(
-                    hierarchy.unit_of(item.entity),
-                    instance_rename(item, rename),
-                    prefix + item.label + "__",
-                )
-                continue
-            if names is None:
-                names = {name: rename(name) for name in _local_names(summary)}
-            place(next(leaves), names, prefix)
-
-    walk(root, _identity, "")
+    for ps, names, prefix in _placements(hierarchy, summaries, root, _identity, ""):
+        place(ps, names, prefix)
     if not processes:
         raise HierarchyError(
             f"linked design {root.entity.name!r} contains no processes"

@@ -100,13 +100,12 @@ class DesignHierarchy:
 
     def instance_count(self) -> int:
         """Total number of instances in the fully expanded tree."""
-
-        def count(unit: HierarchyUnit) -> int:
-            return sum(
-                1 + count(self.unit_of(inst.entity)) for inst in unit.instances
+        below: Dict[str, int] = {}  # instances under one instance of an entity
+        for name in self.order:  # bottom-up: children first
+            below[name.lower()] = sum(
+                1 + below[inst.entity.lower()] for inst in self.unit_of(name).instances
             )
-
-        return count(self.root_unit)
+        return below[self.root.lower()]
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +323,6 @@ def _normalize_unit(unit: HierarchyUnit, program: ast.Program) -> None:
     parent_signals = set(unit.signal_names())
     instance_labels: Set[str] = set()
 
-    def walk(body: List[ast.ConcurrentStatement]) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.BlockStatement):
-                _collect_declarations(unit, stmt.declarations)
-                parent_signals.update(
-                    d.name
-                    for d in stmt.declarations
-                    if isinstance(d, ast.SignalDeclaration)
-                )
-                walk(stmt.body)
-            elif isinstance(stmt, ast.ComponentInstantiation):
-                unit.items.append(_resolve_instance(stmt))
-            elif isinstance(stmt, (ast.ProcessStatement, ast.ConcurrentAssign)):
-                unit.items.append(stmt)
-            else:
-                raise HierarchyError(
-                    f"unsupported concurrent statement "
-                    f"{type(stmt).__name__} in architecture "
-                    f"{unit.architecture.name!r}"
-                )
-
     def _resolve_instance(stmt: ast.ComponentInstantiation) -> Instance:
         component = unit.components.get(stmt.component.lower())
         if component is None:
@@ -381,7 +359,30 @@ def _normalize_unit(unit: HierarchyUnit, program: ast.Program) -> None:
             modes=tuple(port.mode for port in entity.ports),
         )
 
-    walk(unit.architecture.body)
+    # Depth first in source order, each block's statements in its place.
+    pending = [iter(unit.architecture.body)]
+    while pending:
+        stmt = next(pending[-1], None)
+        if stmt is None:
+            pending.pop()
+        elif isinstance(stmt, ast.BlockStatement):
+            _collect_declarations(unit, stmt.declarations)
+            parent_signals.update(
+                d.name
+                for d in stmt.declarations
+                if isinstance(d, ast.SignalDeclaration)
+            )
+            pending.append(iter(stmt.body))
+        elif isinstance(stmt, ast.ComponentInstantiation):
+            unit.items.append(_resolve_instance(stmt))
+        elif isinstance(stmt, (ast.ProcessStatement, ast.ConcurrentAssign)):
+            unit.items.append(stmt)
+        else:
+            raise HierarchyError(
+                f"unsupported concurrent statement "
+                f"{type(stmt).__name__} in architecture "
+                f"{unit.architecture.name!r}"
+            )
 
 
 def _signal_assign_targets(statements) -> List[str]:
@@ -495,25 +496,26 @@ def build_hierarchy(
     """
     root = entity_name if entity_name is not None else _infer_root(program)
     hierarchy = DesignHierarchy(program=program, root=root)
-
-    visiting: List[str] = []
-
-    def visit(name: str) -> None:
-        key = name.lower()
-        if key in (n.lower() for n in visiting):
-            cycle = visiting[visiting.index(next(v for v in visiting if v.lower() == key)):]
-            raise HierarchyError(
-                "instantiation cycle: " + " -> ".join(cycle + [name])
-            )
-        if key in hierarchy.units:
-            return
-        visiting.append(name)
-        unit = _unit_for(program, name)
-        for instance in unit.instances:
-            visit(instance.entity)
-        visiting.pop()
-        hierarchy.units[key] = unit
-        hierarchy.order.append(unit.name)
-
-    visit(root)
+    _visit(hierarchy, root, [])
     return hierarchy
+
+
+def _visit(hierarchy: DesignHierarchy, name: str, visiting: List[str]) -> None:
+    """Add the unit of ``name`` to ``hierarchy`` after those it instantiates.
+
+    ``visiting`` is the path of entities from the root to ``name``'s parent,
+    for the cycle check.
+    """
+    key = name.lower()
+    if key in (n.lower() for n in visiting):
+        cycle = visiting[visiting.index(next(v for v in visiting if v.lower() == key)):]
+        raise HierarchyError("instantiation cycle: " + " -> ".join(cycle + [name]))
+    if key in hierarchy.units:
+        return
+    visiting.append(name)
+    unit = _unit_for(hierarchy.program, name)
+    for instance in unit.instances:
+        _visit(hierarchy, instance.entity, visiting)
+    visiting.pop()
+    hierarchy.units[key] = unit
+    hierarchy.order.append(unit.name)

@@ -247,7 +247,8 @@ def summarize_entity(
     """The summary of ``unit``, served from ``cache`` when possible.
 
     Returns ``(summary, from_cache)``.  ``cache`` is any of the artifact
-    caches of :mod:`repro.pipeline.cache` (or ``None`` to always build).
+    caches of :mod:`repro.pipeline.cache` (or ``None`` to always build); a
+    built summary goes on probation there, as an intermediate of ``place``.
     """
     key = summary_cache_key(unit, loop_processes)
     if cache is not None:
@@ -256,5 +257,5 @@ def summarize_entity(
             return cached, True
     summary = _build_summary(unit, loop_processes)
     if cache is not None:
-        cache.put(key, summary)
+        cache.put(key, summary, probation=True)
     return summary, False

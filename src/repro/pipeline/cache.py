@@ -11,9 +11,12 @@ file's own digest keys only its ``reach:`` record.
 Three stores implement that contract:
 
 :class:`ArtifactCache`
-    The in-memory, per-process tier — bounded, FIFO-evicted, with hit/miss
-    counters.  A server keeps one per process, and every pool worker (serve's
-    and batch's) builds its own.
+    The in-memory, per-process tier, with hit/miss counters.  It is bounded
+    by its entry count, and what a run made on the way to its goals waits on
+    probation: an intermediate no later run reads leaves after a tenth of
+    the bound, and only what is read, or was asked for, stays longer.  A
+    server keeps one per process, and every pool worker (serve's and
+    batch's) builds its own.
 :class:`DiskArtifactCache`
     The persistent tier, which is nothing but its files: entries live under
     ``<cache-dir>/<stage>/<key-sha256>.pkl``; writes go to a temporary file
@@ -77,7 +80,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.dataflow.universe import FactUniverse
 
@@ -99,17 +102,42 @@ def source_digest(source: str) -> str:
 class ArtifactCache:
     """A bounded in-memory store of pipeline artifacts with hit/miss counters.
 
-    ``max_entries`` bounds memory use under sustained traffic: when the cache
-    is full, the least recently *stored* entries are evicted first (plain FIFO
-    — artifact recomputation is cheap enough that LRU bookkeeping on every
-    get is not worth it).
+    ``max_entries`` bounds the entries under sustained traffic.  Each entry
+    waits in one of two FIFO queues, the admission scheme of 2Q (Johnson &
+    Shasha, VLDB 1994) and S3-FIFO (Yang et al., SOSP 2023):
+
+    * *probation* holds at most ``max_entries // PROBATION_DIVISOR`` entries
+      (at least one): the puts marked ``probation=True``, which the pipeline
+      passes for what a run makes on the way to its goals.  An entry that
+      reaches probation's end unread is dropped, and its key goes to a
+      *ghost* FIFO of keys only, bounded by ``max_entries``; an entry that
+      was read moves to main.
+    * *main* takes every other put, and a probation put whose key is in the
+      ghost.  When the store is full, main's oldest entry is evicted, unless
+      it was read since main last passed over it: then it gets one more
+      round (CLOCK).
+
+    A ``get`` only marks its entry as read, so a store that is never read
+    evicts in put order.  ``_entries`` is the one key → artifact dict, in
+    put order; the queues hold keys beside it, and a key no longer in
+    ``_entries`` is skipped when it reaches a queue's end.
     """
+
+    #: Probation's share of ``max_entries`` is one in this many: S3-FIFO's 10%.
+    PROBATION_DIVISOR = 10
 
     def __init__(self, max_entries: int = 1024):
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self._entries: Dict[str, Any] = {}
         self._max_entries = max_entries
+        self._probation_size = max(1, max_entries // self.PROBATION_DIVISOR)
+        # Insertion-ordered key sets, oldest first.
+        self._probation: Dict[str, None] = {}
+        self._main: Dict[str, None] = {}
+        self._ghost: Dict[str, None] = {}
+        #: Keys read since they joined their queue or main last passed them.
+        self._read: Set[str] = set()
         self.hits = 0
         self.misses = 0
 
@@ -127,22 +155,80 @@ class ArtifactCache:
             self.misses += 1
             return None
         self.hits += 1
+        self._read.add(key)
         return value
 
-    def put(self, key: str, value: Any) -> None:
-        """Store one artifact, evicting the oldest entries when full."""
-        if key not in self._entries and len(self._entries) >= self._max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
+    def put(self, key: str, value: Any, probation: bool = False) -> None:
+        """Store one artifact, evicting when full (a stored key keeps its
+        place).
+
+        ``probation=True`` admits it to the probation queue, unless its key
+        is in the ghost; any other put goes to main.
+        """
+        if key in self._entries:
+            self._entries[key] = value
+            return
+        if len(self._entries) >= self._max_entries:
+            self._evict()
         self._entries[key] = value
+        if probation and key not in self._ghost:
+            self._probation[key] = None
+            if len(self._probation) > self._probation_size:
+                self._leave_probation()
+        else:
+            self._ghost.pop(key, None)
+            self._main[key] = None
+
+    def _leave_probation(self) -> None:
+        """Move probation's oldest entry to main if it was read; else drop it
+        and remember its key in the ghost."""
+        key = _pop_oldest(self._probation)
+        if key not in self._entries:
+            return
+        if key in self._read:
+            self._read.discard(key)
+            self._main[key] = None
+            return
+        del self._entries[key]
+        self._ghost[key] = None
+        if len(self._ghost) > self._max_entries:
+            _pop_oldest(self._ghost)
+
+    def _evict(self) -> None:
+        """Drop main's oldest entry not read since main last passed over it.
+
+        With main empty, the oldest entry in put order goes instead.
+        """
+        while self._main:
+            key = _pop_oldest(self._main)
+            if key not in self._entries:
+                continue
+            if key in self._read:
+                self._read.discard(key)
+                self._main[key] = None
+                continue
+            del self._entries[key]
+            return
+        oldest = next(iter(self._entries))
+        del self._entries[oldest]
+        self._read.discard(oldest)
 
     def clear(self) -> None:
         """Drop every entry (the counters are kept)."""
-        self._entries.clear()
+        for keys in (self._entries, self._probation, self._main, self._ghost):
+            keys.clear()
+        self._read.clear()
 
     def stats(self) -> Dict[str, int]:
         """Counters for reports and tests."""
         return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
+
+
+def _pop_oldest(keys: Dict[str, None]) -> str:
+    """Remove and return the first key of an insertion-ordered key set."""
+    key = next(iter(keys))
+    del keys[key]
+    return key
 
 
 class _CacheMiss(Exception):
@@ -272,13 +358,14 @@ class DiskArtifactCache:
         self.hits += 1
         return value
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: str, value: Any, probation: bool = False) -> None:
         """Persist one artifact atomically, then keep the store to its budget.
 
         Values it cannot pickle, and writes the file system refuses (a full
         or read-only disk), are skipped silently: the disk tier is an
         accelerator, not a system of record, so such a value simply stays
-        compute-on-demand.
+        compute-on-demand.  ``probation`` is the memory tier's admission
+        hint, and writes the same file.
         """
         try:
             blob = self._encode_entry(key, value)
@@ -543,8 +630,8 @@ class TieredArtifactCache:
     """An in-memory front tier over an optional persistent back tier.
 
     Gets hit the memory tier first, fall through to disk and promote the
-    loaded artifact into memory (so one process pays the unpickling cost
-    once per entry); puts write through to both tiers.  ``hits``/``misses``
+    loaded artifact into the memory tier's main queue (so one process pays
+    the unpickling cost once per entry); puts write through to both tiers.  ``hits``/``misses``
     count at the composed level: a disk hit is a hit.
     """
 
@@ -571,9 +658,9 @@ class TieredArtifactCache:
             self.hits += 1
         return value
 
-    def put(self, key: str, value: Any) -> None:
-        """Write through to both tiers."""
-        self.memory.put(key, value)
+    def put(self, key: str, value: Any, probation: bool = False) -> None:
+        """Write through to both tiers (``probation`` is the memory tier's)."""
+        self.memory.put(key, value, probation=probation)
         if self.disk is not None:
             self.disk.put(key, value)
 

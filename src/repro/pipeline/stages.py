@@ -174,6 +174,9 @@ class PipelineContext:
 
     options: AnalysisOptions
     source: Optional[str] = None
+    goals: Tuple[str, ...] = ()
+    """The stages the run was asked for: the cache keeps their artefacts in
+    its main queue and puts every other one it computes on probation."""
     reach: Optional[Reach] = None
     """The run's :class:`Reach`, resolved before its first keyed lookup."""
     parsed: Dict[int, Program] = field(default_factory=dict)
@@ -250,7 +253,7 @@ def _parse_unit(
         unit = parse_program(text, line)
     except ReproError:
         return None
-    ctx.cache.put(f"parse:{digest}", unit)
+    ctx.cache.put(f"parse:{digest}", unit, probation=PARSE.name not in ctx.goals)
     ctx.cache.put(f"unit:{digest}", outline(unit))
     return unit
 
@@ -602,6 +605,7 @@ class Pipeline:
         ctx = PipelineContext(
             options=options if options is not None else AnalysisOptions(),
             source=source,
+            goals=tuple(goals),
             cache=self.cache,
             policy=policy,
             report_options=dict(report_options or {}),
@@ -705,7 +709,8 @@ class Pipeline:
         return True
 
     def _compute(self, ctx: PipelineContext, stage: Stage) -> None:
-        """Run ``stage`` on ``ctx`` and write its artefact to the cache.
+        """Run ``stage`` on ``ctx`` and write its artefact to the cache, on
+        probation unless the run was asked for it.
 
         A design nested past the recursion limit fails the stage with a
         :class:`~repro.errors.ReproError` naming it.
@@ -721,7 +726,7 @@ class Pipeline:
         _store(ctx, stage, artifact)
         if self.cache is not None and stage.cacheable:
             key = stage_key(stage, self._reach(ctx).key, ctx.options)
-            self.cache.put(key, artifact)
+            self.cache.put(key, artifact, probation=stage.name not in ctx.goals)
         _record(ctx, StageTiming(stage.name, elapsed, profile=stage_profile))
 
     @classmethod

@@ -349,6 +349,49 @@ from repro.pipeline import stages
 
 #: One engine module each, as ``(source, the layering failure it must raise)``;
 #: ``None`` marks an import the rule must let through.
+SEEDED_NESTED_RECURSION = '''
+def module_level(n):
+    return 0 if n == 0 else module_level(n - 1)
+
+
+def direct(tree):
+    def walk(node):
+        for child in node.children:
+            walk(child)
+
+    walk(tree)
+
+
+def mutual(tree):
+    def even(n):
+        return n == 0 or odd(n - 1)
+
+    if tree:
+        def odd(n):
+            return n != 0 and even(n - 1)
+
+    def leaf(n):
+        return even(n)
+
+    return leaf(tree)
+
+
+def shadowed(items):
+    def apply(apply, value):
+        return apply(value)
+
+    return [apply(str, item) for item in items]
+
+
+class Holder:
+    def method(self):
+        def again():
+            return again
+
+        return again
+'''
+
+
 LAYERING_CASES = [
     pytest.param(
         "from typing import TYPE_CHECKING\n"
@@ -440,6 +483,30 @@ class TestInvariantGate:
         ]
         assert len(layering) == 2
         assert all("back_edge.py" in line for line in layering)
+
+    def test_nested_functions_may_not_refer_to_themselves(self, tmp_path):
+        seeded = tmp_path / "nested.py"
+        seeded.write_text(SEEDED_NESTED_RECURSION, encoding="utf-8")
+        result = self.run_gate(str(seeded))
+        assert result.returncode == 1
+        cycles = sorted(
+            line.split(": ", 2)[2].split(":")[0]
+            for line in result.stderr.splitlines()
+            if "refers to itself" in line
+        )
+        # A module-level recursion, a function that only calls a recursive
+        # sibling, and a parameter that shadows the function's own name
+        # leave no cycle.
+        assert cycles == [
+            "nested function again() of method() refers to itself "
+            "(again -> again)",
+            "nested function even() of mutual() refers to itself "
+            "(even -> odd -> even)",
+            "nested function odd() of mutual() refers to itself "
+            "(odd -> even -> odd)",
+            "nested function walk() of direct() refers to itself "
+            "(walk -> walk)",
+        ]
 
     @pytest.mark.parametrize("source,failure", LAYERING_CASES)
     def test_layering_rule_resolves_every_import_form(self, tmp_path, source, failure):

@@ -5,6 +5,7 @@ The headline contract: documents produced via the engine (a bare
 every frontend is a thin shell over the facade.
 """
 
+import gc
 import json
 import threading
 
@@ -259,3 +260,36 @@ class TestReviewRegressions:
         first, second = [job["cached_stages"] for job in document["jobs"]]
         assert first == []
         assert second == WARM_STAGE_NAMES
+
+
+class TestRunsLeaveNoCyclicGarbage:
+    """Reference counting frees what a run leaves: no collection is needed.
+
+    A reference cycle per run (a recursive closure holding the design
+    hierarchy, say) keeps its objects alive until a full collection, which
+    in a long session traces the whole memory tier to find them.
+    """
+
+    SOURCES = {
+        "flat": (workloads.producer_consumer_program(), "left"),
+        "linked": (workloads.hierarchical_register_file(cells=4, depth=2), "din"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_cold_and_cached_runs_leave_no_cycles(self, kind):
+        source, secret_input = self.SOURCES[kind]
+        secret = TwoLevelPolicy(secret_resources=[secret_input])
+        Workspace().lint(source)  # warm-up: the lazily imported layers
+        gc.collect()
+        gc.disable()
+        try:
+            for workspace in (Workspace(cache=None), Workspace()):
+                for _ in range(2):  # cold, then (with a cache) every hit
+                    workspace.analyze(source)
+                    workspace.check(source, secret)
+                    workspace.lint(source)
+            del workspace
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
