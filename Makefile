@@ -48,16 +48,18 @@ lint:
 	fi
 
 # The disk-cache, demand-driven-run, hierarchy-invalidation, per-unit parse,
-# reach and Table 5 tests under PYTHONHASHSEED 0-39: a universe, key or
-# document that followed string hashing (the iteration order of a set of
-# names) differs between seeds, and so does a Table 5 solution that
-# depended on which process or name stood for its shape or class.
+# reach, Table 5 and rendered-graph-member tests under PYTHONHASHSEED 0-39:
+# a universe, key or document that followed string hashing (the iteration
+# order of a set of names) differs between seeds, and so does a Table 5
+# solution that depended on which process or name stood for its shape or
+# class, or a graph member one process renders and another splices.
 hashseeds:
 	for seed in $$(seq 0 39); do \
 		PYTHONHASHSEED=$$seed PYTHONPATH=src $(PYTHON) -m pytest -q \
 			tests/test_disk_cache.py tests/test_goal_first.py \
 			tests/test_hier_invalidation.py tests/test_parse_units.py \
 			tests/test_reach.py tests/test_reaching_defs.py \
+			tests/test_render_splice.py \
 			|| { echo "hashseeds: PYTHONHASHSEED=$$seed failed"; exit 1; }; \
 	done
 

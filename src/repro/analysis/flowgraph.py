@@ -14,7 +14,8 @@ cached transpose.  :meth:`from_resource_matrix` consumes the label-columnar
 matrix directly — one ``pred[m] |= reads`` OR per set modification bit of
 each label row — without ever materialising the edge set; edges are decoded
 lazily, only by :meth:`to_dot`, :meth:`to_adjacency`,
-:meth:`edge_difference`, iteration and the :attr:`edges` property.
+:meth:`write_adjacency_json`, :meth:`edge_difference`, iteration and the
+:attr:`edges` property.
 :meth:`from_edges` builds the same structure from an explicit edge set and,
 together with :func:`resource_matrix_edges` (the original
 product-of-reads-and-mods materialisation), serves as the cross-check oracle
@@ -28,7 +29,9 @@ projection onto a node subset, DOT export and structural comparison.
 from __future__ import annotations
 
 import itertools
+from json.encoder import encode_basestring
 from typing import (
+    BinaryIO,
     Dict,
     FrozenSet,
     Iterable,
@@ -533,6 +536,68 @@ class FlowGraph:
             node: sorted(universe.decode_iter(successors.get(index_of(node), 0)))
             for node in sorted(universe.decode_iter(self._node_bits))
         }
+
+    def write_adjacency_json(
+        self, stream: BinaryIO, depth: int = 0, self_loops: bool = True
+    ) -> int:
+        """Write :meth:`to_adjacency` to ``stream`` as UTF-8 JSON text and
+        return the number of edges written.
+
+        The text is byte for byte what ``json.dumps(..., indent=2,
+        ensure_ascii=False)`` writes for the adjacency dict at nesting level
+        ``depth`` of a document; ``self_loops=False`` leaves out every
+        ``n → n`` edge, as :meth:`without_self_loops` does.  Each name is
+        escaped once, by the escaper ``json`` itself uses, and the targets
+        are visited in name order, each appended to the lists of its
+        predecessors, so every successor list comes out sorted.  Nothing is
+        cached on the graph.
+        """
+        universe = self._universe
+        predecessors = self._pred if self._pred is not None else _transpose(self._succ)
+        order = sorted(bit_indices(self._node_bits), key=universe.fact_of)
+        if not order:
+            stream.write(b"{}")
+            return 0
+        escaped = {
+            index: encode_basestring(universe.fact_of(index)).encode(
+                "utf-8", "surrogatepass"
+            )
+            for index in order
+        }
+        successors: Dict[int, List[bytes]] = {index: [] for index in order}
+        edges = 0
+        for target in order:
+            bits = predecessors.get(target, 0)
+            if not self_loops:
+                bits &= ~(1 << target)
+            if bits:
+                name = escaped[target]
+                sources = bit_indices(bits)
+                edges += len(sources)
+                for source in sources:
+                    successors[source].append(name)
+        open_key = b"\n" + b"  " * (depth + 1)
+        next_key = b"," + open_key
+        open_item = b"\n" + b"  " * (depth + 2)
+        open_list = b": [" + open_item
+        next_item = b"," + open_item
+        close_list = open_key + b"]"
+        write = stream.write
+        write(b"{")
+        lead = open_key
+        for index in order:
+            write(lead)
+            lead = next_key
+            write(escaped[index])
+            names = successors[index]
+            if names:
+                write(open_list)
+                write(next_item.join(names))
+                write(close_list)
+            else:
+                write(b": []")
+        write(b"\n" + b"  " * depth + b"}")
+        return edges
 
     def summary(self) -> str:
         """One-line description used by the CLI and benchmarks."""

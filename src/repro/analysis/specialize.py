@@ -16,13 +16,14 @@ Resource Matrix ``RM_lo``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from repro.analysis.local_deps import ResourceMatrix
 from repro.analysis.reaching_active import ActiveSignalsResult
 from repro.analysis.reaching_defs import ReachingDefinitionsResult
 from repro.analysis.resource_matrix import Access
 from repro.cfg.builder import ProgramCFG
+from repro.dataflow.universe import FactUniverse
 
 ResourceDef = Tuple[str, int]
 
@@ -51,18 +52,17 @@ def specialize(
 ) -> SpecializedRD:
     """Apply both rules of Table 7 and return ``RD†`` / ``RD†ϕ``."""
     result = SpecializedRD()
-    decode_names = rm_lo.universe.decode
+    universe = rm_lo.universe
 
     # [RD for active signals] — one pass over RD∪ϕ_entry per wait label that
-    # carries R1 reads, filtering against the label's read-name set.
+    # carries R1 reads, keeping the definitions of the names it reads.
     active_defs: Dict[int, FrozenSet[ResourceDef]] = {}
     for wait_label, bits in sorted(rm_lo.column(Access.R1).items()):
         if not program_cfg.label_occurs_in_cross_flow(wait_label):
             continue
-        read_names = decode_names(bits)
         owner = program_cfg.process_of_label(wait_label)
         over_entry = active[owner].over_entry_of(wait_label)
-        used = frozenset((s, l) for (s, l) in over_entry if s in read_names)
+        used = _read_definitions(over_entry, bits, universe)
         if used:
             active_defs[wait_label] = used
     result.active = active_defs
@@ -71,11 +71,27 @@ def specialize(
     # RDcf_entry per label with R0 reads.
     present_defs: Dict[int, FrozenSet[ResourceDef]] = {}
     for label, bits in sorted(rm_lo.column(Access.R0).items()):
-        read_names = decode_names(bits)
-        rd_entry = reaching.entry_of(label)
-        used = frozenset((n, l) for (n, l) in rd_entry if n in read_names)
+        used = _read_definitions(reaching.entry_of(label), bits, universe)
         if used:
             present_defs[label] = used
     result.present = present_defs
 
     return result
+
+
+def _read_definitions(
+    definitions: Iterable[ResourceDef], bits: int, universe: FactUniverse
+) -> FrozenSet[ResourceDef]:
+    """The definitions of the names a label reads, ``bits`` being its row.
+
+    Nearly every row reads one name: its bit position gives the name, and
+    the definitions are filtered by it, so the row is never decoded into a
+    set of names.  A row reading several names is decoded once.
+    """
+    if not bits:
+        return frozenset()
+    if bits & (bits - 1):
+        names = universe.decode(bits)
+        return frozenset(pair for pair in definitions if pair[0] in names)
+    name = universe.fact_of(bits.bit_length() - 1)
+    return frozenset(pair for pair in definitions if pair[0] == name)

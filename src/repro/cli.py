@@ -177,17 +177,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             if has_instantiations(program):
                 source = flatten_source(program, args.entity)
     run = _workspace(args).analyze_run(
-        source, profile=profiling, **_analysis_opts(args)
+        source,
+        collapse=args.collapse,
+        self_loops=args.self_loops,
+        profile=profiling,
+        **_analysis_opts(args),
     )
     if profiling:
         _emit_profile(args, run)
     if args.json:
-        _print_json(
-            analyze_document(
-                run, collapse=args.collapse, self_loops=args.self_loops,
-                file=args.file,
-            )
-        )
+        _print_json(analyze_document(run, file=args.file))
         return EXIT_OK
     print(
         render_analysis_text(

@@ -14,6 +14,7 @@ behaviour is deterministically testable via :mod:`repro.pipeline.faults`.
 from repro.pipeline.artifacts import (
     AnalysisOptions,
     AnalysisResult,
+    GraphJSON,
     PipelineResult,
     StageTiming,
 )
@@ -36,6 +37,7 @@ from repro.pipeline.faults import FaultInjector, FaultPlan
 from repro.pipeline.pool import PoolResult, WorkerPool
 from repro.pipeline.render import (
     SCHEMA_VERSION,
+    RenderedJSON,
     analysis_json,
     analyze_document,
     check_document,
@@ -55,6 +57,7 @@ from repro.pipeline.render import (
 from repro.pipeline.serve import AnalysisServer, ServerThread, interaction_id, serve
 from repro.pipeline.stages import (
     ANALYSIS_GOALS,
+    ANALYZE_GOALS,
     FRONTS,
     LINT_GOALS,
     STAGES,
@@ -66,6 +69,7 @@ from repro.pipeline.stages import (
 
 __all__ = [
     "ANALYSIS_GOALS",
+    "ANALYZE_GOALS",
     "FRONTS",
     "LINT_GOALS",
     "SCHEMA_VERSION",
@@ -79,10 +83,12 @@ __all__ = [
     "DiskArtifactCache",
     "FaultInjector",
     "FaultPlan",
+    "GraphJSON",
     "Pipeline",
     "PipelineContext",
     "PipelineResult",
     "PoolResult",
+    "RenderedJSON",
     "STAGES",
     "ServerThread",
     "WorkerPool",

@@ -4,10 +4,12 @@
 analysis run produces (``repro.AnalysisResult``; what :func:`repro.analyze`
 returns), a view over the run that loads each artefact the first time a
 caller reads it.  :class:`Inventory` is the small artefact documents read
-besides the flow graph.  :class:`AnalysisOptions` is the frozen set of
-knobs that select *which* analysis runs — its fields are the option inputs
-of every stage cache key (see :func:`repro.pipeline.stages.stage_key` and
-``docs/architecture.md`` for which field keys which stage).
+besides the flow graph, and :class:`GraphJSON` the rendered ``graph`` member
+of an analyze document.  :class:`AnalysisOptions` is the frozen set of
+knobs that select *which* analysis runs, and how its graph is shaped — its
+fields are the option inputs of every stage cache key (see
+:func:`repro.pipeline.stages.stage_key` and ``docs/architecture.md`` for
+which field keys which stage).
 :class:`StageTiming` / :class:`PipelineResult` describe *how* a pipeline run
 went, stage by stage; ``PipelineResult.cached_stages`` is the observable the
 caching tests and the ``--json`` documents rely on.
@@ -34,15 +36,21 @@ class AnalysisOptions:
     """The analysis configuration, as it participates in cache keys.
 
     ``entity`` selects the entity/architecture pair when the source contains
-    several; the three booleans mirror the keyword arguments of
+    several; ``improved``, ``loop_processes`` and
+    ``use_under_approximation`` mirror the keyword arguments of
     :func:`repro.analyze` (Table 9 improvement, looping process bodies, the
-    ``RD∩ϕ`` under-approximation).
+    ``RD∩ϕ`` under-approximation).  ``collapse`` and ``self_loops`` are the
+    CLI's graph-shaping flags: only the ``graph_json`` stage keys on them,
+    so the graph member of an analyze document is rendered for the flags
+    of the run that asked for it.
     """
 
     entity: Optional[str] = None
     improved: bool = True
     loop_processes: bool = True
     use_under_approximation: bool = True
+    collapse: bool = False
+    self_loops: bool = False
 
 
 @dataclass(frozen=True)
@@ -63,19 +71,36 @@ class Inventory:
     global_entries: int
 
 
+@dataclass(frozen=True)
+class GraphJSON:
+    """The ``graph_json`` stage's artefact: an analyze document's ``graph``
+    member, rendered.
+
+    ``text`` is the member's UTF-8 JSON text, exactly as
+    :func:`~repro.pipeline.render.json_text` renders it one level down in a
+    document; ``nodes`` and ``edges`` are the shaped graph's counts, which
+    the document's ``summary`` reads.  A warm analyze reads this instead of
+    the flow graph, and decodes no bitset.
+    """
+
+    nodes: int
+    edges: int
+    text: bytes
+
+
 class AnalysisResult:
     """All artefacts produced by one Information Flow analysis run.
 
     A view over the run's context
-    (:class:`~repro.pipeline.stages.PipelineContext`).  ``graph`` and
-    ``inventory`` are the run's goals, resolved before it returns.  Every
-    other artefact field resolves on first access, from the cache or by
-    running its stage, and the stage then appears in the run's
-    ``timings``.  ``design``, ``program_cfg``, ``active`` and
-    ``rm_local`` are one stage's artefact, the source's front (``elaborate``
-    or ``place``), so the first read of any of them resolves all four.  The
-    context holds no reference back to the view, so dropping the result
-    frees the run.
+    (:class:`~repro.pipeline.stages.PipelineContext`).  ``inventory`` is
+    resolved before the run returns, and ``graph`` too unless the run asked
+    for the rendered graph member (an analyze run).  Every other artefact
+    field resolves on first access, from the cache or by running its stage,
+    and the stage then appears in the run's ``timings``.  ``design``,
+    ``program_cfg``, ``active`` and ``rm_local`` are one stage's artefact,
+    the source's front (``elaborate`` or ``place``), so the first read of
+    any of them resolves all four.  The context holds no reference back to
+    the view, so dropping the result frees the run.
     """
 
     __slots__ = ("_context",)
@@ -192,7 +217,7 @@ class StageTiming:
 class PipelineResult:
     """What one pipeline run produced, plus how long each stage took.
 
-    ``result`` is populated once the run has resolved the ``flow_graph``
+    ``result`` is populated once the run has resolved the ``inventory``
     stage (any run whose goals hold it or a stage that needs it);
     ``kemmerer`` for Kemmerer-baseline runs; ``report`` when a policy was
     supplied and the ``report`` stage ran.  ``artifacts`` is the raw stage
@@ -220,9 +245,10 @@ class PipelineResult:
 
         Runs are demand-driven (:mod:`repro.pipeline.stages`): a stage the
         run neither read nor ran appears here and in :attr:`timings` not at
-        all.  A fully cached run lists its goals only: ``flow_graph`` and
-        ``inventory`` (plus ``lint`` for a lint run, or ``kemmerer`` alone
-        for a Kemmerer run).  A field of :attr:`result`
+        all.  A fully cached run lists its goals only: ``graph_json`` and
+        ``inventory`` for an analyze run, ``flow_graph`` and ``inventory``
+        for the full analysis a check reads, ``inventory`` and ``lint`` for a
+        lint run, or ``kemmerer`` alone for a Kemmerer run.  A field of :attr:`result`
         read after the run appends the stage it resolved, so both lists
         can grow after the run returns.
         """

@@ -51,10 +51,9 @@ from repro.pipeline.render import (
     render_analysis_text,
     render_lint_text,
     report_json,
-    select_graph,
     stamped,
 )
-from repro.pipeline.stages import ANALYSIS_GOALS, LINT_GOALS
+from repro.pipeline.stages import ANALYSIS_GOALS, ANALYZE_GOALS
 from repro.security.report import Diagnostic
 
 if TYPE_CHECKING:
@@ -254,7 +253,9 @@ def run_job(
     the outcome.
 
     Without a policy the outcome is the ``analyze`` rendering (text and the
-    ``analysis_json`` payload).  With a policy the job becomes a check: the
+    ``analysis_json`` payload, whose graph member is the cached
+    ``graph_json`` artefact for ``collapse`` and ``self_loops``).  With a
+    policy the job becomes a check: the
     pipeline's report stage runs (in the policy's preferred transitive mode),
     the text is the covert-channel report, the payload is the ``check``-style
     report document, and ``clean`` carries the verdict.  ``lint`` (a
@@ -266,12 +267,17 @@ def run_job(
     started = time.perf_counter()
     try:
         source = Path(job.path).read_text(encoding="utf-8")
-        if job.entity is not None:
-            options = dataclasses.replace(options, entity=job.entity)
+        entity = options.entity if job.entity is None else job.entity
+        options = dataclasses.replace(
+            options, entity=entity, collapse=collapse, self_loops=self_loops
+        )
+        goals = ANALYZE_GOALS if policy is None else ANALYSIS_GOALS
+        if lint is not None:
+            goals = (*goals, "lint")
         run = workspace.pipeline.run(
             source,
             options,
-            goals=ANALYSIS_GOALS if lint is None else LINT_GOALS,
+            goals=goals,
             policy=policy,
             report_options={"transitive": bool(getattr(policy, "transitive", False))},
         )
@@ -279,16 +285,11 @@ def run_job(
             text = run.report.to_text()
             data = report_json(run)
         else:
-            graph = select_graph(run.result, collapse, self_loops)
+            # The payload first: it lists what the analyze document reads,
+            # before the text reads the flow graph.
+            data = analysis_json(run)
             text = render_analysis_text(
-                run.result,
-                collapse=collapse,
-                self_loops=self_loops,
-                dot=dot,
-                graph=graph,
-            )
-            data = analysis_json(
-                run, collapse=collapse, self_loops=self_loops, graph=graph
+                run.result, collapse=collapse, self_loops=self_loops, dot=dot
             )
         findings: List[Diagnostic] = []
         if lint is not None:

@@ -5,11 +5,19 @@ Inputs are finished :class:`~repro.pipeline.artifacts.PipelineResult` /
 user-facing renderings.  Both the ``vhdl-ifa analyze`` command and the batch
 driver go through :func:`render_analysis_text`, so a batch run's per-file
 output is byte-identical to the sequential command by construction.  The
-JSON builders return plain dicts (stable key order, only JSON-native types),
-shared by ``--json`` on ``analyze``/``check``/``batch``;
-:func:`analyze_document` / :func:`check_document` / :func:`json_text` are
-the complete documents, shared by the CLI and ``vhdl-ifa serve`` — which is
-why a server response is byte-identical to the corresponding CLI output.
+JSON builders return dicts in a stable key order, shared by ``--json`` on
+``analyze``/``check``/``batch``; :func:`analyze_document` /
+:func:`check_document` / :func:`json_text` are the complete documents,
+shared by the CLI and ``vhdl-ifa serve`` — which is why a server response
+is byte-identical to the corresponding CLI output.
+
+:func:`json_text` is the one serialiser of these documents.  Their values
+are JSON-native types, except the ``graph`` member of an analyze document:
+a :class:`RenderedJSON`, the text the ``graph_json`` stage rendered and
+cached (:func:`render_graph_json`), which :func:`json_text` splices into
+the document's remainder as it is.  Plain ``json.dumps`` of an analyze
+document raises ``TypeError``; read the member as a mapping, or serialise
+the document with :func:`json_text`.
 
 The ``vhdl-ifa/v1`` contract these documents follow is the recorded
 interaction corpus (``tests/contract/pacts``, see :mod:`repro.contract`):
@@ -19,10 +27,13 @@ every field is pinned there except the run-dependent ones that
 
 from __future__ import annotations
 
+import io
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from json.encoder import encode_basestring
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
-from repro.pipeline.artifacts import AnalysisResult, PipelineResult
+from repro.analysis.flowgraph import FlowGraph
+from repro.pipeline.artifacts import AnalysisResult, GraphJSON, PipelineResult
 from repro.security.policy_file import policy_to_dict
 from repro.version import version
 
@@ -41,12 +52,95 @@ def stamped(document: Dict[str, Any]) -> Dict[str, Any]:
     return {"schema": SCHEMA_VERSION, **document}
 
 
-def select_graph(result: AnalysisResult, collapse: bool, self_loops: bool):
-    """Apply the CLI's graph-shaping flags (shared by analyze/kemmerer/batch)."""
-    graph = result.graph if self_loops else result.graph.without_self_loops()
+def shape_graph(graph: FlowGraph, collapse: bool, self_loops: bool) -> FlowGraph:
+    """Apply the CLI's graph-shaping flags to ``graph``."""
+    if not self_loops:
+        graph = graph.without_self_loops()
     if collapse:
         graph = graph.collapse_environment_nodes()
     return graph
+
+
+def select_graph(result: AnalysisResult, collapse: bool, self_loops: bool):
+    """Apply the CLI's graph-shaping flags (shared by analyze/kemmerer/batch)."""
+    return shape_graph(result.graph, collapse, self_loops)
+
+
+class RenderedJSON(Mapping):
+    """A JSON object held as its rendered text: a document member that
+    :func:`json_text` splices in as it is.
+
+    ``text`` is UTF-8 JSON, rendered as :func:`json_text` renders a member
+    one level down in a document.  Reading the mapping parses the text once,
+    so ``member["adjacency"]``, ``==`` against a dict and ``dict(member)``
+    work; the parsed value is never serialised, so treat it as read-only.
+    A copy, a deep copy and a pickle carry the text alone.
+    """
+
+    __slots__ = ("text", "_value")
+
+    def __init__(self, text: bytes):
+        self.text = text
+        self._value: Optional[Dict[str, Any]] = None
+
+    def _parsed(self) -> Dict[str, Any]:
+        if self._value is None:
+            self._value = json.loads(self.text)
+        return self._value
+
+    def __getitem__(self, key: str) -> Any:
+        return self._parsed()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._parsed())
+
+    def __len__(self) -> int:
+        return len(self._parsed())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RenderedJSON):
+            return self.text == other.text or self._parsed() == other._parsed()
+        if isinstance(other, Mapping):
+            return self._parsed() == (other if isinstance(other, dict) else dict(other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RenderedJSON({len(self.text)} bytes)"
+
+    def __reduce__(self) -> Any:
+        # Pickles, copies and deep copies all rebuild from the text.
+        return RenderedJSON, (self.text,)
+
+
+_JSON_BOOLEANS = {False: b"false", True: b"true"}
+
+
+def render_graph_json(graph: FlowGraph, collapse: bool, self_loops: bool) -> GraphJSON:
+    """The ``graph_json`` stage's artefact: ``graph``'s document member for
+    the two shaping flags, and the shaped graph's counts.
+
+    The text is byte for byte what :func:`json_text` writes for the member
+    ``{"collapse": …, "self_loops": …, "adjacency": to_adjacency()}`` one
+    level down in a document, written into one buffer
+    (:meth:`~repro.analysis.flowgraph.FlowGraph.write_adjacency_json`).
+    ``graph`` is a cached artefact: only a copy of it is shaped, so it keeps
+    no map the shaping derives.
+    """
+    shaped, keep_self_loops = graph, self_loops
+    if collapse:
+        # As select_graph: the self-loops go first, and merging n◦/n• onto n
+        # can make new ones, which stay.
+        shaped, keep_self_loops = shape_graph(graph.copy(), True, self_loops), True
+    buffer = io.BytesIO()
+    buffer.write(
+        b'{\n    "collapse": %s,\n    "self_loops": %s,\n    "adjacency": '
+        % (_JSON_BOOLEANS[collapse], _JSON_BOOLEANS[self_loops])
+    )
+    edges = shaped.write_adjacency_json(buffer, 2, self_loops=keep_self_loops)
+    buffer.write(b"\n  }")
+    return GraphJSON(shaped.node_count(), edges, buffer.getvalue())
 
 
 def render_adjacency(graph: Any) -> List[str]:
@@ -62,16 +156,9 @@ def render_analysis_text(
     collapse: bool = False,
     self_loops: bool = False,
     dot: bool = False,
-    graph: Optional[Any] = None,
 ) -> str:
-    """Exactly what ``vhdl-ifa analyze`` prints for one design.
-
-    ``graph`` optionally supplies an already-shaped graph (the result of
-    :func:`select_graph` with the same flags), so callers rendering both text
-    and JSON shape it only once.
-    """
-    if graph is None:
-        graph = select_graph(result, collapse, self_loops)
+    """Exactly what ``vhdl-ifa analyze`` prints for one design."""
+    graph = select_graph(result, collapse, self_loops)
     lines = [result.summary()]
     if dot:
         lines.append(graph.to_dot())
@@ -85,24 +172,20 @@ def _round_timings(pipeline: PipelineResult) -> Dict[str, float]:
 
 
 def analysis_json(
-    pipeline: PipelineResult,
-    collapse: bool = False,
-    self_loops: bool = False,
-    file: Optional[str] = None,
-    graph: Optional[Any] = None,
+    pipeline: PipelineResult, file: Optional[str] = None
 ) -> Dict[str, Any]:
     """The machine-readable summary of one analysis run.
 
     Contains the design inventory (the run's ``inventory`` artefact), the
-    (flag-shaped) adjacency, per-stage wall-clock timings and which stages
-    were served from the artifact cache.
-    ``graph`` optionally supplies an already-shaped graph, as in
-    :func:`render_analysis_text`.
+    ``graph`` member shaped by the run's ``collapse``/``self_loops`` options
+    (the ``graph_json`` artefact, a :class:`RenderedJSON`), per-stage
+    wall-clock timings and which stages were served from the artifact
+    cache.  Both artefacts resolve first, so the timings and the cached
+    stages include them.
     """
-    result = pipeline.result
-    if graph is None:
-        graph = select_graph(result, collapse, self_loops)
-    inventory = result.inventory
+    artifacts = pipeline.artifacts
+    member = artifacts.artifact("graph_json")
+    inventory = artifacts.artifact("inventory")
     document: Dict[str, Any] = {}
     if file is not None:
         document["file"] = file
@@ -119,14 +202,10 @@ def analysis_json(
                 **inventory.cfg_stats,
                 "local_entries": inventory.local_entries,
                 "global_entries": inventory.global_entries,
-                "nodes": graph.node_count(),
-                "edges": graph.edge_count(),
+                "nodes": member.nodes,
+                "edges": member.edges,
             },
-            "graph": {
-                "collapse": collapse,
-                "self_loops": self_loops,
-                "adjacency": graph.to_adjacency(),
-            },
+            "graph": RenderedJSON(member.text),
             "timings": _round_timings(pipeline),
             "cached_stages": pipeline.cached_stages,
         }
@@ -222,20 +301,14 @@ def policy_summary(policy: Any) -> Dict[str, Any]:
 
 
 def analyze_document(
-    pipeline: PipelineResult,
-    collapse: bool = False,
-    self_loops: bool = False,
-    file: Optional[str] = None,
+    pipeline: PipelineResult, file: Optional[str] = None
 ) -> Dict[str, Any]:
-    """The complete ``analyze --json`` document (CLI and server share it)."""
-    return stamped(
-        {
-            "command": "analyze",
-            **analysis_json(
-                pipeline, collapse=collapse, self_loops=self_loops, file=file
-            ),
-        }
-    )
+    """The complete ``analyze --json`` document (CLI and server share it).
+
+    The graph member is shaped by the run's ``collapse`` and ``self_loops``
+    options (:meth:`repro.workspace.Workspace.analyze_run` takes both).
+    """
+    return stamped({"command": "analyze", **analysis_json(pipeline, file=file)})
 
 
 def check_document(
@@ -324,11 +397,67 @@ def volatile_pointers(command: str) -> Dict[str, str]:
     raise ValueError(f"no matcher table for document kind {command!r}")
 
 
+#: What :func:`json_text`'s hook writes where a :class:`RenderedJSON` goes.
+#: ``json`` escapes its NULs, so the escaped form can stand only for a whole
+#: string of the document equal to it; a document holding one is serialised
+#: again with another placeholder.
+_PLACEHOLDER = "\x00vhdl-ifa:rendered-json\x00"
+
+
+class _Splicer:
+    """``json.dumps``'s ``default`` hook: a placeholder for each
+    :class:`RenderedJSON`, whose text it keeps in order."""
+
+    __slots__ = ("placeholder", "texts")
+
+    def __init__(self, placeholder: str):
+        self.placeholder = placeholder
+        self.texts: List[bytes] = []
+
+    def __call__(self, value: Any) -> str:
+        if isinstance(value, RenderedJSON):
+            self.texts.append(value.text)
+            return self.placeholder
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
+
+
 def json_text(document: Dict[str, Any]) -> str:
     """One canonical JSON serialisation, shared by the CLI and the server.
 
     Both ``vhdl-ifa analyze --json`` (via ``print``) and ``vhdl-ifa serve``
     emit exactly this text plus a trailing newline, which is what makes the
-    two byte-comparable.
+    two byte-comparable.  It is ``json.dumps(document, indent=2,
+    ensure_ascii=False)`` of the document with every :class:`RenderedJSON`
+    member parsed, written without parsing one: each member's text is
+    spliced in where it sits, re-indented to its depth.
     """
-    return json.dumps(document, indent=2, ensure_ascii=False)
+    attempt = 0
+    while True:
+        splicer = _Splicer(f"{_PLACEHOLDER}{attempt}")
+        text = json.dumps(document, indent=2, ensure_ascii=False, default=splicer)
+        texts = splicer.texts
+        # The pure-Python encoder leaves the hook in a reference cycle: it
+        # must not keep the members alive until the next collection.
+        splicer.texts = []
+        if not texts:
+            return text
+        pieces = text.split(encode_basestring(splicer.placeholder))
+        if len(pieces) == len(texts) + 1:
+            break
+        attempt += 1
+    # The member texts are UTF-8: the small remainder is encoded to join
+    # them, so the one decode is of the output, and each member is copied
+    # once, by the join.
+    parts = [pieces[0].encode("utf-8", "surrogatepass")]
+    for before, member, after in zip(pieces, texts, pieces[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        shift = len(line) - len(line.lstrip(" ")) - 2
+        if shift > 0:
+            member = member.replace(b"\n", b"\n" + b" " * shift)
+        elif shift < 0:
+            member = member.replace(b"\n" + b" " * -shift, b"\n")
+        parts.append(member)
+        parts.append(after.encode("utf-8", "surrogatepass"))
+    return b"".join(parts).decode("utf-8", "surrogatepass")

@@ -197,13 +197,13 @@ def execute_request(
             "loop_processes": request.get("loop_processes", True),
         }
         if kind == "analyze":
-            run = workspace.analyze_run(request["source"], **opts)
-            return 200, analyze_document(
-                run,
+            run = workspace.analyze_run(
+                request["source"],
                 collapse=request.get("collapse", False),
                 self_loops=request.get("self_loops", False),
-                file=request.get("file"),
+                **opts,
             )
+            return 200, analyze_document(run, file=request.get("file"))
         if kind == "lint":
             linted = workspace.lint(
                 request["source"], policy=request.get("policy"), **opts

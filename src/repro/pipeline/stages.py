@@ -2,12 +2,12 @@
 
 A full Information Flow analysis decomposes into the named stages of
 :data:`STAGES`.  Every analysis reads ``parse → front → reaching →
-specialize → closure → flow_graph → inventory``, plus ``lint``,
-``kemmerer`` or ``report``, and its front is one of :data:`FRONTS`: a flat
-source's is ``elaborate``, and a source with component instantiations is
-*linked* (:mod:`repro.hier`), its front ``place``.  Both fronts yield the
-same four artefacts, because Tables 4 and 6 are per-process and closed
-under renaming:
+specialize → closure → flow_graph → inventory``, plus ``graph_json``,
+``lint``, ``kemmerer`` or ``report``, and its front is one of
+:data:`FRONTS`: a flat source's is ``elaborate``, and a source with
+component instantiations is *linked* (:mod:`repro.hier`), its front
+``place``.  Both fronts yield the same four artefacts, because Tables 4 and
+6 are per-process and closed under renaming:
 
 ========== =====================================================
 stage      artefact
@@ -27,6 +27,9 @@ reaching   the Reaching Definitions (Table 5), solved once per process
 specialize the specialised RD results ``RD†``/``RD†ϕ`` (Table 7)
 closure    the closed matrix ``RM_gl`` (Table 8, optionally Table 9)
 flow_graph the information-flow graph
+graph_json the :class:`~repro.pipeline.artifacts.GraphJSON`: an analyze
+           document's ``graph`` member rendered for the run's shaping
+           flags, and the shaped graph's node and edge counts
 inventory  the :class:`~repro.pipeline.artifacts.Inventory`: design name,
            ports, CFG counts and matrix sizes, what documents read besides
            the graph
@@ -38,14 +41,16 @@ report     the covert-channel report (only when a policy is given)
 
 A run is asked for its *goals*, a tuple of stage names:
 :data:`ANALYSIS_GOALS` (``flow_graph``, ``inventory`` and, with a policy,
-``report``), :data:`LINT_GOALS` (those and ``lint``), ``("kemmerer",)``, or
-one stage of a partial run, such as ``("parse",)`` or a front.  Every other
-stage is on demand.  A goal is served from the cache when it can be; a stage
-that misses first resolves the producers of the context attributes it reads
-(``Stage.needs``) and the context lacks, then runs.  The
-:class:`~repro.pipeline.artifacts.AnalysisResult` a run returns is a view
-over its context, and resolves any other artefact the first time a caller
-reads it.
+``report``: the full analysis, and a check), :data:`ANALYZE_GOALS`
+(``graph_json`` and ``inventory``: what an analyze document reads),
+:data:`LINT_GOALS` (``inventory``, ``lint`` and, with a policy, ``report``),
+``("kemmerer",)``, or one stage of a partial run, such as ``("parse",)`` or
+a front.  Every other stage is on demand.  A goal is served from the cache
+when it can be; a stage that misses first resolves the producers of the
+context attributes it reads (``Stage.needs``) and the context lacks, then
+runs.  The :class:`~repro.pipeline.artifacts.AnalysisResult` a run returns
+is a view over its context, and resolves any other artefact the first time
+a caller reads it.
 
 Only the front depends on the source, and it reads one entity/architecture
 pair and the entities it instantiates.  So before its first keyed lookup a
@@ -89,6 +94,8 @@ reaching   entity, loop_processes, use_under_approximation
 specialize entity, loop_processes, use_under_approximation
 closure    entity, loop_processes, use_under_approximation, improved
 flow_graph entity, loop_processes, use_under_approximation, improved
+graph_json entity, loop_processes, use_under_approximation, improved,
+           collapse, self_loops
 inventory  entity, loop_processes, use_under_approximation, improved
 lint       entity, loop_processes, use_under_approximation, improved
 kemmerer   entity, loop_processes
@@ -135,11 +142,13 @@ from repro.hier.structure import build_hierarchy, has_instantiations, outline, r
 from repro.pipeline.artifacts import (
     AnalysisOptions,
     AnalysisResult,
+    GraphJSON,
     Inventory,
     PipelineResult,
     StageTiming,
 )
 from repro.pipeline.cache import ArtifactCache, source_digest
+from repro.pipeline.render import render_graph_json
 from repro.vhdl.ast import Program
 from repro.vhdl.elaborate import Design, elaborate
 from repro.vhdl.parser import parse_program, split_units
@@ -176,7 +185,9 @@ class PipelineContext:
     source: Optional[str] = None
     goals: Tuple[str, ...] = ()
     """The stages the run was asked for: the cache keeps their artefacts in
-    its main queue and puts every other one it computes on probation."""
+    its main queue, as it does any stage some verb asks for
+    (:data:`_ASKED_FOR`), and puts every other one it computes on
+    probation."""
     reach: Optional[Reach] = None
     """The run's :class:`Reach`, resolved before its first keyed lookup."""
     parsed: Dict[int, Program] = field(default_factory=dict)
@@ -191,6 +202,7 @@ class PipelineContext:
     specialized: Optional[Any] = None
     closure: Optional[Any] = None
     graph: Optional[FlowGraph] = None
+    graph_json: Optional[GraphJSON] = None
     inventory: Optional[Inventory] = None
     kemmerer: Optional[Any] = None
     lint: Optional[Any] = None
@@ -337,6 +349,10 @@ def _run_flow_graph(ctx: PipelineContext) -> FlowGraph:
     return FlowGraph.from_resource_matrix(ctx.closure.rm_global)
 
 
+def _run_graph_json(ctx: PipelineContext) -> GraphJSON:
+    return render_graph_json(ctx.graph, ctx.options.collapse, ctx.options.self_loops)
+
+
 def _run_inventory(ctx: PipelineContext) -> Inventory:
     design = ctx.design
     return Inventory(
@@ -390,6 +406,15 @@ class Stage:
 _SHAPE = ("entity", "loop_processes")
 _RD = ("entity", "loop_processes", "use_under_approximation")
 _ALL = ("entity", "loop_processes", "use_under_approximation", "improved")
+#: The graph member is rendered for the CLI's shaping flags too.
+_SHAPED = (
+    "entity",
+    "loop_processes",
+    "use_under_approximation",
+    "improved",
+    "collapse",
+    "self_loops",
+)
 #: What either front yields.
 _FRONT = ("design", "program_cfg", "active", "rm_local")
 
@@ -438,6 +463,13 @@ FLOW_GRAPH = Stage(
     _ALL,
     needs=("closure",),
 )
+GRAPH_JSON = Stage(
+    "graph_json",
+    "graph_json",
+    _run_graph_json,
+    _SHAPED,
+    needs=("graph",),
+)
 INVENTORY = Stage(
     "inventory",
     "inventory",
@@ -476,6 +508,7 @@ STAGES: Tuple[Stage, ...] = (
     SPECIALIZE,
     CLOSURE,
     FLOW_GRAPH,
+    GRAPH_JSON,
     INVENTORY,
     LINT,
     KEMMERER,
@@ -486,11 +519,21 @@ STAGES: Tuple[Stage, ...] = (
 FRONTS: Tuple[Stage, ...] = (ELABORATE, PLACE)
 
 #: The full analysis: the flow graph and the inventory, and the report when
-#: a policy is given.
+#: a policy is given (a check).
 ANALYSIS_GOALS: Tuple[str, ...] = ("flow_graph", "inventory", "report")
 
-#: The lint run: the full analysis and the cached ``lint`` stage.
-LINT_GOALS: Tuple[str, ...] = ("flow_graph", "inventory", "lint", "report")
+#: An analyze run: what its document reads, the rendered graph member and
+#: the inventory.
+ANALYZE_GOALS: Tuple[str, ...] = ("graph_json", "inventory")
+
+#: The lint run: what its document reads, the inventory and the cached
+#: ``lint`` stage, and the report when a policy is given.
+LINT_GOALS: Tuple[str, ...] = ("inventory", "lint", "report")
+
+#: Every stage some verb asks for.  A run that computes one on the way to
+#: its own goals keeps it in the cache's main queue too, for the verb that
+#: reads it next: an analyze's flow graph serves a later check.
+_ASKED_FOR = frozenset((*ANALYSIS_GOALS, *ANALYZE_GOALS, *LINT_GOALS, "kemmerer"))
 
 _BY_NAME: Dict[str, Stage] = {stage.name: stage for stage in STAGES}
 
@@ -579,8 +622,11 @@ class Pipeline:
         """Resolve the stages named in ``goals`` for VHDL1 source text.
 
         The default goals are the Information Flow analysis;
-        :data:`LINT_GOALS` adds the lint findings (``run.artifacts.lint``,
-        the complete catalog at default severities), ``("kemmerer",)`` runs
+        :data:`ANALYZE_GOALS` asks for an analyze document's rendered graph
+        member (shaped by the ``collapse``/``self_loops`` options) instead
+        of the graph, :data:`LINT_GOALS` for the lint findings
+        (``run.artifacts.lint``, the complete catalog at default severities)
+        and the inventory, ``("kemmerer",)`` runs
         Kemmerer's baseline alone, and one stage's name stops there
         (``("parse",)`` yields the AST, ``("elaborate",)`` or ``("place",)``
         the source's front; the other front is an error).  ``report``
@@ -626,7 +672,7 @@ class Pipeline:
         return PipelineResult(
             options=ctx.options,
             stages=ctx.stages,
-            result=AnalysisResult(ctx) if ctx.graph is not None else None,
+            result=AnalysisResult(ctx) if ctx.inventory is not None else None,
             kemmerer=ctx.kemmerer,
             report=ctx.report,
             artifacts=ctx,
@@ -710,7 +756,7 @@ class Pipeline:
 
     def _compute(self, ctx: PipelineContext, stage: Stage) -> None:
         """Run ``stage`` on ``ctx`` and write its artefact to the cache, on
-        probation unless the run was asked for it.
+        probation unless the run or another verb asks for it.
 
         A design nested past the recursion limit fails the stage with a
         :class:`~repro.errors.ReproError` naming it.
@@ -726,7 +772,8 @@ class Pipeline:
         _store(ctx, stage, artifact)
         if self.cache is not None and stage.cacheable:
             key = stage_key(stage, self._reach(ctx).key, ctx.options)
-            self.cache.put(key, artifact, probation=stage.name not in ctx.goals)
+            probation = stage.name not in ctx.goals and stage.name not in _ASKED_FOR
+            self.cache.put(key, artifact, probation=probation)
         _record(ctx, StageTiming(stage.name, elapsed, profile=stage_profile))
 
     @classmethod

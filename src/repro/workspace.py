@@ -32,9 +32,11 @@ Hierarchical designs (component instantiations) need nothing special: every
 verb runs them through the same :class:`~repro.pipeline.stages.Pipeline`,
 whose front for a source with instantiations is ``place`` (each entity
 summarised, every instance placed) in place of ``elaborate`` — see
-``docs/hierarchy.md``.  Each verb asks the pipeline for its goals: the
-analysis (``check`` adds its report), ``lint`` the lint findings too, and
-``kemmerer_run`` Kemmerer's baseline alone.
+``docs/hierarchy.md``.  Each verb asks the pipeline for its goals:
+``analyze_run`` for what an analyze document reads (the rendered graph
+member and the inventory), ``check`` for the analysis and its report,
+``lint`` for the inventory and the lint findings, and ``kemmerer_run`` for
+Kemmerer's baseline alone.
 
 Universes: a computed front interns the design's resource names into a
 fresh :class:`~repro.dataflow.universe.FactUniverse` and makes it final, and
@@ -59,7 +61,7 @@ from repro.pipeline.artifacts import AnalysisOptions, AnalysisResult, PipelineRe
 from repro.pipeline.batch import BatchJob, BatchReport, expand_jobs, run_batch
 from repro.pipeline.cache import open_cache
 from repro.pipeline.render import check_document, lint_document, render_lint_text
-from repro.pipeline.stages import ANALYSIS_GOALS, LINT_GOALS, Pipeline
+from repro.pipeline.stages import ANALYSIS_GOALS, ANALYZE_GOALS, LINT_GOALS, Pipeline
 from repro.security.policy import FlowPolicy
 from repro.security.policy_file import load_policy_file, policy_from_dict
 from repro.security.report import Diagnostic
@@ -242,12 +244,16 @@ class Workspace:
         improved: bool,
         loop_processes: bool,
         use_under_approximation: bool,
+        collapse: bool = False,
+        self_loops: bool = False,
     ) -> AnalysisOptions:
         return AnalysisOptions(
             entity=entity,
             improved=improved,
             loop_processes=loop_processes,
             use_under_approximation=use_under_approximation,
+            collapse=collapse,
+            self_loops=self_loops,
         )
 
     def analyze(self, source: str, **opts: Any) -> AnalysisResult:
@@ -266,11 +272,19 @@ class Workspace:
         improved: bool = True,
         loop_processes: bool = True,
         use_under_approximation: bool = True,
+        collapse: bool = False,
+        self_loops: bool = False,
         until: Optional[str] = None,
         profile: bool = False,
     ) -> PipelineResult:
         """As :meth:`analyze`, returning the staged :class:`PipelineResult`.
 
+        The run resolves what an analyze document reads
+        (:data:`~repro.pipeline.stages.ANALYZE_GOALS`): the inventory and
+        the ``graph`` member, rendered with the CLI's shaping flags
+        ``collapse`` and ``self_loops``, which
+        :func:`~repro.pipeline.render.analyze_document` splices in.  Its
+        ``result`` still reads the flow graph on first access.
         ``until`` names the one stage to resolve instead of the analysis:
         ``"parse"`` yields the AST, and the source's front (``"elaborate"``,
         or ``"place"`` for a source with component instantiations) the
@@ -281,8 +295,15 @@ class Workspace:
         """
         return self.pipeline.run(
             source,
-            self._options(entity, improved, loop_processes, use_under_approximation),
-            goals=ANALYSIS_GOALS if until is None else (until,),
+            self._options(
+                entity,
+                improved,
+                loop_processes,
+                use_under_approximation,
+                collapse,
+                self_loops,
+            ),
+            goals=ANALYZE_GOALS if until is None else (until,),
             profile=profile,
         )
 
@@ -331,6 +352,7 @@ class Workspace:
         run = self.pipeline.run(
             source,
             self._options(entity, improved, loop_processes, use_under_approximation),
+            goals=ANALYSIS_GOALS,
             policy=resolved,
             report_options={
                 "transitive": transitive,

@@ -324,8 +324,10 @@ class TestErrorHandling:
 
 
 class TestCacheFlags:
-    # A fully cached run reads its goals and nothing else.
-    WARM_STAGES = ["flow_graph", "inventory"]
+    # A fully cached run reads its goals and nothing else: an analyze the
+    # rendered graph member and the inventory, a check the analysis.
+    WARM_STAGES = ["graph_json", "inventory"]
+    CHECK_WARM_STAGES = ["flow_graph", "inventory"]
 
     def _analyze_json(self, argv, capsys):
         code = main(["analyze", *argv, "--json"])
@@ -365,7 +367,7 @@ class TestCacheFlags:
             == 0
         )
         document = json.loads(capsys.readouterr().out)
-        assert document["cached_stages"] == self.WARM_STAGES
+        assert document["cached_stages"] == self.CHECK_WARM_STAGES
 
     def test_batch_cache_dir_serves_a_cold_rerun_from_disk(
         self, workload_files, tmp_path, capsys
@@ -391,17 +393,17 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["command"] == "cache-stats"
-        # Six stage entries, one parse entry and one outline per design unit
-        # (the entity and its architecture), and the reach record.
-        assert stats["entries"] == 11
+        # Seven stage entries, one parse entry and one outline per design
+        # unit (the entity and its architecture), and the reach record.
+        assert stats["entries"] == 12
         assert stats["stages"]["parse"] == 2
 
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         text = capsys.readouterr().out
-        assert "entries: 11" in text
+        assert "entries: 12" in text
 
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
-        assert "cleared 11 entries" in capsys.readouterr().out
+        assert "cleared 12 entries" in capsys.readouterr().out
 
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 0

@@ -1,7 +1,8 @@
 """Demand-driven runs: a run reads or runs only what its result needs.
 
 A run resolves the goals it is asked for (``flow_graph`` and ``inventory``,
-plus ``lint``, ``report`` or ``kemmerer``, or one stage of a partial run),
+or ``graph_json`` and ``inventory`` for an analyze document, plus ``lint``,
+``report`` or ``kemmerer``, or one stage of a partial run),
 and reads or runs any other stage only when a stage that misses the cache
 needs its artefact (``Stage.needs``) or a caller reads it from the
 ``AnalysisResult``, a view over the run.  The front is picked only when a
@@ -44,7 +45,10 @@ TAIL = ["reaching", "specialize", "closure", "flow_graph", "inventory"]
 FLAT_STAGE_NAMES = ["parse", "elaborate", *TAIL]
 LINKED_STAGE_NAMES = ["parse", "place", *TAIL]
 #: What a fully cached run of either plan reads: its goals, nothing else.
-FLAT_WARM = LINKED_WARM = ["flow_graph", "inventory"]
+WARM_GOALS = ["flow_graph", "inventory"]
+#: What it reads with its analyze document: the goals, then the rendered
+#: graph member the document splices in.
+FLAT_WARM = [*WARM_GOALS, "graph_json"]
 #: Every artefact field of an ``AnalysisResult``.
 FIELDS = (
     "design",
@@ -113,7 +117,7 @@ class TestWarmRunsSkipTheOnDemandStages:
 
         cache = open_cache(str(cache_dir))
         warm = Pipeline(cache).run(source)
-        assert warm.cached_stages == FLAT_WARM
+        assert warm.cached_stages == WARM_GOALS
         assert warm.computed_stages == []
         assert cache.misses == 0 and cache.disk.misses == 0
         # The reach record and the goals' entries.
@@ -130,7 +134,7 @@ class TestWarmRunsSkipTheOnDemandStages:
         cache = open_cache(cache_dir)
         warm = Pipeline(cache).run(source)
         assert warm.computed_stages == []
-        assert warm.cached_stages == LINKED_WARM
+        assert warm.cached_stages == WARM_GOALS
         # The reach record names the plan: no probe, and no miss.
         assert cache.misses == 0
         assert cache.disk.hits == 3
@@ -218,10 +222,12 @@ class TestUntilOnAWarmCache:
             pipeline.run(source, goals=("place",))
 
 
+#: Each stage a cold analysis computes, and the graph member its document
+#: renders.
 EVICTIONS = [
     (kind, name)
     for kind, names in (("flat", FLAT_STAGE_NAMES), ("linked", LINKED_STAGE_NAMES))
-    for name in names
+    for name in (*names, "graph_json")
 ]
 
 
@@ -305,7 +311,7 @@ class TestWarmDocumentsReadOnlyTheirGoals:
             command: _document(populating, command, source, SECRETS[kind])[1]
             for command in ("analyze", "check", "lint")
         }
-        kept = {"reach", "flow_graph", "inventory", "lint", "universes"}
+        kept = {"reach", "flow_graph", "graph_json", "inventory", "lint", "universes"}
         for directory in cache_dir.iterdir():
             if directory.name not in kept:
                 for entry in directory.iterdir():
@@ -316,7 +322,7 @@ class TestWarmDocumentsReadOnlyTheirGoals:
         # Each document reads the reach record and its goals' entries and
         # nothing else, so the deleted entries are never looked up and
         # nothing is recomputed.
-        disk_hits = {"analyze": 3, "check": 3, "lint": 4}
+        disk_hits = {"analyze": 3, "check": 3, "lint": 3}
         computed = {"analyze": [], "check": ["report"], "lint": []}
         for command in ("analyze", "check", "lint"):
             workspace = Workspace(cache_dir=str(cache_dir))
@@ -391,7 +397,7 @@ class TestServedStageTimings:
         source = workloads.challenge_f_program()
         pipeline.run(source)
         warm = pipeline.run(source)
-        assert warm.cached_stages == FLAT_WARM
+        assert warm.cached_stages == WARM_GOALS
         assert all(stage.seconds >= 0.005 for stage in warm.stages)
 
 

@@ -70,7 +70,7 @@ class TestInvalidation:
         cold = Workspace(cache_dir=str(tmp_path)).analyze_run(source)
         built_entities.clear()
         warm = Workspace(cache_dir=str(tmp_path)).analyze_run(source)
-        assert warm.cached_stages == ["flow_graph", "inventory"]
+        assert warm.cached_stages == ["graph_json", "inventory"]
         assert _doc(warm) == _doc(cold)
         # the placed artefacts load on first access, still building nothing;
         # they equal the cold ones as read back once (a pickle round trip
@@ -78,7 +78,7 @@ class TestInvalidation:
         assert pickle.dumps(warm.result.program_cfg) == pickle.dumps(
             pickle.loads(pickle.dumps(cold.result.program_cfg))
         )
-        assert warm.cached_stages == ["flow_graph", "inventory", "place"]
+        assert warm.cached_stages == ["graph_json", "inventory", "place"]
         assert built_entities == []
 
     def test_leaf_edit_recomputes_exactly_one_summary(

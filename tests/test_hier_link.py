@@ -43,6 +43,7 @@ LINKED_STAGE_NAMES = [
     "specialize",
     "closure",
     "flow_graph",
+    "graph_json",
     "inventory",
 ]
 
@@ -131,13 +132,12 @@ def test_linked_documents_equal_flattened(name, source, improved, loop_processes
 
 def test_rendering_variants_agree():
     source = workloads.hierarchical_mux_program()
-    linked = Pipeline().run(source)
-    flattened = Pipeline().run(flatten_source(parse_program(source)))
+    flattened = flatten_source(parse_program(source))
     for collapse, self_loops in itertools.product([True, False], repeat=2):
-        render = {"collapse": collapse, "self_loops": self_loops}
-        assert _text(analyze_document(linked, **render)) == _text(
-            analyze_document(flattened, **render)
-        )
+        options = AnalysisOptions(collapse=collapse, self_loops=self_loops)
+        linked = Pipeline().run(source, options)
+        flat = Pipeline().run(flattened, options)
+        assert _text(analyze_document(linked)) == _text(analyze_document(flat))
 
 
 def test_lint_findings_name_placed_processes_like_flat_ones():
@@ -175,11 +175,11 @@ class TestLinkedPlan:
         source = workloads.hierarchical_mux_program()
         ws.analyze_run(source)
         warm = ws.analyze_run(source)
-        assert warm.cached_stages == ["flow_graph", "inventory"]
+        assert warm.cached_stages == ["graph_json", "inventory"]
         # The placed front loads on first access, and its hit picks the
         # plan: no parse, hierarchy or summary.
         assert warm.result.rm_local is not None
-        assert warm.cached_stages == ["flow_graph", "inventory", "place"]
+        assert warm.cached_stages == ["graph_json", "inventory", "place"]
         assert warm.computed_stages == []
 
     def test_until_stops_at_a_linked_stage(self):

@@ -15,6 +15,7 @@ import pytest
 from repro import Workspace, workloads
 from repro.pipeline import stages as stages_module
 from repro.pipeline.cache import ArtifactCache
+from repro.security.policy import TwoLevelPolicy
 from repro.vhdl.parser import split_units
 
 #: Probation holds two entries at this bound.
@@ -125,7 +126,7 @@ def _parse_calls(monkeypatch):
 
 class TestSessions:
     def test_a_second_sweep_over_60_files_computes_nothing(self):
-        # Each file holds six units and leaves 19 entries, so 60 files are
+        # Each file holds six units and leaves 20 entries, so 60 files are
         # more than the tier holds; what the second sweep reads is not.
         base = workloads.multi_entity_program(3, 1, 2)
         texts = ["\n" * index + base for index in range(60)]
@@ -135,7 +136,27 @@ class TestSessions:
         for text in texts:
             run = workspace.analyze_run(text, entity="chain_0")
             assert run.computed_stages == []
-            assert run.cached_stages == ["flow_graph", "inventory"]
+            assert run.cached_stages == ["graph_json", "inventory"]
+
+    @pytest.mark.parametrize("first", ["analyze", "lint"])
+    def test_a_check_after_20_other_files_computes_only_its_report(self, first):
+        # Neither an analyze nor a lint asks for the flow graph, but each
+        # computes it, and a check asks for it: it waits in the main queue,
+        # not on probation, which the 20 files in between would flush.
+        base = workloads.multi_entity_program(3, 1, 2)
+        text, *others = ["\n" * index + base for index in range(21)]
+        workspace = Workspace()
+        if first == "analyze":
+            workspace.analyze_run(text, entity="chain_0")
+        else:
+            workspace.lint(text, entity="chain_0")
+        for other in others:
+            workspace.analyze_run(other, entity="chain_0")
+        checked = workspace.check(
+            text, TwoLevelPolicy(secret_resources=["chain_in"]), entity="chain_0"
+        )
+        assert checked.run.computed_stages == ["report"]
+        assert checked.run.cached_stages == ["flow_graph", "inventory"]
 
     def test_all_entities_parses_each_unit_once(self, tmp_path, monkeypatch):
         workspace = Workspace()

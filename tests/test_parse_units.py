@@ -9,7 +9,6 @@ that an edit re-parses only the units it touched; and that a cached unit,
 which different files now share, is never mutated by the runs reading it.
 """
 
-import json
 import pickle
 
 import pytest
@@ -25,6 +24,7 @@ from repro.pipeline import (
     Pipeline,
     TieredArtifactCache,
     analyze_document,
+    json_text,
     volatile_pointers,
 )
 from repro.security.policy import TwoLevelPolicy
@@ -225,7 +225,7 @@ def _documents(workspace, source, secret):
         workspace.lint(source).document(),
     ]
     return [
-        json.dumps(normalize(document, volatile_pointers(document["command"])))
+        json_text(normalize(document, volatile_pointers(document["command"])))
         for document in documents
     ]
 

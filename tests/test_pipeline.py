@@ -44,8 +44,10 @@ ANALYSIS_STAGE_NAMES = [
     "inventory",
 ]
 # A fully cached run reads its goals and nothing else: no stage misses, so
-# no other artefact is needed.
+# no other artefact is needed.  An analyze job reads the rendered graph
+# member instead of the graph.
 WARM_STAGE_NAMES = ["flow_graph", "inventory"]
+ANALYZE_WARM_STAGE_NAMES = ["graph_json", "inventory"]
 
 
 def _fails(*args, **kwargs):
@@ -98,11 +100,11 @@ class TestPipelineStages:
         built = [
             value for value in vars(stages_module).values() if isinstance(value, Stage)
         ]
-        assert len(STAGES) == len({id(stage) for stage in STAGES}) == 11
+        assert len(STAGES) == len({id(stage) for stage in STAGES}) == 12
         assert {id(stage) for stage in built} == {id(stage) for stage in STAGES}
         assert [stage.name for stage in STAGES] == [
             "parse", "elaborate", "place", "reaching", "specialize", "closure",
-            "flow_graph", "inventory", "lint", "kemmerer", "report",
+            "flow_graph", "graph_json", "inventory", "lint", "kemmerer", "report",
         ]
         # Both fronts yield the design, its CFG, Table 4 and RM_lo, under
         # the same options.
@@ -610,9 +612,9 @@ class TestBatchDriver:
             item.text for item in cold.items
         ]
         for item in warm.items:
-            assert item.data["cached_stages"] == WARM_STAGE_NAMES
-        # Per job, the reach record and the goals.
-        assert cache.hits == len(jobs) * (1 + len(WARM_STAGE_NAMES))
+            assert item.data["cached_stages"] == ANALYZE_WARM_STAGE_NAMES
+        # Per job, the reach record, the goals and the graph the text reads.
+        assert cache.hits == len(jobs) * (2 + len(ANALYZE_WARM_STAGE_NAMES))
         cold_stage_seconds = sum(
             sum(item.data["timings"].values()) for item in cold.items
         )

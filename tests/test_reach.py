@@ -38,6 +38,7 @@ from repro.pipeline import (
     ServerThread,
     TieredArtifactCache,
     analyze_document,
+    json_text,
     run_batch,
     volatile_pointers,
 )
@@ -187,7 +188,7 @@ def _outcome(workspace, command, source, entity, secret):
             run, document = linted.run, linted.document()
     except ReproError as error:
         return None, (type(error), str(error), getattr(error, "position", None))
-    return run, json.dumps(normalize(document, volatile_pointers(command)))
+    return run, json_text(normalize(document, volatile_pointers(command)))
 
 
 def _cuts_off(source, edited, reached):

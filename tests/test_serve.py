@@ -26,8 +26,9 @@ from repro.pipeline.serve import ROUTES
 from repro.workspace import Workspace
 
 VOLATILE_FIELDS = ("timings", "cached_stages")
-# A fully cached run reads its goals and nothing else.
-WARM_STAGE_NAMES = ["flow_graph", "inventory"]
+# A fully cached run reads its goals and nothing else: an analyze the
+# rendered graph member and the inventory.
+WARM_STAGE_NAMES = ["graph_json", "inventory"]
 
 
 def _request(port, method, path, payload=None, timeout=60):

@@ -23,8 +23,9 @@ from repro.pipeline import (
 )
 from repro.security.policy import TwoLevelPolicy
 
-# A fully cached run reads its goals and nothing else.
-WARM_STAGE_NAMES = ["flow_graph", "inventory"]
+# A fully cached run reads its goals and nothing else: an analyze the
+# rendered graph member and the inventory.
+WARM_STAGE_NAMES = ["graph_json", "inventory"]
 
 TWO_LEVEL = {
     "levels": {"public": 0, "secret": 1},
