@@ -48,18 +48,19 @@ lint:
 	fi
 
 # The disk-cache, demand-driven-run, hierarchy-invalidation, per-unit parse,
-# reach, Table 5 and rendered-graph-member tests under PYTHONHASHSEED 0-39:
-# a universe, key or document that followed string hashing (the iteration
-# order of a set of names) differs between seeds, and so does a Table 5
-# solution that depended on which process or name stood for its shape or
-# class, or a graph member one process renders and another splices.
+# reach, Table 5, rendered-graph-member and rendered-report tests under
+# PYTHONHASHSEED 0-39: a universe, key or document that followed string
+# hashing (the iteration order of a set of names) differs between seeds,
+# and so does a Table 5 solution that depended on which process or name
+# stood for its shape or class, a graph member or report one process
+# renders and another splices, or a policy's key.
 hashseeds:
 	for seed in $$(seq 0 39); do \
 		PYTHONHASHSEED=$$seed PYTHONPATH=src $(PYTHON) -m pytest -q \
 			tests/test_disk_cache.py tests/test_goal_first.py \
 			tests/test_hier_invalidation.py tests/test_parse_units.py \
 			tests/test_reach.py tests/test_reaching_defs.py \
-			tests/test_render_splice.py \
+			tests/test_render_splice.py tests/test_check_splice.py \
 			|| { echo "hashseeds: PYTHONHASHSEED=$$seed failed"; exit 1; }; \
 	done
 

@@ -718,6 +718,54 @@ def test_serve_latency_warm(benchmark, report, tmp_path_factory):
     )
 
 
+def test_serve_check_latency_warm(benchmark, report, tmp_path_factory):
+    """N sequential ``POST /check`` requests against one warm server.
+
+    The design and the entity of :func:`test_serve_latency_warm`, checked
+    against a two-level policy: each warm response reads the rendered
+    report alone (``cached_stages`` is ``report_json``).
+    """
+    import http.client
+    import json as json_module
+
+    path = tmp_path_factory.mktemp("serve-check") / "designs.vhd"
+    path.write_text(
+        multi_entity_program(BATCH_ENTITIES, *BATCH_SHAPE), encoding="utf-8"
+    )
+    payload = json_module.dumps(
+        {"file": str(path), "entity": "chain_0", "secret": ["chain_in"]}
+    )
+
+    def post_check(port):
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+        connection.request("POST", "/check", body=payload)
+        response = connection.getresponse()
+        body = response.read()
+        assert response.status == 200, body
+        return body
+
+    with ServerThread(
+        AnalysisServer(
+            port=0, workspace=Workspace(cache=TieredArtifactCache(ArtifactCache()))
+        )
+    ) as server:
+        post_check(server.port)  # warm the cache
+        bodies = []
+
+        def run():
+            bodies[:] = [post_check(server.port) for _ in range(SERVE_REQUESTS)]
+
+        benchmark(run)
+    for body in bodies:
+        assert json_module.loads(body)["cached_stages"] == ["report_json"]
+    report(
+        requests_per_round=SERVE_REQUESTS,
+        entity_shape=BATCH_SHAPE,
+        violations=len(json_module.loads(bodies[0])["violations"]),
+        cache="warm two-tier (in-memory front)",
+    )
+
+
 #: Concurrent clients hammering the pooled server, requests per client.
 LOAD_CLIENTS = 4
 LOAD_REQUESTS_PER_CLIENT = 4

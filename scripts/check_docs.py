@@ -34,7 +34,9 @@ Checks nine things, and exits non-zero listing every failure:
 9. The cache-key table in ``docs/architecture.md`` (between the
    ``cache-keys`` markers) names every ``Stage(...)`` built in
    ``src/repro/pipeline/stages.py`` exactly once.  The row of a cached stage
-   lists exactly its ``option_fields``; the row of a stage built with
+   lists exactly its ``option_fields``, and shows the part its
+   ``key_part`` adds, as ``name=…`` in backquotes, when it has one (and only
+   then); the row of a stage built with
    ``cacheable=False`` says "never cached" or "no stage entry".  The two
    stage tables of the ``stages.py`` module docstring, the artefact table
    and the cache-key table, each name every declared stage exactly once,
@@ -317,10 +319,15 @@ _CACHE_KEY_MARKERS = ("<!-- cache-keys:start -->", "<!-- cache-keys:end -->")
 _TABLE_ROW = re.compile(r"^\|([^|\n]*)\|([^|\n]*)\|", re.MULTILINE)
 #: What the row of a stage without a cache entry of its own must say.
 _UNCACHED = ("never cached", "no stage entry")
+#: `policy=<sha256>` — how a row shows the part a stage's key_part adds.
+_KEY_PART = re.compile(r"`[a-z_]+=")
 
 
-def _declared_stages(source: str) -> dict[str, tuple[bool, tuple[str, ...]]]:
-    """Each ``Stage(...)`` call: name → (cacheable, option fields).
+def _declared_stages(
+    source: str,
+) -> dict[str, tuple[bool, tuple[str, ...], bool]]:
+    """Each ``Stage(...)`` call: name → (cacheable, option fields, whether
+    it declares a ``key_part``).
 
     Option fields are a literal tuple or a module-level name bound to one
     (``_SHAPE = ("entity", "loop_processes")``).
@@ -355,6 +362,7 @@ def _declared_stages(source: str) -> dict[str, tuple[bool, tuple[str, ...]]]:
         stages[ast.literal_eval(node.args[0])] = (
             cacheable is None or ast.literal_eval(cacheable),
             option_fields,
+            "key_part" in keywords,
         )
     return stages
 
@@ -440,7 +448,7 @@ def check_cache_key_table() -> list[str]:
             f"docs/architecture.md: the cache-key table names {name!r}, but "
             "pipeline/stages.py builds no such Stage"
         )
-    for name, (cacheable, option_fields) in sorted(declared.items()):
+    for name, (cacheable, option_fields, key_part) in sorted(declared.items()):
         cell = rows.get(name)
         if cell is None:
             failures.append(
@@ -458,6 +466,16 @@ def check_cache_key_table() -> list[str]:
                 failures.append(
                     f"docs/architecture.md: the cache-key row of {name!r} lists "
                     f"{listed}, but its option_fields are {list(option_fields)}"
+                )
+            if key_part != bool(_KEY_PART.search(cell)):
+                failures.append(
+                    f"docs/architecture.md: the cache-key row of {name!r} "
+                    + (
+                        "does not show the part its key_part adds (`name=…`)"
+                        if key_part
+                        else "shows a key part (`name=…`), but the stage "
+                        "declares no key_part"
+                    )
                 )
     return failures
 

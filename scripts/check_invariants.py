@@ -5,12 +5,14 @@ Seven invariants, each of which has silently rotted in similar codebases and
 none of which the type checker can express:
 
 1. **Every serve/CLI JSON document is stamped.**  Arguments to
-   ``json_text(...)`` and ``_print_json(...)`` must be built by
-   ``stamped(...)``, a ``*_document(...)`` helper, a ``.document(...)`` /
-   ``.to_json_dict(...)`` method, or a local name assigned from one of those
-   in the same function.  (The ``_print_json`` wrapper itself is the one
-   blessed pass-through.)  This keeps ``schema``/``generator``/``version``
-   on every machine-readable payload.
+   ``json_bytes(...)``, ``json_text(...)``, ``_print_json(...)`` and
+   ``_spliced(...)`` must be built by ``stamped(...)``, a
+   ``*_document(...)`` helper, a ``.document(...)`` / ``.to_json_dict(...)``
+   method, or a local name assigned from one of those in the same function.
+   (The ``_print_json``, ``json_text`` and ``json_bytes`` wrappers
+   themselves are the blessed pass-throughs.)
+   This keeps ``schema``/``generator``/``version`` on every
+   machine-readable payload.
 
 2. **No module-global interner state.**  ``FactUniverse()`` must never be
    instantiated at module scope or as a function-parameter default — a
@@ -20,9 +22,12 @@ none of which the type checker can express:
 3. **Every cacheable pipeline stage declares its cache-key options.**
    Each ``Stage(...)`` construction must pass ``option_fields`` (third
    positional argument onwards or by keyword) unless it is
-   ``cacheable=False``.
+   ``cacheable=False``.  A cacheable stage that needs the run's policy
+   (``needs`` names ``policy``, ``report_options`` or ``report``, the
+   artefact built from them) must also pass ``key_part``, which keys it on
+   the policy.
    A stage that forgets this is cached under too-weak a key and serves
-   stale artifacts when options change.
+   stale artifacts when options or policies change.
 
 4. **Diagnostic codes are registered exactly once.**  Every string literal
    matching ``IFA<3 digits>`` that is *assigned to a name* must be unique
@@ -70,13 +75,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PATHS = (REPO_ROOT / "src" / "repro",)
 
 #: JSON sinks whose argument must be a stamped document (invariant 1).
-JSON_SINKS = ("json_text", "_print_json")
+JSON_SINKS = ("json_bytes", "json_text", "_print_json", "_spliced")
 #: Call shapes that produce stamped documents.
 DOCUMENT_FUNCTIONS = ("stamped",)
 DOCUMENT_SUFFIXES = ("_document",)
 DOCUMENT_METHODS = ("document", "to_json_dict", "stamped")
-#: The one blessed pass-through wrapper for invariant 1.
-SINK_WRAPPERS = ("_print_json",)
+#: The blessed pass-through wrappers for invariant 1.
+SINK_WRAPPERS = ("_print_json", "json_text", "json_bytes")
+#: The context attributes that vary with a run's policy (invariant 3).
+POLICY_NEEDS = ("policy", "report_options", "report")
 
 #: Diagnostic code shape (invariant 4).
 CODE_PATTERN = re.compile(r"^IFA[0-9]{3}\Z")
@@ -251,13 +258,24 @@ def check_stage_option_fields(tree: ast.Module, relpath: str) -> List[str]:
         cacheable = keywords.get("cacheable")
         if isinstance(cacheable, ast.Constant) and cacheable.value is False:
             continue
-        if len(node.args) >= 4 or "option_fields" in keywords:
-            continue
-        failures.append(
-            f"{relpath}:{node.lineno}: Stage({name!r}, ...) is cacheable but "
-            "declares no option_fields — its cache key would ignore the "
-            "analysis options"
-        )
+        if len(node.args) < 4 and "option_fields" not in keywords:
+            failures.append(
+                f"{relpath}:{node.lineno}: Stage({name!r}, ...) is cacheable "
+                "but declares no option_fields — its cache key would ignore "
+                "the analysis options"
+            )
+        needs = keywords.get("needs")
+        needed = set()
+        if isinstance(needs, (ast.Tuple, ast.List)):
+            needed = {
+                item.value for item in needs.elts if isinstance(item, ast.Constant)
+            }
+        if needed & set(POLICY_NEEDS) and "key_part" not in keywords:
+            failures.append(
+                f"{relpath}:{node.lineno}: Stage({name!r}, ...) is cacheable "
+                "and needs the run's policy but declares no key_part — its "
+                "cache key would ignore the policy"
+            )
     return failures
 
 

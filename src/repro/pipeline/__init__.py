@@ -16,6 +16,7 @@ from repro.pipeline.artifacts import (
     AnalysisResult,
     GraphJSON,
     PipelineResult,
+    ReportJSON,
     StageTiming,
 )
 from repro.pipeline.batch import (
@@ -38,9 +39,11 @@ from repro.pipeline.pool import PoolResult, WorkerPool
 from repro.pipeline.render import (
     SCHEMA_VERSION,
     RenderedJSON,
+    RenderedList,
     analysis_json,
     analyze_document,
     check_document,
+    json_bytes,
     json_text,
     lint_document,
     lint_json,
@@ -58,6 +61,7 @@ from repro.pipeline.serve import AnalysisServer, ServerThread, interaction_id, s
 from repro.pipeline.stages import (
     ANALYSIS_GOALS,
     ANALYZE_GOALS,
+    CHECK_GOALS,
     FRONTS,
     LINT_GOALS,
     STAGES,
@@ -70,6 +74,7 @@ from repro.pipeline.stages import (
 __all__ = [
     "ANALYSIS_GOALS",
     "ANALYZE_GOALS",
+    "CHECK_GOALS",
     "FRONTS",
     "LINT_GOALS",
     "SCHEMA_VERSION",
@@ -89,6 +94,8 @@ __all__ = [
     "PipelineResult",
     "PoolResult",
     "RenderedJSON",
+    "RenderedList",
+    "ReportJSON",
     "STAGES",
     "ServerThread",
     "WorkerPool",
@@ -100,6 +107,7 @@ __all__ = [
     "check_document",
     "expand_jobs",
     "interaction_id",
+    "json_bytes",
     "json_text",
     "lint_document",
     "lint_json",

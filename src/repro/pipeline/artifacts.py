@@ -4,8 +4,9 @@
 analysis run produces (``repro.AnalysisResult``; what :func:`repro.analyze`
 returns), a view over the run that loads each artefact the first time a
 caller reads it.  :class:`Inventory` is the small artefact documents read
-besides the flow graph, and :class:`GraphJSON` the rendered ``graph`` member
-of an analyze document.  :class:`AnalysisOptions` is the frozen set of
+besides the flow graph, :class:`GraphJSON` the rendered ``graph`` member
+of an analyze document, and :class:`ReportJSON` the rendered report of a
+check.  :class:`AnalysisOptions` is the frozen set of
 knobs that select *which* analysis runs, and how its graph is shaped — its
 fields are the option inputs of every stage cache key (see
 :func:`repro.pipeline.stages.stage_key` and ``docs/architecture.md`` for
@@ -88,13 +89,37 @@ class GraphJSON:
     text: bytes
 
 
+@dataclass(frozen=True)
+class ReportJSON:
+    """The ``report_json`` stage's artefact: what every output of a check
+    prints, rendered from its covert-channel report.
+
+    ``violations`` is the UTF-8 JSON text of a check document's
+    ``violations`` member, exactly as
+    :func:`~repro.pipeline.render.json_text` renders it one level down;
+    ``text`` is the report's ``to_text()``.  The rest are the document's
+    small members: the design name, the verdict, the output dependencies
+    and the flow graph's counts.  A warm check reads this instead of the
+    flow graph and the inventory, and builds no report.
+    """
+
+    design: str
+    clean: bool
+    nodes: int
+    edges: int
+    violations: bytes
+    output_dependencies: Dict[str, List[str]]
+    text: str
+
+
 class AnalysisResult:
     """All artefacts produced by one Information Flow analysis run.
 
     A view over the run's context
     (:class:`~repro.pipeline.stages.PipelineContext`).  ``inventory`` is
-    resolved before the run returns, and ``graph`` too unless the run asked
-    for the rendered graph member (an analyze run).  Every other artefact
+    resolved before the run returns, unless the run asked for a check's
+    rendered report alone, and ``graph`` too unless the run asked for a
+    rendered member (an analyze or a check run).  Every other artefact
     field resolves on first access, from the cache or by running its stage,
     and the stage then appears in the run's ``timings``.  ``design``,
     ``program_cfg``, ``active`` and ``rm_local`` are one stage's artefact,
@@ -246,11 +271,13 @@ class PipelineResult:
         Runs are demand-driven (:mod:`repro.pipeline.stages`): a stage the
         run neither read nor ran appears here and in :attr:`timings` not at
         all.  A fully cached run lists its goals only: ``graph_json`` and
-        ``inventory`` for an analyze run, ``flow_graph`` and ``inventory``
-        for the full analysis a check reads, ``inventory`` and ``lint`` for a
-        lint run, or ``kemmerer`` alone for a Kemmerer run.  A field of :attr:`result`
-        read after the run appends the stage it resolved, so both lists
-        can grow after the run returns.
+        ``inventory`` for an analyze run, ``report_json`` alone for a check
+        run, ``flow_graph`` and ``inventory`` for the full analysis,
+        ``inventory`` and ``lint`` for a lint run, or ``kemmerer`` alone for
+        a Kemmerer run.  A field of :attr:`result` (or of a check's
+        :class:`~repro.workspace.CheckResult`) read after the run appends
+        the stage it resolved, so both lists can grow after the run
+        returns.
         """
         return [stage.name for stage in self.stages if stage.cached]
 

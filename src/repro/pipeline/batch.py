@@ -53,7 +53,7 @@ from repro.pipeline.render import (
     report_json,
     stamped,
 )
-from repro.pipeline.stages import ANALYSIS_GOALS, ANALYZE_GOALS
+from repro.pipeline.stages import ANALYZE_GOALS, CHECK_GOALS
 from repro.security.report import Diagnostic
 
 if TYPE_CHECKING:
@@ -255,10 +255,10 @@ def run_job(
     Without a policy the outcome is the ``analyze`` rendering (text and the
     ``analysis_json`` payload, whose graph member is the cached
     ``graph_json`` artefact for ``collapse`` and ``self_loops``).  With a
-    policy the job becomes a check: the
-    pipeline's report stage runs (in the policy's preferred transitive mode),
-    the text is the covert-channel report, the payload is the ``check``-style
-    report document, and ``clean`` carries the verdict.  ``lint`` (a
+    policy the job becomes a check, in the policy's preferred transitive
+    mode: the text, the ``check``-style payload and the verdict in
+    ``clean`` all read the rendered report (the cached ``report_json``
+    artefact).  ``lint`` (a
     :class:`~repro.analysis.lint.LintConfig`) additionally runs the cached
     lint stage and rides a ``"lint"`` section — the exact
     :func:`~repro.pipeline.render.lint_section` body the single-file ``lint``
@@ -271,7 +271,7 @@ def run_job(
         options = dataclasses.replace(
             options, entity=entity, collapse=collapse, self_loops=self_loops
         )
-        goals = ANALYZE_GOALS if policy is None else ANALYSIS_GOALS
+        goals = ANALYZE_GOALS if policy is None else CHECK_GOALS
         if lint is not None:
             goals = (*goals, "lint")
         run = workspace.pipeline.run(
@@ -281,9 +281,11 @@ def run_job(
             policy=policy,
             report_options={"transitive": bool(getattr(policy, "transitive", False))},
         )
+        clean = None
         if policy is not None:
-            text = run.report.to_text()
             data = report_json(run)
+            rendered = run.artifacts.report_json
+            text, clean = rendered.text, rendered.clean
         else:
             # The payload first: it lists what the analyze document reads,
             # before the text reads the flow graph.
@@ -295,16 +297,15 @@ def run_job(
         if lint is not None:
             findings = lint.apply(run.artifacts.lint)
             data["lint"] = lint_section(findings)
-            text = "\n\n".join(
-                (text, render_lint_text(run.result.inventory.design, findings))
-            )
+            design = run.artifacts.artifact("inventory").design
+            text = "\n\n".join((text, render_lint_text(design, findings)))
         return BatchItem(
             job=job,
             ok=True,
             text=text,
             data=data,
             seconds=time.perf_counter() - started,
-            clean=run.report.is_clean if policy is not None else None,
+            clean=clean,
             findings=findings,
         )
     except _JOB_ERRORS as error:

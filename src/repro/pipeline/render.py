@@ -11,12 +11,16 @@ JSON builders return dicts in a stable key order, shared by ``--json`` on
 shared by the CLI and ``vhdl-ifa serve`` — which is why a server response
 is byte-identical to the corresponding CLI output.
 
-:func:`json_text` is the one serialiser of these documents.  Their values
-are JSON-native types, except the ``graph`` member of an analyze document:
-a :class:`RenderedJSON`, the text the ``graph_json`` stage rendered and
-cached (:func:`render_graph_json`), which :func:`json_text` splices into
-the document's remainder as it is.  Plain ``json.dumps`` of an analyze
-document raises ``TypeError``; read the member as a mapping, or serialise
+:func:`json_text` is the one serialiser of these documents, and
+:func:`json_bytes` its UTF-8 bytes, which serve writes.  Their values are
+JSON-native types, except two rendered members: the ``graph`` member of an
+analyze document, a :class:`RenderedJSON` of the text the ``graph_json``
+stage rendered and cached (:func:`render_graph_json`), and the
+``violations`` member of a check document, a :class:`RenderedList` of the
+text the ``report_json`` stage rendered and cached
+(:func:`render_report_json`).  :func:`json_text` splices each into the
+document's remainder as it is.  Plain ``json.dumps`` of such a document
+raises ``TypeError``; read the member as a mapping or a list, or serialise
 the document with :func:`json_text`.
 
 The ``vhdl-ifa/v1`` contract these documents follow is the recorded
@@ -33,7 +37,12 @@ from json.encoder import encode_basestring
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.analysis.flowgraph import FlowGraph
-from repro.pipeline.artifacts import AnalysisResult, GraphJSON, PipelineResult
+from repro.pipeline.artifacts import (
+    AnalysisResult,
+    GraphJSON,
+    PipelineResult,
+    ReportJSON,
+)
 from repro.security.policy_file import policy_to_dict
 from repro.version import version
 
@@ -66,52 +75,86 @@ def select_graph(result: AnalysisResult, collapse: bool, self_loops: bool):
     return shape_graph(result.graph, collapse, self_loops)
 
 
-class RenderedJSON(Mapping):
-    """A JSON object held as its rendered text: a document member that
+class _Rendered:
+    """A JSON value held as its rendered text: a document member that
     :func:`json_text` splices in as it is.
 
     ``text`` is UTF-8 JSON, rendered as :func:`json_text` renders a member
-    one level down in a document.  Reading the mapping parses the text once,
-    so ``member["adjacency"]``, ``==`` against a dict and ``dict(member)``
-    work; the parsed value is never serialised, so treat it as read-only.
-    A copy, a deep copy and a pickle carry the text alone.
+    one level down in a document.  Reading the value parses the text once;
+    the parsed value is never serialised, so treat it as read-only.  A
+    copy, a deep copy and a pickle carry the text alone.
     """
 
     __slots__ = ("text", "_value")
 
     def __init__(self, text: bytes):
         self.text = text
-        self._value: Optional[Dict[str, Any]] = None
+        self._value: Any = None
 
-    def _parsed(self) -> Dict[str, Any]:
+    def _parsed(self) -> Any:
         if self._value is None:
             self._value = json.loads(self.text)
         return self._value
 
-    def __getitem__(self, key: str) -> Any:
+    def _plain(self, other: object) -> Any:
+        """``other`` as the plain value it equals, or None if it is none."""
+        raise NotImplementedError
+
+    def __getitem__(self, key: Any) -> Any:
         return self._parsed()[key]
 
-    def __iter__(self) -> Iterator[str]:
+    def __iter__(self) -> Iterator[Any]:
         return iter(self._parsed())
 
     def __len__(self) -> int:
         return len(self._parsed())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RenderedJSON):
+        if isinstance(other, _Rendered):
             return self.text == other.text or self._parsed() == other._parsed()
-        if isinstance(other, Mapping):
-            return self._parsed() == (other if isinstance(other, dict) else dict(other))
-        return NotImplemented
+        plain = self._plain(other)
+        if plain is None:
+            return NotImplemented
+        return self._parsed() == plain
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"RenderedJSON({len(self.text)} bytes)"
+        return f"{type(self).__name__}({len(self.text)} bytes)"
 
     def __reduce__(self) -> Any:
         # Pickles, copies and deep copies all rebuild from the text.
-        return RenderedJSON, (self.text,)
+        return type(self), (self.text,)
+
+
+class RenderedJSON(_Rendered, Mapping):
+    """A JSON object held as its rendered text (an analyze document's
+    ``graph`` member).
+
+    It reads as the mapping it renders: ``member["adjacency"]``, ``==``
+    against a dict and ``dict(member)`` work.
+    """
+
+    __slots__ = ()
+
+    def _plain(self, other: object) -> Any:
+        if isinstance(other, Mapping):
+            return other if isinstance(other, dict) else dict(other)
+        return None
+
+
+class RenderedList(_Rendered, Sequence):
+    """A JSON array held as its rendered text (a check document's
+    ``violations`` member).
+
+    It reads as the list it renders: indexing, ``len``, iteration, ``==``
+    against a list and ``list(member)`` work.
+    """
+
+    __slots__ = ()
+
+    def _plain(self, other: object) -> Any:
+        return other if isinstance(other, list) else None
 
 
 _JSON_BOOLEANS = {False: b"false", True: b"true"}
@@ -141,6 +184,57 @@ def render_graph_json(graph: FlowGraph, collapse: bool, self_loops: bool) -> Gra
     edges = shaped.write_adjacency_json(buffer, 2, self_loops=keep_self_loops)
     buffer.write(b"\n  }")
     return GraphJSON(shaped.node_count(), edges, buffer.getvalue())
+
+
+def _violations_json(diagnostics: Sequence[Any]) -> bytes:
+    """The ``violations`` member: each diagnostic's ``to_dict()``, as
+    :func:`json_text` writes the list one level down in a document.
+
+    Every value of a diagnostic's dict is a string but its witness path, a
+    list of strings, and each is escaped by the escaper ``json`` itself
+    uses.
+    """
+    if not diagnostics:
+        return b"[]"
+    items = []
+    for diagnostic in diagnostics:
+        fields = []
+        for key, value in diagnostic.to_dict().items():
+            if isinstance(value, list):
+                value = (
+                    "[\n        " + ",\n        ".join(map(encode_basestring, value))
+                    + "\n      ]"
+                    if value
+                    else "[]"
+                )
+            else:
+                value = encode_basestring(value)
+            fields.append(f"{encode_basestring(key)}: {value}")
+        items.append("{\n      " + ",\n      ".join(fields) + "\n    }")
+    text = "[\n    " + ",\n    ".join(items) + "\n  ]"
+    return text.encode("utf-8", "surrogatepass")
+
+
+def render_report_json(report: Any) -> ReportJSON:
+    """The ``report_json`` stage's artefact: what every output of a check
+    prints, from its :class:`~repro.security.report.CovertChannelReport`.
+
+    The members are those of ``report.to_json_dict()``, the ``violations``
+    member rendered (:func:`_violations_json`), and the text is
+    ``report.to_text()``.
+    """
+    return ReportJSON(
+        design=report.design_name,
+        clean=report.is_clean,
+        nodes=report.node_count,
+        edges=report.edge_count,
+        violations=_violations_json(report.diagnostics),
+        output_dependencies={
+            output: list(inputs)
+            for output, inputs in sorted(report.output_dependencies.items())
+        },
+        text=report.to_text(),
+    )
 
 
 def render_adjacency(graph: Any) -> List[str]:
@@ -214,13 +308,31 @@ def analysis_json(
 
 
 def report_json(pipeline: PipelineResult, file: Optional[str] = None) -> Dict[str, Any]:
-    """The machine-readable form of a ``check`` run (analysis + verdict)."""
+    """The machine-readable form of a ``check`` run (analysis + verdict).
+
+    Its members are the run's ``report_json`` artefact, the ``violations``
+    member a :class:`RenderedList`, and per-stage wall-clock timings and
+    the cached stages.  The artefact resolves first, so the timings and
+    the cached stages include it.
+    """
+    rendered = pipeline.artifacts.artifact("report_json")
     document: Dict[str, Any] = {}
     if file is not None:
         document["file"] = file
-    document.update(pipeline.report.to_json_dict())
-    document["timings"] = _round_timings(pipeline)
-    document["cached_stages"] = pipeline.cached_stages
+    document.update(
+        {
+            "design": rendered.design,
+            "clean": rendered.clean,
+            "violations": RenderedList(rendered.violations),
+            "output_dependencies": {
+                output: list(inputs)
+                for output, inputs in rendered.output_dependencies.items()
+            },
+            "summary": {"nodes": rendered.nodes, "edges": rendered.edges},
+            "timings": _round_timings(pipeline),
+            "cached_stages": pipeline.cached_stages,
+        }
+    )
     return document
 
 
@@ -397,7 +509,7 @@ def volatile_pointers(command: str) -> Dict[str, str]:
     raise ValueError(f"no matcher table for document kind {command!r}")
 
 
-#: What :func:`json_text`'s hook writes where a :class:`RenderedJSON` goes.
+#: What :func:`json_bytes`'s hook writes where a rendered member goes.
 #: ``json`` escapes its NULs, so the escaped form can stand only for a whole
 #: string of the document equal to it; a document holding one is serialised
 #: again with another placeholder.
@@ -405,8 +517,9 @@ _PLACEHOLDER = "\x00vhdl-ifa:rendered-json\x00"
 
 
 class _Splicer:
-    """``json.dumps``'s ``default`` hook: a placeholder for each
-    :class:`RenderedJSON`, whose text it keeps in order."""
+    """``json.dumps``'s ``default`` hook: a placeholder for each rendered
+    member (:class:`RenderedJSON`, :class:`RenderedList`), whose text it
+    keeps in order."""
 
     __slots__ = ("placeholder", "texts")
 
@@ -415,7 +528,7 @@ class _Splicer:
         self.texts: List[bytes] = []
 
     def __call__(self, value: Any) -> str:
-        if isinstance(value, RenderedJSON):
+        if isinstance(value, _Rendered):
             self.texts.append(value.text)
             return self.placeholder
         raise TypeError(
@@ -423,15 +536,39 @@ class _Splicer:
         )
 
 
-def json_text(document: Dict[str, Any]) -> str:
+def json_bytes(document: Any) -> bytes:
+    """The UTF-8 bytes of :func:`json_text`, which ``vhdl-ifa serve``
+    writes as a response body.
+
+    A string of the document that is no text (it holds a lone surrogate)
+    raises :class:`UnicodeEncodeError`: a body must be valid UTF-8.
+    """
+    return _spliced(document, "strict")
+
+
+def json_text(document: Any) -> str:
     """One canonical JSON serialisation, shared by the CLI and the server.
 
-    Both ``vhdl-ifa analyze --json`` (via ``print``) and ``vhdl-ifa serve``
-    emit exactly this text plus a trailing newline, which is what makes the
-    two byte-comparable.  It is ``json.dumps(document, indent=2,
-    ensure_ascii=False)`` of the document with every :class:`RenderedJSON`
-    member parsed, written without parsing one: each member's text is
-    spliced in where it sits, re-indented to its depth.
+    ``vhdl-ifa analyze --json`` prints exactly this text, and ``vhdl-ifa
+    serve`` writes its bytes (:func:`json_bytes`), plus a trailing newline,
+    which is what makes the two byte-comparable.  It is
+    ``json.dumps(document, indent=2, ensure_ascii=False)`` of the document
+    with every rendered member parsed, written without parsing one.  A lone
+    surrogate (a file name the OS gave as undecodable bytes) is kept as it
+    is.
+    """
+    return _spliced(document, "surrogatepass").decode("utf-8", "surrogatepass")
+
+
+def _spliced(document: Any, errors: str) -> bytes:
+    """The document's UTF-8 bytes, its remainder encoded with ``errors``.
+
+    The document is serialised by ``json.dumps(document, indent=2,
+    ensure_ascii=False)`` with a placeholder for each rendered member
+    (:class:`RenderedJSON`, :class:`RenderedList`), and each member's text
+    is spliced in where its placeholder sits, re-indented to its depth; no
+    member is parsed.  The small remainder is encoded to join the member
+    texts, so each member is copied once, by the join.
     """
     attempt = 0
     while True:
@@ -442,15 +579,12 @@ def json_text(document: Dict[str, Any]) -> str:
         # must not keep the members alive until the next collection.
         splicer.texts = []
         if not texts:
-            return text
+            return text.encode("utf-8", errors)
         pieces = text.split(encode_basestring(splicer.placeholder))
         if len(pieces) == len(texts) + 1:
             break
         attempt += 1
-    # The member texts are UTF-8: the small remainder is encoded to join
-    # them, so the one decode is of the output, and each member is copied
-    # once, by the join.
-    parts = [pieces[0].encode("utf-8", "surrogatepass")]
+    parts = [pieces[0].encode("utf-8", errors)]
     for before, member, after in zip(pieces, texts, pieces[1:]):
         line = before[before.rfind("\n") + 1 :]
         shift = len(line) - len(line.lstrip(" ")) - 2
@@ -459,5 +593,5 @@ def json_text(document: Dict[str, Any]) -> str:
         elif shift < 0:
             member = member.replace(b"\n" + b" " * -shift, b"\n")
         parts.append(member)
-        parts.append(after.encode("utf-8", "surrogatepass"))
-    return b"".join(parts).decode("utf-8", "surrogatepass")
+        parts.append(after.encode("utf-8", errors))
+    return b"".join(parts)

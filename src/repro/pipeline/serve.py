@@ -72,12 +72,13 @@ from repro.pipeline.faults import FaultInjector, FaultPlan
 from repro.pipeline.pool import PoolResult, WorkerPool
 from repro.pipeline.render import (
     analyze_document,
-    json_text,
+    json_bytes,
     policy_summary,
     stamped,
     version_document,
 )
 from repro.security.policy import TwoLevelPolicy
+from repro.security.policy_file import holds_lone_surrogate
 
 _REASONS = {
     200: "OK",
@@ -415,7 +416,7 @@ class AnalysisServer:
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
         # Every body carries the schema stamp — including error documents.
-        body = (json_text(stamped(document)) + "\n").encode("utf-8")
+        body = json_bytes(stamped(document)) + b"\n"
         extra = "".join(
             f"{name}: {value}\r\n" for name, value in (headers or {}).items()
         )
@@ -480,6 +481,11 @@ class AnalysisServer:
             raise _BadRequest(f"request body is not valid JSON: {error}")
         if not isinstance(payload, dict):
             raise _BadRequest("request body must be a JSON object")
+        if holds_lone_surrogate(payload):
+            raise _BadRequest(
+                "request body holds a string with a lone surrogate "
+                "(an unpaired \\ud800-\\udfff escape), which is not text"
+            )
         return payload
 
     # ----------------------------------------------------- request building
@@ -493,7 +499,11 @@ class AnalysisServer:
         if file is not None:
             if not isinstance(file, str):
                 raise _BadRequest("'file' must be a path string")
-            with open(file, encoding="utf-8") as handle:
+            try:
+                handle = open(file, encoding="utf-8")
+            except ValueError as error:  # a NUL in the path
+                raise _BadRequest(f"cannot open {file!r}: {error}")
+            with handle:
                 return handle.read(), file
         if not isinstance(source, str):
             raise _BadRequest("'source' must be VHDL source text")

@@ -3,46 +3,51 @@
 A full Information Flow analysis decomposes into the named stages of
 :data:`STAGES`.  Every analysis reads ``parse → front → reaching →
 specialize → closure → flow_graph → inventory``, plus ``graph_json``,
-``lint``, ``kemmerer`` or ``report``, and its front is one of
-:data:`FRONTS`: a flat source's is ``elaborate``, and a source with
+``lint``, ``kemmerer`` or ``report`` and ``report_json``, and its front is
+one of :data:`FRONTS`: a flat source's is ``elaborate``, and a source with
 component instantiations is *linked* (:mod:`repro.hier`), its front
 ``place``.  Both fronts yield the same four artefacts, because Tables 4 and
 6 are per-process and closed under renaming:
 
-========== =====================================================
-stage      artefact
-========== =====================================================
-parse      the VHDL1 AST of the units the run reads
-           (:func:`repro.vhdl.parser.parse_program`), one design unit at a
-           time
-elaborate  the flat front: the :class:`~repro.vhdl.elaborate.Design`, its
-           :class:`~repro.cfg.builder.ProgramCFG`, the per-process
-           active-signals results (Table 4) and the local Resource Matrix
-           ``RM_lo`` (Table 6)
-place      the linked front: the same four artefacts, placed from one
-           :class:`~repro.hier.summary.EntitySummary` per entity of the
-           checked :class:`~repro.hier.structure.DesignHierarchy`
-reaching   the Reaching Definitions (Table 5), solved once per process
-           shape
-specialize the specialised RD results ``RD†``/``RD†ϕ`` (Table 7)
-closure    the closed matrix ``RM_gl`` (Table 8, optionally Table 9)
-flow_graph the information-flow graph
-graph_json the :class:`~repro.pipeline.artifacts.GraphJSON`: an analyze
-           document's ``graph`` member rendered for the run's shaping
-           flags, and the shaped graph's node and edge counts
-inventory  the :class:`~repro.pipeline.artifacts.Inventory`: design name,
-           ports, CFG counts and matrix sizes, what documents read besides
-           the graph
-lint       the lint findings (``vhdl-ifa lint`` runs only; full catalog)
-kemmerer   Kemmerer's baseline, the transitive closure of ``RM_lo``
-           (``vhdl-ifa kemmerer`` runs only)
-report     the covert-channel report (only when a policy is given)
-========== =====================================================
+=========== =====================================================
+stage       artefact
+=========== =====================================================
+parse       the VHDL1 AST of the units the run reads
+            (:func:`repro.vhdl.parser.parse_program`), one design unit at
+            a time
+elaborate   the flat front: the :class:`~repro.vhdl.elaborate.Design`, its
+            :class:`~repro.cfg.builder.ProgramCFG`, the per-process
+            active-signals results (Table 4) and the local Resource Matrix
+            ``RM_lo`` (Table 6)
+place       the linked front: the same four artefacts, placed from one
+            :class:`~repro.hier.summary.EntitySummary` per entity of the
+            checked :class:`~repro.hier.structure.DesignHierarchy`
+reaching    the Reaching Definitions (Table 5), solved once per process
+            shape
+specialize  the specialised RD results ``RD†``/``RD†ϕ`` (Table 7)
+closure     the closed matrix ``RM_gl`` (Table 8, optionally Table 9)
+flow_graph  the information-flow graph
+graph_json  the :class:`~repro.pipeline.artifacts.GraphJSON`: an analyze
+            document's ``graph`` member rendered for the run's shaping
+            flags, and the shaped graph's node and edge counts
+inventory   the :class:`~repro.pipeline.artifacts.Inventory`: design name,
+            ports, CFG counts and matrix sizes, what documents read besides
+            the graph
+lint        the lint findings (``vhdl-ifa lint`` runs only; full catalog)
+kemmerer    Kemmerer's baseline, the transitive closure of ``RM_lo``
+            (``vhdl-ifa kemmerer`` runs only)
+report      the covert-channel report (only when a policy is given)
+report_json the :class:`~repro.pipeline.artifacts.ReportJSON`: what every
+            output of a check prints, the report's ``violations`` member
+            rendered, its text and its small members (only when a policy
+            is given)
+=========== =====================================================
 
 A run is asked for its *goals*, a tuple of stage names:
 :data:`ANALYSIS_GOALS` (``flow_graph``, ``inventory`` and, with a policy,
-``report``: the full analysis, and a check), :data:`ANALYZE_GOALS`
+``report``: the full analysis and its report), :data:`ANALYZE_GOALS`
 (``graph_json`` and ``inventory``: what an analyze document reads),
+:data:`CHECK_GOALS` (``report_json``: what every output of a check reads),
 :data:`LINT_GOALS` (``inventory``, ``lint`` and, with a policy, ``report``),
 ``("kemmerer",)``, or one stage of a partial run, such as ``("parse",)`` or
 a front.  Every other stage is on demand.  A goal is served from the cache
@@ -80,27 +85,31 @@ run neither read nor ran appears in neither ``timings`` nor
 The :class:`AnalysisOptions` fields each stage's cache key includes
 (``Stage.option_fields``; see also ``docs/architecture.md``):
 
-========== ==========================================================
-stage      cache-key option fields (plus the stage name + reach key)
-========== ==========================================================
-parse      no stage entry: each design unit is cached under
-           ``parse:<sha256 of "<first line>:<unit text>">``, its outline
-           under ``unit:<the same digest>``, and a file text's
-           :class:`Reach` under ``reach:<sha256(file)>:entity=…``
-elaborate  entity, loop_processes
-place      entity, loop_processes; each entity's summary is also cached
-           under ``summary:v<format>:<self-slice digest>:<entity>:loop_processes=…``
-reaching   entity, loop_processes, use_under_approximation
-specialize entity, loop_processes, use_under_approximation
-closure    entity, loop_processes, use_under_approximation, improved
-flow_graph entity, loop_processes, use_under_approximation, improved
-graph_json entity, loop_processes, use_under_approximation, improved,
-           collapse, self_loops
-inventory  entity, loop_processes, use_under_approximation, improved
-lint       entity, loop_processes, use_under_approximation, improved
-kemmerer   entity, loop_processes
-report     never cached (cheap, policy-dependent)
-========== ==========================================================
+=========== ==========================================================
+stage       cache-key option fields (plus the stage name + reach key)
+=========== ==========================================================
+parse       no stage entry: each design unit is cached under
+            ``parse:<sha256 of "<first line>:<unit text>">``, its outline
+            under ``unit:<the same digest>``, and a file text's
+            :class:`Reach` under ``reach:<sha256(file)>:entity=…``
+elaborate   entity, loop_processes
+place       entity, loop_processes; each entity's summary is also cached
+            under ``summary:v<format>:<self-slice digest>:<entity>:loop_processes=…``
+reaching    entity, loop_processes, use_under_approximation
+specialize  entity, loop_processes, use_under_approximation
+closure     entity, loop_processes, use_under_approximation, improved
+flow_graph  entity, loop_processes, use_under_approximation, improved
+graph_json  entity, loop_processes, use_under_approximation, improved,
+            collapse, self_loops
+inventory   entity, loop_processes, use_under_approximation, improved
+lint        entity, loop_processes, use_under_approximation, improved
+kemmerer    entity, loop_processes
+report      never cached: ``report_json`` caches what a check prints of it
+report_json entity, loop_processes, use_under_approximation, improved, then
+            ``policy=<sha256>`` over the policy's content and the report
+            options (:func:`~repro.security.report.report_key`); a policy
+            of another class than the package's three is never cached
+=========== ==========================================================
 
 The ``lint`` stage caches the *complete* rule catalog's findings at default
 severities (a plain tuple of diagnostics); a policy file's ``[lint]``
@@ -145,10 +154,11 @@ from repro.pipeline.artifacts import (
     GraphJSON,
     Inventory,
     PipelineResult,
+    ReportJSON,
     StageTiming,
 )
 from repro.pipeline.cache import ArtifactCache, source_digest
-from repro.pipeline.render import render_graph_json
+from repro.pipeline.render import render_graph_json, render_report_json
 from repro.vhdl.ast import Program
 from repro.vhdl.elaborate import Design, elaborate
 from repro.vhdl.parser import parse_program, split_units
@@ -209,6 +219,7 @@ class PipelineContext:
     policy: Optional[Any] = None
     report_options: Dict[str, Any] = field(default_factory=dict)
     report: Optional[Any] = None
+    report_json: Optional[ReportJSON] = None
     stages: List[StageTiming] = field(default_factory=list)
     pipeline: Optional["Pipeline"] = field(default=None, repr=False)
     """The engine that resolves missing artefacts; None resolves nothing."""
@@ -380,6 +391,18 @@ def _run_report(ctx: PipelineContext) -> Any:
     )
 
 
+def _run_report_json(ctx: PipelineContext) -> ReportJSON:
+    return render_report_json(ctx.report)
+
+
+def _report_key(ctx: PipelineContext) -> Optional[str]:
+    """The policy part of a ``report_json`` key, None for a policy whose
+    report cannot be told from its data
+    (:func:`~repro.security.report.report_key`)."""
+    digest = repro.security.report.report_key(ctx.policy, **ctx.report_options)
+    return None if digest is None else f"policy={digest}"
+
+
 @dataclass(frozen=True)
 class Stage:
     """One named pipeline step.
@@ -392,7 +415,9 @@ class Stage:
     besides those key inputs, ``options`` and ``reach``: a stage that misses
     the cache first resolves, in that order, the producers of those the
     context lacks (the order makes a cold run compute the stages in chain
-    order).
+    order).  ``key_part`` adds one more part to the key, computed from the
+    run's other inputs (the policy, for ``report_json``); when it gives
+    None, the run neither serves the stage from the cache nor stores it.
     """
 
     name: str
@@ -401,6 +426,7 @@ class Stage:
     option_fields: Tuple[str, ...] = ()
     cacheable: bool = True
     needs: Tuple[str, ...] = ()
+    key_part: Optional[Callable[[PipelineContext], Optional[str]]] = None
 
 
 _SHAPE = ("entity", "loop_processes")
@@ -498,6 +524,14 @@ REPORT = Stage(
     cacheable=False,
     needs=("graph", "inventory", "policy", "report_options"),
 )
+REPORT_JSON = Stage(
+    "report_json",
+    "report_json",
+    _run_report_json,
+    _ALL,
+    needs=("report",),
+    key_part=_report_key,
+)
 
 #: Every stage, in the order a cold analysis computes them.
 STAGES: Tuple[Stage, ...] = (
@@ -513,6 +547,7 @@ STAGES: Tuple[Stage, ...] = (
     LINT,
     KEMMERER,
     REPORT,
+    REPORT_JSON,
 )
 
 #: The two fronts: a flat source's and a linked source's.
@@ -526,6 +561,10 @@ ANALYSIS_GOALS: Tuple[str, ...] = ("flow_graph", "inventory", "report")
 #: the inventory.
 ANALYZE_GOALS: Tuple[str, ...] = ("graph_json", "inventory")
 
+#: A check run: what every output of a check reads, the rendered report
+#: (resolved only when a policy is given).
+CHECK_GOALS: Tuple[str, ...] = ("report_json",)
+
 #: The lint run: what its document reads, the inventory and the cached
 #: ``lint`` stage, and the report when a policy is given.
 LINT_GOALS: Tuple[str, ...] = ("inventory", "lint", "report")
@@ -533,7 +572,9 @@ LINT_GOALS: Tuple[str, ...] = ("inventory", "lint", "report")
 #: Every stage some verb asks for.  A run that computes one on the way to
 #: its own goals keeps it in the cache's main queue too, for the verb that
 #: reads it next: an analyze's flow graph serves a later check.
-_ASKED_FOR = frozenset((*ANALYSIS_GOALS, *ANALYZE_GOALS, *LINT_GOALS, "kemmerer"))
+_ASKED_FOR = frozenset(
+    (*ANALYSIS_GOALS, *ANALYZE_GOALS, *CHECK_GOALS, *LINT_GOALS, "kemmerer")
+)
 
 _BY_NAME: Dict[str, Stage] = {stage.name: stage for stage in STAGES}
 
@@ -579,17 +620,26 @@ def _store(ctx: PipelineContext, stage: Stage, artifact: Any) -> None:
         setattr(ctx, stage.attr, artifact)
 
 
-def stage_key(stage: Stage, reach_key: str, options: AnalysisOptions) -> str:
+def stage_key(
+    stage: Stage,
+    reach_key: str,
+    options: AnalysisOptions,
+    key_part: Optional[str] = None,
+) -> str:
     """The content address of one stage artefact.
 
     ``reach_key`` is the run's :attr:`Reach.key`.  A stage with no
-    ``option_fields`` keys on its name and the reach key alone.
+    ``option_fields`` keys on its name and the reach key alone;
+    ``key_part``, what the stage's own ``key_part`` gave for the run, comes
+    last.
     """
     parts = [stage.name, reach_key]
     if stage.option_fields:
         parts.extend(
             f"{name}={getattr(options, name)!r}" for name in stage.option_fields
         )
+    if key_part is not None:
+        parts.append(key_part)
     return ":".join(parts)
 
 
@@ -626,12 +676,13 @@ class Pipeline:
         member (shaped by the ``collapse``/``self_loops`` options) instead
         of the graph, :data:`LINT_GOALS` for the lint findings
         (``run.artifacts.lint``, the complete catalog at default severities)
-        and the inventory, ``("kemmerer",)`` runs
+        and the inventory, :data:`CHECK_GOALS` for a check's rendered
+        report, ``("kemmerer",)`` runs
         Kemmerer's baseline alone, and one stage's name stops there
         (``("parse",)`` yields the AST, ``("elaborate",)`` or ``("place",)``
-        the source's front; the other front is an error).  ``report``
-        resolves only when a ``policy`` is given; ``report_options`` passes
-        keyword arguments through to
+        the source's front; the other front is an error).  ``report`` and
+        ``report_json`` resolve only when a ``policy`` is given;
+        ``report_options`` passes keyword arguments through to
         :func:`repro.security.report.build_report`.  ``profile=True`` runs
         every computed stage under cProfile and attaches the per-stage hot
         spots to the result (:attr:`PipelineResult.stage_profiles`); the
@@ -660,7 +711,7 @@ class Pipeline:
         )
         for name in goals:
             stage = _BY_NAME[name]
-            if stage is REPORT and policy is None:
+            if policy is None and (stage is REPORT or stage is REPORT_JSON):
                 continue
             if stage in FRONTS and self._front(ctx) is not stage:
                 raise AnalysisError(
@@ -733,6 +784,18 @@ class Pipeline:
                 self._provide(ctx, name)
         self._compute(ctx, stage)
 
+    def _key(self, ctx: PipelineContext, stage: Stage) -> Optional[str]:
+        """``stage``'s cache key in this run; None when the run neither
+        serves it from the cache nor stores it."""
+        if self.cache is None or not stage.cacheable:
+            return None
+        key_part = None
+        if stage.key_part is not None:
+            key_part = stage.key_part(ctx)
+            if key_part is None:
+                return None
+        return stage_key(stage, self._reach(ctx).key, ctx.options, key_part)
+
     def _serve(self, ctx: PipelineContext, stage: Stage) -> bool:
         """Store ``stage``'s cached artefact in ``ctx``; False on a miss.
 
@@ -740,9 +803,11 @@ class Pipeline:
         The served stage's seconds cover the lookup and the read and
         unpickle of a lower tier.
         """
-        if self.cache is None or not stage.cacheable or stage.name in ctx.missed:
+        if stage.name in ctx.missed:
             return False
-        key = stage_key(stage, self._reach(ctx).key, ctx.options)
+        key = self._key(ctx, stage)
+        if key is None:
+            return False
         started = time.perf_counter()
         artifact = self.cache.get(key)
         if artifact is None:
@@ -770,8 +835,8 @@ class Pipeline:
                 artifact = stage.run(ctx)
         elapsed = time.perf_counter() - started
         _store(ctx, stage, artifact)
-        if self.cache is not None and stage.cacheable:
-            key = stage_key(stage, self._reach(ctx).key, ctx.options)
+        key = self._key(ctx, stage)
+        if key is not None:
             probation = stage.name not in ctx.goals and stage.name not in _ASKED_FOR
             self.cache.put(key, artifact, probation=probation)
         _record(ctx, StageTiming(stage.name, elapsed, profile=stage_profile))

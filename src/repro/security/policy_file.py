@@ -128,9 +128,35 @@ def _require(condition: bool, message: str, context: str) -> None:
         raise PolicyFileError(message, context)
 
 
+def holds_lone_surrogate(value: Any) -> bool:
+    """True when a key or a value of ``value``, at any depth, is a string
+    with a lone surrogate: valid JSON (``"\\ud800"``), but no text a
+    document can carry."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                return True
+        elif isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return False
+
+
 def policy_from_dict(data: Any, context: str = "policy") -> DeclaredPolicy:
     """Validate a parsed policy document and build the policy it declares."""
     _require(isinstance(data, dict), "policy document must be a table/object", context)
+    _require(
+        not holds_lone_surrogate(data),
+        "policy document holds a string with a lone surrogate "
+        "(an unpaired \\ud800-\\udfff escape), which is not text",
+        context,
+    )
     unknown = sorted(set(data) - set(POLICY_KEYS))
     _require(
         not unknown,

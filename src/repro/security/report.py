@@ -15,12 +15,20 @@ target resources with their clearance levels, and the witness path.  The
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.resource_matrix import base_resource, incoming_node, outgoing_node
 from repro.errors import ReproError
-from repro.security.policy import FlowPolicy, PolicyViolation, check_policy
+from repro.security.policy import (
+    Clearance,
+    FlowPolicy,
+    PolicyViolation,
+    TwoLevelPolicy,
+    check_policy,
+)
+from repro.security.policy_file import DeclaredPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.artifacts import AnalysisResult
@@ -185,6 +193,46 @@ def output_dependencies(result: AnalysisResult) -> Dict[str, List[str]]:
                 sources.append(input_port)
         dependencies[output] = sorted(sources)
     return dependencies
+
+
+#: The policy classes whose checks :func:`report_key` can key: what they
+#: check is their data.  A subclass may override ``level_of`` or ``allows``.
+_KEYED_POLICIES = (FlowPolicy, TwoLevelPolicy, DeclaredPolicy)
+
+
+def _level(clearance: Clearance) -> Tuple[int, str]:
+    return (clearance.rank, clearance.name)
+
+
+def report_key(
+    policy: FlowPolicy,
+    transitive: bool = False,
+    restrict_to_ports: bool = False,
+    outputs: Optional[Iterable[str]] = None,
+) -> Optional[str]:
+    """A sha256 over what :func:`build_report` reads besides the analysis.
+
+    It covers the three options, as :func:`build_report` takes them, and
+    what :func:`~repro.security.policy.check_policy` reads of the policy:
+    each resource's level, the permitted pairs, the default level and,
+    for a :class:`~repro.security.policy_file.DeclaredPolicy`, its patterns
+    in declaration order (the first match wins).  Whatever is unordered is
+    sorted, so the key does not follow string hashing.  It is ``None`` for
+    a policy of any other class than this package's three, whose report
+    cannot be told from its data.
+    """
+    if type(policy) not in _KEYED_POLICIES:
+        return None
+    content = (
+        sorted((name, _level(level)) for name, level in policy.levels.items()),
+        sorted((_level(source), _level(target)) for source, target in policy.permitted),
+        _level(policy.default_level),
+        [(pattern, _level(level)) for pattern, level in getattr(policy, "patterns", ())],
+        bool(transitive),
+        bool(restrict_to_ports),
+        None if outputs is None else sorted(set(outputs)),
+    )
+    return hashlib.sha256(repr(content).encode("utf-8")).hexdigest()
 
 
 def build_report(

@@ -34,8 +34,8 @@ whose front for a source with instantiations is ``place`` (each entity
 summarised, every instance placed) in place of ``elaborate`` — see
 ``docs/hierarchy.md``.  Each verb asks the pipeline for its goals:
 ``analyze_run`` for what an analyze document reads (the rendered graph
-member and the inventory), ``check`` for the analysis and its report,
-``lint`` for the inventory and the lint findings, and ``kemmerer_run`` for
+member and the inventory), ``check`` for its rendered report, ``lint``
+for the inventory and the lint findings, and ``kemmerer_run`` for
 Kemmerer's baseline alone.
 
 Universes: a computed front interns the design's resource names into a
@@ -57,14 +57,19 @@ from repro.errors import PolicyError
 # Not called here: perfbench/spans.py wraps these names on this module.
 from repro.hier.flatten import flatten_source  # noqa: F401
 from repro.hier.link import link_hierarchy  # noqa: F401
-from repro.pipeline.artifacts import AnalysisOptions, AnalysisResult, PipelineResult
+from repro.pipeline.artifacts import (
+    AnalysisOptions,
+    AnalysisResult,
+    PipelineResult,
+    ReportJSON,
+)
 from repro.pipeline.batch import BatchJob, BatchReport, expand_jobs, run_batch
 from repro.pipeline.cache import open_cache
 from repro.pipeline.render import check_document, lint_document, render_lint_text
-from repro.pipeline.stages import ANALYSIS_GOALS, ANALYZE_GOALS, LINT_GOALS, Pipeline
+from repro.pipeline.stages import ANALYZE_GOALS, CHECK_GOALS, LINT_GOALS, Pipeline
 from repro.security.policy import FlowPolicy
 from repro.security.policy_file import load_policy_file, policy_from_dict
-from repro.security.report import Diagnostic
+from repro.security.report import CovertChannelReport, Diagnostic
 
 #: Anything :meth:`Workspace.policy` resolves: a policy object, a registered
 #: name, a parsed policy document, or a path to a policy file.
@@ -77,18 +82,35 @@ _UNSET = object()
 class CheckResult:
     """The outcome of one :meth:`Workspace.check`.
 
-    Bundles the covert-channel report with the policy that was enforced and
+    Bundles the run's rendered report with the policy that was enforced and
     the underlying pipeline run (timings, cache hits, artifacts).
+    :attr:`clean`, :attr:`exit_code`, :meth:`to_text` and :meth:`document`
+    read the rendered report (the ``report_json`` stage's artefact, all a
+    warm check reads); :attr:`report`, :attr:`violations`,
+    :attr:`diagnostics` and :attr:`result` resolve the report and the
+    analysis on first access, and each equals a cold run's.  Those reads
+    check the run against :attr:`policy` as it is then, so the policy must
+    not be changed (``assign``, ``permit``) between :meth:`Workspace.check`
+    and the last read of its result.
     """
 
     run: PipelineResult
     policy: FlowPolicy
-    report: Any
+
+    @property
+    def rendered(self) -> ReportJSON:
+        """The rendered report: what every output of the check prints."""
+        return self.run.artifacts.artifact("report_json")
+
+    @property
+    def report(self) -> CovertChannelReport:
+        """The :class:`~repro.security.report.CovertChannelReport`."""
+        return self.run.artifacts.artifact("report")
 
     @property
     def clean(self) -> bool:
         """True when no policy violation was found."""
-        return self.report.is_clean
+        return self.rendered.clean
 
     @property
     def violations(self) -> List[Any]:
@@ -103,7 +125,7 @@ class CheckResult:
     @property
     def result(self) -> AnalysisResult:
         """The full analysis result the check ran on."""
-        return self.run.result
+        return AnalysisResult(self.run.artifacts)
 
     @property
     def exit_code(self) -> int:
@@ -112,7 +134,7 @@ class CheckResult:
 
     def to_text(self) -> str:
         """The human-readable report (what ``vhdl-ifa check`` prints)."""
-        return self.report.to_text()
+        return self.rendered.text
 
     def document(self, file: Optional[str] = None) -> Dict[str, Any]:
         """The complete ``check`` JSON document (``vhdl-ifa/v1``)."""
@@ -345,6 +367,10 @@ class Workspace:
         ``transitive=None`` defers to the policy's own preferred mode (the
         ``mode`` key of a declarative policy); ``outputs`` restricts the
         reported sinks; ``restrict_to_ports`` keeps only port-to-port flows.
+        The run resolves the rendered report
+        (:data:`~repro.pipeline.stages.CHECK_GOALS`), which is cached under
+        the policy's content and these options, so a warm check reads that
+        one entry.
         """
         resolved = self.policy(policy)
         if transitive is None:
@@ -352,7 +378,7 @@ class Workspace:
         run = self.pipeline.run(
             source,
             self._options(entity, improved, loop_processes, use_under_approximation),
-            goals=ANALYSIS_GOALS,
+            goals=CHECK_GOALS,
             policy=resolved,
             report_options={
                 "transitive": transitive,
@@ -360,7 +386,7 @@ class Workspace:
                 "outputs": list(outputs) if outputs else None,
             },
         )
-        return CheckResult(run=run, policy=resolved, report=run.report)
+        return CheckResult(run=run, policy=resolved)
 
     # ----------------------------------------------------------------- lint
 

@@ -164,7 +164,7 @@ class TestLinkedPlan:
             source, {"levels": {"sel": 1, "o": 0}, "mode": "transitive"}
         )
         names = [stage.name for stage in checked.run.stages]
-        assert "place" in names and names[-1] == "report"
+        assert "place" in names and names[-2:] == ["report", "report_json"]
         linted = ws.lint(source)
         names = [stage.name for stage in linted.run.stages]
         assert "place" in names and names[-1] == "lint"

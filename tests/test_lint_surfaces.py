@@ -308,7 +308,7 @@ class TestFailOn:
 SEEDED_VIOLATIONS = '''
 from repro.dataflow.facts import FactUniverse
 from repro.pipeline.stages import Stage
-from repro.pipeline.render import json_text
+from repro.pipeline.render import json_bytes, json_text
 
 GLOBAL = FactUniverse()
 CODE_A = "IFA101"
@@ -321,10 +321,15 @@ def f(u=FactUniverse()):
 
 BAD_STAGE = Stage("mystery", "attr", f)
 CACHED_PARSE = Stage("parse", "program", f)
+UNKEYED_VERDICT = Stage("verdict", "verdict", f, ("entity",), needs=("report",))
 
 
 def g(doc):
     return json_text({"raw": doc})
+
+
+def k(doc):
+    return json_bytes({"raw": doc})
 
 
 import multiprocessing.connection
@@ -460,7 +465,9 @@ class TestInvariantGate:
             "default argument",             # FactUniverse() default
             "Stage('mystery'",              # missing option_fields
             "Stage('parse'",                # no exemption for the parse
-            "not a stamped document",       # raw json_text payload
+            "Stage('verdict', ...) is cacheable and needs the run's policy",
+            "json_text() is not a stamped document",   # raw json_text payload
+            "json_bytes() is not a stamped document",  # raw json_bytes payload
             "assigned 2 times",             # duplicate diagnostic code
             "imports repro.workspace",      # engine → facade back-edge
             "imports repro.pipeline.stages",  # engine → pipeline back-edge
@@ -533,10 +540,10 @@ class TestInvariantGate:
         # A stale artefact row for a deleted stage, and a declared stage's
         # cache-key row dropped.
         stale = source.replace(
-            "reaching   the Reaching Definitions",
-            "cfg        the ProgramCFG\nreaching   the Reaching Definitions",
+            "reaching    the Reaching Definitions",
+            "cfg         the ProgramCFG\nreaching    the Reaching Definitions",
             1,
-        ).replace("kemmerer   entity, loop_processes\n", "", 1)
+        ).replace("kemmerer    entity, loop_processes\n", "", 1)
         assert check_docs.check_stage_docstring(stale) == [
             "pipeline/stages.py: the 'artefact' table names 'cfg', but the "
             "module builds no such Stage",

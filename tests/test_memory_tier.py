@@ -141,8 +141,9 @@ class TestSessions:
     @pytest.mark.parametrize("first", ["analyze", "lint"])
     def test_a_check_after_20_other_files_computes_only_its_report(self, first):
         # Neither an analyze nor a lint asks for the flow graph, but each
-        # computes it, and a check asks for it: it waits in the main queue,
-        # not on probation, which the 20 files in between would flush.
+        # computes it, and the full analysis asks for it: it waits in the
+        # main queue, not on probation, which the 20 files in between would
+        # flush.  The check computes its report and renders it.
         base = workloads.multi_entity_program(3, 1, 2)
         text, *others = ["\n" * index + base for index in range(21)]
         workspace = Workspace()
@@ -155,7 +156,7 @@ class TestSessions:
         checked = workspace.check(
             text, TwoLevelPolicy(secret_resources=["chain_in"]), entity="chain_0"
         )
-        assert checked.run.computed_stages == ["report"]
+        assert checked.run.computed_stages == ["report", "report_json"]
         assert checked.run.cached_stages == ["flow_graph", "inventory"]
 
     def test_all_entities_parses_each_unit_once(self, tmp_path, monkeypatch):

@@ -100,11 +100,12 @@ class TestPipelineStages:
         built = [
             value for value in vars(stages_module).values() if isinstance(value, Stage)
         ]
-        assert len(STAGES) == len({id(stage) for stage in STAGES}) == 12
+        assert len(STAGES) == len({id(stage) for stage in STAGES}) == 13
         assert {id(stage) for stage in built} == {id(stage) for stage in STAGES}
         assert [stage.name for stage in STAGES] == [
             "parse", "elaborate", "place", "reaching", "specialize", "closure",
             "flow_graph", "graph_json", "inventory", "lint", "kemmerer", "report",
+            "report_json",
         ]
         # Both fronts yield the design, its CFG, Table 4 and RM_lo, under
         # the same options.
@@ -385,8 +386,8 @@ class TestWorkspaceCheck:
         workspace.check(source, policy, outputs=["leak"])
         misses_after_first = cache.misses
         workspace.check(source, policy, outputs=["leak"])
-        # The reach record and the goals.
-        assert cache.hits == 1 + len(WARM_STAGE_NAMES)
+        # The reach record and the rendered report.
+        assert cache.hits == 2
         assert cache.misses == misses_after_first
 
 

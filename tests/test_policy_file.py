@@ -118,6 +118,25 @@ class TestValidation:
         with pytest.raises(PolicyFileError):
             policy_from_dict(self.base(levels={"public": 0, "secret": True}))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"levels": {"public": 0, "secret\ud800": 1}},
+            {"resources": {"key\udc80": "secret"}},
+            {"description": "\udfff"},
+        ],
+        ids=["level", "resource", "description"],
+    )
+    def test_a_lone_surrogate_is_rejected(self, tmp_path, overrides):
+        # No document can carry such a string as UTF-8 text, so a policy
+        # whose names a check document would echo must not load.
+        with pytest.raises(PolicyFileError, match="lone surrogate"):
+            policy_from_dict(self.base(**overrides))
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(self.base(**overrides)), encoding="utf-8")
+        with pytest.raises(PolicyFileError, match="lone surrogate"):
+            load_policy_file(path)
+
     def test_policy_file_error_is_a_policy_error(self):
         with pytest.raises(PolicyError):
             policy_from_dict({"levels": {}})

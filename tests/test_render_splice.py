@@ -30,6 +30,7 @@ from repro.pipeline import (
     Pipeline,
     RenderedJSON,
     analyze_document,
+    json_bytes,
     json_text,
     run_batch,
     select_graph,
@@ -305,6 +306,16 @@ class TestTheSplice:
         # A file name the OS gave as undecodable bytes.
         document = {"file": "bad\udcff.vhd", "graph": RenderedJSON(self.MEMBER)}
         assert json_text(document) == _dumps(_plain(document))
+
+    @pytest.mark.parametrize("member", [True, False], ids=["spliced", "plain"])
+    def test_the_bytes_of_a_lone_surrogate_are_refused(self, member):
+        # A response body must be valid UTF-8, where json_text keeps the
+        # surrogate (above).
+        document = {"file": "bad\udcff.vhd"}
+        if member:
+            document["graph"] = RenderedJSON(self.MEMBER)
+        with pytest.raises(UnicodeEncodeError):
+            json_bytes(document)
 
     def test_a_document_of_members_only(self):
         member = RenderedJSON(self.MEMBER)

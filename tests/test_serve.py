@@ -15,6 +15,7 @@ import pytest
 
 from repro import workloads
 from repro.cli import main
+from repro.errors import PolicyError
 from repro.pipeline import (
     AnalysisServer,
     ArtifactCache,
@@ -368,3 +369,92 @@ class TestPolicyOverwriteProtection:
                 {"source": workloads.challenge_f_program(), "policy": "strict"},
             )
             assert status == 200 and json.loads(body)["clean"] is False
+
+
+@pytest.fixture(scope="class", params=["inline", "pooled"])
+def either_server(request):
+    """A server of each execution mode."""
+    workers = 1 if request.param == "pooled" else None
+    with ServerThread(AnalysisServer(port=0, workers=workers, timeout=60.0)) as running:
+        yield running
+
+
+def _raw_request(port, path, payload):
+    """The status and the raw body bytes of one request."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    connection.request("POST", path, body=json.dumps(payload))
+    response = connection.getresponse()
+    return response.status, response.read()
+
+
+#: Payloads holding strings no document can carry: valid JSON, each a lone
+#: surrogate escape, or a NUL in a file path.
+UNUSABLE = {
+    "secret-surrogate": (
+        "/check", {"source": workloads.challenge_f_program(), "secret": ["\ud800"]}
+    ),
+    "output-surrogate": (
+        "/check",
+        {
+            "source": workloads.challenge_f_program(),
+            "secret": ["key"],
+            "output": ["leak\udfff"],
+        },
+    ),
+    "policy-surrogate": (
+        "/check",
+        {
+            "source": workloads.challenge_f_program(),
+            "policy": {
+                "levels": {"public": 0, "secret": 1},
+                "resources": {"key\udc80": "secret"},
+            },
+        },
+    ),
+    "file-surrogate": ("/analyze", {"file": "design\ud800.vhd"}),
+    "file-nul": ("/analyze", {"file": "design\u0000.vhd"}),
+}
+
+
+class TestUnusableStrings:
+    @pytest.mark.parametrize("case", sorted(UNUSABLE))
+    def test_an_unusable_string_is_a_400(self, either_server, case):
+        path, payload = UNUSABLE[case]
+        status, body = _raw_request(either_server.port, path, payload)
+        assert status == 400
+        document = json.loads(body)
+        assert document["schema"] == "vhdl-ifa/v1" and document["error"]
+        # The server still answers.
+        status, _ = _raw_request(
+            either_server.port, "/check",
+            {"source": workloads.challenge_f_program(), "secret": ["key"]},
+        )
+        assert status == 200
+
+    def test_a_policy_file_with_a_lone_surrogate_is_refused(self, tmp_path):
+        # ``vhdl-ifa serve --policy`` registers its files by load_policy:
+        # a level name no response could carry stops the server starting.
+        path = tmp_path / "odd.json"
+        path.write_text(
+            json.dumps({"levels": {"low": 0, "high\ud800": 1}}), encoding="utf-8"
+        )
+        with pytest.raises(PolicyError, match="lone surrogate"):
+            Workspace().load_policy(path)
+
+
+class TestResponseBytes:
+    @pytest.mark.parametrize(
+        "path,payload",
+        [
+            ("/analyze", {"source": workloads.producer_consumer_program()}),
+            ("/check", {"source": workloads.producer_consumer_program(), "secret": ["left"]}),
+            ("/lint", {"source": workloads.producer_consumer_program()}),
+            ("/analyze", {"file": "no/such/design.vhd"}),
+        ],
+        ids=["analyze", "check", "lint", "error"],
+    )
+    def test_a_body_is_json_text_and_a_newline(self, either_server, path, payload):
+        status, body = _raw_request(either_server.port, path, payload)
+        assert status == (400 if "file" in payload else 200)
+        document = json.loads(body)
+        assert body == (json_text(document) + "\n").encode("utf-8")
