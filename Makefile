@@ -35,7 +35,7 @@ contracts:
 		diff -r tests/contract/pacts "$$scratch/pacts"; \
 		status=$$?; rm -rf "$$scratch"; exit $$status
 
-# Repo invariant gate (scripts/check_invariants.py: seven invariants checked
+# Repo invariant gate (scripts/check_invariants.py: eight invariants checked
 # by a stdlib AST lint) plus the mypy typed-core gate on repro.analysis.lint.
 # mypy runs only when installed — CI installs it; the bare local toolchain
 # may not have it.

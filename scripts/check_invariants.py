@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant gate: AST lint over ``src/repro`` (stdlib only).
 
-Seven invariants, each of which has silently rotted in similar codebases and
+Eight invariants, each of which has silently rotted in similar codebases and
 none of which the type checker can express:
 
 1. **Every serve/CLI JSON document is stamped.**  Arguments to
@@ -58,6 +58,16 @@ none of which the type checker can express:
    at once.  Recurse in a module-level function, or loop over an explicit
    stack.
 
+8. **One response path.**  Outside ``repro/pipeline/render.py``,
+   ``repro/pipeline/stages.py``, ``repro/workspace.py`` and
+   ``repro/pipeline/serve.py`` (whose ``respond`` answers every analyze,
+   check and lint request of the CLI, batch jobs and serve), no module
+   calls ``analyze_document``, ``check_document``, ``lint_document``,
+   ``render_analysis_text`` or ``render_lint_text``, or reads
+   ``ANALYZE_GOALS``, ``CHECK_GOALS`` or ``LINT_GOALS``.  Imports and
+   re-exports are fine.  A surface that picks a verb's goals, document or
+   text itself is how its output drifts from the others'.
+
 Usage: ``python scripts/check_invariants.py [PATH ...]`` — paths default to
 ``src/repro``; passing explicit paths lets the tests seed violations in a
 scratch tree.  Exits 1 listing every violation, 0 when clean.
@@ -107,6 +117,20 @@ UPPER_LAYERS = (
 
 #: The one module that starts worker processes (invariant 6).
 POOL_MODULE = ("repro", "pipeline", "pool.py")
+
+#: What only the response path and the layers below it call or read
+#: (invariant 8), and the modules that may.
+RESPONSE_BUILDERS = (
+    "analyze_document", "check_document", "lint_document",
+    "render_analysis_text", "render_lint_text",
+)
+RESPONSE_GOALS = ("ANALYZE_GOALS", "CHECK_GOALS", "LINT_GOALS")
+RESPONSE_MODULES = (
+    ("repro", "pipeline", "render.py"),
+    ("repro", "pipeline", "stages.py"),
+    ("repro", "workspace.py"),
+    ("repro", "pipeline", "serve.py"),
+)
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -430,6 +454,31 @@ def check_nested_recursion(tree: ast.Module, relpath: str) -> List[str]:
     return failures
 
 
+def check_one_response_path(tree: ast.Module, path: Path, relpath: str) -> List[str]:
+    """Invariant 8: only the response path builds a verb's document or text,
+    or reads its goals."""
+    if any(path.parts[-len(module):] == module for module in RESPONSE_MODULES):
+        return []
+    failures = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _call_name(node.func) in RESPONSE_BUILDERS:
+            what = f"calls {_call_name(node.func)}()"
+        elif (
+            isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+            and _call_name(node) in RESPONSE_GOALS
+        ):
+            what = f"reads {_call_name(node)}"
+        else:
+            continue
+        failures.append(
+            f"{relpath}:{node.lineno}: {what} outside the one response path "
+            "— answer analyze, check and lint through "
+            "repro.pipeline.serve.respond"
+        )
+    return failures
+
+
 def collect_diagnostic_codes(
     tree: ast.Module, relpath: str
 ) -> List[Tuple[str, str]]:
@@ -472,6 +521,7 @@ def check_tree(paths: Tuple[Path, ...]) -> List[str]:
         failures.extend(check_layering(tree, path, relpath))
         failures.extend(check_process_starts(tree, path, relpath))
         failures.extend(check_nested_recursion(tree, relpath))
+        failures.extend(check_one_response_path(tree, path, relpath))
         for code, location in collect_diagnostic_codes(tree, relpath):
             codes.setdefault(code, []).append(location)
     for code in sorted(codes):
@@ -504,7 +554,7 @@ def main(argv: List[str]) -> int:
         f"invariant check: {count} files OK (stamped JSON sinks, no global "
         "interner state, stage cache keys declared, diagnostic codes unique, "
         "engine layering, one process starter, no self-referring nested "
-        "functions)"
+        "functions, one response path)"
     )
     return 0
 

@@ -1,9 +1,9 @@
 """Command-line interface: ``vhdl-ifa``.
 
 Every analysis subcommand is a thin shell over one
-:class:`repro.workspace.Workspace` — the v1 session facade that owns the
-artifact cache and the named-policy registry — so the CLI, the batch driver
-and the serve mode produce byte-identical documents by construction.
+:class:`repro.workspace.Workspace`.  ``analyze``, ``check`` and ``lint`` share
+one handler, which answers argv as a request on the response path batch jobs
+and serve run too (:func:`repro.pipeline.serve.respond`).
 
 Subcommands
 -----------
@@ -74,16 +74,9 @@ from repro.errors import ReproError, nesting_limit
 from repro.hier.flatten import flatten_source
 from repro.hier.structure import has_instantiations
 from repro.pipeline.cache import DiskArtifactCache
-from repro.pipeline.render import (
-    analyze_document,
-    json_text,
-    render_adjacency,
-    render_analysis_text,
-    select_graph,
-    stamped,
-)
+from repro.pipeline.render import json_text, render_adjacency, select_graph, stamped
 from repro.pipeline.batch import default_workers
-from repro.pipeline.serve import serve
+from repro.pipeline.serve import respond, serve
 from repro.security.policy import TwoLevelPolicy
 from repro.semantics.simulator import Simulator
 from repro.version import version
@@ -115,19 +108,14 @@ def _workspace(args: argparse.Namespace) -> Workspace:
     return Workspace(cache_dir=getattr(args, "cache_dir", None))
 
 
-def _analysis_opts(args: argparse.Namespace) -> dict:
-    return {
-        "entity": args.entity,
-        "improved": not args.basic,
-        "loop_processes": not args.straight_line,
-    }
-
-
 def _policy_for(args: argparse.Namespace, workspace: Workspace):
-    """The policy a ``check``/``batch`` invocation enforces."""
-    if getattr(args, "policy", None):
+    """The policy a ``check``, ``lint`` or ``batch`` invocation names: its
+    ``--policy`` file, else a check's two-level ``--secret`` policy."""
+    if args.policy:
         return workspace.load_policy(args.policy)
-    return TwoLevelPolicy(secret_resources=args.secret)
+    if args.command == "check":
+        return TwoLevelPolicy(secret_resources=args.secret)
+    return None
 
 
 def _profile_document(args: argparse.Namespace, run) -> dict:
@@ -165,10 +153,11 @@ def _emit_profile(args: argparse.Namespace, run) -> None:
         )
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    profiling = bool(args.profile or args.profile_json)
+def _cmd_respond(args: argparse.Namespace) -> int:
+    """``analyze``, ``check`` and ``lint``: argv as the request serve builds
+    from a payload, answered on the response path serve and batch share."""
     source = _read_source(args.file)
-    if args.flatten:
+    if args.command == "analyze" and args.flatten:
         # The flattening oracle: analyse a hierarchical design's flattened
         # program instead of linking its entity summaries (byte-identical
         # documents; see docs/hierarchy.md).
@@ -176,27 +165,38 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             program = parse_program(source)
             if has_instantiations(program):
                 source = flatten_source(program, args.entity)
-    run = _workspace(args).analyze_run(
-        source,
-        collapse=args.collapse,
-        self_loops=args.self_loops,
-        profile=profiling,
-        **_analysis_opts(args),
-    )
-    if profiling:
-        _emit_profile(args, run)
-    if args.json:
-        _print_json(analyze_document(run, file=args.file))
-        return EXIT_OK
-    print(
-        render_analysis_text(
-            run.result,
+    workspace = _workspace(args)
+    request = {
+        "source": source,
+        "file": args.file,
+        "entity": args.entity,
+        "improved": not args.basic,
+        "loop_processes": not args.straight_line,
+    }
+    if args.command == "analyze":
+        request.update(
             collapse=args.collapse,
             self_loops=args.self_loops,
             dot=args.dot,
+            profile=bool(args.profile or args.profile_json),
         )
-    )
-    return EXIT_OK
+    else:
+        request.update(policy=_policy_for(args, workspace), fail_on=args.fail_on)
+    if args.command == "check":
+        request.update(
+            outputs=args.output or None,
+            # None defers to the policy's own mode.
+            transitive=True if args.transitive else False if args.direct else None,
+            ports_only=args.ports_only,
+        )
+    response = respond(workspace, args.command, request)
+    if request.get("profile"):
+        _emit_profile(args, response.run)
+    print(json_text(response.document()) if args.json else response.text)
+    # Policy violations are all severity "error", so --fail-on warning and
+    # the default behave alike for a check; "never" makes a check's and a
+    # lint's findings informational.
+    return EXIT_OK if getattr(args, "fail_on", None) == "never" else response.exit_code
 
 
 def _cmd_kemmerer(args: argparse.Namespace) -> int:
@@ -219,46 +219,6 @@ def _cmd_kemmerer(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    workspace = _workspace(args)
-    if args.transitive:
-        transitive = True
-    elif args.direct:
-        transitive = False
-    else:
-        transitive = None  # defer to the policy's own mode
-    checked = workspace.check(
-        _read_source(args.file),
-        _policy_for(args, workspace),
-        outputs=args.output or None,
-        transitive=transitive,
-        restrict_to_ports=args.ports_only,
-        **_analysis_opts(args),
-    )
-    if args.json:
-        _print_json(checked.document(file=args.file))
-    else:
-        print(checked.to_text())
-    # Policy violations are all severity "error", so --fail-on warning and
-    # the default behave identically here; "never" turns them informational.
-    return EXIT_OK if args.fail_on == "never" else checked.exit_code
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    workspace = _workspace(args)
-    linted = workspace.lint(
-        _read_source(args.file),
-        policy=args.policy or None,
-        fail_on=args.fail_on,
-        **_analysis_opts(args),
-    )
-    if args.json:
-        _print_json(linted.document(file=args.file))
-    else:
-        print(linted.to_text())
-    return linted.exit_code
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
     if args.policy and (args.dot or args.collapse or args.self_loops):
         # Policy jobs render covert-channel reports, not graphs: rejecting
@@ -275,7 +235,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         all_entities=args.all_entities,
         parallel=not args.sequential,
         max_workers=args.jobs,
-        policy=_policy_for(args, workspace) if args.policy else None,
+        policy=_policy_for(args, workspace),
         collapse=args.collapse,
         self_loops=args.self_loops,
         dot=args.dot,
@@ -498,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the per-stage profile as a JSON sidecar document to PATH",
     )
     _add_cache_flags(analyze_p)
-    analyze_p.set_defaults(handler=_cmd_analyze)
+    analyze_p.set_defaults(handler=_cmd_respond)
 
     kem_p = sub.add_parser("kemmerer", help="run Kemmerer's baseline method")
     kem_p.add_argument("file", help="VHDL1 source file")
@@ -555,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fail_on_flag(check_p)
     _add_cache_flags(check_p)
-    check_p.set_defaults(handler=_cmd_check)
+    check_p.set_defaults(handler=_cmd_respond)
 
     lint_p = sub.add_parser(
         "lint", help="run the static-analysis rule catalog (docs/lint.md)"
@@ -580,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fail_on_flag(lint_p)
     _add_cache_flags(lint_p)
-    lint_p.set_defaults(handler=_cmd_lint)
+    lint_p.set_defaults(handler=_cmd_respond)
 
     batch_p = sub.add_parser(
         "batch", help="analyse many files through the staged pipeline"

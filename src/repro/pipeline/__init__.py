@@ -40,18 +40,15 @@ from repro.pipeline.render import (
     SCHEMA_VERSION,
     RenderedJSON,
     RenderedList,
-    analysis_json,
     analyze_document,
     check_document,
     json_bytes,
     json_text,
     lint_document,
-    lint_json,
     lint_section,
     policy_summary,
     render_analysis_text,
     render_lint_text,
-    report_json,
     select_graph,
     stamped,
     version_document,
@@ -102,7 +99,6 @@ __all__ = [
     "Stage",
     "StageTiming",
     "TieredArtifactCache",
-    "analysis_json",
     "analyze_document",
     "check_document",
     "expand_jobs",
@@ -110,13 +106,11 @@ __all__ = [
     "json_bytes",
     "json_text",
     "lint_document",
-    "lint_json",
     "lint_section",
     "open_cache",
     "policy_summary",
     "render_analysis_text",
     "render_lint_text",
-    "report_json",
     "run_batch",
     "run_job",
     "select_graph",

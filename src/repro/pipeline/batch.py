@@ -1,16 +1,16 @@
 """Batch driver: analyse many files (or all entities of a file) at once.
 
 Inputs are file paths; outputs are :class:`BatchItem` records holding the
-exact text/JSON the sequential ``vhdl-ifa analyze`` command would print for
-that file.  Like the CLI and the serve mode, the driver is a shell over one
-:class:`~repro.workspace.Workspace`: :func:`expand_jobs` turns paths into
-:class:`BatchJob` items (one per file, or one per entity with
-``all_entities=True``), reading each file's AST through the workspace so the
-parse is cached like any other stage, and :func:`run_job` runs one job on
-the workspace's pipeline and renders it with
-:func:`repro.pipeline.render.render_analysis_text` — the single-file
-commands share the renderer, so the per-file output is byte-identical by
-construction.
+exact text/JSON the single-file ``vhdl-ifa analyze`` (or, with a policy,
+``check``) command would print for that file.  Like the CLI and the serve
+mode, the driver is a shell over one :class:`~repro.workspace.Workspace`:
+:func:`expand_jobs` turns paths into :class:`BatchJob` items (one per file,
+or one per entity with ``all_entities=True``), reading each file's AST
+through the workspace so the parse is cached like any other stage, and
+:func:`run_job` answers one job as a request on the response path the
+single-file commands and serve share
+(:func:`repro.pipeline.serve.respond`), so the per-file output is
+byte-identical by construction.
 
 ``parallel=True`` runs the jobs on a supervised
 :class:`~repro.pipeline.pool.WorkerPool`, the one serve runs on; results
@@ -44,16 +44,8 @@ from repro.errors import ReproError
 from repro.pipeline.artifacts import AnalysisOptions
 from repro.pipeline.faults import FaultInjector
 from repro.pipeline.pool import WorkerPool
-from repro.pipeline.render import (
-    analysis_json,
-    lint_section,
-    policy_summary,
-    render_analysis_text,
-    render_lint_text,
-    report_json,
-    stamped,
-)
-from repro.pipeline.stages import ANALYZE_GOALS, CHECK_GOALS
+from repro.pipeline.render import policy_summary, stamped
+from repro.pipeline.serve import respond
 from repro.security.report import Diagnostic
 
 if TYPE_CHECKING:
@@ -249,64 +241,42 @@ def run_job(
     policy: Optional[Any] = None,
     lint: Optional[Any] = None,
 ) -> BatchItem:
-    """Analyse one job on ``workspace`` and render its output; errors become
-    the outcome.
+    """Answer one job on ``workspace`` and keep what it prints; errors
+    become the outcome.
 
-    Without a policy the outcome is the ``analyze`` rendering (text and the
-    ``analysis_json`` payload, whose graph member is the cached
-    ``graph_json`` artefact for ``collapse`` and ``self_loops``).  With a
-    policy the job becomes a check, in the policy's preferred transitive
-    mode: the text, the ``check``-style payload and the verdict in
-    ``clean`` all read the rendered report (the cached ``report_json``
-    artefact).  ``lint`` (a
-    :class:`~repro.analysis.lint.LintConfig`) additionally runs the cached
-    lint stage and rides a ``"lint"`` section — the exact
-    :func:`~repro.pipeline.render.lint_section` body the single-file ``lint``
-    command emits — on the payload, plus the lint text after the rendering.
+    The job is one request on the response path of the single-file commands
+    and serve (:func:`~repro.pipeline.serve.respond`): an analyze, or with a
+    policy a check in the policy's own mode.  Its payload is the request's
+    document without ``schema``, ``command`` and ``policy``, its text what
+    the command prints, and ``clean`` the check's verdict.  ``lint`` (a
+    :class:`~repro.analysis.lint.LintConfig`) adds a ``"lint"`` section to
+    the payload and the lint text after the rendering, from the same run.
     """
     started = time.perf_counter()
     try:
-        source = Path(job.path).read_text(encoding="utf-8")
-        entity = options.entity if job.entity is None else job.entity
-        options = dataclasses.replace(
-            options, entity=entity, collapse=collapse, self_loops=self_loops
-        )
-        goals = ANALYZE_GOALS if policy is None else CHECK_GOALS
-        if lint is not None:
-            goals = (*goals, "lint")
-        run = workspace.pipeline.run(
-            source,
-            options,
-            goals=goals,
-            policy=policy,
-            report_options={"transitive": bool(getattr(policy, "transitive", False))},
-        )
-        clean = None
-        if policy is not None:
-            data = report_json(run)
-            rendered = run.artifacts.report_json
-            text, clean = rendered.text, rendered.clean
-        else:
-            # The payload first: it lists what the analyze document reads,
-            # before the text reads the flow graph.
-            data = analysis_json(run)
-            text = render_analysis_text(
-                run.result, collapse=collapse, self_loops=self_loops, dot=dot
-            )
-        findings: List[Diagnostic] = []
-        if lint is not None:
-            findings = lint.apply(run.artifacts.lint)
-            data["lint"] = lint_section(findings)
-            design = run.artifacts.artifact("inventory").design
-            text = "\n\n".join((text, render_lint_text(design, findings)))
+        # The options' fields are request members of the same names.
+        request = {
+            **dataclasses.asdict(options),
+            "source": Path(job.path).read_text(encoding="utf-8"),
+            "entity": options.entity if job.entity is None else job.entity,
+            "collapse": collapse,
+            "self_loops": self_loops,
+            "dot": dot,
+            "policy": policy,
+            "lint": lint,
+        }
+        response = respond(workspace, "analyze" if policy is None else "check", request)
+        data = response.document()
+        for member in ("schema", "command", "policy"):
+            data.pop(member, None)
         return BatchItem(
             job=job,
             ok=True,
-            text=text,
+            text=response.text,
             data=data,
             seconds=time.perf_counter() - started,
-            clean=clean,
-            findings=findings,
+            clean=None if policy is None else response.verdict.clean,
+            findings=[] if response.lint is None else response.lint.findings,
         )
     except _JOB_ERRORS as error:
         return BatchItem(

@@ -1,15 +1,13 @@
-"""Render pipeline results as the CLI's text and ``--json`` documents.
+"""Render pipeline results as the documents and text every surface prints.
 
 Inputs are finished :class:`~repro.pipeline.artifacts.PipelineResult` /
 :class:`~repro.pipeline.artifacts.AnalysisResult` objects; outputs are the
-user-facing renderings.  Both the ``vhdl-ifa analyze`` command and the batch
-driver go through :func:`render_analysis_text`, so a batch run's per-file
-output is byte-identical to the sequential command by construction.  The
-JSON builders return dicts in a stable key order, shared by ``--json`` on
-``analyze``/``check``/``batch``; :func:`analyze_document` /
-:func:`check_document` / :func:`json_text` are the complete documents,
-shared by the CLI and ``vhdl-ifa serve`` — which is why a server response
-is byte-identical to the corresponding CLI output.
+user-facing renderings: :func:`analyze_document`, :func:`check_document`
+and :func:`lint_document` build the complete documents, in a stable key
+order, and :func:`render_analysis_text` and :func:`render_lint_text` the
+text.  The one response path, :func:`repro.pipeline.serve.respond`, calls
+them for the CLI, batch jobs and serve alike, so their outputs are
+byte-identical by construction.
 
 :func:`json_text` is the one serialiser of these documents, and
 :func:`json_bytes` its UTF-8 bytes, which serve writes.  Their values are
@@ -34,6 +32,7 @@ from __future__ import annotations
 import io
 import json
 from json.encoder import encode_basestring
+from math import isfinite
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.analysis.flowgraph import FlowGraph
@@ -158,6 +157,7 @@ class RenderedList(_Rendered, Sequence):
 
 
 _JSON_BOOLEANS = {False: b"false", True: b"true"}
+_JSON_CONSTANTS = {None: "null", False: "false", True: "true"}
 
 
 def render_graph_json(graph: FlowGraph, collapse: bool, self_loops: bool) -> GraphJSON:
@@ -261,36 +261,52 @@ def render_analysis_text(
     return "\n".join(lines)
 
 
-def _round_timings(pipeline: PipelineResult) -> Dict[str, float]:
-    return {name: round(seconds, 6) for name, seconds in pipeline.timings.items()}
+def _run_document(
+    command: str,
+    pipeline: PipelineResult,
+    file: Optional[str],
+    members: Dict[str, Any],
+) -> Dict[str, Any]:
+    """A stamped document of one run: the command, the file label (when
+    there is one), ``members``, then the run's per-stage wall-clock timings
+    and the stages served from the artifact cache."""
+    document: Dict[str, Any] = {"schema": SCHEMA_VERSION, "command": command}
+    if file is not None:
+        document["file"] = file
+    document.update(members)
+    document["timings"] = {
+        name: round(seconds, 6) for name, seconds in pipeline.timings.items()
+    }
+    document["cached_stages"] = pipeline.cached_stages
+    return document
 
 
-def analysis_json(
+def analyze_document(
     pipeline: PipelineResult, file: Optional[str] = None
 ) -> Dict[str, Any]:
-    """The machine-readable summary of one analysis run.
+    """The complete ``analyze --json`` document of one run.
 
-    Contains the design inventory (the run's ``inventory`` artefact), the
-    ``graph`` member shaped by the run's ``collapse``/``self_loops`` options
-    (the ``graph_json`` artefact, a :class:`RenderedJSON`), per-stage
-    wall-clock timings and which stages were served from the artifact
-    cache.  Both artefacts resolve first, so the timings and the cached
-    stages include them.
+    Contains the design inventory (the run's ``inventory`` artefact) and
+    the ``graph`` member shaped by the run's ``collapse``/``self_loops``
+    options (the ``graph_json`` artefact, a :class:`RenderedJSON`).  Both
+    artefacts resolve first, so the timings and the cached stages include
+    them.
     """
     artifacts = pipeline.artifacts
     member = artifacts.artifact("graph_json")
     inventory = artifacts.artifact("inventory")
-    document: Dict[str, Any] = {}
-    if file is not None:
-        document["file"] = file
-    document.update(
+    options = pipeline.options
+    return _run_document(
+        "analyze",
+        pipeline,
+        file,
         {
             "design": inventory.design,
             "options": {
-                "entity": pipeline.options.entity,
-                "improved": pipeline.options.improved,
-                "loop_processes": pipeline.options.loop_processes,
-                "use_under_approximation": pipeline.options.use_under_approximation,
+                "entity": options.entity,
+                "improved": options.improved,
+                "loop_processes": options.loop_processes,
+                "use_under_approximation": options.use_under_approximation,
             },
             "summary": {
                 **inventory.cfg_stats,
@@ -300,26 +316,28 @@ def analysis_json(
                 "edges": member.edges,
             },
             "graph": RenderedJSON(member.text),
-            "timings": _round_timings(pipeline),
-            "cached_stages": pipeline.cached_stages,
-        }
+        },
     )
-    return document
 
 
-def report_json(pipeline: PipelineResult, file: Optional[str] = None) -> Dict[str, Any]:
-    """The machine-readable form of a ``check`` run (analysis + verdict).
+def check_document(
+    pipeline: PipelineResult,
+    policy: Any,
+    file: Optional[str] = None,
+) -> Dict[str, Any]:
+    """The complete ``check --json`` document of one run (analysis and
+    verdict).
 
     Its members are the run's ``report_json`` artefact, the ``violations``
-    member a :class:`RenderedList`, and per-stage wall-clock timings and
-    the cached stages.  The artefact resolves first, so the timings and
-    the cached stages include it.
+    member a :class:`RenderedList`, and the policy it enforced.  The
+    artefact resolves first, so the timings and the cached stages include
+    it.
     """
     rendered = pipeline.artifacts.artifact("report_json")
-    document: Dict[str, Any] = {}
-    if file is not None:
-        document["file"] = file
-    document.update(
+    document = _run_document(
+        "check",
+        pipeline,
+        file,
         {
             "design": rendered.design,
             "clean": rendered.clean,
@@ -329,23 +347,20 @@ def report_json(pipeline: PipelineResult, file: Optional[str] = None) -> Dict[st
                 for output, inputs in rendered.output_dependencies.items()
             },
             "summary": {"nodes": rendered.nodes, "edges": rendered.edges},
-            "timings": _round_timings(pipeline),
-            "cached_stages": pipeline.cached_stages,
-        }
+        },
     )
+    document["policy"] = policy_summary(policy)
     return document
 
 
 def lint_section(findings: Sequence[Any]) -> Dict[str, Any]:
-    """The shared lint body: verdict, findings and severity counters.
+    """The lint body a lint document and a batch job's ``lint`` section
+    share: verdict, findings and severity counters.
 
     ``findings`` are :class:`~repro.security.report.Diagnostic` records with
-    any policy selection/overrides already applied.  The CLI ``lint --json``
-    document, the batch per-job ``lint`` section and the ``POST /lint``
-    response all embed exactly this dict, which is what makes the three
-    byte-comparable.  (Takes plain diagnostics rather than importing the lint
-    package: render is imported by the pipeline package the lint rules
-    ultimately depend on.)
+    any policy selection/overrides already applied.  (Takes plain
+    diagnostics rather than importing the lint package: render is imported
+    by the pipeline package the lint rules ultimately depend on.)
     """
     summary = {"findings": len(findings), "errors": 0, "warnings": 0, "infos": 0}
     for finding in findings:
@@ -357,33 +372,17 @@ def lint_section(findings: Sequence[Any]) -> Dict[str, Any]:
     }
 
 
-def lint_json(
-    pipeline: PipelineResult,
-    findings: Sequence[Any],
-    file: Optional[str] = None,
-) -> Dict[str, Any]:
-    """The machine-readable form of a ``lint`` run."""
-    document: Dict[str, Any] = {}
-    if file is not None:
-        document["file"] = file
-    document["design"] = pipeline.result.inventory.design
-    document.update(lint_section(findings))
-    document["timings"] = _round_timings(pipeline)
-    document["cached_stages"] = pipeline.cached_stages
-    return document
-
-
 def lint_document(
     pipeline: PipelineResult,
     findings: Sequence[Any],
     file: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """The complete ``lint --json`` document (CLI and server share it)."""
-    return stamped(
-        {
-            "command": "lint",
-            **lint_json(pipeline, findings, file=file),
-        }
+    """The complete ``lint --json`` document of one run."""
+    return _run_document(
+        "lint",
+        pipeline,
+        file,
+        {"design": pipeline.result.inventory.design, **lint_section(findings)},
     )
 
 
@@ -410,32 +409,6 @@ def policy_summary(policy: Any) -> Dict[str, Any]:
     if secrets is not None:
         return {"secrets": sorted(secrets)}
     return policy_to_dict(policy)
-
-
-def analyze_document(
-    pipeline: PipelineResult, file: Optional[str] = None
-) -> Dict[str, Any]:
-    """The complete ``analyze --json`` document (CLI and server share it).
-
-    The graph member is shaped by the run's ``collapse`` and ``self_loops``
-    options (:meth:`repro.workspace.Workspace.analyze_run` takes both).
-    """
-    return stamped({"command": "analyze", **analysis_json(pipeline, file=file)})
-
-
-def check_document(
-    pipeline: PipelineResult,
-    policy: Any,
-    file: Optional[str] = None,
-) -> Dict[str, Any]:
-    """The complete ``check --json`` document (CLI and server share it)."""
-    return stamped(
-        {
-            "command": "check",
-            **report_json(pipeline, file=file),
-            "policy": policy_summary(policy),
-        }
-    )
 
 
 def version_document() -> Dict[str, Any]:
@@ -509,33 +482,6 @@ def volatile_pointers(command: str) -> Dict[str, str]:
     raise ValueError(f"no matcher table for document kind {command!r}")
 
 
-#: What :func:`json_bytes`'s hook writes where a rendered member goes.
-#: ``json`` escapes its NULs, so the escaped form can stand only for a whole
-#: string of the document equal to it; a document holding one is serialised
-#: again with another placeholder.
-_PLACEHOLDER = "\x00vhdl-ifa:rendered-json\x00"
-
-
-class _Splicer:
-    """``json.dumps``'s ``default`` hook: a placeholder for each rendered
-    member (:class:`RenderedJSON`, :class:`RenderedList`), whose text it
-    keeps in order."""
-
-    __slots__ = ("placeholder", "texts")
-
-    def __init__(self, placeholder: str):
-        self.placeholder = placeholder
-        self.texts: List[bytes] = []
-
-    def __call__(self, value: Any) -> str:
-        if isinstance(value, _Rendered):
-            self.texts.append(value.text)
-            return self.placeholder
-        raise TypeError(
-            f"Object of type {type(value).__name__} is not JSON serializable"
-        )
-
-
 def json_bytes(document: Any) -> bytes:
     """The UTF-8 bytes of :func:`json_text`, which ``vhdl-ifa serve``
     writes as a response body.
@@ -561,37 +507,63 @@ def json_text(document: Any) -> str:
 
 
 def _spliced(document: Any, errors: str) -> bytes:
-    """The document's UTF-8 bytes, its remainder encoded with ``errors``.
+    """The document's UTF-8 bytes, its text encoded with ``errors``.
 
-    The document is serialised by ``json.dumps(document, indent=2,
-    ensure_ascii=False)`` with a placeholder for each rendered member
-    (:class:`RenderedJSON`, :class:`RenderedList`), and each member's text
-    is spliced in where its placeholder sits, re-indented to its depth; no
-    member is parsed.  The small remainder is encoded to join the member
-    texts, so each member is copied once, by the join.
+    Each run of text between rendered members is encoded once, and the join
+    copies each member once.
     """
-    attempt = 0
-    while True:
-        splicer = _Splicer(f"{_PLACEHOLDER}{attempt}")
-        text = json.dumps(document, indent=2, ensure_ascii=False, default=splicer)
-        texts = splicer.texts
-        # The pure-Python encoder leaves the hook in a reference cycle: it
-        # must not keep the members alive until the next collection.
-        splicer.texts = []
-        if not texts:
-            return text.encode("utf-8", errors)
-        pieces = text.split(encode_basestring(splicer.placeholder))
-        if len(pieces) == len(texts) + 1:
-            break
-        attempt += 1
-    parts = [pieces[0].encode("utf-8", errors)]
-    for before, member, after in zip(pieces, texts, pieces[1:]):
-        line = before[before.rfind("\n") + 1 :]
-        shift = len(line) - len(line.lstrip(" ")) - 2
-        if shift > 0:
-            member = member.replace(b"\n", b"\n" + b" " * shift)
-        elif shift < 0:
-            member = member.replace(b"\n" + b" " * -shift, b"\n")
-        parts.append(member)
-        parts.append(after.encode("utf-8", errors))
+    pieces: List[Any] = []
+    _write(document, "", pieces)
+    parts, start = [], 0
+    for index, piece in enumerate(pieces):
+        if type(piece) is bytes:
+            parts += ("".join(pieces[start:index]).encode("utf-8", errors), piece)
+            start = index + 1
+    parts.append("".join(pieces[start:]).encode("utf-8", errors))
     return b"".join(parts)
+
+
+def _write(value: Any, indent: str, pieces: List[Any]) -> None:
+    """Append ``value`` to ``pieces`` as ``json.dumps(indent=2,
+    ensure_ascii=False)`` writes it on a line indented by ``indent``.
+
+    A rendered member (:class:`RenderedJSON`, :class:`RenderedList`) is its
+    UTF-8 text, re-indented from depth 1 to this one; the rest is text.
+    Keys must be strings, as every document's are.  A module-level
+    function, so that writing leaves no reference cycle for the collector.
+    """
+    if isinstance(value, str):
+        pieces.append(encode_basestring(value))
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        opener = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            pieces.append(f"{opener}{encode_basestring(key)}: ")
+            _write(item, inner, pieces)
+            opener = ",\n" + inner
+        pieces.append(f"\n{indent}}}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        opener = "[\n" + inner
+        for item in value:
+            pieces.append(opener)
+            _write(item, inner, pieces)
+            opener = ",\n" + inner
+        pieces.append(f"\n{indent}]" if value else "[]")
+    elif value is None or value is True or value is False:
+        pieces.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, float):
+        # json writes what is not finite as NaN, Infinity or -Infinity.
+        pieces.append(float.__repr__(value) if isfinite(value) else json.dumps(value))
+    elif isinstance(value, _Rendered):
+        shift = len(indent) - 2
+        old, new = b"\n" + b" " * max(-shift, 0), b"\n" + b" " * max(shift, 0)
+        pieces.append(value.text.replace(old, new) if shift else value.text)
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )

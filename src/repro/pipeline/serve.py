@@ -40,8 +40,8 @@ Endpoints
 ``POST /analyze`` / ``POST /check`` / ``POST /lint`` / ``POST /policy``
     As documented in ``docs/cli.md`` and ``docs/serve.md``; analyze/check/
     lint response bodies are byte-identical to ``vhdl-ifa analyze --json`` /
-    ``check --json`` / ``lint --json`` in both execution modes (worker and
-    inline paths share :func:`execute_request` and the render builders).
+    ``check --json`` / ``lint --json`` in both modes: :func:`execute_request`
+    wraps :func:`respond`, the one response path the CLI and batch run too.
 ``GET /healthz``
     Liveness: ``200`` while serving, ``503`` while draining; worker counts.
 ``GET /metrics``
@@ -64,6 +64,7 @@ import json
 import signal
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -73,7 +74,9 @@ from repro.pipeline.pool import PoolResult, WorkerPool
 from repro.pipeline.render import (
     analyze_document,
     json_bytes,
+    lint_section,
     policy_summary,
+    render_analysis_text,
     stamped,
     version_document,
 )
@@ -173,52 +176,114 @@ class _Histogram:
         }
 
 
+@dataclass
+class Response:
+    """What every surface prints for one analyze, check or lint request:
+    :meth:`document`, :attr:`text` and :attr:`exit_code`, each built when
+    read from what ``run`` resolved.  ``verdict`` is a check's
+    :class:`~repro.workspace.CheckResult` or a lint's
+    :class:`~repro.workspace.LintResult` (``None`` for an analyze), and
+    ``lint`` the ``LintResult`` of a batch job's lint section."""
+
+    request: Dict[str, Any]
+    run: Any
+    verdict: Any = None
+    lint: Any = None
+
+    def document(self) -> Dict[str, Any]:
+        """The request's document, for its ``file`` label."""
+        file = self.request.get("file")
+        if self.verdict is None:
+            document = analyze_document(self.run, file=file)
+        else:
+            document = self.verdict.document(file=file)
+        if self.lint is not None:
+            document["lint"] = lint_section(self.lint.findings)
+        return document
+
+    @property
+    def text(self) -> str:
+        if self.verdict is None:
+            options, dot = self.run.options, self.request.get("dot", False)
+            text = render_analysis_text(
+                self.run.result, options.collapse, options.self_loops, dot
+            )
+        else:
+            text = self.verdict.to_text()
+        if self.lint is not None:
+            text = "\n\n".join((text, self.lint.to_text()))
+        return text
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if self.verdict is None else self.verdict.exit_code
+
+
+def respond(workspace: Any, kind: str, request: Dict[str, Any]) -> Response:
+    """Answer one analyze, check or lint request on ``workspace``.
+
+    The one response path, which the CLI, batch jobs and both serve modes
+    run.  ``request`` is what :meth:`AnalysisServer._build_request` makes of
+    a payload; the CLI adds ``dot``, ``profile`` and ``fail_on``, and a
+    batch job ``use_under_approximation``, ``dot`` and ``lint``, the
+    :class:`~repro.analysis.lint.LintConfig` of a lint section that rides
+    on the job's run.
+    """
+    source, get = request["source"], request.get
+    opts = {
+        "entity": get("entity"),
+        "improved": get("improved", True),
+        "loop_processes": get("loop_processes", True),
+        "use_under_approximation": get("use_under_approximation", True),
+    }
+    verdict = None
+    if kind == "analyze":
+        run = workspace.analyze_run(
+            source,
+            collapse=get("collapse", False),
+            self_loops=get("self_loops", False),
+            profile=get("profile", False),
+            **opts,
+        )
+    elif kind == "lint":
+        verdict = workspace.lint(
+            source, get("policy"), fail_on=get("fail_on", "error"), **opts
+        )
+        run = verdict.run
+    else:
+        verdict = workspace.check(
+            source,
+            request["policy"],
+            outputs=get("outputs"),
+            transitive=get("transitive"),
+            restrict_to_ports=get("ports_only", False),
+            **opts,
+        )
+        run = verdict.run
+    lint = get("lint")
+    if lint is not None:
+        # Resolved before the document is built, so that it lists the stage.
+        from repro.workspace import LintResult
+
+        lint = LintResult(run, lint, lint.apply(run.artifacts.artifact("lint")))
+    return Response(request, run, verdict, lint)
+
+
 def execute_request(
     workspace: Any,
     kind: str,
     request: Dict[str, Any],
     injector: Optional[FaultInjector] = None,
 ) -> Tuple[int, Dict[str, Any]]:
-    """Run one validated analyze/check request against a workspace.
-
-    This is the single execution path both modes share — the inline server
-    calls it on the event loop, every pool worker calls it in its own
-    process — which is what keeps pooled responses byte-identical to inline
-    ones (and both identical to the CLI's ``--json`` output).  Errors are
-    classified exactly like the PR-4 server: anything the toolchain itself
-    diagnoses is a ``400`` document, everything else a ``500`` — never an
-    exception to the caller.
+    """:func:`respond`'s document with its status, as both modes answer a
+    request: the inline server on the event loop, every pool worker in its
+    own process.  Anything the toolchain itself diagnoses is a ``400``
+    document, everything else a ``500``, never an exception to the caller.
     """
     try:
         if injector is not None:
             injector.before_analysis(request.get("source", ""))
-        opts = {
-            "entity": request.get("entity"),
-            "improved": request.get("improved", True),
-            "loop_processes": request.get("loop_processes", True),
-        }
-        if kind == "analyze":
-            run = workspace.analyze_run(
-                request["source"],
-                collapse=request.get("collapse", False),
-                self_loops=request.get("self_loops", False),
-                **opts,
-            )
-            return 200, analyze_document(run, file=request.get("file"))
-        if kind == "lint":
-            linted = workspace.lint(
-                request["source"], policy=request.get("policy"), **opts
-            )
-            return 200, linted.document(file=request.get("file"))
-        checked = workspace.check(
-            request["source"],
-            request["policy"],
-            outputs=request.get("outputs"),
-            transitive=request.get("transitive"),
-            restrict_to_ports=request.get("ports_only", False),
-            **opts,
-        )
-        return 200, checked.document(file=request.get("file"))
+        return 200, respond(workspace, kind, request).document()
     except _REQUEST_ERRORS as error:
         return 400, {"error": str(error)}
     except Exception as error:  # never kill the worker/server on one request
@@ -533,39 +598,34 @@ class AnalysisServer:
             request["self_loops"] = _flag(payload, "self_loops")
             return request
         if kind == "lint":
-            spec = payload.get("policy")
-            if spec is not None and not isinstance(spec, (str, dict)):
-                raise _BadRequest(
-                    "'policy' must be a registered policy name or a policy document"
-                )
-            # Resolved here (not in the worker) so unknown names reject on
-            # the event loop; the resolved policy is a picklable dataclass.
-            request["policy"] = None if spec is None else self.workspace.policy(spec)
+            request["policy"] = self._resolve_policy(kind, payload)
             return request
-        outputs = _names(payload.get("output"), "output")
         request.update(
-            {
-                "outputs": outputs or None,
-                "policy": self._resolve_policy(payload),
-                # None defers to the policy's preferred mode.
-                "transitive": _flag(payload, "transitive", None),
-                "ports_only": _flag(payload, "ports_only"),
-            }
+            outputs=_names(payload.get("output"), "output") or None,
+            policy=self._resolve_policy(kind, payload),
+            # None defers to the policy's preferred mode.
+            transitive=_flag(payload, "transitive", None),
+            ports_only=_flag(payload, "ports_only"),
         )
         return request
 
-    def _resolve_policy(self, payload: Dict[str, Any]) -> Any:
-        """The policy of one ``/check`` request: named/inline, or two-level."""
+    def _resolve_policy(self, kind: str, payload: Dict[str, Any]) -> Any:
+        """The policy of one ``/check`` or ``/lint`` request: named or
+        inline, else a check's two-level policy of its secrets (a lint's
+        ``None``).  Resolved here, not in the worker, so that an unknown
+        name rejects on the event loop; a policy is a picklable dataclass."""
         spec = payload.get("policy")
         secrets = payload.get("secret")
         if spec is not None:
-            if secrets is not None:
+            if secrets is not None and kind == "check":
                 raise _BadRequest("'policy' and 'secret' are mutually exclusive")
             if not isinstance(spec, (str, dict)):
                 raise _BadRequest(
                     "'policy' must be a registered policy name or a policy document"
                 )
             return self.workspace.policy(spec)
+        if kind == "lint":
+            return None
         return TwoLevelPolicy(secret_resources=_names(secrets, "secret"))
 
     def _dedup_key(self, kind: str, request: Dict[str, Any]) -> str:

@@ -172,7 +172,8 @@ class LintResult:
 
     def to_text(self) -> str:
         """The human-readable report (what ``vhdl-ifa lint`` prints)."""
-        return render_lint_text(self.result.inventory.design, self.findings)
+        design = self.run.artifacts.artifact("inventory").design
+        return render_lint_text(design, self.findings)
 
     def document(self, file: Optional[str] = None) -> Dict[str, Any]:
         """The complete ``lint`` JSON document (``vhdl-ifa/v1``)."""

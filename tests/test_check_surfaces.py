@@ -1,4 +1,5 @@
-"""Every surface of a check prints what its report does.
+"""Every surface of a check prints what its report does, and every
+surface of an analyze or a lint what a cache-less workspace does.
 
 A check's outputs read the rendered report (the ``report_json`` stage,
 tested with its key and its splice in ``tests/test_check_splice.py``).
@@ -8,6 +9,9 @@ surface: the Workspace API, the CLI's ``check`` (``--json`` and text), its
 ``batch --policy`` (sequential and pooled, ``--json`` and text) and
 serve's ``POST /check`` (inline and pooled); from each cache state, for
 each kind of policy and each report option, on a flat and a linked source.
+Analyze (each shaping flag, and the ``--dot`` text) and lint (default
+settings and a policy's ``[lint]`` table) get the same matrix, and one
+table holds the exit codes of ``--fail-on``.
 """
 
 import http.client
@@ -17,7 +21,13 @@ import pytest
 
 from repro import Workspace, workloads
 from repro.cli import main
-from repro.pipeline import AnalysisServer, ServerThread, json_text
+from repro.pipeline import (
+    AnalysisServer,
+    ServerThread,
+    analyze_document,
+    json_text,
+    render_analysis_text,
+)
 from repro.security.policy import TwoLevelPolicy
 from repro.security.policy_file import policy_from_dict
 from test_check_splice import (
@@ -261,3 +271,310 @@ class TestServe:
                 assert document["cached_stages"] == ["report_json"]
             expected = _dumps(_plain(document, report, policy)) + "\n"
             assert body == expected.encode("utf-8")
+
+
+# ----------------------------------------------- analyze and lint, as check
+
+#: Sources with lint findings that a ``[lint]`` table changes: an
+#: overwritten variable (IFA108, info) and a dead signal (IFA102,
+#: warning) in a flat design, and a dead signal in a linked one.
+ANALYSIS_SOURCES = {
+    "flat": lambda: workloads.challenge_f_program().replace(
+        "begin\n  p : process", "  signal dead : std_logic_vector(7 downto 0);\n"
+        "begin\n  p : process", 1
+    ).replace("    leak <= t;\n", "    leak <= t;\n    dead <= key;\n", 1),
+    "linked": lambda: workloads.hierarchical_mux_program().replace(
+        "  signal n2 : std_logic;\n",
+        "  signal n2 : std_logic;\n  signal dead : std_logic;\n", 1
+    ).replace("      o <= n1;\n", "      o <= n1;\n      dead <= hi;\n", 1),
+}
+
+#: A policy document of a ``[lint]`` table alone.
+LINT_TABLE = {"lint": {"disable": ["IFA108"], "severity": {"IFA102": "error"}}}
+
+#: Each verb's variants, by name: the analyze shaping flags and the text's
+#: ``--dot``, and lint with default settings or a policy's ``[lint]`` table.
+VARIANTS = {
+    "analyze": {
+        "plain": {},
+        "collapse": {"collapse": True},
+        "self-loops": {"self_loops": True},
+        "dot": {"collapse": True, "self_loops": True, "dot": True},
+    },
+    "lint": {"default": {}, "table": {"policy": LINT_TABLE}},
+}
+CASES = [(verb, variant) for verb in VARIANTS for variant in VARIANTS[verb]]
+
+#: What a warm run of each verb reads: its goals.
+WARM_STAGES = {"analyze": ["graph_json", "inventory"], "lint": ["inventory", "lint"]}
+
+
+def _reference(verb, variant, kind, file=None):
+    """The document, text and lint findings a cache-less workspace gives:
+    every surface must print the same."""
+    source = ANALYSIS_SOURCES[kind]()
+    settings = VARIANTS[verb][variant]
+    workspace = Workspace(cache=None)
+    if verb == "lint":
+        linted = workspace.lint(source, policy=settings.get("policy"))
+        return linted.document(file=file), linted.to_text(), linted.findings
+    flags = {"collapse": False, "self_loops": False, **settings}
+    dot = flags.pop("dot", False)
+    run = workspace.analyze_run(source, **flags)
+    text = render_analysis_text(run.result, dot=dot, **flags)
+    return analyze_document(run, file=file), text, None
+
+
+def _printed(reference, document):
+    """What a surface prints for ``reference``, with the volatile members
+    of the ``document`` it printed."""
+    expected = dict(reference)
+    expected["timings"] = document["timings"]
+    expected["cached_stages"] = document["cached_stages"]
+    return json_text(expected)
+
+
+def _variant_flags(verb, variant, tmp_path):
+    """A variant's CLI flags; a ``[lint]`` table goes to a policy file."""
+    settings = VARIANTS[verb][variant]
+    flags = [
+        "--" + flag.replace("_", "-")
+        for flag in ("collapse", "self_loops", "dot")
+        if settings.get(flag)
+    ]
+    if "policy" in settings:
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(settings["policy"]), encoding="utf-8")
+        flags += ["--policy", str(table)]
+    return flags
+
+
+class TestAnalyzeAndLintWorkspace:
+    @pytest.mark.parametrize("cache", CACHES)
+    @pytest.mark.parametrize("verb,variant", CASES)
+    @pytest.mark.parametrize("kind", sorted(ANALYSIS_SOURCES))
+    def test_documents_equal_the_reference(self, tmp_path, kind, verb, variant, cache):
+        source = ANALYSIS_SOURCES[kind]()
+        settings = VARIANTS[verb][variant]
+        workspace = _workspace(cache, tmp_path)
+
+        def run(on):
+            if verb == "lint":
+                return on.lint(source, policy=settings.get("policy"))
+            flags = {key: value for key, value in settings.items() if key != "dot"}
+            return on.analyze_run(source, **flags)
+
+        _warm(cache, workspace, run)
+        result = run(workspace)
+        reference, text, findings = _reference(verb, variant, kind, "design.vhd")
+        if verb == "lint":
+            document = result.document(file="design.vhd")
+            assert result.to_text() == text and result.findings == findings
+            assert findings  # the sources have findings to configure
+            stages = result.run.cached_stages
+        else:
+            document = analyze_document(result, file="design.vhd")
+            stages = result.cached_stages
+        warm = cache in ("memory", "disk-warm")
+        assert stages == (WARM_STAGES[verb] if warm else [])
+        assert json_text(document) == _printed(reference, document)
+
+
+class TestAnalyzeAndLintCLI:
+    @pytest.mark.parametrize("cache", ["none", "disk-cold", "disk-warm"])
+    @pytest.mark.parametrize("verb,variant", CASES)
+    @pytest.mark.parametrize("kind", sorted(ANALYSIS_SOURCES))
+    def test_json_and_text_equal_the_reference(
+        self, tmp_path, capsys, kind, verb, variant, cache
+    ):
+        path = tmp_path / "design.vhd"
+        path.write_text(ANALYSIS_SOURCES[kind](), encoding="utf-8")
+        argv = [verb, str(path), *_variant_flags(verb, variant, tmp_path)]
+        if verb == "lint":
+            argv += ["--fail-on", "never"]
+        if cache == "none":
+            argv.append("--no-cache")
+        else:
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        reference, text, _ = _reference(verb, variant, kind, str(path))
+        if cache == "disk-warm":
+            assert main(argv) == 0
+            capsys.readouterr()
+        assert main([*argv, "--json"]) == 0
+        printed = capsys.readouterr().out
+        document = json.loads(printed)
+        assert (document["cached_stages"] == WARM_STAGES[verb]) is (cache == "disk-warm")
+        assert printed == _printed(reference, document) + "\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text + "\n"
+
+
+class TestAnalyzeAndLintBatch:
+    @pytest.mark.parametrize(
+        "mode,cache",
+        [
+            ("sequential", "none"),
+            ("sequential", "disk-cold"),
+            ("sequential", "disk-warm"),
+            ("pooled", "none"),
+            ("pooled", "disk-warm"),
+        ],
+    )
+    @pytest.mark.parametrize("verb,variant", CASES)
+    def test_jobs_equal_the_reference(self, tmp_path, capsys, verb, variant, mode, cache):
+        paths = []
+        for kind in sorted(ANALYSIS_SOURCES):
+            path = tmp_path / f"{kind}.vhd"
+            path.write_text(ANALYSIS_SOURCES[kind](), encoding="utf-8")
+            paths.append(str(path))
+        argv = ["batch", *paths, *_variant_flags(verb, variant, tmp_path)]
+        if verb == "lint":
+            # The jobs analyse, or check the [lint] table's policy, and each
+            # carries the lint section.
+            argv += ["--lint", "--fail-on", "never"]
+        argv += ["--sequential"] if mode == "sequential" else ["--jobs", "2"]
+        if cache == "none":
+            argv.append("--no-cache")
+        else:
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        if cache == "disk-warm":
+            assert main(argv) == 0
+            capsys.readouterr()
+        assert main([*argv, "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        expected_text = ""
+        for job, path, kind in zip(document["jobs"], paths, sorted(ANALYSIS_SOURCES)):
+            reference, text, _ = _reference(verb, variant, kind)
+            if verb == "lint":
+                # The lint section is the lint document's body, and the text
+                # follows the job's own.
+                lint = {key: reference[key] for key in ("clean", "findings", "summary")}
+                assert json_text(job["lint"]) == json_text(lint)
+                if variant == "table":
+                    checked = Workspace(cache=None).check(
+                        ANALYSIS_SOURCES[kind](), LINT_TABLE
+                    )
+                    reference, own = checked.document(), checked.to_text()
+                else:
+                    reference, own, _ = _reference("analyze", "plain", kind)
+                text = f"{own}\n\n{text}"
+            head = {key: job[key] for key in ("file", "entity", "ok", "seconds")}
+            payload = {
+                key: value
+                for key, value in reference.items()
+                if key not in ("schema", "command", "policy")
+            }
+            if verb == "lint":
+                payload["lint"] = job["lint"]
+            assert json_text(job) == _printed({**head, **payload}, job)
+            warm = cache == "disk-warm"
+            stages = ["report_json"] if variant == "table" else WARM_STAGES["analyze"]
+            stages = stages + ["lint"] if verb == "lint" else stages
+            assert (job["cached_stages"] == stages) is warm
+            expected_text += f"== {path} ==\n{text}\n"
+        assert printed == expected_text
+
+
+class TestAnalyzeAndLintServe:
+    @pytest.mark.parametrize("verb,variant", CASES)
+    @pytest.mark.parametrize("kind", sorted(ANALYSIS_SOURCES))
+    def test_bodies_equal_the_reference(self, server, kind, verb, variant):
+        settings = VARIANTS[verb][variant]
+        payload = {"source": ANALYSIS_SOURCES[kind]()}
+        payload.update(
+            (key, value) for key, value in settings.items() if key != "dot"
+        )
+        reference, _, _ = _reference(verb, variant, kind)
+        for attempt in ("cold", "warm"):
+            status, body = _post(server.port, f"/{verb}", payload)
+            assert status == 200
+            document = json.loads(body)
+            if attempt == "warm":
+                assert document["cached_stages"] == WARM_STAGES[verb]
+            assert body == (_printed(reference, document) + "\n").encode("utf-8")
+
+
+#: Designs for the exit-code table: a lint error (IFA101, multiple
+#: drivers), a lint warning (IFA102, a dead signal), and neither; the
+#: first two also leak ``a`` to the public output ``o``.
+EXIT_DESIGNS = {
+    "error": """
+entity md is
+  port( a : in std_logic; o : out std_logic );
+end md;
+architecture rtl of md is
+  signal s : std_logic;
+begin
+  p1 : process begin s <= a; wait on a; end process p1;
+  p2 : process begin s <= a; wait on a; end process p2;
+  p3 : process begin o <= s; wait on s; end process p3;
+end rtl;
+""",
+    "warning": """
+entity ds is
+  port( a : in std_logic; o : out std_logic );
+end ds;
+architecture rtl of ds is
+  signal dead : std_logic;
+begin
+  p1 : process begin dead <= a; o <= a; wait on a; end process p1;
+end rtl;
+""",
+    "clean": """
+entity cl is
+  port( a : in std_logic; b : in std_logic; o : out std_logic; p : out std_logic );
+end cl;
+architecture rtl of cl is
+begin
+  p1 : process begin o <= b; wait on b; end process p1;
+  p2 : process begin p <= a; wait on a; end process p2;
+end rtl;
+""",
+}
+
+#: ``a`` and ``p`` are secret, the rest public.
+EXIT_POLICY = {
+    "levels": {"low": 0, "high": 1},
+    "default": "low",
+    "resources": {"a": "high", "p": "high"},
+    "allow": [{"from": "low", "to": "high"}],
+}
+
+#: (command, design) → the exit code for --fail-on error, warning, never.
+EXIT_CODES = {
+    ("check", "error"): (3, 3, 0),
+    ("check", "warning"): (3, 3, 0),
+    ("check", "clean"): (0, 0, 0),
+    ("lint", "error"): (3, 3, 0),
+    ("lint", "warning"): (0, 3, 0),
+    ("lint", "clean"): (0, 0, 0),
+    ("batch --policy", "error"): (3, 3, 0),
+    ("batch --policy", "warning"): (3, 3, 0),
+    ("batch --policy", "clean"): (0, 0, 0),
+    ("batch --lint", "error"): (3, 3, 0),
+    ("batch --lint", "warning"): (0, 3, 0),
+    ("batch --lint", "clean"): (0, 0, 0),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("fail_on", ["error", "warning", "never"])
+    @pytest.mark.parametrize("command,design", sorted(EXIT_CODES))
+    def test_the_fail_on_table(self, tmp_path, capsys, command, design, fail_on):
+        path = tmp_path / "design.vhd"
+        path.write_text(EXIT_DESIGNS[design], encoding="utf-8")
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(EXIT_POLICY), encoding="utf-8")
+        verb, _, flag = command.partition(" ")
+        argv = [verb, str(path), "--fail-on", fail_on, "--no-cache"]
+        if verb == "batch":
+            argv.append("--sequential")
+        if verb == "check" or flag == "--policy":
+            argv += ["--policy", str(policy)]
+        elif flag:
+            argv.append(flag)
+        expected = EXIT_CODES[command, design]
+        assert main(argv) == expected[["error", "warning", "never"].index(fail_on)]
+        capsys.readouterr()

@@ -489,6 +489,21 @@ class TestPolicyFileFlag:
         assert main(["check", design_file, "--policy", missing]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_lint_reads_its_policy_file_as_check_does(
+        self, design_file, tmp_path, capsys
+    ):
+        # A missing file is unreadable input, not an unknown policy name.
+        missing = str(tmp_path / "nope.toml")
+        assert main(["lint", design_file, "--policy", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nope.toml" in err
+        bad = tmp_path / "bad.toml"
+        bad.write_text('[levels]\npublic = "zero"\n', encoding="utf-8")
+        assert main(["lint", design_file, "--policy", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.toml" in err
+
     def test_batch_policy_reports_violations_and_exits_three(
         self, design_file, policy_file, capsys
     ):

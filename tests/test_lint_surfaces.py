@@ -339,6 +339,20 @@ import os
 
 def h():
     return os.fork()
+
+
+from repro.pipeline import stages
+from repro.pipeline.render import analyze_document, render_lint_text
+from repro.pipeline.stages import ANALYZE_GOALS
+
+
+def one_path(run, findings):
+    analyze_document(run)
+    run.check_document(None)
+    stages.lint_document(run, findings)
+    render_analysis_text(run.result)
+    render_lint_text("design", findings)
+    return ANALYZE_GOALS, stages.CHECK_GOALS, (*LINT_GOALS, "kemmerer")
 '''
 
 
@@ -474,8 +488,24 @@ class TestInvariantGate:
             "imports multiprocessing.connection",  # a second process pool
             "imports ProcessPoolExecutor",
             "uses os.fork",
+            "calls analyze_document() outside the one response path",
+            "calls check_document() outside the one response path",
+            "calls lint_document() outside the one response path",
+            "calls render_analysis_text() outside the one response path",
+            "calls render_lint_text() outside the one response path",
+            "reads ANALYZE_GOALS outside the one response path",
+            "reads CHECK_GOALS outside the one response path",
+            "reads LINT_GOALS outside the one response path",
         ):
             assert fragment in result.stderr, fragment
+        # One failure each: the imports are allowed.
+        response_path = [
+            line
+            for line in result.stderr.splitlines()
+            if "outside the one response path" in line
+        ]
+        assert len(response_path) == 8
+        assert all("seeded.py" in line for line in response_path)
         # Only the pool itself may start processes.
         starts = [
             line

@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Workspace, workloads
 from repro.analysis.flowgraph import FlowGraph
@@ -35,7 +37,7 @@ from repro.pipeline import (
     run_batch,
     select_graph,
 )
-from repro.pipeline.render import _PLACEHOLDER, render_graph_json
+from repro.pipeline.render import render_graph_json
 
 FLAGS = list(itertools.product([False, True], repeat=2))
 FLAG_IDS = [f"collapse={c}-self_loops={s}" for c, s in FLAGS]
@@ -286,12 +288,42 @@ class TestTheWriter:
         assert buffer.getvalue().decode("utf-8") == expected
 
 
+def _member(value):
+    """``value`` as a rendered member: the text ``json.dumps`` writes for it
+    one level down in a document."""
+    text = _dumps({"m": _plain(value)})
+    return RenderedJSON(text[len('{\n  "m": ') : -len("\n}")].encode("utf-8"))
+
+
+#: JSON values of every type ``json`` writes, rendered members among them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=3).map(_member),
+    max_leaves=24,
+)
+
+
 class TestTheSplice:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_the_writer_writes_what_json_dumps_does(self, value):
+        expected = _dumps(_plain(value))
+        assert json_text(value) == expected
+        assert json_bytes(value) == expected.encode("utf-8")
+
+    def test_keys_must_be_strings(self):
+        with pytest.raises(TypeError, match="keys must be str"):
+            json_text({"a": {1: "one"}})
+
     MEMBER = render_graph_json(GRAPHS["escapes"], False, False).text
+    #: A string that looks like an internal marker for a rendered member.
+    PLACEHOLDER = "\x00vhdl-ifa:rendered-json\x00"
 
     @pytest.mark.parametrize("attempts", [1, 2, 3])
     def test_a_string_equal_to_the_placeholder_stays_a_string(self, attempts):
-        taken = [f"{_PLACEHOLDER}{attempt}" for attempt in range(attempts)]
+        taken = [f"{self.PLACEHOLDER}{attempt}" for attempt in range(attempts)]
         document = {
             "file": taken[0],
             "design": taken[-1],

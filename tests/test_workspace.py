@@ -268,7 +268,8 @@ class TestRunsLeaveNoCyclicGarbage:
 
     A reference cycle per run (a recursive closure holding the design
     hierarchy, say) keeps its objects alive until a full collection, which
-    in a long session traces the whole memory tier to find them.
+    in a long session traces the whole memory tier to find them.  Each run
+    also builds its document and serialises it, as every surface does.
     """
 
     SOURCES = {
@@ -287,8 +288,9 @@ class TestRunsLeaveNoCyclicGarbage:
             for workspace in (Workspace(cache=None), Workspace()):
                 for _ in range(2):  # cold, then (with a cache) every hit
                     workspace.analyze(source)
-                    workspace.check(source, secret)
-                    workspace.lint(source)
+                    json_text(analyze_document(workspace.analyze_run(source)))
+                    json_text(workspace.check(source, secret).document())
+                    json_text(workspace.lint(source).document())
             del workspace
             found = gc.collect()
         finally:
